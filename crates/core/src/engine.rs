@@ -5,9 +5,8 @@ use dlb_obs::{MetricRegistry, NoopSink, Phase, Sink};
 use dlb_topology::{self as topology, StaticTopology, TopologySchedule};
 
 use crate::fairness::FairnessMonitor;
-use crate::kernel::vector::{self, VectorConfig, VectorStats};
+use crate::kernel::vector::{self, UniformKernel, VectorConfig, VectorStats};
 use crate::kernel::{self, KernelBalancer};
-use crate::parallel::{self, ShardedBalancer};
 use crate::workload::{NoWorkload, Workload};
 use crate::{Balancer, CumulativeLedger, EngineError, FlowPlan, LoadVector};
 
@@ -180,9 +179,10 @@ pub struct EngineState {
 /// monitor. [`run_kernel`](Engine::run_kernel) goes further still for
 /// [`KernelBalancer`] schemes: no [`FlowPlan`] is materialised at all —
 /// flows are computed in registers and applied as signed deltas into a
-/// double-buffered load vector. [`run_parallel`](Engine::run_parallel)
-/// shards that plan-free path across threads for [`ShardedBalancer`]
-/// schemes. All paths produce bit-identical loads. The count of
+/// double-buffered load vector, and for closed-form SEND schemes runs
+/// whole-array vector rounds; [`run_parallel`](Engine::run_parallel)
+/// splits those vector rounds by node range across threads. All paths
+/// produce bit-identical loads. The count of
 /// negative nodes is maintained incrementally at every load write, so
 /// no path ever scans for it.
 ///
@@ -296,12 +296,11 @@ impl Engine {
     }
 
     /// Starts maintaining a [`DynamicConnectivity`] structure anchored
-    /// to the current graph. Every execution path (serial, kernel,
-    /// sharded) keeps it coherent through applied topology events and
+    /// to the current graph. Every dynamic execution path (serial,
+    /// kernel) keeps it coherent through applied topology events and
     /// erroring-round rollbacks, so
     /// [`is_connected`](Engine::is_connected) answers in `O(1)` at any
-    /// round boundary — the sharded driver in particular reuses this
-    /// one structure across rounds instead of re-cloning per round.
+    /// round boundary.
     pub fn track_connectivity(&mut self) {
         self.connectivity = Some(DynamicConnectivity::new(self.gp.graph()));
     }
@@ -1107,64 +1106,9 @@ impl Engine {
             None => true,
             Some(w) => w.is_noop(),
         };
-        if check
-            && self.vector_config.enabled
-            && static_topology
-            && closed_system
-            && self.gp.graph().asleep_count() == 0
-        {
-            if let Some(spec) = balancer.uniform_kernel(&self.gp) {
-                // Same pre-plan class check, same step/node parity as
-                // the scalar kernel's first round. Uniform flows never
-                // overdraw (proofs in `kernel::vector`), so loads stay
-                // non-negative invariantly and one entry check covers
-                // every round: negative_node_steps gains exactly 0,
-                // matching the scalar path.
-                if self.negative_count > 0 {
-                    let node = self.first_negative();
-                    return Err(EngineError::NegativeLoad {
-                        node,
-                        load: self.loads.get(node),
-                        step: self.step + 1,
-                    });
-                }
-                // This path writes loads behind the argmax index's
-                // back; drop it and let the next planned injection
-                // rebuild.
-                self.argmax = None;
-                let config = self.vector_config;
-                let before = self.vector_stats;
-                if vector::run_uniform(
-                    &self.gp,
-                    self.loads.as_mut_slice(),
-                    spec,
-                    steps,
-                    &config,
-                    &mut self.vector_stats,
-                ) {
-                    let step_no = self.step as u64 + 1;
-                    if Si::ENABLED {
-                        // One structured instant per dispatch counter
-                        // that moved this run (tags documented above).
-                        let after = self.vector_stats;
-                        let deltas = [
-                            (1u64, after.rounds_banded - before.rounds_banded),
-                            (2, after.rounds_blocked - before.rounds_blocked),
-                            (3, after.rounds_i32 - before.rounds_i32),
-                            (4, after.i32_fallbacks - before.i32_fallbacks),
-                        ];
-                        for (tag, count) in deltas {
-                            if count > 0 {
-                                sink.instant(Phase::VectorDispatch, step_no, (tag << 32) | count);
-                            }
-                        }
-                    }
-                    self.step += steps;
-                    return Ok(());
-                }
-                // Dispatch declined at run time (load magnitude):
-                // record the scalar fallback and stream as usual.
-                sink.instant(Phase::VectorDispatch, self.step as u64 + 1, 0);
+        if static_topology && closed_system {
+            if let Some(result) = self.vector_rounds(&*balancer, steps, 1, sink) {
+                return result;
             }
         }
         self.kernel_rounds(check, steps, schedule, workload, sink, |gp, u, x, fl| {
@@ -1172,10 +1116,84 @@ impl Engine {
         })
     }
 
-    /// The shared plumbing of the plan-free paths: allocates the back
-    /// buffer, streams the rounds through [`kernel::run_rounds`], and
-    /// applies the returned counters — so the kernel and the
-    /// degenerate one-thread sharded entry cannot drift apart.
+    /// The vector dispatch shared by [`run_kernel_dyn_traced`]
+    /// (`threads == 1`) and [`run_parallel_traced`]: runs `steps`
+    /// whole-array rounds split across `threads` workers when the
+    /// configuration allows and the scheme has a closed form on this
+    /// graph, on a fully awake graph (the callers have already ruled out
+    /// churn and injection). `None` means the caller streams the scalar
+    /// kernel instead — bit-identical, so dispatch is purely a
+    /// performance decision.
+    ///
+    /// [`run_kernel_dyn_traced`]: Engine::run_kernel_dyn_traced
+    /// [`run_parallel_traced`]: Engine::run_parallel_traced
+    fn vector_rounds<K: KernelBalancer + ?Sized, Si: Sink>(
+        &mut self,
+        balancer: &K,
+        steps: usize,
+        threads: usize,
+        sink: &mut Si,
+    ) -> Option<Result<(), EngineError>> {
+        if balancer.may_overdraw()
+            || !self.vector_config.enabled
+            || self.gp.graph().asleep_count() > 0
+        {
+            return None;
+        }
+        // The capability hook decides per graph (SEND(round) declines
+        // below d° ≥ d).
+        let spec = balancer.uniform_kernel(&self.gp)?;
+        // Same pre-plan class check, same step/node parity as the
+        // scalar kernel's first round. Uniform flows never overdraw
+        // (proofs in `kernel::vector`), so loads stay non-negative
+        // invariantly and one entry check covers every round:
+        // negative_node_steps gains exactly 0, matching the scalar path.
+        if let Err(e) = self.check_negative_preplan(true) {
+            return Some(Err(e));
+        }
+        // This path writes loads behind the argmax index's back; drop it
+        // and let the next planned injection rebuild.
+        self.argmax = None;
+        let config = self.vector_config;
+        let before = self.vector_stats;
+        let step_no = self.step as u64 + 1;
+        if !vector::run_uniform(
+            &self.gp,
+            self.loads.as_mut_slice(),
+            spec,
+            steps,
+            &config,
+            &mut self.vector_stats,
+            threads,
+        ) {
+            // Dispatch declined at run time (load magnitude): record the
+            // scalar fallback.
+            sink.instant(Phase::VectorDispatch, step_no, 0);
+            return None;
+        }
+        if Si::ENABLED {
+            // One structured instant per dispatch counter that moved
+            // this run (tags documented on `run_kernel_dyn_traced`).
+            let after = self.vector_stats;
+            let deltas = [
+                (1u64, after.rounds_banded - before.rounds_banded),
+                (2, after.rounds_blocked - before.rounds_blocked),
+                (3, after.rounds_i32 - before.rounds_i32),
+                (4, after.i32_fallbacks - before.i32_fallbacks),
+            ];
+            for (tag, count) in deltas {
+                if count > 0 {
+                    sink.instant(Phase::VectorDispatch, step_no, (tag << 32) | count);
+                }
+            }
+        }
+        self.step += steps;
+        Some(Ok(()))
+    }
+
+    /// The shared plumbing of the scalar plan-free path: allocates the
+    /// back buffer, streams the rounds through [`kernel::run_rounds`],
+    /// and applies the returned counters.
     fn kernel_rounds<S: TopologySchedule + ?Sized, W: Workload + ?Sized, Si: Sink>(
         &mut self,
         check: bool,
@@ -1219,180 +1237,84 @@ impl Engine {
         }
     }
 
-    /// Runs `steps` rounds of a [`ShardedBalancer`] with the node set
-    /// split across `threads` worker threads (clamped to `1..=n`).
+    /// Runs `steps` rounds of a closed-form SEND scheme with each vector
+    /// pass split by contiguous node range across `threads` workers
+    /// (clamped to `1..=n`), spawned once for the run.
     ///
-    /// The final loads are **bit-identical** to driving the same scheme
-    /// through [`step`](Engine::step)/[`run`](Engine::run)/
-    /// [`run_fast`](Engine::run_fast), for any thread count: planning
-    /// is per-node, routing is integer addition, and shard contributions
-    /// commute. Like [`run_fast`](Engine::run_fast) this path skips the
-    /// ledger and monitor. On error the loads are those after the last
-    /// fully completed round and the error is the same one the serial
-    /// engine would report.
+    /// The result is **bit-identical** to
+    /// [`run_kernel`](Engine::run_kernel) — loads, step count, vector
+    /// counters and errors — for any thread count: the workers run the
+    /// same two passes as the serial vector round, one range each, with
+    /// a barrier after each pass. The split applies exactly when
+    /// `run_kernel` would dispatch the vector layer (see
+    /// [`kernel::vector`]); otherwise, and for `threads == 1`, this *is*
+    /// `run_kernel` — for example SEND([x/d⁺]) on a graph with `d° < d`
+    /// streams the scalar kernel and reports its `Overdraw`.
     ///
-    /// # Errors
-    ///
-    /// Propagates the first [`EngineError`] encountered.
-    pub fn run_parallel(
-        &mut self,
-        balancer: &dyn ShardedBalancer,
-        steps: usize,
-        threads: usize,
-    ) -> Result<(), EngineError> {
-        self.run_parallel_with(balancer, steps, threads, NoWorkload::none())
-    }
-
-    /// [`run_parallel`](Engine::run_parallel) with per-round workload
-    /// injection: one designated worker drives the workload over an
-    /// assembled global load view each round and the deltas are applied
-    /// shard-locally, keeping the result bit-identical to the serial
-    /// paths under any workload and any thread count (see
-    /// [`parallel`](crate::parallel) for the phase structure). The
-    /// closed-system `None` case skips the injection phases and their
-    /// barriers entirely.
+    /// The balancer is shared by reference: schemes with a uniform
+    /// closed form are stateless, so the scalar fallback runs a copy.
     ///
     /// # Errors
     ///
-    /// Propagates the first [`EngineError`] encountered — the same
-    /// error, on the same step and node, the serial engine would
-    /// report; the erroring round's injection is undone.
-    pub fn run_parallel_with<W: Workload + ?Sized>(
+    /// Propagates the first [`EngineError`] encountered, exactly as
+    /// [`run_kernel`](Engine::run_kernel) does.
+    pub fn run_parallel<K>(
         &mut self,
-        balancer: &dyn ShardedBalancer,
+        balancer: &K,
         steps: usize,
         threads: usize,
-        workload: Option<&mut W>,
-    ) -> Result<(), EngineError> {
-        self.run_parallel_dyn(balancer, steps, threads, StaticTopology::none(), workload)
+    ) -> Result<(), EngineError>
+    where
+        K: KernelBalancer + UniformKernel + Clone,
+    {
+        self.run_parallel_traced(balancer, steps, threads, &mut NoopSink)
     }
 
-    /// [`run_parallel_with`](Engine::run_parallel_with) with per-round
-    /// topology churn: worker 0 drives the schedule exactly once per
-    /// round and broadcasts the validated events; every worker applies
-    /// them to its own graph replica, so the sharded rounds see the
-    /// identical graph the serial paths see — bit-identity holds for
-    /// any thread count under any schedule × workload combination (see
-    /// [`parallel`](crate::parallel) for the phase structure).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`EngineError`] encountered — the same
-    /// error, on the same step and node, the serial engine would
-    /// report; the erroring round's injection and topology events are
-    /// undone.
-    pub fn run_parallel_dyn<S: TopologySchedule + ?Sized, W: Workload + ?Sized>(
-        &mut self,
-        balancer: &dyn ShardedBalancer,
-        steps: usize,
-        threads: usize,
-        schedule: Option<&mut S>,
-        workload: Option<&mut W>,
-    ) -> Result<(), EngineError> {
-        self.run_parallel_dyn_traced(balancer, steps, threads, schedule, workload, &mut NoopSink)
-    }
-
-    /// [`run_parallel_dyn`](Engine::run_parallel_dyn) with a tracing
-    /// [`Sink`]: the driver worker times the sharded protocol's
-    /// barrier phases — topology drive + replay, injection
-    /// publish/assemble/apply, plan + accumulate, merge — and the
-    /// run-level totals surface here as `ShardTopology` /
-    /// `ShardInject` / `ShardPlan` / `ShardMerge` spans (one span per
-    /// phase per run, carrying the summed ns across all rounds). The
-    /// one-thread degenerate path emits the serial kernel's per-round
-    /// spans instead. Sinks observe only: loads, errors and counters
+    /// [`run_parallel`](Engine::run_parallel) with a tracing [`Sink`]:
+    /// the same `VectorDispatch` instants (or scalar-kernel spans) that
+    /// [`run_kernel_dyn_traced`](Engine::run_kernel_dyn_traced) emits
+    /// for the same run. Sinks observe only: loads, errors and counters
     /// are bit-identical for any sink and any thread count.
     ///
     /// # Errors
     ///
-    /// As [`run_parallel_dyn`](Engine::run_parallel_dyn).
-    pub fn run_parallel_dyn_traced<S, W, Si>(
+    /// As [`run_parallel`](Engine::run_parallel).
+    pub fn run_parallel_traced<K, Si>(
         &mut self,
-        balancer: &dyn ShardedBalancer,
+        balancer: &K,
         steps: usize,
         threads: usize,
-        schedule: Option<&mut S>,
-        workload: Option<&mut W>,
         sink: &mut Si,
     ) -> Result<(), EngineError>
     where
-        S: TopologySchedule + ?Sized,
-        W: Workload + ?Sized,
+        K: KernelBalancer + UniformKernel + Clone,
         Si: Sink,
     {
-        let n = self.gp.num_nodes();
-        let threads = threads.max(1).min(n);
-        if steps == 0 {
-            return Ok(());
+        let threads = threads.min(self.gp.num_nodes()).max(1);
+        let mut scalar = balancer.clone();
+        if threads == 1 || steps == 0 {
+            return self.run_kernel_dyn_traced(
+                &mut scalar,
+                steps,
+                StaticTopology::none(),
+                NoWorkload::none(),
+                sink,
+            );
         }
+        if let Some(result) = self.vector_rounds(balancer, steps, threads, sink) {
+            return result;
+        }
+        // Not vector-eligible (or declined on load magnitude): the
+        // scalar stream `run_kernel` would run.
         let check = !balancer.may_overdraw();
-        if workload.is_none() && schedule.is_none() && self.gp.graph().asleep_count() == 0 {
-            // Fully closed system: negatives cannot appear mid-run for
-            // a checked scheme, so one entry check suffices. Any
-            // dynamic ingredient defers to the round loops instead —
-            // a workload's drain may create (or an arrival cure) a
-            // negative, a failure handoff may cure one, and a round-1
-            // topology error must outrank a pre-existing negative the
-            // way the serial round order (mutate, inject, check)
-            // dictates, on the same step.
-            self.check_negative_preplan(check)?;
-        }
-        if threads == 1 {
-            // Degenerate sharding: the serial plan-free kernel path,
-            // planned through the same per-node entry point — one
-            // thread must never pay shard/synchronisation overhead.
-            return self.kernel_rounds(check, steps, schedule, workload, sink, |gp, u, x, fl| {
-                balancer.plan_node(gp, u, x, fl)
-            });
-        }
-
-        // The sharded path writes loads behind the argmax index's back.
-        self.argmax = None;
-        let base_step = self.step;
-        let (stats, err) = parallel::run_sharded(
-            &mut self.gp,
-            self.loads.as_mut_slice(),
-            balancer,
+        self.kernel_rounds(
+            check,
             steps,
-            threads,
-            base_step,
-            schedule,
-            workload,
-            self.connectivity.as_mut(),
-            Si::ENABLED,
-        );
-        if Si::ENABLED {
-            // Run-level phase totals measured by the driver worker;
-            // one span per phase, step-tagged with the first round.
-            let phases = [
-                Phase::ShardTopology,
-                Phase::ShardInject,
-                Phase::ShardPlan,
-                Phase::ShardMerge,
-            ];
-            let anchor = sink.now_ns();
-            for (phase, &ns) in phases.iter().zip(&stats.phase_ns) {
-                if ns > 0 {
-                    sink.record(dlb_obs::Event {
-                        kind: dlb_obs::EventKind::Span,
-                        phase: *phase,
-                        step: base_step as u64 + 1,
-                        at_ns: anchor,
-                        dur_ns: ns,
-                        value: 0,
-                    });
-                }
-            }
-        }
-        self.step += stats.steps_done;
-        self.negative_node_steps += stats.negative_node_steps;
-        self.negative_count = stats.negative_count;
-        self.injected_total += stats.injected;
-        self.topology_events += stats.topology_events;
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+            StaticTopology::none(),
+            NoWorkload::none(),
+            sink,
+            |gp, u, x, fl| scalar.kernel_node(gp, u, x, fl),
+        )
     }
 
     /// Runs until `stop(summary)` returns true, for at most `max_steps`
@@ -1822,19 +1744,6 @@ mod tests {
         .unwrap();
         assert_eq!(kern.loads(), reference.loads());
         assert_eq!(kern.injected_total(), reference.injected_total());
-
-        for threads in [1, 2, 3] {
-            let mut par = make();
-            par.run_parallel_with(
-                &SendFloor::new(),
-                30,
-                threads,
-                Some(&mut Node0Arrivals { rate: 5 }),
-            )
-            .unwrap();
-            assert_eq!(par.loads(), reference.loads(), "parallel({threads})");
-            assert_eq!(par.injected_total(), reference.injected_total());
-        }
     }
 
     #[test]
@@ -1876,22 +1785,6 @@ mod tests {
         assert_eq!(kern.loads(), reference.loads());
         assert_eq!(kern.step_count(), reference.step_count());
         assert_eq!(kern.injected_total(), reference.injected_total());
-
-        for threads in [1, 2, 3] {
-            let mut par = make();
-            let par_err = par
-                .run_parallel_with(
-                    &SendFloor::new(),
-                    50,
-                    threads,
-                    Some(&mut Node1Drain { rate: 4 }),
-                )
-                .unwrap_err();
-            assert_eq!(par_err, ref_err, "parallel({threads})");
-            assert_eq!(par.loads(), reference.loads(), "parallel({threads})");
-            assert_eq!(par.step_count(), reference.step_count());
-            assert_eq!(par.injected_total(), reference.injected_total());
-        }
     }
 
     /// Regression (PR 4): `run_until` used to evaluate its predicate
@@ -2031,21 +1924,6 @@ mod tests {
         assert_eq!(kern.loads(), reference.loads());
         assert_eq!(kern.graph(), reference.graph());
         assert_eq!(kern.topology_events_applied(), 3);
-
-        for threads in [1usize, 2, 3] {
-            let mut par = make();
-            par.run_parallel_dyn(
-                &SendFloor::new(),
-                20,
-                threads,
-                Some(&mut MiniChurn),
-                Some(&mut Node0Arrivals { rate: 5 }),
-            )
-            .unwrap();
-            assert_eq!(par.loads(), reference.loads(), "parallel({threads})");
-            assert_eq!(par.graph(), reference.graph(), "parallel({threads})");
-            assert_eq!(par.topology_events_applied(), 3);
-        }
     }
 
     #[test]
@@ -2053,7 +1931,7 @@ mod tests {
         use dlb_graph::traversal;
         use dlb_topology::schedules::PeriodicRewiring;
 
-        // Serial, kernel and sharded churn runs must all keep the
+        // Serial and kernel churn runs must both keep the
         // tracked structure in agreement with the BFS oracle on the
         // engine's own graph — the whole point of threading the
         // checker through `drive_events_checked`.
@@ -2075,20 +1953,10 @@ mod tests {
                         );
                     }
                 }
-                1 => {
+                _ => {
                     e.run_kernel_dyn::<_, _, crate::workload::NoWorkload>(
                         &mut SendFloor::new(),
                         12,
-                        Some(&mut sched),
-                        None,
-                    )
-                    .unwrap();
-                }
-                _ => {
-                    e.run_parallel_dyn::<_, crate::workload::NoWorkload>(
-                        &SendFloor::new(),
-                        12,
-                        3,
                         Some(&mut sched),
                         None,
                     )
@@ -2108,7 +1976,6 @@ mod tests {
         };
         run(0);
         run(1);
-        run(2);
     }
 
     #[test]
@@ -2280,22 +2147,6 @@ mod tests {
             kern.topology_events_applied(),
             reference.topology_events_applied()
         );
-
-        for threads in [2usize, 3] {
-            let mut par = make();
-            let par_err = par
-                .run_parallel_dyn(
-                    &SendFloor::new(),
-                    50,
-                    threads,
-                    Some(&mut SwapEveryRound),
-                    Some(&mut Node1Drain { rate: 4 }),
-                )
-                .unwrap_err();
-            assert_eq!(par_err, ref_err, "parallel({threads})");
-            assert_eq!(par.loads(), reference.loads());
-            assert_eq!(par.graph(), reference.graph(), "parallel({threads})");
-        }
     }
 
     #[test]
@@ -2357,31 +2208,13 @@ mod tests {
         assert_eq!(kern.loads(), reference.loads());
         assert_eq!(kern.step_count(), 2);
         assert_eq!(kern.graph(), reference.graph());
-
-        for threads in [2usize, 3] {
-            let mut par = make();
-            let par_err = par
-                .run_parallel_dyn(
-                    &SendFloor::new(),
-                    5,
-                    threads,
-                    Some(&mut BadAtRound3),
-                    Option::<&mut NoWorkload>::None,
-                )
-                .unwrap_err();
-            assert_eq!(par_err, ref_err, "parallel({threads})");
-            assert_eq!(par.loads(), reference.loads());
-            assert_eq!(par.step_count(), 2);
-            assert_eq!(par.graph(), reference.graph());
-        }
     }
 
     /// Regression (PR 5 review): the serial round order is *mutate
     /// topology, inject, negative-check* — so with a negative seed
     /// and a churning schedule, a rejected round-1 event must win as
     /// `Topology` and a valid round-1 event must surface the seed as
-    /// `NegativeLoad`, **identically on every path** (the sharded
-    /// entry check used to pre-empt round 1's topology phase).
+    /// `NegativeLoad`, **identically on every path**.
     #[test]
     fn negative_seed_under_churn_orders_errors_like_the_serial_round() {
         struct ValidSwapRound1;
@@ -2449,19 +2282,16 @@ mod tests {
             .unwrap_err()
         });
         assert!(matches!(reference, EngineError::Topology { step: 1, .. }));
-        for threads in [1usize, 2, 3] {
-            let err = drive(&|e| {
-                e.run_parallel_dyn(
-                    &SendFloor::new(),
-                    5,
-                    threads,
-                    Some(&mut BadAtRound1),
-                    Option::<&mut NoWorkload>::None,
-                )
-                .unwrap_err()
-            });
-            assert_eq!(err, reference, "parallel({threads})");
-        }
+        let kernel = drive(&|e| {
+            e.run_kernel_dyn(
+                &mut SendFloor::new(),
+                5,
+                Some(&mut BadAtRound1),
+                Option::<&mut NoWorkload>::None,
+            )
+            .unwrap_err()
+        });
+        assert_eq!(kernel, reference, "run_kernel_dyn");
         // Valid round-1 churn (a swap every round): the negative seed
         // itself must surface, with the erroring round's swap rolled
         // back everywhere.
@@ -2481,133 +2311,16 @@ mod tests {
                 step: 1
             }
         );
-        for threads in [1usize, 2, 3] {
-            let err = drive(&|e| {
-                e.run_parallel_dyn(
-                    &SendFloor::new(),
-                    5,
-                    threads,
-                    Some(&mut ValidSwapRound1),
-                    Option::<&mut NoWorkload>::None,
-                )
-                .unwrap_err()
-            });
-            assert_eq!(err, reference, "parallel({threads})");
-        }
-    }
-
-    /// A scheme or workload that panics (violating its documented
-    /// no-panic contract) must surface as a clean
-    /// [`EngineError::WorkerPanic`] with the round rolled back whole —
-    /// never a stranded peer at a round barrier, never a propagated
-    /// panic tearing the caller down. Deterministic: the panic fires
-    /// on round 1 on every schedule.
-    #[test]
-    fn worker_panic_surfaces_as_error_with_round_rolled_back() {
-        struct PanicAtNode(usize);
-        impl Balancer for PanicAtNode {
-            fn name(&self) -> &'static str {
-                "panic-at-node"
-            }
-            fn plan(&mut self, gp: &BalancingGraph, loads: &LoadVector, plan: &mut FlowPlan) {
-                for u in 0..gp.num_nodes() {
-                    let x = loads.get(u);
-                    if x != 0 {
-                        self.plan_node(gp, u, x, plan.node_mut(u));
-                    }
-                }
-            }
-        }
-        impl crate::ShardedBalancer for PanicAtNode {
-            fn plan_node(&self, gp: &BalancingGraph, u: usize, load: i64, flows: &mut [u64]) {
-                assert!(u != self.0, "injected panic at node {u}");
-                SendFloor::new().plan_node(gp, u, load, flows);
-            }
-        }
-        struct SwapAt1;
-        impl TopologySchedule for SwapAt1 {
-            fn label(&self) -> String {
-                "swap-at-1".into()
-            }
-            fn events(
-                &mut self,
-                round: usize,
-                g: &dlb_graph::RegularGraph,
-                out: &mut Vec<TopologyEvent>,
-            ) {
-                if round == 1 && g.has_edge(4, 5) && g.has_edge(8, 9) {
-                    out.push(TopologyEvent::Swap {
-                        a: 4,
-                        b: 5,
-                        c: 8,
-                        d: 9,
-                    });
-                }
-            }
-        }
-        struct PanicWorkload;
-        impl crate::Workload for PanicWorkload {
-            fn label(&self) -> String {
-                "panic-workload".into()
-            }
-            fn inject(&mut self, _round: usize, _loads: &[i64], _deltas: &mut [i64]) {
-                panic!("injected workload panic");
-            }
-        }
-
-        let initial = LoadVector::new(vec![7i64; 12]);
-        let check = |err: EngineError, engine: &Engine, needle: &str, label: &str| {
-            match &err {
-                EngineError::WorkerPanic { step: 1, message } => {
-                    assert!(message.contains(needle), "{label}: message {message:?}");
-                }
-                other => panic!("{label}: expected WorkerPanic, got {other:?}"),
-            }
-            assert_eq!(engine.step_count(), 0, "{label}");
-            assert_eq!(
-                engine.loads(),
-                &initial,
-                "{label}: failed round must not mutate"
-            );
-            assert_eq!(
-                engine.graph(),
-                &lazy_cycle(12),
-                "{label}: failed round must roll its events back"
-            );
-        };
-
-        // Node 5 sits in shard 0 of a 2-way split and shard 1 of a
-        // 3-way split, so both driver and non-driver workers panic.
-        for threads in [2usize, 3] {
-            // Fixed topology, plan-phase panic.
-            let mut engine = Engine::new(lazy_cycle(12), initial.clone());
-            let err = engine
-                .run_parallel(&PanicAtNode(5), 5, threads)
-                .unwrap_err();
-            check(err, &engine, "injected panic at node 5", "fixed plan");
-
-            // Churn round, plan-phase panic: the round's swap must be
-            // rolled back along with the loads.
-            let mut engine = Engine::new(lazy_cycle(12), initial.clone());
-            let err = engine
-                .run_parallel_dyn(
-                    &PanicAtNode(5),
-                    5,
-                    threads,
-                    Some(&mut SwapAt1),
-                    Option::<&mut NoWorkload>::None,
-                )
-                .unwrap_err();
-            check(err, &engine, "injected panic at node 5", "churn plan");
-
-            // Driver-side workload panic: stale or half-written deltas
-            // are undone exactly by the per-worker rollback.
-            let mut engine = Engine::new(lazy_cycle(12), initial.clone());
-            let err = engine
-                .run_parallel_with(&SendFloor::new(), 5, threads, Some(&mut PanicWorkload))
-                .unwrap_err();
-            check(err, &engine, "injected workload panic", "workload");
-        }
+        let kernel = drive(&|e| {
+            e.run_kernel_dyn(
+                &mut SendFloor::new(),
+                5,
+                Some(&mut ValidSwapRound1),
+                Option::<&mut NoWorkload>::None,
+            )
+            .unwrap_err()
+        });
+        assert_eq!(kernel, reference, "run_kernel_dyn");
     }
 
     /// An argmax-hungry workload that records which hints it got, so
@@ -2772,30 +2485,6 @@ mod tests {
             )
             .unwrap();
         assert_counters_match(&resumed, &reference, "kernel-path resume");
-
-        // And through the sharded path.
-        for threads in [1usize, 3] {
-            let mut par = make();
-            par.run_parallel_dyn(
-                &SendFloor::new(),
-                3,
-                threads,
-                Some(&mut MiniChurn),
-                Some(&mut Node0Arrivals { rate: 5 }),
-            )
-            .unwrap();
-            let mut resumed = Engine::from_state(par.export_state());
-            resumed
-                .run_parallel_dyn(
-                    &SendFloor::new(),
-                    17,
-                    threads,
-                    Some(&mut MiniChurn),
-                    Some(&mut Node0Arrivals { rate: 5 }),
-                )
-                .unwrap();
-            assert_counters_match(&resumed, &reference, "sharded resume");
-        }
     }
 
     #[test]

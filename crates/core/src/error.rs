@@ -47,12 +47,11 @@ pub enum EngineError {
         /// The graph layer's description of the violation.
         reason: String,
     },
-    /// A worker thread of the sharded runner panicked mid-round — a
-    /// balancer, workload or schedule implementation violated its
-    /// no-panic contract. The round is rolled back whole (loads, graph
-    /// and injection restored to the last completed round) and every
-    /// peer exits cleanly through the abort path instead of deadlocking
-    /// at a round barrier.
+    /// A worker thread of an earlier multi-threaded round protocol
+    /// panicked mid-round, and the round was rolled back whole. No
+    /// current execution path raises it (the range-split workers run
+    /// only arithmetic whose preconditions the engine checks first); it
+    /// stays so that snapshots and journals recording it still decode.
     WorkerPanic {
         /// The step during which the panic unwound (1-based).
         step: usize,

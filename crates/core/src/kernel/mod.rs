@@ -53,11 +53,12 @@ pub mod vector;
 /// current load and the scheme's own per-node state — the class the
 /// plan-free kernel path can execute.
 ///
-/// This is the mutable-state sibling of
-/// [`ShardedBalancer`](crate::ShardedBalancer): sharding additionally
-/// requires statelessness (`&self` + `Sync`), while a kernel may carry
-/// per-node state (the rotor-router advances its rotors as it plans).
-/// Implementations must write **every** entry of `flows`
+/// A kernel may carry per-node state (the rotor-router advances its
+/// rotors as it plans); schemes whose flows are a closed form of the
+/// load alone also answer [`uniform_kernel`](KernelBalancer::uniform_kernel),
+/// which lets [`Engine::run_kernel`](crate::Engine::run_kernel) and
+/// [`Engine::run_parallel`](crate::Engine::run_parallel) run them as
+/// whole-array [`vector`] rounds. Implementations must write **every** entry of `flows`
 /// (`flows.len() == d⁺`; the buffer is reused across nodes and arrives
 /// dirty) and must produce exactly the flows their
 /// [`Balancer::plan`] would put in a [`FlowPlan`](crate::FlowPlan) row,
@@ -131,9 +132,7 @@ pub(crate) struct KernelRunStats {
 }
 
 /// Sums one planned node's original-edge outflow and, when `check` is
-/// set, enforces the non-overdrawing invariant. Shared by the serial
-/// kernel rounds and the sharded workers so the two plan-free paths
-/// cannot drift apart in validation or error reporting.
+/// set, enforces the non-overdrawing invariant.
 ///
 /// `step` is the 1-based step the error would belong to.
 #[inline]
@@ -202,10 +201,8 @@ impl FlowsBuf for Vec<u64> {
 /// Applies a round's injection deltas to `loads` (or, with `negate`,
 /// undoes them — the exact inverse, each negative-count update
 /// included, so an erroring round restores both the loads and the
-/// caller's incremental counter to the last completed round). Shared
-/// by the serial kernel and the sharded workers so the plan-free paths
-/// cannot drift apart in how injection lands. Returns the net signed
-/// delta (pre-`negate`).
+/// caller's incremental counter to the last completed round). Returns
+/// the net signed delta (pre-`negate`).
 ///
 /// Two loops behind one probe: sparse delta vectors (hotspot, drain —
 /// a handful of nonzero entries) keep the skip-zero branch, while

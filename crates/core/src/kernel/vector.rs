@@ -19,8 +19,8 @@
 //! pass 2:  x'[u]   = x[u] − d·b[u] + Σ_{p<d} b[nbr(u, p)]
 //! ```
 //!
-//! both written as explicit 8/16-lane chunked loops the autovectorizer
-//! lifts (no `std::simd`, so the vendored toolchain builds unchanged),
+//! both written once, generic over the load word, as explicit
+//! 8/16-lane chunked loops the autovectorizer lifts (no `std::simd`, so the vendored toolchain builds unchanged),
 //! with the division strength-reduced to a shift (power-of-two `d⁺`)
 //! or a Granlund–Montgomery multiply-high (everything else).
 //!
@@ -46,18 +46,28 @@
 //!   [`dlb_graph::relabel::port_shift_profile`]), the gather becomes
 //!   one shifted whole-slice add per port plus an exception patch
 //!   list: zero index gathers in the hot loop.
-//! * **cache-blocked CSR** — otherwise nodes are processed in blocks
-//!   sized from [`dlb_graph::relabel::bandwidth`] so the window of `b`
-//!   a block gathers from stays L2-resident (the RCM relabeling from
-//!   PR 3 is what makes that window narrow).
+//! * **blocked CSR** — otherwise a sequential sweep over the CSR
+//!   adjacency, degree-monomorphised for `d ∈ {2, 4}`; the window of
+//!   `b` it gathers from stays cache-resident when the labeling is
+//!   bandwidth-reduced (`dlb_graph::relabel`'s reverse Cuthill–McKee).
 //!
-//! Finally, an **`i32` compressed mode** runs the same two strategies
-//! over `Vec<i32>` front/back buffers at twice the lane density. Entry
-//! and every subsequent round are guarded in O(1) against the
-//! maintained running maximum (re-verified per block/pass as the back
-//! buffer is written); the moment the guard trips the run converts to
-//! the i64 buffers and continues — a loud, counted fallback
+//! **Range split.** Pass 1 writes `b` and `next` only at the node it
+//! visits, and pass 2 writes `next` only at the node it visits, so both
+//! passes split by contiguous node range. The serial path runs
+//! `rounds` over the one full range; `Engine::run_parallel` runs the
+//! same function on `threads` workers, one range each, with a barrier
+//! after each pass (`crate::parallel`). Every worker reads all of `b` in
+//! pass 2, and nothing else crosses ranges.
+//!
+//! Finally, an **`i32` compressed mode** runs the same passes over
+//! `Vec<i32>` front/back buffers at twice the lane density. A run whose
+//! entry maximum plus the proven per-round growth could pass the
+//! headroom limit compares every round's maximum (over all ranges)
+//! against it; the moment the guard trips the run converts to the i64
+//! buffers and continues — a loud, counted fallback
 //! ([`VectorStats::i32_fallbacks`]), never silent wraparound.
+
+use std::ops::Range;
 
 use dlb_graph::{relabel, BalancingGraph};
 
@@ -111,7 +121,7 @@ pub enum VectorStrategy {
     /// Force shifted-slice adds + exception patches (correct on any
     /// graph; fast only when exceptions are rare).
     Banded,
-    /// Force the cache-blocked CSR gather.
+    /// Force the sequential CSR gather.
     BlockedCsr,
 }
 
@@ -169,7 +179,7 @@ pub struct VectorStats {
     pub runs: u64,
     /// Rounds executed with the banded (shifted-slice) gather.
     pub rounds_banded: u64,
-    /// Rounds executed with the cache-blocked CSR gather.
+    /// Rounds executed with the sequential CSR gather.
     pub rounds_blocked: u64,
     /// Rounds executed over the compressed `i32` buffers (a subset of
     /// the two counters above).
@@ -196,17 +206,9 @@ pub const I32_HEADROOM_LIMIT: i32 = i32::MAX / 8;
 /// overflow-free without per-element checks.
 const I64_SAFE_LIMIT: i64 = i64::MAX / 8;
 
-/// Lanes per chunk in the explicitly chunked i64 passes.
-const LANES_64: usize = 8;
-/// Lanes per chunk in the explicitly chunked i32 passes.
-const LANES_32: usize = 16;
-
 /// Banded dispatch threshold: Auto picks banded when total port-shift
 /// exceptions are at most `n / BANDED_EXCEPTION_DIV`.
 const BANDED_EXCEPTION_DIV: usize = 8;
-
-/// L2 target for the blocked gather window, in `b`-array entries.
-const L2_TARGET_BYTES: usize = 256 * 1024;
 
 /// Strength-reduced unsigned division by the runtime constant `d⁺`.
 ///
@@ -220,7 +222,7 @@ const L2_TARGET_BYTES: usize = 256 * 1024;
 /// covers every value the compressed mode admits. `m` fits the word:
 /// for non-powers-of-two, `d > 2^(ℓ−1)` gives `m < 2^N`.
 #[derive(Debug, Clone, Copy)]
-enum DivMagic {
+pub(crate) enum DivMagic {
     /// `d⁺ = 1`: the identity (a 1-regular balancing graph).
     One,
     /// `d⁺` a power of two: a plain shift, which autovectorizes best.
@@ -296,16 +298,78 @@ impl DivMagic {
     }
 }
 
+/// A load word the two passes run over: `i64`, or `i32` in the
+/// compressed mode. Monomorphising the passes over the word keeps one
+/// copy of each pass; `LANES` fixes the explicit chunk width the
+/// autovectorizer lifts (8 × i64 or 16 × i32 per chunk).
+pub(crate) trait Word:
+    Copy
+    + Default
+    + Ord
+    + Send
+    + Sync
+    + Into<i64>
+    + std::ops::Add<Output = Self>
+    + std::ops::Sub<Output = Self>
+    + std::ops::Mul<Output = Self>
+    + std::ops::AddAssign
+    + std::ops::SubAssign
+{
+    /// Lanes per explicitly chunked loop iteration.
+    const LANES: usize;
+    /// Narrows a load the caller has proven fits the word.
+    fn narrow(x: i64) -> Self;
+    /// The reciprocal of `d⁺` for this word's dividend range.
+    fn magic(d_plus: u64) -> DivMagic;
+    /// `(self + bias) / d⁺` for a non-negative load.
+    fn send(self, bias: u64, magic: DivMagic) -> Self;
+}
+
+impl Word for i64 {
+    const LANES: usize = 8;
+    #[inline]
+    fn narrow(x: i64) -> i64 {
+        x
+    }
+    fn magic(d_plus: u64) -> DivMagic {
+        DivMagic::new64(d_plus)
+    }
+    #[inline]
+    fn send(self, bias: u64, magic: DivMagic) -> i64 {
+        magic.div64(self as u64 + bias) as i64
+    }
+}
+
+impl Word for i32 {
+    const LANES: usize = 16;
+    #[inline]
+    fn narrow(x: i64) -> i32 {
+        debug_assert!(i32::try_from(x).is_ok());
+        x as i32
+    }
+    fn magic(d_plus: u64) -> DivMagic {
+        DivMagic::new32(d_plus)
+    }
+    #[inline]
+    fn send(self, bias: u64, magic: DivMagic) -> i32 {
+        magic.div32(self as u32 + bias as u32) as i32
+    }
+}
+
 /// The gather plan pass 2 executes.
-enum Gather {
-    /// Per original port: dominant shift offset + exception patches
-    /// `(u, actual v)`.
+pub(crate) enum Gather {
+    /// Per original port: the dominant shift offset, plus the patches
+    /// for the nodes whose neighbour is not at that offset.
     Banded {
         offsets: Vec<i64>,
-        exceptions: Vec<Vec<(u32, u32)>>,
+        /// `(destination, source, subtract)`, sorted by destination so
+        /// a node range owns one contiguous run of patches.
+        patches: Vec<(u32, u32, bool)>,
     },
-    /// CSR gather in node blocks of the given size.
-    Blocked { block: usize },
+    /// A sequential CSR sweep: node `u` adds `b` over its `d` ports. Its
+    /// window of `b` stays cache-resident when the labeling is
+    /// bandwidth-reduced (`dlb_graph::relabel`'s reverse Cuthill–McKee).
+    Blocked,
 }
 
 /// Profiles the labeling and picks the gather strategy. The banded
@@ -317,43 +381,32 @@ enum Gather {
 /// performance decision.
 fn plan_gather(gp: &BalancingGraph, choice: VectorStrategy) -> Gather {
     let graph = gp.graph();
-    let blocked = || Gather::Blocked {
-        block: blocked_block_size(graph),
-    };
-    match choice {
-        VectorStrategy::BlockedCsr => blocked(),
-        VectorStrategy::Banded | VectorStrategy::Auto => {
-            let profile = relabel::port_shift_profile(graph);
-            let budget = graph.num_nodes() / BANDED_EXCEPTION_DIV;
-            if matches!(choice, VectorStrategy::Auto) && profile.num_exceptions() > budget {
-                return blocked();
+    if choice == VectorStrategy::BlockedCsr {
+        return Gather::Blocked;
+    }
+    let profile = relabel::port_shift_profile(graph);
+    let n = graph.num_nodes();
+    if choice == VectorStrategy::Auto && profile.num_exceptions() > n / BANDED_EXCEPTION_DIV {
+        return Gather::Blocked;
+    }
+    // The bulk shifted add sends `b[u]` to `u + o` for every in-range
+    // `u + o`; an exception `(u, v)` takes that back and adds `b[u]` to
+    // its real neighbour `v` instead.
+    let mut patches = Vec::with_capacity(2 * profile.num_exceptions());
+    for (&o, list) in profile.offsets.iter().zip(&profile.exceptions) {
+        for &(u, v) in list {
+            let shifted = i64::from(u) + o;
+            if (0..n as i64).contains(&shifted) {
+                patches.push((shifted as u32, u, true));
             }
-            Gather::Banded {
-                offsets: profile.offsets,
-                exceptions: profile.exceptions,
-            }
+            patches.push((v, u, false));
         }
     }
-}
-
-/// Block size for the CSR gather: with adjacency bandwidth `bw`, a
-/// block of `B` nodes gathers `b` from a window of `B + 2·bw` entries;
-/// sizing `B` so the window fits the L2 target keeps the gather
-/// resident. Small graphs collapse to a single block.
-fn blocked_block_size(graph: &dlb_graph::RegularGraph) -> usize {
-    let entries = L2_TARGET_BYTES / std::mem::size_of::<i64>();
-    let bw = relabel::bandwidth(graph);
-    let n = graph.num_nodes().max(1);
-    entries.saturating_sub(2 * bw).max(1024).min(n)
-}
-
-/// Everything a run needs, precomputed once.
-struct Plan {
-    d: usize,
-    bias: u64,
-    magic64: DivMagic,
-    magic32: DivMagic,
-    gather: Gather,
+    patches.sort_unstable();
+    Gather::Banded {
+        offsets: profile.offsets,
+        patches,
+    }
 }
 
 /// Worst-case additive growth of the maximum load per round: pass 2
@@ -365,12 +418,224 @@ fn max_growth_bound(d_plus: usize, steps: usize) -> i64 {
     (2 * d_plus as i64).saturating_mul(steps as i64)
 }
 
-/// Runs `steps` whole-array rounds of `spec` over `loads`. Returns
-/// `false` (loads untouched) when the run declines — only when the
-/// entry maximum is so close to `i64::MAX` that the overflow-freedom
-/// argument above would not hold; the caller then uses the scalar
-/// kernel, which is bit-identical. The caller has already verified:
-/// no schedule, no workload, no asleep nodes, no negative loads.
+/// Everything one round needs, fixed for the whole run and shared by
+/// every worker.
+pub(crate) struct Kernel<'a, W> {
+    /// The original degree `d`.
+    degree: usize,
+    /// The pre-division bias of the spec.
+    bias: u64,
+    magic: DivMagic,
+    gather: &'a Gather,
+    adj: &'a [u32],
+    /// The `i32` headroom limit, when this run could reach it: each
+    /// round's maximum is then compared against it. `None` when the
+    /// entry maximum plus the growth bound stays below the limit, so no
+    /// round can trip and no worker exchanges its maximum.
+    guard: Option<W>,
+}
+
+/// How one worker's rounds see the send array `b` between the passes:
+/// the whole array on the serial path, a range of it per worker on the
+/// range-split path (`crate::parallel`).
+pub(crate) trait Exchange<W> {
+    /// This worker's range of `b`, for pass 1 to write.
+    fn own(&mut self) -> &mut [W];
+    /// Ends pass 1 and returns all of `b` for pass 2 to read.
+    fn all(&mut self) -> &[W];
+    /// Ends pass 2. With `guarded` set, combines the workers' range
+    /// maxima into the round maximum; otherwise returns `local`.
+    fn round_max(&mut self, local: W, guarded: bool) -> W;
+}
+
+/// The serial exchange: one worker owning all of `b`.
+struct Whole<W>(Vec<W>);
+
+impl<W> Exchange<W> for Whole<W> {
+    fn own(&mut self) -> &mut [W] {
+        &mut self.0
+    }
+    fn all(&mut self) -> &[W] {
+        &self.0
+    }
+    fn round_max(&mut self, local: W, _guarded: bool) -> W {
+        local
+    }
+}
+
+/// Runs up to `steps` rounds over the node range `lo..lo + front.len()`
+/// — the round loop of the serial path (the whole range) and of every
+/// range-split worker. `front` holds the range's loads on entry; after
+/// the call the range's final loads are in `front` when the returned
+/// round count is even and in `back` when it is odd. Stops early, after
+/// the round that pushed the maximum over the guard, with rounds still
+/// to run.
+pub(crate) fn rounds<W: Word, X: Exchange<W>>(
+    front: &mut [W],
+    back: &mut [W],
+    lo: usize,
+    ex: &mut X,
+    k: &Kernel<'_, W>,
+    steps: usize,
+) -> usize {
+    let mut done = 0;
+    while done < steps {
+        let (cur, next) = if done % 2 == 0 {
+            (&*front, &mut *back)
+        } else {
+            (&*back, &mut *front)
+        };
+        pass1(cur, ex.own(), next, k);
+        let local = pass2(next, lo, ex.all(), k);
+        let round_max = ex.round_max(local, k.guard.is_some());
+        done += 1;
+        if k.guard.is_some_and(|limit| round_max > limit) && done < steps {
+            break;
+        }
+    }
+    done
+}
+
+/// Pass 1 over one node range: `b[u] = (x[u] + bias) / d⁺` and, fused
+/// in while both arrays are hot, `next[u] = x[u] − d·b[u]`.
+fn pass1<W: Word>(cur: &[W], b: &mut [W], next: &mut [W], k: &Kernel<'_, W>) {
+    debug_assert!(
+        cur.iter().all(|&x| x >= W::default()),
+        "vector path requires x ≥ 0"
+    );
+    let (d, bias, magic) = (W::narrow(k.degree as i64), k.bias, k.magic);
+    let mut cx = cur.chunks_exact(W::LANES);
+    let mut cb = b.chunks_exact_mut(W::LANES);
+    let mut cn = next.chunks_exact_mut(W::LANES);
+    for ((xs, bs), ns) in (&mut cx).zip(&mut cb).zip(&mut cn) {
+        for i in 0..W::LANES {
+            let q = xs[i].send(bias, magic);
+            bs[i] = q;
+            ns[i] = xs[i] - d * q;
+        }
+    }
+    for ((&x, bq), nx) in cx
+        .remainder()
+        .iter()
+        .zip(cb.into_remainder())
+        .zip(cn.into_remainder())
+    {
+        let q = x.send(bias, magic);
+        *bq = q;
+        *nx = x - d * q;
+    }
+    // Overdraw-freedom, by construction (module docs): d·b(x) ≤ x for
+    // both specs on their admitted graphs, so next ≥ 0 before receives.
+    debug_assert!(next.iter().all(|&x| x >= W::default()));
+}
+
+/// Pass 2 over the node range `lo..lo + next.len()`: adds every
+/// neighbour's `b` (all of `b`, `b.len() == n`) into the range. Returns
+/// the range's maximum load — computed only when the run is guarded on
+/// the banded gather, where it costs an extra sweep, and the default
+/// word otherwise.
+fn pass2<W: Word>(next: &mut [W], lo: usize, b: &[W], k: &Kernel<'_, W>) -> W {
+    let hi = lo + next.len();
+    match k.gather {
+        Gather::Banded { offsets, patches } => {
+            for &o in offsets {
+                let (dst, src) = shift_window(lo, hi, b.len(), o);
+                let dst = &mut next[dst];
+                let src = &b[src];
+                let mut cd = dst.chunks_exact_mut(W::LANES);
+                let mut cs = src.chunks_exact(W::LANES);
+                for (ds, ss) in (&mut cd).zip(&mut cs) {
+                    for i in 0..W::LANES {
+                        ds[i] += ss[i];
+                    }
+                }
+                for (dv, &sv) in cd.into_remainder().iter_mut().zip(cs.remainder()) {
+                    *dv += sv;
+                }
+            }
+            let first = patches.partition_point(|p| (p.0 as usize) < lo);
+            let last = patches.partition_point(|p| (p.0 as usize) < hi);
+            for &(dst, src, subtract) in &patches[first..last] {
+                let slot = &mut next[dst as usize - lo];
+                if subtract {
+                    *slot -= b[src as usize];
+                } else {
+                    *slot += b[src as usize];
+                }
+            }
+            if k.guard.is_none() {
+                return W::default();
+            }
+            let mut mx = W::default();
+            for &x in next.iter() {
+                mx = mx.max(x);
+            }
+            mx
+        }
+        Gather::Blocked => match k.degree {
+            2 => csr_gather::<W, 2>(next, lo, b, k.adj),
+            4 => csr_gather::<W, 4>(next, lo, b, k.adj),
+            d => {
+                let mut mx = W::default();
+                for (i, nx) in next.iter_mut().enumerate() {
+                    let u = lo + i;
+                    let mut acc = *nx;
+                    for &v in &k.adj[u * d..(u + 1) * d] {
+                        acc += b[v as usize];
+                    }
+                    *nx = acc;
+                    mx = mx.max(acc);
+                }
+                mx
+            }
+        },
+    }
+}
+
+/// The aligned windows of the shifted add `next[w] += b[w − o]` over
+/// the destination range `lo..hi` of an `n`-node array: the
+/// destinations (relative to `lo`) and their sources. Both are empty
+/// when no destination in the range has a source node.
+fn shift_window(lo: usize, hi: usize, n: usize, o: i64) -> (Range<usize>, Range<usize>) {
+    let w0 = (lo as i64).max(o);
+    let w1 = (hi as i64).min(n as i64 + o);
+    if w0 >= w1 {
+        return (0..0, 0..0);
+    }
+    let lo = lo as i64;
+    (
+        (w0 - lo) as usize..(w1 - lo) as usize,
+        (w0 - o) as usize..(w1 - o) as usize,
+    )
+}
+
+/// The degree-monomorphised CSR gather over the range starting at
+/// `lo`; folds the range's maximum as it writes.
+fn csr_gather<W: Word, const D: usize>(next: &mut [W], lo: usize, b: &[W], adj: &[u32]) -> W {
+    let mut mx = W::default();
+    for (nx, nbrs) in next.iter_mut().zip(adj[lo * D..].chunks_exact(D)) {
+        let mut acc = *nx;
+        for &v in nbrs {
+            acc += b[v as usize];
+        }
+        *nx = acc;
+        mx = mx.max(acc);
+    }
+    mx
+}
+
+/// Runs `steps` whole-array rounds of `spec` over `loads`, with each
+/// pass split by node range across `threads` workers (`threads <= 1`:
+/// the serial loop, same passes over one full range). Returns `false`
+/// (loads untouched) when the run declines — only when the entry
+/// maximum is so close to `i64::MAX` that the overflow-freedom argument
+/// above would not hold; the caller then uses the scalar kernel, which
+/// is bit-identical. The caller has already verified: no schedule, no
+/// workload, no asleep nodes, no negative loads.
+///
+/// Loads, [`VectorStats`] and the i32 fallback decision are identical
+/// for every thread count: the passes are exact integer arithmetic and
+/// the guard compares the maximum over all ranges.
 pub(crate) fn run_uniform(
     gp: &BalancingGraph,
     loads: &mut [i64],
@@ -378,6 +643,7 @@ pub(crate) fn run_uniform(
     steps: usize,
     config: &VectorConfig,
     stats: &mut VectorStats,
+    threads: usize,
 ) -> bool {
     let d = gp.degree();
     let d_plus = gp.degree_plus();
@@ -387,13 +653,10 @@ pub(crate) fn run_uniform(
     if max0.saturating_add(max_growth_bound(d_plus, steps)) > I64_SAFE_LIMIT {
         return false;
     }
-    let plan = Plan {
-        d,
-        bias: spec.bias(d_plus),
-        magic64: DivMagic::new64(d_plus as u64),
-        magic32: DivMagic::new32(d_plus as u64),
-        gather: plan_gather(gp, config.strategy),
-    };
+    let gather = plan_gather(gp, config.strategy);
+    let adj = gp.graph().adjacency_slots();
+    let bias = spec.bias(d_plus);
+    let threads = threads.clamp(1, loads.len().max(1));
     stats.runs += 1;
 
     // Width decision. Forced-i32 runs whose seed never fits the limit
@@ -404,335 +667,87 @@ pub(crate) fn run_uniform(
         VectorWidth::I64 => (false, I32_HEADROOM_LIMIT),
         VectorWidth::I32 { limit } => (true, limit.clamp(0, I32_HEADROOM_LIMIT)),
     };
+    let count = |stats: &mut VectorStats, done: usize| match gather {
+        Gather::Banded { .. } => stats.rounds_banded += done as u64,
+        Gather::Blocked => stats.rounds_blocked += done as u64,
+    };
 
-    let adj = gp.graph().adjacency_slots();
     let mut remaining = steps;
     if want_i32 {
         if max0 > i64::from(limit) {
             stats.i32_fallbacks += 1;
         } else {
-            remaining = run_i32(loads, &plan, adj, remaining, limit, stats);
+            let guard =
+                (max0 + max_growth_bound(d_plus, steps) > i64::from(limit)).then_some(limit);
+            let k = Kernel {
+                degree: d,
+                bias,
+                magic: i32::magic(d_plus as u64),
+                gather: &gather,
+                adj,
+                guard,
+            };
+            let done = run_words(loads, &k, steps, threads);
+            count(stats, done);
+            stats.rounds_i32 += done as u64;
+            if done < steps {
+                // Headroom gone: the remaining rounds run on i64,
+                // loudly. (The round that tripped is exact — the guard
+                // limit is far below the arithmetic overflow bound.)
+                stats.i32_fallbacks += 1;
+            }
+            remaining -= done;
         }
     }
     if remaining > 0 {
-        run_i64(loads, &plan, adj, remaining, stats);
+        let k: Kernel<'_, i64> = Kernel {
+            degree: d,
+            bias,
+            magic: i64::magic(d_plus as u64),
+            gather: &gather,
+            adj,
+            guard: None,
+        };
+        let done = run_words(loads, &k, remaining, threads);
+        count(stats, done);
     }
     true
 }
 
-/// The i64 rounds: double-buffers internally and writes the final
-/// state back into `loads`.
-fn run_i64(loads: &mut [i64], plan: &Plan, adj: &[u32], steps: usize, stats: &mut VectorStats) {
+/// Converts `loads` into double buffers of `W`, runs the rounds — on
+/// the calling thread, or split by node range across `threads` workers
+/// — and writes the final state back. Returns the rounds completed.
+fn run_words<W: Word>(loads: &mut [i64], k: &Kernel<'_, W>, steps: usize, threads: usize) -> usize {
     let n = loads.len();
-    let mut b = vec![0i64; n];
-    let mut back = vec![0i64; n];
-    let mut cur: &mut [i64] = loads;
-    let mut next: &mut [i64] = &mut back;
-    for _ in 0..steps {
-        round_i64(cur, next, &mut b, plan, adj, stats);
-        std::mem::swap(&mut cur, &mut next);
-    }
-    if steps % 2 == 1 {
-        next.copy_from_slice(cur);
-    }
-}
-
-/// One i64 round: pass 1 (divide), pass 2 (gather per strategy).
-fn round_i64(
-    cur: &[i64],
-    next: &mut [i64],
-    b: &mut [i64],
-    plan: &Plan,
-    adj: &[u32],
-    stats: &mut VectorStats,
-) {
-    let n = cur.len();
-    let d = plan.d;
-    let bias = plan.bias;
-    let magic = plan.magic64;
-    debug_assert!(cur.iter().all(|&x| x >= 0), "vector path requires x ≥ 0");
-
-    // Pass 1 — b[u] = (x[u] + bias) / d⁺, explicit 8-lane chunks. The
-    // subtraction x − d·b is fused in (both arrays are hot here).
-    {
-        let di = d as i64;
-        let mut cx = cur.chunks_exact(LANES_64);
-        let mut cb = b.chunks_exact_mut(LANES_64);
-        let mut cn = next.chunks_exact_mut(LANES_64);
-        for ((xs, bs), ns) in (&mut cx).zip(&mut cb).zip(&mut cn) {
-            for k in 0..LANES_64 {
-                let q = magic.div64(xs[k] as u64 + bias) as i64;
-                bs[k] = q;
-                ns[k] = xs[k] - di * q;
-            }
-        }
-        for ((x, bq), nx) in cx
-            .remainder()
-            .iter()
-            .zip(cb.into_remainder())
-            .zip(cn.into_remainder())
-        {
-            let q = magic.div64(*x as u64 + bias) as i64;
-            *bq = q;
-            *nx = x - di * q;
-        }
-    }
-    // Overdraw-freedom, by construction (module docs): d·b(x) ≤ x for
-    // both specs on their admitted graphs, so next ≥ 0 before receives.
-    debug_assert!(next.iter().all(|&x| x >= 0));
-
-    // Pass 2 — receives.
-    match &plan.gather {
-        Gather::Banded {
-            offsets,
-            exceptions,
-        } => {
-            stats.rounds_banded += 1;
-            for (p, &o) in offsets.iter().enumerate() {
-                // Bulk shifted add: next[u + o] += b[u] for all u where
-                // u + o is in range; wrap nodes are patched after.
-                let (dst, src) = shifted_pair_mut(next, b, o);
-                let mut cd = dst.chunks_exact_mut(LANES_64);
-                let mut cs = src.chunks_exact(LANES_64);
-                for (ds, ss) in (&mut cd).zip(&mut cs) {
-                    for k in 0..LANES_64 {
-                        ds[k] += ss[k];
-                    }
-                }
-                for (dv, sv) in cd.into_remainder().iter_mut().zip(cs.remainder()) {
-                    *dv += sv;
-                }
-                for &(u, v) in &exceptions[p] {
-                    let u = u as usize;
-                    let shifted = u as i64 + o;
-                    if (0..n as i64).contains(&shifted) {
-                        next[shifted as usize] -= b[u];
-                    }
-                    next[v as usize] += b[u];
-                }
-            }
-        }
-        Gather::Blocked { block } => {
-            stats.rounds_blocked += 1;
-            match d {
-                2 => blocked_gather_i64::<2>(next, b, adj, *block),
-                4 => blocked_gather_i64::<4>(next, b, adj, *block),
-                _ => {
-                    for (u, nx) in next.iter_mut().enumerate() {
-                        let mut acc = *nx;
-                        for &v in &adj[u * d..(u + 1) * d] {
-                            acc += b[v as usize];
-                        }
-                        *nx = acc;
-                    }
-                }
-            }
-        }
-    }
-    debug_assert_eq!(
-        cur.iter().sum::<i64>(),
-        next.iter().sum::<i64>(),
-        "a vector round must conserve tokens"
-    );
-}
-
-/// The degree-monomorphised CSR gather, in L2-sized node blocks.
-fn blocked_gather_i64<const D: usize>(next: &mut [i64], b: &[i64], adj: &[u32], block: usize) {
-    for (blk_i, nxs) in next.chunks_mut(block).enumerate() {
-        let base = blk_i * block;
-        for (i, nx) in nxs.iter_mut().enumerate() {
-            let u = base + i;
-            let mut acc = *nx;
-            for &v in &adj[u * D..u * D + D] {
-                acc += b[v as usize];
-            }
-            *nx = acc;
-        }
-    }
-}
-
-/// The i32 compressed rounds: converts in, runs until done or the
-/// headroom guard trips, converts out. Returns the number of rounds
-/// still to run on i64 (0 when everything completed compressed).
-fn run_i32(
-    loads: &mut [i64],
-    plan: &Plan,
-    adj: &[u32],
-    steps: usize,
-    limit: i32,
-    stats: &mut VectorStats,
-) -> usize {
-    let n = loads.len();
-    let mut front: Vec<i32> = loads.iter().map(|&x| x as i32).collect();
-    let mut back = vec![0i32; n];
-    let mut b = vec![0i32; n];
-    let mut cur: &mut [i32] = &mut front;
-    let mut next: &mut [i32] = &mut back;
-    let mut done = 0usize;
-    for _ in 0..steps {
-        let round_max = round_i32(cur, next, &mut b, plan, adj, stats);
-        std::mem::swap(&mut cur, &mut next);
-        done += 1;
-        if round_max > limit && done < steps {
-            // Headroom gone: hand the remaining rounds to the i64 path,
-            // loudly. (The round just completed is exact — the guard
-            // limit is far below the arithmetic overflow bound.)
-            stats.i32_fallbacks += 1;
-            break;
-        }
-    }
-    for (out, &x) in loads.iter_mut().zip(cur.iter()) {
-        *out = i64::from(x);
-    }
-    steps - done
-}
-
-/// One i32 round; returns the maximum of the written back buffer (the
-/// maintained invariant the next round's O(1) headroom check reads).
-fn round_i32(
-    cur: &[i32],
-    next: &mut [i32],
-    b: &mut [i32],
-    plan: &Plan,
-    adj: &[u32],
-    stats: &mut VectorStats,
-) -> i32 {
-    let n = cur.len();
-    let d = plan.d;
-    let bias = plan.bias as u32;
-    let magic = plan.magic32;
-    debug_assert!(cur.iter().all(|&x| x >= 0));
-
-    {
-        let di = d as i32;
-        let mut cx = cur.chunks_exact(LANES_32);
-        let mut cb = b.chunks_exact_mut(LANES_32);
-        let mut cn = next.chunks_exact_mut(LANES_32);
-        for ((xs, bs), ns) in (&mut cx).zip(&mut cb).zip(&mut cn) {
-            for k in 0..LANES_32 {
-                let q = magic.div32(xs[k] as u32 + bias) as i32;
-                bs[k] = q;
-                ns[k] = xs[k] - di * q;
-            }
-        }
-        for ((x, bq), nx) in cx
-            .remainder()
-            .iter()
-            .zip(cb.into_remainder())
-            .zip(cn.into_remainder())
-        {
-            let q = magic.div32(*x as u32 + bias) as i32;
-            *bq = q;
-            *nx = x - di * q;
-        }
-    }
-    debug_assert!(next.iter().all(|&x| x >= 0));
-
-    let mut round_max = 0i32;
-    match &plan.gather {
-        Gather::Banded {
-            offsets,
-            exceptions,
-        } => {
-            stats.rounds_banded += 1;
-            for (p, &o) in offsets.iter().enumerate() {
-                let (dst, src) = shifted_pair_mut(next, b, o);
-                let mut cd = dst.chunks_exact_mut(LANES_32);
-                let mut cs = src.chunks_exact(LANES_32);
-                for (ds, ss) in (&mut cd).zip(&mut cs) {
-                    for k in 0..LANES_32 {
-                        ds[k] += ss[k];
-                    }
-                }
-                for (dv, sv) in cd.into_remainder().iter_mut().zip(cs.remainder()) {
-                    *dv += sv;
-                }
-                for &(u, v) in &exceptions[p] {
-                    let u = u as usize;
-                    let shifted = u as i64 + o;
-                    if (0..n as i64).contains(&shifted) {
-                        next[shifted as usize] -= b[u];
-                    }
-                    next[v as usize] += b[u];
-                }
-            }
-            // The maintained max: one chunked pass (the per-lane fold
-            // is the price of the zero-gather hot loop above).
-            let mut cm = next.chunks_exact(LANES_32);
-            for ch in &mut cm {
-                for &x in ch {
-                    round_max = round_max.max(x);
-                }
-            }
-            for &x in cm.remainder() {
-                round_max = round_max.max(x);
-            }
-        }
-        Gather::Blocked { block } => {
-            stats.rounds_blocked += 1;
-            round_max = match d {
-                2 => blocked_gather_i32::<2>(next, b, adj, *block),
-                4 => blocked_gather_i32::<4>(next, b, adj, *block),
-                _ => {
-                    let mut mx = 0i32;
-                    for (u, nx) in next.iter_mut().enumerate() {
-                        let mut acc = *nx;
-                        for &v in &adj[u * d..(u + 1) * d] {
-                            acc += b[v as usize];
-                        }
-                        *nx = acc;
-                        mx = mx.max(acc);
-                    }
-                    mx
-                }
-            };
-        }
-    }
-    stats.rounds_i32 += 1;
-    debug_assert_eq!(
-        cur.iter().map(|&x| i64::from(x)).sum::<i64>(),
-        next.iter().map(|&x| i64::from(x)).sum::<i64>(),
-        "a compressed round must conserve tokens"
-    );
-    round_max
-}
-
-/// The degree-monomorphised i32 CSR gather; folds the block's running
-/// maximum as it writes (the per-block headroom re-verification).
-fn blocked_gather_i32<const D: usize>(
-    next: &mut [i32],
-    b: &[i32],
-    adj: &[u32],
-    block: usize,
-) -> i32 {
-    let mut mx = 0i32;
-    for (blk_i, nxs) in next.chunks_mut(block).enumerate() {
-        let base = blk_i * block;
-        for (i, nx) in nxs.iter_mut().enumerate() {
-            let u = base + i;
-            let mut acc = *nx;
-            for &v in &adj[u * D..u * D + D] {
-                acc += b[v as usize];
-            }
-            *nx = acc;
-            mx = mx.max(acc);
-        }
-    }
-    mx
-}
-
-/// The aligned (destination, source) slice pair of a shifted add with
-/// offset `o`: `dst[i] += src[i]` implements `next[u + o] += b[u]`
-/// over every `u` with `u + o` in range.
-fn shifted_pair_mut<'a, T>(next: &'a mut [T], b: &'a [T], o: i64) -> (&'a mut [T], &'a [T]) {
-    let n = next.len();
-    if o >= 0 {
-        let o = (o as usize).min(n);
-        (&mut next[o..], &b[..n - o])
+    let mut front: Vec<W> = loads.iter().map(|&x| W::narrow(x)).collect();
+    let mut back = vec![W::default(); n];
+    let total = if cfg!(debug_assertions) {
+        loads.iter().sum::<i64>()
     } else {
-        let o = ((-o) as usize).min(n);
-        (&mut next[..n - o], &b[o..])
+        0
+    };
+    let done = if threads <= 1 {
+        rounds(
+            &mut front,
+            &mut back,
+            0,
+            &mut Whole(vec![W::default(); n]),
+            k,
+            steps,
+        )
+    } else {
+        crate::parallel::rounds_split(&mut front, &mut back, k, steps, threads)
+    };
+    let last = if done % 2 == 0 { &front } else { &back };
+    for (out, &x) in loads.iter_mut().zip(last) {
+        *out = x.into();
     }
+    debug_assert_eq!(
+        loads.iter().sum::<i64>(),
+        total,
+        "vector rounds must conserve tokens"
+    );
+    done
 }
 
 #[cfg(test)]
@@ -778,17 +793,18 @@ mod tests {
 
     #[test]
     fn shifted_pair_handles_both_directions_and_saturation() {
-        let mut next = vec![0i64; 5];
-        let b = vec![1i64, 2, 3, 4, 5];
-        let (d, s) = shifted_pair_mut(&mut next, &b, 2);
-        assert_eq!(d.len(), 3);
-        assert_eq!(s, &[1, 2, 3]);
-        let (d, s) = shifted_pair_mut(&mut next, &b, -1);
-        assert_eq!(d.len(), 4);
-        assert_eq!(s, &[2, 3, 4, 5]);
-        let (d, s) = shifted_pair_mut(&mut next, &b, 99);
-        assert_eq!(d.len(), 0);
-        assert_eq!(s.len(), 0);
+        // Whole range of a 5-node array: o = 2 adds b[0..3] into 2..5,
+        // o = −1 adds b[1..5] into 0..4, and an offset past the array
+        // adds nothing.
+        assert_eq!(shift_window(0, 5, 5, 2), (2..5, 0..3));
+        assert_eq!(shift_window(0, 5, 5, -1), (0..4, 1..5));
+        assert_eq!(shift_window(0, 5, 5, 99), (0..0, 0..0));
+        assert_eq!(shift_window(0, 5, 5, -99), (0..0, 0..0));
+        // A worker's range: destinations are relative to its start, and
+        // sources may lie in another worker's range.
+        assert_eq!(shift_window(3, 5, 5, 2), (0..2, 1..3));
+        assert_eq!(shift_window(0, 2, 5, -3), (0..2, 3..5));
+        assert_eq!(shift_window(0, 2, 5, 2), (0..0, 0..0));
     }
 
     #[test]
@@ -810,12 +826,12 @@ mod tests {
         let small = BalancingGraph::lazy(generators::torus(2, 16).unwrap());
         assert!(matches!(
             plan_gather(&small, VectorStrategy::Auto),
-            Gather::Blocked { .. }
+            Gather::Blocked
         ));
         let rnd = BalancingGraph::lazy(generators::random_regular(256, 4, 7).unwrap());
         assert!(matches!(
             plan_gather(&rnd, VectorStrategy::Auto),
-            Gather::Blocked { .. }
+            Gather::Blocked
         ));
     }
 
@@ -823,7 +839,8 @@ mod tests {
     fn forced_strategies_agree_with_each_other_everywhere() {
         // Banded with a huge exception list is slow but must stay
         // exact: force both strategies on a scattered graph and on a
-        // cycle, at both widths, and require identical trajectories.
+        // cycle, at both widths and split across 1–3 workers (97 does
+        // not divide), and require identical trajectories.
         let graphs = [
             BalancingGraph::lazy(generators::random_regular(96, 4, 3).unwrap()),
             BalancingGraph::lazy(generators::cycle(97).unwrap()),
@@ -834,25 +851,24 @@ mod tests {
             let mut reference: Option<Vec<i64>> = None;
             for strategy in [VectorStrategy::Banded, VectorStrategy::BlockedCsr] {
                 for width in [VectorWidth::I64, VectorWidth::I32 { limit: 1 << 20 }] {
-                    let config = VectorConfig {
-                        enabled: true,
-                        strategy,
-                        width,
-                    };
-                    let mut loads = seed.clone();
-                    let mut stats = VectorStats::default();
-                    assert!(run_uniform(
-                        gp,
-                        &mut loads,
-                        UniformSpec::Floor,
-                        9,
-                        &config,
-                        &mut stats
-                    ));
-                    match &reference {
-                        None => reference = Some(loads),
-                        Some(r) => {
-                            assert_eq!(r, &loads, "{strategy:?}/{width:?} diverged on n={n}")
+                    for threads in 1..=3 {
+                        let config = VectorConfig {
+                            enabled: true,
+                            strategy,
+                            width,
+                        };
+                        let mut loads = seed.clone();
+                        let mut stats = VectorStats::default();
+                        let spec = UniformSpec::Floor;
+                        assert!(run_uniform(
+                            gp, &mut loads, spec, 9, &config, &mut stats, threads
+                        ));
+                        match &reference {
+                            None => reference = Some(loads),
+                            Some(r) => assert_eq!(
+                                r, &loads,
+                                "{strategy:?}/{width:?}/{threads} diverged on n={n}"
+                            ),
                         }
                     }
                 }
@@ -872,7 +888,8 @@ mod tests {
             UniformSpec::Floor,
             4,
             &config,
-            &mut stats
+            &mut stats,
+            1
         ));
         let mut huge = vec![i64::MAX / 2; 8];
         let before = huge.clone();
@@ -882,7 +899,8 @@ mod tests {
             UniformSpec::Floor,
             4,
             &config,
-            &mut stats
+            &mut stats,
+            1
         ));
         assert_eq!(huge, before, "a declined run must not touch loads");
     }

@@ -1,152 +1,50 @@
-//! Deterministic sharded stepping: the engine's multi-core fast path,
-//! rebuilt on the plan-free delta-kernel abstraction.
+//! Range-split vector rounds: the engine's multi-core path.
 //!
-//! Every scheme in the paper is a *local* rule — the flows of node `u`
-//! at step `t` are a function of `u`'s own state — so a synchronous
-//! round parallelises by splitting the node set into contiguous shards.
-//! Each worker streams once over its shard per round, computing each
-//! node's port flows in registers (no per-shard flow matrix) and
-//! accumulating signed load deltas:
+//! A vector round ([`crate::kernel::vector`]) is two passes,
+//! `b = ⌊(x + bias)/d⁺⌋` per node and then
+//! `x' = x − d·b + Σ_p b[nbr(u, p)]` per node. Each pass writes only at
+//! the node it visits, so both split by contiguous node range: worker
+//! `i` owns `loads[lo_i..hi_i]` of both load buffers for the whole run
+//! and writes `b` only in that range. The one thing that crosses ranges
+//! is pass 2 reading all of `b`.
 //!
-//! * **interior** contributions (the sender's own deduction and tokens
-//!   whose target lies in the same shard) go into a worker-private
-//!   delta array, and
-//! * **frontier** contributions (tokens crossing into another shard)
-//!   go into a per-(sender, receiver) delta segment.
+//! Workers are spawned once per run. Each round is
 //!
-//! Loads are untouched until a round barrier confirms every shard
-//! validated, then each worker performs a **single merge**: its own
-//! interior deltas plus the frontier segments other workers marked
-//! dirty. Because token counts are integers and integer addition is
-//! associative and commutative, the final loads are **bit-identical**
-//! to the serial engine no matter the thread count or scheduling.
+//! ```text
+//! pass 1 (own range of b and next) → barrier
+//!   → pass 2 (own range of next, reading all of b) → barrier
+//! ```
 //!
-//! The segments live in uncontended [`Mutex`]es purely to hand
-//! ownership between the accumulate and merge phases — the two round
-//! barriers guarantee no lock is ever actually contended, and dirty
-//! flags let the merge skip segments that carried no tokens (on a
-//! locality-relabeled graph most cross-shard segments stay clean, so
-//! the merge cost tracks the true frontier, not `O(n·threads)`).
+//! All workers share one `b` array through [`SharedB`], the only
+//! `unsafe` code in the crate: a worker writes its own range of it in
+//! pass 1 and reads all of it in pass 2, and the two barriers keep
+//! those phases apart, so no write ever overlaps another worker's
+//! read. A safe alternative — a private copy of `b` per worker, each
+//! range handed over through a `Mutex`-guarded slot after pass 1 —
+//! lost most of the gain on the banded cells, since every worker
+//! copies the whole array every round (EXPERIMENTS.md S8); the
+//! argument is recorded in `tools/tidy/allowlist.txt`. The range
+//! maxima are exchanged only on the rare runs whose `i32` headroom
+//! guard could trip.
 //!
-//! # Dynamic topology
+//! Nothing here can fail: the engine applies every precondition (no
+//! churn, no workload, no asleep node, no negative load, a closed-form
+//! scheme) before any worker starts, and the workers run only integer
+//! arithmetic on non-negative loads. The loads, the round count and
+//! the fallback decision are therefore identical to the serial loop for
+//! any thread count and any schedule.
 //!
-//! Under churn (a [`TopologySchedule`] or pre-existing asleep nodes)
-//! the graph itself mutates per round, so each worker owns a **graph
-//! replica**: worker 0 drives the schedule exactly once per round,
-//! validates and applies the events to its replica, and broadcasts
-//! them behind a barrier; the other workers replay them onto their
-//! replicas. Worker 0's replica is handed back at the end of the run
-//! as the engine's graph. The failure handoff (asleep queues to live
-//! neighbours) is folded into the per-round injection deltas worker 0
-//! scatters, so it lands, and rolls back, through the exact machinery
-//! the workload deltas use. Fixed-topology runs take none of these
-//! phases and share one immutable graph — no replicas, no extra
-//! barriers.
-//!
-//! The entry point is
-//! [`Engine::run_parallel`](crate::Engine::run_parallel); schemes opt
-//! in by implementing [`ShardedBalancer`]. With `threads == 1` the
-//! engine bypasses this module entirely and runs the serial kernel
-//! path — one thread never pays shard overhead.
-//!
-//! # Verification
-//!
-//! Every primitive here comes from [`crate::sync`], the facade that is
-//! plain `std` re-exports under normal builds and the vendored `loom`
-//! model checker under `--cfg dlb_model`. The `dlb-model` crate drives
-//! small configurations of this exact code through every interleaving
-//! within a preemption bound, asserting bit-identity with the serial
-//! engine, absence of deadlock, and that every worker exits on every
-//! abort path. The Acquire/Release orderings on the abort flags below
-//! are the weakest the model suite validates — see each access's
-//! comment for the pairing it relies on.
+//! Every primitive comes from [`crate::sync`], so the `dlb-model`
+//! crate explores this exact code under the vendored model checker.
 
-use std::panic::{self, AssertUnwindSafe};
+use std::marker::PhantomData;
 
-use crate::sync::atomic::{AtomicBool, Ordering};
-use crate::sync::{thread, Barrier, Mutex, MutexGuard};
+use crate::kernel::vector::{rounds, Exchange, Kernel, Word};
+use crate::sync::atomic::{AtomicUsize, Ordering};
+use crate::sync::{thread, Barrier};
 
-use dlb_graph::{mutate, BalancingGraph, DynamicConnectivity, TopologyEvent};
-use dlb_topology::{self as topology, TopologySchedule};
-
-use crate::kernel;
-use crate::workload::Workload;
-use crate::{Balancer, EngineError};
-
-/// A balancer whose plan can be computed one node at a time from that
-/// node's current load alone — the paper's *stateless* schemes (§1.1),
-/// which is exactly the class that shards across threads without
-/// synchronising any per-scheme state.
-///
-/// Implementations must write **every** port of `flows` (the buffer is
-/// reused across steps and arrives dirty), must be deterministic in
-/// `(u, load)`, and should not panic for non-negative loads.
-/// Structural class violations (e.g. SEND(\[x/d⁺\]) on a graph with
-/// `d° < d`) must surface as over-planned flows, which the engine
-/// turns into a clean [`EngineError::Overdraw`]. A panic that slips
-/// through anyway is contained: the worker catches it, records
-/// [`EngineError::WorkerPanic`], and the round aborts through the same
-/// flag-and-barrier path as any other error — peers exit cleanly, the
-/// loads and graph roll back to the last completed round.
-pub trait ShardedBalancer: Balancer + Sync {
-    /// Writes node `u`'s complete `d⁺`-port flow assignment for load
-    /// `load` into `flows` (`flows.len() == d⁺`).
-    fn plan_node(&self, gp: &BalancingGraph, u: usize, load: i64, flows: &mut [u64]);
-}
-
-/// Counters a sharded run hands back to the engine, which folds them
-/// into its cumulative totals — the numbers the engine's
-/// `fill_metrics` exports into the dlb-obs MetricRegistry.
-pub(crate) struct ShardRunStats {
-    /// Full rounds completed (a round that errors is not counted and
-    /// does not mutate loads).
-    pub steps_done: usize,
-    /// Node-steps that ended with negative load, summed over the run.
-    pub negative_node_steps: u64,
-    /// Negative nodes after the final completed round.
-    pub negative_count: usize,
-    /// Net workload injection applied over the completed rounds (an
-    /// erroring round's injection is undone and not counted).
-    pub injected: i64,
-    /// Topology events applied over the completed rounds (an erroring
-    /// round's events are undone and not counted).
-    pub topology_events: u64,
-    /// Profiled runs only (all zero otherwise): the driver worker's
-    /// wall-clock ns per protocol phase, summed over the run —
-    /// `[topology, inject, plan, merge]`, matching the
-    /// `shard_topology`/`shard_inject`/`shard_plan`/`shard_merge`
-    /// phases the engine publishes to a tracing sink.
-    pub phase_ns: [u64; 4],
-}
-
-/// What each worker reports when its loop ends.
-struct ShardOutcome {
-    steps_done: usize,
-    negative_node_steps: u64,
-    final_negative: usize,
-    injected: i64,
-    /// Worker 0 only: topology events applied over completed rounds.
-    topology_events: u64,
-    /// Worker 0 only, profiled runs only: per-phase wall-clock ns.
-    phase_ns: [u64; 4],
-    /// Dynamic runs only: the worker's graph replica (worker 0's is
-    /// the authoritative post-run graph the caller writes back).
-    graph: Option<BalancingGraph>,
-}
-
-/// The shard index owning node `w` for the split produced by
-/// [`shard_bounds`]: the first `rem` shards have `base + 1` nodes.
-#[inline]
-fn shard_of(w: usize, base: usize, rem: usize) -> usize {
-    let big = rem * (base + 1);
-    if w < big {
-        w / (base + 1)
-    } else {
-        rem + (w - big) / base
-    }
-}
-
-/// Splits `0..n` into `t` contiguous, maximally even ranges.
+/// Splits `0..n` into `t` contiguous, maximally even ranges: the first
+/// `n % t` ranges have one node more.
 fn shard_bounds(n: usize, t: usize) -> Vec<usize> {
     let (base, rem) = (n / t, n % t);
     let mut bounds = Vec::with_capacity(t + 1);
@@ -157,772 +55,153 @@ fn shard_bounds(n: usize, t: usize) -> Vec<usize> {
     bounds
 }
 
-/// Stringifies a caught panic payload for [`EngineError::WorkerPanic`].
-fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        String::from("<non-string panic payload>")
+/// Splits `buf` into the disjoint ranges `bounds` describes.
+fn split<'a, W>(mut buf: &'a mut [W], bounds: &[usize]) -> Vec<&'a mut [W]> {
+    let mut parts = Vec::with_capacity(bounds.len() - 1);
+    for w in bounds.windows(2) {
+        let (head, tail) = buf.split_at_mut(w[1] - w[0]);
+        parts.push(head);
+        buf = tail;
     }
+    parts
 }
 
-/// Under the model checker, the runtime tears executions down by
-/// unwinding a private payload through every thread; the worker-panic
-/// guards must re-raise it, not convert it into an engine error.
-#[cfg(dlb_model)]
-fn is_model_abort(payload: &(dyn std::any::Any + Send)) -> bool {
-    payload.is::<loom::ModelAbort>()
-}
-
-#[cfg(not(dlb_model))]
-fn is_model_abort(_payload: &(dyn std::any::Any + Send)) -> bool {
-    false
-}
-
-/// [`std::panic::catch_unwind`] that lets model-teardown unwinds pass
-/// through untouched.
-fn catch_worker_panic<T>(f: impl FnOnce() -> T) -> Result<T, String> {
-    match panic::catch_unwind(AssertUnwindSafe(f)) {
-        Ok(v) => Ok(v),
-        Err(payload) => {
-            if is_model_abort(payload.as_ref()) {
-                panic::resume_unwind(payload);
-            }
-            Err(payload_message(payload.as_ref()))
-        }
-    }
-}
-
-/// Runs `steps` synchronous rounds of `balancer` over `loads`, sharded
-/// across `threads` worker threads (callers guarantee `threads >= 2`
-/// and `threads <= n`).
-///
-/// An optional [`Workload`] injects signed per-node deltas and an
-/// optional [`TopologySchedule`] mutates the topology at the start of
-/// every round. Both need a global view — the bounded-adversary
-/// workload reads *all* loads, the schedule mutates the whole graph —
-/// while the load vector is split into per-worker shards, so dynamic
-/// rounds run extra phases behind extra barriers: worker 0 drives the
-/// schedule on its graph replica and broadcasts the validated events
-/// (the others replay them); every worker publishes its shard's loads
-/// into a mutex-handed segment, worker 0 assembles the full vector,
-/// drives the workload once, folds the failure handoff into the same
-/// delta vector, and scatters the segments back; then every worker
-/// applies its own slice. Schedule and workload are therefore each
-/// called exactly once per round with exactly the state the serial
-/// paths would show them — bit-identity is preserved, stateful
-/// generators included. Fixed-topology closed-system runs skip all of
-/// this: no replicas, no buffers, no extra barriers.
-///
-/// On error, `loads` and the graph are left exactly as they were after
-/// the last fully completed round (an erroring round's injection and
-/// topology events are undone), and the returned stats cover only
-/// completed rounds. The ledger and fairness monitor are *not*
-/// maintained — this is the uninstrumented fast path.
-/// With `profile` set, the driver worker additionally wall-clocks the
-/// four protocol phases (topology, inject, plan, merge) and reports
-/// the summed ns in [`ShardRunStats::phase_ns`]; profiling reads a
-/// monotonic clock but never changes what any worker computes, so
-/// results stay bit-identical either way.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_sharded<S: TopologySchedule + ?Sized, W: Workload + ?Sized>(
-    gp: &mut BalancingGraph,
-    loads: &mut [i64],
-    balancer: &dyn ShardedBalancer,
+/// Runs up to `steps` rounds of `k` over `front`/`back` (the
+/// [`rounds`] contract) with each pass split across `threads` workers
+/// (`2 <= threads <= n`). The calling thread is worker 0. Returns the
+/// rounds completed, which every worker agrees on.
+pub(crate) fn rounds_split<W: Word>(
+    front: &mut [W],
+    back: &mut [W],
+    k: &Kernel<'_, W>,
     steps: usize,
     threads: usize,
-    base_step: usize,
-    mut schedule: Option<&mut S>,
-    mut workload: Option<&mut W>,
-    mut checker: Option<&mut DynamicConnectivity>,
-    profile: bool,
-) -> (ShardRunStats, Option<EngineError>) {
-    let n = loads.len();
-    let nthreads = threads;
-    let check = !balancer.may_overdraw();
-    let bounds = shard_bounds(n, nthreads);
-    let (base, rem) = (n / nthreads, n % nthreads);
-    let dynamic = schedule.is_some() || gp.graph().asleep_count() > 0;
-    let has_workload = workload.is_some();
-    // Injection plumbing exists whenever some round could carry deltas:
-    // workload deltas or failure handoffs (any round of a dynamic run
-    // may sleep a node). Whether a given round actually runs the
-    // injection phases is decided per round by the workers.
-    let injecting = has_workload || dynamic;
-
-    // Dynamic runs give every worker its own graph replica (events are
-    // replayed identically on each); fixed runs share `gp` immutably.
-    let mut replicas: Vec<Option<BalancingGraph>> =
-        (0..nthreads).map(|_| dynamic.then(|| gp.clone())).collect();
-
-    // Disjoint mutable views of the load vector, one per shard; no
-    // worker ever reads or writes another shard's loads.
-    let mut shard_loads: Vec<&mut [i64]> = Vec::with_capacity(nthreads);
-    let mut rest = &mut *loads;
-    for me in 0..nthreads {
-        let (head, tail) = rest.split_at_mut(bounds[me + 1] - bounds[me]);
-        shard_loads.push(head);
-        rest = tail;
-    }
-
-    // Frontier delta segments: `segments[w][r]` holds worker `w`'s
-    // contributions to shard `r`'s nodes this round (empty on the
-    // diagonal — own-shard deltas are worker-private). The mutexes hand
-    // ownership between the accumulate phase (writer `w`) and the merge
-    // phase (reader `r`); the round barriers guarantee the phases never
-    // overlap, so every lock is uncontended. Segments are zero outside
-    // the accumulate→merge window (the merger re-zeroes as it applies).
-    let segments: Vec<Vec<Mutex<Vec<i64>>>> = (0..nthreads)
-        .map(|w| {
-            (0..nthreads)
-                .map(|r| {
-                    let len = if w == r { 0 } else { bounds[r + 1] - bounds[r] };
-                    Mutex::new(vec![0i64; len])
-                })
-                .collect()
-        })
-        .collect();
-    // `dirty[w * t + r]`: worker `w` wrote tokens for shard `r` this
-    // round. Lets the merge skip segments that carried nothing.
-    let dirty: Vec<AtomicBool> = (0..nthreads * nthreads)
-        .map(|_| AtomicBool::new(false))
-        .collect();
-
-    // Injection plumbing (empty when closed-system): per-shard load
-    // snapshots published at round start, and per-shard delta segments
-    // scattered by the driver. Like the frontier segments, the mutexes
-    // only hand ownership between barrier-separated phases, so no lock
-    // is ever contended.
-    let seg_len = |r: usize| {
-        if injecting {
-            bounds[r + 1] - bounds[r]
-        } else {
-            0
-        }
+) -> usize {
+    let n = front.len();
+    let bounds = shard_bounds(n, threads);
+    let bounds = bounds.as_slice();
+    let mut b = vec![W::default(); n];
+    let b = SharedB::new(&mut b);
+    let maxima: Vec<AtomicUsize> = (0..threads).map(|_| AtomicUsize::new(0)).collect();
+    let barrier = Barrier::new(threads);
+    let worker = |me: usize| Split {
+        me,
+        range: (bounds[me], bounds[me + 1]),
+        b: &b,
+        maxima: &maxima,
+        barrier: &barrier,
     };
-    let published: Vec<Mutex<Vec<i64>>> = (0..nthreads)
-        .map(|r| Mutex::new(vec![0i64; seg_len(r)]))
-        .collect();
-    let inj_deltas: Vec<Mutex<Vec<i64>>> = (0..nthreads)
-        .map(|r| Mutex::new(vec![0i64; seg_len(r)]))
-        .collect();
-    // The round's broadcast topology events (worker 0 writes, others
-    // replay; barrier-separated, so the lock is uncontended).
-    let events_bc: Mutex<Vec<TopologyEvent>> = Mutex::new(Vec::new());
-
-    let barrier = Barrier::new(nthreads);
-    let failed = AtomicBool::new(false);
-    // Set only by worker 0, only in the topology phase, only before
-    // the topology barrier — so the post-barrier abort check cannot
-    // race with an `Overdraw`/`NegativeLoad` a fast peer records in
-    // the *same round's* later phases (which `failed` can carry before
-    // the slow workers ever reach those phases; that error is handled
-    // at round barrier #1, where every worker provably arrives).
-    let topo_failed = AtomicBool::new(false);
-    // The lowest-shard error wins, so the reported error is independent
-    // of thread scheduling.
-    let error: Mutex<Option<(usize, EngineError)>> = Mutex::new(None);
-
-    let mut outcomes: Vec<ShardOutcome> = thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(nthreads);
-        for (me, (my_loads, my_gp)) in shard_loads
-            .into_iter()
-            .zip(replicas.iter_mut().map(Option::take))
+    let mut ranges = split(front, bounds).into_iter().zip(split(back, bounds));
+    let (front0, back0) = ranges.next().expect("threads >= 2");
+    thread::scope(|s| {
+        let handles: Vec<_> = ranges
             .enumerate()
-        {
-            let ctx = ShardCtx {
-                gp: &*gp,
-                balancer,
-                me,
-                lo: bounds[me],
-                hi: bounds[me + 1],
-                nthreads,
-                base,
-                rem,
-                bounds: &bounds,
-                check,
-                dynamic,
-                injecting,
-                has_workload,
-                steps,
-                base_step,
-                segments: &segments,
-                dirty: &dirty,
-                published: &published,
-                inj_deltas: &inj_deltas,
-                events_bc: &events_bc,
-                barrier: &barrier,
-                failed: &failed,
-                topo_failed: &topo_failed,
-                error: &error,
-                profile,
-            };
-            // Worker 0 is the driver: it alone holds the (stateful,
-            // `&mut`) schedule, workload and connectivity checker.
-            let sc = if me == 0 { schedule.take() } else { None };
-            let wl = if me == 0 { workload.take() } else { None };
-            let ck = if me == 0 { checker.take() } else { None };
-            handles.push(scope.spawn(move || shard_worker(&ctx, my_loads, my_gp, sc, wl, ck)));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard worker must not panic"))
-            .collect()
-    });
-
-    let steps_done = outcomes.iter().map(|o| o.steps_done).min().unwrap_or(0);
-    let stats = ShardRunStats {
-        steps_done,
-        negative_node_steps: outcomes.iter().map(|o| o.negative_node_steps).sum(),
-        negative_count: outcomes.iter().map(|o| o.final_negative).sum(),
-        injected: outcomes.iter().map(|o| o.injected).sum(),
-        topology_events: outcomes[0].topology_events,
-        phase_ns: outcomes[0].phase_ns,
-    };
-    if dynamic {
-        // Worker 0's replica saw every applied event (and every
-        // rollback), so it is the engine's post-run graph.
-        *gp = outcomes[0]
-            .graph
-            .take()
-            .expect("dynamic workers own a graph");
-    }
-    let err = error
-        .into_inner()
-        .expect("error mutex not poisoned")
-        .map(|(_, e)| e);
-    (stats, err)
-}
-
-/// The shared, read-only context of one worker thread; bundled to keep
-/// the spawn site readable.
-struct ShardCtx<'a> {
-    gp: &'a BalancingGraph,
-    balancer: &'a dyn ShardedBalancer,
-    me: usize,
-    lo: usize,
-    hi: usize,
-    nthreads: usize,
-    base: usize,
-    rem: usize,
-    bounds: &'a [usize],
-    check: bool,
-    dynamic: bool,
-    injecting: bool,
-    has_workload: bool,
-    steps: usize,
-    base_step: usize,
-    segments: &'a [Vec<Mutex<Vec<i64>>>],
-    dirty: &'a [AtomicBool],
-    published: &'a [Mutex<Vec<i64>>],
-    inj_deltas: &'a [Mutex<Vec<i64>>],
-    events_bc: &'a Mutex<Vec<TopologyEvent>>,
-    barrier: &'a Barrier,
-    failed: &'a AtomicBool,
-    topo_failed: &'a AtomicBool,
-    error: &'a Mutex<Option<(usize, EngineError)>>,
-    /// Whether the driver worker wall-clocks the protocol phases.
-    profile: bool,
-}
-
-impl ShardCtx<'_> {
-    fn record_error(&self, e: EngineError) {
-        // Release: pairs with the Acquire load at round barrier #1 (and
-        // the topology check's Acquire under the model mutant), so any
-        // worker that observes the abort also observes everything this
-        // worker did before recording — the weakest pair the model
-        // suite validates; nothing here needs a single total order
-        // across flags, so SeqCst would buy nothing.
-        self.failed.store(true, Ordering::Release);
-        // All recorded errors belong to the same (first failing) round
-        // — the barriers keep workers in lockstep — so the winner is
-        // chosen by the serial engine's in-round ordering: topology
-        // events are applied before anything else (and only worker 0
-        // can reject one), the global pre-plan negative check runs
-        // before any validation — so a `NegativeLoad` from *any* shard
-        // outranks an `Overdraw` from any other; within a kind the
-        // lowest shard wins (each worker reports its lowest-id hit,
-        // and shards are ordered, so that is the globally lowest
-        // node). A `WorkerPanic` ranks below everything: a round that
-        // both errored and panicked reports the protocol error, since
-        // that is what the serial engine would have raised. The result
-        // is independent of thread scheduling.
-        let rank = |err: &EngineError| match err {
-            EngineError::Topology { .. } => 0u8,
-            EngineError::NegativeLoad { .. } => 1,
-            EngineError::WorkerPanic { .. } => 3,
-            _ => 2,
-        };
-        let mut slot = self.error.lock().expect("error mutex not poisoned");
-        let replace = match slot.as_ref() {
-            None => true,
-            Some((shard, old)) => (rank(&e), self.me) < (rank(old), *shard),
-        };
-        if replace {
-            *slot = Some((self.me, e));
-        }
-    }
-}
-
-#[allow(clippy::too_many_lines)]
-fn shard_worker<S: TopologySchedule + ?Sized, W: Workload + ?Sized>(
-    w: &ShardCtx<'_>,
-    my_loads: &mut [i64],
-    mut my_gp: Option<BalancingGraph>,
-    mut schedule: Option<&mut S>,
-    mut workload: Option<&mut W>,
-    mut checker: Option<&mut DynamicConnectivity>,
-) -> ShardOutcome {
-    let len = w.hi - w.lo;
-    let n = *w.bounds.last().expect("bounds non-empty");
-    let d = w.gp.degree();
-    let d_plus = w.gp.degree_plus();
-    let mut flows = vec![0u64; d_plus];
-    // Worker-private interior deltas: the sender's own deduction plus
-    // every token whose target stays in this shard.
-    let mut interior = vec![0i64; len];
-    // Which destination shards received frontier tokens this round.
-    let mut wrote = vec![false; w.nthreads];
-    // This round's injection applied to this shard, kept so a failed
-    // round can undo exactly what it added (worker 0 rewrites the
-    // shared segment only on the *next* round, but keeping a private
-    // copy avoids re-locking on the failure path).
-    let mut inj_applied = vec![0i64; if w.injecting { len } else { 0 }];
-    // This round's topology events as applied to this worker's
-    // replica, for the rollback path.
-    let mut my_events: Vec<TopologyEvent> = Vec::new();
-    let mut ev_scratch: Vec<TopologyEvent> = Vec::new();
-    let mut ev_applied: Vec<TopologyEvent> = Vec::new();
-    // Driver-only scratch: the assembled global load view and the full
-    // delta vector the workload fills and the handoff folds into.
-    let mut full = (w.me == 0 && w.injecting).then(|| (vec![0i64; n], vec![0i64; n]));
-    let mut negative = my_loads.iter().filter(|&&x| x < 0).count();
-    let mut negative_node_steps = 0u64;
-    let mut injected = 0i64;
-    let mut topology_events = 0u64;
-    // Driver-only phase clock (`[topology, inject, plan, merge]` ns).
-    // Only worker 0 reads the clock, and only when profiling was
-    // requested; the measurement never feeds back into any load or
-    // graph computation, so results stay bit-identical either way.
-    let profiling = w.profile && w.me == 0;
-    let mut phase_ns = [0u64; 4];
-
-    for iter in 0..w.steps {
-        let step_no = w.base_step + iter + 1;
-
-        // Topology phases (skipped entirely for fixed-topology runs).
-        my_events.clear();
-        let t_topo = (profiling && w.dynamic).then(std::time::Instant::now);
-        if w.dynamic {
-            // Phase T0 — worker 0 drives the schedule on its replica
-            // and broadcasts the validated events.
-            if w.me == 0 {
-                let mut bc = w.events_bc.lock().expect("event channel not poisoned");
-                bc.clear();
-                if let Some(s) = schedule.as_mut() {
-                    ev_applied.clear();
-                    let graph = my_gp
-                        .as_mut()
-                        .expect("dynamic workers own a graph")
-                        .graph_mut();
-                    // A schedule that panics mid-drive is contained
-                    // like any other worker panic; `ev_applied` holds
-                    // exactly the already-applied prefix, so the
-                    // replica (and checker) roll back precisely.
-                    let drive = catch_worker_panic(|| {
-                        topology::drive_events_checked(
-                            &mut **s,
-                            step_no,
-                            graph,
-                            &mut ev_scratch,
-                            &mut ev_applied,
-                            checker.as_deref_mut(),
-                        )
-                    });
-                    match drive {
-                        Ok(Ok(())) => {
-                            bc.extend(ev_applied.iter().cloned());
-                            my_events.extend(ev_applied.iter().cloned());
-                        }
-                        Ok(Err(e)) => {
-                            // drive_events already rolled the replica
-                            // back; nothing was broadcast. The
-                            // dedicated flag aborts the round at the
-                            // barrier below for every worker at once.
-                            // Release: pairs with the Acquire load
-                            // after the barrier — observers of the
-                            // flag see the restored replica state.
-                            w.topo_failed.store(true, Ordering::Release);
-                            w.record_error(EngineError::Topology {
-                                step: step_no,
-                                reason: e.to_string(),
-                            });
-                        }
-                        Err(message) => {
-                            let graph = my_gp
-                                .as_mut()
-                                .expect("dynamic workers own a graph")
-                                .graph_mut();
-                            topology::undo_events_checked(
-                                graph,
-                                &ev_applied,
-                                checker.as_deref_mut(),
-                            );
-                            // Release: same pairing as the rejected-
-                            // event store above.
-                            w.topo_failed.store(true, Ordering::Release);
-                            w.record_error(EngineError::WorkerPanic {
-                                step: step_no,
-                                message,
-                            });
-                        }
-                    }
-                }
-            }
-            w.barrier.wait();
-            // Acquire: pairs with worker 0's Release store before the
-            // barrier (the barrier alone already orders the phases;
-            // the pair keeps the flag self-contained and is what the
-            // model suite checks). Under the model build the historic
-            // mutant can be switched in: reading the general `failed`
-            // flag here races with plan-phase errors a fast peer
-            // records in this same round — the bug PR 5 fixed, kept
-            // reproducible for the checker.
-            #[cfg(dlb_model)]
-            let topo_abort = if crate::sync::model_hooks::topo_abort_reads_failed() {
-                w.failed.load(Ordering::Acquire)
-            } else {
-                // Acquire: pairs with the driver's Release stores in
-                // T0, same as the un-modelled line below.
-                w.topo_failed.load(Ordering::Acquire)
-            };
-            #[cfg(not(dlb_model))]
-            // Acquire: pairs with the driver's Release stores in T0 —
-            // an aborting worker sees the rolled-back replica state.
-            let topo_abort = w.topo_failed.load(Ordering::Acquire);
-            if topo_abort {
-                // A rejected event aborts before any load or replica
-                // (other than worker 0's, already restored) changed.
-                // Checking the topology-specific flag (not `failed`)
-                // keeps this return race-free: a peer sprinting ahead
-                // into this round's plan phase may already have set
-                // `failed`, but everyone still meets at barrier #1.
-                if let Some(t) = t_topo {
-                    phase_ns[0] += t.elapsed().as_nanos() as u64;
-                }
-                return ShardOutcome {
-                    steps_done: iter,
-                    negative_node_steps,
-                    final_negative: negative,
-                    injected,
-                    topology_events,
-                    phase_ns,
-                    graph: my_gp,
-                };
-            }
-            // Phase T1 — replay the broadcast on this replica.
-            if w.me != 0 {
-                let bc = w.events_bc.lock().expect("event channel not poisoned");
-                let graph = my_gp
-                    .as_mut()
-                    .expect("dynamic workers own a graph")
-                    .graph_mut();
-                for ev in bc.iter() {
-                    graph
-                        .apply_event(ev)
-                        .expect("broadcast events are pre-validated");
-                }
-                my_events.extend(bc.iter().cloned());
-            }
-        }
-        if let Some(t) = t_topo {
-            phase_ns[0] += t.elapsed().as_nanos() as u64;
-        }
-        // Dynamic workers read their replica; fixed runs share the
-        // engine's graph (re-derived per phase so replica mutation and
-        // reads never overlap).
-        fn graph_ref<'g>(
-            own: &'g Option<BalancingGraph>,
-            shared: &'g BalancingGraph,
-        ) -> &'g BalancingGraph {
-            own.as_ref().unwrap_or(shared)
-        }
-
-        // Injection phases — gated per round, like the serial engine:
-        // a schedule-present round with no workload and nobody asleep
-        // has no deltas to move, so it skips the publish/assemble/
-        // scatter phases and their barriers entirely. All workers
-        // agree on the gate (replicas are identical after the
-        // topology phases), so barrier counts stay matched.
-        let injecting_round =
-            w.has_workload || (w.dynamic && graph_ref(&my_gp, w.gp).graph().asleep_count() > 0);
-        let mut injected_round = 0i64;
-        let mut local_error = false;
-        let t_inj = (profiling && injecting_round).then(std::time::Instant::now);
-        if injecting_round {
-            // Phase I0 — publish this shard's pre-round loads.
-            w.published[w.me]
-                .lock()
-                .expect("published segment not poisoned")
-                .copy_from_slice(my_loads);
-            w.barrier.wait();
-            // Phase I1 — the driver assembles the global view, runs the
-            // workload exactly once, folds in the failure handoff, and
-            // scatters the per-shard deltas.
-            if let Some((full_loads, full_deltas)) = full.as_mut() {
-                for r in 0..w.nthreads {
-                    full_loads[w.bounds[r]..w.bounds[r + 1]].copy_from_slice(
-                        &w.published[r]
-                            .lock()
-                            .expect("published segment not poisoned"),
-                    );
-                }
-                full_deltas.fill(0);
-                if let Some(wl) = workload.as_mut() {
-                    // No argmax hint on the sharded path: the driver
-                    // assembles the full vector anyway, so the
-                    // workload's own scan reads what it already paid
-                    // to gather. A panicking workload is contained: no
-                    // lock is held here (both vectors are driver-
-                    // local), the possibly half-written deltas are
-                    // scattered and applied as usual, and the round's
-                    // abort at barrier #1 undoes them exactly via each
-                    // worker's `inj_applied` copy.
-                    let inj = catch_worker_panic(|| {
-                        wl.inject_with_hint(step_no, full_loads, None, full_deltas);
-                    });
-                    if let Err(message) = inj {
-                        w.record_error(EngineError::WorkerPanic {
-                            step: step_no,
-                            message,
-                        });
-                    }
-                }
-                let g = graph_ref(&my_gp, w.gp);
-                if g.graph().asleep_count() > 0 {
-                    mutate::handoff_deltas(g.graph(), full_loads, full_deltas);
-                }
-                for r in 0..w.nthreads {
-                    w.inj_deltas[r]
-                        .lock()
-                        .expect("delta segment not poisoned")
-                        .copy_from_slice(&full_deltas[w.bounds[r]..w.bounds[r + 1]]);
-                }
-            }
-            w.barrier.wait();
-            // Phase I2 — apply my slice, tracking the negative count.
-            inj_applied.copy_from_slice(
-                &w.inj_deltas[w.me]
-                    .lock()
-                    .expect("delta segment not poisoned"),
-            );
-            injected_round = kernel::apply_deltas(my_loads, &inj_applied, false, &mut negative);
-        }
-        if let Some(t) = t_inj {
-            phase_ns[1] += t.elapsed().as_nanos() as u64;
-        }
-        let t_plan = profiling.then(std::time::Instant::now);
-
-        // The serial engines run a whole-vector negative check
-        // *before* any planning, **every** round; the shard-local half
-        // runs here — after any injection, so it sees the
-        // post-injection loads — and is O(1) via the maintained count.
-        // This must not hide inside the injection gate: a negative
-        // seed entering a non-injecting churn round has to be rejected
-        // pre-plan with the same (globally lowest-id) node, or a
-        // lower-id `Overdraw` found mid-plan could shadow it —
-        // `record_error` ranks `NegativeLoad` above any `Overdraw`
-        // another shard finds, matching the serial in-round ordering.
-        if w.check && negative > 0 {
-            let v = my_loads
-                .iter()
-                .position(|&x| x < 0)
-                .expect("negative > 0 implies a negative node");
-            w.record_error(EngineError::NegativeLoad {
-                node: w.lo + v,
-                load: my_loads[v],
-                step: step_no,
-            });
-            local_error = true;
-        }
-
-        // Phase A — plan, validate, accumulate deltas. Loads are only
-        // read; frontier tokens go to this worker's own segments, which
-        // no one else touches until the barrier.
-        let graph = graph_ref(&my_gp, w.gp);
-        let csr = graph.graph();
-        let mut out: Vec<Option<MutexGuard<'_, Vec<i64>>>> = (0..w.nthreads)
-            .map(|dest| {
-                (dest != w.me).then(|| w.segments[w.me][dest].lock().expect("segment not poisoned"))
+            .map(|(i, (f, bk))| {
+                let me = i + 1;
+                let mut ex = worker(me);
+                s.spawn(move || rounds(f, bk, bounds[me], &mut ex, k, steps))
             })
             .collect();
-        // The whole plan loop runs under a panic guard: `plan_node` is
-        // the engine's widest entry into scheme code. The guard holds
-        // no std lock across the unwind — the `out` guards live
-        // outside the closure and survive a caught panic — so nothing
-        // poisons; partially accumulated deltas are simply abandoned
-        // when the round aborts at barrier #1 (loads are untouched
-        // until phase B).
-        let planned = catch_worker_panic(|| {
-            'plan: for v in 0..len {
-                if local_error {
-                    // This shard already failed the pre-plan check; the
-                    // serial engine would not have planned any node.
-                    break 'plan;
-                }
-                let x = my_loads[v];
-                if x == 0 {
-                    continue;
-                }
-                if w.check && x < 0 {
-                    w.record_error(EngineError::NegativeLoad {
-                        node: w.lo + v,
-                        load: x,
-                        step: step_no,
-                    });
-                    break 'plan;
-                }
-                w.balancer.plan_node(graph, w.lo + v, x, &mut flows);
-                let orig = match kernel::validate_outflow(&flows, d, w.check, w.lo + v, x, step_no)
-                {
-                    Ok(orig) => orig,
-                    Err(e) => {
-                        w.record_error(e);
-                        break 'plan;
-                    }
-                };
-                if orig != 0 {
-                    interior[v] -= orig as i64;
-                }
-                for (p, &f) in flows[..d].iter().enumerate() {
-                    if f == 0 {
-                        continue;
-                    }
-                    let t = csr.neighbor(w.lo + v, p);
-                    if (w.lo..w.hi).contains(&t) {
-                        interior[t - w.lo] += f as i64;
-                    } else {
-                        let dest = shard_of(t, w.base, w.rem);
-                        let seg = out[dest].as_mut().expect("off-diagonal segment exists");
-                        seg[t - w.bounds[dest]] += f as i64;
-                        wrote[dest] = true;
-                    }
-                }
-            }
-        });
-        if let Err(message) = planned {
-            w.record_error(EngineError::WorkerPanic {
-                step: step_no,
-                message,
-            });
+        let done = rounds(front0, back0, 0, &mut worker(0), k, steps);
+        for h in handles {
+            let theirs = h.join().expect("range workers run only arithmetic");
+            debug_assert_eq!(theirs, done, "workers agree on the rounds run");
         }
-        for (dest, touched) in wrote.iter_mut().enumerate() {
-            if *touched {
-                // Release: pairs with the merger's Acquire swap in
-                // phase B, publishing this worker's segment writes to
-                // whichever thread merges them (the round barrier in
-                // between also orders this; the pair keeps the flag
-                // protocol valid on its own, which the model suite
-                // checks by running it).
-                w.dirty[w.me * w.nthreads + dest].store(true, Ordering::Release);
-                *touched = false;
-            }
-        }
-        drop(out);
-        if let Some(t) = t_plan {
-            phase_ns[2] += t.elapsed().as_nanos() as u64;
-        }
-        let t_merge = profiling.then(std::time::Instant::now);
+        done
+    })
+}
 
-        // Round barrier #1: no shard mutates loads until every shard
-        // has validated, so an error leaves the loads at the previous
-        // round's values — the same guarantee the serial engine gives.
-        // (An erroring round's injection and topology events are
-        // undone for the same reason.)
-        w.barrier.wait();
-        // Acquire: pairs with `record_error`'s Release store, so a
-        // worker taking the abort path also sees the recorder's writes
-        // (every worker reaches this barrier in every round — errors
-        // recorded in any earlier phase funnel here).
-        if w.failed.load(Ordering::Acquire) {
-            if injecting_round {
-                kernel::apply_deltas(my_loads, &inj_applied, true, &mut negative);
-            }
-            if let Some(g) = my_gp.as_mut() {
-                topology::undo_events_checked(g.graph_mut(), &my_events, checker.as_deref_mut());
-            }
-            if let Some(t) = t_merge {
-                phase_ns[3] += t.elapsed().as_nanos() as u64;
-            }
-            return ShardOutcome {
-                steps_done: iter,
-                negative_node_steps,
-                final_negative: negative,
-                injected,
-                topology_events,
-                phase_ns,
-                graph: my_gp,
-            };
-        }
+/// The send array `b`, shared by every worker of one run: each worker
+/// writes only its own node range (pass 1), and every worker reads the
+/// whole array (pass 2). Safe Rust cannot express "disjoint writers,
+/// then shared readers, then disjoint writers again" over one buffer
+/// without copying it, so this holds the exclusive borrow as a raw
+/// pointer, and [`Split`] — whose barriers keep the phases apart — is
+/// the only code that turns it back into slices.
+struct SharedB<'a, W> {
+    ptr: *mut W,
+    len: usize,
+    _borrow: PhantomData<&'a mut [W]>,
+}
 
-        // Phase B — the single merge: interior deltas, then every
-        // frontier segment other workers marked dirty for this shard.
-        // Integer addition commutes, so the apply order cannot change
-        // the result.
-        for (delta, load) in interior.iter_mut().zip(my_loads.iter_mut()) {
-            let c = *delta;
-            if c != 0 {
-                let old = *load;
-                let new = old + c;
-                negative = negative + usize::from(new < 0) - usize::from(old < 0);
-                *load = new;
-                *delta = 0;
-            }
-        }
-        for from in 0..w.nthreads {
-            // Acquire (on the swap's load half): pairs with the
-            // writer's Release store above — observing `true` makes
-            // the writer's segment contents visible before the merge
-            // reads them. The store half needs no ordering (the writer
-            // re-checks only after barrier #2), so AcqRel would be
-            // stronger than the protocol requires.
-            if from == w.me || !w.dirty[from * w.nthreads + w.me].swap(false, Ordering::Acquire) {
-                continue;
-            }
-            let mut seg = w.segments[from][w.me].lock().expect("segment not poisoned");
-            for (slot, load) in seg.iter_mut().zip(my_loads.iter_mut()) {
-                let c = *slot;
-                if c != 0 {
-                    let old = *load;
-                    let new = old + c;
-                    negative = negative + usize::from(new < 0) - usize::from(old < 0);
-                    *load = new;
-                    *slot = 0;
-                }
-            }
-        }
-        negative_node_steps += negative as u64;
-        injected += injected_round;
-        topology_events += my_events.len() as u64;
-
-        // Round barrier #2: the next round's accumulate phase must not
-        // write a segment a neighbour is still merging.
-        w.barrier.wait();
-        if let Some(t) = t_merge {
-            phase_ns[3] += t.elapsed().as_nanos() as u64;
+impl<'a, W> SharedB<'a, W> {
+    fn new(b: &'a mut [W]) -> Self {
+        SharedB {
+            ptr: b.as_mut_ptr(),
+            len: b.len(),
+            _borrow: PhantomData,
         }
     }
+}
 
-    ShardOutcome {
-        steps_done: w.steps,
-        negative_node_steps,
-        final_negative: negative,
-        injected,
-        topology_events,
-        phase_ns,
-        graph: my_gp,
+// SAFETY: `SharedB` stands for a `&mut [W]` that the workers access
+// only through `Split`, under the barrier discipline argued there;
+// handing `W` values to other threads needs `W: Send`, and reading
+// them from several threads at once needs `W: Sync`.
+#[allow(unsafe_code)]
+unsafe impl<W: Send + Sync> Sync for SharedB<'_, W> {}
+
+/// One worker of a range-split run: its node range and the shared
+/// round state.
+struct Split<'a, W> {
+    me: usize,
+    range: (usize, usize),
+    b: &'a SharedB<'a, W>,
+    maxima: &'a [AtomicUsize],
+    barrier: &'a Barrier,
+}
+
+#[allow(unsafe_code)]
+impl<W: Word> Exchange<W> for Split<'_, W> {
+    fn own(&mut self) -> &mut [W] {
+        let (lo, hi) = self.range;
+        debug_assert!(lo <= hi && hi <= self.b.len);
+        // SAFETY: in bounds of the borrowed array. Exclusive: ranges
+        // are disjoint and only this worker asks for its own; every
+        // worker's `all` slice of the previous round died before that
+        // worker reached the barrier after pass 2 (`round_max`), which
+        // this worker has passed too; and this slice borrows `self`, so
+        // it dies before this worker's own next `all` call.
+        unsafe { std::slice::from_raw_parts_mut(self.b.ptr.add(lo), hi - lo) }
+    }
+
+    fn all(&mut self) -> &[W] {
+        // Barrier after pass 1: every range of b is written. The model
+        // build can drop it (a mutant the checker must catch).
+        #[cfg(dlb_model)]
+        let wait = !crate::sync::model_hooks::skip_pass1_barrier();
+        #[cfg(not(dlb_model))]
+        let wait = true;
+        if wait {
+            self.barrier.wait();
+        }
+        // SAFETY: the whole borrowed array, shared read-only: every
+        // worker's `own` slice borrowed its `Split` and died before that
+        // worker reached the barrier above, and none is created again
+        // before the barrier in `round_max`, which no worker passes
+        // until this slice (borrowing `self`) is dead.
+        unsafe { std::slice::from_raw_parts(self.b.ptr, self.b.len) }
+    }
+
+    fn round_max(&mut self, local: W, guarded: bool) -> W {
+        if guarded {
+            let local: i64 = local.into();
+            // Relaxed: the barrier below orders this store before every
+            // worker's load of it, and the next round's store comes
+            // after the next pass-1 barrier, which every reader passes
+            // only after its loads.
+            self.maxima[self.me].store(local as usize, Ordering::Relaxed);
+        }
+        // Barrier after pass 2: no worker writes the next round's b
+        // while another still reads this round's.
+        self.barrier.wait();
+        if !guarded {
+            return local;
+        }
+        // Relaxed: ordered after every worker's store by the barrier
+        // above (see the store's comment).
+        let max = self.maxima.iter().map(|m| m.load(Ordering::Relaxed)).max();
+        W::narrow(max.unwrap_or(0) as i64)
     }
 }
 
@@ -936,20 +215,5 @@ mod tests {
         assert_eq!(b, vec![0, 4, 7, 10]);
         let b = shard_bounds(8, 4);
         assert_eq!(b, vec![0, 2, 4, 6, 8]);
-    }
-
-    #[test]
-    fn shard_of_matches_bounds() {
-        for (n, t) in [(10usize, 3usize), (8, 4), (1_000, 7), (5, 5)] {
-            let bounds = shard_bounds(n, t);
-            let (base, rem) = (n / t, n % t);
-            for w in 0..n {
-                let s = shard_of(w, base, rem);
-                assert!(
-                    bounds[s] <= w && w < bounds[s + 1],
-                    "node {w} mapped to shard {s} of {bounds:?}"
-                );
-            }
-        }
     }
 }

@@ -2,7 +2,7 @@ use dlb_graph::BalancingGraph;
 
 use crate::balancer::split_load;
 use crate::kernel::vector::{UniformKernel, UniformSpec};
-use crate::{Balancer, FlowPlan, KernelBalancer, LoadVector, ShardedBalancer};
+use crate::{Balancer, FlowPlan, KernelBalancer, LoadVector};
 
 /// SEND(⌊x/d⁺⌋): every original edge receives exactly `⌊x/d⁺⌋` tokens;
 /// the rest goes to the self-loops (§1.1).
@@ -61,13 +61,15 @@ impl Balancer for SendFloor {
                 // plan's touched set — and every engine pass — small.
                 continue;
             }
-            self.plan_node(gp, u, x, plan.node_mut(u));
+            self.plan_node(gp, x, plan.node_mut(u));
         }
     }
 }
 
-impl ShardedBalancer for SendFloor {
-    fn plan_node(&self, gp: &BalancingGraph, _u: usize, load: i64, flows: &mut [u64]) {
+impl SendFloor {
+    /// Writes one node's complete `d⁺`-port flows for load `load`: the
+    /// per-node rule behind both [`Balancer::plan`] and the kernel.
+    fn plan_node(self, gp: &BalancingGraph, load: i64, flows: &mut [u64]) {
         let d = gp.degree();
         let d_plus = gp.degree_plus();
         let d_self = gp.num_self_loops();
@@ -88,11 +90,11 @@ impl ShardedBalancer for SendFloor {
     }
 }
 
-/// Stateless: the kernel is exactly the sharded per-node plan.
+/// Stateless: the kernel is exactly the per-node plan.
 impl KernelBalancer for SendFloor {
     #[inline]
-    fn kernel_node(&mut self, gp: &BalancingGraph, u: usize, load: i64, flows: &mut [u64]) {
-        ShardedBalancer::plan_node(self, gp, u, load, flows);
+    fn kernel_node(&mut self, gp: &BalancingGraph, _u: usize, load: i64, flows: &mut [u64]) {
+        self.plan_node(gp, load, flows);
     }
 
     fn uniform_kernel(&self, gp: &BalancingGraph) -> Option<UniformSpec> {
@@ -161,13 +163,15 @@ impl Balancer for SendRound {
             if x == 0 {
                 continue;
             }
-            self.plan_node(gp, u, x, plan.node_mut(u));
+            self.plan_node(gp, x, plan.node_mut(u));
         }
     }
 }
 
-impl ShardedBalancer for SendRound {
-    fn plan_node(&self, gp: &BalancingGraph, _u: usize, load: i64, flows: &mut [u64]) {
+impl SendRound {
+    /// Writes one node's complete `d⁺`-port flows for load `load`: the
+    /// per-node rule behind both [`Balancer::plan`] and the kernel.
+    fn plan_node(self, gp: &BalancingGraph, load: i64, flows: &mut [u64]) {
         let d = gp.degree();
         let d_plus = gp.degree_plus();
         let (base, e) = split_load(load, d_plus);
@@ -182,11 +186,10 @@ impl ShardedBalancer for SendRound {
         // base+1 (round-fair), extras first.
         //
         // round_up ⇒ 2e ≥ d⁺ = d + d°, and `plan` enforces d° ≥ d, so
-        // e ≥ d and the subtraction cannot underflow there. This entry
-        // point skips that loud class check (a panicking worker would
-        // strand its peers at the engine's round barrier), so saturate:
-        // on a d° < d graph the plan then over-sends on the originals
-        // and the engine reports a clean `Overdraw` instead of a u64
+        // e ≥ d and the subtraction cannot underflow there. The kernel
+        // entry skips that loud class check, so saturate: on a d° < d
+        // graph the plan then over-sends on the originals and the
+        // engine reports a clean `Overdraw` instead of a u64
         // wrap-around conjuring ~2⁶⁴ surplus tokens.
         // With d° ≥ d, loop_extras ≤ d° always holds; on smaller d° the
         // placement loop below is bounded by the port count anyway.
@@ -197,13 +200,13 @@ impl ShardedBalancer for SendRound {
     }
 }
 
-/// Stateless: the kernel is exactly the sharded per-node plan
-/// (including the saturating arithmetic — on a `d° < d` graph the
-/// kernel path reports the engine's clean `Overdraw`, never a panic).
+/// Stateless: the kernel is exactly the per-node plan (including the
+/// saturating arithmetic — on a `d° < d` graph the kernel path reports
+/// the engine's clean `Overdraw`, never a panic).
 impl KernelBalancer for SendRound {
     #[inline]
-    fn kernel_node(&mut self, gp: &BalancingGraph, u: usize, load: i64, flows: &mut [u64]) {
-        ShardedBalancer::plan_node(self, gp, u, load, flows);
+    fn kernel_node(&mut self, gp: &BalancingGraph, _u: usize, load: i64, flows: &mut [u64]) {
+        self.plan_node(gp, load, flows);
     }
 
     fn uniform_kernel(&self, gp: &BalancingGraph) -> Option<UniformSpec> {
@@ -337,13 +340,13 @@ mod tests {
             let mut plan = FlowPlan::for_graph(&gp);
             SendFloor::new().plan(&gp, &loads, &mut plan);
             let mut flows = vec![u64::MAX; gp.degree_plus()];
-            SendFloor::new().plan_node(&gp, 2, load, &mut flows);
+            SendFloor::new().plan_node(&gp, load, &mut flows);
             assert_eq!(plan.node(2), flows.as_slice(), "floor, load {load}");
 
             let mut plan = FlowPlan::for_graph(&gp);
             SendRound::new().plan(&gp, &loads, &mut plan);
             let mut flows = vec![u64::MAX; gp.degree_plus()];
-            SendRound::new().plan_node(&gp, 2, load, &mut flows);
+            SendRound::new().plan_node(&gp, load, &mut flows);
             assert_eq!(plan.node(2), flows.as_slice(), "round, load {load}");
         }
     }
@@ -356,7 +359,7 @@ mod tests {
         // as a clean overdraw), not conjure ~2^64 tokens.
         let gp = BalancingGraph::bare(generators::cycle(4).unwrap()); // d⁺ = 2
         let mut flows = vec![0u64; 2];
-        SendRound::new().plan_node(&gp, 0, 11, &mut flows); // base 5, e 1
+        SendRound::new().plan_node(&gp, 11, &mut flows); // base 5, e 1
         assert_eq!(flows, vec![6, 6], "round-up on both originals");
         let sent: u64 = flows.iter().sum();
         assert!(sent < 1 << 32, "no underflow-inflated flow");

@@ -1,7 +1,7 @@
 //! The engine's single doorway to synchronisation primitives.
 //!
-//! Everything concurrent in `dlb-core` — the sharded runner's
-//! barriers, abort flags, merge locks and scoped workers — imports
+//! Everything concurrent in `dlb-core` — the range-split runner's
+//! barriers, `b` hand-off locks, range maxima and scoped workers — imports
 //! from this module instead of `std::sync` / `std::thread` directly
 //! (`tools/dlb-tidy` enforces this). Under a normal build the module
 //! is nothing but `pub use std::…` re-exports, so it costs exactly
@@ -52,21 +52,21 @@ pub mod thread {
 pub mod model_hooks {
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    /// When set, the topology-abort check in the sharded runner reads
-    /// the general `failed` flag instead of `topo_failed` — the exact
-    /// race the dynamic-topology PR fixed: in a churn-only round a
-    /// fast worker's plan-phase error flips `failed` before a slow
-    /// worker reaches the topology check, which then bails early and
-    /// strands its peers at the round barrier.
+    /// When set, every range-split worker skips the barrier after
+    /// pass 1 (`crate::parallel`) and copies the other workers' ranges
+    /// of `b` without waiting for them to be written. On a schedule
+    /// where a worker gets there first it reads the previous round's
+    /// `b` (zeros in round 1), so pass 2 adds stale sends and the loads
+    /// diverge from the serial oracle.
     ///
     /// A plain std atomic on purpose: it is test *configuration*, not
     /// modelled state, and must not add schedule choice points.
-    pub static TOPO_ABORT_READS_FAILED: AtomicBool = AtomicBool::new(false);
+    pub static SKIP_PASS1_BARRIER: AtomicBool = AtomicBool::new(false);
 
     /// Reads the mutant switch (Relaxed: configuration set before the
     /// exploration starts, constant throughout).
     #[must_use]
-    pub fn topo_abort_reads_failed() -> bool {
-        TOPO_ABORT_READS_FAILED.load(Ordering::Relaxed)
+    pub fn skip_pass1_barrier() -> bool {
+        SKIP_PASS1_BARRIER.load(Ordering::Relaxed)
     }
 }

@@ -10,8 +10,7 @@
 //! entry points ([`Engine::step_with`](crate::Engine::step_with),
 //! [`Engine::run_with`](crate::Engine::run_with),
 //! [`Engine::run_fast_with`](crate::Engine::run_fast_with),
-//! [`Engine::run_kernel_with`](crate::Engine::run_kernel_with),
-//! [`Engine::run_parallel_with`](crate::Engine::run_parallel_with))
+//! [`Engine::run_kernel_with`](crate::Engine::run_kernel_with))
 //! apply it under one shared round structure:
 //!
 //! 1. **inject** — `x'_t = x_t + w_t`, where `w_t` is the workload's
@@ -37,18 +36,12 @@
 
 /// A dynamic workload: a source of per-round signed load deltas.
 ///
-/// `Send` is a supertrait because the sharded path hands the workload
-/// to a worker thread (one designated worker drives injection for the
-/// whole node set each round).
+/// `Send` is a supertrait because a `dlb-serve` tenant, workload
+/// included, is advanced by whichever scheduler worker claims it.
 ///
 /// Implementations must be deterministic functions of their own state
 /// and the `(round, loads)` arguments — the engine relies on that to
-/// keep its execution paths bit-identical — and should not panic. A
-/// panic that happens anyway is contained on every path: the sharded
-/// runner catches it, aborts the round through the normal error
-/// machinery as [`WorkerPanic`](crate::EngineError::WorkerPanic), and
-/// rolls the round back whole (the same contract as
-/// [`ShardedBalancer`](crate::ShardedBalancer)).
+/// keep its execution paths bit-identical — and should not panic.
 pub trait Workload: Send {
     /// A short label for reports and JSON rows.
     fn label(&self) -> String;
@@ -88,7 +81,7 @@ pub trait Workload: Send {
     /// `>` comparison finds — when the engine maintains the index
     /// (planned paths, for workloads whose
     /// [`needs_argmax`](Workload::needs_argmax) is true), and `None`
-    /// on the kernel/sharded paths, where the workload falls back to
+    /// on the kernel path, where the workload falls back to
     /// its own scan. Both sources see identical loads, so the streams
     /// stay bit-identical across paths.
     ///

@@ -19,9 +19,8 @@
 //!   pin the minimum load near zero — reported honestly),
 //! * the **events applied** (how much churn actually landed), and
 //! * a **bit-identity verdict**: the same rounds of churn + injection
-//!   are replayed through `step_dyn`, `run_fast_dyn`,
-//!   `run_kernel_dyn` and (for the sharded SEND family)
-//!   `run_parallel_dyn(1..2)`, each with freshly built — hence
+//!   are replayed through `step_dyn`, `run_fast_dyn` and
+//!   `run_kernel_dyn`, each with freshly built — hence
 //!   stream-identical — schedule and workload, and every path must
 //!   reproduce the reference **loads, injected totals, event counts,
 //!   final graph (adjacency, port numbering and sleep state), and —
@@ -49,7 +48,7 @@
 use std::time::Instant;
 
 use dlb_core::schemes::{RotorRouter, SendFloor, SendRound};
-use dlb_core::{Engine, LoadVector, ShardedBalancer, Workload};
+use dlb_core::{Engine, LoadVector, Workload};
 use dlb_graph::{BalancingGraph, PortOrder};
 use dlb_scenario::{Scenario, ScenarioRecorder, ScenarioReport, WorkloadSpec};
 use dlb_topology::{ScheduleSpec, SwapShortfall, TopologySchedule};
@@ -151,7 +150,6 @@ enum Path {
     Step,
     RunFast,
     Kernel,
-    Parallel(usize),
 }
 
 /// Replays `rounds` of churn + injection through one named path with
@@ -216,20 +214,6 @@ fn drive_path(
                 }
                 other => panic!("no kernel dispatch for {}", other.label()),
             }
-        }
-        Path::Parallel(threads) => {
-            let sharded: Box<dyn ShardedBalancer> = match scheme {
-                SchemeSpec::SendFloor => Box::new(SendFloor::new()),
-                SchemeSpec::SendRound => Box::new(SendRound::new()),
-                other => panic!("no sharded dispatch for {}", other.label()),
-            };
-            engine.run_parallel_dyn(
-                sharded.as_ref(),
-                rounds,
-                threads,
-                schedule.as_deref_mut(),
-                workload.as_deref_mut(),
-            )?;
         }
     }
     Ok(PathOutcome {
@@ -332,21 +316,6 @@ fn churn_to(quick: bool, json_path: &std::path::Path) -> Result<Table, RunError>
                             drive_path(&gp, scheme, sspec, wspec, &initial, rounds, path)?;
                         paths += 1;
                         identical &= outcome == reference;
-                    }
-                    if !matches!(scheme, SchemeSpec::RotorRouter) {
-                        for threads in [1usize, 2] {
-                            let outcome = drive_path(
-                                &gp,
-                                scheme,
-                                sspec,
-                                wspec,
-                                &initial,
-                                rounds,
-                                Path::Parallel(threads),
-                            )?;
-                            paths += 1;
-                            identical &= outcome == reference;
-                        }
                     }
 
                     rows.push(ChurnRow {

@@ -16,9 +16,8 @@
 //!   the cycle at full size legitimately needs more rounds than the
 //!   budget), and
 //! * a **bit-identity** verdict: the same `rounds` of injection are
-//!   replayed through `step_with`, `run_fast_with`, `run_kernel_with`
-//!   and (for the sharded SEND family) `run_parallel_with(2)`, each
-//!   with a freshly built — hence stream-identical — workload, and
+//!   replayed through `step_with`, `run_fast_with` and
+//!   `run_kernel_with`, each with a freshly built — hence stream-identical — workload, and
 //!   every path must reproduce the reference loads and injected totals
 //!   exactly.
 //!
@@ -30,7 +29,7 @@
 use std::time::Instant;
 
 use dlb_core::schemes::{RotorRouter, SendFloor, SendRound};
-use dlb_core::{Engine, LoadVector, ShardedBalancer};
+use dlb_core::{Engine, LoadVector};
 use dlb_graph::{BalancingGraph, PortOrder};
 use dlb_scenario::{Scenario, ScenarioReport, WorkloadSpec};
 
@@ -106,14 +105,6 @@ fn run_path(
             }
             other => panic!("no kernel dispatch for {}", other.label()),
         },
-        Path::Parallel(threads) => {
-            let sharded: Box<dyn ShardedBalancer> = match scheme {
-                SchemeSpec::SendFloor => Box::new(SendFloor::new()),
-                SchemeSpec::SendRound => Box::new(SendRound::new()),
-                other => panic!("no sharded dispatch for {}", other.label()),
-            };
-            engine.run_parallel_with(sharded.as_ref(), rounds, threads, Some(workload.as_mut()))?;
-        }
     }
     Ok((engine.loads().clone(), engine.injected_total()))
 }
@@ -122,7 +113,6 @@ fn run_path(
 enum Path {
     RunFast,
     Kernel,
-    Parallel(usize),
 }
 
 /// Runs the scenario sweep and writes `BENCH_PR4.json` (path
@@ -213,18 +203,6 @@ fn scenarios_to(quick: bool, json_path: &std::path::Path) -> Result<Table, RunEr
                     rounds,
                     Path::Kernel,
                 )?);
-                if !matches!(scheme, SchemeSpec::RotorRouter) {
-                    for threads in [1, 2] {
-                        check(run_path(
-                            &gp,
-                            scheme,
-                            wspec,
-                            &initial,
-                            rounds,
-                            Path::Parallel(threads),
-                        )?);
-                    }
-                }
 
                 rows.push(ScenarioRow {
                     scheme: scheme.label(),

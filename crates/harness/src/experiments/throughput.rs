@@ -3,7 +3,7 @@
 //! Sweeps scheme × graph × n over the instrumented stepping loop
 //! (`Engine::step`, per-step statistics), the fused serial fast path
 //! (`Engine::run_fast`), the plan-free delta-kernel path
-//! (`Engine::run_kernel`) and the sharded parallel path
+//! (`Engine::run_kernel`) and its range-split parallel form
 //! (`Engine::run_parallel`), cross-checking that every path produces
 //! bit-identical final loads. Graphs with poor generator labelings
 //! (random regular) are additionally measured after a reverse
@@ -31,8 +31,7 @@ use std::time::Instant;
 
 use dlb_core::schemes::{RotorRouter, SendFloor, SendRound};
 use dlb_core::{
-    Engine, LoadVector, NoWorkload, ShardedBalancer, StaticTopology, VectorConfig, VectorStats,
-    VectorWidth,
+    Engine, LoadVector, NoWorkload, StaticTopology, VectorConfig, VectorStats, VectorWidth,
 };
 use dlb_graph::relabel::Relabeling;
 use dlb_graph::{BalancingGraph, PortOrder};
@@ -59,7 +58,7 @@ struct Measurement {
     bit_identical: bool,
     /// Which inner loop executed: `banded`/`blocked` for dispatched
     /// vector rounds, `scalar` for the streaming kernel, `planned`
-    /// for the plan-materialising paths, `sharded` for the workers.
+    /// for the plan-materialising paths.
     inner_loop: String,
     /// Load-buffer width of the executed rounds: `i32`, `i64`, or
     /// `i32+i64` when the headroom guard fell back mid-run.
@@ -73,16 +72,6 @@ impl Measurement {
 
     fn token_steps_per_sec(&self) -> f64 {
         (self.tokens as f64 * self.steps as f64) / self.elapsed_sec
-    }
-}
-
-/// The sharded-planning instance behind a [`SchemeSpec`], for schemes
-/// that have one (the stateless SEND family).
-fn sharded_instance(scheme: &SchemeSpec) -> Option<Box<dyn ShardedBalancer>> {
-    match scheme {
-        SchemeSpec::SendFloor => Some(Box::new(SendFloor::new())),
-        SchemeSpec::SendRound => Some(Box::new(SendRound::new())),
-        _ => None,
     }
 }
 
@@ -229,17 +218,27 @@ fn classify_kernel(stats: &VectorStats, steps: usize) -> (String, String) {
     (inner.into(), width.into())
 }
 
+/// `run_parallel` for the SEND family (the schemes with a closed
+/// form); `None` for every other scheme.
 fn run_parallel(
     gp: &BalancingGraph,
-    balancer: &dyn ShardedBalancer,
+    scheme: &SchemeSpec,
     initial: &LoadVector,
     steps: usize,
     threads: usize,
-) -> Result<(f64, LoadVector), RunError> {
+) -> Result<Option<(f64, LoadVector, VectorStats)>, RunError> {
     let mut engine = Engine::new(gp.clone(), initial.clone());
     let started = Instant::now();
-    engine.run_parallel(balancer, steps, threads)?;
-    Ok((started.elapsed().as_secs_f64(), engine.loads().clone()))
+    match scheme {
+        SchemeSpec::SendFloor => engine.run_parallel(&SendFloor::new(), steps, threads)?,
+        SchemeSpec::SendRound => engine.run_parallel(&SendRound::new(), steps, threads)?,
+        _ => return Ok(None),
+    }
+    Ok(Some((
+        started.elapsed().as_secs_f64(),
+        engine.loads().clone(),
+        *engine.vector_stats(),
+    )))
 }
 
 /// Runs the throughput sweep and writes `BENCH_PR8.json` (path
@@ -475,18 +474,19 @@ fn throughput_to(quick: bool, json_path: &std::path::Path) -> Result<Table, RunE
                 }
             }
 
-            if let Some(sharded) = sharded_instance(scheme) {
-                for &threads in thread_counts {
-                    let (par_sec, par_loads) =
-                        run_parallel(&gp, sharded.as_ref(), &initial, steps, threads)?;
+            for &threads in thread_counts {
+                if let Some((par_sec, par_loads, par_stats)) =
+                    run_parallel(&gp, scheme, &initial, steps, threads)?
+                {
+                    let (inner, width) = classify_kernel(&par_stats, steps);
                     push(
                         format!("parallel({threads})"),
                         threads,
                         false,
                         par_sec,
                         par_loads == instr_loads,
-                        "sharded".into(),
-                        "i64".into(),
+                        inner,
+                        width,
                     );
                 }
             }

@@ -1,4 +1,4 @@
-//! Model-checking suite for the sharded engine.
+//! Model-checking suite for the range-split vector rounds.
 //!
 //! This crate drives **the real engine code** — not a protocol mock —
 //! through every thread interleaving of small configurations, via the
@@ -10,27 +10,27 @@
 //!   run — this is what tier-1 sees;
 //! * `RUSTFLAGS="--cfg dlb_model" cargo test -p dlb-model --release`:
 //!   the facade routes to the shim and the `protocol` test file
-//!   explores every scenario below under a preemption-bounded
-//!   exhaustive DFS plus seeded random sampling, asserting that every
-//!   schedule produces the exact serial outcome (loads, step count,
-//!   graph, error) with no deadlock and no stranded worker.
+//!   explores every scenario below under an exhaustive DFS at
+//!   preemption bound 3, asserting that every schedule of
+//!   `Engine::run_parallel` produces the exact outcome of the serial
+//!   `Engine::run_kernel` oracle (loads, step count, vector counters,
+//!   error) with no deadlock.
 //!
-//! The scenarios mirror the differential battery's anchors at model-
-//! checkable size: `n = 8`, 2–3 shards, one or two rounds — small
-//! enough that the DFS exhausts the schedule space, large enough that
-//! every protocol phase (topology drive/broadcast, injection
-//! publish/assemble/scatter, plan/validate, the abort checks, the
-//! dirty-flag merge) is on the explored path.
+//! The protocol under test has two barriers per round and nothing
+//! else to order, so the battery stays small: `n ≤ 9` lazy cycles, 2
+//! and 3 workers (with `n` not divisible by the worker count), banded
+//! and blocked gathers, 1 and 2 rounds, plus the one run that exchanges
+//! range maxima (an `i32` headroom guard that trips) and a negative
+//! seed, which the engine rejects before any worker starts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dlb_core::schemes::SendFloor;
+use dlb_core::schemes::{SendFloor, SendRound};
 use dlb_core::{
-    Balancer, Engine, EngineError, FlowPlan, LoadVector, ShardedBalancer, TopologyEvent,
-    TopologySchedule, Workload,
+    Engine, EngineError, LoadVector, VectorConfig, VectorStats, VectorStrategy, VectorWidth,
 };
-use dlb_graph::{generators, BalancingGraph, RegularGraph};
+use dlb_graph::{generators, BalancingGraph};
 
 /// Serialises scenario explorations: the mutant switch in
 /// `dlb_core::sync::model_hooks` is process-global, so a test must
@@ -47,171 +47,14 @@ pub fn suite_guard() -> std::sync::MutexGuard<'static, ()> {
 /// The balancing scheme a scenario runs.
 #[derive(Debug, Clone, Copy)]
 pub enum Scheme {
-    /// The paper's SEND(⌊x/d⁺⌋): never errors on non-negative loads.
+    /// SEND(⌊x/d⁺⌋).
     SendFloor,
-    /// The differential battery's deliberately fragile scheme: every
-    /// non-empty node claims 3 tokens on port 0 while declaring itself
-    /// non-overdrawing, so any load below 3 is a clean `Overdraw`.
-    Overdraw3,
-    /// SEND(⌊x/d⁺⌋) that panics when asked to plan the given node —
-    /// the worker-panic containment probe.
-    PanicAt(usize),
+    /// SEND([x/d⁺]): its maximum can grow, so it can trip the `i32`
+    /// headroom guard.
+    SendRound,
 }
 
-/// A deliberately fragile scheme (see the differential battery's
-/// `Const3`): sends 3 tokens over port 0 regardless of load.
-struct Overdraw3;
-
-impl Balancer for Overdraw3 {
-    fn name(&self) -> &'static str {
-        "overdraw-3"
-    }
-    fn is_stateless(&self) -> bool {
-        true
-    }
-    fn plan(&mut self, gp: &BalancingGraph, loads: &LoadVector, plan: &mut FlowPlan) {
-        for u in 0..gp.num_nodes() {
-            if loads.get(u) != 0 {
-                self.plan_node(gp, u, loads.get(u), plan.node_mut(u));
-            }
-        }
-    }
-}
-
-impl ShardedBalancer for Overdraw3 {
-    fn plan_node(&self, _gp: &BalancingGraph, _u: usize, _load: i64, flows: &mut [u64]) {
-        flows.fill(0);
-        flows[0] = 3;
-    }
-}
-
-/// SEND(⌊x/d⁺⌋) that panics on one node, violating the no-panic
-/// contract on purpose.
-struct PanicAt(usize);
-
-impl Balancer for PanicAt {
-    fn name(&self) -> &'static str {
-        "panic-at"
-    }
-    fn plan(&mut self, gp: &BalancingGraph, loads: &LoadVector, plan: &mut FlowPlan) {
-        for u in 0..gp.num_nodes() {
-            if loads.get(u) != 0 {
-                self.plan_node(gp, u, loads.get(u), plan.node_mut(u));
-            }
-        }
-    }
-}
-
-impl ShardedBalancer for PanicAt {
-    fn plan_node(&self, gp: &BalancingGraph, u: usize, load: i64, flows: &mut [u64]) {
-        if u == self.0 {
-            // resume_unwind rather than panic! so the process panic
-            // hook stays quiet while the model explores thousands of
-            // schedules; the engine's containment sees the same
-            // unwind either way.
-            std::panic::resume_unwind(Box::new(format!("injected panic at node {u}")));
-        }
-        SendFloor::new().plan_node(gp, u, load, flows);
-    }
-}
-
-impl Scheme {
-    fn make(self) -> Box<dyn ShardedBalancer> {
-        match self {
-            Scheme::SendFloor => Box::new(SendFloor::new()),
-            Scheme::Overdraw3 => Box::new(Overdraw3),
-            Scheme::PanicAt(u) => Box::new(PanicAt(u)),
-        }
-    }
-}
-
-/// The topology churn a scenario applies.
-#[derive(Debug, Clone, Copy)]
-pub enum Churn {
-    /// Fixed topology: the closed-system fast path (no topology
-    /// phases, no replicas).
-    None,
-    /// A valid 2-swap at round 1 (edges (1,2)/(5,6) of the 8-cycle).
-    SwapAt1,
-    /// A swap of an absent edge at round 1: rejected, `Topology` error.
-    BadSwapAt1,
-    /// Sleeps the given node at round 1, forcing the failure-handoff
-    /// path through the injection phases of every later round.
-    SleepAt1(usize),
-}
-
-struct ChurnSchedule(Churn);
-
-impl TopologySchedule for ChurnSchedule {
-    fn label(&self) -> String {
-        format!("{:?}", self.0)
-    }
-    fn events(&mut self, round: usize, g: &RegularGraph, out: &mut Vec<TopologyEvent>) {
-        if round != 1 {
-            return;
-        }
-        match self.0 {
-            Churn::None => {}
-            Churn::SwapAt1 => {
-                if g.has_edge(1, 2) && g.has_edge(5, 6) {
-                    out.push(TopologyEvent::Swap {
-                        a: 1,
-                        b: 2,
-                        c: 5,
-                        d: 6,
-                    });
-                }
-            }
-            Churn::BadSwapAt1 => out.push(TopologyEvent::Swap {
-                a: 0,
-                b: 2,
-                c: 4,
-                d: 6,
-            }),
-            Churn::SleepAt1(node) => out.push(TopologyEvent::Sleep { node }),
-        }
-    }
-}
-
-impl Churn {
-    fn make(self) -> Option<Box<dyn TopologySchedule>> {
-        match self {
-            Churn::None => None,
-            other => Some(Box::new(ChurnSchedule(other))),
-        }
-    }
-}
-
-/// The workload a scenario injects.
-#[derive(Debug, Clone, Copy)]
-pub enum Inject {
-    /// Closed system.
-    None,
-    /// Adds the given delta to node 0 every round.
-    PulseNode0(i64),
-}
-
-struct Pulse(i64);
-
-impl Workload for Pulse {
-    fn label(&self) -> String {
-        format!("pulse({})", self.0)
-    }
-    fn inject(&mut self, _round: usize, _loads: &[i64], deltas: &mut [i64]) {
-        deltas[0] += self.0;
-    }
-}
-
-impl Inject {
-    fn make(self) -> Option<Box<dyn Workload>> {
-        match self {
-            Inject::None => None,
-            Inject::PulseNode0(d) => Some(Box::new(Pulse(d))),
-        }
-    }
-}
-
-/// One model-checked configuration of the sharded engine.
+/// One model-checked configuration of the range-split rounds.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     /// Name used in reports.
@@ -222,182 +65,158 @@ pub struct Scenario {
     pub loads: Vec<i64>,
     /// The scheme under test.
     pub scheme: Scheme,
-    /// Topology churn.
-    pub churn: Churn,
-    /// Workload injection.
-    pub inject: Inject,
-    /// Rounds to attempt.
+    /// The vector configuration: which gather, which width.
+    pub config: VectorConfig,
+    /// Rounds to run.
     pub steps: usize,
-    /// Worker threads (= shards) for the parallel run.
+    /// Workers for the parallel run.
     pub threads: usize,
 }
 
 impl Scenario {
-    fn graph(&self) -> BalancingGraph {
-        BalancingGraph::lazy(generators::cycle(self.n).expect("cycle(n) is valid for n >= 3"))
+    fn engine(&self) -> Engine {
+        let gp =
+            BalancingGraph::lazy(generators::cycle(self.n).expect("cycle(n) is valid for n >= 3"));
+        let mut engine = Engine::new(gp, LoadVector::new(self.loads.clone()));
+        engine.set_vector_config(self.config);
+        engine
     }
 }
 
-/// Everything an engine run leaves behind, for exact comparison.
+/// Everything a run leaves behind, for exact comparison.
 #[derive(Debug, PartialEq)]
 pub struct Outcome {
     /// Final loads.
     pub loads: Vec<i64>,
     /// Completed rounds.
     pub steps: usize,
+    /// The vector counters (gather, width and fallbacks per round).
+    pub stats: VectorStats,
     /// The run's error, if any.
     pub err: Option<EngineError>,
-    /// The post-run graph (churn applied, failed rounds rolled back).
-    pub graph: BalancingGraph,
 }
 
-/// Runs the scenario on the serial reference path ([`Engine::step_dyn`]
-/// round by round) — the oracle every schedule of the parallel run
-/// must reproduce bit for bit.
+fn outcome(engine: &Engine, err: Option<EngineError>) -> Outcome {
+    Outcome {
+        loads: engine.loads().as_slice().to_vec(),
+        steps: engine.step_count(),
+        stats: *engine.vector_stats(),
+        err,
+    }
+}
+
+/// Runs the scenario through the serial `run_kernel` — the oracle
+/// every schedule of the parallel run must reproduce bit for bit.
 pub fn serial_outcome(s: &Scenario) -> Outcome {
-    let mut engine = Engine::new(s.graph(), LoadVector::new(s.loads.clone()));
-    let mut scheme = s.scheme.make();
-    let mut churn = s.churn.make();
-    let mut inject = s.inject.make();
-    let mut err = None;
-    for _ in 0..s.steps {
-        let balancer: &mut dyn Balancer = &mut *scheme;
-        if let Err(e) = engine.step_dyn(balancer, churn.as_deref_mut(), inject.as_deref_mut()) {
-            err = Some(e);
-            break;
-        }
+    let mut engine = s.engine();
+    let err = match s.scheme {
+        Scheme::SendFloor => engine.run_kernel(&mut SendFloor::new(), s.steps),
+        Scheme::SendRound => engine.run_kernel(&mut SendRound::new(), s.steps),
     }
-    Outcome {
-        loads: engine.loads().as_slice().to_vec(),
-        steps: engine.step_count(),
-        err,
-        graph: engine.graph().clone(),
-    }
+    .err();
+    outcome(&engine, err)
 }
 
-/// Runs the scenario on the sharded path. Inside `loom::model` every
-/// synchronisation point becomes an explored choice; outside it the
-/// facade passes through to `std` and this is an ordinary run.
+/// Runs the scenario through `run_parallel` at `s.threads` workers.
+/// Inside `loom::model` every synchronisation point becomes an
+/// explored choice; outside it the facade passes through to `std` and
+/// this is an ordinary run.
 pub fn parallel_outcome(s: &Scenario) -> Outcome {
-    let mut engine = Engine::new(s.graph(), LoadVector::new(s.loads.clone()));
-    let scheme = s.scheme.make();
-    let mut churn = s.churn.make();
-    let mut inject = s.inject.make();
-    let err = engine
-        .run_parallel_dyn(
-            &*scheme,
-            s.steps,
-            s.threads,
-            churn.as_deref_mut(),
-            inject.as_deref_mut(),
-        )
-        .err();
-    Outcome {
-        loads: engine.loads().as_slice().to_vec(),
-        steps: engine.step_count(),
-        err,
-        graph: engine.graph().clone(),
+    let mut engine = s.engine();
+    let err = match s.scheme {
+        Scheme::SendFloor => engine.run_parallel(&SendFloor::new(), s.steps, s.threads),
+        Scheme::SendRound => engine.run_parallel(&SendRound::new(), s.steps, s.threads),
+    }
+    .err();
+    outcome(&engine, err)
+}
+
+fn forced(strategy: VectorStrategy) -> VectorConfig {
+    VectorConfig {
+        enabled: true,
+        strategy,
+        width: VectorWidth::Auto,
     }
 }
 
-/// The standard battery: every protocol phase of the sharded runner is
-/// on some scenario's explored path. Kept as data so the protocol
-/// tests, the docs and the experiment report enumerate the same list.
+/// The standard battery. Kept as data so the protocol tests, the docs
+/// and the experiment report enumerate the same list.
 #[must_use]
 pub fn scenarios() -> Vec<Scenario> {
+    let uneven = vec![9, 1, 4, 4, 4, 4, 4, 2];
     vec![
         Scenario {
-            name: "closed_fixed_two_shards",
+            name: "banded_two_workers_one_round",
             n: 8,
-            loads: vec![9, 1, 4, 4, 4, 4, 4, 2],
+            loads: uneven.clone(),
             scheme: Scheme::SendFloor,
-            churn: Churn::None,
-            inject: Inject::None,
+            config: forced(VectorStrategy::Banded),
             steps: 1,
             threads: 2,
         },
         Scenario {
-            name: "closed_fixed_three_shards",
+            name: "banded_three_workers_two_rounds",
             n: 8,
-            loads: vec![9, 1, 4, 4, 4, 4, 4, 2],
+            loads: uneven.clone(),
             scheme: Scheme::SendFloor,
-            churn: Churn::None,
-            inject: Inject::None,
+            config: forced(VectorStrategy::Banded),
+            steps: 2,
+            threads: 3,
+        },
+        Scenario {
+            name: "blocked_two_workers_two_rounds_odd_n",
+            n: 9,
+            loads: vec![9, 1, 4, 4, 4, 4, 4, 2, 13],
+            scheme: Scheme::SendFloor,
+            config: forced(VectorStrategy::BlockedCsr),
+            steps: 2,
+            threads: 2,
+        },
+        Scenario {
+            name: "blocked_three_workers_one_round",
+            n: 8,
+            loads: uneven,
+            scheme: Scheme::SendFloor,
+            config: forced(VectorStrategy::BlockedCsr),
             steps: 1,
             threads: 3,
         },
         Scenario {
-            name: "churn_only_round",
+            // Node 1 (9, between two 10s) climbs to 11 in round 1 under
+            // SEND(round): past the forced limit, so the workers
+            // exchange their range maxima and all switch to i64.
+            name: "i32_guard_trips_across_workers",
             n: 8,
-            loads: vec![6, 2, 4, 4, 4, 4, 4, 4],
-            scheme: Scheme::SendFloor,
-            churn: Churn::SwapAt1,
-            inject: Inject::None,
-            steps: 1,
+            loads: vec![10, 9, 10, 0, 0, 0, 0, 0],
+            scheme: Scheme::SendRound,
+            config: VectorConfig {
+                enabled: true,
+                strategy: VectorStrategy::Banded,
+                width: VectorWidth::I32 { limit: 10 },
+            },
+            steps: 2,
             threads: 2,
         },
         Scenario {
-            name: "overdraw_in_a_churning_round_without_injection",
-            n: 8,
-            loads: vec![2; 8],
-            scheme: Scheme::Overdraw3,
-            churn: Churn::SwapAt1,
-            inject: Inject::None,
-            steps: 1,
-            threads: 2,
-        },
-        Scenario {
-            name: "negative_seed_under_valid_churn",
+            name: "negative_seed_rejected_before_any_worker",
             n: 8,
             loads: vec![5, -1, 3, 3, 3, 3, 3, 3],
             scheme: Scheme::SendFloor,
-            churn: Churn::SwapAt1,
-            inject: Inject::None,
-            steps: 1,
-            threads: 2,
-        },
-        Scenario {
-            name: "negative_seed_under_rejected_churn",
-            n: 8,
-            loads: vec![5, -1, 3, 3, 3, 3, 3, 3],
-            scheme: Scheme::SendFloor,
-            churn: Churn::BadSwapAt1,
-            inject: Inject::None,
-            steps: 1,
-            threads: 2,
-        },
-        Scenario {
-            name: "injection_round",
-            n: 8,
-            loads: vec![4; 8],
-            scheme: Scheme::SendFloor,
-            churn: Churn::None,
-            inject: Inject::PulseNode0(2),
-            steps: 1,
-            threads: 2,
-        },
-        Scenario {
-            name: "asleep_node_handoff",
-            n: 8,
-            loads: vec![4; 8],
-            scheme: Scheme::SendFloor,
-            churn: Churn::SleepAt1(2),
-            inject: Inject::None,
+            config: VectorConfig::default(),
             steps: 1,
             threads: 2,
         },
     ]
 }
 
-/// The scenario the topology-abort mutant deadlocks on: a plan-phase
-/// error inside a churn-only round, where no injection barrier
-/// separates the topology abort check from a fast peer's `failed`
-/// store.
+/// The scenario the skip-the-pass-1-barrier mutant is caught on: a
+/// worker that reads the other range's `b` before it is written adds
+/// zeros where the oracle adds real sends.
 #[must_use]
 pub fn mutant_witness_scenario() -> Scenario {
     scenarios()
         .into_iter()
-        .find(|s| s.name == "overdraw_in_a_churning_round_without_injection")
+        .find(|s| s.name == "banded_two_workers_one_round")
         .expect("battery contains the witness scenario")
 }
 
@@ -484,19 +303,27 @@ mod tests {
     #[test]
     fn battery_covers_both_shard_counts_and_every_phase() {
         let battery = scenarios();
-        assert!(battery.len() >= 6, "acceptance floor: at least 6 configs");
+        assert!(battery.iter().any(|s| s.threads == 2));
         assert!(battery.iter().any(|s| s.threads == 3));
-        assert!(battery.iter().any(|s| matches!(s.churn, Churn::SwapAt1)));
-        assert!(battery.iter().any(|s| matches!(s.churn, Churn::BadSwapAt1)));
-        assert!(battery
+        assert!(battery.iter().any(|s| s.n % s.threads != 0));
+        assert!(battery.iter().any(|s| s.steps == 1));
+        assert!(battery.iter().any(|s| s.steps == 2));
+        for strategy in [VectorStrategy::Banded, VectorStrategy::BlockedCsr] {
+            assert!(battery.iter().any(|s| s.config.strategy == strategy));
+        }
+        // Every non-error scenario really runs split vector rounds, and
+        // the guard scenario really trips.
+        for s in &battery {
+            let out = serial_outcome(s);
+            if out.err.is_none() {
+                assert_eq!(out.stats.runs, 1, "{} must dispatch", s.name);
+            }
+        }
+        let trip = battery
             .iter()
-            .any(|s| matches!(s.churn, Churn::SleepAt1(_))));
-        assert!(battery
-            .iter()
-            .any(|s| matches!(s.inject, Inject::PulseNode0(_))));
-        assert!(battery
-            .iter()
-            .any(|s| matches!(s.scheme, Scheme::Overdraw3)));
+            .find(|s| s.name == "i32_guard_trips_across_workers")
+            .expect("guard scenario present");
+        assert_eq!(serial_outcome(trip).stats.i32_fallbacks, 1);
     }
 
     /// Passthrough sanity for the serve scheduler: any worker count
@@ -516,32 +343,17 @@ mod tests {
 
     #[test]
     fn expected_errors_match_the_anchors() {
-        let battery = scenarios();
-        let by_name = |name: &str| {
-            battery
-                .iter()
-                .find(|s| s.name == name)
-                .expect("scenario present")
-        };
-        let overdraw = serial_outcome(by_name("overdraw_in_a_churning_round_without_injection"));
-        assert!(
-            matches!(overdraw.err, Some(EngineError::Overdraw { step: 1, .. })),
-            "{overdraw:?}"
-        );
-        assert_eq!(overdraw.steps, 0);
-        let neg = serial_outcome(by_name("negative_seed_under_valid_churn"));
+        let neg = scenarios()
+            .into_iter()
+            .find(|s| s.name == "negative_seed_rejected_before_any_worker")
+            .expect("scenario present");
         assert_eq!(
-            neg.err,
+            serial_outcome(&neg).err,
             Some(EngineError::NegativeLoad {
                 node: 1,
                 load: -1,
                 step: 1
             })
-        );
-        let topo = serial_outcome(by_name("negative_seed_under_rejected_churn"));
-        assert!(
-            matches!(topo.err, Some(EngineError::Topology { step: 1, .. })),
-            "{topo:?}"
         );
     }
 }

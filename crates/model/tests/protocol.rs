@@ -1,5 +1,5 @@
-//! Exhaustive schedule exploration of the sharded engine's round
-//! protocol, plus the mutant witness that shows the checker has teeth.
+//! Exhaustive schedule exploration of the range-split vector rounds,
+//! plus the mutant witness that shows the checker has teeth.
 //!
 //! Only compiled under `RUSTFLAGS="--cfg dlb_model"` — without that
 //! cfg the `dlb_core::sync` facade is plain `std` and there is nothing
@@ -7,29 +7,26 @@
 //! passthrough behaviour).
 #![cfg(dlb_model)]
 
-use dlb_core::EngineError;
 use dlb_model::{
-    mutant_witness_scenario, parallel_outcome, scenarios, serial_outcome, suite_guard, Churn,
-    Inject, Scenario, Scheme,
+    mutant_witness_scenario, parallel_outcome, scenarios, serial_outcome, suite_guard, Scenario,
 };
 use loom::{Builder, FailureKind};
 
 /// The suite-wide exploration configuration: exhaustive DFS at
-/// preemption bound 2 (loom's empirical sweet spot — almost every real
-/// bug needs at most two preemptive switches), then 32 seeded-random
-/// schedules with the bound lifted for tail coverage.
+/// preemption bound 3, then 32 seeded-random schedules with the bound
+/// lifted for tail coverage.
 fn builder() -> Builder {
     Builder {
-        preemption_bound: 2,
+        preemption_bound: 3,
         samples: 32,
         ..Builder::default()
     }
 }
 
 /// Explores every schedule of `s`'s parallel run and asserts each one
-/// reproduces the serial oracle exactly: same loads, same step count,
-/// same graph, same error. A divergence or deadlock panics with the
-/// failing schedule and its rendered trace.
+/// reproduces the serial `run_kernel` oracle exactly: same loads, same
+/// step count, same vector counters, same error. A divergence or
+/// deadlock panics with the failing schedule and its rendered trace.
 fn explore(s: &Scenario) {
     let expected = serial_outcome(s);
     let report = builder().model(|| {
@@ -57,79 +54,39 @@ fn explore_by_name(name: &str) {
 }
 
 #[test]
-fn closed_fixed_two_shards_matches_serial_on_every_schedule() {
-    explore_by_name("closed_fixed_two_shards");
+fn banded_two_workers_one_round_matches_serial_on_every_schedule() {
+    explore_by_name("banded_two_workers_one_round");
 }
 
 #[test]
-fn closed_fixed_three_shards_matches_serial_on_every_schedule() {
-    explore_by_name("closed_fixed_three_shards");
+fn banded_three_workers_two_rounds_matches_serial_on_every_schedule() {
+    explore_by_name("banded_three_workers_two_rounds");
 }
 
 #[test]
-fn churn_only_round_matches_serial_on_every_schedule() {
-    explore_by_name("churn_only_round");
+fn blocked_two_workers_two_rounds_odd_n_matches_serial_on_every_schedule() {
+    explore_by_name("blocked_two_workers_two_rounds_odd_n");
 }
 
 #[test]
-fn overdraw_in_a_churning_round_terminates_on_every_schedule() {
-    explore_by_name("overdraw_in_a_churning_round_without_injection");
+fn blocked_three_workers_one_round_matches_serial_on_every_schedule() {
+    explore_by_name("blocked_three_workers_one_round");
 }
 
 #[test]
-fn negative_seed_under_valid_churn_orders_errors_like_serial() {
-    explore_by_name("negative_seed_under_valid_churn");
+fn i32_guard_trips_across_workers_on_every_schedule() {
+    explore_by_name("i32_guard_trips_across_workers");
 }
 
 #[test]
-fn negative_seed_under_rejected_churn_orders_errors_like_serial() {
-    explore_by_name("negative_seed_under_rejected_churn");
+fn negative_seed_rejected_before_any_worker_on_every_schedule() {
+    explore_by_name("negative_seed_rejected_before_any_worker");
 }
 
+/// Every scenario in the battery has its own test above.
 #[test]
-fn injection_round_matches_serial_on_every_schedule() {
-    explore_by_name("injection_round");
-}
-
-#[test]
-fn asleep_node_handoff_matches_serial_on_every_schedule() {
-    explore_by_name("asleep_node_handoff");
-}
-
-/// A scheme that panics mid-plan must surface as `WorkerPanic` with the
-/// round rolled back whole, under **every** schedule — no deadlock, no
-/// stranded worker, no half-applied flows. (There is no serial oracle
-/// here: the serial path would genuinely propagate the panic, so the
-/// expectation is written out by hand.)
-#[test]
-fn worker_panic_is_contained_under_every_schedule() {
-    let _suite = suite_guard();
-    let s = Scenario {
-        name: "worker_panic_mid_plan",
-        n: 8,
-        loads: vec![4; 8],
-        scheme: Scheme::PanicAt(1),
-        churn: Churn::None,
-        inject: Inject::None,
-        steps: 1,
-        threads: 2,
-    };
-    let report = builder().model(|| {
-        let got = parallel_outcome(&s);
-        match &got.err {
-            Some(EngineError::WorkerPanic { step: 1, message }) => {
-                assert!(message.contains("injected panic at node 1"), "{message}");
-            }
-            other => panic!("expected WorkerPanic at step 1, got {other:?}"),
-        }
-        assert_eq!(got.steps, 0, "failed round must not count");
-        assert_eq!(got.loads, vec![4i64; 8], "failed round must roll back");
-    });
-    assert!(report.complete);
-    println!(
-        "[model] {:<48} {:>6} schedules exhausted at preemption bound {}, +{} sampled",
-        s.name, report.schedules, report.preemption_bound, report.sampled
-    );
+fn every_battery_scenario_has_a_test() {
+    assert_eq!(scenarios().len(), 6);
 }
 
 /// Resets the mutant switch even if the test panics mid-way, so a
@@ -138,7 +95,7 @@ struct MutantFlag;
 
 impl MutantFlag {
     fn set() -> Self {
-        dlb_core::sync::model_hooks::TOPO_ABORT_READS_FAILED
+        dlb_core::sync::model_hooks::SKIP_PASS1_BARRIER
             .store(true, std::sync::atomic::Ordering::SeqCst);
         MutantFlag
     }
@@ -146,37 +103,37 @@ impl MutantFlag {
 
 impl Drop for MutantFlag {
     fn drop(&mut self) {
-        dlb_core::sync::model_hooks::TOPO_ABORT_READS_FAILED
+        dlb_core::sync::model_hooks::SKIP_PASS1_BARRIER
             .store(false, std::sync::atomic::Ordering::SeqCst);
     }
 }
 
-/// The PR 5 regression, reintroduced behind a model-only switch: if the
-/// post-churn abort check reads `failed` instead of `topo_failed`, a
-/// fast worker that errors during planning can flip `failed` before a
-/// slow peer performs its topology-abort check; the peer then exits
-/// early and strands the fast worker at the round barrier. The checker
-/// must find that deadlock, print the schedule, and replay it; with
-/// the switch off the identical scenario must pass clean.
+/// The barrier after pass 1 is what makes every range of `b` written
+/// before any worker gathers from it. With the model-only switch set,
+/// every worker skips it; on a schedule where a worker reaches pass 2
+/// before its peer has run pass 1, it gathers zeros from the peer's
+/// range and the loads diverge. The checker must find that schedule,
+/// print it, and replay it; with the switch off the identical scenario
+/// must pass clean.
 #[test]
-fn mutant_topo_abort_reading_failed_is_caught_with_a_schedule() {
+fn mutant_skipping_the_pass1_barrier_is_caught_with_a_schedule() {
     let _suite = suite_guard();
     let s = mutant_witness_scenario();
+    let expected = serial_outcome(&s);
 
     let flag = MutantFlag::set();
     let failure = Builder {
-        preemption_bound: 2,
+        preemption_bound: 3,
         samples: 0,
         ..Builder::default()
     }
     .check(|| {
-        let _ = parallel_outcome(&s);
+        assert_eq!(parallel_outcome(&s), expected, "stale b gathered");
     })
-    .expect_err("the mutant must deadlock on some schedule");
-    assert_eq!(failure.kind, FailureKind::Deadlock, "{failure}");
+    .expect_err("the mutant must diverge on some schedule");
     assert!(
-        failure.trace.iter().any(|line| line.contains("DEADLOCK")),
-        "trace must mark the stuck state:\n{failure}"
+        matches!(failure.kind, FailureKind::Panic { .. }),
+        "expected a divergence, got {failure}"
     );
     println!(
         "[model] mutant caught after {} schedule(s):",
@@ -185,20 +142,19 @@ fn mutant_topo_abort_reading_failed_is_caught_with_a_schedule() {
     println!("{failure}");
 
     // The reported schedule is a real witness: replaying exactly it
-    // reproduces the deadlock.
+    // reproduces the divergence.
     let replayed = Builder::replay(failure.schedule.clone())
         .check(|| {
-            let _ = parallel_outcome(&s);
+            assert_eq!(parallel_outcome(&s), expected, "stale b gathered");
         })
-        .expect_err("replaying the witness schedule must deadlock again");
-    assert_eq!(replayed.kind, FailureKind::Deadlock);
+        .expect_err("replaying the witness schedule must diverge again");
+    assert!(matches!(replayed.kind, FailureKind::Panic { .. }));
     drop(flag);
 
-    // With the fix back in place the identical scenario is clean on
-    // every schedule.
-    let expected = serial_outcome(&s);
+    // With the barrier back in place the identical scenario is clean
+    // on every schedule.
     let report = Builder {
-        preemption_bound: 2,
+        preemption_bound: 3,
         samples: 0,
         ..Builder::default()
     }

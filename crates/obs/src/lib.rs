@@ -2,7 +2,7 @@
 //!
 //! Every execution path in the workspace — the instrumented serial
 //! round, the plan-free streaming kernel, the vectorized uniform
-//! rounds, the sharded barrier protocol and the multi-tenant server —
+//! rounds (serial or range-split) and the multi-tenant server —
 //! shares one phase vocabulary ([`Phase`]) and one probe mechanism
 //! ([`Sink`]). The design follows the `dlb_core::sync` facade
 //! precedent from the concurrency gate: the probe surface is a trait

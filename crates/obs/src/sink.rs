@@ -6,9 +6,8 @@ use std::time::Instant;
 ///
 /// Serial rounds decompose into `Mutate → Inject → Handoff → Plan →
 /// Validate → Route`; the streaming kernel fuses the last three into
-/// `Stream`; the sharded path reports its barrier phases; the server
-/// reports the slice pipeline (`Ticket → Lock → TenantStep →
-/// SliceMerge`). `VectorDispatch` is an instant event carrying the
+/// `Stream`; the server reports the slice pipeline (`Ticket → Lock →
+/// TenantStep → SliceMerge`). `VectorDispatch` is an instant event carrying the
 /// dispatch decision for a vectorized run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
@@ -29,14 +28,6 @@ pub enum Phase {
     Stream,
     /// Vector-kernel dispatch decision (value encodes the strategy).
     VectorDispatch,
-    /// Sharded path: topology drive + replica replay (T0/T1).
-    ShardTopology,
-    /// Sharded path: injection publish/assemble/apply (I0–I2).
-    ShardInject,
-    /// Sharded path: plan + validate + accumulate (phase A).
-    ShardPlan,
-    /// Sharded path: merge interior and dirty frontier (phase B).
-    ShardMerge,
     /// Server: claiming a tenant ticket from the shared counter.
     Ticket,
     /// Server: acquiring the tenant mutex.
@@ -50,7 +41,7 @@ pub enum Phase {
 }
 
 /// Number of distinct [`Phase`] values (size for per-phase arrays).
-pub const PHASE_COUNT: usize = 17;
+pub const PHASE_COUNT: usize = 13;
 
 /// All phases, in declaration order (index = `Phase::index`).
 const ALL_PHASES: [Phase; PHASE_COUNT] = [
@@ -62,10 +53,6 @@ const ALL_PHASES: [Phase; PHASE_COUNT] = [
     Phase::Route,
     Phase::Stream,
     Phase::VectorDispatch,
-    Phase::ShardTopology,
-    Phase::ShardInject,
-    Phase::ShardPlan,
-    Phase::ShardMerge,
     Phase::Ticket,
     Phase::Lock,
     Phase::TenantStep,
@@ -96,10 +83,6 @@ impl Phase {
             Phase::Route => "route",
             Phase::Stream => "stream",
             Phase::VectorDispatch => "vector_dispatch",
-            Phase::ShardTopology => "shard_topology",
-            Phase::ShardInject => "shard_inject",
-            Phase::ShardPlan => "shard_plan",
-            Phase::ShardMerge => "shard_merge",
             Phase::Ticket => "ticket",
             Phase::Lock => "lock",
             Phase::TenantStep => "step",

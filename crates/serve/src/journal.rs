@@ -182,12 +182,12 @@ impl Journal {
                     if rounds.last().is_some_and(|last| last.round >= round) {
                         return Err(WireError::new(at, format!("round {round} out of order")));
                     }
-                    let ne = r.u32()? as usize;
+                    let ne = bounded_count(&mut r, "events", MIN_EVENT_BYTES)?;
                     let mut events = Vec::with_capacity(ne);
                     for _ in 0..ne {
                         events.push(decode_event(&mut r)?);
                     }
-                    let nd = r.u32()? as usize;
+                    let nd = bounded_count(&mut r, "deltas", DELTA_BYTES)?;
                     let mut deltas = Vec::with_capacity(nd);
                     for _ in 0..nd {
                         deltas.push((r.u32()?, r.i64()?));
@@ -217,6 +217,28 @@ impl Journal {
             error,
         })
     }
+}
+
+/// The smallest encoded event: a tag and a node (sleep, wake).
+const MIN_EVENT_BYTES: usize = 1 + 4;
+
+/// One encoded delta: a node and a signed amount.
+const DELTA_BYTES: usize = 4 + 8;
+
+/// Reads a `u32` count of items that take at least `unit` bytes each,
+/// rejecting a count the remaining bytes cannot hold before it sizes an
+/// allocation (a forged count would otherwise abort the process in
+/// `Vec::with_capacity`).
+fn bounded_count(r: &mut Reader<'_>, what: &str, unit: usize) -> Result<usize, WireError> {
+    let at = r.offset();
+    let count = r.u32()? as usize;
+    if r.remaining() < count.saturating_mul(unit) {
+        return Err(WireError::new(
+            at,
+            format!("{count} {what} cannot fit in {} bytes", r.remaining()),
+        ));
+    }
+    Ok(count)
 }
 
 fn encode_event(w: &mut Writer, ev: &TopologyEvent) {
@@ -350,6 +372,32 @@ mod tests {
         // from_bytes re-validates the whole stream.
         let reparsed = Journal::from_bytes(j.as_bytes().to_vec()).unwrap();
         assert_eq!(reparsed.decode().unwrap(), contents);
+    }
+
+    /// A valid journal plus a forged Round record — tag, round, 0
+    /// events, and a delta count of `u32::MAX` with no deltas behind
+    /// it — used to abort the process in `Vec::with_capacity`. It must
+    /// be a `WireError` at the count.
+    #[test]
+    fn forged_delta_count_is_an_error_not_an_abort() {
+        let j = Journal::new(&base().encode());
+        let mut bytes = j.as_bytes().to_vec();
+        let count_at = bytes.len() + 1 + 8 + 4;
+        bytes.push(0);
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        let err = Journal::from_bytes(bytes).unwrap_err();
+        assert_eq!(err.offset, count_at, "{err}");
+        assert!(err.reason.contains("deltas"), "{err}");
+
+        // The same forgery on the event count.
+        let mut bytes = j.as_bytes().to_vec();
+        bytes.push(0);
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        let err = Journal::from_bytes(bytes).unwrap_err();
+        assert!(err.reason.contains("events"), "{err}");
     }
 
     #[test]

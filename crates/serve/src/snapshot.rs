@@ -508,25 +508,48 @@ fn encode_workload_spec(w: &mut Writer, spec: &WorkloadSpec) {
     }
 }
 
+/// Reads a workload rate or budget. The generators apply it as a
+/// signed load delta, so a magnitude above `i64::MAX` would change sign
+/// there: it is rejected here instead.
+fn magnitude(r: &mut Reader<'_>) -> Result<u64, WireError> {
+    let at = r.offset();
+    let v = r.u64()?;
+    if i64::try_from(v).is_err() {
+        return Err(WireError::new(
+            at,
+            format!("workload magnitude {v} exceeds i64::MAX"),
+        ));
+    }
+    Ok(v)
+}
+
 fn decode_workload_spec(r: &mut Reader<'_>) -> Result<WorkloadSpec, WireError> {
     let at = r.offset();
     Ok(match r.u8()? {
         0 => WorkloadSpec::Steady {
-            rate: r.u64()?,
+            rate: magnitude(r)?,
             seed: r.u64()?,
         },
         1 => WorkloadSpec::Bursty {
             on: r.len64()?,
             off: r.len64()?,
-            rate: r.u64()?,
+            rate: magnitude(r)?,
             seed: r.u64()?,
         },
-        2 => WorkloadSpec::Hotspot { rate: r.u64()? },
-        3 => WorkloadSpec::Drain { rate: r.u64()? },
-        4 => WorkloadSpec::DrainUnclamped { rate: r.u64()? },
-        5 => WorkloadSpec::Adversary { budget: r.u64()? },
+        2 => WorkloadSpec::Hotspot {
+            rate: magnitude(r)?,
+        },
+        3 => WorkloadSpec::Drain {
+            rate: magnitude(r)?,
+        },
+        4 => WorkloadSpec::DrainUnclamped {
+            rate: magnitude(r)?,
+        },
+        5 => WorkloadSpec::Adversary {
+            budget: magnitude(r)?,
+        },
         6 => WorkloadSpec::ArriveAndDrain {
-            rate: r.u64()?,
+            rate: magnitude(r)?,
             seed: r.u64()?,
         },
         other => return Err(WireError::new(at, format!("unknown workload tag {other}"))),
@@ -801,5 +824,72 @@ mod tests {
         let slot0 = 8 + 2 + 24;
         forged[slot0..slot0 + 4].copy_from_slice(&0u32.to_le_bytes());
         assert!(TenantSnapshot::decode(&forged).is_err());
+    }
+
+    /// Encodes `spec` as a snapshot's workload and decodes it back.
+    fn decode_spec(spec: WorkloadSpec) -> Result<TenantSnapshot, WireError> {
+        let mut snap = sample_snapshot();
+        snap.workload = Some(spec);
+        TenantSnapshot::decode(&snap.encode())
+    }
+
+    /// One past `i64::MAX`: the smallest magnitude that would flip sign
+    /// in the generators' `as i64` casts.
+    const TOO_BIG: u64 = i64::MAX as u64 + 1;
+
+    fn assert_magnitude_rejected(spec: WorkloadSpec) {
+        let err = decode_spec(spec.clone()).unwrap_err();
+        assert!(err.reason.contains("exceeds i64::MAX"), "{spec:?}: {err}");
+    }
+
+    #[test]
+    fn steady_rate_over_i64_max_is_rejected() {
+        assert_magnitude_rejected(WorkloadSpec::Steady {
+            rate: TOO_BIG,
+            seed: 1,
+        });
+        assert!(decode_spec(WorkloadSpec::Steady {
+            rate: i64::MAX as u64,
+            seed: 1
+        })
+        .is_ok());
+    }
+
+    #[test]
+    fn bursty_rate_over_i64_max_is_rejected() {
+        assert_magnitude_rejected(WorkloadSpec::Bursty {
+            on: 2,
+            off: 3,
+            rate: TOO_BIG,
+            seed: 1,
+        });
+    }
+
+    #[test]
+    fn hotspot_rate_over_i64_max_is_rejected() {
+        assert_magnitude_rejected(WorkloadSpec::Hotspot { rate: TOO_BIG });
+    }
+
+    #[test]
+    fn drain_rate_over_i64_max_is_rejected() {
+        assert_magnitude_rejected(WorkloadSpec::Drain { rate: TOO_BIG });
+    }
+
+    #[test]
+    fn unclamped_drain_rate_over_i64_max_is_rejected() {
+        assert_magnitude_rejected(WorkloadSpec::DrainUnclamped { rate: u64::MAX });
+    }
+
+    #[test]
+    fn adversary_budget_over_i64_max_is_rejected() {
+        assert_magnitude_rejected(WorkloadSpec::Adversary { budget: TOO_BIG });
+    }
+
+    #[test]
+    fn arrive_and_drain_rate_over_i64_max_is_rejected() {
+        assert_magnitude_rejected(WorkloadSpec::ArriveAndDrain {
+            rate: TOO_BIG,
+            seed: 1,
+        });
     }
 }

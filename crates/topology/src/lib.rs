@@ -15,9 +15,8 @@
 //! * [`StaticTopology`] — the empty schedule behind the engine's
 //!   closed-topology entry points (the `NoWorkload` analogue);
 //! * [`drive_events`] / [`undo_events`] — the shared application
-//!   plumbing every engine execution path uses, so serial, kernel and
-//!   sharded rounds cannot drift apart in how churn lands or rolls
-//!   back; the `_checked` variants keep an optional
+//!   plumbing every engine execution path uses, so serial and kernel
+//!   rounds cannot drift apart in how churn lands or rolls back; the `_checked` variants keep an optional
 //!   [`dlb_graph::DynamicConnectivity`] structure coherent alongside
 //!   the graph, including across rejected-round rollbacks;
 //! * [`SwapShortfall`] — delivered-versus-requested accounting for
@@ -87,9 +86,8 @@ impl SwapShortfall {
 /// A dynamic-topology schedule: a deterministic per-round source of
 /// [`TopologyEvent`]s.
 ///
-/// `Send` is a supertrait because the sharded execution path hands the
-/// schedule to a worker thread (one designated worker drives the whole
-/// round's churn).
+/// `Send` is a supertrait because a `dlb-serve` tenant, schedule
+/// included, is advanced by whichever scheduler worker claims it.
 ///
 /// Implementations must be deterministic functions of their own state
 /// and the `(round, graph)` arguments — the engine relies on that to
@@ -200,10 +198,9 @@ impl TopologySchedule for StaticTopology {
 /// prefix is undone, `applied` is cleared, and the graph is exactly as
 /// it was on entry.
 ///
-/// This is the single application path shared by the serial engine,
-/// the plan-free kernel rounds and the sharded driver worker, so the
-/// execution paths cannot drift apart in how churn lands or rolls
-/// back.
+/// This is the single application path shared by the serial engine
+/// and the plan-free kernel rounds, so the execution paths cannot drift
+/// apart in how churn lands or rolls back.
 ///
 /// # Errors
 ///
@@ -222,9 +219,9 @@ pub fn drive_events<S: TopologySchedule + ?Sized>(
 /// [`drive_events`] with an optional [`DynamicConnectivity`] checker
 /// kept coherent with the graph: every applied event is mirrored into
 /// the checker and a rejected round rolls the checker back alongside
-/// the graph. This is what lets an engine (in particular the sharded
-/// driver worker) reuse one incrementally maintained structure across
-/// rounds instead of re-deriving connectivity from scratch.
+/// the graph. This is what lets an engine reuse one incrementally
+/// maintained structure across rounds instead of re-deriving
+/// connectivity from scratch.
 ///
 /// # Errors
 ///

@@ -198,7 +198,8 @@ proptest! {
 
     /// Open-system conservation, every execution path: the law holds —
     /// with the *same* cumulative delta — through `step_with`,
-    /// `run_fast_with`, `run_kernel_with` and `run_parallel_with`.
+    /// `run_fast_with` and `run_kernel_with` (scalar rotor-router and
+    /// SEND kernels).
     #[test]
     fn every_path_conserves_total_plus_cumulative_delta(
         (n, d, seed) in graph_params(),
@@ -240,16 +241,14 @@ proptest! {
             "kernel path saw a different delta stream");
         prop_assert_eq!(engine.loads().total(), total + expected);
 
-        for threads in [1usize, 2, 3] {
-            let mut engine = Engine::new(gp.clone(), initial.clone());
-            let mut workload = wspec.build(n);
-            engine
-                .run_parallel_with(&SendFloor::new(), steps, threads, Some(workload.as_mut()))
-                .unwrap();
-            prop_assert_eq!(engine.injected_total(), expected,
-                "parallel({}) saw a different delta stream", threads);
-            prop_assert_eq!(engine.loads().total(), total + expected);
-        }
+        let mut engine = Engine::new(gp.clone(), initial.clone());
+        let mut workload = wspec.build(n);
+        engine
+            .run_kernel_with(&mut SendFloor::new(), steps, Some(workload.as_mut()))
+            .unwrap();
+        prop_assert_eq!(engine.injected_total(), expected,
+            "SEND kernel path saw a different delta stream");
+        prop_assert_eq!(engine.loads().total(), total + expected);
     }
 }
 

@@ -2,7 +2,8 @@
 //!
 //! One semantics, four implementations: the instrumented `step_dyn`
 //! loop, the fused `run_fast_dyn`, the plan-free `run_kernel_dyn`,
-//! and the sharded `run_parallel_dyn` at 1–4 threads. This suite
+//! and — on static, closed runs — the range-split `run_parallel` at
+//! 1–4 threads. This suite
 //! drives randomized scheme × graph × load × workload × **topology
 //! schedule** combinations through every applicable path and asserts
 //! that the complete observable outcome is identical:
@@ -26,8 +27,8 @@
 
 use dlb::core::schemes::{RotorRouter, SendFloor, SendRound};
 use dlb::core::{
-    Balancer, Engine, EngineError, FlowPlan, KernelBalancer, LoadVector, ShardedBalancer,
-    TopologySchedule, VectorConfig, VectorStrategy, VectorWidth, Workload,
+    Balancer, Engine, EngineError, FlowPlan, KernelBalancer, LoadVector, TopologySchedule,
+    VectorConfig, VectorStats, VectorStrategy, VectorWidth, Workload,
 };
 use dlb::graph::{generators, BalancingGraph, PortOrder, RegularGraph};
 use dlb::scenario::WorkloadSpec;
@@ -107,8 +108,8 @@ fn schedule_for(idx: usize) -> Option<ScheduleSpec> {
 /// A deliberately fragile scheme: every non-empty node sends exactly 3
 /// tokens over port 0 while claiming it never overdraws — so once an
 /// injection round erodes a node below 3, the engine must reject the
-/// round. Implemented identically on the planned, kernel and sharded
-/// entry points, it turns the fuzzer's drain workloads into a source of
+/// round. Implemented identically on the planned and kernel entry
+/// points, it turns the fuzzer's drain workloads into a source of
 /// mid-run `Overdraw` divergence points.
 #[derive(Clone, Copy)]
 struct Const3;
@@ -131,13 +132,6 @@ impl Balancer for Const3 {
 
 impl KernelBalancer for Const3 {
     fn kernel_node(&mut self, _gp: &BalancingGraph, _u: usize, _load: i64, flows: &mut [u64]) {
-        flows.fill(0);
-        flows[0] = 3;
-    }
-}
-
-impl ShardedBalancer for Const3 {
-    fn plan_node(&self, _gp: &BalancingGraph, _u: usize, _load: i64, flows: &mut [u64]) {
         flows.fill(0);
         flows[0] = 3;
     }
@@ -171,13 +165,9 @@ impl SchemeId {
         }
     }
 
-    fn sharded(self) -> Option<Box<dyn ShardedBalancer>> {
-        match self {
-            SchemeId::SendFloor => Some(Box::new(SendFloor::new())),
-            SchemeId::SendRound => Some(Box::new(SendRound::new())),
-            SchemeId::Const3 => Some(Box::new(Const3)),
-            SchemeId::Rotor => None,
-        }
+    /// Whether the scheme has a closed form, so `run_parallel` takes it.
+    fn is_send(self) -> bool {
+        matches!(self, SchemeId::SendFloor | SchemeId::SendRound)
     }
 }
 
@@ -342,37 +332,42 @@ fn drive_run_kernel(
     Outcome::capture(&engine, rotors, error)
 }
 
-/// `run_kernel` under a forced vector configuration — only meaningful
-/// for the uniform SEND schemes on static, closed runs (elsewhere the
-/// vector layer never dispatches and this reduces to
-/// [`drive_run_kernel`]). Negative seeds in the fuzzed load patterns
-/// exercise the vector dispatch's `NegativeLoad` entry check against
-/// the reference error, node and step.
-fn drive_run_kernel_forced(
+/// `run_kernel` (`threads == None`) or `run_parallel` at the given
+/// thread count, under a vector configuration, for the uniform SEND
+/// schemes on static, closed runs — where the vector layer dispatches
+/// (elsewhere it never does and this reduces to [`drive_run_kernel`]).
+/// Returns the outcome and the vector counters, which `run_parallel`
+/// must reproduce too. Negative seeds in the fuzzed load patterns
+/// exercise the dispatch's `NegativeLoad` entry check against the
+/// reference error, node and step.
+fn drive_vector(
     gp: &BalancingGraph,
     scheme: SchemeId,
     initial: &LoadVector,
     steps: usize,
     config: VectorConfig,
-) -> Option<Outcome> {
+    threads: Option<usize>,
+) -> Option<(Outcome, VectorStats)> {
     let mut engine = Engine::new(gp.clone(), initial.clone());
     engine.set_vector_config(config);
-    let error = match scheme {
-        SchemeId::SendFloor => engine
-            .run_kernel_with(&mut SendFloor::new(), steps, None::<&mut dyn Workload>)
-            .err(),
-        SchemeId::SendRound => engine
-            .run_kernel_with(&mut SendRound::new(), steps, None::<&mut dyn Workload>)
-            .err(),
+    let error = match (scheme, threads) {
+        (SchemeId::SendFloor, None) => engine.run_kernel(&mut SendFloor::new(), steps).err(),
+        (SchemeId::SendRound, None) => engine.run_kernel(&mut SendRound::new(), steps).err(),
+        (SchemeId::SendFloor, Some(t)) => engine.run_parallel(&SendFloor::new(), steps, t).err(),
+        (SchemeId::SendRound, Some(t)) => engine.run_parallel(&SendRound::new(), steps, t).err(),
         _ => return None,
     };
-    Some(Outcome::capture(&engine, None, error))
+    Some((
+        Outcome::capture(&engine, None, error),
+        *engine.vector_stats(),
+    ))
 }
 
-/// The forced inner-loop matrix the vector layer is differentially
-/// pinned on: both gather strategies at both load widths.
+/// The inner-loop matrix the vector layer is differentially pinned on:
+/// the default configuration, then both gather strategies forced at
+/// both load widths.
 fn forced_vector_configs() -> Vec<(&'static str, VectorConfig)> {
-    let mut out = Vec::new();
+    let mut out = vec![("auto", VectorConfig::default())];
     for (sname, strategy) in [
         ("banded", VectorStrategy::Banded),
         ("blocked", VectorStrategy::BlockedCsr),
@@ -397,31 +392,6 @@ fn forced_vector_configs() -> Vec<(&'static str, VectorConfig)> {
         }
     }
     out
-}
-
-fn drive_run_parallel(
-    gp: &BalancingGraph,
-    scheme: SchemeId,
-    sspec: &Option<ScheduleSpec>,
-    wspec: &Option<WorkloadSpec>,
-    initial: &LoadVector,
-    steps: usize,
-    threads: usize,
-) -> Option<Outcome> {
-    let sharded = scheme.sharded()?;
-    let mut schedule = build_schedule(sspec);
-    let mut workload = build_workload(wspec, gp.num_nodes());
-    let mut engine = Engine::new(gp.clone(), initial.clone());
-    let error = engine
-        .run_parallel_dyn(
-            sharded.as_ref(),
-            steps,
-            threads,
-            schedule.as_deref_mut(),
-            workload.as_deref_mut(),
-        )
-        .err();
-    Some(Outcome::capture(&engine, None, error))
 }
 
 proptest! {
@@ -465,23 +435,26 @@ proptest! {
         kernel.assert_matches(&reference, &format!("run_kernel on {tag}"));
         if sspec.is_none() && wspec.is_none() {
             // Static, closed runs are where the vector layer dispatches:
-            // pin every forced inner loop against the same reference —
-            // including the NegativeLoad divergence points the negative
-            // seeds in the pattern produce.
+            // pin every inner loop, serial and split across 1–4 workers,
+            // against the same reference — including the NegativeLoad
+            // divergence points the negative seeds in the pattern
+            // produce — and the split runs' vector counters against the
+            // serial run's.
             for (vlabel, config) in forced_vector_configs() {
-                if let Some(vec_outcome) =
-                    drive_run_kernel_forced(&gp, scheme, &initial, steps, config)
-                {
-                    vec_outcome
-                        .assert_matches(&reference, &format!("run_kernel[{vlabel}] on {tag}"));
+                let Some((serial, stats)) =
+                    drive_vector(&gp, scheme, &initial, steps, config, None)
+                else {
+                    continue;
+                };
+                serial.assert_matches(&reference, &format!("run_kernel[{vlabel}] on {tag}"));
+                for threads in 1..=4 {
+                    let (par, par_stats) =
+                        drive_vector(&gp, scheme, &initial, steps, config, Some(threads))
+                            .expect("SEND schemes run in parallel");
+                    let label = format!("run_parallel({threads})[{vlabel}] on {tag}");
+                    par.assert_matches(&reference, &label);
+                    prop_assert_eq!(par_stats, stats, "{}: vector counters", label);
                 }
-            }
-        }
-        for threads in [1usize, 2, 3, 4] {
-            if let Some(par) =
-                drive_run_parallel(&gp, scheme, &sspec, &wspec, &initial, steps, threads)
-            {
-                par.assert_matches(&reference, &format!("run_parallel({threads}) on {tag}"));
             }
         }
     }
@@ -526,11 +499,6 @@ fn unclamped_drain_under_churn_produces_identical_negative_divergence() {
             "run_kernel",
             drive_run_kernel(&gp, SchemeId::SendFloor, &sspec, &wspec, &initial, steps),
         ),
-        (
-            "run_parallel(3)",
-            drive_run_parallel(&gp, SchemeId::SendFloor, &sspec, &wspec, &initial, steps, 3)
-                .unwrap(),
-        ),
     ] {
         outcome.assert_matches(&reference, label);
     }
@@ -568,10 +536,6 @@ fn injection_eroded_overdraw_under_churn_is_identical_on_every_path() {
             "run_kernel",
             drive_run_kernel(&gp, SchemeId::Const3, &sspec, &wspec, &initial, steps),
         ),
-        (
-            "run_parallel(2)",
-            drive_run_parallel(&gp, SchemeId::Const3, &sspec, &wspec, &initial, steps, 2).unwrap(),
-        ),
     ] {
         outcome.assert_matches(&reference, label);
     }
@@ -604,57 +568,11 @@ fn rotor_state_is_identical_under_full_churn() {
     fast.assert_matches(&reference, "run_fast rotor state");
 }
 
-/// Regression (PR 5): an `Overdraw` arising in a **churning round
-/// without injection phases** used to strand the sharded workers — a
-/// fast worker could record the error and set the shared failure flag
-/// while a slow worker was still at the topology barrier, whose abort
-/// check mistook the plan-phase error for a rejected event and
-/// returned early, deadlocking its peer at round barrier #1. The
-/// topology abort now reads a flag only the topology phase can set.
-/// This exact combination (erroring scheme × swap-only schedule × no
-/// workload × several thread counts) must terminate and agree with
-/// the serial paths.
-#[test]
-fn overdraw_in_a_churning_round_without_injection_terminates_sharded() {
-    let gp = BalancingGraph::lazy(generators::cycle(24).unwrap());
-    let sspec = Some(ScheduleSpec::Periodic {
-        period: 3,
-        swaps: 2,
-        seed: 8,
-    });
-    let wspec = None;
-    // Uniform 7 under Const3 is stable on the pristine cycle (3 out,
-    // 3 in per round); the swaps break the in/out pairing and some
-    // node drifts below 3 — a churn-caused Overdraw in a round with
-    // no injection phases at all.
-    let initial = LoadVector::uniform(24, 7);
-    let steps = 30;
-    let reference = drive_step_loop(&gp, SchemeId::Const3, &sspec, &wspec, &initial, steps);
-    let err = reference.error.as_ref().expect("churn must break Const3");
-    assert!(
-        matches!(err, EngineError::Overdraw { planned: 3, .. }),
-        "unexpected error {err:?}"
-    );
-    for threads in [2usize, 3, 4] {
-        let par = drive_run_parallel(
-            &gp,
-            SchemeId::Const3,
-            &sspec,
-            &wspec,
-            &initial,
-            steps,
-            threads,
-        )
-        .expect("Const3 shards");
-        par.assert_matches(&reference, &format!("run_parallel({threads})"));
-    }
-}
-
 /// Regression (PR 5 review): in a churning round with no injection
-/// phases, the sharded pre-plan negative check must still run before
-/// any planning — otherwise a lower-id `Overdraw` (Const3 at a node
-/// below 3) found mid-plan could shadow a higher-id negative seed and
-/// diverge from the serial error ordering.
+/// phases, the pre-plan negative check must still run before any
+/// planning — otherwise a lower-id `Overdraw` (Const3 at a node below
+/// 3) found mid-plan could shadow a higher-id negative seed and diverge
+/// from the serial error ordering.
 #[test]
 fn negative_seed_is_not_shadowed_by_overdraw_in_churning_rounds() {
     let gp = BalancingGraph::lazy(generators::cycle(16).unwrap());
@@ -686,12 +604,8 @@ fn negative_seed_is_not_shadowed_by_overdraw_in_churning_rounds() {
             drive_run_kernel(&gp, SchemeId::Const3, &sspec, &wspec, &initial, 10),
         ),
         (
-            "run_parallel(2)",
-            drive_run_parallel(&gp, SchemeId::Const3, &sspec, &wspec, &initial, 10, 2).unwrap(),
-        ),
-        (
-            "run_parallel(3)",
-            drive_run_parallel(&gp, SchemeId::Const3, &sspec, &wspec, &initial, 10, 3).unwrap(),
+            "run_fast",
+            drive_run_fast(&gp, SchemeId::Const3, &sspec, &wspec, &initial, 10),
         ),
     ] {
         outcome.assert_matches(&reference, label);
@@ -721,9 +635,8 @@ struct SplitPoint {
 /// boundary, export the complete engine state plus rotor positions and
 /// generator cursors, rebuild **everything** from the export alone,
 /// and finish the run on the given path. Returns `None` where the path
-/// does not apply to the combination (non-sharded scheme on the
-/// parallel path; forced vector configs outside static, closed SEND
-/// runs).
+/// does not apply to the combination (the parallel path and forced
+/// vector configs outside static, closed SEND runs).
 fn drive_split_resume(
     gp: &BalancingGraph,
     scheme: SchemeId,
@@ -734,13 +647,8 @@ fn drive_split_resume(
     at: SplitPoint,
 ) -> Option<Outcome> {
     let SplitPoint { split, path } = at;
-    if matches!(path, ResumePath::Parallel(_)) && scheme.sharded().is_none() {
-        return None;
-    }
-    if matches!(path, ResumePath::ForcedVector(_))
-        && !(sspec.is_none()
-            && wspec.is_none()
-            && matches!(scheme, SchemeId::SendFloor | SchemeId::SendRound))
+    if matches!(path, ResumePath::Parallel(_) | ResumePath::ForcedVector(_))
+        && !(sspec.is_none() && wspec.is_none() && scheme.is_send())
     {
         return None;
     }
@@ -842,18 +750,15 @@ fn drive_split_resume(
                 }
             }
         }
-        ResumePath::Parallel(threads) => {
-            let sharded = scheme.sharded().expect("checked above");
-            engine
-                .run_parallel_dyn(
-                    sharded.as_ref(),
-                    remaining,
-                    threads,
-                    schedule.as_deref_mut(),
-                    workload.as_deref_mut(),
-                )
-                .err()
-        }
+        ResumePath::Parallel(threads) => match scheme {
+            SchemeId::SendFloor => engine
+                .run_parallel(&SendFloor::new(), remaining, threads)
+                .err(),
+            SchemeId::SendRound => engine
+                .run_parallel(&SendRound::new(), remaining, threads)
+                .err(),
+            _ => unreachable!("gated above"),
+        },
         ResumePath::ForcedVector(config) => {
             engine.set_vector_config(config);
             match scheme {

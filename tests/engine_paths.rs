@@ -9,9 +9,9 @@
 //!    a negative load, on every execution path;
 //! 2. `run_fast` and the plan-free `run_kernel` produce bit-identical
 //!    load vectors to the `step()` loop for every scheme with a kernel;
-//! 3. `run_parallel` produces bit-identical load vectors for every
-//!    thread count (1/2/3/4 explicitly), for the sharded (stateless)
-//!    schemes;
+//! 3. `run_parallel` is bit-identical to `run_kernel` — loads, step
+//!    count and vector counters — for every thread count (1/2/3/4
+//!    explicitly) and every vector inner loop, for the SEND schemes;
 //! 4. running on an RCM-relabeled graph with permuted loads and mapping
 //!    the result back through the inverse reproduces the original run
 //!    exactly (port numbering is preserved, so even the rotor-router
@@ -21,8 +21,8 @@
 
 use dlb::core::schemes::{RotorRouter, SendFloor, SendRound};
 use dlb::core::{
-    Balancer, Engine, EngineError, FlowPlan, KernelBalancer, LoadVector, ShardedBalancer,
-    VectorConfig, VectorStrategy, VectorWidth, I32_HEADROOM_LIMIT,
+    Balancer, Engine, EngineError, FlowPlan, KernelBalancer, LoadVector, VectorConfig,
+    VectorStrategy, VectorWidth, I32_HEADROOM_LIMIT,
 };
 use dlb::graph::relabel::Relabeling;
 use dlb::graph::{generators, BalancingGraph, PortOrder, RegularGraph};
@@ -160,6 +160,30 @@ fn run_kernel_configured(
     engine
 }
 
+/// `run_parallel` at `threads` workers under an explicit vector
+/// configuration.
+fn run_parallel_configured(
+    gp: &BalancingGraph,
+    which: &SchemeSpec,
+    initial: &LoadVector,
+    steps: usize,
+    config: VectorConfig,
+    threads: usize,
+) -> Engine {
+    let mut engine = Engine::new(gp.clone(), initial.clone());
+    engine.set_vector_config(config);
+    match which {
+        SchemeSpec::SendFloor => engine
+            .run_parallel(&SendFloor::new(), steps, threads)
+            .unwrap(),
+        SchemeSpec::SendRound => engine
+            .run_parallel(&SendRound::new(), steps, threads)
+            .unwrap(),
+        other => panic!("no parallel dispatch for {}", other.label()),
+    }
+    engine
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -231,13 +255,10 @@ proptest! {
                     reference.negative_node_steps()
                 );
 
-                let sharded: Box<dyn ShardedBalancer> = match scheme {
-                    SchemeSpec::SendFloor => Box::new(SendFloor::new()),
-                    _ => Box::new(SendRound::new()),
-                };
                 for t in [1, 2, 3, 4] {
-                    let mut par = Engine::new(gp.clone(), initial.clone());
-                    par.run_parallel(sharded.as_ref(), steps, t).unwrap();
+                    let par = run_parallel_configured(
+                        &gp, &scheme, &initial, steps, VectorConfig::default(), t,
+                    );
                     prop_assert_eq!(
                         par.loads(), reference.loads(),
                         "run_parallel({}) diverged: {} on {}", t, scheme.label(), name
@@ -247,6 +268,7 @@ proptest! {
                         par.negative_node_steps(),
                         reference.negative_node_steps()
                     );
+                    prop_assert_eq!(par.vector_stats(), kernel.vector_stats());
                 }
             }
         }
@@ -294,12 +316,25 @@ proptest! {
                     } else {
                         prop_assert_eq!(dispatched, 0);
                     }
+                    // The same inner loop split by node range: identical
+                    // loads, clock and counters at every worker count.
+                    for t in 2..=4 {
+                        let par =
+                            run_parallel_configured(&gp, &scheme, &initial, steps, config, t);
+                        prop_assert_eq!(
+                            par.loads(), engine.loads(),
+                            "{} run_parallel({}) diverged: {} on {}",
+                            label, t, scheme.label(), name
+                        );
+                        prop_assert_eq!(par.step_count(), engine.step_count());
+                        prop_assert_eq!(par.vector_stats(), engine.vector_stats());
+                    }
                 }
             }
         }
     }
 
-    /// The rotor-router (stateful, not sharded) must still agree
+    /// The rotor-router (stateful, no parallel path) must still agree
     /// between its serial paths — including the plan-free kernel, whose
     /// rotor advances in stream order rather than plan order.
     #[test]
@@ -432,7 +467,7 @@ fn negative_seed_errors_cleanly_on_every_path() {
     expect(build().run(&mut SendFloor::new(), 4));
     expect(build().run_fast(&mut SendFloor::new(), 4));
     expect(build().run_kernel(&mut SendFloor::new(), 4));
-    for threads in [1, 2, 3] {
+    for threads in [1, 2, 3, 4] {
         expect(build().run_parallel(&SendFloor::new(), 4, threads));
     }
     expect(build().step(&mut SendFloor::new()).map(|_| ()));
@@ -685,6 +720,49 @@ fn forced_i32_guard_trips_mid_run_and_falls_back_bit_identically() {
         let stats = engine.vector_stats();
         assert_eq!(stats.rounds_i32, 1, "exactly the first round compresses");
         assert_eq!(stats.i32_fallbacks, 1, "the guard must trip exactly once");
+        // Split by node range, the guard reads the maximum over every
+        // worker's range: the trip lands on the same round.
+        for threads in 2..=4 {
+            let config = *engine.vector_config();
+            let par = run_parallel_configured(
+                &gp,
+                &SchemeSpec::SendRound,
+                &initial,
+                steps,
+                config,
+                threads,
+            );
+            assert_eq!(
+                par.loads(),
+                scalar.loads(),
+                "{strategy:?} at {threads} threads"
+            );
+            assert_eq!(
+                par.vector_stats(),
+                stats,
+                "{strategy:?} at {threads} threads"
+            );
+        }
+    }
+}
+
+/// SEND([x/d⁺]) on a graph with `d° < d` has no closed form, so
+/// `run_parallel` must stream the scalar kernel exactly as `run_kernel`
+/// does — the same `Overdraw`, the same loads and clock, no vector run.
+#[test]
+fn run_parallel_send_round_below_class_reports_the_scalar_overdraw() {
+    let gp = BalancingGraph::bare(generators::cycle(10).unwrap());
+    let initial = LoadVector::uniform(10, 11);
+    let mut kernel = Engine::new(gp.clone(), initial.clone());
+    let kernel_err = kernel.run_kernel(&mut SendRound::new(), 3).unwrap_err();
+    assert!(matches!(kernel_err, EngineError::Overdraw { step: 1, .. }));
+    for threads in 1..=4 {
+        let mut par = Engine::new(gp.clone(), initial.clone());
+        let err = par.run_parallel(&SendRound::new(), 3, threads).unwrap_err();
+        assert_eq!(err, kernel_err, "{threads} threads");
+        assert_eq!(par.loads(), kernel.loads());
+        assert_eq!(par.step_count(), kernel.step_count());
+        assert_eq!(par.vector_stats().runs, 0, "no closed form, no vector run");
     }
 }
 

@@ -2,7 +2,8 @@
 //! facade:
 //!
 //! * **differential bit-identity** — every execution path (per-step
-//!   serial, batched serial, fused fast, delta-kernel, sharded) run
+//!   serial, batched serial, fused fast, delta-kernel, range-split
+//!   vector) run
 //!   twice, once with a recording [`RingSink`] and once through its
 //!   untraced entry point, under closed / injected / churned
 //!   configurations: loads, step counts, topology events and every
@@ -195,36 +196,35 @@ fn kernel_and_sharded_paths_are_bit_identical_under_any_sink() {
     assert_twin(&traced, &twin, "run_kernel_dyn");
     assert_eq!(sink.phase_count(Phase::Stream) as usize, steps);
 
-    // Sharded path, 2 workers, under churn + injection.
+    // Range-split vector rounds, 2 workers: the same VectorDispatch
+    // instants `run_kernel` emits, summing to the rounds run.
     let mut sink = RingSink::with_capacity(64);
     let mut traced = Engine::new(cycle(n), point_mass(n));
-    let mut schedule = churn().build();
-    let mut workload = steady().build(n);
     traced
-        .run_parallel_dyn_traced(
-            &SendFloor::new(),
-            steps,
-            2,
-            schedule.as_deref_mut(),
-            Some(workload.as_mut()),
-            &mut sink,
-        )
+        .run_parallel_traced(&SendFloor::new(), steps, 2, &mut sink)
         .unwrap();
     let mut twin = Engine::new(cycle(n), point_mass(n));
-    let mut schedule = churn().build();
-    let mut workload = steady().build(n);
-    twin.run_parallel_dyn(
-        &SendFloor::new(),
-        steps,
-        2,
-        schedule.as_deref_mut(),
-        Some(workload.as_mut()),
-    )
-    .unwrap();
-    assert_twin(&traced, &twin, "run_parallel_dyn");
-    // The driver worker's phase clock surfaces as run-level spans.
-    assert!(sink.phase_count(Phase::ShardPlan) > 0);
-    assert!(sink.phase_count(Phase::ShardMerge) > 0);
+    twin.run_parallel(&SendFloor::new(), steps, 2).unwrap();
+    assert_twin(&traced, &twin, "run_parallel");
+    let mut kernel = Engine::new(cycle(n), point_mass(n));
+    kernel.run_kernel(&mut SendFloor::new(), steps).unwrap();
+    assert_twin(&traced, &kernel, "run_parallel vs run_kernel");
+    let mut by_tag = [0u64; 5];
+    for ev in sink.events() {
+        assert_eq!(
+            ev.phase,
+            Phase::VectorDispatch,
+            "vector rounds emit only instants"
+        );
+        assert_eq!(ev.kind, EventKind::Instant);
+        by_tag[(ev.value >> 32) as usize] += ev.value & 0xffff_ffff;
+    }
+    assert_eq!(
+        by_tag[1] + by_tag[2],
+        steps as u64,
+        "banded + blocked instants sum to the rounds run"
+    );
+    assert_eq!(by_tag[3], steps as u64, "every round ran at i32");
 }
 
 #[test]

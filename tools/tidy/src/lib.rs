@@ -28,6 +28,11 @@
 //!   every `#[allow(...)]` carries a justifying comment — the module
 //!   exists to prove the autovectorizer needs no unsafety, so silent
 //!   lint waivers defeat its purpose.
+//! * **unsafe-code** — every `unsafe` block, `unsafe fn` or
+//!   `unsafe impl` in library code (`crates/*/src`) needs an allowlist
+//!   entry arguing why safe Rust will not do: the crates `deny` the
+//!   keyword, and this lint keeps each `#[allow]` of it visible in one
+//!   reviewed file.
 //! * **metric-registry** — counters flow through `dlb-obs`, not past
 //!   it: a raw `AtomicU64`/`AtomicI64` counter or an ad-hoc
 //!   `struct …Stats` in library code (anywhere under `crates/*/src`
@@ -72,6 +77,8 @@ pub enum LintClass {
     KernelAssert,
     /// `unsafe` or an unjustified `#[allow]` in the vector module.
     VectorSafety,
+    /// The `unsafe` keyword anywhere in library code.
+    UnsafeCode,
     /// Raw atomic counter or ad-hoc stats struct bypassing the
     /// `dlb-obs` metric registry.
     MetricRegistry,
@@ -89,6 +96,7 @@ impl LintClass {
             LintClass::Unwrap => "unwrap",
             LintClass::KernelAssert => "kernel-assert",
             LintClass::VectorSafety => "vector-safety",
+            LintClass::UnsafeCode => "unsafe-code",
             LintClass::MetricRegistry => "metric-registry",
             LintClass::StaleAllow => "stale-allow",
         }
@@ -101,6 +109,7 @@ impl LintClass {
             "unwrap" => Some(LintClass::Unwrap),
             "kernel-assert" => Some(LintClass::KernelAssert),
             "vector-safety" => Some(LintClass::VectorSafety),
+            "unsafe-code" => Some(LintClass::UnsafeCode),
             "metric-registry" => Some(LintClass::MetricRegistry),
             _ => None,
         }
@@ -288,6 +297,17 @@ fn has_nearby_marker(raw: &[&str], idx: usize, needle: &str) -> bool {
         .any(|l| l.trim_start().starts_with("//") && l.contains(needle))
 }
 
+/// Whether the masked line uses the `unsafe` keyword (not merely a
+/// longer identifier such as `unsafe_code`).
+fn uses_unsafe_keyword(line: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    line.match_indices("unsafe").any(|(pos, word)| {
+        let before = line[..pos].chars().next_back();
+        let after = line[pos + word.len()..].chars().next();
+        !before.is_some_and(ident) && !after.is_some_and(ident)
+    })
+}
+
 /// Whether the masked line declares an ad-hoc statistics struct: a
 /// `struct` whose name ends in `Stats`.
 fn declares_stats_struct(line: &str) -> bool {
@@ -409,6 +429,19 @@ pub fn lint_source(rel: &str, source: &str) -> Vec<Violation> {
                     ),
                 });
             }
+        }
+
+        if rel.starts_with("crates/") && uses_unsafe_keyword(line) {
+            out.push(Violation {
+                class: LintClass::UnsafeCode,
+                file: rel.to_string(),
+                line: lineno,
+                message: format!(
+                    "`unsafe` needs an allowlist entry arguing why safe Rust \
+                     will not do: `{}`",
+                    excerpt(raw[i])
+                ),
+            });
         }
 
         if is_vector {
@@ -683,6 +716,24 @@ mod tests {
         let masked = "// unsafe would be faster but wrong\n\
                       fn f() -> &'static str { \"no unsafe here\" }\n";
         assert!(lint_source("crates/core/src/kernel/vector.rs", masked).is_empty());
+    }
+
+    #[test]
+    fn unsafe_code_lint_fires_on_the_keyword_only() {
+        let block = "fn f(p: *const u8) -> u8 { unsafe { *p } }\n";
+        assert_eq!(
+            classes(&lint_source("crates/core/src/parallel.rs", block)),
+            vec![LintClass::UnsafeCode]
+        );
+        let imp = "unsafe impl Sync for S {}\n";
+        assert_eq!(
+            classes(&lint_source("crates/serve/src/server.rs", imp)),
+            vec![LintClass::UnsafeCode]
+        );
+        // The lint attribute names, comments and strings are not uses.
+        let allowed = "#![deny(unsafe_code)]\n#[allow(unsafe_code)]\n\
+                       // unsafe would be faster\nfn f() -> &'static str { \"unsafe\" }\n";
+        assert!(lint_source("crates/core/src/lib.rs", allowed).is_empty());
     }
 
     #[test]
