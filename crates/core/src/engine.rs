@@ -1,12 +1,13 @@
 use std::collections::{BTreeMap, BTreeSet};
 
-use dlb_graph::{mutate, BalancingGraph, DynamicConnectivity, TopologyEvent};
+use dlb_graph::{BalancingGraph, DynamicConnectivity};
 use dlb_obs::{MetricRegistry, NoopSink, Phase, Sink};
-use dlb_topology::{self as topology, StaticTopology, TopologySchedule};
+use dlb_topology::{StaticTopology, TopologySchedule};
 
 use crate::fairness::FairnessMonitor;
 use crate::kernel::vector::{self, UniformKernel, VectorConfig, VectorStats};
 use crate::kernel::{self, KernelBalancer};
+use crate::round::{self, PreRound, RoundState};
 use crate::workload::{NoWorkload, Workload};
 use crate::{Balancer, CumulativeLedger, EngineError, FlowPlan, LoadVector};
 
@@ -213,9 +214,10 @@ pub struct Engine {
     negative_node_steps: u64,
     /// Nodes currently holding negative load, maintained incrementally.
     negative_count: usize,
-    /// This round's workload deltas on the planned paths (scratch
-    /// reused across steps; also what an erroring round undoes).
-    inj_scratch: Vec<i64>,
+    /// Scratch for every path's pre-round (mutate, inject, handoff,
+    /// negative-check): the round's deltas and applied topology events,
+    /// which are what an erroring round undoes.
+    pre: PreRound,
     /// Net workload injection over all completed rounds.
     injected_total: i64,
     /// Full `O(n)` discrepancy scans performed so far (perf
@@ -229,10 +231,6 @@ pub struct Engine {
     /// active; dropped (and rebuilt on demand) whenever a plan-free
     /// path mutates loads behind its back.
     argmax: Option<ArgmaxTracker>,
-    /// Per-round scratch for the schedule's raw event list.
-    ev_scratch: Vec<TopologyEvent>,
-    /// The current round's applied topology events (the rollback list).
-    ev_applied: Vec<TopologyEvent>,
     /// Topology events applied over all completed rounds (an erroring
     /// round's events are undone and not counted).
     topology_events: u64,
@@ -280,13 +278,11 @@ impl Engine {
             step: 0,
             negative_node_steps: 0,
             negative_count,
-            inj_scratch: Vec::new(),
+            pre: PreRound::default(),
             injected_total: 0,
             discrepancy_scans: 0,
             tracker: None,
             argmax: None,
-            ev_scratch: Vec::new(),
-            ev_applied: Vec::new(),
             topology_events: 0,
             connectivity: None,
             vector_config: VectorConfig::default(),
@@ -457,129 +453,45 @@ impl Engine {
         self.loads.discrepancy()
     }
 
-    /// Applies one round of injection to the loads in place (the
-    /// paper-round structure puts injection *before* the negative check
-    /// and planning): the workload's deltas, if any, plus the failure
-    /// handoff — every asleep node's queue (same-round injection
-    /// included) moves to its live neighbours. Maintains the negative
-    /// count and, when active, the discrepancy tracker and the argmax
-    /// index. Returns the round's net delta (handoffs sum to zero, so
-    /// this is the workload's contribution); the applied deltas stay
-    /// in `inj_scratch` for a potential
-    /// [`undo_injection`](Engine::undo_injection).
-    fn apply_injection<'w, Si: Sink>(
-        &mut self,
-        workload: Option<&mut (dyn Workload + 'w)>,
-        sink: &mut Si,
-    ) -> i64 {
-        let probe = sink.start();
-        let n = self.gp.num_nodes();
-        self.inj_scratch.resize(n, 0);
-        self.inj_scratch.fill(0);
-        if let Some(w) = workload {
-            let hint = if w.needs_argmax() {
-                if self.argmax.is_none() {
-                    // The one full scan an activation pays; every load
-                    // write keeps the index current from here on.
-                    self.argmax = Some(ArgmaxTracker::build(self.loads.as_slice()));
-                }
-                Some(self.argmax.as_ref().expect("just built").argmax())
-            } else {
-                // The index is only worth its per-write maintenance
-                // while an argmax-hungry workload is active; a later
-                // activation rebuilds it.
-                self.argmax = None;
-                None
-            };
-            w.inject_with_hint(
-                self.step + 1,
-                self.loads.as_slice(),
-                hint,
-                &mut self.inj_scratch,
-            );
-        } else {
+    /// The `(argmax node, max load)` hint for this round's workload,
+    /// served from the maintained index when the workload wants one.
+    /// The index is only worth its per-write maintenance while such a
+    /// workload is active, so any other round drops it and a later
+    /// activation rebuilds it.
+    fn argmax_hint(&mut self, wants: bool) -> Option<(usize, i64)> {
+        if !wants {
             self.argmax = None;
+            return None;
         }
-        if self.gp.graph().asleep_count() > 0 {
-            sink.span(Phase::Inject, self.step as u64 + 1, probe);
-            let probe = sink.start();
-            mutate::handoff_deltas(
-                self.gp.graph(),
-                self.loads.as_slice(),
-                &mut self.inj_scratch,
-            );
-            sink.span(Phase::Handoff, self.step as u64 + 1, probe);
-            let probe = sink.start();
-            let sum = self.apply_scratch(false);
-            sink.span(Phase::Inject, self.step as u64 + 1, probe);
-            sum
-        } else {
-            let sum = self.apply_scratch(false);
-            sink.span(Phase::Inject, self.step as u64 + 1, probe);
-            sum
-        }
+        // The one full scan an activation pays; every load write keeps
+        // the index current from here on.
+        let index = self
+            .argmax
+            .get_or_insert_with(|| ArgmaxTracker::build(self.loads.as_slice()));
+        Some(index.argmax())
     }
 
-    /// Applies (`negate == false`) or reverts (`negate == true`) the
-    /// deltas held in `inj_scratch`, maintaining the negative count
-    /// and the active load indices at every write. Returns the net
-    /// pre-`negate` delta.
-    fn apply_scratch(&mut self, negate: bool) -> i64 {
-        let loads = self.loads.as_mut_slice();
-        let mut tracker = self.tracker.as_mut();
-        let mut argmax = self.argmax.as_mut();
-        let mut negative = self.negative_count;
-        let mut sum = 0i64;
-        for (u, (x, &dv)) in loads.iter_mut().zip(&self.inj_scratch).enumerate() {
+    /// Replays the pre-round's deltas into the active load indices:
+    /// forward after it applied them, backward after it undid them.
+    /// Free unless an index is active and the round injected.
+    fn sync_indices(&mut self, undone: bool) {
+        if self.tracker.is_none() && self.argmax.is_none() {
+            return;
+        }
+        let Some(deltas) = self.pre.deltas() else {
+            return;
+        };
+        for (u, (&x, &dv)) in self.loads.as_slice().iter().zip(deltas).enumerate() {
             if dv != 0 {
-                let old = *x;
-                let new = if negate { old - dv } else { old + dv };
-                negative = negative + usize::from(new < 0) - usize::from(old < 0);
-                if let Some(t) = tracker.as_deref_mut() {
+                let (old, new) = if undone { (x + dv, x) } else { (x - dv, x) };
+                if let Some(t) = self.tracker.as_mut() {
                     t.update(old, new);
                 }
-                if let Some(a) = argmax.as_deref_mut() {
+                if let Some(a) = self.argmax.as_mut() {
                     a.update(u, old, new);
                 }
-                *x = new;
-                sum += dv;
             }
         }
-        self.negative_count = negative;
-        sum
-    }
-
-    /// Reverts [`apply_injection`](Engine::apply_injection): an
-    /// erroring round keeps no part of its injection (failure handoffs
-    /// included), so on error the loads are those after the last fully
-    /// completed round.
-    fn undo_injection(&mut self) {
-        self.apply_scratch(true);
-    }
-
-    /// First node with negative load; callers guarantee one exists.
-    fn first_negative(&self) -> usize {
-        self.loads
-            .as_slice()
-            .iter()
-            .position(|&x| x < 0)
-            .expect("negative_count > 0 implies a negative node")
-    }
-
-    /// The pre-plan class check: a non-overdrawing balancer must never
-    /// be asked to plan from negative loads (its `plan` is entitled to
-    /// assume `x ≥ 0`). `O(1)` thanks to the incremental count; the
-    /// offending node is only searched for on the error path.
-    fn check_negative_preplan(&self, check: bool) -> Result<(), EngineError> {
-        if check && self.negative_count > 0 {
-            let node = self.first_negative();
-            return Err(EngineError::NegativeLoad {
-                node,
-                load: self.loads.get(node),
-                step: self.step + 1,
-            });
-        }
-        Ok(())
     }
 
     /// Validates and routes the freshly filled plan, then updates the
@@ -678,9 +590,9 @@ impl Engine {
         Ok(())
     }
 
-    /// One fused round of the full dynamic structure: mutate topology,
-    /// inject (workload deltas plus failure handoffs), pre-plan check,
-    /// clear, plan, validate + route. An erroring round undoes its
+    /// One fused round of the full dynamic structure: the shared
+    /// pre-round (mutate topology, inject, hand off, negative-check),
+    /// then clear, plan, validate + route. An erroring round undoes its
     /// injection *and* its topology events, so on error nothing —
     /// loads and graph included — has advanced.
     fn step_inner<'s, 'w, Si: Sink>(
@@ -691,67 +603,43 @@ impl Engine {
         workload: Option<&mut (dyn Workload + 'w)>,
         sink: &mut Si,
     ) -> Result<(), EngineError> {
-        // Phase 0 — topology. A rejected event aborts the round before
-        // any load moved (the graph is already rolled back).
-        self.ev_applied.clear();
-        if let Some(s) = schedule {
-            let probe = sink.start();
-            if let Err(e) = topology::drive_events_checked(
-                s,
-                self.step + 1,
-                self.gp.graph_mut(),
-                &mut self.ev_scratch,
-                &mut self.ev_applied,
-                self.connectivity.as_mut(),
-            ) {
-                return Err(EngineError::Topology {
-                    step: self.step + 1,
-                    reason: e.to_string(),
-                });
-            }
-            sink.span(Phase::Mutate, self.step as u64 + 1, probe);
-        }
-        // Phase 1 — injection + failure handoff, needed whenever a
-        // workload is present or any node is asleep (its queue must
-        // reach live neighbours even in otherwise closed rounds).
-        let injecting = workload.is_some() || self.gp.graph().asleep_count() > 0;
-        if !injecting {
-            // Fully closed round: no workload can read the argmax
-            // index, so stop paying its per-write maintenance
-            // (`apply_injection` makes the same call for rounds whose
-            // workload does not want it).
-            self.argmax = None;
-        }
-        let injected = injecting.then(|| self.apply_injection(workload, sink));
+        let hint = self.argmax_hint(workload.as_deref().is_some_and(|w| w.needs_argmax()));
         let check = !balancer.may_overdraw();
-        let result = self.check_negative_preplan(check).and_then(|()| {
-            let probe = sink.start();
-            self.plan.clear();
-            balancer.plan(&self.gp, &self.loads, &mut self.plan);
-            sink.span(Phase::Plan, self.step as u64 + 1, probe);
-            // `finish_step` validates the whole plan before routing a
-            // single token, so an `Overdraw` has not mutated loads and
-            // undoing the injection restores the round exactly.
-            self.finish_step(check, instrumented, sink)
-        });
-        match result {
-            Ok(()) => {
-                self.injected_total += injected.unwrap_or(0);
-                self.topology_events += self.ev_applied.len() as u64;
-                Ok(())
-            }
-            Err(e) => {
-                if injected.is_some() {
-                    self.undo_injection();
-                }
-                topology::undo_events_checked(
-                    self.gp.graph_mut(),
-                    &self.ev_applied,
-                    self.connectivity.as_mut(),
-                );
-                Err(e)
-            }
+        let injected = self.pre.run(
+            self.step + 1,
+            RoundState {
+                gp: &mut self.gp,
+                connectivity: self.connectivity.as_mut(),
+                loads: self.loads.as_mut_slice(),
+                negative: &mut self.negative_count,
+            },
+            schedule,
+            workload,
+            hint,
+            check,
+            sink,
+        )?;
+        self.sync_indices(false);
+        let probe = sink.start();
+        self.plan.clear();
+        balancer.plan(&self.gp, &self.loads, &mut self.plan);
+        sink.span(Phase::Plan, self.step as u64 + 1, probe);
+        // `finish_step` validates the whole plan before routing a
+        // single token, so an `Overdraw` has not mutated loads and
+        // undoing the pre-round restores the round exactly.
+        if let Err(e) = self.finish_step(check, instrumented, sink) {
+            self.pre.undo(RoundState {
+                gp: &mut self.gp,
+                connectivity: self.connectivity.as_mut(),
+                loads: self.loads.as_mut_slice(),
+                negative: &mut self.negative_count,
+            });
+            self.sync_indices(true);
+            return Err(e);
         }
+        self.injected_total += injected;
+        self.topology_events += self.pre.events_applied();
+        Ok(())
     }
 
     /// Runs one synchronous round of `balancer` and reports statistics
@@ -767,42 +655,28 @@ impl Engine {
     /// loads (checked *before* planning — the balancer never sees the
     /// invalid state).
     pub fn step(&mut self, balancer: &mut dyn Balancer) -> Result<StepSummary, EngineError> {
-        self.step_with(balancer, None)
+        self.step_dyn(balancer, None, None)
     }
 
-    /// [`step`](Engine::step) in the open system: `workload`'s deltas
-    /// for this round are applied *before* the negative-load check and
-    /// planning, so the scheme balances the injected loads. A round
-    /// that errors keeps no part of its injection. See
-    /// [`crate::workload`] for the full round structure.
+    /// [`step`](Engine::step) in the open, dynamic-topology system:
+    /// first `schedule`'s events for this round mutate the graph in
+    /// place — double-edge swaps, port permutations, node sleep/wake —
+    /// then `workload`'s deltas are applied and every asleep node's
+    /// queue is handed to its live neighbours, all *before* the
+    /// negative-load check and planning, so the scheme balances the
+    /// injected loads. The full round structure is *mutate topology,
+    /// inject load, negative-check, plan, validate, route*; a round
+    /// that errors keeps neither its injection nor its topology events.
+    /// Pass `None` for either to leave it out. See [`crate::workload`]
+    /// and [`dlb_topology`] for workloads and schedules.
     ///
     /// # Errors
     ///
-    /// As [`step`](Engine::step); a workload that drives a load
+    /// As [`step`](Engine::step) — a workload that drives a load
     /// negative under a non-overdrawing scheme surfaces as
-    /// [`EngineError::NegativeLoad`] carrying the post-injection load.
-    pub fn step_with<'w>(
-        &mut self,
-        balancer: &mut dyn Balancer,
-        workload: Option<&mut (dyn Workload + 'w)>,
-    ) -> Result<StepSummary, EngineError> {
-        self.step_dyn(balancer, None, workload)
-    }
-
-    /// [`step_with`](Engine::step_with) in the dynamic-topology
-    /// system: before injection, `schedule`'s events for this round
-    /// mutate the graph in place — double-edge swaps, port
-    /// permutations, node sleep/wake — and every asleep node's queue
-    /// is handed to its live neighbours. The full round structure is
-    /// *mutate topology, inject load, negative-check, plan, validate,
-    /// route*; a round that errors keeps neither its injection nor its
-    /// topology events. See [`dlb_topology`] for schedules.
-    ///
-    /// # Errors
-    ///
-    /// As [`step_with`](Engine::step_with), plus
-    /// [`EngineError::Topology`] when the schedule emits an event the
-    /// graph rejects.
+    /// [`EngineError::NegativeLoad`] carrying the post-injection load —
+    /// plus [`EngineError::Topology`] when the schedule emits an event
+    /// the graph rejects.
     pub fn step_dyn<'s, 'w>(
         &mut self,
         balancer: &mut dyn Balancer,
@@ -845,25 +719,12 @@ impl Engine {
     ///
     /// Propagates the first [`EngineError`] encountered.
     pub fn run(&mut self, balancer: &mut dyn Balancer, steps: usize) -> Result<(), EngineError> {
-        self.run_with(balancer, steps, None)
+        self.run_dyn(balancer, steps, None, None)
     }
 
-    /// [`run`](Engine::run) with per-round workload injection.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`EngineError`] encountered.
-    pub fn run_with<'w>(
-        &mut self,
-        balancer: &mut dyn Balancer,
-        steps: usize,
-        workload: Option<&mut (dyn Workload + 'w)>,
-    ) -> Result<(), EngineError> {
-        self.run_dyn(balancer, steps, None, workload)
-    }
-
-    /// [`run_with`](Engine::run_with) with per-round topology churn
-    /// (see [`step_dyn`](Engine::step_dyn) for the round structure).
+    /// [`run`](Engine::run) with per-round topology churn and workload
+    /// injection (see [`step_dyn`](Engine::step_dyn) for the round
+    /// structure).
     ///
     /// # Errors
     ///
@@ -918,27 +779,12 @@ impl Engine {
         balancer: &mut dyn Balancer,
         steps: usize,
     ) -> Result<(), EngineError> {
-        self.run_fast_with(balancer, steps, None)
+        self.run_fast_dyn(balancer, steps, None, None)
     }
 
-    /// [`run_fast`](Engine::run_fast) with per-round workload
-    /// injection.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`EngineError`] encountered.
-    pub fn run_fast_with<'w>(
-        &mut self,
-        balancer: &mut dyn Balancer,
-        steps: usize,
-        workload: Option<&mut (dyn Workload + 'w)>,
-    ) -> Result<(), EngineError> {
-        self.run_fast_dyn(balancer, steps, None, workload)
-    }
-
-    /// [`run_fast_with`](Engine::run_fast_with) with per-round
-    /// topology churn (see [`step_dyn`](Engine::step_dyn) for the
-    /// round structure).
+    /// [`run_fast`](Engine::run_fast) with per-round topology churn
+    /// and workload injection (see [`step_dyn`](Engine::step_dyn) for
+    /// the round structure).
     ///
     /// # Errors
     ///
@@ -1001,38 +847,19 @@ impl Engine {
         balancer: &mut K,
         steps: usize,
     ) -> Result<(), EngineError> {
-        self.run_kernel_with(balancer, steps, NoWorkload::none())
+        self.run_kernel_dyn(balancer, steps, StaticTopology::none(), NoWorkload::none())
     }
 
-    /// [`run_kernel`](Engine::run_kernel) with per-round workload
-    /// injection, applied to the same double-buffered delta vectors the
-    /// kernel streams flows into. The loop is monomorphised over the
-    /// workload type, so the `NoWorkload` `None` case — what
-    /// [`run_kernel`](Engine::run_kernel) passes — compiles to the
-    /// closed-system loop.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`EngineError`] encountered; on error the
-    /// loads are those after the last fully completed round (the
-    /// erroring round's injection included — it is undone).
-    pub fn run_kernel_with<K: KernelBalancer + ?Sized, W: Workload + ?Sized>(
-        &mut self,
-        balancer: &mut K,
-        steps: usize,
-        workload: Option<&mut W>,
-    ) -> Result<(), EngineError> {
-        self.run_kernel_dyn(balancer, steps, StaticTopology::none(), workload)
-    }
-
-    /// [`run_kernel_with`](Engine::run_kernel_with) with per-round
-    /// topology churn: the kernel loop runs the full dynamic round
-    /// structure — mutate topology, inject, hand asleep queues to
-    /// live neighbours, negative-check, plan, validate, route — and is
-    /// monomorphised over the schedule type, so the
-    /// [`StaticTopology`]-`None` case (what the closed entry points
-    /// pass) folds the churn branches away and keeps the fixed-graph
-    /// throughput.
+    /// [`run_kernel`](Engine::run_kernel) with per-round topology churn
+    /// and workload injection: the kernel loop runs the full dynamic
+    /// round structure — mutate topology, inject, hand asleep queues
+    /// to live neighbours, negative-check, plan, validate, route —
+    /// applying the injection to the same double-buffered load vector
+    /// the kernel streams flows into. The loop is monomorphised over
+    /// the schedule and workload types, so the
+    /// [`StaticTopology::none`]/[`NoWorkload::none`] case (what
+    /// [`run_kernel`](Engine::run_kernel) passes) folds the churn and
+    /// injection branches away and keeps the fixed-graph throughput.
     ///
     /// # Errors
     ///
@@ -1148,7 +975,9 @@ impl Engine {
         // (proofs in `kernel::vector`), so loads stay non-negative
         // invariantly and one entry check covers every round:
         // negative_node_steps gains exactly 0, matching the scalar path.
-        if let Err(e) = self.check_negative_preplan(true) {
+        if let Err(e) =
+            round::check_negative(self.loads.as_slice(), self.negative_count, self.step + 1)
+        {
             return Some(Err(e));
         }
         // This path writes loads behind the argmax index's back; drop it
@@ -1207,27 +1036,27 @@ impl Engine {
         // back; drop it and let the next planned injection rebuild.
         self.argmax = None;
         let mut back = vec![0i64; self.gp.num_nodes()];
-        let gp = &mut self.gp;
-        let loads = self.loads.as_mut_slice();
         let (stats, err) = kernel::run_rounds(
-            gp,
-            loads,
+            RoundState {
+                gp: &mut self.gp,
+                connectivity: self.connectivity.as_mut(),
+                loads: self.loads.as_mut_slice(),
+                negative: &mut self.negative_count,
+            },
             &mut back,
+            &mut self.pre,
             kernel::KernelRun {
                 check,
                 steps,
                 base_step: self.step,
-                negative_count: self.negative_count,
+                schedule,
+                workload,
             },
-            schedule,
-            workload,
-            self.connectivity.as_mut(),
             |gp, u, x, fl| per_node(gp, u, x, fl),
             sink,
         );
         self.step += stats.steps_done;
         self.negative_node_steps += stats.negative_node_steps;
-        self.negative_count = stats.negative_count;
         self.injected_total += stats.injected;
         self.topology_events += stats.topology_events;
         self.negative_rescans += stats.negative_rescans;
@@ -1464,7 +1293,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::schemes::{RotorRouter, SendFloor};
-    use dlb_graph::{generators, PortOrder};
+    use dlb_graph::{generators, PortOrder, TopologyEvent};
 
     fn lazy_cycle(n: usize) -> BalancingGraph {
         BalancingGraph::lazy(generators::cycle(n).unwrap())
@@ -1705,9 +1534,10 @@ mod tests {
     fn injection_conserves_total_plus_cumulative_delta() {
         let mut engine = Engine::new(lazy_cycle(8), LoadVector::uniform(8, 10));
         engine
-            .run_with(
+            .run_dyn(
                 &mut SendFloor::new(),
                 25,
+                None,
                 Some(&mut Node0Arrivals { rate: 3 }),
             )
             .unwrap();
@@ -1721,14 +1551,19 @@ mod tests {
         let mut reference = make();
         for _ in 0..30 {
             reference
-                .step_with(&mut SendFloor::new(), Some(&mut Node0Arrivals { rate: 5 }))
+                .step_dyn(
+                    &mut SendFloor::new(),
+                    None,
+                    Some(&mut Node0Arrivals { rate: 5 }),
+                )
                 .unwrap();
         }
 
         let mut fast = make();
-        fast.run_fast_with(
+        fast.run_fast_dyn(
             &mut SendFloor::new(),
             30,
+            None,
             Some(&mut Node0Arrivals { rate: 5 }),
         )
         .unwrap();
@@ -1736,9 +1571,10 @@ mod tests {
         assert_eq!(fast.injected_total(), reference.injected_total());
 
         let mut kern = make();
-        kern.run_kernel_with(
+        kern.run_kernel_dyn(
             &mut SendFloor::new(),
             30,
+            StaticTopology::none(),
             Some(&mut Node0Arrivals { rate: 5 }),
         )
         .unwrap();
@@ -1758,7 +1594,11 @@ mod tests {
             let mut engine = make();
             let mut err = None;
             for _ in 0..steps {
-                match engine.step_with(&mut SendFloor::new(), Some(&mut Node1Drain { rate: 4 })) {
+                match engine.step_dyn(
+                    &mut SendFloor::new(),
+                    None,
+                    Some(&mut Node1Drain { rate: 4 }),
+                ) {
                     Ok(_) => {}
                     Err(e) => {
                         err = Some(e);
@@ -1779,7 +1619,12 @@ mod tests {
 
         let mut kern = make();
         let kern_err = kern
-            .run_kernel_with(&mut SendFloor::new(), 50, Some(&mut Node1Drain { rate: 4 }))
+            .run_kernel_dyn(
+                &mut SendFloor::new(),
+                50,
+                StaticTopology::none(),
+                Some(&mut Node1Drain { rate: 4 }),
+            )
             .unwrap_err();
         assert_eq!(kern_err, ref_err);
         assert_eq!(kern.loads(), reference.loads());
@@ -1820,25 +1665,34 @@ mod tests {
     #[test]
     fn run_until_summary_matches_scanned_discrepancy() {
         use crate::schemes::SendRound;
-        let gp = lazy_cycle(8);
-        let mut engine = Engine::new(gp, LoadVector::point_mass(8, 803));
-        let mut expected = Vec::new();
-        {
-            let mut shadow = Engine::new(lazy_cycle(8), LoadVector::point_mass(8, 803));
+        // The second graph has node 0 — the point mass — asleep, so
+        // every round's handoff moves load through the tracker sync
+        // (its neighbours keep sending to it, and it keeps forwarding).
+        let awake = lazy_cycle(8);
+        let mut asleep = lazy_cycle(8);
+        asleep
+            .graph_mut()
+            .apply_event(&TopologyEvent::Sleep { node: 0 })
+            .unwrap();
+        for gp in [awake, asleep] {
+            let mut engine = Engine::new(gp.clone(), LoadVector::point_mass(8, 803));
+            let mut shadow = Engine::new(gp, LoadVector::point_mass(8, 803));
+            let mut expected = Vec::new();
             let mut bal = SendRound::new();
             for _ in 0..40 {
                 expected.push(shadow.step(&mut bal).unwrap().discrepancy);
             }
+            let mut seen = Vec::new();
+            let hit = engine
+                .run_until(&mut SendRound::new(), 40, |s| {
+                    seen.push(s.discrepancy);
+                    false
+                })
+                .unwrap();
+            assert_eq!(hit, None);
+            assert_eq!(seen, expected);
+            assert_eq!(engine.loads(), shadow.loads());
         }
-        let mut seen = Vec::new();
-        let hit = engine
-            .run_until(&mut SendRound::new(), 40, |s| {
-                seen.push(s.discrepancy);
-                false
-            })
-            .unwrap();
-        assert_eq!(hit, None);
-        assert_eq!(seen, expected);
     }
 
     #[test]
@@ -2376,7 +2230,7 @@ mod tests {
         let mut engine = Engine::new(lazy_cycle(16), LoadVector::point_mass(16, 160));
         let mut probe = HintProbe { hints: Vec::new() };
         engine
-            .run_with(&mut SendFloor::new(), 40, Some(&mut probe))
+            .run_dyn(&mut SendFloor::new(), 40, None, Some(&mut probe))
             .unwrap();
         assert_eq!(probe.hints.len(), 40);
         assert!(
@@ -2387,7 +2241,12 @@ mod tests {
         let mut engine = Engine::new(lazy_cycle(16), LoadVector::point_mass(16, 160));
         let mut probe = HintProbe { hints: Vec::new() };
         engine
-            .run_kernel_with(&mut SendFloor::new(), 40, Some(&mut probe))
+            .run_kernel_dyn(
+                &mut SendFloor::new(),
+                40,
+                StaticTopology::none(),
+                Some(&mut probe),
+            )
             .unwrap();
         assert!(probe.hints.iter().all(Option::is_none));
     }
@@ -2523,13 +2382,13 @@ mod tests {
         let mut engine = Engine::new(lazy_cycle(16), LoadVector::point_mass(16, 1600));
         let mut probe = HintProbe { hints: Vec::new() };
         engine
-            .run_with(&mut SendFloor::new(), 10, Some(&mut probe))
+            .run_dyn(&mut SendFloor::new(), 10, None, Some(&mut probe))
             .unwrap();
         let scans_at_export = engine.discrepancy_scans();
         let mut resumed = Engine::from_state(engine.export_state());
         let mut probe = HintProbe { hints: Vec::new() };
         resumed
-            .run_with(&mut SendFloor::new(), 10, Some(&mut probe))
+            .run_dyn(&mut SendFloor::new(), 10, None, Some(&mut probe))
             .unwrap();
         assert_eq!(probe.hints.len(), 10);
         assert!(probe.hints.iter().all(Option::is_some));

@@ -70,6 +70,7 @@ pub mod kernel;
 mod load;
 mod parallel;
 pub mod potential;
+mod round;
 pub mod schemes;
 pub mod sync;
 pub mod workload;

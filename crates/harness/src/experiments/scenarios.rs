@@ -16,8 +16,8 @@
 //!   the cycle at full size legitimately needs more rounds than the
 //!   budget), and
 //! * a **bit-identity** verdict: the same `rounds` of injection are
-//!   replayed through `step_with`, `run_fast_with` and
-//!   `run_kernel_with`, each with a freshly built — hence stream-identical — workload, and
+//!   replayed through `step_dyn`, `run_fast_dyn` and
+//!   `run_kernel_dyn`, each with a freshly built — hence stream-identical — workload, and
 //!   every path must reproduce the reference loads and injected totals
 //!   exactly.
 //!
@@ -29,7 +29,7 @@
 use std::time::Instant;
 
 use dlb_core::schemes::{RotorRouter, SendFloor, SendRound};
-use dlb_core::{Engine, LoadVector};
+use dlb_core::{Engine, LoadVector, StaticTopology};
 use dlb_graph::{BalancingGraph, PortOrder};
 use dlb_scenario::{Scenario, ScenarioReport, WorkloadSpec};
 
@@ -90,18 +90,33 @@ fn run_path(
     match path {
         Path::RunFast => {
             let mut bal = scheme.build(gp)?;
-            engine.run_fast_with(bal.as_mut(), rounds, Some(workload.as_mut()))?;
+            engine.run_fast_dyn(bal.as_mut(), rounds, None, Some(workload.as_mut()))?;
         }
         Path::Kernel => match scheme {
             SchemeSpec::SendFloor => {
-                engine.run_kernel_with(&mut SendFloor::new(), rounds, Some(workload.as_mut()))?;
+                engine.run_kernel_dyn(
+                    &mut SendFloor::new(),
+                    rounds,
+                    StaticTopology::none(),
+                    Some(workload.as_mut()),
+                )?;
             }
             SchemeSpec::SendRound => {
-                engine.run_kernel_with(&mut SendRound::new(), rounds, Some(workload.as_mut()))?;
+                engine.run_kernel_dyn(
+                    &mut SendRound::new(),
+                    rounds,
+                    StaticTopology::none(),
+                    Some(workload.as_mut()),
+                )?;
             }
             SchemeSpec::RotorRouter => {
                 let mut rotor = RotorRouter::new(gp, PortOrder::Sequential)?;
-                engine.run_kernel_with(&mut rotor, rounds, Some(workload.as_mut()))?;
+                engine.run_kernel_dyn(
+                    &mut rotor,
+                    rounds,
+                    StaticTopology::none(),
+                    Some(workload.as_mut()),
+                )?;
             }
             other => panic!("no kernel dispatch for {}", other.label()),
         },

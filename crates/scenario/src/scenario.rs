@@ -19,7 +19,7 @@
 //!    **time to recover** after a burst. `None` means the threshold was
 //!    not reached within the budget (reported honestly, not an error).
 //!
-//! The runner uses the instrumented `step_with` path for the injection
+//! The runner uses the instrumented `step_dyn` path for the injection
 //! phase (it reads per-round statistics anyway) and the engine's
 //! incremental `run_until` for recovery.
 

@@ -470,7 +470,48 @@ impl WorkloadSpec {
         (0..n).step_by(8).collect()
     }
 
+    /// Checks that the generators can run this spec: every rate or
+    /// budget fits in `i64` (they apply it as a signed load delta, so a
+    /// larger magnitude would change sign), and a bursty spec has a
+    /// non-empty on-phase whose period `on + off` does not overflow.
+    /// Every spec that arrives from outside the process (a decoded
+    /// snapshot, a new serving tenant) passes through here before
+    /// [`build`](WorkloadSpec::build).
+    ///
+    /// # Errors
+    ///
+    /// The reason the spec is rejected.
+    pub fn validate(&self) -> Result<(), String> {
+        let magnitude = match *self {
+            WorkloadSpec::Bursty { on, off, rate, .. } => {
+                if on == 0 {
+                    return Err("bursty workload needs a non-empty on-phase".into());
+                }
+                if on.checked_add(off).is_none() {
+                    return Err(format!("bursty period {on} + {off} overflows"));
+                }
+                rate
+            }
+            WorkloadSpec::Steady { rate, .. }
+            | WorkloadSpec::Hotspot { rate }
+            | WorkloadSpec::Drain { rate }
+            | WorkloadSpec::DrainUnclamped { rate }
+            | WorkloadSpec::ArriveAndDrain { rate, .. } => rate,
+            WorkloadSpec::Adversary { budget } => budget,
+        };
+        if i64::try_from(magnitude).is_err() {
+            return Err(format!("workload magnitude {magnitude} exceeds i64::MAX"));
+        }
+        Ok(())
+    }
+
     /// Instantiates the workload for an `n`-node graph.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a bursty spec with an empty on-phase; specs from
+    /// untrusted sources go through [`validate`](WorkloadSpec::validate)
+    /// first.
     pub fn build(&self, n: usize) -> Box<dyn Workload> {
         match *self {
             WorkloadSpec::Steady { rate, seed } => Box::new(SteadyArrivals::new(rate, seed)),
@@ -605,7 +646,7 @@ mod tests {
     #[test]
     fn adversary_scans_are_zero_on_the_planned_paths() {
         use dlb_core::schemes::SendFloor;
-        use dlb_core::{Engine, LoadVector};
+        use dlb_core::{Engine, LoadVector, StaticTopology};
         use dlb_graph::{generators, BalancingGraph};
 
         let gp = BalancingGraph::lazy(generators::cycle(32).unwrap());
@@ -614,7 +655,7 @@ mod tests {
         let mut planned = BoundedAdversary::new(7);
         let mut engine = Engine::new(gp.clone(), initial.clone());
         engine
-            .run_with(&mut SendFloor::new(), 60, Some(&mut planned))
+            .run_dyn(&mut SendFloor::new(), 60, None, Some(&mut planned))
             .unwrap();
         assert_eq!(
             planned.scans(),
@@ -626,7 +667,12 @@ mod tests {
         let mut fallback = BoundedAdversary::new(7);
         let mut kernel = Engine::new(gp, initial);
         kernel
-            .run_kernel_with(&mut SendFloor::new(), 60, Some(&mut fallback))
+            .run_kernel_dyn(
+                &mut SendFloor::new(),
+                60,
+                StaticTopology::none(),
+                Some(&mut fallback),
+            )
             .unwrap();
         assert_eq!(fallback.scans(), 60, "kernel path pays one scan per round");
         assert_eq!(
@@ -679,7 +725,7 @@ mod tests {
         let gp = BalancingGraph::lazy(generators::cycle(16).unwrap());
         let mut engine = Engine::new(gp, LoadVector::point_mass(16, 160));
         engine
-            .run_with(&mut SendFloor::new(), 40, Some(&mut composed))
+            .run_dyn(&mut SendFloor::new(), 40, None, Some(&mut composed))
             .unwrap();
         assert_eq!(engine.injected_total(), 40 * (5 + 3));
 

@@ -508,52 +508,35 @@ fn encode_workload_spec(w: &mut Writer, spec: &WorkloadSpec) {
     }
 }
 
-/// Reads a workload rate or budget. The generators apply it as a
-/// signed load delta, so a magnitude above `i64::MAX` would change sign
-/// there: it is rejected here instead.
-fn magnitude(r: &mut Reader<'_>) -> Result<u64, WireError> {
-    let at = r.offset();
-    let v = r.u64()?;
-    if i64::try_from(v).is_err() {
-        return Err(WireError::new(
-            at,
-            format!("workload magnitude {v} exceeds i64::MAX"),
-        ));
-    }
-    Ok(v)
-}
-
+/// Decodes a workload spec and rejects any the generators cannot run
+/// ([`WorkloadSpec::validate`]): a forged magnitude or bursty period
+/// must fail here, not panic or wrap at resume.
 fn decode_workload_spec(r: &mut Reader<'_>) -> Result<WorkloadSpec, WireError> {
     let at = r.offset();
-    Ok(match r.u8()? {
+    let spec = match r.u8()? {
         0 => WorkloadSpec::Steady {
-            rate: magnitude(r)?,
+            rate: r.u64()?,
             seed: r.u64()?,
         },
         1 => WorkloadSpec::Bursty {
             on: r.len64()?,
             off: r.len64()?,
-            rate: magnitude(r)?,
+            rate: r.u64()?,
             seed: r.u64()?,
         },
-        2 => WorkloadSpec::Hotspot {
-            rate: magnitude(r)?,
-        },
-        3 => WorkloadSpec::Drain {
-            rate: magnitude(r)?,
-        },
-        4 => WorkloadSpec::DrainUnclamped {
-            rate: magnitude(r)?,
-        },
-        5 => WorkloadSpec::Adversary {
-            budget: magnitude(r)?,
-        },
+        2 => WorkloadSpec::Hotspot { rate: r.u64()? },
+        3 => WorkloadSpec::Drain { rate: r.u64()? },
+        4 => WorkloadSpec::DrainUnclamped { rate: r.u64()? },
+        5 => WorkloadSpec::Adversary { budget: r.u64()? },
         6 => WorkloadSpec::ArriveAndDrain {
-            rate: magnitude(r)?,
+            rate: r.u64()?,
             seed: r.u64()?,
         },
         other => return Err(WireError::new(at, format!("unknown workload tag {other}"))),
-    })
+    };
+    spec.validate()
+        .map_err(|reason| WireError::new(at, reason))?;
+    Ok(spec)
 }
 
 fn encode_schedule_spec(w: &mut Writer, spec: &ScheduleSpec) {
@@ -878,6 +861,30 @@ mod tests {
     #[test]
     fn unclamped_drain_rate_over_i64_max_is_rejected() {
         assert_magnitude_rejected(WorkloadSpec::DrainUnclamped { rate: u64::MAX });
+    }
+
+    #[test]
+    fn bursty_with_an_empty_on_phase_is_rejected() {
+        let err = decode_spec(WorkloadSpec::Bursty {
+            on: 0,
+            off: 3,
+            rate: 8,
+            seed: 1,
+        })
+        .unwrap_err();
+        assert!(err.reason.contains("non-empty on-phase"), "{err}");
+    }
+
+    #[test]
+    fn bursty_with_an_overflowing_period_is_rejected() {
+        let err = decode_spec(WorkloadSpec::Bursty {
+            on: usize::MAX,
+            off: 1,
+            rate: 8,
+            seed: 1,
+        })
+        .unwrap_err();
+        assert!(err.reason.contains("overflows"), "{err}");
     }
 
     #[test]

@@ -45,6 +45,10 @@ pub enum TenantError {
     /// inconsistent (cursor shape mismatch, load/node count mismatch,
     /// out-of-range journal indices).
     Corrupt(String),
+    /// A workload spec the generators cannot run (see
+    /// [`WorkloadSpec::validate`]) — rejected at construction, so every
+    /// tenant's snapshot decodes again.
+    Workload(String),
 }
 
 impl fmt::Display for TenantError {
@@ -53,6 +57,7 @@ impl fmt::Display for TenantError {
             TenantError::Wire(e) => write!(f, "{e}"),
             TenantError::Graph(e) => write!(f, "{e}"),
             TenantError::Corrupt(reason) => write!(f, "corrupt tenant state: {reason}"),
+            TenantError::Workload(reason) => write!(f, "invalid workload spec: {reason}"),
         }
     }
 }
@@ -191,8 +196,10 @@ impl Tenant {
     /// # Errors
     ///
     /// Returns [`TenantError`] if `initial` does not have one entry
-    /// per node, or if the scheme rejects the graph (ROTOR-ROUTER*
-    /// requires `d° = d`).
+    /// per node, if the workload spec fails
+    /// [`WorkloadSpec::validate`] (the snapshot decoder would reject
+    /// it), or if the scheme rejects the graph (ROTOR-ROUTER* requires
+    /// `d° = d`).
     pub fn new(
         graph: BalancingGraph,
         initial: LoadVector,
@@ -206,6 +213,9 @@ impl Tenant {
                 "initial loads have {} entries, graph has {n} nodes",
                 initial.as_slice().len()
             )));
+        }
+        if let Some(spec) = &workload {
+            spec.validate().map_err(TenantError::Workload)?;
         }
         let scheme = SchemeInstance::build(scheme, &graph, None)?;
         let engine = Engine::new(graph, initial);

@@ -6,7 +6,7 @@
 use dlb_core::{EngineError, LoadVector};
 use dlb_graph::{generators, BalancingGraph};
 use dlb_scenario::WorkloadSpec;
-use dlb_serve::{SchemeKind, Server, Tenant, TenantSnapshot};
+use dlb_serve::{SchemeKind, Server, Tenant, TenantError, TenantSnapshot};
 use dlb_topology::ScheduleSpec;
 
 fn lazy_cycle(n: usize) -> BalancingGraph {
@@ -238,4 +238,48 @@ fn resume_rejects_corrupt_snapshots() {
     snap.scheme = SchemeKind::RotorRouter;
     snap.rotors = vec![0; 3];
     assert!(Tenant::resume_from_snapshot(&snap.encode()).is_err());
+}
+
+/// A tenant is only built from a workload spec its own snapshot
+/// decoder accepts, so its journal's base snapshot always replays.
+#[test]
+fn new_rejects_workload_specs_the_snapshot_decoder_rejects() {
+    let forged = [
+        WorkloadSpec::Hotspot { rate: 1 << 63 },
+        WorkloadSpec::Bursty {
+            on: 0,
+            off: 2,
+            rate: 8,
+            seed: 1,
+        },
+        WorkloadSpec::Bursty {
+            on: usize::MAX,
+            off: 1,
+            rate: 8,
+            seed: 1,
+        },
+    ];
+    for spec in forged {
+        let err = Tenant::new(
+            lazy_cycle(8),
+            LoadVector::point_mass(8, 80),
+            SchemeKind::SendFloor,
+            Some(spec.clone()),
+            ScheduleSpec::Static,
+        )
+        .unwrap_err();
+        assert!(matches!(err, TenantError::Workload(_)), "{spec:?}: {err}");
+    }
+    // The largest magnitude both sides accept still round-trips.
+    let tenant = Tenant::new(
+        lazy_cycle(8),
+        LoadVector::point_mass(8, 80),
+        SchemeKind::SendFloor,
+        Some(WorkloadSpec::Hotspot {
+            rate: i64::MAX as u64,
+        }),
+        ScheduleSpec::Static,
+    )
+    .unwrap();
+    assert!(Tenant::resume_from_snapshot(&tenant.snapshot()).is_ok());
 }

@@ -164,9 +164,9 @@ pub trait TopologySchedule: Send {
 /// The empty schedule: never emits an event.
 ///
 /// This is the type behind the engine's closed-topology entry points —
-/// `run_kernel_with` is `run_kernel_dyn(…, StaticTopology::none(), …)`,
-/// so the churn branch monomorphises against a statically absent
-/// schedule and the fixed-graph loop compiles as before.
+/// `run_kernel` is `run_kernel_dyn(…, StaticTopology::none(), …)`, so
+/// the churn branch monomorphises against a statically absent schedule
+/// and the fixed-graph loop compiles as before.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StaticTopology;
 

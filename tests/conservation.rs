@@ -9,7 +9,7 @@
 //! plus the workload's cumulative delta, on every execution path.
 
 use dlb::core::schemes::{RotorRouter, SendFloor, SendRound};
-use dlb::core::{Engine, LoadVector, Workload};
+use dlb::core::{Engine, LoadVector, StaticTopology, Workload};
 use dlb::graph::{generators, BalancingGraph, PortOrder};
 use dlb::harness::SchemeSpec;
 use dlb::scenario::WorkloadSpec;
@@ -183,7 +183,7 @@ proptest! {
             let mut bal = scheme.build(&gp).unwrap();
             let mut workload = Recording::new(wspec.build(n));
             let mut engine = Engine::new(gp.clone(), initial.clone());
-            engine.run_with(bal.as_mut(), steps, Some(&mut workload)).unwrap();
+            engine.run_dyn(bal.as_mut(), steps, None, Some(&mut workload)).unwrap();
             prop_assert_eq!(
                 engine.injected_total(), workload.cumulative,
                 "{} under {}: engine counter disagrees with the workload record",
@@ -197,8 +197,8 @@ proptest! {
     }
 
     /// Open-system conservation, every execution path: the law holds —
-    /// with the *same* cumulative delta — through `step_with`,
-    /// `run_fast_with` and `run_kernel_with` (scalar rotor-router and
+    /// with the *same* cumulative delta — through `step_dyn`,
+    /// `run_fast_dyn` and `run_kernel_dyn` (scalar rotor-router and
     /// SEND kernels).
     #[test]
     fn every_path_conserves_total_plus_cumulative_delta(
@@ -218,7 +218,7 @@ proptest! {
             let mut bal = SendFloor::new();
             let mut engine = Engine::new(gp.clone(), initial.clone());
             for _ in 0..steps {
-                engine.step_with(&mut bal, Some(&mut workload)).unwrap();
+                engine.step_dyn(&mut bal, None, Some(&mut workload)).unwrap();
             }
             prop_assert_eq!(engine.loads().total(), total + workload.cumulative);
             workload.cumulative
@@ -227,7 +227,7 @@ proptest! {
         let mut engine = Engine::new(gp.clone(), initial.clone());
         let mut workload = wspec.build(n);
         engine
-            .run_fast_with(&mut SendRound::new(), steps, Some(workload.as_mut()))
+            .run_fast_dyn(&mut SendRound::new(), steps, None, Some(workload.as_mut()))
             .unwrap();
         prop_assert_eq!(engine.loads().total(), total + engine.injected_total());
 
@@ -235,7 +235,7 @@ proptest! {
         let mut workload = wspec.build(n);
         let mut rotor = RotorRouter::new(&gp, PortOrder::Sequential).unwrap();
         engine
-            .run_kernel_with(&mut rotor, steps, Some(workload.as_mut()))
+            .run_kernel_dyn(&mut rotor, steps, StaticTopology::none(), Some(workload.as_mut()))
             .unwrap();
         prop_assert_eq!(engine.injected_total(), expected,
             "kernel path saw a different delta stream");
@@ -244,7 +244,7 @@ proptest! {
         let mut engine = Engine::new(gp.clone(), initial.clone());
         let mut workload = wspec.build(n);
         engine
-            .run_kernel_with(&mut SendFloor::new(), steps, Some(workload.as_mut()))
+            .run_kernel_dyn(&mut SendFloor::new(), steps, StaticTopology::none(), Some(workload.as_mut()))
             .unwrap();
         prop_assert_eq!(engine.injected_total(), expected,
             "SEND kernel path saw a different delta stream");

@@ -27,8 +27,8 @@
 
 use dlb::core::schemes::{RotorRouter, SendFloor, SendRound};
 use dlb::core::{
-    Balancer, Engine, EngineError, FlowPlan, KernelBalancer, LoadVector, TopologySchedule,
-    VectorConfig, VectorStats, VectorStrategy, VectorWidth, Workload,
+    Balancer, Engine, EngineError, FlowPlan, KernelBalancer, LoadVector, StaticTopology,
+    TopologySchedule, VectorConfig, VectorStats, VectorStrategy, VectorWidth, Workload,
 };
 use dlb::graph::{generators, BalancingGraph, PortOrder, RegularGraph};
 use dlb::scenario::WorkloadSpec;
@@ -763,10 +763,20 @@ fn drive_split_resume(
             engine.set_vector_config(config);
             match scheme {
                 SchemeId::SendFloor => engine
-                    .run_kernel_with(&mut SendFloor::new(), remaining, None::<&mut dyn Workload>)
+                    .run_kernel_dyn(
+                        &mut SendFloor::new(),
+                        remaining,
+                        StaticTopology::none(),
+                        None::<&mut dyn Workload>,
+                    )
                     .err(),
                 SchemeId::SendRound => engine
-                    .run_kernel_with(&mut SendRound::new(), remaining, None::<&mut dyn Workload>)
+                    .run_kernel_dyn(
+                        &mut SendRound::new(),
+                        remaining,
+                        StaticTopology::none(),
+                        None::<&mut dyn Workload>,
+                    )
                     .err(),
                 _ => unreachable!("gated above"),
             }

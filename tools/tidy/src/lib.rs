@@ -41,6 +41,13 @@
 //!   or an allowlist entry arguing why they never should. Without the
 //!   lint, every new subsystem grows its own counter struct and the
 //!   unified registry silently stops being unified.
+//! * **pre-round** — one module owns a round's dynamics and rollback:
+//!   outside `#[cfg(test)]`, only `crates/core/src/round.rs` may call
+//!   `drive_events_checked`, `undo_events_checked`, `handoff_deltas`
+//!   or `inject_with_hint` anywhere in `crates/core/src`. The planned
+//!   and kernel round drivers call that module instead, so the mutate
+//!   → inject → handoff → negative-check → rollback sequence cannot
+//!   drift back into two copies.
 //!
 //! Test regions (`#[cfg(test)]` modules) and comments are masked out
 //! before linting, so tests may unwrap and assert freely. The masking
@@ -82,6 +89,8 @@ pub enum LintClass {
     /// Raw atomic counter or ad-hoc stats struct bypassing the
     /// `dlb-obs` metric registry.
     MetricRegistry,
+    /// A pre-round primitive called outside the pre-round module.
+    PreRound,
     /// Allowlist entry that no longer matches anything.
     StaleAllow,
 }
@@ -98,6 +107,7 @@ impl LintClass {
             LintClass::VectorSafety => "vector-safety",
             LintClass::UnsafeCode => "unsafe-code",
             LintClass::MetricRegistry => "metric-registry",
+            LintClass::PreRound => "pre-round",
             LintClass::StaleAllow => "stale-allow",
         }
     }
@@ -111,6 +121,7 @@ impl LintClass {
             "vector-safety" => Some(LintClass::VectorSafety),
             "unsafe-code" => Some(LintClass::UnsafeCode),
             "metric-registry" => Some(LintClass::MetricRegistry),
+            "pre-round" => Some(LintClass::PreRound),
             _ => None,
         }
     }
@@ -321,6 +332,32 @@ fn declares_stats_struct(line: &str) -> bool {
     })
 }
 
+/// The primitives of a round's dynamics and rollback, which only the
+/// pre-round module may call.
+const PRE_ROUND_PRIMITIVES: [&str; 4] = [
+    "drive_events_checked",
+    "undo_events_checked",
+    "handoff_deltas",
+    "inject_with_hint",
+];
+
+/// The one file in `crates/core/src` allowed to call them.
+const PRE_ROUND_MODULE: &str = "crates/core/src/round.rs";
+
+/// Whether the masked line names `ident` as a whole identifier other
+/// than in its own `fn` definition (a trait's default method body is
+/// a definition, not a call).
+fn uses_ident(line: &str, ident: &str) -> bool {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    line.match_indices(ident).any(|(pos, word)| {
+        let before = &line[..pos];
+        let after = line[pos + word.len()..].chars().next();
+        !before.chars().next_back().is_some_and(is_ident)
+            && !after.is_some_and(is_ident)
+            && !before.trim_end().ends_with("fn")
+    })
+}
+
 const ATOMIC_OPS: [&str; 6] = [
     ".load(",
     ".store(",
@@ -425,6 +462,25 @@ pub fn lint_source(rel: &str, source: &str) -> Vec<Violation> {
                         "counters belong in the dlb-obs MetricRegistry — add a \
                          nearby comment naming MetricRegistry that says how these \
                          numbers reach it (or allowlist with an argument): `{}`",
+                        excerpt(raw[i])
+                    ),
+                });
+            }
+        }
+
+        if in_core && rel != PRE_ROUND_MODULE {
+            if let Some(name) = PRE_ROUND_PRIMITIVES
+                .iter()
+                .find(|name| uses_ident(line, name))
+            {
+                out.push(Violation {
+                    class: LintClass::PreRound,
+                    file: rel.to_string(),
+                    line: lineno,
+                    message: format!(
+                        "`{name}` belongs to the pre-round — call \
+                         {PRE_ROUND_MODULE} instead of re-implementing a \
+                         round's dynamics or rollback: `{}`",
                         excerpt(raw[i])
                     ),
                 });
@@ -777,6 +833,44 @@ mod tests {
         assert!(lint_source("crates/core/src/frob.rs", other).is_empty());
         let in_test = "#[cfg(test)]\nmod tests {\n    struct TinyStats { n: u64 }\n}\n";
         assert!(lint_source("crates/core/src/frob.rs", in_test).is_empty());
+    }
+
+    #[test]
+    fn pre_round_lint_keeps_dynamics_in_one_module() {
+        // Seeded violations: a round driver outside the pre-round
+        // module reaching for each primitive.
+        let calls = [
+            "fn f() { topology::drive_events_checked(s, 1, g, a, b, None).ok(); }\n",
+            "fn f() { topology::undo_events_checked(g, &applied, None); }\n",
+            "fn f() { mutate::handoff_deltas(g, loads, &mut deltas); }\n",
+            "fn f() { w.inject_with_hint(1, loads, None, &mut deltas); }\n",
+        ];
+        for bad in calls {
+            for file in ["crates/core/src/engine.rs", "crates/core/src/kernel/mod.rs"] {
+                assert_eq!(
+                    classes(&lint_source(file, bad)),
+                    vec![LintClass::PreRound],
+                    "{file}: {bad}"
+                );
+            }
+            // The pre-round module itself, and code outside
+            // crates/core, may call them.
+            assert!(lint_source("crates/core/src/round.rs", bad).is_empty());
+            assert!(lint_source("crates/serve/src/tenant.rs", bad).is_empty());
+        }
+
+        // A definition is not a call: the trait's default method and
+        // the workload implementations define `inject_with_hint`.
+        let def = "pub trait W {\n    fn inject_with_hint(&mut self) {}\n}\n";
+        assert!(lint_source("crates/core/src/workload.rs", def).is_empty());
+
+        // Longer identifiers, comments, strings and tests are not uses.
+        let other = "fn f() { my_handoff_deltas(); drive_events_checked_twice(); }\n\
+                     // drive_events_checked(s) lives in round.rs\n\
+                     fn g() -> &'static str { \"handoff_deltas(x)\" }\n";
+        assert!(lint_source("crates/core/src/engine.rs", other).is_empty());
+        let in_test = "#[cfg(test)]\nmod tests {\n    fn t() { handoff_deltas(g, l, d); }\n}\n";
+        assert!(lint_source("crates/core/src/engine.rs", in_test).is_empty());
     }
 
     #[test]
