@@ -1,5 +1,3 @@
-use std::collections::{BTreeMap, BTreeSet};
-
 use dlb_graph::{BalancingGraph, DynamicConnectivity};
 use dlb_obs::{MetricRegistry, NoopSink, Phase, Sink};
 use dlb_topology::{StaticTopology, TopologySchedule};
@@ -10,101 +8,6 @@ use crate::kernel::{self, KernelBalancer};
 use crate::round::{self, PreRound, RoundState};
 use crate::workload::{NoWorkload, Workload};
 use crate::{Balancer, CumulativeLedger, EngineError, FlowPlan, LoadVector};
-
-/// An exact multiset of the current loads, kept as value → count in a
-/// [`BTreeMap`] so the discrepancy (`max key − min key`) reads in
-/// `O(log n)` while every load write updates in `O(log n)` — the
-/// incremental bookkeeping behind [`Engine::run_until`], which would
-/// otherwise pay a full `O(n)` scan per round just to evaluate its
-/// predicate.
-#[derive(Debug, Clone, Default)]
-struct DiscrepancyTracker {
-    counts: BTreeMap<i64, usize>,
-}
-
-impl DiscrepancyTracker {
-    /// Builds the multiset from scratch — the one full scan a tracked
-    /// run pays.
-    fn build(loads: &[i64]) -> Self {
-        let mut counts = BTreeMap::new();
-        for &x in loads {
-            *counts.entry(x).or_insert(0) += 1;
-        }
-        DiscrepancyTracker { counts }
-    }
-
-    /// Moves one node's load from `old` to `new`.
-    #[inline]
-    fn update(&mut self, old: i64, new: i64) {
-        if old == new {
-            return;
-        }
-        *self.counts.entry(new).or_insert(0) += 1;
-        match self.counts.get_mut(&old) {
-            Some(c) if *c > 1 => *c -= 1,
-            _ => {
-                self.counts.remove(&old);
-            }
-        }
-    }
-
-    /// `max − min` of the tracked loads (engines are never empty).
-    fn discrepancy(&self) -> i64 {
-        let min = *self.counts.keys().next().expect("loads are non-empty");
-        let max = *self.counts.keys().next_back().expect("loads are non-empty");
-        max - min
-    }
-}
-
-/// An exact load index value → node-set, maintained at every load
-/// write on the planned paths while an argmax-hungry workload (the
-/// bounded adversary) is active: the `(argmax node, max load)` hint
-/// reads in `O(log n)` — the node set per value is a [`BTreeSet`], so
-/// ties resolve to the lowest id exactly like a full ascending scan —
-/// instead of the workload rescanning the whole load vector every
-/// injecting round.
-#[derive(Debug, Clone, Default)]
-struct ArgmaxTracker {
-    buckets: BTreeMap<i64, BTreeSet<u32>>,
-}
-
-impl ArgmaxTracker {
-    /// Builds the index from scratch — the one full scan an activation
-    /// pays.
-    fn build(loads: &[i64]) -> Self {
-        let mut buckets: BTreeMap<i64, BTreeSet<u32>> = BTreeMap::new();
-        for (u, &x) in loads.iter().enumerate() {
-            buckets.entry(x).or_default().insert(u as u32);
-        }
-        ArgmaxTracker { buckets }
-    }
-
-    /// Moves `node` from load `old` to load `new`.
-    #[inline]
-    fn update(&mut self, node: usize, old: i64, new: i64) {
-        if old == new {
-            return;
-        }
-        if let Some(set) = self.buckets.get_mut(&old) {
-            set.remove(&(node as u32));
-            if set.is_empty() {
-                self.buckets.remove(&old);
-            }
-        }
-        self.buckets.entry(new).or_default().insert(node as u32);
-    }
-
-    /// The most-loaded node (lowest id on ties) and its load.
-    fn argmax(&self) -> (usize, i64) {
-        let (&load, set) = self
-            .buckets
-            .iter()
-            .next_back()
-            .expect("loads are non-empty");
-        let node = *set.iter().next().expect("buckets are never empty");
-        (node as usize, load)
-    }
-}
 
 /// Outcome of a single engine step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,9 +28,9 @@ pub struct StepSummary {
 /// cumulative counters bit-identical to the uninterrupted run, on
 /// every execution path. Anything *not* in here is either derivable
 /// from these fields (the negative-load count) or deliberately
-/// rebuilt from scratch after restore (lazy trackers, connectivity,
-/// ledger/monitor instrumentation) — see [`Engine::export_state`] for
-/// the full accounting.
+/// rebuilt from scratch after restore (connectivity, ledger/monitor
+/// instrumentation) — see [`Engine::export_state`] for the full
+/// accounting.
 ///
 /// The fields are public so snapshot encoders (the `dlb-serve` crate)
 /// can serialize them without `dlb-core` committing to a wire format.
@@ -146,7 +49,8 @@ pub struct EngineState {
     pub injected_total: i64,
     /// Topology events applied over all completed rounds.
     pub topology_events_applied: u64,
-    /// Full `O(n)` discrepancy scans performed so far.
+    /// Full `O(n)` discrepancy scans performed so far, one per
+    /// [`StepSummary`].
     pub discrepancy_scans: u64,
     /// Full `O(n)` negative-load rescans paid by the kernel rounds.
     pub negative_rescans: u64,
@@ -223,14 +127,6 @@ pub struct Engine {
     /// Full `O(n)` discrepancy scans performed so far (perf
     /// accounting; see [`Engine::discrepancy_scans`]).
     discrepancy_scans: u64,
-    /// Load multiset, maintained at every load write while
-    /// [`run_until`](Engine::run_until) is active, `None` otherwise.
-    tracker: Option<DiscrepancyTracker>,
-    /// Load index for argmax-hungry workloads, maintained at every
-    /// load write on the planned paths while such a workload is
-    /// active; dropped (and rebuilt on demand) whenever a plan-free
-    /// path mutates loads behind its back.
-    argmax: Option<ArgmaxTracker>,
     /// Topology events applied over all completed rounds (an erroring
     /// round's events are undone and not counted).
     topology_events: u64,
@@ -281,8 +177,6 @@ impl Engine {
             pre: PreRound::default(),
             injected_total: 0,
             discrepancy_scans: 0,
-            tracker: None,
-            argmax: None,
             topology_events: 0,
             connectivity: None,
             vector_config: VectorConfig::default(),
@@ -363,11 +257,11 @@ impl Engine {
         self.topology_events
     }
 
-    /// Full `O(n)` discrepancy scans performed so far: one per
-    /// [`step`](Engine::step) call plus one per
-    /// [`run_until`](Engine::run_until) call (the tracker build). The
-    /// regression tests pin this so `run_until` cannot silently regress
-    /// to rescanning the load vector every round.
+    /// Full `O(n)` discrepancy scans performed so far: exactly one per
+    /// [`StepSummary`] produced — each [`step`](Engine::step) call and
+    /// each round of [`run_until`](Engine::run_until). The `run*`
+    /// entry points produce no summaries and pay none; the regression
+    /// tests pin both.
     pub fn discrepancy_scans(&self) -> u64 {
         self.discrepancy_scans
     }
@@ -453,47 +347,6 @@ impl Engine {
         self.loads.discrepancy()
     }
 
-    /// The `(argmax node, max load)` hint for this round's workload,
-    /// served from the maintained index when the workload wants one.
-    /// The index is only worth its per-write maintenance while such a
-    /// workload is active, so any other round drops it and a later
-    /// activation rebuilds it.
-    fn argmax_hint(&mut self, wants: bool) -> Option<(usize, i64)> {
-        if !wants {
-            self.argmax = None;
-            return None;
-        }
-        // The one full scan an activation pays; every load write keeps
-        // the index current from here on.
-        let index = self
-            .argmax
-            .get_or_insert_with(|| ArgmaxTracker::build(self.loads.as_slice()));
-        Some(index.argmax())
-    }
-
-    /// Replays the pre-round's deltas into the active load indices:
-    /// forward after it applied them, backward after it undid them.
-    /// Free unless an index is active and the round injected.
-    fn sync_indices(&mut self, undone: bool) {
-        if self.tracker.is_none() && self.argmax.is_none() {
-            return;
-        }
-        let Some(deltas) = self.pre.deltas() else {
-            return;
-        };
-        for (u, (&x, &dv)) in self.loads.as_slice().iter().zip(deltas).enumerate() {
-            if dv != 0 {
-                let (old, new) = if undone { (x + dv, x) } else { (x - dv, x) };
-                if let Some(t) = self.tracker.as_mut() {
-                    t.update(old, new);
-                }
-                if let Some(a) = self.argmax.as_mut() {
-                    a.update(u, old, new);
-                }
-            }
-        }
-    }
-
     /// Validates and routes the freshly filled plan, then updates the
     /// step counters — the fused second half of every step variant.
     ///
@@ -546,8 +399,6 @@ impl Engine {
         let graph = self.gp.graph();
         let plan = &self.plan;
         let loads = self.loads.as_mut_slice();
-        let mut tracker = self.tracker.as_mut();
-        let mut argmax = self.argmax.as_mut();
         let mut negative = self.negative_count;
         for (u, &moved) in plan.touched().zip(&self.outflow) {
             for (p, &f) in plan.node(u)[..d].iter().enumerate() {
@@ -558,24 +409,12 @@ impl Engine {
                 let old = loads[v];
                 let new = old + f as i64;
                 negative = negative + usize::from(new < 0) - usize::from(old < 0);
-                if let Some(t) = tracker.as_deref_mut() {
-                    t.update(old, new);
-                }
-                if let Some(a) = argmax.as_deref_mut() {
-                    a.update(v, old, new);
-                }
                 loads[v] = new;
             }
             if moved != 0 {
                 let old = loads[u];
                 let new = old - moved as i64;
                 negative = negative + usize::from(new < 0) - usize::from(old < 0);
-                if let Some(t) = tracker.as_deref_mut() {
-                    t.update(old, new);
-                }
-                if let Some(a) = argmax.as_deref_mut() {
-                    a.update(u, old, new);
-                }
                 loads[u] = new;
             }
         }
@@ -603,23 +442,10 @@ impl Engine {
         workload: Option<&mut (dyn Workload + 'w)>,
         sink: &mut Si,
     ) -> Result<(), EngineError> {
-        let hint = self.argmax_hint(workload.as_deref().is_some_and(|w| w.needs_argmax()));
         let check = !balancer.may_overdraw();
-        let injected = self.pre.run(
-            self.step + 1,
-            RoundState {
-                gp: &mut self.gp,
-                connectivity: self.connectivity.as_mut(),
-                loads: self.loads.as_mut_slice(),
-                negative: &mut self.negative_count,
-            },
-            schedule,
-            workload,
-            hint,
-            check,
-            sink,
-        )?;
-        self.sync_indices(false);
+        let step = self.step + 1;
+        let (pre, st) = self.pre_round();
+        pre.run(step, st, schedule, workload, check, sink)?;
         let probe = sink.start();
         self.plan.clear();
         balancer.plan(&self.gp, &self.loads, &mut self.plan);
@@ -627,19 +453,26 @@ impl Engine {
         // `finish_step` validates the whole plan before routing a
         // single token, so an `Overdraw` has not mutated loads and
         // undoing the pre-round restores the round exactly.
-        if let Err(e) = self.finish_step(check, instrumented, sink) {
-            self.pre.undo(RoundState {
-                gp: &mut self.gp,
-                connectivity: self.connectivity.as_mut(),
-                loads: self.loads.as_mut_slice(),
-                negative: &mut self.negative_count,
-            });
-            self.sync_indices(true);
-            return Err(e);
+        let routed = self.finish_step(check, instrumented, sink);
+        if routed.is_err() {
+            let (pre, st) = self.pre_round();
+            pre.undo(st);
         }
-        self.injected_total += injected;
-        self.topology_events += self.pre.events_applied();
-        Ok(())
+        routed
+    }
+
+    /// The pre-round scratch and the engine state it runs on, borrowed
+    /// side by side.
+    fn pre_round(&mut self) -> (&mut PreRound, RoundState<'_>) {
+        let st = RoundState {
+            gp: &mut self.gp,
+            connectivity: self.connectivity.as_mut(),
+            loads: self.loads.as_mut_slice(),
+            negative: &mut self.negative_count,
+            injected: &mut self.injected_total,
+            events: &mut self.topology_events,
+        };
+        (&mut self.pre, st)
     }
 
     /// Runs one synchronous round of `balancer` and reports statistics
@@ -980,9 +813,6 @@ impl Engine {
         {
             return Some(Err(e));
         }
-        // This path writes loads behind the argmax index's back; drop it
-        // and let the next planned injection rebuild.
-        self.argmax = None;
         let config = self.vector_config;
         let before = self.vector_stats;
         let step_no = self.step as u64 + 1;
@@ -1032,23 +862,17 @@ impl Engine {
         sink: &mut Si,
         mut per_node: impl FnMut(&BalancingGraph, usize, i64, &mut [u64]),
     ) -> Result<(), EngineError> {
-        // The plan-free paths write loads behind the argmax index's
-        // back; drop it and let the next planned injection rebuild.
-        self.argmax = None;
         let mut back = vec![0i64; self.gp.num_nodes()];
+        let base_step = self.step;
+        let (pre, st) = self.pre_round();
         let (stats, err) = kernel::run_rounds(
-            RoundState {
-                gp: &mut self.gp,
-                connectivity: self.connectivity.as_mut(),
-                loads: self.loads.as_mut_slice(),
-                negative: &mut self.negative_count,
-            },
+            st,
             &mut back,
-            &mut self.pre,
+            pre,
             kernel::KernelRun {
                 check,
                 steps,
-                base_step: self.step,
+                base_step,
                 schedule,
                 workload,
             },
@@ -1057,9 +881,6 @@ impl Engine {
         );
         self.step += stats.steps_done;
         self.negative_node_steps += stats.negative_node_steps;
-        self.injected_total += stats.injected;
-        self.topology_events += stats.topology_events;
-        self.negative_rescans += stats.negative_rescans;
         match err {
             Some(e) => Err(e),
             None => Ok(()),
@@ -1146,17 +967,11 @@ impl Engine {
         )
     }
 
-    /// Runs until `stop(summary)` returns true, for at most `max_steps`
-    /// rounds. Returns the step count at which the predicate fired, or
-    /// `None` on timeout.
-    ///
-    /// The per-round summary is served from an incremental load
-    /// multiset, not a rescan: one `O(n)` pass builds the tracker on
-    /// entry, then every load write keeps it current in `O(log n)`, so
-    /// the predicate's discrepancy costs `O(log n)` per round however
-    /// long the run ([`discrepancy_scans`](Engine::discrepancy_scans)
-    /// counts exactly one scan per call, which the regression tests
-    /// pin).
+    /// Runs [`step`](Engine::step) until `stop(summary)` returns true,
+    /// for at most `max_steps` rounds. Returns the step count at which
+    /// the predicate fired, or `None` on timeout. Each round's summary
+    /// is `step`'s, so its discrepancy costs one counted `O(n)` scan —
+    /// the same order as the round's own planning pass.
     ///
     /// # Errors
     ///
@@ -1167,33 +982,13 @@ impl Engine {
         max_steps: usize,
         mut stop: impl FnMut(&StepSummary) -> bool,
     ) -> Result<Option<usize>, EngineError> {
-        self.discrepancy_scans += 1;
-        self.tracker = Some(DiscrepancyTracker::build(self.loads.as_slice()));
-        let mut outcome = Ok(None);
         for _ in 0..max_steps {
-            if let Err(e) = self.step_inner(balancer, true, None, None, &mut NoopSink) {
-                outcome = Err(e);
-                break;
-            }
-            let summary = StepSummary {
-                step: self.step,
-                discrepancy: self
-                    .tracker
-                    .as_ref()
-                    .expect("tracker lives for the whole run_until")
-                    .discrepancy(),
-                negative_nodes: self.negative_count,
-            };
+            let summary = self.step(balancer)?;
             if stop(&summary) {
-                outcome = Ok(Some(summary.step));
-                break;
+                return Ok(Some(summary.step));
             }
         }
-        // Only the planned paths maintain the tracker, so it must not
-        // outlive this call: a later kernel/parallel run would leave it
-        // stale.
-        self.tracker = None;
-        outcome
+        Ok(None)
     }
 
     /// Exports the engine's complete resumable state — everything a
@@ -1209,13 +1004,11 @@ impl Engine {
     /// policy.
     ///
     /// Deliberately **not** exported, because each is either derivable
-    /// or lazily rebuilt (exporting them stale would be the divergence
-    /// bug this API exists to rule out):
+    /// or rebuilt on demand (exporting them stale would be the
+    /// divergence bug this API exists to rule out):
     ///
     /// * the negative-load count — recomputed from the loads on
     ///   restore;
-    /// * the `run_until` load multiset and the adversary argmax index —
-    ///   alive only while their consumer runs, rebuilt on demand;
     /// * the tracked [`DynamicConnectivity`] structure — re-anchored by
     ///   calling [`track_connectivity`](Engine::track_connectivity)
     ///   after restore;
@@ -1245,11 +1038,10 @@ impl Engine {
     /// same loads, graph, errors, step numbering and cumulative
     /// counters on every execution path.
     ///
-    /// All lazily maintained indices (the `run_until` load multiset,
-    /// the adversary argmax index, the tracked connectivity structure)
-    /// are explicitly invalidated: each is rebuilt from the restored
-    /// loads/graph the next time its consumer runs, so none can
-    /// survive a snapshot in a stale state.
+    /// The tracked connectivity structure is not restored: it is
+    /// re-anchored on the restored graph by the next
+    /// [`track_connectivity`](Engine::track_connectivity) call, so it
+    /// cannot survive a snapshot in a stale state.
     ///
     /// # Panics
     ///
@@ -1270,7 +1062,8 @@ impl Engine {
             vector_stats,
         } = state;
         // `new` recomputes the negative count from the loads and
-        // starts with a fresh plan/ledger for the restored graph.
+        // starts with a fresh plan/ledger and no tracked connectivity
+        // for the restored graph.
         let mut engine = Engine::new(graph, LoadVector::new(loads));
         engine.step = step;
         engine.negative_node_steps = negative_node_steps;
@@ -1280,11 +1073,6 @@ impl Engine {
         engine.negative_rescans = negative_rescans;
         engine.vector_config = vector_config;
         engine.vector_stats = vector_stats;
-        // Invalidate-on-restore, spelled out: these are rebuilt on
-        // demand and must never be trusted across a snapshot boundary.
-        engine.tracker = None;
-        engine.argmax = None;
-        engine.connectivity = None;
         engine
     }
 }
@@ -1632,10 +1420,10 @@ mod tests {
         assert_eq!(kern.injected_total(), reference.injected_total());
     }
 
-    /// Regression (PR 4): `run_until` used to evaluate its predicate
-    /// through `step()`, paying a full `O(n)` discrepancy rescan every
-    /// round. It now builds the load multiset once and maintains it
-    /// incrementally — exactly one counted scan per call, pinned here.
+    /// The `discrepancy_scans` contract: exactly one discrepancy scan
+    /// per `StepSummary` produced. `run_until` is a loop over `step`,
+    /// so it pays one per round, and the `run*` entry points, which
+    /// produce no summaries, pay none.
     #[test]
     fn run_until_performs_exactly_one_discrepancy_scan() {
         let gp = lazy_cycle(16);
@@ -1644,29 +1432,36 @@ mod tests {
         let hit = engine
             .run_until(&mut rotor, 10_000, |s| s.discrepancy <= 10)
             .unwrap();
-        assert!(hit.is_some());
+        assert_eq!(hit, Some(engine.step_count()));
         assert!(engine.step_count() > 50, "predicate must take many rounds");
         assert_eq!(
             engine.discrepancy_scans(),
-            1,
-            "run_until must not rescan per round"
+            engine.step_count() as u64,
+            "run_until scans once per summary"
         );
-        // A second call scans once more; step() scans once per call.
+        // A predicate that fires at once costs one round and one scan;
+        // step() scans once per call.
         engine.run_until(&mut rotor, 10, |_| true).unwrap();
-        assert_eq!(engine.discrepancy_scans(), 2);
         engine.step(&mut rotor).unwrap();
         engine.step(&mut rotor).unwrap();
-        assert_eq!(engine.discrepancy_scans(), 4);
+        let summaries = engine.step_count() as u64;
+        assert_eq!(engine.discrepancy_scans(), summaries);
+        // The summary-free entry points never scan.
+        engine.run(&mut rotor, 5).unwrap();
+        engine.run_fast(&mut rotor, 5).unwrap();
+        engine.run_kernel(&mut rotor, 5).unwrap();
+        engine.run_until(&mut rotor, 0, |_| true).unwrap();
+        assert_eq!(engine.discrepancy_scans(), summaries);
     }
 
-    /// The tracker-served discrepancy must equal the scanned one at
-    /// every predicate evaluation, including under schemes that leave
-    /// negative loads in place.
+    /// `run_until`'s summaries must equal `step`'s at every predicate
+    /// evaluation, including under schemes that leave negative loads
+    /// in place.
     #[test]
     fn run_until_summary_matches_scanned_discrepancy() {
         use crate::schemes::SendRound;
         // The second graph has node 0 — the point mass — asleep, so
-        // every round's handoff moves load through the tracker sync
+        // every round's handoff moves load before the summary is taken
         // (its neighbours keep sending to it, and it keeps forwarding).
         let awake = lazy_cycle(8);
         let mut asleep = lazy_cycle(8);
@@ -2177,80 +1972,6 @@ mod tests {
         assert_eq!(kernel, reference, "run_kernel_dyn");
     }
 
-    /// An argmax-hungry workload that records which hints it got, so
-    /// the tests below can pin the engine-side index behaviour.
-    struct HintProbe {
-        hints: Vec<Option<(usize, i64)>>,
-    }
-    impl crate::Workload for HintProbe {
-        fn label(&self) -> String {
-            "hint-probe".into()
-        }
-        fn needs_argmax(&self) -> bool {
-            true
-        }
-        fn inject(&mut self, _round: usize, loads: &[i64], deltas: &mut [i64]) {
-            // Fallback scan, lowest id on ties.
-            let mut t = 0usize;
-            for (u, &x) in loads.iter().enumerate() {
-                if x > loads[t] {
-                    t = u;
-                }
-            }
-            self.hints.push(None);
-            deltas[t] += 1;
-        }
-        fn inject_with_hint(
-            &mut self,
-            round: usize,
-            loads: &[i64],
-            argmax: Option<(usize, i64)>,
-            deltas: &mut [i64],
-        ) {
-            match argmax {
-                Some((node, load)) => {
-                    // The hint must equal what the scan would find.
-                    let mut t = 0usize;
-                    for (u, &x) in loads.iter().enumerate() {
-                        if x > loads[t] {
-                            t = u;
-                        }
-                    }
-                    assert_eq!((node, load), (t, loads[t]), "hint diverged from scan");
-                    self.hints.push(argmax);
-                    deltas[node] += 1;
-                }
-                None => self.inject(round, loads, deltas),
-            }
-        }
-    }
-
-    #[test]
-    fn planned_paths_serve_argmax_from_the_maintained_index() {
-        let mut engine = Engine::new(lazy_cycle(16), LoadVector::point_mass(16, 160));
-        let mut probe = HintProbe { hints: Vec::new() };
-        engine
-            .run_dyn(&mut SendFloor::new(), 40, None, Some(&mut probe))
-            .unwrap();
-        assert_eq!(probe.hints.len(), 40);
-        assert!(
-            probe.hints.iter().all(Option::is_some),
-            "every planned-path round must be served from the index"
-        );
-        // The kernel path hands out no hints (documented fallback).
-        let mut engine = Engine::new(lazy_cycle(16), LoadVector::point_mass(16, 160));
-        let mut probe = HintProbe { hints: Vec::new() };
-        engine
-            .run_kernel_dyn(
-                &mut SendFloor::new(),
-                40,
-                StaticTopology::none(),
-                Some(&mut probe),
-            )
-            .unwrap();
-        assert!(probe.hints.iter().all(Option::is_none));
-    }
-
     /// Asserts every resumable counter of `a` equals `b`'s — the
     /// snapshot contract the serve layer builds on.
     fn assert_counters_match(a: &Engine, b: &Engine, what: &str) {
@@ -2374,33 +2095,40 @@ mod tests {
 
     #[test]
     fn restore_invalidates_lazy_indices() {
-        // Build both lazy indices (argmax via a hint-hungry workload,
-        // multiset via run_until), snapshot, and prove the restored
-        // engine re-derives rather than trusts them: the hint check
-        // inside HintProbe fires if a stale index survives, and
-        // run_until converges with correct scan accounting.
+        // The one structure rebuilt on demand — tracked connectivity —
+        // is not carried across a snapshot: the restored engine
+        // re-anchors it on the restored graph. The scan counter resumes
+        // at its exported value and grows by one per summary after.
         let mut engine = Engine::new(lazy_cycle(16), LoadVector::point_mass(16, 1600));
-        let mut probe = HintProbe { hints: Vec::new() };
+        engine.track_connectivity();
         engine
-            .run_dyn(&mut SendFloor::new(), 10, None, Some(&mut probe))
+            .run_until(&mut SendFloor::new(), 10, |_| false)
             .unwrap();
         let scans_at_export = engine.discrepancy_scans();
+        assert_eq!(scans_at_export, 10);
         let mut resumed = Engine::from_state(engine.export_state());
-        let mut probe = HintProbe { hints: Vec::new() };
+        assert_eq!(resumed.is_connected(), None, "re-anchored, not restored");
+        resumed.track_connectivity();
+        assert_eq!(resumed.is_connected(), Some(true));
         resumed
-            .run_dyn(&mut SendFloor::new(), 10, None, Some(&mut probe))
+            .run_dyn(
+                &mut SendFloor::new(),
+                10,
+                None,
+                Some(&mut Node0Arrivals { rate: 3 }),
+            )
             .unwrap();
-        assert_eq!(probe.hints.len(), 10);
-        assert!(probe.hints.iter().all(Option::is_some));
         assert_eq!(resumed.discrepancy_scans(), scans_at_export);
         // Threshold 2·d⁺ = 8: the scenario layer's recovery bar, which
         // SEND(⌊x/d⁺⌋) provably reaches on a lazy cycle.
         let reached = resumed
             .run_until(&mut SendFloor::new(), 2000, |s| s.discrepancy <= 8)
-            .unwrap();
-        assert!(reached.is_some(), "run_until converged after restore");
-        // run_until pays exactly one full scan (tracker rebuild).
-        assert_eq!(resumed.discrepancy_scans(), scans_at_export + 1);
+            .unwrap()
+            .expect("run_until converged after restore");
+        assert_eq!(
+            resumed.discrepancy_scans(),
+            scans_at_export + (reached - 20) as u64
+        );
     }
 
     #[test]

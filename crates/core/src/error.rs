@@ -47,6 +47,16 @@ pub enum EngineError {
         /// The graph layer's description of the violation.
         reason: String,
     },
+    /// A round's injection would take a node's load, or the engine's
+    /// cumulative net injection, outside the `i64` range. The round is
+    /// rolled back whole, like [`NegativeLoad`](EngineError::NegativeLoad).
+    InjectionOverflow {
+        /// The first node, in id order, whose load or running injection
+        /// total would overflow.
+        node: usize,
+        /// The step whose injection overflowed (1-based).
+        step: usize,
+    },
     /// A worker thread of an earlier multi-threaded round protocol
     /// panicked mid-round, and the round was rolled back whole. No
     /// current execution path raises it (the range-split workers run
@@ -86,6 +96,9 @@ impl fmt::Display for EngineError {
             EngineError::Topology { step, reason } => {
                 write!(f, "topology event rejected at step {step}: {reason}")
             }
+            EngineError::InjectionOverflow { node, step } => {
+                write!(f, "injection at step {step} overflows i64 at node {node}")
+            }
             EngineError::WorkerPanic { step, message } => {
                 write!(f, "worker thread panicked at step {step}: {message}")
             }
@@ -122,6 +135,9 @@ mod tests {
             step: 5,
         };
         assert!(e.to_string().contains("-2"));
+
+        let e = EngineError::InjectionOverflow { node: 6, step: 2 };
+        assert!(e.to_string().contains("node 6") && e.to_string().contains("step 2"));
 
         let e = EngineError::WorkerPanic {
             step: 4,

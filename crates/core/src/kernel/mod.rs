@@ -110,27 +110,15 @@ pub(crate) struct KernelRun<'a, S: ?Sized, W: ?Sized> {
 
 /// Counters a kernel run hands back to the engine, which folds them
 /// into its cumulative totals — the numbers the engine's
-/// `fill_metrics` exports into the dlb-obs MetricRegistry.
+/// `fill_metrics` exports into the dlb-obs MetricRegistry (the
+/// pre-round writes net injection and topology events through
+/// [`RoundState`] directly).
 pub(crate) struct KernelRunStats {
     /// Full rounds completed (an erroring round is not counted and does
     /// not mutate loads).
     pub steps_done: usize,
     /// Node-steps that ended with negative load, summed over the run.
     pub negative_node_steps: u64,
-    /// Net workload injection applied over the completed rounds (an
-    /// erroring round's injection is undone and not counted).
-    pub injected: i64,
-    /// Topology events applied over the completed rounds (an erroring
-    /// round's events are undone and not counted).
-    pub topology_events: u64,
-    /// Full `O(n)` negative-load recounts the run performed. Since the
-    /// recount for overdrawing schemes was folded into the streaming
-    /// apply (every `next[]` write updates the count incrementally),
-    /// this is identically zero on every kernel path — the engine
-    /// accumulates it into [`Engine::negative_rescans`](crate::Engine::negative_rescans)
-    /// and a regression test pins it at zero, so a future "just rescan"
-    /// shortcut cannot sneak the `O(n·steps)` cost back in silently.
-    pub negative_rescans: u64,
 }
 
 /// Sums one planned node's original-edge outflow and, when `check` is
@@ -206,10 +194,10 @@ impl FlowsBuf for Vec<u64> {
 /// starts with the shared [`PreRound`] — mutate, inject, hand off,
 /// negative-check — and the kernel only streams the flows.
 ///
-/// Dispatches to a degree-monomorphised round loop. On return,
-/// `st.loads` and `st.negative` hold the state after the last fully
-/// completed round, and so does the graph (an erroring round is
-/// undone).
+/// Dispatches to a degree-monomorphised round loop. On return, every
+/// part of `st` — loads, negative count, graph and counters — holds
+/// the state after the last fully completed round (an erroring round
+/// is undone).
 ///
 /// The loop is monomorphised over the [`Sink`] too: the `NoopSink`
 /// instantiation (what the untraced entry points pass) folds every
@@ -301,6 +289,8 @@ where
         mut connectivity,
         loads,
         negative: negative_out,
+        injected,
+        events,
     } = st;
     let n = loads.len();
     let d = gp.degree();
@@ -316,8 +306,6 @@ where
     let mut negative = *negative_out;
     let mut negative_node_steps = 0u64;
     let mut steps_done = 0usize;
-    let mut injected = 0i64;
-    let mut topology_events = 0u64;
     let mut error = None;
 
     'rounds: for iter in 0..steps {
@@ -325,30 +313,25 @@ where
 
         // Mutate, inject, hand off, negative-check — applied in place
         // to the front buffer so the stream reads the injected loads.
-        // A rejected pre-round has already rolled itself back. No
-        // argmax hint on the kernel path: the double buffer's writes
-        // bypass the engine's load index, so argmax-hungry workloads
-        // fall back to their own scan.
-        let injected_round = match pre.run(
+        // A rejected pre-round has already rolled itself back.
+        if let Err(e) = pre.run(
             step_no,
             RoundState {
                 gp: &mut *gp,
                 connectivity: connectivity.as_deref_mut(),
                 loads: &mut *cur,
                 negative: &mut negative,
+                injected: &mut *injected,
+                events: &mut *events,
             },
             schedule.as_deref_mut(),
             workload.as_deref_mut(),
-            None,
             CHECK,
             sink,
         ) {
-            Ok(net) => net,
-            Err(e) => {
-                error = Some(e);
-                break;
-            }
-        };
+            error = Some(e);
+            break;
+        }
 
         let stream_probe = sink.start();
         let graph = gp.graph();
@@ -389,6 +372,8 @@ where
                         connectivity: connectivity.as_deref_mut(),
                         loads: &mut *cur,
                         negative: &mut negative,
+                        injected: &mut *injected,
+                        events: &mut *events,
                     });
                     error = Some(e);
                     break 'rounds;
@@ -425,8 +410,6 @@ where
         sink.span(Phase::Stream, step_no as u64, stream_probe);
         std::mem::swap(&mut cur, &mut next);
         steps_done = iter + 1;
-        injected += injected_round;
-        topology_events += pre.events_applied();
         if !CHECK {
             negative = neg_next;
             debug_assert_eq!(negative, cur.iter().filter(|&&x| x < 0).count());
@@ -445,9 +428,6 @@ where
         KernelRunStats {
             steps_done,
             negative_node_steps,
-            injected,
-            topology_events,
-            negative_rescans: 0,
         },
         error,
     )

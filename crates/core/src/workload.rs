@@ -15,7 +15,10 @@
 //! structure:
 //!
 //! 1. **inject** — `x'_t = x_t + w_t`, where `w_t` is the workload's
-//!    delta vector for round `t` computed from the pre-round loads;
+//!    delta vector for round `t` computed from the pre-round loads; a
+//!    delta that would take a load, or the cumulative net injection,
+//!    outside `i64` fails the round with
+//!    [`InjectionOverflow`](crate::EngineError::InjectionOverflow);
 //! 2. **check** — non-overdrawing schemes reject any negative
 //!    post-injection load ([`NegativeLoad`](crate::EngineError::NegativeLoad));
 //! 3. **plan + validate + route** — the scheme balances `x'_t` exactly
@@ -26,9 +29,13 @@
 //! on error the loads are those after the last fully completed round on
 //! every path — the same guarantee the closed-system paths give — while
 //! the reported error still carries the post-injection load that
-//! triggered it. All paths call [`Workload::inject`] exactly once per
-//! attempted round with identical `(round, loads)` inputs, so stateful
-//! (e.g. seeded-RNG) workloads stay bit-identical across paths.
+//! triggered it. All paths call [`Workload::inject`] — the trait's one
+//! injection entry point — exactly once per attempted round with
+//! identical `(round, loads)` inputs, so stateful (e.g. seeded-RNG)
+//! workloads stay bit-identical across paths. The engine keeps no load
+//! index on a workload's behalf: one that targets a whole-vector
+//! statistic (the bounded adversary's argmax) scans `loads` itself,
+//! which costs the same order as the round's own `O(n)` flow pass.
 //!
 //! Concrete generators (steady arrivals, bursts, hotspots, drains, a
 //! bounded adversary) live in the `dlb-scenario` crate; this module
@@ -66,39 +73,6 @@ pub trait Workload: Send {
     /// path with the same workload.
     fn reset(&mut self) {}
 
-    /// Whether this workload wants the engine's `(argmax node, max
-    /// load)` hint each round. Workloads that target the most-loaded
-    /// node (the bounded adversary) opt in; on the planned execution
-    /// paths the engine then serves the argmax from an incrementally
-    /// maintained load index instead of the workload rescanning the
-    /// whole vector every injecting round.
-    fn needs_argmax(&self) -> bool {
-        false
-    }
-
-    /// [`inject`](Workload::inject) with the engine's argmax hint.
-    /// `argmax` is `Some((node, load))` — the most-loaded node, lowest
-    /// id on ties, exactly what a full ascending scan with a strict
-    /// `>` comparison finds — when the engine maintains the index
-    /// (planned paths, for workloads whose
-    /// [`needs_argmax`](Workload::needs_argmax) is true), and `None`
-    /// on the kernel path, where the workload falls back to
-    /// its own scan. Both sources see identical loads, so the streams
-    /// stay bit-identical across paths.
-    ///
-    /// The default ignores the hint and delegates to
-    /// [`inject`](Workload::inject); engines always call this method.
-    fn inject_with_hint(
-        &mut self,
-        round: usize,
-        loads: &[i64],
-        argmax: Option<(usize, i64)>,
-        deltas: &mut [i64],
-    ) {
-        let _ = argmax;
-        self.inject(round, loads, deltas);
-    }
-
     /// Whether this workload provably never injects anything — true
     /// only for [`NoWorkload`] and equivalents. The engine folds a
     /// `Some(noop)` argument to the genuinely closed system, so fast
@@ -113,7 +87,7 @@ pub trait Workload: Send {
     /// checkpoint must carry so that an **identically configured**
     /// fresh instance, after [`restore_cursor`](Workload::restore_cursor),
     /// continues this instance's delta stream exactly (RNG position,
-    /// phase counters, fallback-scan tallies). Stateless workloads
+    /// phase counters, scan tallies). Stateless workloads
     /// return an empty cursor. Configuration (rates, seeds, sink sets)
     /// is *not* part of the cursor — it travels as the workload's spec.
     fn cursor(&self) -> Vec<u64> {

@@ -232,8 +232,8 @@ impl Scenario {
         // injection ends has genuinely recovered in zero rounds —
         // checked before stepping, since `run_until` evaluates its
         // predicate only *after* each round. Otherwise `run_until`
-        // serves the predicate from the incremental discrepancy
-        // tracker, so a long recovery does not pay a scan per round.
+        // steps until the summary's discrepancy reaches it (one scan
+        // per round, the order of the round's own flow pass).
         let recovery_rounds = if loads_after_injection.discrepancy() <= self.recovery_threshold {
             Some(0)
         } else {

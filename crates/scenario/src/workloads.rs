@@ -230,13 +230,11 @@ impl Workload for Drain {
 /// the `≤ B` tokens/round bound under which steady-state discrepancy
 /// results are stated.
 ///
-/// Argmax-aware: on the planned execution paths the engine maintains
-/// an incremental load index and serves the `(argmax, max)` pair as a
-/// hint, so the adversary injects without rescanning the load vector;
-/// on the plan-free paths (no hint) it falls back to its own full
-/// scan, counted in [`scans`](BoundedAdversary::scans) — the counter
-/// the regression tests pin so the planned paths can never silently
-/// regress to one `O(n)` scan per injecting round.
+/// It finds its target with one full ascending scan of the loads per
+/// injecting round, on every execution path — the same order of work
+/// as the round's own flow pass — counted in
+/// [`scans`](BoundedAdversary::scans), which the cross-path tests pin
+/// at exactly one per injecting round.
 #[derive(Debug, Clone, Copy)]
 pub struct BoundedAdversary {
     budget: u64,
@@ -249,23 +247,10 @@ impl BoundedAdversary {
         BoundedAdversary { budget, scans: 0 }
     }
 
-    /// Full `O(n)` argmax scans this instance has performed (zero when
-    /// every injection was served from the engine's hint).
+    /// Full `O(n)` argmax scans this instance has performed: one per
+    /// injecting round.
     pub fn scans(&self) -> u64 {
         self.scans
-    }
-
-    /// The counted fallback scan: lowest id on ties, exactly the tie
-    /// rule of the engine's index.
-    fn scan_argmax(&mut self, loads: &[i64]) -> usize {
-        self.scans += 1;
-        let mut target = 0usize;
-        for (u, &x) in loads.iter().enumerate() {
-            if x > loads[target] {
-                target = u;
-            }
-        }
-        target
     }
 }
 
@@ -275,25 +260,16 @@ impl Workload for BoundedAdversary {
     }
 
     fn inject(&mut self, _round: usize, loads: &[i64], deltas: &mut [i64]) {
-        let target = self.scan_argmax(loads);
-        deltas[target] += self.budget as i64;
-    }
-
-    fn needs_argmax(&self) -> bool {
-        true
-    }
-
-    fn inject_with_hint(
-        &mut self,
-        round: usize,
-        loads: &[i64],
-        argmax: Option<(usize, i64)>,
-        deltas: &mut [i64],
-    ) {
-        match argmax {
-            Some((target, _)) => deltas[target] += self.budget as i64,
-            None => self.inject(round, loads, deltas),
+        // Lowest id on ties: only a strictly larger load moves the
+        // target.
+        self.scans += 1;
+        let mut target = 0usize;
+        for (u, &x) in loads.iter().enumerate() {
+            if x > loads[target] {
+                target = u;
+            }
         }
+        deltas[target] += self.budget as i64;
     }
 
     fn reset(&mut self) {
@@ -301,8 +277,8 @@ impl Workload for BoundedAdversary {
     }
 
     // The injection stream itself is a pure function of the loads; the
-    // cursor only carries the fallback-scan tally so perf accounting
-    // survives a checkpoint.
+    // cursor only carries the scan tally, so perf accounting survives
+    // a checkpoint and existing snapshots keep decoding.
     fn cursor(&self) -> Vec<u64> {
         vec![self.scans]
     }
@@ -321,6 +297,9 @@ impl Workload for BoundedAdversary {
 /// Sums the deltas of several workloads (arrivals plus drains gives a
 /// flow-equilibrium scenario). Each child sees a private zeroed buffer,
 /// so children that *set* rather than *add* entries still compose.
+/// Every child sees the same pre-round loads, so a composed
+/// [`BoundedAdversary`] scans once per injecting round, exactly as it
+/// does alone.
 pub struct Compose {
     children: Vec<Box<dyn Workload>>,
     scratch: Vec<i64>,
@@ -343,29 +322,10 @@ impl Workload for Compose {
     }
 
     fn inject(&mut self, round: usize, loads: &[i64], deltas: &mut [i64]) {
-        self.inject_with_hint(round, loads, None, deltas);
-    }
-
-    /// A composition wants the argmax whenever any child does, and
-    /// forwards the engine's hint — every child sees the same
-    /// pre-round loads, so the same hint is valid for all of them. A
-    /// composed `BoundedAdversary` therefore keeps the zero-scan
-    /// guarantee of the planned paths.
-    fn needs_argmax(&self) -> bool {
-        self.children.iter().any(|c| c.needs_argmax())
-    }
-
-    fn inject_with_hint(
-        &mut self,
-        round: usize,
-        loads: &[i64],
-        argmax: Option<(usize, i64)>,
-        deltas: &mut [i64],
-    ) {
         self.scratch.resize(loads.len(), 0);
         for child in &mut self.children {
             self.scratch.fill(0);
-            child.inject_with_hint(round, loads, argmax, &mut self.scratch);
+            child.inject(round, loads, &mut self.scratch);
             for (d, &s) in deltas.iter_mut().zip(&self.scratch) {
                 *d += s;
             }
@@ -627,24 +587,21 @@ mod tests {
         let mut d = vec![0i64; 4];
         w.inject(1, &loads, &mut d);
         assert_eq!(d, vec![0, 4, 0, 0]);
-        assert_eq!(w.scans(), 1, "the fallback scan is counted");
-        // A hint bypasses the scan entirely and must be trusted.
+        assert_eq!(w.scans(), 1, "the scan is counted");
+        // Every injection rescans: the target follows the loads.
         let mut d = vec![0i64; 4];
-        w.inject_with_hint(2, &loads, Some((1, 9)), &mut d);
-        assert_eq!(d, vec![0, 4, 0, 0]);
-        assert_eq!(w.scans(), 1, "hinted injection must not rescan");
+        w.inject(2, &[9, 1, 1, 9], &mut d);
+        assert_eq!(d, vec![4, 0, 0, 0]);
+        assert_eq!(w.scans(), 2, "one scan per injecting round");
         w.reset();
         assert_eq!(w.scans(), 0);
     }
 
-    /// Regression (PR 5): the adversary used to rescan the full load
-    /// vector for its argmax every injecting round on *every* path.
-    /// The planned paths now serve it from the engine's incrementally
-    /// maintained load index — zero adversary scans over an entire
-    /// run — while the plan-free paths keep the (counted) fallback and
-    /// still land on the identical target.
+    /// Every execution path hands the adversary the same loads once
+    /// per round, so each pays exactly one scan per injecting round
+    /// and lands on the identical target.
     #[test]
-    fn adversary_scans_are_zero_on_the_planned_paths() {
+    fn adversary_scans_once_per_injecting_round_on_every_path() {
         use dlb_core::schemes::SendFloor;
         use dlb_core::{Engine, LoadVector, StaticTopology};
         use dlb_graph::{generators, BalancingGraph};
@@ -657,84 +614,65 @@ mod tests {
         engine
             .run_dyn(&mut SendFloor::new(), 60, None, Some(&mut planned))
             .unwrap();
-        assert_eq!(
-            planned.scans(),
-            0,
-            "planned paths must serve the argmax from the engine index"
-        );
-        let planned_loads = engine.loads().clone();
+        assert_eq!(planned.scans(), 60, "planned path: one scan per round");
 
-        let mut fallback = BoundedAdversary::new(7);
+        let mut streamed = BoundedAdversary::new(7);
         let mut kernel = Engine::new(gp, initial);
         kernel
             .run_kernel_dyn(
                 &mut SendFloor::new(),
                 60,
                 StaticTopology::none(),
-                Some(&mut fallback),
+                Some(&mut streamed),
             )
             .unwrap();
-        assert_eq!(fallback.scans(), 60, "kernel path pays one scan per round");
-        assert_eq!(
-            kernel.loads(),
-            &planned_loads,
-            "hint and scan must pick identical targets"
-        );
+        assert_eq!(streamed.scans(), 60, "kernel path: one scan per round");
+        assert_eq!(kernel.loads(), engine.loads(), "identical targets");
+        assert_eq!(kernel.injected_total(), 60 * 7);
     }
 
-    /// Regression (PR 5 review): `Compose` must forward the argmax
-    /// capability and hint — a composed adversary keeps the planned
-    /// paths' zero-scan guarantee instead of silently regressing to
-    /// one full scan per injecting round.
+    /// A composed adversary scans once per injecting round too, on
+    /// every path; its scan tally rides in its cursor frame.
     #[test]
-    fn composed_adversary_keeps_the_zero_scan_guarantee() {
+    fn composed_adversary_scans_once_per_injecting_round() {
         use dlb_core::schemes::SendFloor;
-        use dlb_core::{Engine, LoadVector};
+        use dlb_core::{Engine, LoadVector, StaticTopology};
         use dlb_graph::{generators, BalancingGraph};
 
-        /// Panics if the engine ever injects it without a hint.
-        struct DemandsHint;
-        impl Workload for DemandsHint {
-            fn label(&self) -> String {
-                "demands-hint".into()
-            }
-            fn needs_argmax(&self) -> bool {
-                true
-            }
-            fn inject(&mut self, _round: usize, _loads: &[i64], _deltas: &mut [i64]) {
-                panic!("planned paths must serve composed children from the engine index");
-            }
-            fn inject_with_hint(
-                &mut self,
-                _round: usize,
-                loads: &[i64],
-                argmax: Option<(usize, i64)>,
-                deltas: &mut [i64],
-            ) {
-                let (node, load) = argmax.expect("hint must be forwarded through Compose");
-                assert_eq!(load, loads[node]);
-                deltas[node] += 5;
-            }
-        }
-
-        let mut composed = Compose::new(vec![
-            Box::new(DemandsHint),
-            Box::new(SteadyArrivals::new(3, 2)),
-        ]);
-        assert!(composed.needs_argmax(), "any argmax-hungry child suffices");
+        let compose = || {
+            Compose::new(vec![
+                Box::new(BoundedAdversary::new(5)),
+                Box::new(SteadyArrivals::new(3, 2)),
+            ])
+        };
         let gp = BalancingGraph::lazy(generators::cycle(16).unwrap());
-        let mut engine = Engine::new(gp, LoadVector::point_mass(16, 160));
+        let mut planned = compose();
+        let mut engine = Engine::new(gp.clone(), LoadVector::point_mass(16, 160));
         engine
-            .run_dyn(&mut SendFloor::new(), 40, None, Some(&mut composed))
+            .run_dyn(&mut SendFloor::new(), 40, None, Some(&mut planned))
             .unwrap();
         assert_eq!(engine.injected_total(), 40 * (5 + 3));
+        // Frame layout: [len = 1, adversary scans, len = 4, rng…].
+        assert_eq!(&planned.cursor()[..2], &[1, 40]);
 
-        // At the trait level, a hint reaches each child verbatim.
+        let mut streamed = compose();
+        let mut kernel = Engine::new(gp, LoadVector::point_mass(16, 160));
+        kernel
+            .run_kernel_dyn(
+                &mut SendFloor::new(),
+                40,
+                StaticTopology::none(),
+                Some(&mut streamed),
+            )
+            .unwrap();
+        assert_eq!(kernel.loads(), engine.loads());
+        assert_eq!(streamed.cursor(), planned.cursor());
+
+        // At the trait level, each child reads the same loads.
         let mut compose = Compose::new(vec![Box::new(BoundedAdversary::new(5))]);
-        let loads = vec![1i64, 9, 2, 2];
         let mut deltas = vec![0i64; 4];
-        compose.inject_with_hint(1, &loads, Some((1, 9)), &mut deltas);
-        assert_eq!(deltas, vec![0, 5, 0, 0], "hint forwarded to the child");
+        compose.inject(1, &[1, 9, 2, 2], &mut deltas);
+        assert_eq!(deltas, vec![0, 5, 0, 0], "the child scanned the loads");
     }
 
     #[test]

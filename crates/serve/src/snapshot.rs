@@ -402,6 +402,11 @@ pub(crate) fn encode_error(w: &mut Writer, error: Option<&EngineError>) {
             w.u64(*step as u64);
             w.str(message);
         }
+        Some(EngineError::InjectionOverflow { node, step }) => {
+            w.u8(6);
+            w.u64(*node as u64);
+            w.u64(*step as u64);
+        }
         // `EngineError` is non_exhaustive; a variant added upstream
         // must grow a tag here before snapshots can carry it.
         Some(other) => {
@@ -438,6 +443,10 @@ pub(crate) fn decode_error(r: &mut Reader<'_>) -> Result<Option<EngineError>, Wi
         5 => Some(EngineError::WorkerPanic {
             step: r.len64()?,
             message: r.str()?,
+        }),
+        6 => Some(EngineError::InjectionOverflow {
+            node: r.len64()?,
+            step: r.len64()?,
         }),
         other => return Err(WireError::new(at, format!("unknown error tag {other}"))),
     })
@@ -717,6 +726,7 @@ mod tests {
                 step: 2,
                 message: "boom".into(),
             }),
+            Some(EngineError::InjectionOverflow { node: 0, step: 2 }),
         ];
         for err in errors {
             let mut w = Writer::new();

@@ -556,6 +556,7 @@ fn error_step(e: &EngineError) -> Option<usize> {
         EngineError::Overdraw { step, .. }
         | EngineError::NegativeLoad { step, .. }
         | EngineError::Topology { step, .. }
+        | EngineError::InjectionOverflow { step, .. }
         | EngineError::WorkerPanic { step, .. } => Some(*step),
         EngineError::ShapeMismatch { .. } => None,
         _ => None,
@@ -615,8 +616,13 @@ struct RecordingWorkload<'a> {
     log: &'a mut Vec<(u64, Vec<(u32, i64)>)>,
 }
 
-impl RecordingWorkload<'_> {
-    fn record(&mut self, round: usize, deltas: &[i64]) {
+impl Workload for RecordingWorkload<'_> {
+    fn label(&self) -> String {
+        self.inner.label()
+    }
+
+    fn inject(&mut self, round: usize, loads: &[i64], deltas: &mut [i64]) {
+        self.inner.inject(round, loads, deltas);
         let sparse: Vec<(u32, i64)> = deltas
             .iter()
             .enumerate()
@@ -626,28 +632,6 @@ impl RecordingWorkload<'_> {
         if !sparse.is_empty() {
             self.log.push((round as u64, sparse));
         }
-    }
-}
-
-impl Workload for RecordingWorkload<'_> {
-    fn label(&self) -> String {
-        self.inner.label()
-    }
-
-    fn inject(&mut self, round: usize, loads: &[i64], deltas: &mut [i64]) {
-        self.inner.inject(round, loads, deltas);
-        self.record(round, deltas);
-    }
-
-    fn inject_with_hint(
-        &mut self,
-        round: usize,
-        loads: &[i64],
-        argmax: Option<(usize, i64)>,
-        deltas: &mut [i64],
-    ) {
-        self.inner.inject_with_hint(round, loads, argmax, deltas);
-        self.record(round, deltas);
     }
 
     fn reset(&mut self) {

@@ -150,6 +150,29 @@ fn errored_tenants_stop_and_replay_reproduces_the_error() {
     assert_eq!(resumed.error(), tenant.error());
 }
 
+/// An injection that overflows `i64` (a hotspot rate that passes
+/// `validate()` but doubles past 2⁶³ in round 2) stops the tenant with
+/// the typed error, which the journal replays and a snapshot carries.
+#[test]
+fn injection_overflow_stops_the_tenant_and_survives_snapshot_and_replay() {
+    let mut tenant = Tenant::new(
+        lazy_cycle(8),
+        LoadVector::uniform(8, 1),
+        SchemeKind::SendFloor,
+        Some(WorkloadSpec::Hotspot { rate: 1 << 62 }),
+        ScheduleSpec::Static,
+    )
+    .unwrap();
+    assert!(!tenant.run_rounds(4));
+    assert_eq!(
+        tenant.error(),
+        Some(&EngineError::InjectionOverflow { node: 0, step: 2 })
+    );
+    assert!(tenant.replay_matches().unwrap());
+    let resumed = Tenant::resume_from_snapshot(&tenant.snapshot()).unwrap();
+    assert_eq!(resumed.error(), tenant.error());
+}
+
 fn mixed_fleet() -> Vec<Tenant> {
     let workloads = [
         None,

@@ -24,6 +24,11 @@
 //!   churns* are part of the fuzzed space — and the failed round must
 //!   roll back its topology events on every path, not just its
 //!   injection.
+//!
+//! Deterministic anchors pin what the spec-driven fuzz cannot reach:
+//! the bounded adversary inside a `Compose` (with its one scan per
+//! injecting round on every path) and an injection that overflows
+//! `i64` (`InjectionOverflow`, rolled back like `NegativeLoad`).
 
 use dlb::core::schemes::{RotorRouter, SendFloor, SendRound};
 use dlb::core::{
@@ -31,6 +36,7 @@ use dlb::core::{
     TopologySchedule, VectorConfig, VectorStats, VectorStrategy, VectorWidth, Workload,
 };
 use dlb::graph::{generators, BalancingGraph, PortOrder, RegularGraph};
+use dlb::scenario::workloads::{BoundedAdversary, Compose, SteadyArrivals};
 use dlb::scenario::WorkloadSpec;
 use dlb::topology::ScheduleSpec;
 use proptest::prelude::*;
@@ -904,6 +910,124 @@ fn resume_across_a_divergence_point_reproduces_the_error() {
             ) {
                 outcome.assert_matches(&reference, &format!("resume@{split} via {label}"));
             }
+        }
+    }
+}
+
+/// Drives `steps` rounds of the rotor-router with `workload` on one of
+/// the three dynamic paths — 0: the `step_dyn` loop, 1: `run_fast_dyn`,
+/// 2: `run_kernel_dyn` — for inputs the spec-driven drivers cannot
+/// build.
+fn drive_workload(
+    path: usize,
+    gp: &BalancingGraph,
+    sspec: &Option<ScheduleSpec>,
+    workload: &mut dyn Workload,
+    initial: &LoadVector,
+    steps: usize,
+) -> Outcome {
+    let mut schedule = build_schedule(sspec);
+    let mut rotor = RotorRouter::new(gp, PortOrder::Sequential).unwrap();
+    let mut engine = Engine::new(gp.clone(), initial.clone());
+    let error = match path {
+        0 => (0..steps).find_map(|_| {
+            engine
+                .step_dyn(&mut rotor, schedule.as_deref_mut(), Some(&mut *workload))
+                .err()
+        }),
+        1 => engine
+            .run_fast_dyn(&mut rotor, steps, schedule.as_deref_mut(), Some(workload))
+            .err(),
+        _ => engine
+            .run_kernel_dyn(&mut rotor, steps, schedule.as_deref_mut(), Some(workload))
+            .err(),
+    };
+    Outcome::capture(&engine, Some(rotor.rotors().to_vec()), error)
+}
+
+/// The bounded adversary, alone and inside a `Compose`, across every
+/// graph family and churn schedule of the battery: the three dynamic
+/// paths must agree on the whole outcome, and each must hand the
+/// adversary the loads exactly once per injecting round — so its
+/// `scans()` tally equals the rounds run on every path.
+#[test]
+fn bounded_adversary_alone_and_composed_is_identical_on_every_path() {
+    let steps = 24;
+    for graph_idx in 0..5 {
+        let (gname, graph) = graph_for(graph_idx);
+        let n = graph.num_nodes();
+        let gp = BalancingGraph::lazy(graph);
+        let initial = LoadVector::point_mass(n, 30 * n as i64);
+        for schedule_idx in 0..6 {
+            let sspec = schedule_for(schedule_idx);
+            let sname = sspec
+                .as_ref()
+                .map_or_else(|| "static".into(), ScheduleSpec::label);
+            let mut reference = None;
+            for path in 0..3 {
+                let mut alone = BoundedAdversary::new(6);
+                let outcome = drive_workload(path, &gp, &sspec, &mut alone, &initial, steps);
+                let tag = format!("adversary via path {path} on {gname}/{sname}");
+                assert_eq!(outcome.error, None, "{tag}");
+                assert_eq!(outcome.injected_total, 6 * steps as i64, "{tag}");
+                assert_eq!(alone.scans(), steps as u64, "{tag}: scans");
+
+                // The composed adversary's scan tally is the first
+                // frame of the composition's cursor: [1, scans, …].
+                let mut composed = Compose::new(vec![
+                    Box::new(BoundedAdversary::new(6)),
+                    Box::new(SteadyArrivals::new(5, 3)),
+                ]);
+                let mixed = drive_workload(path, &gp, &sspec, &mut composed, &initial, steps);
+                let ctag = format!("composed {tag}");
+                assert_eq!(mixed.error, None, "{ctag}");
+                assert_eq!(mixed.injected_total, 11 * steps as i64, "{ctag}");
+                assert_eq!(&composed.cursor()[..2], &[1, steps as u64], "{ctag}: scans");
+
+                match &reference {
+                    None => reference = Some((outcome, mixed)),
+                    Some((r_alone, r_mixed)) => {
+                        outcome.assert_matches(r_alone, &tag);
+                        mixed.assert_matches(r_mixed, &ctag);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Regression: `WorkloadSpec::Hotspot { rate: 1 << 62 }` passes
+/// `validate()`, and its second round takes the cumulative injection
+/// to 2⁶³. Debug builds used to panic on the overflowing add and
+/// release builds wrapped `injected_total` and the load total
+/// negative. Every path must now reject round 2 with the same typed
+/// error and roll it back whole.
+#[test]
+fn injection_overflow_is_a_typed_error_rolled_back_on_every_path() {
+    let spec = WorkloadSpec::Hotspot { rate: 1 << 62 };
+    spec.validate().unwrap();
+    let gp = BalancingGraph::lazy(generators::cycle(8).unwrap());
+    let initial = LoadVector::uniform(8, 1);
+    let mut reference: Option<Outcome> = None;
+    for path in 0..3 {
+        let mut workload = spec.build(8);
+        let outcome = drive_workload(path, &gp, &None, workload.as_mut(), &initial, 4);
+        let tag = format!("path {path}");
+        assert_eq!(
+            outcome.error,
+            Some(EngineError::InjectionOverflow { node: 0, step: 2 }),
+            "{tag}"
+        );
+        assert_eq!(outcome.steps, 1, "{tag}: round 2 rolled back");
+        assert_eq!(outcome.injected_total, 1 << 62, "{tag}");
+        assert_eq!(
+            outcome.loads.iter().sum::<i64>(),
+            8 + (1 << 62),
+            "{tag}: conservation"
+        );
+        match &reference {
+            None => reference = Some(outcome),
+            Some(r) => outcome.assert_matches(r, &tag),
         }
     }
 }

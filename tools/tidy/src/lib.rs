@@ -44,10 +44,10 @@
 //! * **pre-round** — one module owns a round's dynamics and rollback:
 //!   outside `#[cfg(test)]`, only `crates/core/src/round.rs` may call
 //!   `drive_events_checked`, `undo_events_checked`, `handoff_deltas`
-//!   or `inject_with_hint` anywhere in `crates/core/src`. The planned
-//!   and kernel round drivers call that module instead, so the mutate
-//!   → inject → handoff → negative-check → rollback sequence cannot
-//!   drift back into two copies.
+//!   or the workload's `inject` anywhere in `crates/core/src`. The
+//!   planned and kernel round drivers call that module instead, so the
+//!   mutate → inject → handoff → negative-check → rollback sequence
+//!   cannot drift back into two copies.
 //!
 //! Test regions (`#[cfg(test)]` modules) and comments are masked out
 //! before linting, so tests may unwrap and assert freely. The masking
@@ -338,7 +338,7 @@ const PRE_ROUND_PRIMITIVES: [&str; 4] = [
     "drive_events_checked",
     "undo_events_checked",
     "handoff_deltas",
-    "inject_with_hint",
+    "inject",
 ];
 
 /// The one file in `crates/core/src` allowed to call them.
@@ -843,7 +843,7 @@ mod tests {
             "fn f() { topology::drive_events_checked(s, 1, g, a, b, None).ok(); }\n",
             "fn f() { topology::undo_events_checked(g, &applied, None); }\n",
             "fn f() { mutate::handoff_deltas(g, loads, &mut deltas); }\n",
-            "fn f() { w.inject_with_hint(1, loads, None, &mut deltas); }\n",
+            "fn f() { w.inject(1, loads, &mut deltas); }\n",
         ];
         for bad in calls {
             for file in ["crates/core/src/engine.rs", "crates/core/src/kernel/mod.rs"] {
@@ -859,13 +859,14 @@ mod tests {
             assert!(lint_source("crates/serve/src/tenant.rs", bad).is_empty());
         }
 
-        // A definition is not a call: the trait's default method and
-        // the workload implementations define `inject_with_hint`.
-        let def = "pub trait W {\n    fn inject_with_hint(&mut self) {}\n}\n";
+        // A definition is not a call: the trait and the workload
+        // implementations define `inject`.
+        let def = "pub trait W {\n    fn inject(&mut self);\n}\n";
         assert!(lint_source("crates/core/src/workload.rs", def).is_empty());
 
         // Longer identifiers, comments, strings and tests are not uses.
         let other = "fn f() { my_handoff_deltas(); drive_events_checked_twice(); }\n\
+                     fn h(injected: i64) -> Phase { reinject(injected); Phase::Inject }\n\
                      // drive_events_checked(s) lives in round.rs\n\
                      fn g() -> &'static str { \"handoff_deltas(x)\" }\n";
         assert!(lint_source("crates/core/src/engine.rs", other).is_empty());
