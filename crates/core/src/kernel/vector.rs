@@ -42,10 +42,13 @@
 //! Pass 2 comes in two gather strategies behind one dispatch:
 //!
 //! * **banded** — when the labeling is shift-structured (each port's
-//!   neighbour is `u + o_p` for all but a few wrap nodes, cf.
-//!   [`dlb_graph::relabel::port_shift_profile`]), the gather becomes
-//!   one shifted whole-slice add per port plus an exception patch
-//!   list: zero index gathers in the hot loop.
+//!   neighbour is `u + o_p` for all but a few wrap nodes), the gather
+//!   becomes one shifted whole-slice add per port plus an exception
+//!   patch list: zero index gathers in the hot loop. The planner finds
+//!   `o_p` by a majority vote over the adjacency and, under `Auto`,
+//!   falls back to blocked as soon as the misses pass `n/8` — two
+//!   sequential sweeps, no hashing, and no patch list on the blocked
+//!   outcome.
 //! * **blocked CSR** — otherwise a sequential sweep over the CSR
 //!   adjacency, degree-monomorphised for `d ∈ {2, 4}`; the window of
 //!   `b` it gathers from stays cache-resident when the labeling is
@@ -69,7 +72,7 @@
 
 use std::ops::Range;
 
-use dlb_graph::{relabel, BalancingGraph};
+use dlb_graph::BalancingGraph;
 
 /// The closed-form uniform flow a scheme sends over **every** original
 /// port, as a function of the node's load — the capability the vector
@@ -114,8 +117,9 @@ pub trait UniformKernel {
 /// Which gather strategy the vector path uses for pass 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VectorStrategy {
-    /// Probe the labeling and pick: banded when the port-shift
-    /// exception count is below `n/8`, blocked CSR otherwise.
+    /// Probe the labeling and pick: banded when at most `n/8`
+    /// neighbours miss their port's shift offset, blocked CSR
+    /// otherwise.
     #[default]
     Auto,
     /// Force shifted-slice adds + exception patches (correct on any
@@ -358,8 +362,8 @@ impl Word for i32 {
 
 /// The gather plan pass 2 executes.
 pub(crate) enum Gather {
-    /// Per original port: the dominant shift offset, plus the patches
-    /// for the nodes whose neighbour is not at that offset.
+    /// Per original port: the majority-vote shift offset, plus the
+    /// patches for the nodes whose neighbour is not at that offset.
     Banded {
         offsets: Vec<i64>,
         /// `(destination, source, subtract)`, sorted by destination so
@@ -372,41 +376,87 @@ pub(crate) enum Gather {
     Blocked,
 }
 
-/// Profiles the labeling and picks the gather strategy. The banded
-/// plan is exactly [`relabel::port_shift_profile`]: each port's
-/// dominant shift offset plus the exception patches; a labeling whose
-/// exceptions exceed `n / 8` (too many wrap edges — a 2-row torus, a
-/// scattered random graph) simply takes the blocked path. Both
-/// strategies are exact on every graph, so the cutover is purely a
-/// performance decision.
+/// Picks the gather strategy and builds its plan. Each original port's
+/// offset is the Boyer–Moore majority vote over `neighbor(u, p) − u`;
+/// a second pass counts the nodes whose neighbour misses it. Auto
+/// gives up on the banded plan the moment the misses of all ports
+/// together pass `n / BANDED_EXCEPTION_DIV` (too many wrap edges — a
+/// 2-row torus, a scattered random graph) and takes the blocked path
+/// without building a patch list.
+///
+/// Auto decides exactly as [`dlb_graph::relabel::port_shift_profile`]'s
+/// exception count would: within the budget every port's most frequent
+/// offset covers at least `7n/8 > n/2` nodes, so the vote returns it,
+/// and over the budget the vote's offset misses at least as often as
+/// the most frequent one. Both strategies are exact on every graph —
+/// a forced banded plan patches whatever offset the vote picked — so
+/// the cutover is purely a performance decision.
 fn plan_gather(gp: &BalancingGraph, choice: VectorStrategy) -> Gather {
-    let graph = gp.graph();
     if choice == VectorStrategy::BlockedCsr {
         return Gather::Blocked;
     }
-    let profile = relabel::port_shift_profile(graph);
-    let n = graph.num_nodes();
-    if choice == VectorStrategy::Auto && profile.num_exceptions() > n / BANDED_EXCEPTION_DIV {
-        return Gather::Blocked;
+    let graph = gp.graph();
+    let (n, d) = (graph.num_nodes(), graph.degree());
+    if d == 0 {
+        return Gather::Banded {
+            offsets: Vec::new(),
+            patches: Vec::new(),
+        };
     }
-    // The bulk shifted add sends `b[u]` to `u + o` for every in-range
-    // `u + o`; an exception `(u, v)` takes that back and adds `b[u]` to
-    // its real neighbour `v` instead.
-    let mut patches = Vec::with_capacity(2 * profile.num_exceptions());
-    for (&o, list) in profile.offsets.iter().zip(&profile.exceptions) {
-        for &(u, v) in list {
-            let shifted = i64::from(u) + o;
-            if (0..n as i64).contains(&shifted) {
-                patches.push((shifted as u32, u, true));
+    let adj = graph.adjacency_slots();
+    let offset = |u: usize, v: u32| i64::from(v) - u as i64;
+
+    // Pass 1: one majority-vote candidate per port.
+    let mut offsets = vec![0i64; d];
+    let mut votes = vec![0u32; d];
+    for (u, nbrs) in adj.chunks_exact(d).enumerate() {
+        for ((&v, cand), k) in nbrs.iter().zip(&mut offsets).zip(&mut votes) {
+            let o = offset(u, v);
+            if *k == 0 {
+                *cand = o;
+                *k = 1;
+            } else if *cand == o {
+                *k += 1;
+            } else {
+                *k -= 1;
             }
-            patches.push((v, u, false));
+        }
+    }
+
+    // Pass 2: the misses of all ports, against the Auto budget.
+    let budget = match choice {
+        VectorStrategy::Auto => n / BANDED_EXCEPTION_DIV,
+        _ => usize::MAX,
+    };
+    let mut misses = 0usize;
+    for (u, nbrs) in adj.chunks_exact(d).enumerate() {
+        misses += nbrs
+            .iter()
+            .zip(&offsets)
+            .filter(|&(&v, &o)| offset(u, v) != o)
+            .count();
+        if misses > budget {
+            return Gather::Blocked;
+        }
+    }
+
+    // The bulk shifted add sends `b[u]` to `u + o` for every in-range
+    // `u + o`; a miss `(u, v)` takes that back and adds `b[u]` to its
+    // real neighbour `v` instead.
+    let mut patches = Vec::with_capacity(2 * misses);
+    for (u, nbrs) in adj.chunks_exact(d).enumerate() {
+        for (&v, &o) in nbrs.iter().zip(&offsets) {
+            if offset(u, v) != o {
+                let shifted = u as i64 + o;
+                if (0..n as i64).contains(&shifted) {
+                    patches.push((shifted as u32, u as u32, true));
+                }
+                patches.push((v, u as u32, false));
+            }
         }
     }
     patches.sort_unstable();
-    Gather::Banded {
-        offsets: profile.offsets,
-        patches,
-    }
+    Gather::Banded { offsets, patches }
 }
 
 /// Worst-case additive growth of the maximum load per round: pass 2
@@ -835,6 +885,64 @@ mod tests {
         ));
     }
 
+    /// The budgeted vote decides exactly as the exception count of
+    /// `port_shift_profile` does, and a banded plan is the one that
+    /// profile describes: its offsets, and its exceptions as patches.
+    #[test]
+    fn auto_plan_matches_the_port_shift_profile_rule() {
+        use dlb_graph::relabel::{self, Relabeling};
+        let rr = generators::random_regular(256, 4, 7).unwrap();
+        let rcm = rr
+            .relabeled(&Relabeling::reverse_cuthill_mckee(&rr))
+            .unwrap();
+        let graphs = [
+            generators::cycle(64).unwrap(),
+            generators::torus(2, 16).unwrap(),
+            generators::torus(2, 32).unwrap(),
+            generators::torus(2, 64).unwrap(),
+            generators::hypercube(8).unwrap(),
+            rr,
+            rcm,
+            generators::chorded_cycle(101, 10).unwrap(),
+            generators::chorded_cycle(1001, 10).unwrap(),
+            // No ports at all: an empty banded plan.
+            dlb_graph::RegularGraph::from_adjacency(5, 0, Vec::new()).unwrap(),
+        ];
+        let (mut banded, mut blocked) = (0, 0);
+        for g in graphs {
+            let n = g.num_nodes();
+            let profile = relabel::port_shift_profile(&g);
+            let want_banded = profile.num_exceptions() <= n / BANDED_EXCEPTION_DIV;
+            match plan_gather(&BalancingGraph::lazy(g), VectorStrategy::Auto) {
+                Gather::Banded { offsets, patches } => {
+                    assert!(want_banded, "n={n}: banded over budget");
+                    assert_eq!(offsets, profile.offsets, "n={n}");
+                    let mut expected = Vec::new();
+                    for (&o, list) in profile.offsets.iter().zip(&profile.exceptions) {
+                        for &(u, v) in list {
+                            let shifted = i64::from(u) + o;
+                            if (0..n as i64).contains(&shifted) {
+                                expected.push((shifted as u32, u, true));
+                            }
+                            expected.push((v, u, false));
+                        }
+                    }
+                    expected.sort_unstable();
+                    assert_eq!(patches, expected, "n={n}");
+                    banded += 1;
+                }
+                Gather::Blocked => {
+                    assert!(!want_banded, "n={n}: blocked within budget");
+                    blocked += 1;
+                }
+            }
+        }
+        assert!(
+            banded > 0 && blocked > 0,
+            "{banded} banded, {blocked} blocked"
+        );
+    }
+
     #[test]
     fn forced_strategies_agree_with_each_other_everywhere() {
         // Banded with a huge exception list is slow but must stay
@@ -845,6 +953,10 @@ mod tests {
             BalancingGraph::lazy(generators::random_regular(96, 4, 3).unwrap()),
             BalancingGraph::lazy(generators::cycle(97).unwrap()),
         ];
+        // No port of the scattered graph has a majority offset, so the
+        // vote's pick is arbitrary and the patches carry the gather.
+        let scattered = dlb_graph::relabel::port_shift_profile(graphs[0].graph());
+        assert!(scattered.exceptions.iter().all(|e| 2 * e.len() >= 96));
         for gp in &graphs {
             let n = gp.num_nodes();
             let seed: Vec<i64> = (0..n as i64).map(|i| (i * 37) % 211).collect();

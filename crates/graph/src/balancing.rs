@@ -58,7 +58,7 @@ impl BalancingGraph {
     /// Returns an error if `d⁺ = d + d°` would overflow the port index
     /// space (`u16`).
     pub fn with_self_loops(graph: RegularGraph, num_self_loops: usize) -> Result<Self, GraphError> {
-        let d_plus = graph.degree() + num_self_loops;
+        let d_plus = graph.degree().saturating_add(num_self_loops);
         if d_plus > u16::MAX as usize {
             return Err(GraphError::InvalidParameters {
                 reason: format!("d+ = {d_plus} exceeds the port index space"),
@@ -286,6 +286,16 @@ mod tests {
 
     fn lazy_cycle(n: usize) -> BalancingGraph {
         BalancingGraph::lazy(generators::cycle(n).unwrap())
+    }
+
+    /// A self-loop count near `usize::MAX` (a forged snapshot header)
+    /// used to overflow computing `d⁺`; it is the same typed error as
+    /// any count past the port space.
+    #[test]
+    fn huge_self_loop_counts_are_an_error_not_an_overflow() {
+        let g = generators::cycle(6).unwrap();
+        assert!(BalancingGraph::with_self_loops(g.clone(), usize::MAX).is_err());
+        assert!(BalancingGraph::with_self_loops(g, u16::MAX as usize).is_err());
     }
 
     #[test]

@@ -238,8 +238,14 @@ pub fn bandwidth(graph: &RegularGraph) -> usize {
 /// perfectly banded — port 0 is offset `+1` for every node but the last,
 /// port 1 is offset `−1` for every node but the first. A consumer that
 /// applies each port as one shifted whole-array operation plus a
-/// per-exception patch (the engine's banded vector kernel) therefore
-/// keys off the *exception count*, not the worst-case edge span.
+/// per-exception patch therefore keys off the *exception count*, not
+/// the worst-case edge span.
+///
+/// The engine's vector gather planner makes the same banded-or-blocked
+/// decision without this profile: a majority vote per port and a miss
+/// count that stops at its budget, with no hashing. The profile stays
+/// the exact reference that planner is tested against, and a
+/// diagnostic of a labeling.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PortShiftProfile {
     /// `offsets[p]` is port `p`'s dominant offset: ties broken toward

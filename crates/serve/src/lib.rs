@@ -40,5 +40,5 @@ pub mod wire;
 pub use journal::{Journal, JournalContents, RoundRecord};
 pub use server::{Server, SliceProfile, SliceReport};
 pub use snapshot::{SchemeKind, TenantSnapshot};
-pub use tenant::{Tenant, TenantError, TenantOutcome};
+pub use tenant::{Tenant, TenantError, TenantOutcome, MAX_ROUND_ITEMS};
 pub use wire::WireError;

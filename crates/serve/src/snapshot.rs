@@ -192,16 +192,20 @@ impl TenantSnapshot {
         }
         let graph = decode_graph(r)?;
         let n = graph.num_nodes();
+        let at = r.offset();
         let mut loads = Vec::with_capacity(n);
         for _ in 0..n {
             loads.push(r.i64()?);
         }
-        let step = r.len64()?;
-        let negative_node_steps = r.u64()?;
+        check_load_total(&loads).map_err(|reason| WireError::new(at, reason))?;
+        let at = r.offset();
+        let step = usize::try_from(r.counter()?)
+            .map_err(|_| WireError::new(at, "step overflows usize"))?;
+        let negative_node_steps = r.counter()?;
         let injected_total = r.i64()?;
-        let topology_events_applied = r.u64()?;
-        let discrepancy_scans = r.u64()?;
-        let negative_rescans = r.u64()?;
+        let topology_events_applied = r.counter()?;
+        let discrepancy_scans = r.counter()?;
+        let negative_rescans = r.counter()?;
         let (vector_config, vector_stats) = decode_vector(r)?;
         let at = r.offset();
         let scheme = SchemeKind::from_tag(r.u8()?, at)?;
@@ -248,6 +252,19 @@ impl TenantSnapshot {
     }
 }
 
+/// Checks that the positive loads sum to at most `i64::MAX`. A round's
+/// flows conserve tokens and never overdraw, so from such loads no
+/// flow can push a load past `i64::MAX`; injected tokens are checked
+/// as they arrive.
+pub(crate) fn check_load_total(loads: &[i64]) -> Result<(), String> {
+    loads
+        .iter()
+        .filter(|&&x| x > 0)
+        .try_fold(0i64, |acc, &x| acc.checked_add(x))
+        .map(drop)
+        .ok_or_else(|| "positive loads sum past i64::MAX".into())
+}
+
 fn encode_graph(w: &mut Writer, gp: &BalancingGraph) {
     let g = gp.graph();
     w.u64(g.num_nodes() as u64);
@@ -270,11 +287,13 @@ fn decode_graph(r: &mut Reader<'_>) -> Result<BalancingGraph, WireError> {
         .checked_mul(d)
         .ok_or_else(|| WireError::new(r.offset(), format!("adjacency shape {n}x{d} overflows")))?;
     // Guard against a forged header demanding a huge allocation before
-    // the (truncated) buffer runs out: each slot still costs 4 bytes.
-    if r.remaining() < slots.saturating_mul(4) {
+    // the (truncated) buffer runs out: each slot still costs 4 bytes,
+    // and each node 8 more for its load (which also bounds `n` when
+    // `d = 0`).
+    if r.remaining() < slots.saturating_mul(4).saturating_add(n.saturating_mul(8)) {
         return Err(WireError::new(
             r.offset(),
-            format!("adjacency wants {slots} slots, buffer too short"),
+            format!("{n} nodes with {slots} adjacency slots, buffer too short"),
         ));
     }
     let mut adjacency = Vec::with_capacity(slots);
@@ -347,11 +366,11 @@ fn decode_vector(r: &mut Reader<'_>) -> Result<(VectorConfig, VectorStats), Wire
         other => return Err(WireError::new(at, format!("unknown vector width {other}"))),
     };
     let stats = VectorStats {
-        runs: r.u64()?,
-        rounds_banded: r.u64()?,
-        rounds_blocked: r.u64()?,
-        rounds_i32: r.u64()?,
-        i32_fallbacks: r.u64()?,
+        runs: r.counter()?,
+        rounds_banded: r.counter()?,
+        rounds_blocked: r.counter()?,
+        rounds_i32: r.counter()?,
+        i32_fallbacks: r.counter()?,
     };
     Ok((
         VectorConfig {
@@ -606,9 +625,11 @@ fn encode_schedule_spec(w: &mut Writer, spec: &ScheduleSpec) {
     }
 }
 
+/// Decodes a schedule spec and rejects any the generators cannot be
+/// built from ([`ScheduleSpec::validate`]).
 fn decode_schedule_spec(r: &mut Reader<'_>) -> Result<ScheduleSpec, WireError> {
     let at = r.offset();
-    Ok(match r.u8()? {
+    let spec = match r.u8()? {
         0 => ScheduleSpec::Static,
         1 => ScheduleSpec::Periodic {
             period: r.len64()?,
@@ -636,7 +657,10 @@ fn decode_schedule_spec(r: &mut Reader<'_>) -> Result<ScheduleSpec, WireError> {
             seed: r.u64()?,
         },
         other => return Err(WireError::new(at, format!("unknown schedule tag {other}"))),
-    })
+    };
+    spec.validate()
+        .map_err(|reason| WireError::new(at, reason))?;
+    Ok(spec)
 }
 
 #[cfg(test)]
@@ -817,6 +841,109 @@ mod tests {
         let slot0 = 8 + 2 + 24;
         forged[slot0..slot0 + 4].copy_from_slice(&0u32.to_le_bytes());
         assert!(TenantSnapshot::decode(&forged).is_err());
+    }
+
+    /// A forged header of `2⁴⁰` nodes of degree 0 needs no adjacency
+    /// bytes, and used to abort the process allocating the graph's
+    /// validation buffer. Every node costs at least its load's 8
+    /// bytes, so the count is an error against the buffer.
+    #[test]
+    fn forged_node_count_is_an_error_not_an_abort() {
+        let mut w = Writer::new();
+        w.raw(SNAPSHOT_MAGIC);
+        w.u16(SNAPSHOT_VERSION);
+        w.u64(1 << 40);
+        w.u64(0);
+        w.u64(1);
+        let err = TenantSnapshot::decode(&w.into_bytes()).unwrap_err();
+        assert!(err.reason.contains("buffer too short"), "{err}");
+    }
+
+    /// A step counter of `u64::MAX` used to overflow the engine's
+    /// round numbering one round after resume. Every counter must leave
+    /// room to count on.
+    #[test]
+    fn counters_past_i64_max_are_rejected() {
+        let mut snap = sample_snapshot();
+        snap.engine.step = i64::MAX as usize;
+        assert!(TenantSnapshot::decode(&snap.encode()).is_ok());
+        snap.engine.step = usize::MAX;
+        let err = TenantSnapshot::decode(&snap.encode()).unwrap_err();
+        assert!(err.reason.contains("exceeds i64::MAX"), "{err}");
+        let mut snap = sample_snapshot();
+        snap.engine.topology_events_applied = u64::MAX;
+        assert!(TenantSnapshot::decode(&snap.encode()).is_err());
+        let mut snap = sample_snapshot();
+        snap.engine.vector_stats.runs = 1 << 63;
+        assert!(TenantSnapshot::decode(&snap.encode()).is_err());
+    }
+
+    /// Two loads that together pass `i64::MAX` used to overflow the
+    /// flow phase once a round moved them onto one node.
+    #[test]
+    fn loads_summing_past_i64_max_are_rejected() {
+        let mut snap = sample_snapshot();
+        snap.engine.loads[0] = i64::MAX - 1;
+        snap.engine.loads[1..].fill(0);
+        snap.engine.loads[1] = 1;
+        assert!(TenantSnapshot::decode(&snap.encode()).is_ok());
+        snap.engine.loads[2] = 1;
+        let err = TenantSnapshot::decode(&snap.encode()).unwrap_err();
+        assert!(err.reason.contains("sum past i64::MAX"), "{err}");
+        // Negative loads do not offset positive ones.
+        snap.engine.loads[3] = -5;
+        assert!(TenantSnapshot::decode(&snap.encode()).is_err());
+    }
+
+    /// A schedule period of 0, a percentage over 100 or a burst that
+    /// wakes before it fails used to panic in the generators'
+    /// constructors at resume.
+    #[test]
+    fn schedule_specs_the_generators_reject_are_rejected() {
+        let forged = [
+            ScheduleSpec::Periodic {
+                period: 0,
+                swaps: 1,
+                seed: 1,
+            },
+            ScheduleSpec::CutTargeting { period: 0 },
+            ScheduleSpec::Failure {
+                fail_pct: 101,
+                recover_pct: 5,
+                max_down: 1,
+                seed: 1,
+            },
+            ScheduleSpec::Failure {
+                fail_pct: 5,
+                recover_pct: u32::MAX,
+                max_down: 1,
+                seed: 1,
+            },
+            ScheduleSpec::Burst {
+                fail_at: 5,
+                wake_at: 5,
+                count: 1,
+                seed: 1,
+            },
+            ScheduleSpec::Burst {
+                fail_at: 0,
+                wake_at: 5,
+                count: 1,
+                seed: 1,
+            },
+            ScheduleSpec::Churn {
+                period: 2,
+                swaps: 1,
+                fail_pct: 200,
+                max_down: 1,
+                seed: 1,
+            },
+        ];
+        for spec in forged {
+            let mut snap = sample_snapshot();
+            snap.schedule = spec.clone();
+            assert!(TenantSnapshot::decode(&snap.encode()).is_err(), "{spec:?}");
+        }
     }
 
     /// Encodes `spec` as a snapshot's workload and decodes it back.

@@ -31,7 +31,7 @@ use dlb_scenario::WorkloadSpec;
 use dlb_topology::{ScheduleSpec, SwapShortfall};
 
 use crate::journal::{Journal, RoundRecord};
-use crate::snapshot::{SchemeKind, TenantSnapshot};
+use crate::snapshot::{check_load_total, SchemeKind, TenantSnapshot};
 use crate::wire::WireError;
 
 /// Errors raised by tenant construction, snapshot resume and replay.
@@ -46,9 +46,53 @@ pub enum TenantError {
     /// out-of-range journal indices).
     Corrupt(String),
     /// A workload spec the generators cannot run (see
-    /// [`WorkloadSpec::validate`]) — rejected at construction, so every
-    /// tenant's snapshot decodes again.
+    /// [`WorkloadSpec::validate`]) or whose rounds would place more
+    /// than [`MAX_ROUND_ITEMS`] tokens — rejected at construction, so
+    /// every tenant's snapshot resumes again.
     Workload(String),
+    /// A schedule spec the generators cannot be built from (see
+    /// [`ScheduleSpec::validate`]) or whose rounds would try more than
+    /// [`MAX_ROUND_ITEMS`] events.
+    Schedule(String),
+}
+
+/// The most token placements, or topology events tried, that one round
+/// of a tenant's generators may ask for. The arrival workloads place
+/// their tokens one at a time and the swap and burst schedules try
+/// their events one at a time, so a forged rate would otherwise stall
+/// a round for as long as it likes.
+pub const MAX_ROUND_ITEMS: u64 = 1 << 16;
+
+/// Checks a tenant's generator specs before they are built.
+fn check_specs(
+    workload: Option<&WorkloadSpec>,
+    schedule: &ScheduleSpec,
+) -> Result<(), TenantError> {
+    if let Some(spec) = workload {
+        spec.validate().map_err(TenantError::Workload)?;
+        if let WorkloadSpec::Steady { rate, .. }
+        | WorkloadSpec::Bursty { rate, .. }
+        | WorkloadSpec::ArriveAndDrain { rate, .. } = *spec
+        {
+            if rate > MAX_ROUND_ITEMS {
+                return Err(TenantError::Workload(format!(
+                    "{rate} arrivals per round exceed {MAX_ROUND_ITEMS}"
+                )));
+            }
+        }
+    }
+    schedule.validate().map_err(TenantError::Schedule)?;
+    if let ScheduleSpec::Periodic { swaps: items, .. }
+    | ScheduleSpec::Churn { swaps: items, .. }
+    | ScheduleSpec::Burst { count: items, .. } = *schedule
+    {
+        if items as u64 > MAX_ROUND_ITEMS {
+            return Err(TenantError::Schedule(format!(
+                "{items} events per round exceed {MAX_ROUND_ITEMS}"
+            )));
+        }
+    }
+    Ok(())
 }
 
 impl fmt::Display for TenantError {
@@ -58,6 +102,7 @@ impl fmt::Display for TenantError {
             TenantError::Graph(e) => write!(f, "{e}"),
             TenantError::Corrupt(reason) => write!(f, "corrupt tenant state: {reason}"),
             TenantError::Workload(reason) => write!(f, "invalid workload spec: {reason}"),
+            TenantError::Schedule(reason) => write!(f, "invalid schedule spec: {reason}"),
         }
     }
 }
@@ -196,10 +241,11 @@ impl Tenant {
     /// # Errors
     ///
     /// Returns [`TenantError`] if `initial` does not have one entry
-    /// per node, if the workload spec fails
-    /// [`WorkloadSpec::validate`] (the snapshot decoder would reject
-    /// it), or if the scheme rejects the graph (ROTOR-ROUTER* requires
-    /// `d° = d`).
+    /// per node or its positive loads sum past `i64::MAX`, if a spec
+    /// fails [`WorkloadSpec::validate`] or [`ScheduleSpec::validate`]
+    /// or asks for more than [`MAX_ROUND_ITEMS`] per round (the
+    /// snapshot decoder or resume would reject it), or if the scheme
+    /// rejects the graph (ROTOR-ROUTER* requires `d° = d`).
     pub fn new(
         graph: BalancingGraph,
         initial: LoadVector,
@@ -214,9 +260,8 @@ impl Tenant {
                 initial.as_slice().len()
             )));
         }
-        if let Some(spec) = &workload {
-            spec.validate().map_err(TenantError::Workload)?;
-        }
+        check_specs(workload.as_ref(), &schedule)?;
+        check_load_total(initial.as_slice()).map_err(TenantError::Corrupt)?;
         let scheme = SchemeInstance::build(scheme, &graph, None)?;
         let engine = Engine::new(graph, initial);
         let mut tenant = Tenant {
@@ -258,6 +303,7 @@ impl Tenant {
                 snap.engine.loads.len()
             )));
         }
+        check_specs(snap.workload.as_ref(), &snap.schedule)?;
         let rotors = (!snap.rotors.is_empty()).then_some(snap.rotors.as_slice());
         let scheme = SchemeInstance::build(snap.scheme, &snap.engine.graph, rotors)?;
         let mut workload = snap.workload.as_ref().map(|spec| spec.build(n));

@@ -225,6 +225,22 @@ impl<'a> Reader<'a> {
         usize::try_from(v).map_err(|_| WireError::new(at, format!("length {v} overflows usize")))
     }
 
+    /// Consumes a running counter: a `u64` no larger than `i64::MAX`.
+    /// No run reaches 2⁶³ of anything, so the bound costs nothing, and
+    /// a decoded counter can be incremented without overflowing.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`WireError`] on truncation or a larger value.
+    pub fn counter(&mut self) -> Result<u64, WireError> {
+        let at = self.pos;
+        let v = self.u64()?;
+        if i64::try_from(v).is_err() {
+            return Err(WireError::new(at, format!("counter {v} exceeds i64::MAX")));
+        }
+        Ok(v)
+    }
+
     /// Consumes a length-prefixed UTF-8 string.
     ///
     /// # Errors

@@ -6,7 +6,7 @@
 use dlb_core::{EngineError, LoadVector};
 use dlb_graph::{generators, BalancingGraph};
 use dlb_scenario::WorkloadSpec;
-use dlb_serve::{SchemeKind, Server, Tenant, TenantError, TenantSnapshot};
+use dlb_serve::{SchemeKind, Server, Tenant, TenantError, TenantSnapshot, MAX_ROUND_ITEMS};
 use dlb_topology::ScheduleSpec;
 
 fn lazy_cycle(n: usize) -> BalancingGraph {
@@ -305,4 +305,111 @@ fn new_rejects_workload_specs_the_snapshot_decoder_rejects() {
     )
     .unwrap();
     assert!(Tenant::resume_from_snapshot(&tenant.snapshot()).is_ok());
+}
+
+/// A forged arrival rate or swap count used to stall a resumed tenant's
+/// round for as long as the rate asked (arrivals and swaps are tried
+/// one at a time). Such specs still decode, but neither build nor
+/// resume a tenant, and the error names the generator.
+#[test]
+fn generators_asking_for_more_than_the_round_budget_are_rejected() {
+    let too_many = MAX_ROUND_ITEMS + 1;
+    let build = |workload: Option<WorkloadSpec>, schedule: ScheduleSpec| {
+        Tenant::new(
+            lazy_cycle(8),
+            LoadVector::point_mass(8, 80),
+            SchemeKind::SendFloor,
+            workload,
+            schedule,
+        )
+    };
+    let arrivals = [
+        WorkloadSpec::Steady {
+            rate: too_many,
+            seed: 1,
+        },
+        WorkloadSpec::Bursty {
+            on: 1,
+            off: 1,
+            rate: too_many,
+            seed: 1,
+        },
+        WorkloadSpec::ArriveAndDrain {
+            rate: too_many,
+            seed: 1,
+        },
+    ];
+    for spec in arrivals {
+        let err = build(Some(spec.clone()), ScheduleSpec::Static).unwrap_err();
+        assert!(matches!(err, TenantError::Workload(_)), "{spec:?}: {err}");
+    }
+    // Hotspot and drain rates are one add per node, so any valid
+    // magnitude stays allowed.
+    assert!(build(
+        Some(WorkloadSpec::Hotspot { rate: too_many }),
+        ScheduleSpec::Static
+    )
+    .is_ok());
+    let events = [
+        ScheduleSpec::Periodic {
+            period: 2,
+            swaps: too_many as usize,
+            seed: 1,
+        },
+        ScheduleSpec::Burst {
+            fail_at: 1,
+            wake_at: 2,
+            count: too_many as usize,
+            seed: 1,
+        },
+    ];
+    for spec in events {
+        let err = build(None, spec.clone()).unwrap_err();
+        assert!(matches!(err, TenantError::Schedule(_)), "{spec:?}: {err}");
+    }
+
+    // The same spec forged into a valid snapshot decodes, but does not
+    // resume.
+    let tenant = build(
+        Some(WorkloadSpec::Steady { rate: 4, seed: 1 }),
+        ScheduleSpec::Static,
+    )
+    .unwrap();
+    let mut snap = TenantSnapshot::decode(&tenant.snapshot()).unwrap();
+    snap.workload = Some(WorkloadSpec::Steady {
+        rate: i64::MAX as u64,
+        seed: 1,
+    });
+    let forged = snap.encode();
+    assert!(TenantSnapshot::decode(&forged).is_ok());
+    let err = Tenant::resume_from_snapshot(&forged).unwrap_err();
+    assert!(matches!(err, TenantError::Workload(_)), "{err}");
+}
+
+/// A tenant is only built from a schedule its snapshot decoder accepts,
+/// and from loads whose positive total fits `i64` — the conditions a
+/// resume checks.
+#[test]
+fn new_rejects_schedules_and_loads_the_snapshot_decoder_rejects() {
+    let err = Tenant::new(
+        lazy_cycle(8),
+        LoadVector::point_mass(8, 80),
+        SchemeKind::SendFloor,
+        None,
+        ScheduleSpec::CutTargeting { period: 0 },
+    )
+    .unwrap_err();
+    assert!(matches!(err, TenantError::Schedule(_)), "{err}");
+    let mut loads = vec![0; 8];
+    loads[0] = i64::MAX;
+    loads[4] = 1;
+    let err = Tenant::new(
+        lazy_cycle(8),
+        LoadVector::new(loads),
+        SchemeKind::SendFloor,
+        None,
+        ScheduleSpec::Static,
+    )
+    .unwrap_err();
+    assert!(matches!(err, TenantError::Corrupt(_)), "{err}");
 }

@@ -31,6 +31,12 @@ const SIMPLICITY_RETRIES: u64 = 64;
 /// Per-requested-swap retry budget for connectivity rejections.
 const CONNECTIVITY_RETRIES: u64 = 64;
 
+/// Whether restored accounting counters leave room to count on: no
+/// run reaches 2⁶³ of anything, so a larger word is a forged cursor.
+fn counters_fit(words: &[u64]) -> bool {
+    words.iter().all(|&w| i64::try_from(w).is_ok())
+}
+
 /// Proposes one random double-edge swap on `probe` that keeps the
 /// graph simple and (when `conn` is present) connected, applying it to
 /// `probe` (and mirroring it into `conn`) and returning the event.
@@ -236,6 +242,9 @@ impl TopologySchedule for PeriodicRewiring {
         else {
             return false;
         };
+        if !counters_fit(&cursor[4..]) {
+            return false;
+        }
         self.rng = StdRng::from_state([s0, s1, s2, s3]);
         self.shortfall = SwapShortfall {
             requested,
@@ -607,6 +616,9 @@ impl TopologySchedule for AdversarialCut {
         let [scans, probes, validation_ns] = *cursor else {
             return false;
         };
+        if !counters_fit(cursor) {
+            return false;
+        }
         self.scans = scans;
         self.probes = probes;
         self.validation_ns = validation_ns;
@@ -758,9 +770,58 @@ pub enum ScheduleSpec {
 }
 
 impl ScheduleSpec {
+    /// Checks that the generators can be built from this spec: every
+    /// period is positive, every percentage is at most 100, and a burst
+    /// satisfies `0 < fail_at < wake_at` — the conditions their
+    /// constructors assert. Every spec that arrives from outside the
+    /// process (a decoded snapshot, a new serving tenant) passes through
+    /// here before [`build`](ScheduleSpec::build).
+    ///
+    /// # Errors
+    ///
+    /// The reason the spec is rejected.
+    pub fn validate(&self) -> Result<(), String> {
+        let (period, pcts) = match *self {
+            ScheduleSpec::Static => (None, [0, 0]),
+            ScheduleSpec::Periodic { period, .. } | ScheduleSpec::CutTargeting { period } => {
+                (Some(period), [0, 0])
+            }
+            ScheduleSpec::Failure {
+                fail_pct,
+                recover_pct,
+                ..
+            } => (None, [fail_pct, recover_pct]),
+            ScheduleSpec::Burst {
+                fail_at, wake_at, ..
+            } => {
+                if fail_at == 0 || fail_at >= wake_at {
+                    return Err(format!(
+                        "burst needs 0 < fail_at < wake_at, got {fail_at} and {wake_at}"
+                    ));
+                }
+                (None, [0, 0])
+            }
+            ScheduleSpec::Churn {
+                period, fail_pct, ..
+            } => (Some(period), [fail_pct, 0]),
+        };
+        if period == Some(0) {
+            return Err("schedule period must be positive".into());
+        }
+        if let Some(pct) = pcts.into_iter().find(|&p| p > 100) {
+            return Err(format!("schedule percentage {pct} exceeds 100"));
+        }
+        Ok(())
+    }
+
     /// Instantiates the schedule. `None` for [`ScheduleSpec::Static`],
     /// so closed-topology rows exercise the engine's genuinely static
     /// entry points rather than an empty dynamic schedule.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a spec [`validate`](ScheduleSpec::validate) rejects;
+    /// specs from untrusted sources go through it first.
     pub fn build(&self) -> Option<Box<dyn TopologySchedule>> {
         match *self {
             ScheduleSpec::Static => None,
@@ -1166,6 +1227,88 @@ mod tests {
         assert!(st.cursor().is_empty());
         assert!(st.restore_cursor(&[]));
         assert!(!st.restore_cursor(&[1]));
+    }
+
+    /// Accounting counters restored at `u64::MAX` used to overflow on
+    /// the next emitting round; a cursor no run could produce is now
+    /// rejected like a misshapen one.
+    #[test]
+    fn cursor_restores_reject_counters_past_i64_max() {
+        let mut s = PeriodicRewiring::new(1, 1, 7);
+        let mut words = s.cursor();
+        assert!(s.restore_cursor(&words));
+        words[4] = u64::MAX;
+        assert!(!s.restore_cursor(&words), "requested swaps");
+        let mut words = s.cursor();
+        words[8] = 1 << 63;
+        assert!(!s.restore_cursor(&words), "validation time");
+        let mut s = AdversarialCut::new(1);
+        assert!(s.restore_cursor(&[i64::MAX as u64, 0, 0]));
+        assert!(!s.restore_cursor(&[u64::MAX, 0, 0]));
+    }
+
+    /// Every spec `validate` accepts builds, and the ones it rejects
+    /// are exactly those the constructors would panic on.
+    #[test]
+    fn validate_rejects_what_the_constructors_assert() {
+        let ok = [
+            ScheduleSpec::Static,
+            ScheduleSpec::Periodic {
+                period: 1,
+                swaps: 0,
+                seed: 1,
+            },
+            ScheduleSpec::Failure {
+                fail_pct: 100,
+                recover_pct: 0,
+                max_down: 0,
+                seed: 1,
+            },
+            ScheduleSpec::Burst {
+                fail_at: 1,
+                wake_at: 2,
+                count: 0,
+                seed: 1,
+            },
+            ScheduleSpec::CutTargeting { period: 1 },
+        ];
+        for spec in ok {
+            assert_eq!(spec.validate(), Ok(()), "{spec:?}");
+            let _ = spec.build();
+        }
+        let bad = [
+            ScheduleSpec::Periodic {
+                period: 0,
+                swaps: 1,
+                seed: 1,
+            },
+            ScheduleSpec::Failure {
+                fail_pct: 0,
+                recover_pct: 101,
+                max_down: 1,
+                seed: 1,
+            },
+            ScheduleSpec::Burst {
+                fail_at: 3,
+                wake_at: 2,
+                count: 1,
+                seed: 1,
+            },
+            ScheduleSpec::Churn {
+                period: 0,
+                swaps: 1,
+                fail_pct: 5,
+                max_down: 1,
+                seed: 1,
+            },
+        ];
+        for spec in bad {
+            assert!(spec.validate().is_err(), "{spec:?}");
+            assert!(
+                std::panic::catch_unwind(|| spec.build()).is_err(),
+                "{spec:?}"
+            );
+        }
     }
 
     #[test]
