@@ -657,19 +657,23 @@ impl Engine {
     }
 
     /// Runs `steps` rounds on the plan-free kernel path: no
-    /// [`FlowPlan`] is materialised — each node's port flows are
-    /// computed in registers by the scheme's
+    /// [`FlowPlan`] is materialised, and each round streams once over
+    /// the CSR adjacency into a double-buffered load vector. A scheme
+    /// with a uniform closed form
+    /// ([`uniform_kernel`](KernelBalancer::uniform_kernel), the SEND
+    /// schemes) runs whole-array [`vector`] rounds when the vector
+    /// layer is enabled and the system is static, closed and awake, and
+    /// otherwise streams the closed-form gather
+    /// `x'[u] = x[u] − d·b(x[u]) + Σ_{v∈N(u)} b(x[v])`. Every other
+    /// scheme's port flows are computed in registers by its
     /// [`kernel_node`](KernelBalancer::kernel_node) and applied as
-    /// signed deltas into a double-buffered load vector, streaming once
-    /// over the CSR adjacency per round. Like
-    /// [`run_fast`](Engine::run_fast) this path skips the ledger and
-    /// monitor; loads, step count and negative-load accounting are
+    /// signed deltas, in a loop monomorphised for `d⁺ ∈ {2, 4, 6, 8}`
+    /// (a generic fallback covers every other degree).
+    ///
+    /// Like [`run_fast`](Engine::run_fast) this path skips the ledger
+    /// and monitor; loads, step count and negative-load accounting are
     /// bit-identical to [`step`](Engine::step), and so are the step and
     /// node of any reported error.
-    ///
-    /// The inner loop is monomorphised for `d⁺ ∈ {2, 4, 6, 8}` (a
-    /// generic fallback covers every other degree), so the common
-    /// lazy-graph families run fully unrolled per-port loops.
     ///
     /// # Errors
     ///
@@ -686,10 +690,12 @@ impl Engine {
     /// [`run_kernel`](Engine::run_kernel) with per-round topology churn
     /// and workload injection: the kernel loop runs the full dynamic
     /// round structure — mutate topology, inject, hand asleep queues
-    /// to live neighbours, negative-check, plan, validate, route —
-    /// applying the injection to the same double-buffered load vector
-    /// the kernel streams flows into. The loop is monomorphised over
-    /// the schedule and workload types, so the
+    /// to live neighbours, negative-check, then the round body (the
+    /// closed-form gather for a uniform scheme, per-node plan, validate
+    /// and route for every other) — applying the injection to the same
+    /// double-buffered load vector the kernel streams flows into. Runs
+    /// with churn or injection never take the vector layer. The loop is
+    /// monomorphised over the schedule and workload types, so the
     /// [`StaticTopology::none`]/[`NoWorkload::none`] case (what
     /// [`run_kernel`](Engine::run_kernel) passes) folds the churn and
     /// injection branches away and keeps the fixed-graph throughput.
@@ -747,7 +753,6 @@ impl Engine {
         if steps == 0 {
             return Ok(());
         }
-        let check = !balancer.may_overdraw();
         // Vectorized whole-array rounds, when the configuration allows:
         // a closed-form uniform scheme on a static, closed, fully awake
         // system. "Static" and "closed" are judged by `is_noop`, not by
@@ -771,9 +776,7 @@ impl Engine {
                 return result;
             }
         }
-        self.kernel_rounds(check, steps, schedule, workload, sink, |gp, u, x, fl| {
-            balancer.kernel_node(gp, u, x, fl)
-        })
+        self.kernel_rounds(balancer, steps, schedule, workload, sink)
     }
 
     /// The vector dispatch shared by [`run_kernel_dyn_traced`]
@@ -851,17 +854,23 @@ impl Engine {
     }
 
     /// The shared plumbing of the scalar plan-free path: allocates the
-    /// back buffer, streams the rounds through [`kernel::run_rounds`],
-    /// and applies the returned counters.
-    fn kernel_rounds<S: TopologySchedule + ?Sized, W: Workload + ?Sized, Si: Sink>(
+    /// back buffer, streams the rounds through [`kernel::run_rounds`]
+    /// (which picks the round body for `balancer`), and applies the
+    /// returned counters.
+    fn kernel_rounds<K, S, W, Si>(
         &mut self,
-        check: bool,
+        balancer: &mut K,
         steps: usize,
         schedule: Option<&mut S>,
         workload: Option<&mut W>,
         sink: &mut Si,
-        mut per_node: impl FnMut(&BalancingGraph, usize, i64, &mut [u64]),
-    ) -> Result<(), EngineError> {
+    ) -> Result<(), EngineError>
+    where
+        K: KernelBalancer + ?Sized,
+        S: TopologySchedule + ?Sized,
+        W: Workload + ?Sized,
+        Si: Sink,
+    {
         let mut back = vec![0i64; self.gp.num_nodes()];
         let base_step = self.step;
         let (pre, st) = self.pre_round();
@@ -870,13 +879,12 @@ impl Engine {
             &mut back,
             pre,
             kernel::KernelRun {
-                check,
                 steps,
                 base_step,
                 schedule,
                 workload,
             },
-            |gp, u, x, fl| per_node(gp, u, x, fl),
+            balancer,
             sink,
         );
         self.step += stats.steps_done;
@@ -956,14 +964,12 @@ impl Engine {
         }
         // Not vector-eligible (or declined on load magnitude): the
         // scalar stream `run_kernel` would run.
-        let check = !balancer.may_overdraw();
         self.kernel_rounds(
-            check,
+            &mut scalar,
             steps,
             StaticTopology::none(),
             NoWorkload::none(),
             sink,
-            |gp, u, x, fl| scalar.kernel_node(gp, u, x, fl),
         )
     }
 

@@ -7,39 +7,51 @@
 //! round: `n·d⁺` `u64` writes that the engine immediately re-reads,
 //! sums, and discards. The kernel path removes that round trip
 //! entirely: [`Engine::run_kernel`](crate::Engine::run_kernel) streams
-//! once over the CSR adjacency per round, computes each node's port
-//! flows in registers (a stack buffer the optimiser scalarises), and
-//! applies signed load deltas into a double-buffered `Vec<i64>` — no
-//! plan writes, no touched-set bookkeeping, no ledger.
+//! once over the CSR adjacency per round into a double-buffered
+//! `Vec<i64>` — no plan writes, no touched-set bookkeeping, no ledger.
+//!
+//! Each call picks one of two round bodies, once, in `run_rounds`:
+//!
+//! * **closed-form gather** — a non-overdrawing scheme with a uniform
+//!   closed form on the graph
+//!   ([`uniform_kernel`](KernelBalancer::uniform_kernel): SEND(⌊x/d⁺⌋)
+//!   on any graph, SEND([x/d⁺]) when `d° ≥ d`) sends the same `b(x)`
+//!   over every original port, so a round is
+//!   `x'[u] = x[u] − d·b(x[u]) + Σ_{v∈N(u)} b(x[v])`: one sweep with
+//!   no flow buffer, no validation and no error path, `b` computed by
+//!   the vector layer's strength-reduced division ([`vector`]).
+//! * **flow buffer** — every other kernel (the rotor-router, user
+//!   kernels, SEND([x/d⁺]) below its class, which reports a clean
+//!   [`Overdraw`](crate::EngineError::Overdraw)) computes each node's
+//!   port flows in registers with
+//!   [`kernel_node`](KernelBalancer::kernel_node), validates them and
+//!   applies signed load deltas. This body is monomorphised per total
+//!   degree — `d⁺ ∈ {2, 4, 6, 8}` run with a `[u64; DP]` flow buffer
+//!   whose length the optimiser knows, so the per-port loops unroll
+//!   fully; every other degree takes a reused `Vec<u64>` — and per
+//!   class check.
 //!
 //! Loads are double-buffered per round: the kernel reads `x_t` from the
-//! front buffer and accumulates `x_{t+1}` in the back buffer, so a
-//! round that errors simply discards the back buffer and the engine
-//! keeps the exact guarantee of the planned paths — on error, loads are
-//! those after the last fully completed round, and the reported
+//! front buffer and writes `x_{t+1}` to the back buffer, so a round
+//! that errors simply discards the back buffer and the engine keeps the
+//! exact guarantee of the planned paths — on error, loads are those
+//! after the last fully completed round, and the reported
 //! [`Overdraw`](crate::EngineError::Overdraw)/
 //! [`NegativeLoad`](crate::EngineError::NegativeLoad) carries the same
 //! step and node as [`Engine::step`](crate::Engine::step) would report.
 //!
-//! The inner loop is monomorphised per total degree: `d⁺ ∈ {2, 4, 6, 8}`
-//! (bare cycle, lazy cycle, lazy hypercube(3), lazy torus, …) run with a
-//! `[u64; DP]` flow buffer whose length the optimiser knows at compile
-//! time, so the per-port loops unroll fully; every other degree takes a
-//! generic fallback over a reused `Vec<u64>`.
-//!
-//! The loop is additionally monomorphised over an optional
+//! The round loop is additionally monomorphised over an optional
 //! [`Workload`] **and** an optional
-//! [`TopologySchedule`](dlb_topology::TopologySchedule):
+//! [`TopologySchedule`]:
 //! [`Engine::run_kernel_dyn`](crate::Engine::run_kernel_dyn) opens
 //! every round with the engine's shared pre-round — mutate topology,
 //! inject load, hand asleep queues to live neighbours, negative-check
-//! — and then streams the flows, while the `NoWorkload`/`StaticTopology`
-//! instantiation behind the closed-system
-//! [`Engine::run_kernel`](crate::Engine::run_kernel) folds the
-//! pre-round's branches away and compiles to the fixed-graph loop
-//! above. An erroring round rolls back its injection *and* its
-//! topology events, so on error both loads and graph are those after
-//! the last fully completed round.
+//! — and then streams the round body, while the
+//! `NoWorkload`/`StaticTopology` instantiation behind the
+//! closed-system [`Engine::run_kernel`](crate::Engine::run_kernel)
+//! folds the pre-round's branches away. An erroring round rolls back
+//! its injection *and* its topology events, so on error both loads and
+//! graph are those after the last fully completed round.
 
 use dlb_graph::BalancingGraph;
 use dlb_obs::{Phase, Sink};
@@ -48,6 +60,7 @@ use dlb_topology::TopologySchedule;
 use crate::round::{PreRound, RoundState};
 use crate::workload::Workload;
 use crate::{Balancer, EngineError};
+use vector::SendRule;
 
 pub mod vector;
 
@@ -60,7 +73,9 @@ pub mod vector;
 /// load alone also answer [`uniform_kernel`](KernelBalancer::uniform_kernel),
 /// which lets [`Engine::run_kernel`](crate::Engine::run_kernel) and
 /// [`Engine::run_parallel`](crate::Engine::run_parallel) run them as
-/// whole-array [`vector`] rounds. Implementations must write **every** entry of `flows`
+/// whole-array [`vector`] rounds and otherwise stream the closed-form
+/// gather instead of calling `kernel_node` (see the module docs).
+/// Implementations must write **every** entry of `flows`
 /// (`flows.len() == d⁺`; the buffer is reused across nodes and arrives
 /// dirty) and must produce exactly the flows their
 /// [`Balancer::plan`] would put in a [`FlowPlan`](crate::FlowPlan) row,
@@ -84,8 +99,13 @@ pub trait KernelBalancer: Balancer {
 
     /// The scheme's closed-form uniform description on `gp`, if it has
     /// one — the capability hook behind the engine's whole-array
-    /// vector dispatch (see [`vector`]). The default answers `None`
-    /// (stateful or non-uniform schemes keep the scalar stream);
+    /// vector dispatch (see [`vector`]) and the kernel path's
+    /// closed-form gather, which a non-overdrawing scheme answering
+    /// `Some` takes in place of `kernel_node`: the answer must describe
+    /// exactly the flows `kernel_node` would write, and must not change
+    /// under topology events, which keep both degrees. The default
+    /// answers `None` (stateful or non-uniform schemes keep the
+    /// flow-buffer stream);
     /// schemes implementing [`vector::UniformKernel`] override this to
     /// bridge to [`UniformKernel::uniform_spec`](vector::UniformKernel::uniform_spec).
     fn uniform_kernel(&self, gp: &BalancingGraph) -> Option<vector::UniformSpec> {
@@ -96,8 +116,6 @@ pub trait KernelBalancer: Balancer {
 
 /// Parameters of a kernel run, bundled to keep the entry points tidy.
 pub(crate) struct KernelRun<'a, S: ?Sized, W: ?Sized> {
-    /// Whether to enforce the non-overdrawing class invariants.
-    pub check: bool,
     /// Rounds to execute.
     pub steps: usize,
     /// Steps already completed by the engine (for 1-based error steps).
@@ -157,9 +175,9 @@ pub(crate) fn validate_outflow(
 }
 
 /// A reusable per-node flow buffer; the two implementations are how the
-/// round loop is monomorphised per degree. For `[u64; DP]` the length
-/// is a compile-time constant, so the port loops in the round body
-/// unroll fully; `Vec<u64>` is the any-degree fallback.
+/// flow-buffer round is monomorphised per degree. For `[u64; DP]` the
+/// length is a compile-time constant, so the port loops in the round
+/// body unroll fully; `Vec<u64>` is the any-degree fallback.
 trait FlowsBuf {
     fn with_len(d_plus: usize) -> Self;
     fn as_mut(&mut self) -> &mut [u64];
@@ -188,84 +206,70 @@ impl FlowsBuf for Vec<u64> {
     }
 }
 
-/// Runs `steps` plan-free rounds of `kernel` over `st.loads`, using
+/// Runs `steps` plan-free rounds of `balancer` over `st.loads`, using
 /// `back` as the second half of the double buffer (`back.len() ==
 /// st.loads.len()`; its contents on entry are irrelevant). Every round
 /// starts with the shared [`PreRound`] — mutate, inject, hand off,
-/// negative-check — and the kernel only streams the flows.
+/// negative-check — and then streams the flows.
 ///
-/// Dispatches to a degree-monomorphised round loop. On return, every
-/// part of `st` — loads, negative count, graph and counters — holds
-/// the state after the last fully completed round (an erroring round
-/// is undone).
+/// This is where every kernel-path run picks its round body, once per
+/// call: a non-overdrawing balancer with a uniform closed form on the
+/// graph streams [`uniform_round`]; every other balancer streams
+/// [`flow_round`], monomorphised per total degree and class check. On
+/// return, every part of `st` — loads, negative count, graph and
+/// counters — holds the state after the last fully completed round (an
+/// erroring round is undone).
 ///
 /// The loop is monomorphised over the [`Sink`] too: the `NoopSink`
 /// instantiation (what the untraced entry points pass) folds every
 /// probe away, while a recording sink sees per-round `Mutate`,
 /// `Inject`/`Handoff` and fused `Stream` spans. Sinks observe only —
 /// loads, errors and counters are bit-identical across sinks.
-pub(crate) fn run_rounds<F, S, W, Si>(
+pub(crate) fn run_rounds<K, S, W, Si>(
     st: RoundState<'_>,
     back: &mut [i64],
     pre: &mut PreRound,
     run: KernelRun<'_, S, W>,
-    kernel: F,
+    balancer: &mut K,
     sink: &mut Si,
 ) -> (KernelRunStats, Option<EngineError>)
 where
-    F: FnMut(&BalancingGraph, usize, i64, &mut [u64]),
+    K: KernelBalancer + ?Sized,
     S: TopologySchedule + ?Sized,
     W: Workload + ?Sized,
     Si: Sink,
 {
+    let check = !balancer.may_overdraw();
+    // Degrees never change within a run (topology events swap edges
+    // and permute ports), so the spec holds for every round.
+    if let Some(spec) = balancer.uniform_kernel(st.gp).filter(|_| check) {
+        let rule = SendRule::new(spec, st.gp.degree_plus());
+        return drive(st, back, pre, run, true, sink, |gp, cur, next, _, _| {
+            uniform_round(gp, rule, cur, next);
+            Ok(())
+        });
+    }
+    let kernel = |gp: &BalancingGraph, u, x, fl: &mut [u64]| balancer.kernel_node(gp, u, x, fl);
     match st.gp.degree_plus() {
-        2 => check_impl::<F, [u64; 2], S, W, Si>(st, back, pre, run, kernel, sink),
-        4 => check_impl::<F, [u64; 4], S, W, Si>(st, back, pre, run, kernel, sink),
-        6 => check_impl::<F, [u64; 6], S, W, Si>(st, back, pre, run, kernel, sink),
-        8 => check_impl::<F, [u64; 8], S, W, Si>(st, back, pre, run, kernel, sink),
-        _ => check_impl::<F, Vec<u64>, S, W, Si>(st, back, pre, run, kernel, sink),
+        2 => flows_impl::<_, [u64; 2], S, W, Si>(st, back, pre, run, check, kernel, sink),
+        4 => flows_impl::<_, [u64; 4], S, W, Si>(st, back, pre, run, check, kernel, sink),
+        6 => flows_impl::<_, [u64; 6], S, W, Si>(st, back, pre, run, check, kernel, sink),
+        8 => flows_impl::<_, [u64; 8], S, W, Si>(st, back, pre, run, check, kernel, sink),
+        _ => flows_impl::<_, Vec<u64>, S, W, Si>(st, back, pre, run, check, kernel, sink),
     }
 }
 
-/// Second dispatch layer: monomorphises the round loop over the class
-/// check. The non-overdrawing loop (`CHECK = true`) keeps its writes
-/// free of negative bookkeeping (the invariant makes it dead weight),
-/// while the overdrawing loop (`CHECK = false`) threads the incremental
-/// count through every write — the fold that replaced the per-round
-/// `O(n)` rescan.
-fn check_impl<F, B, S, W, Si>(
+/// Drives [`flow_round`] with a flow buffer `B` and the class check as
+/// a constant. The non-overdrawing round (`CHECK = true`) keeps its
+/// writes free of negative bookkeeping (the invariant makes it dead
+/// weight), while the overdrawing round (`CHECK = false`) threads the
+/// incremental count through every write.
+fn flows_impl<F, B, S, W, Si>(
     st: RoundState<'_>,
     back: &mut [i64],
     pre: &mut PreRound,
     run: KernelRun<'_, S, W>,
-    kernel: F,
-    sink: &mut Si,
-) -> (KernelRunStats, Option<EngineError>)
-where
-    F: FnMut(&BalancingGraph, usize, i64, &mut [u64]),
-    B: FlowsBuf,
-    S: TopologySchedule + ?Sized,
-    W: Workload + ?Sized,
-    Si: Sink,
-{
-    if run.check {
-        rounds_impl::<F, B, S, W, Si, true>(st, back, pre, run, kernel, sink)
-    } else {
-        rounds_impl::<F, B, S, W, Si, false>(st, back, pre, run, kernel, sink)
-    }
-}
-
-/// The round loop, monomorphised over the kernel closure, the flow
-/// buffer (and through it, for the array buffers, the total degree),
-/// the schedule type and the workload type — so the
-/// `StaticTopology`/`NoWorkload` instantiation folds the churn and
-/// injection branches of the pre-round away and compiles to the
-/// closed-system loop.
-fn rounds_impl<F, B, S, W, Si, const CHECK: bool>(
-    st: RoundState<'_>,
-    back: &mut [i64],
-    pre: &mut PreRound,
-    run: KernelRun<'_, S, W>,
+    check: bool,
     mut kernel: F,
     sink: &mut Si,
 ) -> (KernelRunStats, Option<EngineError>)
@@ -276,14 +280,64 @@ where
     W: Workload + ?Sized,
     Si: Sink,
 {
+    let mut flows = B::with_len(st.gp.degree_plus());
+    if check {
+        drive(
+            st,
+            back,
+            pre,
+            run,
+            true,
+            sink,
+            |gp, cur, next, neg, step| {
+                flow_round::<F, B, true>(gp, cur, next, neg, step, &mut kernel, &mut flows)
+            },
+        )
+    } else {
+        drive(
+            st,
+            back,
+            pre,
+            run,
+            false,
+            sink,
+            |gp, cur, next, neg, step| {
+                flow_round::<F, B, false>(gp, cur, next, neg, step, &mut kernel, &mut flows)
+            },
+        )
+    }
+}
+
+/// The round loop, monomorphised over the round body `stream`, the
+/// schedule type and the workload type — so the
+/// `StaticTopology`/`NoWorkload` instantiation folds the churn and
+/// injection branches of the pre-round away and compiles to the
+/// closed-system loop.
+///
+/// `stream(gp, x_t, x_{t+1}, negative, step)` writes the whole of
+/// `x_{t+1}` and keeps `negative` (the count over `x_t` on entry) in
+/// step with it; an `Err` rejects the round, which keeps nothing.
+fn drive<S, W, Si, R>(
+    st: RoundState<'_>,
+    back: &mut [i64],
+    pre: &mut PreRound,
+    run: KernelRun<'_, S, W>,
+    check: bool,
+    sink: &mut Si,
+    mut stream: R,
+) -> (KernelRunStats, Option<EngineError>)
+where
+    S: TopologySchedule + ?Sized,
+    W: Workload + ?Sized,
+    Si: Sink,
+    R: FnMut(&BalancingGraph, &[i64], &mut [i64], &mut usize, usize) -> Result<(), EngineError>,
+{
     let KernelRun {
-        check,
         steps,
         base_step,
         mut schedule,
         mut workload,
     } = run;
-    debug_assert_eq!(check, CHECK, "check_impl dispatches on run.check");
     let RoundState {
         gp,
         mut connectivity,
@@ -292,10 +346,6 @@ where
         injected,
         events,
     } = st;
-    let n = loads.len();
-    let d = gp.degree();
-    let d_plus = gp.degree_plus();
-    let mut flows = B::with_len(d_plus);
 
     // The double buffer: `cur` holds x_t, `next` accumulates x_{t+1}.
     // The roles swap each completed round; an erroring round leaves
@@ -308,7 +358,7 @@ where
     let mut steps_done = 0usize;
     let mut error = None;
 
-    'rounds: for iter in 0..steps {
+    for iter in 0..steps {
         let step_no = base_step + iter + 1;
 
         // Mutate, inject, hand off, negative-check — applied in place
@@ -326,7 +376,7 @@ where
             },
             schedule.as_deref_mut(),
             workload.as_deref_mut(),
-            CHECK,
+            check,
             sink,
         ) {
             error = Some(e);
@@ -334,86 +384,24 @@ where
         }
 
         let stream_probe = sink.start();
-        let graph = gp.graph();
-        next.copy_from_slice(cur);
-        // Overdrawing schemes (`CHECK = false`) maintain the back
-        // buffer's negative count *through the streaming writes* —
-        // `next` starts as a copy of `cur` (count: `negative`), and
-        // every subtract/add below adjusts incrementally, replacing
-        // the per-round O(n) rescan this loop used to pay.
-        // Non-overdrawing schemes keep every load non-negative
-        // invariantly once the pre-plan check passes, so their writes
-        // carry no bookkeeping at all.
-        let mut neg_next = negative;
-        for u in 0..n {
-            let x = cur[u];
-            if x == 0 {
-                // Zero-load nodes plan nothing and their state (rotor)
-                // must not advance — exactly as the planned paths skip
-                // them. Asleep nodes land here too: the handoff above
-                // emptied them before planning (except the documented
-                // all-neighbours-asleep corner, where the node keeps
-                // its queue and keeps balancing it — identically on
-                // every path).
-                continue;
-            }
-            let fl = flows.as_mut();
-            kernel(gp, u, x, fl);
-            // Nodes are streamed in ascending id order, which is
-            // exactly the planned paths' first-touch order for
-            // per-node schemes: same error node, same step.
-            let orig = match validate_outflow(fl, d, CHECK, u, x, step_no) {
-                Ok(orig) => orig,
-                Err(e) => {
-                    // The round keeps nothing: `next` is discarded and
-                    // the pre-round is reversed on the front buffer.
-                    pre.undo(RoundState {
-                        gp: &mut *gp,
-                        connectivity: connectivity.as_deref_mut(),
-                        loads: &mut *cur,
-                        negative: &mut negative,
-                        injected: &mut *injected,
-                        events: &mut *events,
-                    });
-                    error = Some(e);
-                    break 'rounds;
-                }
-            };
-            // Only tokens crossing an original edge move; self-loop and
-            // retained tokens never leave home.
-            if orig != 0 {
-                if CHECK {
-                    next[u] -= orig as i64;
-                } else {
-                    let old = next[u];
-                    let new = old - orig as i64;
-                    neg_next = neg_next + usize::from(new < 0) - usize::from(old < 0);
-                    next[u] = new;
-                }
-            }
-            let nbrs = graph.neighbors(u);
-            for (p, &f) in fl[..d].iter().enumerate() {
-                if f != 0 {
-                    let t = nbrs[p] as usize;
-                    if CHECK {
-                        next[t] += f as i64;
-                    } else {
-                        let old = next[t];
-                        let new = old + f as i64;
-                        neg_next = neg_next + usize::from(new < 0) - usize::from(old < 0);
-                        next[t] = new;
-                    }
-                }
-            }
+        if let Err(e) = stream(gp, cur, next, &mut negative, step_no) {
+            // The round keeps nothing: `next` is discarded and the
+            // pre-round is reversed on the front buffer.
+            pre.undo(RoundState {
+                gp: &mut *gp,
+                connectivity: connectivity.as_deref_mut(),
+                loads: &mut *cur,
+                negative: &mut negative,
+                injected: &mut *injected,
+                events: &mut *events,
+            });
+            error = Some(e);
+            break;
         }
-
         sink.span(Phase::Stream, step_no as u64, stream_probe);
+        debug_assert_eq!(negative, next.iter().filter(|&&x| x < 0).count());
         std::mem::swap(&mut cur, &mut next);
         steps_done = iter + 1;
-        if !CHECK {
-            negative = neg_next;
-            debug_assert_eq!(negative, cur.iter().filter(|&&x| x < 0).count());
-        }
         negative_node_steps += negative as u64;
     }
 
@@ -431,6 +419,110 @@ where
         },
         error,
     )
+}
+
+/// The closed-form round of a uniform scheme: every original port of
+/// `u` carries `b(x[u])`, so
+/// `x'[u] = x[u] − d·b(x[u]) + Σ_{v∈N(u)} b(x[v])`, gathered in one
+/// sequential sweep over the adjacency.
+///
+/// The gather equals the flow-buffer round's scatter because the
+/// adjacency is symmetric with multiplicity — sleep leaves it alone,
+/// and swaps and port permutations preserve it — so `u` lists `v` as
+/// often as `v` lists `u`. It needs no error path: the closed form
+/// never overdraws (`d·b(x) ≤ x`, proofs in [`vector`]), so loads stay
+/// non-negative once the pre-round's check passes.
+fn uniform_round(gp: &BalancingGraph, rule: SendRule, cur: &[i64], next: &mut [i64]) {
+    let d = gp.degree();
+    if d == 0 {
+        next.copy_from_slice(cur);
+        return;
+    }
+    let keep = d as i64;
+    let adj = gp.graph().adjacency_slots();
+    for ((nx, &x), nbrs) in next.iter_mut().zip(cur).zip(adj.chunks_exact(d)) {
+        let mut acc = x - keep * rule.send(x);
+        for &v in nbrs {
+            acc += rule.send(cur[v as usize]);
+        }
+        *nx = acc;
+    }
+}
+
+/// The flow-buffer round: each loaded node's `d⁺` port flows from
+/// `kernel`, validated (with `CHECK`) and applied as signed deltas to
+/// the node and its neighbours. An `Overdraw` rejects the round at the
+/// lowest offending node.
+#[inline]
+fn flow_round<F, B, const CHECK: bool>(
+    gp: &BalancingGraph,
+    cur: &[i64],
+    next: &mut [i64],
+    negative: &mut usize,
+    step_no: usize,
+    kernel: &mut F,
+    flows: &mut B,
+) -> Result<(), EngineError>
+where
+    F: FnMut(&BalancingGraph, usize, i64, &mut [u64]),
+    B: FlowsBuf,
+{
+    let graph = gp.graph();
+    let d = gp.degree();
+    next.copy_from_slice(cur);
+    // Overdrawing schemes (`CHECK = false`) maintain the back buffer's
+    // negative count *through the streaming writes* — `next` starts as
+    // a copy of `cur` (count: `negative`), and every subtract/add below
+    // adjusts incrementally. Non-overdrawing schemes keep every load
+    // non-negative invariantly once the pre-plan check passes, so their
+    // writes carry no bookkeeping at all.
+    let mut neg_next = *negative;
+    for (u, &x) in cur.iter().enumerate() {
+        if x == 0 {
+            // Zero-load nodes plan nothing and their state (rotor) must
+            // not advance — exactly as the planned paths skip them.
+            // Asleep nodes land here too: the handoff emptied them
+            // before planning (except the documented
+            // all-neighbours-asleep corner, where the node keeps its
+            // queue and keeps balancing it — identically on every
+            // path).
+            continue;
+        }
+        let fl = flows.as_mut();
+        kernel(gp, u, x, fl);
+        // Nodes are streamed in ascending id order, which is exactly
+        // the planned paths' first-touch order for per-node schemes:
+        // same error node, same step.
+        let orig = validate_outflow(fl, d, CHECK, u, x, step_no)?;
+        // Only tokens crossing an original edge move; self-loop and
+        // retained tokens never leave home.
+        if orig != 0 {
+            if CHECK {
+                next[u] -= orig as i64;
+            } else {
+                let old = next[u];
+                let new = old - orig as i64;
+                neg_next = neg_next + usize::from(new < 0) - usize::from(old < 0);
+                next[u] = new;
+            }
+        }
+        let nbrs = graph.neighbors(u);
+        for (p, &f) in fl[..d].iter().enumerate() {
+            if f != 0 {
+                let t = nbrs[p] as usize;
+                if CHECK {
+                    next[t] += f as i64;
+                } else {
+                    let old = next[t];
+                    let new = old + f as i64;
+                    neg_next = neg_next + usize::from(new < 0) - usize::from(old < 0);
+                    next[t] = new;
+                }
+            }
+        }
+    }
+    *negative = neg_next;
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,10 +1,9 @@
 //! Vectorized whole-array rounds for uniform closed-form schemes.
 //!
-//! The scalar kernel ([`super`]) streams node-at-a-time: load a node,
-//! compute its `d⁺` port flows in registers, scatter them. For the SEND
-//! family that is more structure than the mathematics needs — every
-//! original port of node `u` carries the *same* flow `b(x_u)`, a pure
-//! function of the node's load:
+//! For the SEND family a node's `d⁺` port flows are more structure
+//! than the mathematics needs — every original port of node `u`
+//! carries the *same* flow `b(x_u)`, a pure function of the node's
+//! load:
 //!
 //! * **SEND(⌊x/d⁺⌋)**: `b(x) = ⌊x/d⁺⌋` (self-loops keep the surplus at
 //!   home, so only `b` ever crosses an edge);
@@ -12,7 +11,10 @@
 //!   nearest integer, identical to the scalar rule `base + (2e ≥ d⁺)`
 //!   for both parities of `d⁺`.
 //!
-//! A whole round therefore collapses to two array passes:
+//! The scalar kernel ([`super`]) streams that closed form node at a
+//! time, gathering `b` over each node's neighbours with `SendRule`;
+//! on static, closed, awake systems a whole round collapses further,
+//! to two array passes:
 //!
 //! ```text
 //! pass 1:  b[u]    = (x[u] + bias) / d⁺        (bias = 0 or ⌊d⁺/2⌋)
@@ -152,8 +154,11 @@ pub enum VectorWidth {
 /// want, and every setting is bit-identical to every other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VectorConfig {
-    /// Master switch; `false` keeps every run on the scalar kernel
-    /// (the differential batteries use this to pin the oracle).
+    /// Master switch; `false` keeps every run on the scalar kernel,
+    /// where a uniform scheme streams its closed form (the independent
+    /// references the differential batteries pin every path against
+    /// are [`Engine::step`](crate::Engine::step) and
+    /// [`Engine::run_fast`](crate::Engine::run_fast)).
     pub enabled: bool,
     /// Gather strategy selection.
     pub strategy: VectorStrategy,
@@ -299,6 +304,48 @@ impl DivMagic {
             DivMagic::Pow2 { shift } => x >> shift,
             DivMagic::Mul { mul, shift } => ((u64::from(x) * mul) >> shift) as u32,
         }
+    }
+}
+
+/// `b(x)` of one spec for a single `i64` load, exact for **every**
+/// `x ≥ 0` — the rule the scalar kernel's closed-form stream
+/// ([`super`]) evaluates per node. [`Word::send`] divides `x + bias`,
+/// which leaves [`DivMagic::div64`]'s proven range for
+/// `x > i64::MAX − bias` (the vector layer declines such loads); this
+/// divides `x` alone and rounds up when `r + bias ≥ d⁺` for the
+/// remainder `r`, which is the same quotient: `⌊(qd⁺ + r + bias)/d⁺⌋ =
+/// q + [r + bias ≥ d⁺]` because `r + bias < 2d⁺`. For the round spec
+/// that is the scalar rule `base + (2e ≥ d⁺)`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SendRule {
+    magic: DivMagic,
+    d_plus: u64,
+    bias: u64,
+}
+
+impl SendRule {
+    /// The rule of `spec` on a graph with total degree `d_plus ≥ 1`.
+    pub(crate) fn new(spec: UniformSpec, d_plus: usize) -> SendRule {
+        SendRule {
+            magic: DivMagic::new64(d_plus as u64),
+            d_plus: d_plus as u64,
+            bias: spec.bias(d_plus),
+        }
+    }
+
+    /// The flow over each original port of a node with load `x ≥ 0`.
+    #[inline]
+    pub(crate) fn send(self, x: i64) -> i64 {
+        debug_assert!(x >= 0, "closed-form rounds require x ≥ 0");
+        let x = x as u64;
+        let q = self.magic.div64(x);
+        // The floor spec never rounds up; returning before the
+        // remainder keeps its gather to one division per load.
+        if self.bias == 0 {
+            return q as i64;
+        }
+        let r = x - q * self.d_plus;
+        (q + u64::from(r + self.bias >= self.d_plus)) as i64
     }
 }
 
@@ -824,6 +871,28 @@ mod tests {
             // The full i32-range extremes for the 32-bit reciprocal.
             for x in [0u32, 1, i32::MAX as u32, i32::MAX as u32 - 1] {
                 assert_eq!(m32.div32(x), x / d as u32, "32-bit extreme x={x} d={d}");
+            }
+        }
+    }
+
+    #[test]
+    fn send_rule_matches_split_load_at_every_magnitude() {
+        // The per-node rule the SEND kernels plan with: originals get
+        // `base` (floor) or `base + (2e ≥ d⁺)` (round). The dividends
+        // reach past 2⁶³ − bias, where dividing `x + bias` would leave
+        // the reciprocal's proven range.
+        let mut xs: Vec<i64> = (0..2048).collect();
+        for k in 0..64 {
+            xs.extend([(1 << 62) - k, (1 << 62) + k, i64::MAX - k]);
+        }
+        for d_plus in 1usize..=64 {
+            let floor = SendRule::new(UniformSpec::Floor, d_plus);
+            let round = SendRule::new(UniformSpec::Round, d_plus);
+            for &x in &xs {
+                let (base, e) = crate::balancer::split_load(x, d_plus);
+                let up = u64::from(2 * e >= d_plus);
+                assert_eq!(floor.send(x) as u64, base, "floor x={x} d⁺={d_plus}");
+                assert_eq!(round.send(x) as u64, base + up, "round x={x} d⁺={d_plus}");
             }
         }
     }

@@ -90,7 +90,9 @@ impl SendFloor {
     }
 }
 
-/// Stateless: the kernel is exactly the per-node plan.
+/// Stateless: the kernel is exactly the per-node plan. The engine never
+/// needs it: [`uniform_kernel`](KernelBalancer::uniform_kernel) answers
+/// on every graph, so the kernel path streams the closed form instead.
 impl KernelBalancer for SendFloor {
     #[inline]
     fn kernel_node(&mut self, gp: &BalancingGraph, _u: usize, load: i64, flows: &mut [u64]) {

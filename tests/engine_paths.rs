@@ -21,12 +21,13 @@
 
 use dlb::core::schemes::{RotorRouter, SendFloor, SendRound};
 use dlb::core::{
-    Balancer, Engine, EngineError, FlowPlan, KernelBalancer, LoadVector, VectorConfig,
+    Balancer, Engine, EngineError, FlowPlan, KernelBalancer, LoadVector, NoWorkload, VectorConfig,
     VectorStrategy, VectorWidth, I32_HEADROOM_LIMIT,
 };
 use dlb::graph::relabel::Relabeling;
 use dlb::graph::{generators, BalancingGraph, PortOrder, RegularGraph};
 use dlb::harness::SchemeSpec;
+use dlb::topology::ScheduleSpec;
 use proptest::prelude::*;
 
 /// The structured generator families the fast paths are validated on.
@@ -831,4 +832,57 @@ fn chunked_vector_runs_accumulate_steps_like_scalar() {
     single.run_kernel(&mut SendFloor::new(), 11).unwrap();
     assert_eq!(single.loads(), reference.loads());
     assert_eq!(single.step_count(), 11);
+}
+
+/// The closed-form stream divides exactly at every load: a node at
+/// `i64::MAX − 1` under rewiring and failures, for both SEND schemes on
+/// an odd `d⁺` (multiply-high reciprocal, and a round bias that carries
+/// the dividend past 2⁶³) and on a power-of-two `d⁺`, matches the
+/// `step_dyn` loop round for round.
+#[test]
+fn run_kernel_dyn_matches_step_dyn_at_a_near_max_load() {
+    fn check<K: KernelBalancer + Clone>(gp: &BalancingGraph, scheme: K) {
+        let spec = ScheduleSpec::Churn {
+            period: 2,
+            swaps: 1,
+            fail_pct: 25,
+            max_down: 3,
+            seed: 5,
+        };
+        let mut loads = vec![0; gp.num_nodes()];
+        loads[1] = i64::MAX - 1;
+        let initial = LoadVector::new(loads);
+        let (mut ref_sched, mut kern_sched) = (spec.build().unwrap(), spec.build().unwrap());
+        let mut reference = Engine::new(gp.clone(), initial.clone());
+        let mut kernel = Engine::new(gp.clone(), initial);
+        let (mut ref_bal, mut kern_bal) = (scheme.clone(), scheme);
+        for round in 1..=24 {
+            reference
+                .step_dyn(&mut ref_bal, Some(ref_sched.as_mut()), None)
+                .unwrap();
+            kernel
+                .run_kernel_dyn(
+                    &mut kern_bal,
+                    1,
+                    Some(kern_sched.as_mut()),
+                    None::<&mut NoWorkload>,
+                )
+                .unwrap();
+            let name = ref_bal.name();
+            assert_eq!(kernel.loads(), reference.loads(), "{name} round {round}");
+            assert_eq!(kernel.graph(), reference.graph(), "{name} round {round}");
+        }
+        assert!(reference.topology_events_applied() > 0);
+        assert_eq!(reference.loads().total(), i64::MAX - 1);
+    }
+    let graphs = [
+        // d = 2, d° = 3: d⁺ = 5.
+        BalancingGraph::with_self_loops(generators::cycle(16).unwrap(), 3).unwrap(),
+        // d = d° = 4: d⁺ = 8.
+        BalancingGraph::lazy(generators::torus(2, 4).unwrap()),
+    ];
+    for gp in &graphs {
+        check(gp, SendFloor::new());
+        check(gp, SendRound::new());
+    }
 }

@@ -227,6 +227,41 @@ fn kernel_and_sharded_paths_are_bit_identical_under_any_sink() {
     assert_eq!(by_tag[3], steps as u64, "every round ran at i32");
 }
 
+/// An open, churning SEND(⌊x/d⁺⌋) run streams the closed form inside
+/// scalar kernel rounds: one `Stream` span per round and not a single
+/// vector dispatch — what keeps a traced reconciliation of such runs
+/// on its span-based branch.
+#[test]
+fn open_churning_send_rounds_stay_scalar_kernel_rounds() {
+    let n = 128;
+    let steps = 48;
+    let run = |sink: Option<&mut RingSink>| {
+        let mut engine = Engine::new(cycle(n), point_mass(n));
+        let mut schedule = churn().build().unwrap();
+        let mut workload = steady().build(n);
+        let (s, w) = (Some(schedule.as_mut()), Some(workload.as_mut()));
+        let mut bal = SendFloor::new();
+        match sink {
+            Some(sink) => engine.run_kernel_dyn_traced(&mut bal, steps, s, w, sink),
+            None => engine.run_kernel_dyn(&mut bal, steps, s, w),
+        }
+        .unwrap();
+        engine
+    };
+    let mut sink = RingSink::with_capacity(steps * 8);
+    let traced = run(Some(&mut sink));
+    assert_twin(&traced, &run(None), "run_kernel_dyn under churn");
+    assert!(traced.topology_events_applied() > 0);
+    assert_eq!(sink.phase_count(Phase::Stream) as usize, steps);
+    assert!(sink.phase_count(Phase::Inject) > 0);
+    assert_eq!(sink.phase_count(Phase::VectorDispatch), 0);
+    assert!(sink
+        .events()
+        .iter()
+        .all(|ev| ev.phase != Phase::VectorDispatch));
+    assert_eq!(*traced.vector_stats(), Default::default());
+}
+
 #[test]
 fn counters_accumulate_across_chunked_runs() {
     let n = 96;
