@@ -2,7 +2,7 @@
 //!
 //! Every scheme in the paper is a *local* rule — node `u`'s outgoing
 //! flows at step `t` are a pure function of `x_t(u)` (plus, for the
-//! rotor-router, a rotor position). The planned paths nevertheless
+//! rotor schemes, a rotor position). The planned paths nevertheless
 //! materialise the full [`FlowPlan`](crate::FlowPlan) matrix every
 //! round: `n·d⁺` `u64` writes that the engine immediately re-reads,
 //! sums, and discards. The kernel path removes that round trip
@@ -20,8 +20,9 @@
 //!   `x'[u] = x[u] − d·b(x[u]) + Σ_{v∈N(u)} b(x[v])`: one sweep with
 //!   no flow buffer, no validation and no error path, `b` computed by
 //!   the vector layer's strength-reduced division ([`vector`]).
-//! * **flow buffer** — every other kernel (the rotor-router, user
-//!   kernels, SEND([x/d⁺]) below its class, which reports a clean
+//! * **flow buffer** — every other kernel (the rotor-router and
+//!   ROTOR-ROUTER\*, user kernels, SEND([x/d⁺]) below its class, which
+//!   reports a clean
 //!   [`Overdraw`](crate::EngineError::Overdraw)) computes each node's
 //!   port flows in registers with
 //!   [`kernel_node`](KernelBalancer::kernel_node), validates them and
@@ -68,9 +69,10 @@ pub mod vector;
 /// current load and the scheme's own per-node state — the class the
 /// plan-free kernel path can execute.
 ///
-/// A kernel may carry per-node state (the rotor-router advances its
-/// rotors as it plans); schemes whose flows are a closed form of the
-/// load alone also answer [`uniform_kernel`](KernelBalancer::uniform_kernel),
+/// A kernel may carry per-node state (the rotor-router and
+/// ROTOR-ROUTER\* advance their rotors as they plan); schemes whose
+/// flows are a closed form of the load alone also answer
+/// [`uniform_kernel`](KernelBalancer::uniform_kernel),
 /// which lets [`Engine::run_kernel`](crate::Engine::run_kernel) and
 /// [`Engine::run_parallel`](crate::Engine::run_parallel) run them as
 /// whole-array [`vector`] rounds and otherwise stream the closed-form
@@ -89,8 +91,8 @@ pub mod vector;
 /// for a stateful scheme that trips `Overdraw` despite claiming
 /// `may_overdraw() == false`, per-node state after the failed round is
 /// unspecified (loads and the reported error still match exactly). No
-/// in-tree kernel scheme can reach this: the rotor-router sends
-/// exactly its load, and negative loads are rejected before planning.
+/// in-tree kernel scheme can reach this: both rotor schemes send
+/// exactly their load, and negative loads are rejected before planning.
 pub trait KernelBalancer: Balancer {
     /// Writes node `u`'s complete `d⁺`-port flow assignment for load
     /// `load` into `flows`, updating any per-node scheme state exactly

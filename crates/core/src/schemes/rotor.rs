@@ -123,21 +123,40 @@ impl RotorRouter {
     /// surplus tokens to the next `e` ports in cyclic order from the
     /// rotor, which advances by `e`. Callers skip `x == 0` (the rotor
     /// must not move for empty nodes).
+    ///
+    /// `d⁺` is `flows.len()`: on the kernel path that is the length of
+    /// a fixed-size buffer, so the split divides by a constant.
     #[inline]
     fn node_flows(&mut self, u: usize, x: i64, flows: &mut [u64]) {
-        let d_plus = self.stride;
+        let d_plus = flows.len();
+        debug_assert_eq!(d_plus, self.stride);
         let (base, e) = split_load(x, d_plus);
+        flows.fill(base);
         let seq = &self.sequences[u * d_plus..(u + 1) * d_plus];
-        for f in flows.iter_mut() {
-            *f = base;
-        }
-        let rotor = self.rotors[u];
-        for i in 0..e {
-            let port = seq[(rotor + i) % d_plus] as usize;
-            flows[port] += 1;
-        }
-        self.rotors[u] = (rotor + e) % d_plus;
+        self.rotors[u] = spread_surplus(flows, seq, self.rotors[u], e);
     }
+}
+
+/// Adds one token to each of the `extras` ports of `seq` that follow
+/// position `rotor` cyclically, starting at `rotor` itself, and returns
+/// the advanced position. The position wraps with a compare, not a
+/// division per token. Shared by the rotor-router and ROTOR-ROUTER\*'s
+/// inner rotor; `extras < seq.len()`.
+#[inline]
+pub(crate) fn spread_surplus(
+    flows: &mut [u64],
+    seq: &[u16],
+    mut rotor: usize,
+    extras: usize,
+) -> usize {
+    for _ in 0..extras {
+        flows[seq[rotor] as usize] += 1;
+        rotor += 1;
+        if rotor == seq.len() {
+            rotor = 0;
+        }
+    }
+    rotor
 }
 
 impl Balancer for RotorRouter {

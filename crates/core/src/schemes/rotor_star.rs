@@ -1,7 +1,8 @@
 use dlb_graph::{BalancingGraph, GraphError, PortOrder};
 
 use crate::balancer::split_load;
-use crate::{Balancer, FlowPlan, LoadVector};
+use crate::schemes::rotor::spread_surplus;
+use crate::{Balancer, FlowPlan, KernelBalancer, LoadVector};
 
 /// ROTOR-ROUTER\*: the self-preferring rotor-router variant (§1.1).
 ///
@@ -116,6 +117,30 @@ impl RotorRouterStar {
     pub fn rotors(&self) -> &[usize] {
         &self.rotors
     }
+
+    /// The shared per-node rule of [`Balancer::plan`] and
+    /// [`KernelBalancer::kernel_node`]: base flow everywhere, one
+    /// surplus token to the special self-loop whenever there is any
+    /// (it takes the ceiling `⌈x/d⁺⌉`), and the other `e − 1` surplus
+    /// tokens to the next ports of the inner rotor, which advances by
+    /// `e − 1`. Callers skip `x == 0` (the rotor must not move for
+    /// empty nodes).
+    ///
+    /// `d⁺` is `flows.len()`: on the kernel path that is the length of
+    /// a fixed-size buffer, so the split divides by a constant.
+    #[inline]
+    fn node_flows(&mut self, u: usize, x: i64, flows: &mut [u64]) {
+        let inner_len = self.stride;
+        debug_assert_eq!(flows.len(), inner_len + 1);
+        let (base, e) = split_load(x, flows.len());
+        flows.fill(base);
+        if e == 0 {
+            return;
+        }
+        flows[self.special_port] += 1;
+        let seq = &self.sequences[u * inner_len..(u + 1) * inner_len];
+        self.rotors[u] = spread_surplus(flows, seq, self.rotors[u], e - 1);
+    }
 }
 
 impl Balancer for RotorRouterStar {
@@ -124,32 +149,29 @@ impl Balancer for RotorRouterStar {
     }
 
     fn plan(&mut self, gp: &BalancingGraph, loads: &LoadVector, plan: &mut FlowPlan) {
-        let d_plus = gp.degree_plus();
-        let inner_len = d_plus - 1;
         for u in 0..gp.num_nodes() {
-            let (base, e) = split_load(loads.get(u), d_plus);
-            // Special self-loop takes the ceiling ⌈x/2d⌉.
-            let special_flow = base + u64::from(e > 0);
-            let flows = plan.node_mut(u);
-            flows[self.special_port] = special_flow;
-            // Remaining y = x − special = inner_len·base + (e−1 if e>0):
-            // plain rotor round-robin over the other ports.
-            let inner_extras = e.saturating_sub(1);
-            let seq = &self.sequences[u * self.stride..(u + 1) * self.stride];
-            for &p in seq {
-                flows[p as usize] = base;
+            let x = loads.get(u);
+            if x == 0 {
+                // No tokens: the zeroed row is the whole plan, and the
+                // inner rotor does not advance.
+                continue;
             }
-            let rotor = self.rotors[u];
-            for i in 0..inner_extras {
-                let port = seq[(rotor + i) % inner_len] as usize;
-                flows[port] += 1;
-            }
-            self.rotors[u] = (rotor + inner_extras) % inner_len;
+            self.node_flows(u, x, plan.node_mut(u));
         }
     }
 
     fn reset(&mut self) {
         self.rotors.clone_from(&self.initial_rotors);
+    }
+}
+
+/// Stateful but local, like the rotor-router: the special loop and the
+/// inner rotor advance per node, so the same rule drives the plan-free
+/// kernel path bit-identically.
+impl KernelBalancer for RotorRouterStar {
+    #[inline]
+    fn kernel_node(&mut self, _gp: &BalancingGraph, u: usize, load: i64, flows: &mut [u64]) {
+        self.node_flows(u, load, flows);
     }
 }
 
@@ -248,6 +270,62 @@ mod tests {
         assert_ne!(rrs.rotors(), &[0, 0, 0, 0]);
         rrs.reset();
         assert_eq!(rrs.rotors(), &[0, 0, 0, 0]);
+    }
+
+    /// `kernel_node` writes exactly the `plan` row and advances the
+    /// inner rotor exactly as `plan` does, for every load in
+    /// `0..=4·d⁺` and every inner rotor position. Both are also checked
+    /// against a token-by-token reference that wraps the rotor with a
+    /// modulo, so the shared rule cannot drift from the definition.
+    #[test]
+    fn kernel_node_writes_the_plan_row_and_rotor_advance() {
+        let graphs = [
+            lazy_cycle(5),                                           // d⁺ = 4
+            BalancingGraph::lazy(generators::hypercube(3).unwrap()), // d⁺ = 6
+            BalancingGraph::lazy(generators::torus(2, 3).unwrap()),  // d⁺ = 8
+        ];
+        for gp in &graphs {
+            let n = gp.num_nodes();
+            let d_plus = gp.degree_plus();
+            let inner_len = d_plus - 1;
+            for rotor in 0..inner_len {
+                for x in 0..=4 * d_plus as i64 {
+                    let tag = format!("d⁺ = {d_plus}, rotor {rotor}, x = {x}");
+                    let mut planned = RotorRouterStar::with_initial_rotors(
+                        gp,
+                        PortOrder::Sequential,
+                        vec![rotor; n],
+                    )
+                    .unwrap();
+                    let mut kernel = planned.clone();
+                    let mut plan = FlowPlan::for_graph(gp);
+                    planned.plan(gp, &LoadVector::uniform(n, x), &mut plan);
+
+                    // The buffer arrives dirty: every entry must be written.
+                    let mut flows = vec![u64::MAX; d_plus];
+                    kernel.kernel_node(gp, 0, x, &mut flows);
+                    assert_eq!(flows, plan.node(0), "{tag}: flows");
+                    assert_eq!(kernel.rotors()[0], planned.rotors()[0], "{tag}: rotor");
+
+                    let (base, e) = (x as u64 / d_plus as u64, x as usize % d_plus);
+                    let mut expect = vec![base; d_plus];
+                    let extras = e.saturating_sub(1);
+                    if e > 0 {
+                        expect[planned.special_port()] += 1;
+                    }
+                    let seq = &planned.sequences[..inner_len];
+                    for i in 0..extras {
+                        expect[seq[(rotor + i) % inner_len] as usize] += 1;
+                    }
+                    assert_eq!(flows, expect, "{tag}: reference flows");
+                    assert_eq!(
+                        kernel.rotors()[0],
+                        (rotor + extras) % inner_len,
+                        "{tag}: reference rotor"
+                    );
+                }
+            }
+        }
     }
 
     /// The snapshot-restore constructor: rebuilding from captured

@@ -45,9 +45,13 @@ pub const JOURNAL_MAGIC: &[u8; 8] = b"DLBJRNL1";
 pub const JOURNAL_VERSION: u16 = 1;
 
 /// An append-only tenant journal (header + base snapshot + records).
+///
+/// Records are encoded straight onto the end of the journal's own
+/// buffer, so appending one allocates nothing beyond the buffer's
+/// amortised growth.
 #[derive(Debug, Clone)]
 pub struct Journal {
-    bytes: Vec<u8>,
+    bytes: Writer,
 }
 
 /// One decoded round record: what the generators produced for `round`.
@@ -85,14 +89,12 @@ impl Journal {
         w.u16(JOURNAL_VERSION);
         w.u64(base_snapshot.len() as u64);
         w.raw(base_snapshot);
-        Journal {
-            bytes: w.into_bytes(),
-        }
+        Journal { bytes: w }
     }
 
     /// The raw journal bytes (header, snapshot, records).
     pub fn as_bytes(&self) -> &[u8] {
-        &self.bytes
+        self.bytes.as_bytes()
     }
 
     /// Adopts raw journal bytes, validating the header and that the
@@ -103,7 +105,9 @@ impl Journal {
     /// Returns a [`WireError`] on a malformed header or any
     /// undecodable record.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Journal, WireError> {
-        let journal = Journal { bytes };
+        let journal = Journal {
+            bytes: Writer::from(bytes),
+        };
         journal.decode()?;
         Ok(journal)
     }
@@ -116,36 +120,31 @@ impl Journal {
         events: &[TopologyEvent],
         deltas: &[(u32, i64)],
     ) {
-        let mut w = Writer::new();
+        let w = &mut self.bytes;
         w.u8(0);
         w.u64(round);
         w.u32(events.len() as u32);
         for ev in events {
-            encode_event(&mut w, ev);
+            encode_event(w, ev);
         }
         w.u32(deltas.len() as u32);
         for &(node, delta) in deltas {
             w.u32(node);
             w.i64(delta);
         }
-        self.bytes.extend_from_slice(&w.into_bytes());
     }
 
     /// Appends an advance record: the tenant has driven its engine
     /// through `through_round`.
     pub(crate) fn record_advance(&mut self, through_round: u64) {
-        let mut w = Writer::new();
-        w.u8(1);
-        w.u64(through_round);
-        self.bytes.extend_from_slice(&w.into_bytes());
+        self.bytes.u8(1);
+        self.bytes.u64(through_round);
     }
 
     /// Appends the terminal error record.
     pub(crate) fn record_error(&mut self, error: &EngineError) {
-        let mut w = Writer::new();
-        w.u8(2);
-        encode_error(&mut w, Some(error));
-        self.bytes.extend_from_slice(&w.into_bytes());
+        self.bytes.u8(2);
+        encode_error(&mut self.bytes, Some(error));
     }
 
     /// Decodes the whole journal.
@@ -155,7 +154,7 @@ impl Journal {
     /// Returns a [`WireError`] on a malformed header, an undecodable
     /// record, or records out of round order.
     pub fn decode(&self) -> Result<JournalContents, WireError> {
-        let mut r = Reader::new(&self.bytes);
+        let mut r = Reader::new(self.as_bytes());
         r.magic(JOURNAL_MAGIC)?;
         let at = r.offset();
         let version = r.u16()?;
@@ -372,6 +371,82 @@ mod tests {
         // from_bytes re-validates the whole stream.
         let reparsed = Journal::from_bytes(j.as_bytes().to_vec()).unwrap();
         assert_eq!(reparsed.decode().unwrap(), contents);
+    }
+
+    /// Pins the record layout in the module docs byte for byte: one
+    /// round record with all four event kinds plus deltas, one advance
+    /// record and one error record, against a vector assembled by hand.
+    #[test]
+    fn record_bytes_follow_the_documented_layout() {
+        let snap = base().encode();
+        let mut j = Journal::new(&snap);
+        j.record_round(
+            7,
+            &[
+                TopologyEvent::Swap {
+                    a: 0,
+                    b: 1,
+                    c: 4,
+                    d: 5,
+                },
+                TopologyEvent::PermutePorts {
+                    node: 2,
+                    perm: vec![1, 0, 3, 2],
+                },
+                TopologyEvent::Sleep { node: 3 },
+                TopologyEvent::Wake { node: 6 },
+            ],
+            &[(0, 7), (5, -2)],
+        );
+        j.record_advance(9);
+        j.record_error(&EngineError::NegativeLoad {
+            node: 5,
+            load: -2,
+            step: 9,
+        });
+
+        let mut want = b"DLBJRNL1".to_vec();
+        want.extend(1u16.to_le_bytes());
+        want.extend((snap.len() as u64).to_le_bytes());
+        want.extend(&snap);
+        // Round record: tag, round, event count.
+        want.push(0x00);
+        want.extend(7u64.to_le_bytes());
+        want.extend(4u32.to_le_bytes());
+        // Swap: tag, a, b, c, d.
+        want.push(0x00);
+        for v in [0u32, 1, 4, 5] {
+            want.extend(v.to_le_bytes());
+        }
+        // Port permutation: tag, node, length, permutation.
+        want.push(0x01);
+        want.extend(2u32.to_le_bytes());
+        for v in [4u16, 1, 0, 3, 2] {
+            want.extend(v.to_le_bytes());
+        }
+        // Sleep and wake: tag, node.
+        want.push(0x02);
+        want.extend(3u32.to_le_bytes());
+        want.push(0x03);
+        want.extend(6u32.to_le_bytes());
+        // Deltas: count, then (node, delta) pairs.
+        want.extend(2u32.to_le_bytes());
+        want.extend(0u32.to_le_bytes());
+        want.extend(7i64.to_le_bytes());
+        want.extend(5u32.to_le_bytes());
+        want.extend((-2i64).to_le_bytes());
+        // Advance record: tag, through round.
+        want.push(0x01);
+        want.extend(9u64.to_le_bytes());
+        // Error record: tag, then NegativeLoad's snapshot coding (tag
+        // 3, node, load, step).
+        want.push(0x02);
+        want.push(3);
+        want.extend(5u64.to_le_bytes());
+        want.extend((-2i64).to_le_bytes());
+        want.extend(9u64.to_le_bytes());
+
+        assert_eq!(j.as_bytes(), &want[..]);
     }
 
     /// A valid journal plus a forged Round record — tag, round, 0

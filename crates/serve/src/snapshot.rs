@@ -55,7 +55,7 @@ pub enum SchemeKind {
     SendRound,
     /// Rotor-router — per-node rotor state, kernel-capable.
     RotorRouter,
-    /// ROTOR-ROUTER* — inner-rotor state, scalar path only.
+    /// ROTOR-ROUTER* — inner-rotor state, kernel-capable.
     RotorRouterStar,
 }
 

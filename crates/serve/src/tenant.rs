@@ -6,7 +6,10 @@
 //! through **recording wrappers** that capture the raw generator
 //! output (topology events pre-validation, net injection deltas) so
 //! the journal replays the exact same round inputs later — including
-//! a round that errors, whose rejected events are recorded too.
+//! a round that errors, whose rejected events are recorded too. The
+//! wrappers append into two flat logs per batch, one for events and
+//! one for deltas, which are encoded into the journal when the batch
+//! ends — no `Vec` per round.
 //!
 //! Replay drives a fresh engine rebuilt from the journal's base
 //! snapshot through the recorded rounds and compares the
@@ -143,9 +146,9 @@ pub struct TenantOutcome {
     pub error: Option<EngineError>,
 }
 
-/// The concrete scheme a tenant runs; kernel-capable variants take the
-/// engine's `run_kernel_dyn` path, ROTOR-ROUTER* the scalar
-/// `run_fast_dyn` path.
+/// The concrete scheme a tenant runs. All four are kernel schemes:
+/// [`SchemeInstance::run`] drives each through the engine's
+/// `run_kernel_dyn`, monomorphised per scheme.
 #[derive(Debug, Clone)]
 enum SchemeInstance {
     Floor(SendFloor),
@@ -195,6 +198,29 @@ impl SchemeInstance {
             SchemeInstance::Round(_) => SchemeKind::SendRound,
             SchemeInstance::Rotor(_) => SchemeKind::RotorRouter,
             SchemeInstance::Star(_) => SchemeKind::RotorRouterStar,
+        }
+    }
+
+    /// Runs `rounds` kernel rounds of this scheme on `engine` under
+    /// `schedule` and `workload` — the one engine call behind both the
+    /// live batch and the journal replay.
+    fn run<S, W>(
+        &mut self,
+        engine: &mut Engine,
+        rounds: usize,
+        schedule: &mut S,
+        workload: &mut W,
+    ) -> Result<(), EngineError>
+    where
+        S: TopologySchedule + ?Sized,
+        W: Workload + ?Sized,
+    {
+        let (s, w) = (Some(schedule), Some(workload));
+        match self {
+            SchemeInstance::Floor(b) => engine.run_kernel_dyn(b, rounds, s, w),
+            SchemeInstance::Round(b) => engine.run_kernel_dyn(b, rounds, s, w),
+            SchemeInstance::Rotor(b) => engine.run_kernel_dyn(b, rounds, s, w),
+            SchemeInstance::Star(b) => engine.run_kernel_dyn(b, rounds, s, w),
         }
     }
 
@@ -367,8 +393,8 @@ impl Tenant {
         if self.error.is_some() || rounds == 0 {
             return false;
         }
-        let mut event_log: Vec<(u64, Vec<TopologyEvent>)> = Vec::new();
-        let mut inject_log: Vec<(u64, Vec<(u32, i64)>)> = Vec::new();
+        let mut event_log = RoundLog::new();
+        let mut delta_log = RoundLog::new();
         let mut static_topo = StaticTopology;
         let mut no_workload = NoWorkload;
         let schedule_inner: &mut dyn TopologySchedule = match self.schedule.as_mut() {
@@ -379,41 +405,19 @@ impl Tenant {
             Some(w) => &mut **w,
             None => &mut no_workload,
         };
-        let mut recording_schedule = RecordingSchedule {
-            inner: schedule_inner,
-            log: &mut event_log,
-        };
-        let mut recording_workload = RecordingWorkload {
-            inner: workload_inner,
-            log: &mut inject_log,
-        };
-        let result = match &mut self.scheme {
-            SchemeInstance::Floor(b) => self.engine.run_kernel_dyn(
-                b,
-                rounds,
-                Some(&mut recording_schedule),
-                Some(&mut recording_workload),
-            ),
-            SchemeInstance::Round(b) => self.engine.run_kernel_dyn(
-                b,
-                rounds,
-                Some(&mut recording_schedule),
-                Some(&mut recording_workload),
-            ),
-            SchemeInstance::Rotor(b) => self.engine.run_kernel_dyn(
-                b,
-                rounds,
-                Some(&mut recording_schedule),
-                Some(&mut recording_workload),
-            ),
-            SchemeInstance::Star(b) => self.engine.run_fast_dyn(
-                b,
-                rounds,
-                Some(&mut recording_schedule),
-                Some(&mut recording_workload),
-            ),
-        };
-        self.append_logs(event_log, inject_log);
+        let result = self.scheme.run(
+            &mut self.engine,
+            rounds,
+            &mut RecordingSchedule {
+                inner: schedule_inner,
+                log: &mut event_log,
+            },
+            &mut RecordingWorkload {
+                inner: workload_inner,
+                log: &mut delta_log,
+            },
+        );
+        self.append_logs(&event_log, &delta_log);
         match result {
             Ok(()) => {
                 self.journal.record_advance(self.engine.step_count() as u64);
@@ -434,35 +438,23 @@ impl Tenant {
         }
     }
 
-    /// Merges the per-round event and injection logs (both ascending
-    /// in round) into journal round records.
-    fn append_logs(
-        &mut self,
-        event_log: Vec<(u64, Vec<TopologyEvent>)>,
-        inject_log: Vec<(u64, Vec<(u32, i64)>)>,
-    ) {
-        let mut events = event_log.into_iter().peekable();
-        let mut deltas = inject_log.into_iter().peekable();
-        loop {
-            let next_round = match (events.peek(), deltas.peek()) {
-                (Some(&(er, _)), Some(&(dr, _))) => er.min(dr),
-                (Some(&(er, _)), None) => er,
-                (None, Some(&(dr, _))) => dr,
-                (None, None) => break,
-            };
-            let ev = match events.peek() {
-                Some(&(r, _)) if r == next_round => {
-                    events.next().map(|(_, e)| e).unwrap_or_default()
-                }
-                _ => Vec::new(),
-            };
-            let dv = match deltas.peek() {
-                Some(&(r, _)) if r == next_round => {
-                    deltas.next().map(|(_, d)| d).unwrap_or_default()
-                }
-                _ => Vec::new(),
-            };
-            self.journal.record_round(next_round, &ev, &dv);
+    /// Merges the batch's event and delta logs (both ascending in
+    /// round) into journal round records.
+    fn append_logs(&mut self, events: &RoundLog<TopologyEvent>, deltas: &RoundLog<(u32, i64)>) {
+        let mut events = events.rounds().peekable();
+        let mut deltas = deltas.rounds().peekable();
+        while let Some(round) = [events.peek().map(|e| e.0), deltas.peek().map(|d| d.0)]
+            .into_iter()
+            .flatten()
+            .min()
+        {
+            let ev = events
+                .next_if(|&(r, _)| r == round)
+                .map_or(&[][..], |(_, e)| e);
+            let dv = deltas
+                .next_if(|&(r, _)| r == round)
+                .map_or(&[][..], |(_, d)| d);
+            self.journal.record_round(round, ev, dv);
         }
     }
 
@@ -542,32 +534,12 @@ impl Tenant {
                 records: &contents.rounds,
                 idx: 0,
             };
-            let result = match &mut scheme {
-                SchemeInstance::Floor(b) => engine.run_kernel_dyn(
-                    b,
-                    steps,
-                    Some(&mut replay_schedule),
-                    Some(&mut replay_workload),
-                ),
-                SchemeInstance::Round(b) => engine.run_kernel_dyn(
-                    b,
-                    steps,
-                    Some(&mut replay_schedule),
-                    Some(&mut replay_workload),
-                ),
-                SchemeInstance::Rotor(b) => engine.run_kernel_dyn(
-                    b,
-                    steps,
-                    Some(&mut replay_schedule),
-                    Some(&mut replay_workload),
-                ),
-                SchemeInstance::Star(b) => engine.run_fast_dyn(
-                    b,
-                    steps,
-                    Some(&mut replay_schedule),
-                    Some(&mut replay_workload),
-                ),
-            };
+            let result = scheme.run(
+                &mut engine,
+                steps,
+                &mut replay_schedule,
+                &mut replay_workload,
+            );
             if let Err(e) = result {
                 error = Some(e);
             }
@@ -609,11 +581,50 @@ fn error_step(e: &EngineError) -> Option<usize> {
     }
 }
 
+/// One batch's generator output per round, appended flat: `items`
+/// holds every round's items back to back, and `index` closes each
+/// round that added any with `(round, end)` — its items are
+/// `items[previous end..end]`. A batch fills two of these (events and
+/// deltas) instead of allocating a `Vec` per round.
+struct RoundLog<T> {
+    items: Vec<T>,
+    index: Vec<(u64, usize)>,
+}
+
+impl<T> RoundLog<T> {
+    /// An empty log; it allocates on its first item.
+    fn new() -> Self {
+        RoundLog {
+            items: Vec::new(),
+            index: Vec::new(),
+        }
+    }
+
+    /// Closes `round`: indexes the items appended since the last close,
+    /// if there are any.
+    fn close(&mut self, round: usize) {
+        let start = self.index.last().map_or(0, |&(_, end)| end);
+        if self.items.len() > start {
+            self.index.push((round as u64, self.items.len()));
+        }
+    }
+
+    /// The closed rounds, ascending, each with its items.
+    fn rounds(&self) -> impl Iterator<Item = (u64, &[T])> {
+        let mut start = 0;
+        self.index.iter().map(move |&(round, end)| {
+            let items = &self.items[start..end];
+            start = end;
+            (round, items)
+        })
+    }
+}
+
 /// Wraps a live schedule, logging every emitted event (pre-validation)
 /// keyed by round.
 struct RecordingSchedule<'a> {
     inner: &'a mut dyn TopologySchedule,
-    log: &'a mut Vec<(u64, Vec<TopologyEvent>)>,
+    log: &'a mut RoundLog<TopologyEvent>,
 }
 
 impl TopologySchedule for RecordingSchedule<'_> {
@@ -624,9 +635,8 @@ impl TopologySchedule for RecordingSchedule<'_> {
     fn events(&mut self, round: usize, graph: &RegularGraph, out: &mut Vec<TopologyEvent>) {
         let before = out.len();
         self.inner.events(round, graph, out);
-        if out.len() > before {
-            self.log.push((round as u64, out[before..].to_vec()));
-        }
+        self.log.items.extend_from_slice(&out[before..]);
+        self.log.close(round);
     }
 
     fn reset(&mut self) {
@@ -659,7 +669,7 @@ impl TopologySchedule for RecordingSchedule<'_> {
 /// the inner call are exactly this round's net injection).
 struct RecordingWorkload<'a> {
     inner: &'a mut dyn Workload,
-    log: &'a mut Vec<(u64, Vec<(u32, i64)>)>,
+    log: &'a mut RoundLog<(u32, i64)>,
 }
 
 impl Workload for RecordingWorkload<'_> {
@@ -669,15 +679,13 @@ impl Workload for RecordingWorkload<'_> {
 
     fn inject(&mut self, round: usize, loads: &[i64], deltas: &mut [i64]) {
         self.inner.inject(round, loads, deltas);
-        let sparse: Vec<(u32, i64)> = deltas
+        let sparse = deltas
             .iter()
             .enumerate()
             .filter(|&(_, &d)| d != 0)
-            .map(|(u, &d)| (u as u32, d))
-            .collect();
-        if !sparse.is_empty() {
-            self.log.push((round as u64, sparse));
-        }
+            .map(|(u, &d)| (u as u32, d));
+        self.log.items.extend(sparse);
+        self.log.close(round);
     }
 
     fn reset(&mut self) {

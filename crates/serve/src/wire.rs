@@ -59,6 +59,11 @@ impl Writer {
         self.buf
     }
 
+    /// The bytes written so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -103,6 +108,13 @@ impl Writer {
     pub fn str(&mut self, s: &str) {
         self.u32(s.len() as u32);
         self.raw(s.as_bytes());
+    }
+}
+
+/// Continues appending after existing encoded bytes.
+impl From<Vec<u8>> for Writer {
+    fn from(buf: Vec<u8>) -> Writer {
+        Writer { buf }
     }
 }
 

@@ -34,7 +34,9 @@ const EXTREMES_64: [u64; 8] = [
 
 /// Tenants whose snapshots and journals seed the mutations: a
 /// rotor-router under full churn (swaps plus sleeping nodes) and bursty
-/// arrivals, and a closed SEND tenant that takes the vector path.
+/// arrivals, a closed SEND tenant that takes the vector path, and a
+/// ROTOR-ROUTER* tenant under churn and steady arrivals, whose mutated
+/// snapshots resume the kernel with forged inner-rotor words.
 fn seed_tenants() -> Vec<Tenant> {
     let churning = Tenant::new(
         BalancingGraph::lazy(generators::cycle(12).unwrap()),
@@ -63,7 +65,21 @@ fn seed_tenants() -> Vec<Tenant> {
         ScheduleSpec::Static,
     )
     .unwrap();
-    let mut tenants = vec![churning, closed];
+    let star = Tenant::new(
+        BalancingGraph::lazy(generators::cycle(10).unwrap()),
+        LoadVector::point_mass(10, 230),
+        SchemeKind::RotorRouterStar,
+        Some(WorkloadSpec::Steady { rate: 5, seed: 3 }),
+        ScheduleSpec::Churn {
+            period: 3,
+            swaps: 1,
+            fail_pct: 30,
+            max_down: 2,
+            seed: 6,
+        },
+    )
+    .unwrap();
+    let mut tenants = vec![churning, closed, star];
     for t in &mut tenants {
         assert!(t.run_rounds(5));
         assert!(t.run_rounds(4));
@@ -200,7 +216,7 @@ proptest! {
     /// Random stacks of one to four mutations on each seed snapshot.
     #[test]
     fn mutated_snapshots_decode_or_error(
-        which in 0usize..2,
+        which in 0usize..3,
         ops in proptest::collection::vec(
             (0u8..5, 0usize..1 << 16, 0usize..64, proptest::collection::vec(0u16..256, 1..24)),
             1..5,
@@ -216,7 +232,7 @@ proptest! {
     /// Random stacks of one to four mutations on each seed journal.
     #[test]
     fn mutated_journals_decode_or_error(
-        which in 0usize..2,
+        which in 0usize..3,
         ops in proptest::collection::vec(
             (0u8..5, 0usize..1 << 16, 0usize..64, proptest::collection::vec(0u16..256, 1..24)),
             1..5,

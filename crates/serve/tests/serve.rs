@@ -100,6 +100,61 @@ fn journal_replay_matches_live_state_across_slices() {
     }
 }
 
+/// How a tenant's rounds are batched must not change what its journal
+/// records: 48 rounds under churn (swaps, sleeps, wakes) and steady
+/// arrivals, run in batches of 1, 5 or 16, decode to the same round
+/// records as the same 48 rounds run in one batch. Only the number of
+/// advance records differs.
+#[test]
+fn journal_round_records_do_not_depend_on_batching() {
+    const ROUNDS: usize = 48;
+    let tenant = |scheme| {
+        Tenant::new(
+            lazy_cycle(12),
+            LoadVector::point_mass(12, 300),
+            scheme,
+            Some(WorkloadSpec::Steady { rate: 5, seed: 2 }),
+            ScheduleSpec::Churn {
+                period: 3,
+                swaps: 1,
+                fail_pct: 30,
+                max_down: 2,
+                seed: 5,
+            },
+        )
+        .unwrap()
+    };
+    for scheme in SCHEMES {
+        let mut whole = tenant(scheme);
+        assert!(whole.run_rounds(ROUNDS));
+        let expected = whole.journal().decode().unwrap();
+        assert!(
+            expected.rounds.iter().any(|r| !r.events.is_empty()),
+            "{scheme:?}: churn must be recorded"
+        );
+        assert!(
+            expected.rounds.iter().any(|r| !r.deltas.is_empty()),
+            "{scheme:?}: injection must be recorded"
+        );
+        for batch in [1, 5, 16] {
+            let mut batched = tenant(scheme);
+            let mut done = 0;
+            while done < ROUNDS {
+                let rounds = batch.min(ROUNDS - done);
+                assert!(batched.run_rounds(rounds));
+                done += rounds;
+            }
+            let contents = batched.journal().decode().unwrap();
+            assert_eq!(
+                contents.rounds, expected.rounds,
+                "{scheme:?}: batches of {batch}"
+            );
+            assert_eq!(contents.through_round, ROUNDS as u64);
+            assert_eq!(batched.outcome(), whole.outcome(), "{scheme:?}");
+        }
+    }
+}
+
 /// A journal opened at a snapshot boundary (resumed tenant) replays
 /// from that snapshot, not from round zero.
 #[test]

@@ -11,7 +11,8 @@
 //! * the final load vector, bit for bit,
 //! * the final graph — adjacency, port numbering and sleep state —
 //!   after all applied churn (swaps, port permutations, sleep/wake),
-//! * the rotor-router's rotor state, where the scheme has one,
+//! * the rotor state of the rotor-router and ROTOR-ROUTER\* (its
+//!   inner rotor),
 //! * the completed step count,
 //! * the negative-node-step accounting,
 //! * the net injected total and the applied-event count, and
@@ -30,7 +31,7 @@
 //! injecting round on every path) and an injection that overflows
 //! `i64` (`InjectionOverflow`, rolled back like `NegativeLoad`).
 
-use dlb::core::schemes::{RotorRouter, SendFloor, SendRound};
+use dlb::core::schemes::{RotorRouter, RotorRouterStar, SendFloor, SendRound};
 use dlb::core::{
     Balancer, Engine, EngineError, FlowPlan, KernelBalancer, LoadVector, StaticTopology,
     TopologySchedule, VectorConfig, VectorStats, VectorStrategy, VectorWidth, Workload,
@@ -144,11 +145,12 @@ impl KernelBalancer for Const3 {
 }
 
 /// Which schemes exist on which paths.
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum SchemeId {
     SendFloor,
     SendRound,
     Rotor,
+    RotorStar,
     Const3,
 }
 
@@ -158,22 +160,66 @@ impl SchemeId {
             0 => SchemeId::SendFloor,
             1 => SchemeId::SendRound,
             2 => SchemeId::Rotor,
+            3 => SchemeId::RotorStar,
             _ => SchemeId::Const3,
-        }
-    }
-
-    fn build(self, gp: &BalancingGraph) -> Box<dyn Balancer> {
-        match self {
-            SchemeId::SendFloor => Box::new(SendFloor::new()),
-            SchemeId::SendRound => Box::new(SendRound::new()),
-            SchemeId::Rotor => Box::new(RotorRouter::new(gp, PortOrder::Sequential).unwrap()),
-            SchemeId::Const3 => Box::new(Const3),
         }
     }
 
     /// Whether the scheme has a closed form, so `run_parallel` takes it.
     fn is_send(self) -> bool {
         matches!(self, SchemeId::SendFloor | SchemeId::SendRound)
+    }
+}
+
+/// A concrete scheme, runnable on every serial path, whose rotor state
+/// stays observable after the run.
+enum Instance {
+    Floor(SendFloor),
+    Round(SendRound),
+    Rotor(RotorRouter),
+    Star(RotorRouterStar),
+    Const3(Const3),
+}
+
+impl Instance {
+    /// Builds `scheme` for `gp`, restoring the rotor positions when
+    /// `rotors` carries them.
+    fn build(scheme: SchemeId, gp: &BalancingGraph, rotors: Option<Vec<usize>>) -> Self {
+        let order = PortOrder::Sequential;
+        match (scheme, rotors) {
+            (SchemeId::SendFloor, _) => Instance::Floor(SendFloor::new()),
+            (SchemeId::SendRound, _) => Instance::Round(SendRound::new()),
+            (SchemeId::Rotor, None) => Instance::Rotor(RotorRouter::new(gp, order).unwrap()),
+            (SchemeId::Rotor, Some(r)) => {
+                Instance::Rotor(RotorRouter::with_initial_rotors(gp, order, r).unwrap())
+            }
+            (SchemeId::RotorStar, None) => Instance::Star(RotorRouterStar::new(gp, order).unwrap()),
+            (SchemeId::RotorStar, Some(r)) => {
+                Instance::Star(RotorRouterStar::with_initial_rotors(gp, order, r).unwrap())
+            }
+            (SchemeId::Const3, _) => Instance::Const3(Const3),
+        }
+    }
+
+    /// The scheme as a kernel; it coerces to `&mut dyn Balancer` for
+    /// the planned paths.
+    fn kernel(&mut self) -> &mut dyn KernelBalancer {
+        match self {
+            Instance::Floor(b) => b,
+            Instance::Round(b) => b,
+            Instance::Rotor(b) => b,
+            Instance::Star(b) => b,
+            Instance::Const3(b) => b,
+        }
+    }
+
+    /// Rotor positions of the rotor schemes (`None` for the others).
+    fn rotors(&self) -> Option<Vec<usize>> {
+        match self {
+            Instance::Rotor(r) => Some(r.rotors().to_vec()),
+            Instance::Star(r) => Some(r.rotors().to_vec()),
+            _ => None,
+        }
     }
 }
 
@@ -186,8 +232,7 @@ struct Outcome {
     injected_total: i64,
     topology_events: u64,
     graph: BalancingGraph,
-    /// Rotor positions, for the stateful scheme on the serial paths
-    /// (`None` where the driver could not observe them).
+    /// Rotor positions of the rotor schemes (`None` for the others).
     rotors: Option<Vec<usize>>,
     error: Option<EngineError>,
 }
@@ -206,10 +251,6 @@ impl Outcome {
         }
     }
 
-    /// Equality up to unobservable rotor state: drivers that cannot
-    /// extract rotors (the boxed planned paths for non-rotor schemes
-    /// always can — they report `None` consistently) compare them only
-    /// when both sides captured them.
     fn assert_matches(&self, reference: &Self, label: &str) {
         assert_eq!(self.loads, reference.loads, "{label}: loads");
         assert_eq!(self.steps, reference.steps, "{label}: steps");
@@ -227,9 +268,7 @@ impl Outcome {
         );
         assert_eq!(self.graph, reference.graph, "{label}: graph");
         assert_eq!(self.error, reference.error, "{label}: error");
-        if let (Some(a), Some(b)) = (&self.rotors, &reference.rotors) {
-            assert_eq!(a, b, "{label}: rotor state");
-        }
+        assert_eq!(self.rotors, reference.rotors, "{label}: rotor state");
     }
 }
 
@@ -241,12 +280,6 @@ fn build_schedule(spec: &Option<ScheduleSpec>) -> Option<Box<dyn TopologySchedul
     spec.as_ref().and_then(ScheduleSpec::build)
 }
 
-/// Builds the concrete rotor when the scheme is the rotor-router, so
-/// its state stays observable after the run.
-fn build_rotor(scheme: SchemeId, gp: &BalancingGraph) -> Option<RotorRouter> {
-    (scheme == SchemeId::Rotor).then(|| RotorRouter::new(gp, PortOrder::Sequential).unwrap())
-}
-
 fn drive_step_loop(
     gp: &BalancingGraph,
     scheme: SchemeId,
@@ -255,27 +288,20 @@ fn drive_step_loop(
     initial: &LoadVector,
     steps: usize,
 ) -> Outcome {
-    let mut rotor = build_rotor(scheme, gp);
-    let mut boxed = rotor.is_none().then(|| scheme.build(gp));
+    let mut inst = Instance::build(scheme, gp, None);
     let mut schedule = build_schedule(sspec);
     let mut workload = build_workload(wspec, gp.num_nodes());
     let mut engine = Engine::new(gp.clone(), initial.clone());
-    let mut error = None;
-    for _ in 0..steps {
-        let bal: &mut dyn Balancer = match (&mut rotor, &mut boxed) {
-            (Some(r), _) => r,
-            (None, Some(b)) => b.as_mut(),
-            _ => unreachable!(),
-        };
-        match engine.step_dyn(bal, schedule.as_deref_mut(), workload.as_deref_mut()) {
-            Ok(_) => {}
-            Err(e) => {
-                error = Some(e);
-                break;
-            }
-        }
-    }
-    Outcome::capture(&engine, rotor.map(|r| r.rotors().to_vec()), error)
+    let error = (0..steps).find_map(|_| {
+        engine
+            .step_dyn(
+                inst.kernel(),
+                schedule.as_deref_mut(),
+                workload.as_deref_mut(),
+            )
+            .err()
+    });
+    Outcome::capture(&engine, inst.rotors(), error)
 }
 
 fn drive_run_fast(
@@ -286,20 +312,19 @@ fn drive_run_fast(
     initial: &LoadVector,
     steps: usize,
 ) -> Outcome {
-    let mut rotor = build_rotor(scheme, gp);
-    let mut boxed = rotor.is_none().then(|| scheme.build(gp));
+    let mut inst = Instance::build(scheme, gp, None);
     let mut schedule = build_schedule(sspec);
     let mut workload = build_workload(wspec, gp.num_nodes());
     let mut engine = Engine::new(gp.clone(), initial.clone());
-    let bal: &mut dyn Balancer = match (&mut rotor, &mut boxed) {
-        (Some(r), _) => r,
-        (None, Some(b)) => b.as_mut(),
-        _ => unreachable!(),
-    };
     let error = engine
-        .run_fast_dyn(bal, steps, schedule.as_deref_mut(), workload.as_deref_mut())
+        .run_fast_dyn(
+            inst.kernel(),
+            steps,
+            schedule.as_deref_mut(),
+            workload.as_deref_mut(),
+        )
         .err();
-    Outcome::capture(&engine, rotor.map(|r| r.rotors().to_vec()), error)
+    Outcome::capture(&engine, inst.rotors(), error)
 }
 
 fn drive_run_kernel(
@@ -310,32 +335,19 @@ fn drive_run_kernel(
     initial: &LoadVector,
     steps: usize,
 ) -> Outcome {
+    let mut inst = Instance::build(scheme, gp, None);
     let mut schedule = build_schedule(sspec);
     let mut workload = build_workload(wspec, gp.num_nodes());
     let mut engine = Engine::new(gp.clone(), initial.clone());
-    let s = schedule.as_deref_mut();
-    let w = workload.as_deref_mut();
-    let (rotors, error) = match scheme {
-        SchemeId::SendFloor => (
-            None,
-            engine
-                .run_kernel_dyn(&mut SendFloor::new(), steps, s, w)
-                .err(),
-        ),
-        SchemeId::SendRound => (
-            None,
-            engine
-                .run_kernel_dyn(&mut SendRound::new(), steps, s, w)
-                .err(),
-        ),
-        SchemeId::Rotor => {
-            let mut rotor = RotorRouter::new(gp, PortOrder::Sequential).unwrap();
-            let err = engine.run_kernel_dyn(&mut rotor, steps, s, w).err();
-            (Some(rotor.rotors().to_vec()), err)
-        }
-        SchemeId::Const3 => (None, engine.run_kernel_dyn(&mut Const3, steps, s, w).err()),
-    };
-    Outcome::capture(&engine, rotors, error)
+    let error = engine
+        .run_kernel_dyn(
+            inst.kernel(),
+            steps,
+            schedule.as_deref_mut(),
+            workload.as_deref_mut(),
+        )
+        .err();
+    Outcome::capture(&engine, inst.rotors(), error)
 }
 
 /// `run_kernel` (`threads == None`) or `run_parallel` at the given
@@ -413,11 +425,12 @@ proptest! {
     /// SEND([x/d⁺]) below its class (`d° < d`), where it has no closed
     /// form. The planned paths assert `d° ≥ d` for that scheme, so
     /// there the kernel path is the reference the others must match.
+    /// ROTOR-ROUTER\* exists only at `d° = d`, so it always gets that.
     #[test]
     fn all_paths_agree_on_randomized_combos(
         graph_idx in 0usize..5,
         loops_idx in 0usize..4,
-        scheme_idx in 0usize..4,
+        scheme_idx in 0usize..5,
         schedule_idx in 0usize..6,
         workload_idx in 0usize..8,
         // The range dips negative so negative-seed rounds — where the
@@ -429,9 +442,13 @@ proptest! {
         let (gname, graph) = graph_for(graph_idx);
         let n = graph.num_nodes();
         let d = graph.degree();
-        let d_self = [0, 1, d, d + 1][loops_idx];
-        let gp = BalancingGraph::with_self_loops(graph, d_self).unwrap();
         let scheme = SchemeId::from_index(scheme_idx);
+        let d_self = if scheme == SchemeId::RotorStar {
+            d
+        } else {
+            [0, 1, d, d + 1][loops_idx]
+        };
+        let gp = BalancingGraph::with_self_loops(graph, d_self).unwrap();
         let sspec = schedule_for(schedule_idx);
         let wspec = workload_for(workload_idx);
         let mut loads = vec![0i64; n];
@@ -578,14 +595,50 @@ fn rotor_state_is_identical_under_full_churn() {
     });
     let wspec = Some(WorkloadSpec::Hotspot { rate: 9 });
     let initial = LoadVector::point_mass(25, 500);
-    let reference = drive_step_loop(&gp, SchemeId::Rotor, &sspec, &wspec, &initial, 40);
-    assert!(reference.error.is_none());
-    assert!(reference.topology_events > 0, "churn must land");
-    assert!(reference.rotors.is_some());
-    let kernel = drive_run_kernel(&gp, SchemeId::Rotor, &sspec, &wspec, &initial, 40);
-    kernel.assert_matches(&reference, "run_kernel rotor state");
-    let fast = drive_run_fast(&gp, SchemeId::Rotor, &sspec, &wspec, &initial, 40);
-    fast.assert_matches(&reference, "run_fast rotor state");
+    for scheme in [SchemeId::Rotor, SchemeId::RotorStar] {
+        let reference = drive_step_loop(&gp, scheme, &sspec, &wspec, &initial, 40);
+        assert!(reference.error.is_none());
+        assert!(reference.topology_events > 0, "churn must land");
+        assert!(reference.rotors.is_some());
+        let kernel = drive_run_kernel(&gp, scheme, &sspec, &wspec, &initial, 40);
+        kernel.assert_matches(&reference, "run_kernel rotor state");
+        let fast = drive_run_fast(&gp, scheme, &sspec, &wspec, &initial, 40);
+        fast.assert_matches(&reference, "run_fast rotor state");
+    }
+}
+
+/// ROTOR-ROUTER\* on every schedule of the battery — sleeping-node
+/// schedules included — times every workload, the unclamped drain
+/// included: `step_dyn`, `run_fast_dyn` and the kernel path agree on
+/// loads, graph, inner rotors and errors. The fuzz above samples this
+/// grid; here it is covered whole.
+#[test]
+fn rotor_star_agrees_on_every_schedule_and_workload() {
+    let steps = 30;
+    let mut errored = 0;
+    for graph_idx in [0, 1] {
+        let (gname, graph) = graph_for(graph_idx);
+        let n = graph.num_nodes();
+        let gp = BalancingGraph::lazy(graph);
+        let initial = LoadVector::new((0..n as i64).map(|u| 7 * u % 53).collect());
+        for schedule_idx in 0..6 {
+            let sspec = schedule_for(schedule_idx);
+            for workload_idx in 0..8 {
+                let wspec = workload_for(workload_idx);
+                let tag = format!("{gname}/{schedule_idx}/{workload_idx}");
+                let reference =
+                    drive_step_loop(&gp, SchemeId::RotorStar, &sspec, &wspec, &initial, steps);
+                errored += usize::from(reference.error.is_some());
+                let fast =
+                    drive_run_fast(&gp, SchemeId::RotorStar, &sspec, &wspec, &initial, steps);
+                fast.assert_matches(&reference, &format!("run_fast on {tag}"));
+                let kernel =
+                    drive_run_kernel(&gp, SchemeId::RotorStar, &sspec, &wspec, &initial, steps);
+                kernel.assert_matches(&reference, &format!("run_kernel on {tag}"));
+            }
+        }
+    }
+    assert!(errored > 0, "the unclamped drain must reach an error round");
 }
 
 /// Regression (PR 5 review): in a churning round with no injection
@@ -674,42 +727,32 @@ fn drive_split_resume(
     }
 
     // Phase 1: the instrumented loop up to the split boundary.
-    let mut rotor = build_rotor(scheme, gp);
-    let mut boxed = rotor.is_none().then(|| scheme.build(gp));
+    let mut inst = Instance::build(scheme, gp, None);
     let mut schedule = build_schedule(sspec);
     let mut workload = build_workload(wspec, gp.num_nodes());
     let mut engine = Engine::new(gp.clone(), initial.clone());
     for _ in 0..split {
-        let bal: &mut dyn Balancer = match (&mut rotor, &mut boxed) {
-            (Some(r), _) => r,
-            (None, Some(b)) => b.as_mut(),
-            _ => unreachable!(),
-        };
-        if let Err(e) = engine.step_dyn(bal, schedule.as_deref_mut(), workload.as_deref_mut()) {
+        if let Err(e) = engine.step_dyn(
+            inst.kernel(),
+            schedule.as_deref_mut(),
+            workload.as_deref_mut(),
+        ) {
             // Errored before the boundary: nothing left to resume; the
             // terminal state itself must match the reference.
-            return Some(Outcome::capture(
-                &engine,
-                rotor.map(|r| r.rotors().to_vec()),
-                Some(e),
-            ));
+            return Some(Outcome::capture(&engine, inst.rotors(), Some(e)));
         }
     }
 
     // The export: everything a resumed instance is allowed to see.
     let state = engine.export_state();
-    let rotor_state = rotor.as_ref().map(|r| r.rotors().to_vec());
+    let rotor_state = inst.rotors();
     let schedule_cursor = schedule.as_ref().map(|s| s.cursor());
     let workload_cursor = workload.as_ref().map(|w| w.cursor());
-    drop((engine, rotor, boxed, schedule, workload));
+    drop((engine, inst, schedule, workload));
 
     // Phase 2: rebuild from the export and finish on `path`.
     let mut engine = Engine::from_state(state);
-    let mut rotor = rotor_state.map(|r| {
-        RotorRouter::with_initial_rotors(gp, PortOrder::Sequential, r)
-            .expect("exported rotor state is valid")
-    });
-    let mut boxed = rotor.is_none().then(|| scheme.build(gp));
+    let mut inst = Instance::build(scheme, gp, rotor_state);
     let mut schedule = build_schedule(sspec);
     if let (Some(s), Some(c)) = (&mut schedule, &schedule_cursor) {
         assert!(s.restore_cursor(c), "schedule cursor must restore");
@@ -719,57 +762,15 @@ fn drive_split_resume(
         assert!(w.restore_cursor(c), "workload cursor must restore");
     }
     let remaining = steps - split;
+    let (mut s, mut w) = (schedule.as_deref_mut(), workload.as_deref_mut());
     let error = match path {
-        ResumePath::StepLoop => {
-            let mut error = None;
-            for _ in 0..remaining {
-                let bal: &mut dyn Balancer = match (&mut rotor, &mut boxed) {
-                    (Some(r), _) => r,
-                    (None, Some(b)) => b.as_mut(),
-                    _ => unreachable!(),
-                };
-                match engine.step_dyn(bal, schedule.as_deref_mut(), workload.as_deref_mut()) {
-                    Ok(_) => {}
-                    Err(e) => {
-                        error = Some(e);
-                        break;
-                    }
-                }
-            }
-            error
-        }
-        ResumePath::Fast => {
-            let bal: &mut dyn Balancer = match (&mut rotor, &mut boxed) {
-                (Some(r), _) => r,
-                (None, Some(b)) => b.as_mut(),
-                _ => unreachable!(),
-            };
+        ResumePath::StepLoop => (0..remaining).find_map(|_| {
             engine
-                .run_fast_dyn(
-                    bal,
-                    remaining,
-                    schedule.as_deref_mut(),
-                    workload.as_deref_mut(),
-                )
+                .step_dyn(inst.kernel(), s.as_deref_mut(), w.as_deref_mut())
                 .err()
-        }
-        ResumePath::Kernel => {
-            let s = schedule.as_deref_mut();
-            let w = workload.as_deref_mut();
-            match scheme {
-                SchemeId::SendFloor => engine
-                    .run_kernel_dyn(&mut SendFloor::new(), remaining, s, w)
-                    .err(),
-                SchemeId::SendRound => engine
-                    .run_kernel_dyn(&mut SendRound::new(), remaining, s, w)
-                    .err(),
-                SchemeId::Const3 => engine.run_kernel_dyn(&mut Const3, remaining, s, w).err(),
-                SchemeId::Rotor => {
-                    let r = rotor.as_mut().expect("rotor scheme restored a rotor");
-                    engine.run_kernel_dyn(r, remaining, s, w).err()
-                }
-            }
-        }
+        }),
+        ResumePath::Fast => engine.run_fast_dyn(inst.kernel(), remaining, s, w).err(),
+        ResumePath::Kernel => engine.run_kernel_dyn(inst.kernel(), remaining, s, w).err(),
         ResumePath::Parallel(threads) => match scheme {
             SchemeId::SendFloor => engine
                 .run_parallel(&SendFloor::new(), remaining, threads)
@@ -781,32 +782,17 @@ fn drive_split_resume(
         },
         ResumePath::ForcedVector(config) => {
             engine.set_vector_config(config);
-            match scheme {
-                SchemeId::SendFloor => engine
-                    .run_kernel_dyn(
-                        &mut SendFloor::new(),
-                        remaining,
-                        StaticTopology::none(),
-                        None::<&mut dyn Workload>,
-                    )
-                    .err(),
-                SchemeId::SendRound => engine
-                    .run_kernel_dyn(
-                        &mut SendRound::new(),
-                        remaining,
-                        StaticTopology::none(),
-                        None::<&mut dyn Workload>,
-                    )
-                    .err(),
-                _ => unreachable!("gated above"),
-            }
+            engine
+                .run_kernel_dyn(
+                    inst.kernel(),
+                    remaining,
+                    StaticTopology::none(),
+                    None::<&mut dyn Workload>,
+                )
+                .err()
         }
     };
-    Some(Outcome::capture(
-        &engine,
-        rotor.map(|r| r.rotors().to_vec()),
-        error,
-    ))
+    Some(Outcome::capture(&engine, inst.rotors(), error))
 }
 
 /// The resume matrix pinned by the snapshot axis.
@@ -846,7 +832,7 @@ proptest! {
     #[test]
     fn snapshot_resume_agrees_on_every_path(
         graph_idx in 0usize..5,
-        scheme_idx in 0usize..4,
+        scheme_idx in 0usize..5,
         schedule_idx in 0usize..6,
         workload_idx in 0usize..8,
         pattern in proptest::collection::vec(-20i64..120, 4..12),
@@ -928,12 +914,13 @@ fn resume_across_a_divergence_point_reproduces_the_error() {
     }
 }
 
-/// Drives `steps` rounds of the rotor-router with `workload` on one of
+/// Drives `steps` rounds of a rotor scheme with `workload` on one of
 /// the three dynamic paths — 0: the `step_dyn` loop, 1: `run_fast_dyn`,
 /// 2: `run_kernel_dyn` — for inputs the spec-driven drivers cannot
 /// build.
 fn drive_workload(
     path: usize,
+    scheme: SchemeId,
     gp: &BalancingGraph,
     sspec: &Option<ScheduleSpec>,
     workload: &mut dyn Workload,
@@ -941,22 +928,23 @@ fn drive_workload(
     steps: usize,
 ) -> Outcome {
     let mut schedule = build_schedule(sspec);
-    let mut rotor = RotorRouter::new(gp, PortOrder::Sequential).unwrap();
+    let mut inst = Instance::build(scheme, gp, None);
     let mut engine = Engine::new(gp.clone(), initial.clone());
+    let mut s = schedule.as_deref_mut();
     let error = match path {
         0 => (0..steps).find_map(|_| {
             engine
-                .step_dyn(&mut rotor, schedule.as_deref_mut(), Some(&mut *workload))
+                .step_dyn(inst.kernel(), s.as_deref_mut(), Some(&mut *workload))
                 .err()
         }),
         1 => engine
-            .run_fast_dyn(&mut rotor, steps, schedule.as_deref_mut(), Some(workload))
+            .run_fast_dyn(inst.kernel(), steps, s, Some(workload))
             .err(),
         _ => engine
-            .run_kernel_dyn(&mut rotor, steps, schedule.as_deref_mut(), Some(workload))
+            .run_kernel_dyn(inst.kernel(), steps, s, Some(workload))
             .err(),
     };
-    Outcome::capture(&engine, Some(rotor.rotors().to_vec()), error)
+    Outcome::capture(&engine, inst.rotors(), error)
 }
 
 /// The bounded adversary, alone and inside a `Compose`, across every
@@ -977,32 +965,36 @@ fn bounded_adversary_alone_and_composed_is_identical_on_every_path() {
             let sname = sspec
                 .as_ref()
                 .map_or_else(|| "static".into(), ScheduleSpec::label);
-            let mut reference = None;
-            for path in 0..3 {
-                let mut alone = BoundedAdversary::new(6);
-                let outcome = drive_workload(path, &gp, &sspec, &mut alone, &initial, steps);
-                let tag = format!("adversary via path {path} on {gname}/{sname}");
-                assert_eq!(outcome.error, None, "{tag}");
-                assert_eq!(outcome.injected_total, 6 * steps as i64, "{tag}");
-                assert_eq!(alone.scans(), steps as u64, "{tag}: scans");
+            for scheme in [SchemeId::Rotor, SchemeId::RotorStar] {
+                let mut reference = None;
+                for path in 0..3 {
+                    let mut alone = BoundedAdversary::new(6);
+                    let outcome =
+                        drive_workload(path, scheme, &gp, &sspec, &mut alone, &initial, steps);
+                    let tag = format!("{scheme:?} adversary via path {path} on {gname}/{sname}");
+                    assert_eq!(outcome.error, None, "{tag}");
+                    assert_eq!(outcome.injected_total, 6 * steps as i64, "{tag}");
+                    assert_eq!(alone.scans(), steps as u64, "{tag}: scans");
 
-                // The composed adversary's scan tally is the first
-                // frame of the composition's cursor: [1, scans, …].
-                let mut composed = Compose::new(vec![
-                    Box::new(BoundedAdversary::new(6)),
-                    Box::new(SteadyArrivals::new(5, 3)),
-                ]);
-                let mixed = drive_workload(path, &gp, &sspec, &mut composed, &initial, steps);
-                let ctag = format!("composed {tag}");
-                assert_eq!(mixed.error, None, "{ctag}");
-                assert_eq!(mixed.injected_total, 11 * steps as i64, "{ctag}");
-                assert_eq!(&composed.cursor()[..2], &[1, steps as u64], "{ctag}: scans");
+                    // The composed adversary's scan tally is the first
+                    // frame of the composition's cursor: [1, scans, …].
+                    let mut composed = Compose::new(vec![
+                        Box::new(BoundedAdversary::new(6)),
+                        Box::new(SteadyArrivals::new(5, 3)),
+                    ]);
+                    let mixed =
+                        drive_workload(path, scheme, &gp, &sspec, &mut composed, &initial, steps);
+                    let ctag = format!("composed {tag}");
+                    assert_eq!(mixed.error, None, "{ctag}");
+                    assert_eq!(mixed.injected_total, 11 * steps as i64, "{ctag}");
+                    assert_eq!(&composed.cursor()[..2], &[1, steps as u64], "{ctag}: scans");
 
-                match &reference {
-                    None => reference = Some((outcome, mixed)),
-                    Some((r_alone, r_mixed)) => {
-                        outcome.assert_matches(r_alone, &tag);
-                        mixed.assert_matches(r_mixed, &ctag);
+                    match &reference {
+                        None => reference = Some((outcome, mixed)),
+                        Some((r_alone, r_mixed)) => {
+                            outcome.assert_matches(r_alone, &tag);
+                            mixed.assert_matches(r_mixed, &ctag);
+                        }
                     }
                 }
             }
@@ -1022,26 +1014,28 @@ fn injection_overflow_is_a_typed_error_rolled_back_on_every_path() {
     spec.validate().unwrap();
     let gp = BalancingGraph::lazy(generators::cycle(8).unwrap());
     let initial = LoadVector::uniform(8, 1);
-    let mut reference: Option<Outcome> = None;
-    for path in 0..3 {
-        let mut workload = spec.build(8);
-        let outcome = drive_workload(path, &gp, &None, workload.as_mut(), &initial, 4);
-        let tag = format!("path {path}");
-        assert_eq!(
-            outcome.error,
-            Some(EngineError::InjectionOverflow { node: 0, step: 2 }),
-            "{tag}"
-        );
-        assert_eq!(outcome.steps, 1, "{tag}: round 2 rolled back");
-        assert_eq!(outcome.injected_total, 1 << 62, "{tag}");
-        assert_eq!(
-            outcome.loads.iter().sum::<i64>(),
-            8 + (1 << 62),
-            "{tag}: conservation"
-        );
-        match &reference {
-            None => reference = Some(outcome),
-            Some(r) => outcome.assert_matches(r, &tag),
+    for scheme in [SchemeId::Rotor, SchemeId::RotorStar] {
+        let mut reference: Option<Outcome> = None;
+        for path in 0..3 {
+            let mut workload = spec.build(8);
+            let outcome = drive_workload(path, scheme, &gp, &None, workload.as_mut(), &initial, 4);
+            let tag = format!("{scheme:?} via path {path}");
+            assert_eq!(
+                outcome.error,
+                Some(EngineError::InjectionOverflow { node: 0, step: 2 }),
+                "{tag}"
+            );
+            assert_eq!(outcome.steps, 1, "{tag}: round 2 rolled back");
+            assert_eq!(outcome.injected_total, 1 << 62, "{tag}");
+            assert_eq!(
+                outcome.loads.iter().sum::<i64>(),
+                8 + (1 << 62),
+                "{tag}: conservation"
+            );
+            match &reference {
+                None => reference = Some(outcome),
+                Some(r) => outcome.assert_matches(r, &tag),
+            }
         }
     }
 }
