@@ -1306,7 +1306,7 @@ mod tests {
             format!("node0(+{})", self.rate)
         }
         fn inject(&mut self, _round: usize, _loads: &[i64], deltas: &mut [i64]) {
-            deltas[0] = self.rate;
+            deltas[0] += self.rate;
         }
     }
 
@@ -1320,7 +1320,7 @@ mod tests {
             format!("node1(-{})", self.rate)
         }
         fn inject(&mut self, _round: usize, _loads: &[i64], deltas: &mut [i64]) {
-            deltas[1] = -self.rate;
+            deltas[1] -= self.rate;
         }
     }
 

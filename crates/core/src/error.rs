@@ -47,12 +47,14 @@ pub enum EngineError {
         /// The graph layer's description of the violation.
         reason: String,
     },
-    /// A round's injection would take a node's load, or the engine's
-    /// cumulative net injection, outside the `i64` range. The round is
-    /// rolled back whole, like [`NegativeLoad`](EngineError::NegativeLoad).
+    /// A round's injection would take a node's load, the engine's
+    /// cumulative net injection, or the positive load total
+    /// `Σ max(x, 0)` (which bounds every load the round's flows can
+    /// form) outside the `i64` range. The round is rolled back whole,
+    /// like [`NegativeLoad`](EngineError::NegativeLoad).
     InjectionOverflow {
-        /// The first node, in id order, whose load or running injection
-        /// total would overflow.
+        /// The first node, in id order, whose load, running injection
+        /// total or running positive load total would overflow.
         node: usize,
         /// The step whose injection overflowed (1-based).
         step: usize,

@@ -5,9 +5,13 @@
 //!
 //! 1. **mutate** — the schedule's topology events rewire the graph in
 //!    place (and the connectivity mirror, when tracked);
-//! 2. **inject** — the workload's signed deltas for the round;
+//! 2. **inject** — the workload adds its signed deltas for the round
+//!    into one engine-owned buffer, zeroed once per round;
 //! 3. **handoff** — every asleep node's queue, same-round injection
-//!    included, moves to its live neighbours;
+//!    included, moves to its live neighbours (added into the same
+//!    buffer), and the buffer is applied to the loads in one
+//!    branch-free pass that also bounds every load, the cumulative net
+//!    injection and the positive load total to `i64`;
 //! 4. **negative-check** — a non-overdrawing scheme must never plan
 //!    from a negative load.
 //!
@@ -65,7 +69,9 @@ impl PreRound {
     ///
     /// On error nothing has changed: a rejected topology event is
     /// rolled back by the graph layer, and an injection that overflows
-    /// or leaves a negative load rolls back the whole pre-round; a
+    /// (a load, the cumulative net injection or the positive load
+    /// total past `i64`) or leaves a negative load rolls back the whole
+    /// pre-round; a
     /// `NegativeLoad` still carries the post-injection load that
     /// triggered it.
     #[inline]
@@ -119,10 +125,10 @@ impl PreRound {
         Ok(())
     }
 
-    /// Computes and applies the round's deltas in place: the
+    /// Computes the round's deltas into the zeroed buffer — the
     /// workload's, then the failure handoff, which reads the
-    /// post-injection loads. On overflow nothing is applied and the
-    /// offending node is returned.
+    /// post-injection loads — and applies them in place. On overflow
+    /// nothing is applied and the offending node is returned.
     fn inject<W: Workload + ?Sized, Si: Sink>(
         &mut self,
         step: usize,
@@ -144,9 +150,9 @@ impl PreRound {
             probe = sink.start();
         }
         let before = *st.injected;
-        let (total, overflow) = apply_deltas(st.loads, &self.deltas, false, st.negative, before);
+        let (total, overflow) = apply_deltas::<false>(st.loads, &self.deltas, st.negative, before);
         let applied = if overflow {
-            apply_deltas(st.loads, &self.deltas, true, st.negative, 0);
+            apply_deltas::<true>(st.loads, &self.deltas, st.negative, 0);
             Err(first_overflow(st.loads, &self.deltas, before))
         } else {
             *st.injected = total;
@@ -158,13 +164,13 @@ impl PreRound {
     }
 
     /// Reverses the last successful [`run`](PreRound::run) — its load
-    /// deltas, each negative-count update included, its topology
+    /// deltas, with the negative count recounted, its topology
     /// events, connectivity mirror included, and its counter updates —
     /// leaving `st` exactly as that run found it. Call at most once per
     /// run.
     pub(crate) fn undo(&mut self, st: RoundState<'_>) {
         if let Some(before) = self.injected_before.take() {
-            apply_deltas(st.loads, &self.deltas, true, st.negative, 0);
+            apply_deltas::<true>(st.loads, &self.deltas, st.negative, 0);
             *st.injected = before;
         }
         *st.events -= self.events.len() as u64;
@@ -200,90 +206,64 @@ fn negative_load(loads: &[i64], step: usize) -> EngineError {
     }
 }
 
-/// Adds a round's deltas to `loads` (or, with `negate`, subtracts
-/// them) in wrapping arithmetic, keeping the negative count in step.
-/// Returns `total` plus the net delta, and whether any load or that
-/// running total, taken in node order, left the `i64` range. Wrapping
-/// makes the negated call the exact inverse of the forward one — each
-/// negative-count update included, overflowed or not — so an erroring
-/// round restores both the loads and the counter to the last completed
-/// round.
+/// Adds a round's deltas to `loads` (or, with `NEGATE`, subtracts
+/// them) in wrapping arithmetic and recounts the negative loads.
+/// Returns `total` plus the net delta, and whether, taken in node
+/// order, any load, that running total or the running positive load
+/// total `Σ max(x', 0)` of the new loads left the `i64` range — the
+/// last bound keeps every later flow phase from wrapping, since flows
+/// move tokens without creating them. Wrapping makes the negated call
+/// the exact inverse of the forward one, overflowed or not, so an
+/// erroring round restores the loads, and with them the negative
+/// count, to the last completed round.
 ///
-/// Two loops behind one probe: sparse delta vectors (hotspot, drain —
-/// a handful of nonzero entries) keep the skip-zero branch, while
-/// mostly-nonzero vectors (steady arrivals touch every node) take a
-/// branchless dense loop that unconditionally writes every entry — a
-/// zero delta rewrites the old value and contributes nothing to the
-/// total, the negative count or the overflow flag, so the two loops
-/// are exactly equivalent and the probe is free to be a heuristic.
+/// One branch-free loop writes every entry, whatever the density: a
+/// zero delta rewrites the old value and moves only the positive total
+/// and the negative count, so there is no per-element branch for the
+/// predictor to miss.
 #[inline]
-fn apply_deltas(
+fn apply_deltas<const NEGATE: bool>(
     loads: &mut [i64],
     deltas: &[i64],
-    negate: bool,
     negative: &mut usize,
     total: i64,
 ) -> (i64, bool) {
-    const PROBE: usize = 64;
-    let probe_len = deltas.len().min(PROBE);
-    let nonzero = deltas[..probe_len].iter().filter(|&&dv| dv != 0).count();
-    if probe_len > 0 && 2 * nonzero >= probe_len {
-        return apply_deltas_dense(loads, deltas, negate, negative, total);
-    }
-    let (mut total, mut overflow) = (total, false);
+    debug_assert_eq!(loads.len(), deltas.len(), "one delta per node");
+    let (mut total, mut positive, mut neg) = (total, 0i64, 0usize);
+    let (mut load_over, mut total_over, mut positive_over) = (false, false, false);
     for (x, &dv) in loads.iter_mut().zip(deltas) {
-        if dv != 0 {
-            let dv = if negate { dv.wrapping_neg() } else { dv };
-            let old = *x;
-            let (new, o) = old.overflowing_add(dv);
-            let (t, ot) = total.overflowing_add(dv);
-            *negative = *negative + usize::from(new < 0) - usize::from(old < 0);
-            *x = new;
-            total = t;
-            overflow |= o | ot;
-        }
-    }
-    (total, overflow)
-}
-
-/// The branchless dense variant: every entry is written, negative
-/// bookkeeping is a pair of flag adds, overflow is a flag or, and
-/// there is no per-element branch for the predictor to miss on a dense
-/// delta vector.
-fn apply_deltas_dense(
-    loads: &mut [i64],
-    deltas: &[i64],
-    negate: bool,
-    negative: &mut usize,
-    total: i64,
-) -> (i64, bool) {
-    let sign = if negate { -1i64 } else { 1i64 };
-    let (mut total, mut overflow) = (total, false);
-    let mut neg = *negative;
-    for (x, &dv) in loads.iter_mut().zip(deltas) {
-        let dv = dv.wrapping_mul(sign);
-        let old = *x;
-        let (new, o) = old.overflowing_add(dv);
+        let dv = if NEGATE { dv.wrapping_neg() } else { dv };
+        let (new, o) = x.overflowing_add(dv);
         let (t, ot) = total.overflowing_add(dv);
-        neg = neg + usize::from(new < 0) - usize::from(old < 0);
+        let (p, op) = positive.overflowing_add(new.max(0));
         *x = new;
-        total = t;
-        overflow |= o | ot;
+        (total, positive) = (t, p);
+        neg += usize::from(new < 0);
+        load_over |= o;
+        total_over |= ot;
+        positive_over |= op;
     }
     *negative = neg;
-    (total, overflow)
+    (total, load_over | total_over | positive_over)
 }
 
 /// The node an overflowing [`apply_deltas`] reports: the first, in
-/// node order, whose load or the running `total` would leave `i64`.
+/// node order, whose load, the running `total` or the running positive
+/// load total would leave `i64`.
 fn first_overflow(loads: &[i64], deltas: &[i64], mut total: i64) -> usize {
+    let mut positive = 0i64;
     loads
         .iter()
         .zip(deltas)
         .position(|(&x, &dv)| {
-            let next = total.checked_add(dv);
-            total = next.unwrap_or(total);
-            x.checked_add(dv).is_none() || next.is_none()
+            let step = x.checked_add(dv).and_then(|new| {
+                let t = total.checked_add(dv)?;
+                Some((t, positive.checked_add(new.max(0))?))
+            });
+            if let Some((t, p)) = step {
+                (total, positive) = (t, p);
+            }
+            step.is_none()
         })
         .expect("an overflowing apply has an overflowing node")
 }
@@ -291,39 +271,69 @@ fn first_overflow(loads: &[i64], deltas: &[i64], mut total: i64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dlb_graph::generators;
+    use dlb_obs::NoopSink;
+    use dlb_topology::StaticTopology;
 
-    /// The reference `apply_deltas` semantics, branch-per-element, with
-    /// no density dispatch — what both production loops must equal.
-    fn apply_deltas_reference(
+    /// The reference `apply_deltas` semantics, branch-per-element in
+    /// checked arithmetic: the new loads, negative count and net delta,
+    /// or the first node in node order whose load, running `total` or
+    /// running positive load total would leave `i64` — what the single
+    /// production loop must equal.
+    fn reference(
+        loads: &[i64],
+        deltas: &[i64],
+        negate: bool,
+        total: i64,
+    ) -> Result<(Vec<i64>, usize, i64), usize> {
+        let (mut out, mut total, mut positive) = (Vec::new(), total, 0i64);
+        for (u, (&x, &dv)) in loads.iter().zip(deltas).enumerate() {
+            let mut new = x;
+            if dv != 0 {
+                let dv = if negate {
+                    dv.checked_neg().ok_or(u)?
+                } else {
+                    dv
+                };
+                new = x.checked_add(dv).ok_or(u)?;
+                total = total.checked_add(dv).ok_or(u)?;
+            }
+            positive = positive.checked_add(new.max(0)).ok_or(u)?;
+            out.push(new);
+        }
+        let negative = out.iter().filter(|&&x| x < 0).count();
+        Ok((out, negative, total))
+    }
+
+    /// [`apply_deltas`] with the polarity as a value.
+    fn apply(
         loads: &mut [i64],
         deltas: &[i64],
         negate: bool,
-        negative: &mut usize,
-    ) -> i64 {
-        let mut sum = 0i64;
-        for (x, &dv) in loads.iter_mut().zip(deltas) {
-            if dv != 0 {
-                let old = *x;
-                let new = if negate { old - dv } else { old + dv };
-                *negative = *negative + usize::from(new < 0) - usize::from(old < 0);
-                *x = new;
-                sum += dv;
-            }
+        neg: &mut usize,
+        total: i64,
+    ) -> (i64, bool) {
+        if negate {
+            apply_deltas::<true>(loads, deltas, neg, total)
+        } else {
+            apply_deltas::<false>(loads, deltas, neg, total)
         }
-        sum
+    }
+
+    fn negatives(loads: &[i64]) -> usize {
+        loads.iter().filter(|&&x| x < 0).count()
     }
 
     #[test]
-    fn apply_deltas_dense_and_sparse_loops_agree_with_the_reference() {
-        // Deterministic pseudo-random mixtures at several densities,
-        // so both sides of the probe's cutover are exercised — 0%
-        // (all-zero), sparse, the 50% boundary, dense, 100% — with
-        // sign changes crossing zero in both directions, and both
-        // `negate` polarities (the erroring-round undo path).
-        let n = 257; // off the probe window and not lane-aligned
-        for density_pct in [0usize, 3, 40, 50, 60, 97, 100] {
+    fn apply_deltas_matches_the_reference_at_every_density() {
+        // Deterministic pseudo-random mixtures at every density from
+        // 0% to 100%, with sign changes crossing zero in both
+        // directions and both `negate` polarities (the erroring-round
+        // undo path); each apply is undone exactly by its negation.
+        let n = 257; // not lane-aligned
+        for density_pct in 0..=100usize {
             for negate in [false, true] {
-                let mut state = 0x9e37_79b9_u64;
+                let mut state = 0x9e37_79b9_u64 ^ density_pct as u64;
                 let mut rnd = move || {
                     state = state
                         .wrapping_mul(6364136223846793005)
@@ -340,52 +350,176 @@ mod tests {
                         }
                     })
                     .collect();
-                let mut expected = loads0.clone();
-                let mut expected_neg = expected.iter().filter(|&&x| x < 0).count();
-                let mut expected_sum =
-                    apply_deltas_reference(&mut expected, &deltas, negate, &mut expected_neg);
-                if negate {
-                    // The returned total moves with the applied sign.
-                    expected_sum = -expected_sum;
-                }
+                let tag = format!("density {density_pct}%, negate {negate}");
+                let (expected, expected_neg, expected_sum) =
+                    reference(&loads0, &deltas, negate, 7).expect("small deltas never overflow");
 
                 let mut got = loads0.clone();
-                let mut got_neg = got.iter().filter(|&&x| x < 0).count();
-                let (got_sum, overflow) = apply_deltas(&mut got, &deltas, negate, &mut got_neg, 0);
+                let mut got_neg = negatives(&got);
+                let (got_sum, overflow) = apply(&mut got, &deltas, negate, &mut got_neg, 7);
+                assert_eq!(got, expected, "{tag}: loads");
+                assert_eq!(got_neg, expected_neg, "{tag}: negative count");
+                assert_eq!(got_sum, expected_sum, "{tag}: net delta");
+                assert!(!overflow, "{tag}");
 
-                assert_eq!(got, expected, "loads at density {density_pct}%");
-                assert_eq!(got_neg, expected_neg, "negative count at {density_pct}%");
-                assert_eq!(got_sum, expected_sum, "net delta at {density_pct}%");
-                assert_eq!(got_neg, got.iter().filter(|&&x| x < 0).count());
-                assert!(!overflow, "small deltas never overflow");
+                apply(&mut got, &deltas, !negate, &mut got_neg, 0);
+                assert_eq!(got, loads0, "{tag}: the negated apply is the exact inverse");
+                assert_eq!(got_neg, negatives(&loads0), "{tag}: negative count undone");
             }
         }
     }
 
     #[test]
     fn overflowing_apply_is_flagged_reported_and_negated_exactly() {
-        // A load past i64::MAX at node 1, then a running total past it
-        // at node 1 although no single load overflows — on both loops.
+        // (loads, deltas, running total, first overflowing node). The
+        // three kinds: a load past `i64::MAX`; the running net total
+        // past it although no load overflows; the positive load total
+        // past it although no load and no net total does — from a
+        // touched or an untouched node, and even from a round with no
+        // delta at all.
+        let half = i64::MAX / 2; // 2⁶² − 1
         let cases = [
-            (vec![1i64, i64::MAX - 1, 0], vec![0i64, 5, -3], 0i64),
-            (vec![0i64, 0, 0], vec![3i64, i64::MAX, -9], 0),
-            (vec![0i64, 0, 0], vec![0i64, 1, 0], i64::MAX),
+            (vec![1i64, i64::MAX - 1, 0], vec![0i64, 5, -3], 0i64, 1usize),
+            (vec![0, 0, 0], vec![3, i64::MAX, -9], 0, 1),
+            (vec![0, 0, 0], vec![0, 1, 0], i64::MAX, 1),
+            (vec![0, i64::MAX - 5, 0], vec![30, 0, 0], 0, 1),
+            (vec![half, 0, half + 1], vec![0, 1, 0], 0, 2),
+            (vec![-4, i64::MAX - 2, 3], vec![0, 1, 0], 0, 2),
+            (vec![5, i64::MAX - 3, 0], vec![0, 0, 0], 0, 1),
         ];
         for pad in [0usize, 200] {
-            for (loads0, deltas0, total) in &cases {
+            for (loads0, deltas0, total, node) in &cases {
+                let tag = format!("pad {pad}: {loads0:?} + {deltas0:?} from total {total}");
                 let mut loads = loads0.clone();
                 let mut deltas = deltas0.clone();
                 loads.resize(3 + pad, 0);
                 deltas.resize(3 + pad, 0);
+                assert_eq!(
+                    reference(&loads, &deltas, false, *total),
+                    Err(*node),
+                    "{tag}"
+                );
                 let start = loads.clone();
-                let mut neg = 0;
-                let (_, overflow) = apply_deltas(&mut loads, &deltas, false, &mut neg, *total);
-                assert!(overflow, "pad {pad}: {deltas0:?} from total {total}");
-                assert_eq!(first_overflow(&start, &deltas, *total), 1);
-                apply_deltas(&mut loads, &deltas, true, &mut neg, 0);
-                assert_eq!(loads, start, "the negated apply is the exact inverse");
-                assert_eq!(neg, 0);
+                let mut neg = negatives(&start);
+                let (_, overflow) = apply_deltas::<false>(&mut loads, &deltas, &mut neg, *total);
+                assert!(overflow, "{tag}");
+                assert_eq!(first_overflow(&start, &deltas, *total), *node, "{tag}");
+                apply_deltas::<true>(&mut loads, &deltas, &mut neg, 0);
+                assert_eq!(
+                    loads, start,
+                    "{tag}: the negated apply is the exact inverse"
+                );
+                assert_eq!(neg, negatives(&start), "{tag}");
             }
+        }
+        // Negative loads do not count, and a positive total of exactly
+        // `i64::MAX` is in range.
+        let (loads0, deltas) = (vec![-5i64, i64::MAX - 2, 3], vec![0i64, 0, -1]);
+        let mut loads = loads0.clone();
+        let mut neg = 1;
+        let (total, overflow) = apply_deltas::<false>(&mut loads, &deltas, &mut neg, 0);
+        assert!(!overflow);
+        assert_eq!((total, neg), (-1, 1));
+        assert_eq!(reference(&loads0, &deltas, false, 0), Ok((loads, 1, -1)));
+    }
+
+    /// Adds fixed deltas every round.
+    struct Fixed(Vec<i64>);
+
+    impl Workload for Fixed {
+        fn label(&self) -> String {
+            "fixed".into()
+        }
+        fn inject(&mut self, _round: usize, _loads: &[i64], deltas: &mut [i64]) {
+            for (d, &w) in deltas.iter_mut().zip(&self.0) {
+                *d += w;
+            }
+        }
+    }
+
+    #[test]
+    fn every_rejected_pre_round_leaves_the_state_exactly_as_found() {
+        // Each kind of rejection on a lazy cycle(4), from a state with
+        // a negative node and a nonzero cumulative injection: the
+        // three overflow kinds, a negative post-injection load, and a
+        // completed pre-round whose flows the caller rejects (`undo`).
+        let mut gp = BalancingGraph::lazy(generators::cycle(4).unwrap());
+        let loads0 = vec![-2i64, i64::MAX - 9, 4, 0];
+        let injected0 = -3i64;
+        let cases: [(Vec<i64>, i64, bool, Option<EngineError>); 5] = [
+            (
+                vec![0, 10, 0, 0],
+                injected0,
+                false,
+                Some(EngineError::InjectionOverflow { node: 1, step: 1 }),
+            ),
+            (
+                vec![0, 0, 0, 1],
+                i64::MAX,
+                false,
+                Some(EngineError::InjectionOverflow { node: 3, step: 1 }),
+            ),
+            (
+                vec![0, 0, 6, 0],
+                injected0,
+                false,
+                Some(EngineError::InjectionOverflow { node: 2, step: 1 }),
+            ),
+            (
+                vec![2, 0, -5, 0],
+                injected0,
+                true,
+                Some(EngineError::NegativeLoad {
+                    node: 2,
+                    load: -1,
+                    step: 1,
+                }),
+            ),
+            (vec![2, 0, -1, 0], injected0, true, None),
+        ];
+        for (deltas, injected_start, check, expected) in cases {
+            let tag = format!("{deltas:?} from injected {injected_start}");
+            let mut loads = loads0.clone();
+            let (mut negative, mut injected, mut events) = (1usize, injected_start, 0u64);
+            let mut pre = PreRound::default();
+            let st = RoundState {
+                gp: &mut gp,
+                connectivity: None,
+                loads: &mut loads,
+                negative: &mut negative,
+                injected: &mut injected,
+                events: &mut events,
+            };
+            let got = pre.run(
+                1,
+                st,
+                None::<&mut StaticTopology>,
+                Some(&mut Fixed(deltas.clone())),
+                check,
+                &mut NoopSink,
+            );
+            match expected {
+                Some(err) => assert_eq!(got, Err(err), "{tag}"),
+                None => {
+                    assert_eq!(got, Ok(()), "{tag}");
+                    assert_eq!(loads, vec![0, i64::MAX - 9, 3, 0], "{tag}: applied");
+                    assert_eq!((negative, injected), (0, injected_start + 1), "{tag}");
+                    pre.undo(RoundState {
+                        gp: &mut gp,
+                        connectivity: None,
+                        loads: &mut loads,
+                        negative: &mut negative,
+                        injected: &mut injected,
+                        events: &mut events,
+                    });
+                }
+            }
+            assert_eq!(loads, loads0, "{tag}: loads");
+            assert_eq!(
+                (negative, injected, events),
+                (1, injected_start, 0),
+                "{tag}"
+            );
         }
     }
 }

@@ -16,8 +16,9 @@
 //!
 //! 1. **inject** — `x'_t = x_t + w_t`, where `w_t` is the workload's
 //!    delta vector for round `t` computed from the pre-round loads; a
-//!    delta that would take a load, or the cumulative net injection,
-//!    outside `i64` fails the round with
+//!    delta that would take a load, the cumulative net injection or the
+//!    positive load total `Σ max(x', 0)` outside `i64` fails the round
+//!    with
 //!    [`InjectionOverflow`](crate::EngineError::InjectionOverflow);
 //! 2. **check** — non-overdrawing schemes reject any negative
 //!    post-injection load ([`NegativeLoad`](crate::EngineError::NegativeLoad));
@@ -54,11 +55,15 @@ pub trait Workload: Send {
     /// A short label for reports and JSON rows.
     fn label(&self) -> String;
 
-    /// Writes round `round`'s signed injection into `deltas`
-    /// (`deltas.len() == loads.len()`; the buffer arrives zeroed), given
-    /// the pre-round loads. `round` is 1-based and matches the engine's
-    /// step numbering: the injection applied before step `t` is
-    /// `inject(t, x_t, …)`.
+    /// Adds round `round`'s signed injection into `deltas`
+    /// (`deltas.len() == loads.len()`), given the pre-round loads.
+    /// `round` is 1-based and matches the engine's step numbering: the
+    /// injection applied before step `t` is `inject(t, x_t, …)`.
+    ///
+    /// Add, never assign: the engine zeroes the buffer once per round,
+    /// but a composing workload hands each child the buffer its earlier
+    /// children already added into, so one buffer collects the whole
+    /// round.
     ///
     /// Negative deltas remove tokens. A workload that can over-remove
     /// (drive a load negative) is allowed — under a non-overdrawing

@@ -297,23 +297,19 @@ impl Workload for BoundedAdversary {
 }
 
 /// Sums the deltas of several workloads (arrivals plus drains gives a
-/// flow-equilibrium scenario). Each child sees a private zeroed buffer,
-/// so children that *set* rather than *add* entries still compose.
-/// Every child sees the same pre-round loads, so a composed
+/// flow-equilibrium scenario). Each child adds straight into the
+/// caller's buffer, in order, as the [`Workload::inject`] contract
+/// asks. Every child sees the same pre-round loads, so a composed
 /// [`BoundedAdversary`] scans once per injecting round, exactly as it
 /// does alone.
 pub struct Compose {
     children: Vec<Box<dyn Workload>>,
-    scratch: Vec<i64>,
 }
 
 impl Compose {
     /// Composes `children` by summing their per-round deltas.
     pub fn new(children: Vec<Box<dyn Workload>>) -> Self {
-        Compose {
-            children,
-            scratch: Vec::new(),
-        }
+        Compose { children }
     }
 }
 
@@ -324,13 +320,8 @@ impl Workload for Compose {
     }
 
     fn inject(&mut self, round: usize, loads: &[i64], deltas: &mut [i64]) {
-        self.scratch.resize(loads.len(), 0);
         for child in &mut self.children {
-            self.scratch.fill(0);
-            child.inject(round, loads, &mut self.scratch);
-            for (d, &s) in deltas.iter_mut().zip(&self.scratch) {
-                *d += s;
-            }
+            child.inject(round, loads, deltas);
         }
     }
 
@@ -687,6 +678,106 @@ mod tests {
         let mut d = vec![0i64; 2];
         w.inject(1, &loads, &mut d);
         assert_eq!(d, vec![1, -2]);
+    }
+
+    /// The two composed streams the pin below covers: the perfbench
+    /// open-system mix, and an adversary, steady arrivals and a nested
+    /// composition of bursty arrivals and a drain.
+    fn composed_children() -> [Vec<Box<dyn Workload>>; 2] {
+        let arrive_and_drain: Vec<Box<dyn Workload>> = vec![
+            Box::new(SteadyArrivals::new(24, 5)),
+            Box::new(Drain::new(WorkloadSpec::sinks(64), 3)),
+        ];
+        let mixed: Vec<Box<dyn Workload>> = vec![
+            Box::new(BoundedAdversary::new(4)),
+            Box::new(SteadyArrivals::new(9, 17)),
+            Box::new(Compose::new(vec![
+                Box::new(BurstyOnOff::new(3, 2, 6, 23)),
+                Box::new(Drain::new(vec![1, 9, 33], 2)),
+            ])),
+        ];
+        [arrive_and_drain, mixed]
+    }
+
+    /// Drives `w` for `rounds` rounds on 64 nodes, moving the loads by
+    /// each round's deltas and then rotating them (so the load-driven
+    /// children see a changing state), and returns an FNV-1a hash of
+    /// every round's deltas and the final cursor, plus the deltas.
+    fn drive_hashed(w: &mut dyn Workload, rounds: usize) -> (u64, Vec<Vec<i64>>) {
+        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+        let mut eat = |word: u64| {
+            for byte in word.to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let mut loads: Vec<i64> = (0..64).map(|u| (u * 7 % 13) as i64).collect();
+        let mut rows = Vec::new();
+        for round in 1..=rounds {
+            let mut deltas = vec![0i64; 64];
+            w.inject(round, &loads, &mut deltas);
+            for (x, &dv) in loads.iter_mut().zip(&deltas) {
+                *x += dv;
+                eat(dv as u64);
+            }
+            loads.rotate_left(1);
+            rows.push(deltas);
+        }
+        for word in w.cursor() {
+            eat(word);
+        }
+        (hash, rows)
+    }
+
+    /// Pins the composed delta streams and cursors bit for bit — the
+    /// hashes were taken when each child still wrote a private zeroed
+    /// buffer that `Compose` then merged — and checks that a
+    /// composition equals the sum of its children run alone on zeroed
+    /// buffers, cursors included.
+    #[test]
+    fn composed_streams_are_pinned_and_equal_the_per_child_sums() {
+        let spec = WorkloadSpec::ArriveAndDrain { rate: 24, seed: 5 };
+        let (spec_hash, _) = drive_hashed(spec.build(64).as_mut(), 64);
+        let pinned = [12_473_659_301_584_846_174_u64, 7_117_689_722_248_240_164];
+        for (i, children) in composed_children().into_iter().enumerate() {
+            let mut compose = Compose::new(children);
+            let (hash, rows) = drive_hashed(&mut compose, 64);
+            assert_eq!(hash, pinned[i], "composition {i}: stream hash");
+            if i == 0 {
+                assert_eq!(spec_hash, hash, "the spec builds this composition");
+            }
+
+            // The same stream, child by child on zeroed buffers: the
+            // children see the loads the composition saw, round by
+            // round, and end on the cursor frames it reports.
+            let mut alone = composed_children()
+                .into_iter()
+                .nth(i)
+                .expect("two compositions");
+            let mut loads: Vec<i64> = (0..64).map(|u| (u * 7 % 13) as i64).collect();
+            for (round, row) in rows.iter().enumerate() {
+                let mut sum = vec![0i64; 64];
+                for child in &mut alone {
+                    let mut own = vec![0i64; 64];
+                    child.inject(round + 1, &loads, &mut own);
+                    for (s, d) in sum.iter_mut().zip(own) {
+                        *s += d;
+                    }
+                }
+                assert_eq!(&sum, row, "composition {i}, round {}", round + 1);
+                for (x, &dv) in loads.iter_mut().zip(row) {
+                    *x += dv;
+                }
+                loads.rotate_left(1);
+            }
+            let frames: Vec<u64> = alone
+                .iter()
+                .flat_map(|c| {
+                    let frame = c.cursor();
+                    std::iter::once(frame.len() as u64).chain(frame)
+                })
+                .collect();
+            assert_eq!(compose.cursor(), frames, "composition {i}: cursor");
+        }
     }
 
     /// A fresh same-spec instance restored from a mid-stream cursor

@@ -665,8 +665,9 @@ impl TopologySchedule for RecordingSchedule<'_> {
 }
 
 /// Wraps a live workload, logging the net per-round deltas (the engine
-/// hands the workload a zeroed buffer, so the non-zero entries after
-/// the inner call are exactly this round's net injection).
+/// hands this outermost workload a zeroed buffer, so the non-zero
+/// entries after the inner call are exactly this round's net
+/// injection).
 struct RecordingWorkload<'a> {
     inner: &'a mut dyn Workload,
     log: &'a mut RoundLog<(u32, i64)>,

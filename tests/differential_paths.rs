@@ -29,7 +29,9 @@
 //! Deterministic anchors pin what the spec-driven fuzz cannot reach:
 //! the bounded adversary inside a `Compose` (with its one scan per
 //! injecting round on every path) and an injection that overflows
-//! `i64` (`InjectionOverflow`, rolled back like `NegativeLoad`).
+//! `i64` — a load, the net injection, or the positive load total the
+//! flow phase would otherwise wrap on (`InjectionOverflow`, rolled back
+//! like `NegativeLoad`).
 
 use dlb::core::schemes::{RotorRouter, RotorRouterStar, SendFloor, SendRound};
 use dlb::core::{
@@ -37,7 +39,7 @@ use dlb::core::{
     TopologySchedule, VectorConfig, VectorStats, VectorStrategy, VectorWidth, Workload,
 };
 use dlb::graph::{generators, BalancingGraph, PortOrder, RegularGraph};
-use dlb::scenario::workloads::{BoundedAdversary, Compose, SteadyArrivals};
+use dlb::scenario::workloads::{BoundedAdversary, Compose, Hotspot, SteadyArrivals};
 use dlb::scenario::WorkloadSpec;
 use dlb::topology::ScheduleSpec;
 use proptest::prelude::*;
@@ -914,10 +916,10 @@ fn resume_across_a_divergence_point_reproduces_the_error() {
     }
 }
 
-/// Drives `steps` rounds of a rotor scheme with `workload` on one of
-/// the three dynamic paths — 0: the `step_dyn` loop, 1: `run_fast_dyn`,
-/// 2: `run_kernel_dyn` — for inputs the spec-driven drivers cannot
-/// build.
+/// Drives `steps` rounds of `scheme` with `workload` on one of the
+/// dynamic paths — 0: the `step_dyn` loop, 1: `run_fast_dyn`,
+/// 2: `run_kernel_dyn`, 3: `run_dyn` — for inputs the spec-driven
+/// drivers cannot build.
 fn drive_workload(
     path: usize,
     scheme: SchemeId,
@@ -939,6 +941,9 @@ fn drive_workload(
         }),
         1 => engine
             .run_fast_dyn(inst.kernel(), steps, s, Some(workload))
+            .err(),
+        3 => engine
+            .run_dyn(inst.kernel(), steps, s, Some(workload))
             .err(),
         _ => engine
             .run_kernel_dyn(inst.kernel(), steps, s, Some(workload))
@@ -1035,6 +1040,62 @@ fn injection_overflow_is_a_typed_error_rolled_back_on_every_path() {
             match &reference {
                 None => reference = Some(outcome),
                 Some(r) => outcome.assert_matches(r, &tag),
+            }
+        }
+    }
+}
+
+/// Regression: a cycle(8) with one node at `i64::MAX − 5` and a
+/// hotspot of 30 tokens per round on node 0. No load and no net
+/// injection leaves `i64`, but the positive load total does, so the
+/// round's flows could form a load past `i64::MAX`: debug builds
+/// panicked in routing on `run_dyn` and `run_kernel_dyn` under the
+/// rotor-router, and release builds returned `Ok` with a wrapped load
+/// total. Every path must now reject the injecting round with a typed
+/// error at the first node in node order whose running positive total
+/// passes `i64::MAX`, and roll it back whole — at step 1 for the issue
+/// repro, and at step 2 when a 3-token hotspot first crosses the bound
+/// there, with step 1 kept.
+#[test]
+fn positive_total_overflow_is_a_typed_error_rolled_back_on_every_path() {
+    let gp = BalancingGraph::lazy(generators::cycle(8).unwrap());
+    let mut loads = vec![0; 8];
+    loads[1] = i64::MAX - 5;
+    let initial = LoadVector::new(loads);
+    for scheme in [SchemeId::Rotor, SchemeId::RotorStar, SchemeId::SendFloor] {
+        for (rate, failing_step) in [(30i64, 1usize), (3, 2)] {
+            let mut reference: Option<Outcome> = None;
+            for path in 0..4 {
+                let mut workload = Hotspot::new(0, rate as u64);
+                let outcome = drive_workload(path, scheme, &gp, &None, &mut workload, &initial, 2);
+                let tag = format!("{scheme:?} hotspot(+{rate}) via path {path}");
+                let Some(EngineError::InjectionOverflow { node, step }) = outcome.error else {
+                    panic!(
+                        "{tag}: expected an injection overflow, got {:?}",
+                        outcome.error
+                    );
+                };
+                assert_eq!(step, failing_step, "{tag}");
+                if failing_step == 1 {
+                    assert_eq!(node, 1, "{tag}: node 1 carries the total past i64::MAX");
+                    assert_eq!(outcome.loads, initial.as_slice(), "{tag}: rolled back");
+                }
+                assert_eq!(outcome.steps, failing_step - 1, "{tag}: steps kept");
+                let kept = rate * (failing_step as i64 - 1);
+                assert_eq!(outcome.injected_total, kept, "{tag}");
+                assert_eq!(
+                    outcome.loads.iter().sum::<i64>(),
+                    i64::MAX - 5 + kept,
+                    "{tag}: conservation"
+                );
+                assert!(
+                    outcome.loads.iter().all(|&x| x >= 0),
+                    "{tag}: no wrapped load"
+                );
+                match &reference {
+                    None => reference = Some(outcome),
+                    Some(r) => outcome.assert_matches(r, &tag),
+                }
             }
         }
     }
