@@ -145,8 +145,9 @@ impl PreRound {
         if st.gp.graph().asleep_count() > 0 {
             sink.span(Phase::Inject, step as u64, probe);
             let handoff = sink.start();
-            mutate::handoff_deltas(st.gp.graph(), st.loads, &mut self.deltas);
+            let handed = mutate::handoff_deltas(st.gp.graph(), st.loads, &mut self.deltas);
             sink.span(Phase::Handoff, step as u64, handoff);
+            handed?;
             probe = sink.start();
         }
         let before = *st.injected;

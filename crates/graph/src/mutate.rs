@@ -296,7 +296,19 @@ impl RegularGraph {
 /// *keeps balancing* that retained queue (its rotor included) until
 /// then; all execution paths agree on that corner bit for bit.
 /// The handoff sums to zero, so token conservation is untouched.
-pub fn handoff_deltas(graph: &RegularGraph, loads: &[i64], deltas: &mut [i64]) {
+///
+/// # Errors
+///
+/// Returns the first awake node whose delta would leave `i64` with its
+/// share added; `deltas` is then partly updated and must be discarded.
+/// An asleep node whose effective load itself leaves `i64` hands
+/// nothing off, so the engine's overflow check on applying the deltas
+/// rejects it.
+pub fn handoff_deltas(
+    graph: &RegularGraph,
+    loads: &[i64],
+    deltas: &mut [i64],
+) -> Result<(), usize> {
     debug_assert_eq!(loads.len(), graph.num_nodes());
     debug_assert_eq!(deltas.len(), graph.num_nodes());
     // The asleep list is read while only `deltas` is written, and
@@ -304,7 +316,9 @@ pub fn handoff_deltas(graph: &RegularGraph, loads: &[i64], deltas: &mut [i64]) {
     // being influenced by another handoff.
     for i in 0..graph.asleep_count() {
         let u = graph.asleep_nodes()[i] as usize;
-        let x = loads[u] + deltas[u];
+        let Some(x) = loads[u].checked_add(deltas[u]) else {
+            continue;
+        };
         if x <= 0 {
             continue;
         }
@@ -322,12 +336,17 @@ pub fn handoff_deltas(graph: &RegularGraph, loads: &[i64], deltas: &mut [i64]) {
         for &v in graph.neighbors(u) {
             let v = v as usize;
             if graph.is_awake(v) {
-                deltas[v] += share + i64::from(taken < remainder);
+                // `share + 1 <= x` whenever a remainder exists.
+                let part = share + i64::from(taken < remainder);
+                deltas[v] = deltas[v].checked_add(part).ok_or(v)?;
                 taken += 1;
             }
         }
+        // `deltas[u] - x` is `-loads[u]`, and `loads[u] > i64::MIN`
+        // since `x > 0`.
         deltas[u] -= x;
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -443,7 +462,7 @@ mod tests {
         let mut loads = vec![0i64; 16];
         loads[5] = 11;
         let mut deltas = vec![0i64; 16];
-        handoff_deltas(&g, &loads, &mut deltas);
+        handoff_deltas(&g, &loads, &mut deltas).unwrap();
         // 11 over 3 awake neighbours: 4, 4, 3 in port order (6, 9, 1).
         assert_eq!(deltas[5], -11);
         assert_eq!(deltas[6], 4);
@@ -462,11 +481,33 @@ mod tests {
         // Same-round injection of 5 onto node 2 joins the handoff.
         let mut deltas = vec![0i64; 6];
         deltas[2] = 5;
-        handoff_deltas(&g, &loads, &mut deltas);
+        handoff_deltas(&g, &loads, &mut deltas).unwrap();
         assert_eq!(deltas[2], -3, "3 held + 5 injected, all forwarded");
         assert_eq!(deltas[1], 4);
         assert_eq!(deltas[3], 4);
         assert_eq!(deltas[4], 0, "negative load is debt, not handed off");
+    }
+
+    /// A share that pushes an awake neighbour's delta past `i64::MAX`
+    /// (a hotspot injecting `i64::MAX` next to a failed node with
+    /// tokens) used to panic with an add overflow in debug builds and
+    /// wrap in release. It must name the neighbour.
+    #[test]
+    fn handoff_share_overflowing_a_delta_names_the_node() {
+        let mut g = generators::cycle(6).unwrap();
+        g.apply_sleep(1).unwrap();
+        let loads = vec![0i64, 4, 0, 0, 0, 0];
+        let mut deltas = vec![0i64; 6];
+        deltas[0] = i64::MAX;
+        assert_eq!(handoff_deltas(&g, &loads, &mut deltas), Err(0));
+
+        // An asleep node whose own load overflows with its injection
+        // hands nothing off; the engine rejects it when applying.
+        let loads = vec![0i64, i64::MAX, 0, 0, 0, 0];
+        let mut deltas = vec![0i64; 6];
+        deltas[1] = 1;
+        assert_eq!(handoff_deltas(&g, &loads, &mut deltas), Ok(()));
+        assert_eq!(deltas, vec![0, 1, 0, 0, 0, 0]);
     }
 
     #[test]
@@ -477,7 +518,7 @@ mod tests {
         }
         let loads = vec![0i64, 0, 7, 0, 0, 0];
         let mut deltas = vec![0i64; 6];
-        handoff_deltas(&g, &loads, &mut deltas);
+        handoff_deltas(&g, &loads, &mut deltas).unwrap();
         assert_eq!(deltas[2], 0, "no live neighbour: queue stays put");
     }
 }

@@ -1,9 +1,9 @@
-//! The per-tenant event-sourced journal: an append-only byte log that
-//! makes every tenant run deterministically replayable.
+//! The per-tenant event-sourced journal: a byte log that makes every
+//! tenant run deterministically replayable.
 //!
 //! A journal opens with a versioned header embedding the **base
-//! snapshot** (the tenant's full state when journaling began) and then
-//! accumulates records:
+//! snapshot** (the tenant's full state at the round replay starts from)
+//! and then accumulates records:
 //!
 //! * **round records** — the raw topology events a schedule emitted
 //!   and the net workload deltas injected in one round, exactly as the
@@ -16,9 +16,30 @@
 //! * **error records** — the terminal [`EngineError`], after which a
 //!   tenant accepts no further work.
 //!
+//! # The window
+//!
+//! A journal keeps a sliding window of rounds, not the tenant's whole
+//! history. At every round that is a multiple of [`WINDOW`] the tenant
+//! takes a **checkpoint**: the journal splices the *previous*
+//! checkpoint's snapshot in as its new base, dropping the records
+//! before it in place, and remembers the current snapshot and byte
+//! offset as the next checkpoint. The base is therefore the
+//! last-but-one checkpoint, and a journal holds between `WINDOW` and
+//! `2·WINDOW` rounds of records — fewer only in a tenant's first
+//! `WINDOW` rounds or after a resume. Memory and replay time are
+//! `O(WINDOW)` per tenant, whatever its age. A windowed journal is
+//! byte for byte the journal [`Tenant::resume_from_snapshot`]
+//! would open at its base, plus the records since; the format does not
+//! change.
+//!
 //! Replaying the journal from its base snapshot and comparing against
 //! the live tenant is the serve layer's integrity check; see
-//! [`Tenant::replay_matches`](crate::Tenant::replay_matches).
+//! [`Tenant::replay_matches`]. Replay refuses a journal that asks
+//! for more than `2·WINDOW` rounds past its base (a forged advance
+//! record could ask for 2⁶⁴), before it runs any round.
+//!
+//! [`Tenant::resume_from_snapshot`]: crate::Tenant::resume_from_snapshot
+//! [`Tenant::replay_matches`]: crate::Tenant::replay_matches
 //!
 //! Layout after the header (`"DLBJRNL1"`, `u16` version, `u64` base
 //! snapshot length, snapshot bytes):
@@ -44,14 +65,36 @@ pub const JOURNAL_MAGIC: &[u8; 8] = b"DLBJRNL1";
 /// Format version written by this build.
 pub const JOURNAL_VERSION: u16 = 1;
 
-/// An append-only tenant journal (header + base snapshot + records).
+/// Rounds between checkpoints: a tenant checkpoints at every round that
+/// is a multiple of `WINDOW`, and its journal keeps the records since
+/// the last-but-one checkpoint (see the [module docs](self)).
+pub const WINDOW: usize = 64;
+
+/// Byte offset of the base snapshot's `u64` length in the header.
+const BASE_LEN_AT: usize = JOURNAL_MAGIC.len() + 2;
+/// Byte offset of the base snapshot: the header's length.
+const BASE_AT: usize = BASE_LEN_AT + 8;
+
+/// A tenant journal (header + base snapshot + records) over a sliding
+/// window of rounds.
 ///
 /// Records are encoded straight onto the end of the journal's own
 /// buffer, so appending one allocates nothing beyond the buffer's
-/// amortised growth.
+/// amortised growth; a checkpoint rewrites the buffer's head in place.
 #[derive(Debug, Clone)]
 pub struct Journal {
     bytes: Writer,
+    /// The latest checkpoint, not yet the base.
+    next: Option<Checkpoint>,
+}
+
+/// A checkpoint waiting to become a journal's base.
+#[derive(Debug, Clone)]
+struct Checkpoint {
+    /// The encoded snapshot of the tenant at the checkpoint's round.
+    snapshot: Writer,
+    /// Where the records after the checkpoint's round start.
+    at: usize,
 }
 
 /// One decoded round record: what the generators produced for `round`.
@@ -89,7 +132,10 @@ impl Journal {
         w.u16(JOURNAL_VERSION);
         w.u64(base_snapshot.len() as u64);
         w.raw(base_snapshot);
-        Journal { bytes: w }
+        Journal {
+            bytes: w,
+            next: None,
+        }
     }
 
     /// The raw journal bytes (header, snapshot, records).
@@ -107,6 +153,7 @@ impl Journal {
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Journal, WireError> {
         let journal = Journal {
             bytes: Writer::from(bytes),
+            next: None,
         };
         journal.decode()?;
         Ok(journal)
@@ -141,6 +188,30 @@ impl Journal {
         self.bytes.u64(through_round);
     }
 
+    /// Starts a checkpoint: embeds the pending checkpoint's snapshot as
+    /// the new base, dropping the records before it with one in-place
+    /// splice, and returns its buffer, emptied, for the snapshot of the
+    /// new checkpoint. Hand that snapshot to
+    /// [`Journal::end_checkpoint`].
+    pub(crate) fn begin_checkpoint(&mut self) -> Writer {
+        let Some(Checkpoint { mut snapshot, at }) = self.next.take() else {
+            return Writer::new();
+        };
+        self.bytes.splice(BASE_AT..at, snapshot.as_bytes());
+        self.bytes.set_u64(BASE_LEN_AT, snapshot.len() as u64);
+        snapshot.clear();
+        snapshot
+    }
+
+    /// Remembers `snapshot`, the tenant's state after the journal's
+    /// last record, as the next checkpoint.
+    pub(crate) fn end_checkpoint(&mut self, snapshot: Writer) {
+        self.next = Some(Checkpoint {
+            snapshot,
+            at: self.bytes.len(),
+        });
+    }
+
     /// Appends the terminal error record.
     pub(crate) fn record_error(&mut self, error: &EngineError) {
         self.bytes.u8(2);
@@ -152,7 +223,8 @@ impl Journal {
     /// # Errors
     ///
     /// Returns a [`WireError`] on a malformed header, an undecodable
-    /// record, or records out of round order.
+    /// record, records out of round order, or a round's delta nodes
+    /// out of ascending order.
     pub fn decode(&self) -> Result<JournalContents, WireError> {
         let mut r = Reader::new(self.as_bytes());
         r.magic(JOURNAL_MAGIC)?;
@@ -187,9 +259,19 @@ impl Journal {
                         events.push(decode_event(&mut r)?);
                     }
                     let nd = bounded_count(&mut r, "deltas", DELTA_BYTES)?;
-                    let mut deltas = Vec::with_capacity(nd);
+                    let mut deltas: Vec<(u32, i64)> = Vec::with_capacity(nd);
                     for _ in 0..nd {
-                        deltas.push((r.u32()?, r.i64()?));
+                        let at = r.offset();
+                        let node = r.u32()?;
+                        // One net delta per node: replay adds each into
+                        // a zeroed buffer, which cannot overflow.
+                        if deltas.last().is_some_and(|&(last, _)| last >= node) {
+                            return Err(WireError::new(
+                                at,
+                                format!("delta node {node} out of order"),
+                            ));
+                        }
+                        deltas.push((node, r.i64()?));
                     }
                     through_round = through_round.max(round);
                     rounds.push(RoundRecord {

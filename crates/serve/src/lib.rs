@@ -14,10 +14,11 @@
 //!   and cursors. [`Tenant::resume_from_snapshot`] is proven
 //!   bit-identical to an uninterrupted run by the serve tests and the
 //!   differential battery;
-//! * [`journal`] — the append-only event-sourced journal
-//!   ([`Journal`], magic `DLBJRNL1`): base snapshot plus raw per-round
-//!   generator output (topology events pre-validation, net injection
-//!   deltas, errors), replayable via [`Tenant::replay`];
+//! * [`journal`] — the event-sourced journal ([`Journal`], magic
+//!   `DLBJRNL1`): base snapshot plus raw per-round generator output
+//!   (topology events pre-validation, net injection deltas, errors)
+//!   over a sliding window of [`WINDOW`]..`2·WINDOW` rounds, replayable
+//!   via [`Tenant::replay`];
 //! * [`tenant`] — the hosted instance tying engine, scheme, generators
 //!   and journal together;
 //! * [`server`] — the batch scheduler multiplexing ready tenants over
@@ -37,7 +38,7 @@ pub mod snapshot;
 pub mod tenant;
 pub mod wire;
 
-pub use journal::{Journal, JournalContents, RoundRecord};
+pub use journal::{Journal, JournalContents, RoundRecord, WINDOW};
 pub use server::{Server, SliceProfile, SliceReport};
 pub use snapshot::{SchemeKind, TenantSnapshot};
 pub use tenant::{Tenant, TenantError, TenantOutcome, MAX_ROUND_ITEMS};

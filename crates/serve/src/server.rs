@@ -28,8 +28,9 @@
 //!   slice and aggregates per-phase wall-clock ns into a
 //!   [`SliceProfile`];
 //! * every profiled slice also feeds the server's
-//!   [`MetricRegistry`] (named counters plus the
-//!   `serve_slice_latency_ns` histogram), rendered on demand by
+//!   [`MetricRegistry`] (named counters, among them
+//!   `serve_journal_checkpoints`, plus the `serve_slice_latency_ns`
+//!   histogram), rendered on demand by
 //!   [`Server::render_prometheus`].
 
 use std::time::Instant;
@@ -56,6 +57,9 @@ pub struct SliceReport {
     pub errored: usize,
     /// Engine rounds advanced across all tenants this slice.
     pub rounds_advanced: u64,
+    /// Journal checkpoints taken across all tenants this slice (see
+    /// [`Tenant::checkpoints`](crate::Tenant::checkpoints)).
+    pub checkpoints: u64,
     /// Per-tenant service latency (lock + batch) in nanoseconds, one
     /// entry per tenant visited, in no particular order.
     pub latencies_ns: Vec<u64>,
@@ -158,6 +162,7 @@ impl Server {
             merged.served += report.served;
             merged.errored += report.errored;
             merged.rounds_advanced += report.rounds_advanced;
+            merged.checkpoints += report.checkpoints;
             merged.latencies_ns.extend(report.latencies_ns);
         }
         merged
@@ -211,9 +216,9 @@ impl Server {
                 continue;
             }
             let step_probe = sink.start();
-            let before = tenant.rounds_done();
+            let before = (tenant.rounds_done(), tenant.checkpoints());
             let clean = tenant.run_rounds(rounds);
-            let advanced = (tenant.rounds_done() - before) as u64;
+            let advanced = (tenant.rounds_done() - before.0) as u64;
             if Si::ENABLED {
                 let now = sink.now_ns();
                 sink.record(dlb_obs::Event {
@@ -227,6 +232,7 @@ impl Server {
             }
             let merge_probe = sink.start();
             report.rounds_advanced += advanced;
+            report.checkpoints += tenant.checkpoints() - before.1;
             if clean {
                 report.served += 1;
             } else {
@@ -270,6 +276,7 @@ impl Server {
                 merged.served += report.served;
                 merged.errored += report.errored;
                 merged.rounds_advanced += report.rounds_advanced;
+                merged.checkpoints += report.checkpoints;
                 merged.latencies_ns.extend(report.latencies_ns);
                 profile.merge(&p);
             }
@@ -281,6 +288,7 @@ impl Server {
         reg.counter_add("serve_served_total", report.served as u64);
         reg.counter_add("serve_errored_total", report.errored as u64);
         reg.counter_add("serve_rounds_advanced_total", report.rounds_advanced);
+        reg.counter_add("serve_journal_checkpoints", report.checkpoints);
         for &l in &report.latencies_ns {
             reg.observe("serve_slice_latency_ns", l);
         }
@@ -314,11 +322,12 @@ impl Server {
                 continue;
             }
             let t_step = Instant::now();
-            let before = tenant.rounds_done();
+            let before = (tenant.rounds_done(), tenant.checkpoints());
             let clean = tenant.run_rounds(rounds);
             profile.step_ns += t_step.elapsed().as_nanos() as u64;
             let t_merge = Instant::now();
-            report.rounds_advanced += (tenant.rounds_done() - before) as u64;
+            report.rounds_advanced += (tenant.rounds_done() - before.0) as u64;
+            report.checkpoints += tenant.checkpoints() - before.1;
             if clean {
                 report.served += 1;
             } else {

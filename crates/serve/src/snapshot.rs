@@ -29,7 +29,9 @@
 //! travels as the spec (rebuildable from scratch), only the mutable
 //! stream position travels as the cursor.
 
-use dlb_core::{EngineError, EngineState, VectorConfig, VectorStats, VectorStrategy, VectorWidth};
+use dlb_core::{
+    Engine, EngineError, EngineState, VectorConfig, VectorStats, VectorStrategy, VectorWidth,
+};
 use dlb_graph::{BalancingGraph, RegularGraph};
 use dlb_scenario::WorkloadSpec;
 use dlb_topology::ScheduleSpec;
@@ -121,39 +123,17 @@ impl TenantSnapshot {
     /// Encodes the snapshot.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        w.raw(SNAPSHOT_MAGIC);
-        w.u16(SNAPSHOT_VERSION);
-        encode_graph(&mut w, &self.engine.graph);
-        for &x in &self.engine.loads {
-            w.i64(x);
+        SnapshotRef {
+            engine: EngineRef::from(&self.engine),
+            scheme: self.scheme,
+            rotors: self.rotors.iter().copied(),
+            error: self.error.as_ref(),
+            workload: self.workload.as_ref(),
+            workload_cursor: &self.workload_cursor,
+            schedule: &self.schedule,
+            schedule_cursor: &self.schedule_cursor,
         }
-        w.u64(self.engine.step as u64);
-        w.u64(self.engine.negative_node_steps);
-        w.i64(self.engine.injected_total);
-        w.u64(self.engine.topology_events_applied);
-        w.u64(self.engine.discrepancy_scans);
-        w.u64(self.engine.negative_rescans);
-        encode_vector(
-            &mut w,
-            &self.engine.vector_config,
-            &self.engine.vector_stats,
-        );
-        w.u8(self.scheme.tag());
-        w.u64(self.rotors.len() as u64);
-        for &r in &self.rotors {
-            w.u64(r);
-        }
-        encode_error(&mut w, self.error.as_ref());
-        match &self.workload {
-            None => w.u8(0),
-            Some(spec) => {
-                w.u8(1);
-                encode_workload_spec(&mut w, spec);
-            }
-        }
-        encode_cursor(&mut w, &self.workload_cursor);
-        encode_schedule_spec(&mut w, &self.schedule);
-        encode_cursor(&mut w, &self.schedule_cursor);
+        .encode_into(&mut w);
         w.into_bytes()
     }
 
@@ -249,6 +229,108 @@ impl TenantSnapshot {
             schedule,
             schedule_cursor,
         })
+    }
+}
+
+/// A snapshot's fields, borrowed from wherever they live: a decoded
+/// [`TenantSnapshot`] or a live tenant. One encoder serves both, so a
+/// tenant encodes its checkpoints straight from its engine, without
+/// copying the engine state first, into the bytes
+/// [`TenantSnapshot::encode`] writes.
+pub(crate) struct SnapshotRef<'a, R> {
+    pub(crate) engine: EngineRef<'a>,
+    pub(crate) scheme: SchemeKind,
+    /// Rotor positions, as snapshot words.
+    pub(crate) rotors: R,
+    pub(crate) error: Option<&'a EngineError>,
+    pub(crate) workload: Option<&'a WorkloadSpec>,
+    pub(crate) workload_cursor: &'a [u64],
+    pub(crate) schedule: &'a ScheduleSpec,
+    pub(crate) schedule_cursor: &'a [u64],
+}
+
+/// The engine fields a snapshot stores, borrowed from an
+/// [`EngineState`] or a live [`Engine`].
+pub(crate) struct EngineRef<'a> {
+    graph: &'a BalancingGraph,
+    loads: &'a [i64],
+    step: usize,
+    negative_node_steps: u64,
+    injected_total: i64,
+    topology_events_applied: u64,
+    discrepancy_scans: u64,
+    negative_rescans: u64,
+    vector_config: &'a VectorConfig,
+    vector_stats: &'a VectorStats,
+}
+
+impl<'a> From<&'a EngineState> for EngineRef<'a> {
+    fn from(s: &'a EngineState) -> EngineRef<'a> {
+        EngineRef {
+            graph: &s.graph,
+            loads: &s.loads,
+            step: s.step,
+            negative_node_steps: s.negative_node_steps,
+            injected_total: s.injected_total,
+            topology_events_applied: s.topology_events_applied,
+            discrepancy_scans: s.discrepancy_scans,
+            negative_rescans: s.negative_rescans,
+            vector_config: &s.vector_config,
+            vector_stats: &s.vector_stats,
+        }
+    }
+}
+
+impl<'a> From<&'a Engine> for EngineRef<'a> {
+    fn from(e: &'a Engine) -> EngineRef<'a> {
+        EngineRef {
+            graph: e.graph(),
+            loads: e.loads().as_slice(),
+            step: e.step_count(),
+            negative_node_steps: e.negative_node_steps(),
+            injected_total: e.injected_total(),
+            topology_events_applied: e.topology_events_applied(),
+            discrepancy_scans: e.discrepancy_scans(),
+            negative_rescans: e.negative_rescans(),
+            vector_config: e.vector_config(),
+            vector_stats: e.vector_stats(),
+        }
+    }
+}
+
+impl<R: ExactSizeIterator<Item = u64>> SnapshotRef<'_, R> {
+    /// Appends the encoded snapshot to `w`.
+    pub(crate) fn encode_into(self, w: &mut Writer) {
+        let engine = self.engine;
+        w.raw(SNAPSHOT_MAGIC);
+        w.u16(SNAPSHOT_VERSION);
+        encode_graph(w, engine.graph);
+        for &x in engine.loads {
+            w.i64(x);
+        }
+        w.u64(engine.step as u64);
+        w.u64(engine.negative_node_steps);
+        w.i64(engine.injected_total);
+        w.u64(engine.topology_events_applied);
+        w.u64(engine.discrepancy_scans);
+        w.u64(engine.negative_rescans);
+        encode_vector(w, engine.vector_config, engine.vector_stats);
+        w.u8(self.scheme.tag());
+        w.u64(self.rotors.len() as u64);
+        for r in self.rotors {
+            w.u64(r);
+        }
+        encode_error(w, self.error);
+        match self.workload {
+            None => w.u8(0),
+            Some(spec) => {
+                w.u8(1);
+                encode_workload_spec(w, spec);
+            }
+        }
+        encode_cursor(w, self.workload_cursor);
+        encode_schedule_spec(w, self.schedule);
+        encode_cursor(w, self.schedule_cursor);
     }
 }
 

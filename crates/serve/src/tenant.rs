@@ -2,24 +2,37 @@
 //! schedule, journaled and snapshot-resumable.
 //!
 //! A [`Tenant`] owns its [`Engine`], its scheme state, its generator
-//! boxes, and an append-only [`Journal`]. Every batch of rounds is run
+//! boxes, and a windowed [`Journal`]. Every batch of rounds is run
 //! through **recording wrappers** that capture the raw generator
 //! output (topology events pre-validation, net injection deltas) so
 //! the journal replays the exact same round inputs later — including
 //! a round that errors, whose rejected events are recorded too. The
-//! wrappers append into two flat logs per batch, one for events and
-//! one for deltas, which are encoded into the journal when the batch
-//! ends — no `Vec` per round.
+//! wrappers append into two flat logs per engine call, one for events
+//! and one for deltas, which are encoded into the journal when the
+//! call ends — no `Vec` per round.
+//!
+//! A tenant checkpoints at every round that is a multiple of
+//! [`WINDOW`]: its journal's base becomes the last-but-one checkpoint
+//! and the records before it are dropped, so the journal holds
+//! `WINDOW`..`2·WINDOW` rounds (fewer in the first `WINDOW` rounds and
+//! after a resume) whatever the tenant's age. [`Tenant::run_rounds`]
+//! splits a batch at those multiples, counted in absolute rounds, so
+//! the journal does not depend on how the rounds are batched. The
+//! snapshot of each checkpoint is encoded straight from the live
+//! engine into a buffer the journal reuses.
 //!
 //! Replay drives a fresh engine rebuilt from the journal's base
-//! snapshot through the recorded rounds and compares the
+//! snapshot through the recorded rounds — `WINDOW`..`2·WINDOW` of them
+//! for a warm tenant — and compares the
 //! **path-independent outcome** ([`TenantOutcome`]): loads, graph,
 //! rotor state, step/injection/event counters and terminal error. The
 //! per-path diagnostics (`discrepancy_scans`, `VectorStats.runs`) are
 //! deliberately outside the comparison — they count *how* a result was
 //! computed, and a replay in one uninterrupted run legitimately
 //! dispatches differently than a live tenant served across many
-//! scheduler slices.
+//! scheduler slices. Replay has a budget: a journal that asks for more
+//! than `2·WINDOW` rounds past its base is refused with
+//! [`TenantError::ReplayBudget`] before any round runs.
 
 use std::error::Error;
 use std::fmt;
@@ -33,9 +46,9 @@ use dlb_graph::{BalancingGraph, GraphError, PortOrder, RegularGraph};
 use dlb_scenario::WorkloadSpec;
 use dlb_topology::{ScheduleSpec, SwapShortfall};
 
-use crate::journal::{Journal, RoundRecord};
-use crate::snapshot::{check_load_total, SchemeKind, TenantSnapshot};
-use crate::wire::WireError;
+use crate::journal::{Journal, RoundRecord, WINDOW};
+use crate::snapshot::{check_load_total, EngineRef, SchemeKind, SnapshotRef, TenantSnapshot};
+use crate::wire::{WireError, Writer};
 
 /// Errors raised by tenant construction, snapshot resume and replay.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,6 +70,16 @@ pub enum TenantError {
     /// [`ScheduleSpec::validate`]) or whose rounds would try more than
     /// [`MAX_ROUND_ITEMS`] events.
     Schedule(String),
+    /// A journal that asks replay to run more than `2·`[`WINDOW`]
+    /// rounds past its base: no live journal spans more, so the
+    /// request is forged or stale, and replay refuses it before it
+    /// runs any round.
+    ReplayBudget {
+        /// The base snapshot's round.
+        base_round: u64,
+        /// The round the journal asks replay to reach.
+        through_round: u64,
+    },
 }
 
 /// The most token placements, or topology events tried, that one round
@@ -106,6 +129,15 @@ impl fmt::Display for TenantError {
             TenantError::Corrupt(reason) => write!(f, "corrupt tenant state: {reason}"),
             TenantError::Workload(reason) => write!(f, "invalid workload spec: {reason}"),
             TenantError::Schedule(reason) => write!(f, "invalid schedule spec: {reason}"),
+            TenantError::ReplayBudget {
+                base_round,
+                through_round,
+            } => write!(
+                f,
+                "journal asks replay to run from round {base_round} through {through_round}, \
+                 more than {} rounds",
+                2 * WINDOW
+            ),
         }
     }
 }
@@ -224,12 +256,17 @@ impl SchemeInstance {
         }
     }
 
-    fn rotor_words(&self) -> Vec<u64> {
+    /// Rotor positions (empty for the SEND schemes).
+    fn rotors(&self) -> &[usize] {
         match self {
-            SchemeInstance::Floor(_) | SchemeInstance::Round(_) => Vec::new(),
-            SchemeInstance::Rotor(r) => r.rotors().iter().map(|&p| p as u64).collect(),
-            SchemeInstance::Star(r) => r.rotors().iter().map(|&p| p as u64).collect(),
+            SchemeInstance::Floor(_) | SchemeInstance::Round(_) => &[],
+            SchemeInstance::Rotor(r) => r.rotors(),
+            SchemeInstance::Star(r) => r.rotors(),
         }
+    }
+
+    fn rotor_words(&self) -> Vec<u64> {
+        self.rotors().iter().map(|&p| p as u64).collect()
     }
 }
 
@@ -243,6 +280,8 @@ pub struct Tenant {
     schedule: Option<Box<dyn TopologySchedule>>,
     journal: Journal,
     error: Option<EngineError>,
+    /// Checkpoints taken since the tenant was built or resumed.
+    checkpoints: u64,
 }
 
 impl fmt::Debug for Tenant {
@@ -299,6 +338,7 @@ impl Tenant {
             schedule_spec: schedule,
             journal: Journal::new(&[]),
             error: None,
+            checkpoints: 0,
         };
         tenant.journal = Journal::new(&tenant.snapshot());
         Ok(tenant)
@@ -357,42 +397,67 @@ impl Tenant {
             schedule,
             journal,
             error: snap.error,
+            checkpoints: 0,
         })
     }
 
     /// Serializes the tenant's full resumable state.
     pub fn snapshot(&self) -> Vec<u8> {
-        TenantSnapshot {
-            engine: self.engine.export_state(),
-            scheme: self.scheme.kind(),
-            rotors: self.scheme.rotor_words(),
-            error: self.error.clone(),
-            workload: self.workload_spec.clone(),
-            workload_cursor: self
-                .workload
-                .as_ref()
-                .map(|w| w.cursor())
-                .unwrap_or_default(),
-            schedule: self.schedule_spec.clone(),
-            schedule_cursor: self
-                .schedule
-                .as_ref()
-                .map(|s| s.cursor())
-                .unwrap_or_default(),
-        }
-        .encode()
+        let mut w = Writer::new();
+        self.write_snapshot(&mut w);
+        w.into_bytes()
     }
 
-    /// Runs `rounds` more rounds, journaling every generator output.
+    /// Appends the encoded snapshot of the live state to `w`, reading
+    /// the engine in place.
+    fn write_snapshot(&self, w: &mut Writer) {
+        let workload_cursor = self.workload.as_ref().map(|wl| wl.cursor());
+        let schedule_cursor = self.schedule.as_ref().map(|sched| sched.cursor());
+        SnapshotRef {
+            engine: EngineRef::from(&self.engine),
+            scheme: self.scheme.kind(),
+            rotors: self.scheme.rotors().iter().map(|&p| p as u64),
+            error: self.error.as_ref(),
+            workload: self.workload_spec.as_ref(),
+            workload_cursor: workload_cursor.as_deref().unwrap_or_default(),
+            schedule: &self.schedule_spec,
+            schedule_cursor: schedule_cursor.as_deref().unwrap_or_default(),
+        }
+        .encode_into(w);
+    }
+
+    /// Runs `rounds` more rounds, journaling every generator output and
+    /// checkpointing at every multiple of [`WINDOW`].
     ///
     /// Returns `true` if the batch completed cleanly; `false` if the
     /// tenant was already stopped or stopped during the batch (the
     /// error is recorded in the journal and via [`Tenant::error`], and
-    /// all subsequent batches are no-ops).
+    /// all subsequent batches are no-ops). No checkpoint follows an
+    /// error.
     pub fn run_rounds(&mut self, rounds: usize) -> bool {
         if self.error.is_some() || rounds == 0 {
             return false;
         }
+        let mut left = rounds;
+        while left > 0 {
+            // Split at multiples of WINDOW in absolute rounds, so the
+            // checkpoints, and with them the journal, do not depend on
+            // the batching.
+            let chunk = left.min(WINDOW - self.engine.step_count() % WINDOW);
+            if !self.run_chunk(chunk) {
+                return false;
+            }
+            left -= chunk;
+            if self.engine.step_count().is_multiple_of(WINDOW) {
+                self.checkpoint();
+            }
+        }
+        true
+    }
+
+    /// Runs and journals `rounds` rounds that cross no checkpoint.
+    /// Returns `false` if the tenant stopped.
+    fn run_chunk(&mut self, rounds: usize) -> bool {
         let mut event_log = RoundLog::new();
         let mut delta_log = RoundLog::new();
         let mut static_topo = StaticTopology;
@@ -436,6 +501,17 @@ impl Tenant {
                 false
             }
         }
+    }
+
+    /// Takes a checkpoint at the current round: the journal's base moves
+    /// to the previous checkpoint, and the current state becomes the
+    /// next one. The snapshot is encoded into the buffer the journal
+    /// hands back, so a warm tenant reuses it.
+    fn checkpoint(&mut self) {
+        let mut snapshot = self.journal.begin_checkpoint();
+        self.write_snapshot(&mut snapshot);
+        self.journal.end_checkpoint(snapshot);
+        self.checkpoints += 1;
     }
 
     /// Merges the batch's event and delta logs (both ascending in
@@ -484,6 +560,12 @@ impl Tenant {
         &self.journal
     }
 
+    /// Checkpoints taken since the tenant was built or resumed: one at
+    /// every multiple of [`WINDOW`] it reached without an error.
+    pub fn checkpoints(&self) -> u64 {
+        self.checkpoints
+    }
+
     /// The path-independent outcome of the run so far.
     pub fn outcome(&self) -> TenantOutcome {
         let state = self.engine.export_state();
@@ -501,14 +583,23 @@ impl Tenant {
 
     /// Replays a journal from its base snapshot: rebuilds the engine
     /// and scheme, feeds the recorded events/deltas back, and drives
-    /// to the recorded horizon.
+    /// to the recorded horizon — at most `2·`[`WINDOW`] rounds.
     ///
     /// # Errors
     ///
-    /// Returns [`TenantError`] on an undecodable journal or recorded
-    /// node indices outside the graph.
+    /// Returns [`TenantError`] on an undecodable journal, recorded
+    /// node indices outside the graph, or
+    /// [`TenantError::ReplayBudget`] when the horizon lies more than
+    /// `2·WINDOW` rounds past the base.
     pub fn replay(journal: &Journal) -> Result<TenantOutcome, TenantError> {
         let contents = journal.decode()?;
+        let base_step = contents.base.engine.step as u64;
+        if contents.through_round.saturating_sub(base_step) > 2 * WINDOW as u64 {
+            return Err(TenantError::ReplayBudget {
+                base_round: base_step,
+                through_round: contents.through_round,
+            });
+        }
         let n = contents.base.engine.graph.num_nodes();
         for rec in &contents.rounds {
             if rec.deltas.iter().any(|&(u, _)| u as usize >= n) {
@@ -518,7 +609,6 @@ impl Tenant {
                 )));
             }
         }
-        let base_step = contents.base.engine.step as u64;
         let rotors = (!contents.base.rotors.is_empty()).then_some(contents.base.rotors.as_slice());
         let mut scheme =
             SchemeInstance::build(contents.base.scheme, &contents.base.engine.graph, rotors)?;

@@ -109,6 +109,22 @@ impl Writer {
         self.u32(s.len() as u32);
         self.raw(s.as_bytes());
     }
+
+    /// Empties the buffer, keeping its capacity.
+    pub(crate) fn clear(&mut self) {
+        self.buf.clear();
+    }
+
+    /// Replaces the bytes in `range` with `with`, in place; the buffer
+    /// grows only when `with` is longer than the range.
+    pub(crate) fn splice(&mut self, range: std::ops::Range<usize>, with: &[u8]) {
+        self.buf.splice(range, with.iter().copied());
+    }
+
+    /// Overwrites the little-endian `u64` at byte offset `at`.
+    pub(crate) fn set_u64(&mut self, at: usize, v: u64) {
+        self.buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
 }
 
 /// Continues appending after existing encoded bytes.

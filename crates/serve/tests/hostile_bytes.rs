@@ -1,7 +1,9 @@
 //! Hostile-input contract of the two serving formats: a byte-mutated
 //! `DLBSNAP1` snapshot or `DLBJRNL1` journal either decodes or returns
-//! an error — it never panics, aborts or hangs — and a snapshot that
-//! decodes and resumes also runs a few rounds without panicking.
+//! an error — it never panics, aborts or hangs — a snapshot that
+//! decodes and resumes also runs a few rounds without panicking, and a
+//! journal that decodes also replays to `Ok` or `Err`, within the
+//! replay round budget.
 //!
 //! The mutations start from valid bytes of churning, injecting tenants
 //! and flip bits, truncate, extend, and overwrite 4- and 8-byte fields
@@ -11,7 +13,7 @@
 use dlb_core::LoadVector;
 use dlb_graph::{generators, BalancingGraph};
 use dlb_scenario::WorkloadSpec;
-use dlb_serve::{Journal, SchemeKind, Tenant, TenantSnapshot};
+use dlb_serve::{Journal, SchemeKind, Tenant, TenantError, TenantSnapshot, WINDOW};
 use dlb_topology::ScheduleSpec;
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -126,10 +128,12 @@ fn exercise_snapshot(bytes: &[u8]) -> bool {
     }
 }
 
-/// Feeds journal bytes through adoption and decoding.
+/// Feeds journal bytes through adoption, decoding and replay, which
+/// must return (`Ok` or `Err`) without panicking.
 fn exercise_journal(bytes: Vec<u8>) {
     if let Ok(journal) = Journal::from_bytes(bytes) {
         journal.decode().expect("an adopted journal decodes again");
+        let _ = Tenant::replay(&journal);
     }
 }
 
@@ -244,4 +248,144 @@ proptest! {
         }
         exercise_journal(bytes);
     }
+}
+
+/// A churning tenant run past two checkpoints, so its journal's base is
+/// a spliced-in checkpoint and its records span more than `WINDOW`
+/// rounds.
+fn windowed_journal() -> &'static [u8] {
+    static JOURNAL: OnceLock<Vec<u8>> = OnceLock::new();
+    JOURNAL.get_or_init(|| {
+        let mut tenant = seed_tenants().swap_remove(0);
+        assert!(tenant.run_rounds(2 * WINDOW));
+        assert_eq!(tenant.checkpoints(), 2);
+        let bytes = tenant.journal().as_bytes().to_vec();
+        let contents = Journal::from_bytes(bytes.clone())
+            .unwrap()
+            .decode()
+            .unwrap();
+        assert_eq!(contents.base.engine.step, WINDOW);
+        bytes
+    })
+}
+
+/// Appends a forged advance record asking replay to run through
+/// `through_round`.
+fn with_horizon(bytes: &[u8], through_round: u64) -> Journal {
+    let mut forged = bytes.to_vec();
+    forged.push(1);
+    forged.extend_from_slice(&through_round.to_le_bytes());
+    Journal::from_bytes(forged).expect("an advance record decodes")
+}
+
+/// A forged horizon more than `2·WINDOW` rounds past the base is
+/// refused with the typed budget error before any round runs; one at
+/// exactly `2·WINDOW` still replays.
+#[test]
+fn forged_horizons_past_the_budget_are_refused() {
+    let journals = seeds().journals.iter().map(Vec::as_slice);
+    for bytes in journals.chain([windowed_journal()]) {
+        let base = Journal::from_bytes(bytes.to_vec())
+            .unwrap()
+            .decode()
+            .unwrap()
+            .base
+            .engine
+            .step as u64;
+        let budget = 2 * WINDOW as u64;
+        for through in [base + budget + 1, u64::MAX] {
+            let err = Tenant::replay(&with_horizon(bytes, through)).unwrap_err();
+            assert_eq!(
+                err,
+                TenantError::ReplayBudget {
+                    base_round: base,
+                    through_round: through,
+                }
+            );
+        }
+        let replayed = Tenant::replay(&with_horizon(bytes, base + budget)).unwrap();
+        assert_eq!(replayed.step as u64, base + budget);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random stacks of one to four mutations on a windowed journal,
+    /// whose base is a spliced-in checkpoint.
+    #[test]
+    fn mutated_windowed_journals_replay_or_error(
+        ops in proptest::collection::vec(
+            (0u8..5, 0usize..1 << 16, 0usize..64, proptest::collection::vec(0u16..256, 1..24)),
+            1..5,
+        ),
+    ) {
+        let mut bytes = windowed_journal().to_vec();
+        for op in ops {
+            mutate(&mut bytes, op);
+        }
+        exercise_journal(bytes);
+    }
+}
+
+/// The fresh journal of a closed SEND tenant on a lazy 8-cycle with 4
+/// tokens per node, for forging records onto.
+fn closed_journal() -> Vec<u8> {
+    let tenant = Tenant::new(
+        BalancingGraph::lazy(generators::cycle(8).unwrap()),
+        LoadVector::uniform(8, 4),
+        SchemeKind::SendFloor,
+        None,
+        ScheduleSpec::Static,
+    )
+    .unwrap();
+    tenant.journal().as_bytes().to_vec()
+}
+
+/// A replayed round that sleeps a loaded node next to a node injected
+/// with `i64::MAX` hands its tokens over into an overflowing delta.
+/// Found by replaying mutated journals: the handoff used to panic with
+/// an add overflow in debug builds (and wrap in release). Replay must
+/// stop the round with the typed injection-overflow error.
+#[test]
+fn replayed_handoff_past_i64_is_an_error_not_a_panic() {
+    let mut bytes = closed_journal();
+    // Round 1: one event (sleep node 1), one delta (node 0, i64::MAX).
+    bytes.push(0);
+    bytes.extend_from_slice(&1u64.to_le_bytes());
+    bytes.extend_from_slice(&1u32.to_le_bytes());
+    bytes.push(2);
+    bytes.extend_from_slice(&1u32.to_le_bytes());
+    bytes.extend_from_slice(&1u32.to_le_bytes());
+    bytes.extend_from_slice(&0u32.to_le_bytes());
+    bytes.extend_from_slice(&i64::MAX.to_le_bytes());
+    let replayed = Tenant::replay(&Journal::from_bytes(bytes).unwrap()).unwrap();
+    assert_eq!(
+        replayed.error,
+        Some(dlb_core::EngineError::InjectionOverflow { node: 0, step: 1 })
+    );
+    assert_eq!(replayed.step, 0);
+    assert_eq!(replayed.loads, vec![4; 8]);
+}
+
+/// A forged round record listing one node twice, with deltas
+/// `i64::MAX` and 1, made replay sum them into an add overflow that
+/// panicked in debug builds. Delta nodes must ascend, as recorded, so
+/// the journal is rejected at the repeated node.
+#[test]
+fn repeated_delta_nodes_are_rejected_not_summed_past_i64() {
+    let mut bytes = closed_journal();
+    // Round 1: no events, deltas (0, i64::MAX) and (0, 1).
+    bytes.push(0);
+    bytes.extend_from_slice(&1u64.to_le_bytes());
+    bytes.extend_from_slice(&0u32.to_le_bytes());
+    bytes.extend_from_slice(&2u32.to_le_bytes());
+    bytes.extend_from_slice(&0u32.to_le_bytes());
+    bytes.extend_from_slice(&i64::MAX.to_le_bytes());
+    let repeat_at = bytes.len();
+    bytes.extend_from_slice(&0u32.to_le_bytes());
+    bytes.extend_from_slice(&1i64.to_le_bytes());
+    let err = Journal::from_bytes(bytes).unwrap_err();
+    assert_eq!(err.offset, repeat_at, "{err}");
+    assert!(err.reason.contains("out of order"), "{err}");
 }

@@ -1,12 +1,12 @@
 //! End-to-end contracts of the serving layer: snapshot/resume
 //! bit-identity at every round boundary, journal replay fidelity
-//! (including erroring tenants), and schedule-independence of the
-//! batch scheduler.
+//! (including erroring tenants), the journal's sliding window of
+//! rounds, and schedule-independence of the batch scheduler.
 
 use dlb_core::{EngineError, LoadVector};
 use dlb_graph::{generators, BalancingGraph};
 use dlb_scenario::WorkloadSpec;
-use dlb_serve::{SchemeKind, Server, Tenant, TenantError, TenantSnapshot, MAX_ROUND_ITEMS};
+use dlb_serve::{SchemeKind, Server, Tenant, TenantError, TenantSnapshot, MAX_ROUND_ITEMS, WINDOW};
 use dlb_topology::ScheduleSpec;
 
 fn lazy_cycle(n: usize) -> BalancingGraph {
@@ -467,4 +467,176 @@ fn new_rejects_schedules_and_loads_the_snapshot_decoder_rejects() {
     )
     .unwrap_err();
     assert!(matches!(err, TenantError::Corrupt(_)), "{err}");
+}
+
+/// A tenant under churn (swaps, sleeps, wakes) and steady arrivals.
+fn churn_and_steady(scheme: SchemeKind) -> Tenant {
+    Tenant::new(
+        lazy_cycle(12),
+        LoadVector::point_mass(12, 300),
+        scheme,
+        Some(WorkloadSpec::Steady { rate: 5, seed: 2 }),
+        ScheduleSpec::Churn {
+            period: 3,
+            swaps: 1,
+            fail_pct: 30,
+            max_down: 2,
+            seed: 5,
+        },
+    )
+    .unwrap()
+}
+
+/// Runs `tenant` from its current round to round `to` in batches that
+/// end at multiples of `batch` (so a resumed tenant batches like one
+/// run from round zero), asserting every batch completes.
+fn run_to(tenant: &mut Tenant, to: usize, batch: usize) {
+    while tenant.rounds_done() < to {
+        let done = tenant.rounds_done();
+        assert!(tenant.run_rounds(((done / batch + 1) * batch).min(to) - done));
+    }
+}
+
+/// The window: after `3W + 5` rounds a journal's base is the tenant's
+/// state at round `2W`, the last-but-one checkpoint, whatever the
+/// batching. Round records and horizon agree across batchings, replay
+/// matches, and the journal is byte for byte the one a tenant resumed
+/// from that base writes over the same rounds.
+#[test]
+fn journals_keep_a_window_of_rounds_whatever_the_batching() {
+    const ROUNDS: usize = 3 * WINDOW + 5;
+    for scheme in SCHEMES {
+        let mut whole = churn_and_steady(scheme);
+        assert!(whole.run_rounds(ROUNDS));
+        let expected = whole.journal().decode().unwrap();
+        assert!(expected.rounds.iter().any(|r| !r.events.is_empty()));
+        assert!(expected.rounds.iter().any(|r| !r.deltas.is_empty()));
+        assert_eq!(expected.rounds[0].round as usize, 2 * WINDOW + 1);
+        for batch in [1, 5, 16, WINDOW + 3] {
+            let mut live = churn_and_steady(scheme);
+            let mut twin = churn_and_steady(scheme);
+            run_to(&mut live, ROUNDS, batch);
+            run_to(&mut twin, 2 * WINDOW, batch);
+            let contents = live.journal().decode().unwrap();
+            let tag = format!("{scheme:?}, batches of {batch}");
+            assert_eq!(live.checkpoints(), 3, "{tag}");
+            let mut twin_base = TenantSnapshot::decode(&twin.snapshot()).unwrap();
+            // Word 9 of the churn cursor is the wall-clock time the swap
+            // validation took, which no two runs share.
+            twin_base.schedule_cursor[9] = contents.base.schedule_cursor[9];
+            assert_eq!(contents.base, twin_base, "{tag}");
+            assert_eq!(contents.rounds, expected.rounds, "{tag}");
+            assert_eq!(contents.through_round, ROUNDS as u64, "{tag}");
+            assert!(live.replay_matches().unwrap(), "{tag}");
+            assert_eq!(live.outcome(), whole.outcome(), "{tag}");
+
+            let mut resumed = Tenant::resume_from_snapshot(&contents.base.encode()).unwrap();
+            run_to(&mut resumed, ROUNDS, batch);
+            assert_eq!(
+                resumed.journal().as_bytes(),
+                live.journal().as_bytes(),
+                "{tag}"
+            );
+        }
+    }
+}
+
+/// A tenant resumed at a round that is not a multiple of `W` journals
+/// from that round until its second checkpoint, so its journal spans
+/// fewer than `2W` rounds throughout, and replays after every batch.
+#[test]
+fn off_window_resumes_span_fewer_than_two_windows() {
+    for scheme in SCHEMES {
+        let mut tenant = churn_and_steady(scheme);
+        run_to(&mut tenant, WINDOW + 7, 16);
+        let mut resumed = Tenant::resume_from_snapshot(&tenant.snapshot()).unwrap();
+        while resumed.rounds_done() < 4 * WINDOW {
+            assert!(resumed.run_rounds(16));
+            let contents = resumed.journal().decode().unwrap();
+            let span = contents.through_round - contents.base.engine.step as u64;
+            assert!(span < 2 * WINDOW as u64, "{scheme:?}: span {span}");
+            assert!(resumed.replay_matches().unwrap(), "{scheme:?}");
+        }
+        let contents = resumed.journal().decode().unwrap();
+        assert_eq!(contents.base.engine.step, 3 * WINDOW, "{scheme:?}");
+        assert_eq!(resumed.checkpoints(), 3, "{scheme:?}");
+    }
+}
+
+/// An unclamped drain on a uniform load of `load` tokens per node,
+/// which drives a node negative in a known round.
+fn draining_tenant(load: i64) -> Tenant {
+    Tenant::new(
+        lazy_cycle(8),
+        LoadVector::uniform(8, load),
+        SchemeKind::SendFloor,
+        Some(WorkloadSpec::DrainUnclamped { rate: 4 }),
+        ScheduleSpec::Static,
+    )
+    .unwrap()
+}
+
+/// A tenant that errors at exactly round `2W`, a checkpoint round, or
+/// at `2W + 1`, right after one: replay reproduces the error, and no
+/// checkpoint follows it.
+#[test]
+fn no_checkpoint_follows_an_error() {
+    // On this drain, 74 tokens per node go negative in round 128 and
+    // 75 in round 129.
+    for (load, error_round, checkpoints, base) in
+        [(74, 2 * WINDOW, 1, 0), (75, 2 * WINDOW + 1, 2, WINDOW)]
+    {
+        for batch in [16, 3 * WINDOW] {
+            let mut tenant = draining_tenant(load);
+            while tenant.run_rounds(batch) {}
+            let error = tenant
+                .error()
+                .cloned()
+                .expect("the drain must stop the tenant");
+            assert!(
+                matches!(error, EngineError::NegativeLoad { step, .. } if step == error_round),
+                "load {load}: {error:?}"
+            );
+            assert_eq!(tenant.rounds_done(), error_round - 1);
+            assert_eq!(tenant.checkpoints(), checkpoints, "load {load}");
+            let contents = tenant.journal().decode().unwrap();
+            assert_eq!(contents.base.engine.step, base, "load {load}");
+            assert_eq!(contents.through_round, error_round as u64);
+            assert_eq!(contents.error.as_ref(), Some(&error));
+            assert!(tenant.replay_matches().unwrap(), "load {load}");
+            assert_eq!(Tenant::replay(tenant.journal()).unwrap().error, Some(error));
+
+            let bytes = tenant.journal().as_bytes().to_vec();
+            assert!(!tenant.run_rounds(WINDOW));
+            assert_eq!(tenant.checkpoints(), checkpoints);
+            assert_eq!(tenant.journal().as_bytes(), &bytes[..]);
+        }
+    }
+}
+
+/// Every profiled slice folds its checkpoints into the server's
+/// `serve_journal_checkpoints` counter: a fleet run `2W + 16` rounds
+/// takes two per tenant.
+#[test]
+fn profiled_slices_count_journal_checkpoints() {
+    let server = Server::new(mixed_fleet());
+    let mut checkpoints = 0;
+    for _ in 0..(2 * WINDOW + 16) / 16 {
+        let (report, _) = server.run_slice_profiled(2, 16);
+        assert_eq!(report.errored, 0);
+        checkpoints += report.checkpoints;
+    }
+    let tenants = server.len() as u64;
+    assert_eq!(checkpoints, 2 * tenants);
+    let text = server.render_prometheus();
+    assert!(
+        text.contains(&format!("serve_journal_checkpoints {}\n", 2 * tenants)),
+        "{text}"
+    );
+    // The unprofiled slice reports them too.
+    let report = server.run_slice(2, WINDOW);
+    assert_eq!(report.checkpoints, tenants);
+    for tenant in server.into_tenants() {
+        assert!(tenant.replay_matches().unwrap());
+    }
 }
