@@ -33,11 +33,8 @@ const ALL_IDS: &[&str] = &[
     "a1",
     "a2",
     "a3",
-    "t1",
     "scenarios",
     "churn",
-    "serve",
-    "profile",
 ];
 
 fn parse_args() -> Result<Args, String> {
@@ -56,7 +53,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: dlb-experiments [all | e1..e9 a1 a2 a3 t1 scenarios churn serve profile]... [--quick] [--csv DIR]\n\
+                    "usage: dlb-experiments [all | e1..e9 a1 a2 a3 scenarios churn]... [--quick] [--csv DIR]\n\
                      \n\
                      e1  Table 1: discrepancy after 4T per scheme per graph\n\
                      e2  Thm 2.3(i): scaling on expanders\n\
@@ -70,22 +67,14 @@ fn parse_args() -> Result<Args, String> {
                      a1  ablation: self-loop count\n\
                      a2  ablation: cumulative-δ sensitivity\n\
                      a3  ablation: rotor-router port-order sensitivity\n\
-                     t1  throughput: step rates per engine path, including the\n\
-                         vectorized kernel and its scalar/i64 ablations\n\
-                         (writes BENCH_PR8.json)\n\
                      scenarios  dynamic workloads: steady-state discrepancy, recovery,\n\
-                                cross-path bit-identity under injection (writes BENCH_PR4.json)\n\
+                                cross-path bit-identity under injection\n\
                      churn      dynamic topology: discrepancy under churn, recovery after\n\
-                                failure bursts, throughput vs churn rate with validation\n\
-                                and swap-shortfall accounting, cross-path bit-identity\n\
-                                under churn x workload (writes BENCH_PR6.json)\n\
-                     serve      multi-tenant serving: >=1000 concurrent engine tenants\n\
-                                per scheduler config with journal replay and\n\
-                                snapshot-resume bit-identity checks (writes BENCH_PR9.json)\n\
-                     profile    per-phase latency decomposition of every engine path\n\
-                                through the dlb-obs tracing layer, with traced-vs-\n\
-                                untraced bit-identity twins and the <=1.05x tracing\n\
-                                overhead gate (writes BENCH_PR10.json + trace_PR10.json)"
+                                failure bursts, swap-shortfall accounting, cross-path\n\
+                                bit-identity under churn x workload\n\
+                     \n\
+                     Engine throughput is measured by the repository benchmark\n\
+                     (perfbench/README.md), not by this binary."
                 );
                 std::process::exit(0);
             }
@@ -119,11 +108,8 @@ fn run_one(id: &str, quick: bool) -> Result<Table, RunError> {
         "a1" => experiments::ablation_self_loops(quick),
         "a2" => experiments::ablation_delta(quick),
         "a3" => experiments::ablation_port_order(quick),
-        "t1" => experiments::throughput(quick),
         "scenarios" => experiments::scenarios(quick),
         "churn" => experiments::churn(quick),
-        "serve" => experiments::serve(quick),
-        "profile" => experiments::profile(quick),
         other => unreachable!("unvalidated experiment id {other}"),
     }
 }

@@ -12,7 +12,7 @@
 //! * the **peak load** and **peak discrepancy** (worst transient),
 //! * the **recovery time**: closed-system rounds from the end of
 //!   injection until the discrepancy first reaches `2 d⁺`
-//!   (`null` when the round budget runs out first — reported honestly,
+//!   (`-` when the round budget runs out first — reported honestly,
 //!   the cycle at full size legitimately needs more rounds than the
 //!   budget), and
 //! * a **bit-identity** verdict: the same `rounds` of injection are
@@ -21,12 +21,7 @@
 //!   every path must reproduce the reference loads and injected totals
 //!   exactly.
 //!
-//! Besides the text/CSV table the sweep writes machine-readable JSON
-//! (schema `dlb-scenarios/v3`, default path `BENCH_PR4.json`,
-//! overridden by the `DLB_SCENARIO_JSON` environment variable) with
-//! the `workload` and `recovery_rounds` fields CI gates on.
-
-use std::time::Instant;
+//! The rows render as a text table (and as CSV under `--csv`).
 
 use dlb_core::schemes::{RotorRouter, SendFloor, SendRound};
 use dlb_core::{Engine, LoadVector, StaticTopology};
@@ -49,7 +44,6 @@ struct ScenarioRow {
     report: ScenarioReport,
     paths: usize,
     bit_identical: bool,
-    elapsed_sec: f64,
 }
 
 /// The workload axis of the sweep. Rates scale with `n` so the
@@ -130,21 +124,18 @@ enum Path {
     Kernel,
 }
 
-/// Runs the scenario sweep and writes `BENCH_PR4.json` (path
-/// overridable with the `DLB_SCENARIO_JSON` environment variable).
+/// Runs the scenario sweep.
 ///
 /// # Errors
 ///
 /// Propagates instance-construction and engine errors (the sweep's
 /// workloads are the clamped, error-free configurations).
 pub fn scenarios(quick: bool) -> Result<Table, RunError> {
-    let json_path = std::env::var("DLB_SCENARIO_JSON").unwrap_or_else(|_| "BENCH_PR4.json".into());
-    scenarios_to(quick, std::path::Path::new(&json_path))
+    Ok(render(&scenario_rows(quick)?))
 }
 
-/// [`scenarios`] with an explicit JSON output path (the environment is
-/// only consulted at the public entry point).
-fn scenarios_to(quick: bool, json_path: &std::path::Path) -> Result<Table, RunError> {
+/// One row per scheme × graph × workload composition.
+fn scenario_rows(quick: bool) -> Result<Vec<ScenarioRow>, RunError> {
     let graphs: Vec<GraphSpec> = if quick {
         vec![
             GraphSpec::Cycle { n: 64 },
@@ -184,7 +175,6 @@ fn scenarios_to(quick: bool, json_path: &std::path::Path) -> Result<Table, RunEr
 
         for scheme in &schemes {
             for wspec in &workload_specs(n) {
-                let started = Instant::now();
                 let mut bal = scheme.build(&gp)?;
                 let mut workload = wspec.build(n);
                 let report = scenario.run(&gp, &initial, bal.as_mut(), workload.as_mut())?;
@@ -227,19 +217,22 @@ fn scenarios_to(quick: bool, json_path: &std::path::Path) -> Result<Table, RunEr
                     report,
                     paths,
                     bit_identical: identical,
-                    elapsed_sec: started.elapsed().as_secs_f64(),
                 });
             }
         }
     }
 
-    write_json(json_path, &rows, quick);
+    Ok(rows)
+}
 
+/// The S1 table: one line per row.
+fn render(rows: &[ScenarioRow]) -> Table {
     let mut table = Table::new(
         "S1: dynamic-workload scenarios (steady-state discrepancy, recovery, cross-path identity)",
         &[
             "scheme",
             "graph",
+            "n",
             "workload",
             "rounds",
             "steady max",
@@ -251,10 +244,11 @@ fn scenarios_to(quick: bool, json_path: &std::path::Path) -> Result<Table, RunEr
             "identical",
         ],
     );
-    for r in &rows {
+    for r in rows {
         table.push_row(vec![
             r.scheme.clone(),
             r.graph.clone(),
+            r.n.to_string(),
             r.workload.clone(),
             r.report.rounds.to_string(),
             r.report.steady_discrepancy_max.to_string(),
@@ -268,55 +262,7 @@ fn scenarios_to(quick: bool, json_path: &std::path::Path) -> Result<Table, RunEr
             if r.bit_identical { "yes" } else { "NO" }.into(),
         ]);
     }
-    Ok(table)
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Writes the machine-readable sweep. Failures to write are reported on
-/// stderr but do not fail the experiment.
-fn write_json(path: &std::path::Path, rows: &[ScenarioRow], quick: bool) {
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"dlb-scenarios/v3\",\n");
-    out.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if quick { "quick" } else { "full" }
-    ));
-    out.push_str(&format!("  \"tokens_per_node\": {TOKENS_PER_NODE},\n"));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"scheme\": \"{}\", \"graph\": \"{}\", \"n\": {}, \"workload\": \"{}\", \
-             \"rounds\": {}, \"steady_discrepancy_max\": {}, \"steady_discrepancy_mean\": {:.2}, \
-             \"peak_load\": {}, \"peak_discrepancy\": {}, \"recovery_rounds\": {}, \
-             \"injected_total\": {}, \"final_total\": {}, \"paths_compared\": {}, \
-             \"elapsed_sec\": {:.6}, \"bit_identical\": {}}}{}\n",
-            json_escape(&r.scheme),
-            json_escape(&r.graph),
-            r.n,
-            json_escape(&r.workload),
-            r.report.rounds,
-            r.report.steady_discrepancy_max,
-            r.report.steady_discrepancy_mean,
-            r.report.peak_load,
-            r.report.peak_discrepancy,
-            r.report
-                .recovery_rounds
-                .map_or_else(|| "null".into(), |v| v.to_string()),
-            r.report.injected_total,
-            r.report.final_total,
-            r.paths,
-            r.elapsed_sec,
-            r.bit_identical,
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::write(path, out) {
-        eprintln!("warning: failed writing {}: {e}", path.display());
-    }
+    table
 }
 
 #[cfg(test)]
@@ -324,54 +270,41 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quick_sweep_is_bit_identical_and_writes_v3_json() {
-        let dir = std::env::temp_dir().join("dlb-scenarios-test");
-        let _ = std::fs::create_dir_all(&dir);
-        let json_path = dir.join("BENCH_PR4.json");
-        let table = scenarios_to(true, &json_path).expect("quick sweep runs");
+    fn quick_rows_are_bit_identical_and_cover_every_workload() {
+        let rows = scenario_rows(true).expect("quick sweep runs");
 
         // 3 graphs × 3 schemes × 6 workloads.
-        assert_eq!(table.num_rows(), 3 * 3 * 6);
-        assert!(
-            !table.render().contains("NO"),
-            "a path diverged under injection:\n{}",
-            table.render()
-        );
-
-        let json = std::fs::read_to_string(&json_path).expect("json written");
-        assert!(json.contains("\"schema\": \"dlb-scenarios/v3\""));
-        assert!(json.contains("\"workload\": \"steady(+8)\""));
-        assert!(json.contains("\"workload\": \"adversary(B=8)\""));
-        assert!(json.contains("\"recovery_rounds\""));
-        assert!(json.contains("\"bit_identical\": true"));
-        assert!(!json.contains("\"bit_identical\": false"));
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(rows.len(), 3 * 3 * 6);
+        assert_eq!(render(&rows).num_rows(), rows.len());
+        for r in &rows {
+            assert!(
+                r.bit_identical && r.paths == 3,
+                "a path diverged under injection: {} on {} under {}",
+                r.scheme,
+                r.graph,
+                r.workload
+            );
+        }
+        let has = |label: &str| rows.iter().any(|r| r.workload.starts_with(label));
+        assert!(has("steady(+8)"));
+        assert!(has("adversary(B=8)"));
+        // The composed workload (arrivals plus a drain) sits inside the
+        // bit-identity check above.
+        assert!(has("arrive+drain"));
+        assert!(rows.iter().any(|r| r.report.recovery_rounds.is_some()));
     }
 
     #[test]
     fn conservation_holds_on_every_row() {
-        let dir = std::env::temp_dir().join("dlb-scenarios-conservation");
-        let _ = std::fs::create_dir_all(&dir);
-        let json_path = dir.join("BENCH_PR4.json");
-        let _ = scenarios_to(true, &json_path).expect("quick sweep runs");
-        let json = std::fs::read_to_string(&json_path).expect("json written");
-        // Every row's final_total must equal initial + injected_total;
-        // spot-check by parsing the pairs out of the flat rows.
-        for line in json.lines().filter(|l| l.contains("\"final_total\"")) {
-            let grab = |key: &str| -> i64 {
-                let at = line.find(key).expect(key) + key.len();
-                line[at..]
-                    .chars()
-                    .take_while(|c| c.is_ascii_digit() || *c == '-')
-                    .collect::<String>()
-                    .parse()
-                    .expect("numeric field")
-            };
-            let n = grab("\"n\": ");
-            let injected = grab("\"injected_total\": ");
-            let final_total = grab("\"final_total\": ");
-            assert_eq!(final_total, n * TOKENS_PER_NODE + injected, "{line}");
+        for r in &scenario_rows(true).expect("quick sweep runs") {
+            assert_eq!(
+                r.report.final_total,
+                r.n as i64 * TOKENS_PER_NODE + r.report.injected_total,
+                "{} on {} under {}",
+                r.scheme,
+                r.graph,
+                r.workload
+            );
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

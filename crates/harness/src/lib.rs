@@ -20,10 +20,15 @@
 //! | A1 | ablation — self-loop count sweep | [`experiments::ablation_self_loops`] |
 //! | A2 | ablation — cumulative-δ sensitivity | [`experiments::ablation_delta`] |
 //! | A3 | ablation — rotor-router port-order sensitivity | [`experiments::ablation_port_order`] |
+//! | S1 | open system — discrepancy and recovery under dynamic workloads | [`experiments::scenarios`] |
+//! | S2 | churn — discrepancy and recovery under topology schedules | [`experiments::churn`] |
 //!
+//! S1 and S2 also replay every composition through the engine's
+//! execution paths and report whether they agree bit for bit.
 //! Experiments are deterministic (seeds are explicit), print aligned
-//! text tables via [`report`], and optionally emit CSV. The
-//! `dlb-experiments` binary drives them all:
+//! text tables via [`report`], and optionally emit CSV; none of them
+//! times the engine (the repository benchmark under `perfbench/`
+//! does). The `dlb-experiments` binary drives them all:
 //!
 //! ```text
 //! dlb-experiments all          # everything, full sizes

@@ -295,6 +295,47 @@ mod tests {
         assert_eq!(h.count(), 1000);
     }
 
+    /// The histogram p99 must agree with the exact (sorted-Vec) p99 to
+    /// within one log bucket on a latency-shaped fixture — the
+    /// acceptance bar for estimating slice latencies with it.
+    #[test]
+    fn histogram_p99_matches_sorted_p99_within_one_bucket() {
+        // Deterministic heavy-tailed fixture: an xorshift stream shaped
+        // like slice latencies (a dense body plus a sparse 100× tail).
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut samples: Vec<u64> = (0..10_000)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let body = 2_000 + state % 30_000;
+                if state.is_multiple_of(97) {
+                    body * 100
+                } else {
+                    body
+                }
+            })
+            .collect();
+        let mut hist = Histogram::new();
+        for &s in &samples {
+            hist.record(s);
+        }
+        samples.sort_unstable();
+        let exact = samples[(samples.len().saturating_sub(1)) * 99 / 100];
+        let est = hist.quantile(0.99).expect("non-empty histogram");
+        // Same bucket or the one next door: the estimate's bucket floor
+        // must bracket the exact order statistic within one bucket
+        // width in either direction.
+        let lo = Histogram::bucket_index(est).saturating_sub(1);
+        let hi = Histogram::bucket_index(est) + 1;
+        let exact_bucket = Histogram::bucket_index(exact);
+        assert!(
+            (lo..=hi).contains(&exact_bucket),
+            "p99 estimate {est} (bucket {}) vs exact {exact} (bucket {exact_bucket})",
+            Histogram::bucket_index(est),
+        );
+    }
+
     #[test]
     fn merge_equals_recording_the_union() {
         let mut a = Histogram::new();

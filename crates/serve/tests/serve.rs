@@ -5,6 +5,7 @@
 
 use dlb_core::{EngineError, LoadVector};
 use dlb_graph::{generators, BalancingGraph};
+use dlb_obs::{EventKind, Phase, RingSink};
 use dlb_scenario::WorkloadSpec;
 use dlb_serve::{SchemeKind, Server, Tenant, TenantError, TenantSnapshot, MAX_ROUND_ITEMS, WINDOW};
 use dlb_topology::ScheduleSpec;
@@ -638,5 +639,89 @@ fn profiled_slices_count_journal_checkpoints() {
     assert_eq!(report.checkpoints, tenants);
     for tenant in server.into_tenants() {
         assert!(tenant.replay_matches().unwrap());
+    }
+}
+
+/// The rendered registry carries the number of profiled slices, the
+/// rounds they advanced and the slice-latency quantiles.
+#[test]
+fn serve_prometheus_rendering_carries_slice_metrics() {
+    let server = Server::new(mixed_fleet());
+    let slices = 3;
+    let mut rounds_advanced = 0;
+    for _ in 0..slices {
+        let (report, _) = server.run_slice_profiled(2, 4);
+        assert_eq!(report.errored, 0);
+        rounds_advanced += report.rounds_advanced;
+    }
+    let text = server.render_prometheus();
+    assert!(
+        text.contains(&format!("serve_slices_total {slices}\n")),
+        "{text}"
+    );
+    assert!(
+        text.contains(&format!("serve_rounds_advanced_total {rounds_advanced}\n")),
+        "{text}"
+    );
+    assert!(
+        text.contains("serve_slice_latency_ns{quantile=\"0.99\"}"),
+        "{text}"
+    );
+}
+
+/// A serial slice traced into a `RingSink` runs the fleet exactly like
+/// `run_slice(1, r)` on a twin fleet: equal slice reports (latencies
+/// aside), equal outcomes and equal snapshots for every tenant. The
+/// sink holds one `ticket`, `lock`, `step` and `merge` span per tenant
+/// and one `slice` span.
+#[test]
+fn traced_slice_matches_an_untraced_twin_and_spans_every_ticket() {
+    let rounds = 8;
+    let traced = Server::new(mixed_fleet());
+    let twin = Server::new(mixed_fleet());
+    let tenants = traced.len() as u64;
+    let mut sink = RingSink::with_capacity(64 * traced.len());
+    for _ in 0..2 {
+        let mut a = traced.trace_slice(rounds, &mut sink);
+        let mut b = twin.run_slice(1, rounds);
+        assert_eq!(a.latencies_ns.len(), b.latencies_ns.len());
+        a.latencies_ns.clear();
+        b.latencies_ns.clear();
+        assert_eq!(a, b);
+        assert_eq!(a.served as u64, tenants);
+    }
+    assert_eq!(sink.dropped(), 0);
+    for phase in [
+        Phase::Ticket,
+        Phase::Lock,
+        Phase::TenantStep,
+        Phase::SliceMerge,
+    ] {
+        assert_eq!(sink.phase_count(phase), 2 * tenants, "{phase:?}");
+    }
+    assert_eq!(sink.phase_count(Phase::Slice), 2);
+    assert!(sink.events().iter().all(|ev| ev.kind == EventKind::Span));
+
+    // The rewiring cursor's last word is the wall-clock time its swap
+    // validation took, which no two runs share.
+    let comparable = |bytes: Vec<u8>| {
+        let mut snapshot = TenantSnapshot::decode(&bytes).unwrap();
+        if matches!(snapshot.schedule, ScheduleSpec::Periodic { .. }) {
+            *snapshot.schedule_cursor.last_mut().unwrap() = 0;
+        }
+        snapshot
+    };
+    for (i, (a, b)) in traced
+        .into_tenants()
+        .iter()
+        .zip(&twin.into_tenants())
+        .enumerate()
+    {
+        assert_eq!(a.outcome(), b.outcome(), "tenant {i}");
+        assert_eq!(
+            comparable(a.snapshot()),
+            comparable(b.snapshot()),
+            "tenant {i}"
+        );
     }
 }

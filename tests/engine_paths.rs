@@ -3,7 +3,7 @@
 //!
 //! Five guarantees, checked by proptest across every structured
 //! generator family (cycle, torus, hypercube, clique-circulant,
-//! random-regular):
+//! random-regular), plus a sixth on fixed cells:
 //!
 //! 1. every non-overdrawing scheme conserves tokens and never produces
 //!    a negative load, on every execution path;
@@ -17,12 +17,16 @@
 //!    exactly (port numbering is preserved, so even the rotor-router
 //!    commutes with relabeling);
 //! 5. `run_kernel` reports the same `Overdraw`/`NegativeLoad` error —
-//!    same node, load and step — as the `step()` loop.
+//!    same node, load and step — as the `step()` loop;
+//! 6. under the default `VectorConfig`, closed SEND runs at n = 4096
+//!    dispatch into the vector layer and take the inner loop recorded
+//!    for their graph (banded on the cycle and torus, blocked on the
+//!    random-regular graph, relabeled or not).
 
 use dlb::core::schemes::{RotorRouter, SendFloor, SendRound};
 use dlb::core::{
-    Balancer, Engine, EngineError, FlowPlan, KernelBalancer, LoadVector, NoWorkload, VectorConfig,
-    VectorStrategy, VectorWidth, I32_HEADROOM_LIMIT,
+    Balancer, Engine, EngineError, FlowPlan, KernelBalancer, LoadVector, NoWorkload,
+    StaticTopology, VectorConfig, VectorStrategy, VectorWidth, I32_HEADROOM_LIMIT,
 };
 use dlb::graph::relabel::Relabeling;
 use dlb::graph::{generators, BalancingGraph, PortOrder, RegularGraph};
@@ -884,5 +888,105 @@ fn run_kernel_dyn_matches_step_dyn_at_a_near_max_load() {
     for gp in &graphs {
         check(gp, SendFloor::new());
         check(gp, SendRound::new());
+    }
+}
+
+/// Which vector inner loop a run took, read off its counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum InnerLoop {
+    Banded,
+    Blocked,
+}
+
+/// Automatic dispatch on the cells where the vector layer pays: closed
+/// SEND runs at n = 4096 from a bimodal 64-per-node seed, 64 rounds.
+/// With the default `VectorConfig`, `run_kernel` and the dyn entry
+/// with no-op generators spelled out (`Some(&mut StaticTopology)`,
+/// `Some(&mut NoWorkload)`, how the serve layer calls it) must both
+/// dispatch, take the inner loop recorded for the cell, run every
+/// round at i32, and match the step loop bit for bit. The
+/// random-regular cell runs again under an RCM relabeling, which keeps
+/// the blocked gather; its loads map back to the original run.
+#[test]
+fn auto_dispatch_takes_the_recorded_inner_loop_on_eligible_send_cells() {
+    let n = 4096;
+    let steps = 64;
+    let cells = [
+        ("cycle", generators::cycle(n).unwrap(), InnerLoop::Banded),
+        (
+            "torus",
+            generators::torus(2, 64).unwrap(),
+            InnerLoop::Banded,
+        ),
+        (
+            "random-regular",
+            generators::random_regular(n, 4, 42).unwrap(),
+            InnerLoop::Blocked,
+        ),
+    ];
+    let initial = dlb::harness::init::bimodal(n, 64);
+
+    fn auto_runs(
+        gp: &BalancingGraph,
+        scheme: &SchemeSpec,
+        initial: &LoadVector,
+        steps: usize,
+    ) -> [Engine; 2] {
+        let kernel = run_kernel_by_name(gp, scheme, initial, steps).unwrap();
+        let mut dyn_static = Engine::new(gp.clone(), initial.clone());
+        let (mut topology, mut workload) = (StaticTopology, NoWorkload);
+        let (s, w) = (Some(&mut topology), Some(&mut workload));
+        match scheme {
+            SchemeSpec::SendFloor => dyn_static.run_kernel_dyn(&mut SendFloor::new(), steps, s, w),
+            SchemeSpec::SendRound => dyn_static.run_kernel_dyn(&mut SendRound::new(), steps, s, w),
+            other => panic!("no kernel dispatch for {}", other.label()),
+        }
+        .unwrap();
+        [kernel, dyn_static]
+    }
+
+    let check = |engine: &Engine, expected: InnerLoop, tag: &str| {
+        let stats = engine.vector_stats();
+        assert!(stats.runs > 0, "{tag}: eligible but not dispatched");
+        let (taken, other) = match expected {
+            InnerLoop::Banded => (stats.rounds_banded, stats.rounds_blocked),
+            InnerLoop::Blocked => (stats.rounds_blocked, stats.rounds_banded),
+        };
+        assert_eq!(taken, steps as u64, "{tag}: expected {expected:?}");
+        assert_eq!(other, 0, "{tag}: expected {expected:?}");
+        assert_eq!(stats.rounds_i32, steps as u64, "{tag}: every round at i32");
+        assert_eq!(engine.step_count(), steps, "{tag}");
+    };
+
+    for (name, graph, inner) in cells {
+        let relabeling = (inner == InnerLoop::Blocked).then(|| {
+            let relab = Relabeling::reverse_cuthill_mckee(&graph);
+            let rgp = BalancingGraph::lazy(graph.relabeled(&relab).unwrap());
+            (relab, rgp)
+        });
+        let gp = BalancingGraph::lazy(graph);
+        for scheme in [SchemeSpec::SendFloor, SchemeSpec::SendRound] {
+            let mut bal = scheme.build(&gp).unwrap();
+            let mut reference = Engine::new(gp.clone(), initial.clone());
+            for _ in 0..steps {
+                reference.step(bal.as_mut()).unwrap();
+            }
+            for (path, engine) in ["run_kernel", "run_kernel_dyn"]
+                .iter()
+                .zip(auto_runs(&gp, &scheme, &initial, steps))
+            {
+                let tag = format!("{path}: {} on {name}", scheme.label());
+                check(&engine, inner, &tag);
+                assert_eq!(engine.loads(), reference.loads(), "{tag}");
+            }
+            if let Some((relab, rgp)) = &relabeling {
+                let rinitial = LoadVector::new(relab.permute(initial.as_slice()));
+                let engine = run_kernel_by_name(rgp, &scheme, &rinitial, steps).unwrap();
+                let tag = format!("run_kernel: {} on relabeled {name}", scheme.label());
+                check(&engine, inner, &tag);
+                let restored = LoadVector::new(relab.unpermute(engine.loads().as_slice()));
+                assert_eq!(&restored, reference.loads(), "{tag}");
+            }
+        }
     }
 }

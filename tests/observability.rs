@@ -16,9 +16,11 @@
 //!   `(tag << 32) | count` and reconcile against the engine's own
 //!   vector counters; the ring sink's per-phase accumulators stay
 //!   exact under overwrite;
-//! * **overhead gate** — the RingSink build of the t1 flagship cell
-//!   (cycle × SEND(floor), vector dispatch) must stay within 5% of
-//!   the NoopSink build.
+//! * **overhead gate** — the RingSink build of the flagship kernel
+//!   cell (cycle × SEND(floor), vector dispatch; the cell the retired
+//!   `t1` throughput sweep led with) must stay within 5% of the
+//!   NoopSink build. This is the repository's one tracing-overhead
+//!   gate.
 
 use dlb::core::schemes::{RotorRouter, SendFloor};
 use dlb::core::{Engine, LoadVector, NoWorkload, StaticTopology};
@@ -452,7 +454,7 @@ fn ring_sink_accumulators_stay_exact_under_overwrite() {
 fn ring_sink_overhead_within_five_percent_on_t1_quick_cell() {
     use std::time::Instant;
 
-    // Quick edition of the t1 flagship cell (cycle × SEND(floor),
+    // Quick edition of the flagship kernel cell (cycle × SEND(floor),
     // vector dispatch): the RingSink build must stay within 5% of the
     // NoopSink build. The vector path emits a handful of instants per
     // *run*, so the tracing cost is structurally O(1) — the retries
