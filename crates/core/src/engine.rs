@@ -854,9 +854,10 @@ impl Engine {
     }
 
     /// The shared plumbing of the scalar plan-free path: allocates the
-    /// back buffer, streams the rounds through [`kernel::run_rounds`]
-    /// (which picks the round body for `balancer`), and applies the
-    /// returned counters.
+    /// back buffer and the closed-form round's send array (one
+    /// allocation, split), streams the rounds through
+    /// [`kernel::run_rounds`] (which picks the round body for
+    /// `balancer`), and applies the returned counters.
     fn kernel_rounds<K, S, W, Si>(
         &mut self,
         balancer: &mut K,
@@ -871,12 +872,15 @@ impl Engine {
         W: Workload + ?Sized,
         Si: Sink,
     {
-        let mut back = vec![0i64; self.gp.num_nodes()];
+        let n = self.gp.num_nodes();
+        let mut scratch = vec![0i64; 2 * n];
+        let (back, sends) = scratch.split_at_mut(n);
         let base_step = self.step;
         let (pre, st) = self.pre_round();
         let (stats, err) = kernel::run_rounds(
             st,
-            &mut back,
+            back,
+            sends,
             pre,
             kernel::KernelRun {
                 steps,

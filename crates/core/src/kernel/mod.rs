@@ -17,9 +17,11 @@
 //!   ([`uniform_kernel`](KernelBalancer::uniform_kernel): SEND(⌊x/d⁺⌋)
 //!   on any graph, SEND([x/d⁺]) when `d° ≥ d`) sends the same `b(x)`
 //!   over every original port, so a round is
-//!   `x'[u] = x[u] − d·b(x[u]) + Σ_{v∈N(u)} b(x[v])`: one sweep with
-//!   no flow buffer, no validation and no error path, `b` computed by
-//!   the vector layer's strength-reduced division ([`vector`]).
+//!   `x'[u] = x[u] − d·b(x[u]) + Σ_{v∈N(u)} b(x[v])`, run as the vector
+//!   layer's two passes on `i64`: pass 1 divides once per node into a
+//!   send array (the strength-reduced division of [`vector`], matched
+//!   once per call), pass 2 is the vector layer's CSR gather over the
+//!   live adjacency. No flow buffer, no validation and no error path.
 //! * **flow buffer** — every other kernel (the rotor-router and
 //!   ROTOR-ROUTER\*, user kernels, SEND([x/d⁺]) below its class, which
 //!   reports a clean
@@ -209,10 +211,11 @@ impl FlowsBuf for Vec<u64> {
 }
 
 /// Runs `steps` plan-free rounds of `balancer` over `st.loads`, using
-/// `back` as the second half of the double buffer (`back.len() ==
-/// st.loads.len()`; its contents on entry are irrelevant). Every round
-/// starts with the shared [`PreRound`] — mutate, inject, hand off,
-/// negative-check — and then streams the flows.
+/// `back` as the second half of the double buffer and `sends` as the
+/// closed-form round's send array (both of `st.loads.len()`; their
+/// contents on entry are irrelevant). Every round starts with the
+/// shared [`PreRound`] — mutate, inject, hand off, negative-check — and
+/// then streams the flows.
 ///
 /// This is where every kernel-path run picks its round body, once per
 /// call: a non-overdrawing balancer with a uniform closed form on the
@@ -230,6 +233,7 @@ impl FlowsBuf for Vec<u64> {
 pub(crate) fn run_rounds<K, S, W, Si>(
     st: RoundState<'_>,
     back: &mut [i64],
+    sends: &mut [i64],
     pre: &mut PreRound,
     run: KernelRun<'_, S, W>,
     balancer: &mut K,
@@ -247,7 +251,7 @@ where
     if let Some(spec) = balancer.uniform_kernel(st.gp).filter(|_| check) {
         let rule = SendRule::new(spec, st.gp.degree_plus());
         return drive(st, back, pre, run, true, sink, |gp, cur, next, _, _| {
-            uniform_round(gp, rule, cur, next);
+            uniform_round(gp, rule, cur, sends, next);
             Ok(())
         });
     }
@@ -425,8 +429,12 @@ where
 
 /// The closed-form round of a uniform scheme: every original port of
 /// `u` carries `b(x[u])`, so
-/// `x'[u] = x[u] − d·b(x[u]) + Σ_{v∈N(u)} b(x[v])`, gathered in one
-/// sequential sweep over the adjacency.
+/// `x'[u] = x[u] − d·b(x[u]) + Σ_{v∈N(u)} b(x[v])`, in two passes on
+/// `i64`: pass 1 ([`SendRule::send_all`]) divides once per node into
+/// `sends`; pass 2 ([`vector::gather_csr`], the vector layer's blocked
+/// gather) writes `x[u] − d·b[u]` plus each neighbour's `b` in port
+/// order, over the live adjacency — read afresh every round, so it sees
+/// the topology events applied before it.
 ///
 /// The gather equals the flow-buffer round's scatter because the
 /// adjacency is symmetric with multiplicity — sleep leaves it alone,
@@ -434,21 +442,17 @@ where
 /// often as `v` lists `u`. It needs no error path: the closed form
 /// never overdraws (`d·b(x) ≤ x`, proofs in [`vector`]), so loads stay
 /// non-negative once the pre-round's check passes.
-fn uniform_round(gp: &BalancingGraph, rule: SendRule, cur: &[i64], next: &mut [i64]) {
+fn uniform_round(
+    gp: &BalancingGraph,
+    rule: SendRule,
+    cur: &[i64],
+    sends: &mut [i64],
+    next: &mut [i64],
+) {
     let d = gp.degree();
-    if d == 0 {
-        next.copy_from_slice(cur);
-        return;
-    }
-    let keep = d as i64;
-    let adj = gp.graph().adjacency_slots();
-    for ((nx, &x), nbrs) in next.iter_mut().zip(cur).zip(adj.chunks_exact(d)) {
-        let mut acc = x - keep * rule.send(x);
-        for &v in nbrs {
-            acc += rule.send(cur[v as usize]);
-        }
-        *nx = acc;
-    }
+    rule.send_all(cur, sends);
+    let base = vector::Base::Keep { cur, d: d as i64 };
+    vector::gather_csr(next, 0, sends, gp.graph().adjacency_slots(), d, base);
 }
 
 /// The flow-buffer round: each loaded node's `d⁺` port flows from
@@ -530,26 +534,48 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schemes::SendFloor;
-    use crate::{Engine, LoadVector};
+    use crate::schemes::{SendFloor, SendRound};
+    use crate::{Engine, LoadVector, VectorConfig};
     use dlb_graph::generators;
 
     fn lazy_cycle(n: usize) -> BalancingGraph {
         BalancingGraph::lazy(generators::cycle(n).unwrap())
     }
 
+    /// With the vector layer on (the default) and off: off, both SEND
+    /// rules stream the closed-form round, including the copy back
+    /// from the scratch buffer after an odd number of rounds.
     #[test]
     fn kernel_path_matches_stepping_on_odd_and_even_horizons() {
-        for steps in [0usize, 1, 2, 7, 96, 97] {
-            let mut slow = Engine::new(lazy_cycle(16), LoadVector::point_mass(16, 1601));
-            let mut fast = Engine::new(lazy_cycle(16), LoadVector::point_mass(16, 1601));
-            let mut bal = SendFloor::new();
-            for _ in 0..steps {
-                slow.step(&mut bal).unwrap();
+        for enabled in [true, false] {
+            for steps in [0usize, 1, 2, 7, 96, 97] {
+                let mut slow = Engine::new(lazy_cycle(16), LoadVector::point_mass(16, 1601));
+                let mut floor = Engine::new(lazy_cycle(16), LoadVector::point_mass(16, 1601));
+                let mut round = Engine::new(lazy_cycle(16), LoadVector::point_mass(16, 1601));
+                let mut slow_round = Engine::new(lazy_cycle(16), LoadVector::point_mass(16, 1601));
+                let config = VectorConfig {
+                    enabled,
+                    ..VectorConfig::default()
+                };
+                floor.set_vector_config(config);
+                round.set_vector_config(config);
+                let (mut bal, mut bal_round) = (SendFloor::new(), SendRound::new());
+                for _ in 0..steps {
+                    slow.step(&mut bal).unwrap();
+                    slow_round.step(&mut bal_round).unwrap();
+                }
+                floor.run_kernel(&mut SendFloor::new(), steps).unwrap();
+                round.run_kernel(&mut SendRound::new(), steps).unwrap();
+                let tag = format!("{steps} steps, vector layer enabled: {enabled}");
+                assert_eq!(slow.loads(), floor.loads(), "floor diverged at {tag}");
+                assert_eq!(slow_round.loads(), round.loads(), "round diverged at {tag}");
+                assert_eq!(floor.step_count(), steps);
+                assert_eq!(round.step_count(), steps);
+                if !enabled {
+                    assert_eq!(floor.vector_stats().runs, 0, "{tag}");
+                    assert_eq!(round.vector_stats().runs, 0, "{tag}");
+                }
             }
-            fast.run_kernel(&mut SendFloor::new(), steps).unwrap();
-            assert_eq!(slow.loads(), fast.loads(), "diverged at {steps} steps");
-            assert_eq!(fast.step_count(), steps);
         }
     }
 

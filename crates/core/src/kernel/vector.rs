@@ -11,20 +11,28 @@
 //!   nearest integer, identical to the scalar rule `base + (2e ≥ d⁺)`
 //!   for both parities of `d⁺`.
 //!
-//! The scalar kernel ([`super`]) streams that closed form node at a
-//! time, gathering `b` over each node's neighbours with `SendRule`;
-//! on static, closed, awake systems a whole round collapses further,
-//! to two array passes:
+//! A whole round is then two array passes:
 //!
 //! ```text
 //! pass 1:  b[u]    = (x[u] + bias) / d⁺        (bias = 0 or ⌊d⁺/2⌋)
 //! pass 2:  x'[u]   = x[u] − d·b[u] + Σ_{p<d} b[nbr(u, p)]
 //! ```
 //!
-//! both written once, generic over the load word, as explicit
-//! 8/16-lane chunked loops the autovectorizer lifts (no `std::simd`, so the vendored toolchain builds unchanged),
 //! with the division strength-reduced to a shift (power-of-two `d⁺`)
-//! or a Granlund–Montgomery multiply-high (everything else).
+//! or a Granlund–Montgomery multiply-high (everything else). Two layers
+//! run them:
+//!
+//! * the **vector rounds** of this module, on static, closed, awake
+//!   systems: both passes written once, generic over the load word, as
+//!   explicit 8/16-lane chunked loops the autovectorizer lifts (no
+//!   `std::simd`, so the vendored toolchain builds unchanged), with the
+//!   gather planned once per call;
+//! * the scalar kernel's **closed-form round** ([`super`]) wherever
+//!   the vector rounds do not run — open or churning systems, asleep
+//!   nodes, loads near `i64::MAX`, the vector layer off: pass 1 is
+//!   `SendRule::send_all` (exact for every `i64` load) and pass 2 is
+//!   the same CSR gather (`gather_csr`), re-reading the live adjacency
+//!   every round.
 //!
 //! **Why the overdraw check vanishes on this path** (assert-backed in
 //! the round loops):
@@ -177,10 +185,10 @@ impl Default for VectorConfig {
 }
 
 /// Counters the vector path maintains across an engine's lifetime —
-/// the telemetry behind the harness's `inner_loop`/`load_width` fields
-/// and the CI gate that vector-eligible runs actually dispatched.
-/// Exported as `engine_vector_*` counters by the engine's
-/// `fill_metrics` into the dlb-obs MetricRegistry.
+/// what the tests that vector-eligible runs actually dispatched (and
+/// took the expected gather and width) read. Exported as
+/// `engine_vector_*` counters by the engine's `fill_metrics` into the
+/// dlb-obs MetricRegistry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VectorStats {
     /// Vector-path runs dispatched (each `run_kernel` call that took
@@ -308,8 +316,9 @@ impl DivMagic {
 }
 
 /// `b(x)` of one spec for a single `i64` load, exact for **every**
-/// `x ≥ 0` — the rule the scalar kernel's closed-form stream
-/// ([`super`]) evaluates per node. [`Word::send`] divides `x + bias`,
+/// `x ≥ 0` — the rule the scalar kernel's closed-form round
+/// ([`super`]) evaluates once per node, in pass 1
+/// ([`send_all`](SendRule::send_all)). [`Word::send`] divides `x + bias`,
 /// which leaves [`DivMagic::div64`]'s proven range for
 /// `x > i64::MAX − bias` (the vector layer declines such loads); this
 /// divides `x` alone and rounds up when `r + bias ≥ d⁺` for the
@@ -333,19 +342,73 @@ impl SendRule {
         }
     }
 
-    /// The flow over each original port of a node with load `x ≥ 0`.
-    #[inline]
+    /// The flow over each original port of a node with load `x ≥ 0`:
+    /// the per-node reference that [`send_all`](SendRule::send_all)
+    /// must equal element by element.
+    #[cfg(test)]
     pub(crate) fn send(self, x: i64) -> i64 {
-        debug_assert!(x >= 0, "closed-form rounds require x ≥ 0");
-        let x = x as u64;
-        let q = self.magic.div64(x);
-        // The floor spec never rounds up; returning before the
-        // remainder keeps its gather to one division per load.
+        let div = |x| self.magic.div64(x);
         if self.bias == 0 {
+            self.apply::<false>(x, div)
+        } else {
+            self.apply::<true>(x, div)
+        }
+    }
+
+    /// `b(x)` from the floor quotient `div(x) = ⌊x/d⁺⌋`: the floor spec
+    /// (`ROUND = false`, `bias = 0`) returns it, the round spec adds one
+    /// when the remainder `r` has `r + bias ≥ d⁺`.
+    #[inline(always)]
+    fn apply<const ROUND: bool>(self, x: i64, div: impl Fn(u64) -> u64) -> i64 {
+        let x = x as u64;
+        let q = div(x);
+        if !ROUND {
             return q as i64;
         }
         let r = x - q * self.d_plus;
         (q + u64::from(r + self.bias >= self.d_plus)) as i64
+    }
+
+    /// Pass 1 of the scalar kernel's closed-form round, over whole
+    /// arrays: `sends[u] = b(cur[u])`. The reciprocal and the spec are
+    /// matched once per call, outside the loop, so every arm runs a
+    /// straight-line body — a shift for SEND(⌊x/d⁺⌋) at a power-of-two
+    /// `d⁺`, which the autovectorizer lifts — and each node pays one
+    /// division. Each arm rebuilds its [`DivMagic`] variant as a
+    /// literal, so [`DivMagic::div64`] stays the one divider and the
+    /// result is exactly `send`'s for every `x ≥ 0`.
+    pub(crate) fn send_all(self, cur: &[i64], sends: &mut [i64]) {
+        match self.magic {
+            DivMagic::One => self.send_each(cur, sends, |x| DivMagic::One.div64(x)),
+            DivMagic::Pow2 { shift } => {
+                self.send_each(cur, sends, move |x| DivMagic::Pow2 { shift }.div64(x));
+            }
+            DivMagic::Mul { mul, shift } => {
+                self.send_each(cur, sends, move |x| DivMagic::Mul { mul, shift }.div64(x));
+            }
+        }
+    }
+
+    /// One reciprocal's arm of [`send_all`](SendRule::send_all): `div`
+    /// is `⌊x/d⁺⌋`, and the spec is decided here, outside the loop.
+    /// Forced inline, like [`csr_rows`], so that each arm compiles to its
+    /// own straight-line loop (EXPERIMENTS.md S15 measures the round
+    /// without these hints).
+    #[inline(always)]
+    fn send_each(self, cur: &[i64], sends: &mut [i64], div: impl Fn(u64) -> u64 + Copy) {
+        debug_assert!(
+            cur.iter().all(|&x| x >= 0),
+            "closed-form rounds require x ≥ 0"
+        );
+        if self.bias == 0 {
+            for (b, &x) in sends.iter_mut().zip(cur) {
+                *b = self.apply::<false>(x, div);
+            }
+        } else {
+            for (b, &x) in sends.iter_mut().zip(cur) {
+                *b = self.apply::<true>(x, div);
+            }
+        }
     }
 }
 
@@ -669,24 +732,83 @@ fn pass2<W: Word>(next: &mut [W], lo: usize, b: &[W], k: &Kernel<'_, W>) -> W {
             }
             mx
         }
-        Gather::Blocked => match k.degree {
-            2 => csr_gather::<W, 2>(next, lo, b, k.adj),
-            4 => csr_gather::<W, 4>(next, lo, b, k.adj),
-            d => {
-                let mut mx = W::default();
-                for (i, nx) in next.iter_mut().enumerate() {
-                    let u = lo + i;
-                    let mut acc = *nx;
-                    for &v in &k.adj[u * d..(u + 1) * d] {
-                        acc += b[v as usize];
-                    }
-                    *nx = acc;
-                    mx = mx.max(acc);
-                }
-                mx
-            }
-        },
+        Gather::Blocked => gather_csr(next, lo, b, k.adj, k.degree, Base::Next),
     }
+}
+
+/// Where pass 2 starts each node's sum before adding its neighbours'
+/// `b`.
+pub(crate) enum Base<'a, W> {
+    /// `next[u]` itself: the vector rounds' pass 1 has already written
+    /// `x[u] − d·b[u]` there.
+    Next,
+    /// `x[u] − d·b[u]` from the loads `cur` (aligned with `next`) and
+    /// the range's own `b`: the scalar kernel's closed-form round, whose
+    /// pass 1 writes only `b`.
+    Keep {
+        /// `x_t` over the range.
+        cur: &'a [W],
+        /// The original degree `d`.
+        d: W,
+    },
+}
+
+/// The sequential CSR gather over the node range `lo..lo + next.len()`
+/// of a `d`-regular adjacency: `next[u] = base(u) + Σ_{p<d} b[nbr(u, p)]`,
+/// adding in port order. Degree-monomorphised for `d ∈ {2, 4}` (the
+/// row length is then a constant and the port loop unrolls), one loop
+/// for every other degree; folds the range's maximum as it writes. The
+/// vector rounds' blocked pass 2 and the scalar kernel's closed-form
+/// round both gather through here.
+#[inline]
+pub(crate) fn gather_csr<W: Word>(
+    next: &mut [W],
+    lo: usize,
+    b: &[W],
+    adj: &[u32],
+    d: usize,
+    base: Base<'_, W>,
+) -> W {
+    match d {
+        // No ports: the rows are empty, and each node keeps its base.
+        0 => csr_rows(next, lo, b, std::iter::repeat(&[][..]), base),
+        2 => csr_rows(next, lo, b, adj[lo * 2..].chunks_exact(2), base),
+        4 => csr_rows(next, lo, b, adj[lo * 4..].chunks_exact(4), base),
+        d => csr_rows(next, lo, b, adj[lo * d..].chunks_exact(d), base),
+    }
+}
+
+/// The body of [`gather_csr`] over one row iterator; `lo` places the
+/// range's own `b` for [`Base::Keep`].
+#[inline(always)]
+fn csr_rows<'r, W: Word>(
+    next: &mut [W],
+    lo: usize,
+    b: &[W],
+    rows: impl Iterator<Item = &'r [u32]>,
+    base: Base<'_, W>,
+) -> W {
+    let add = |acc: W, nbrs: &[u32]| nbrs.iter().fold(acc, |acc, &v| acc + b[v as usize]);
+    let mut mx = W::default();
+    match base {
+        Base::Next => {
+            for (nx, nbrs) in next.iter_mut().zip(rows) {
+                let acc = add(*nx, nbrs);
+                *nx = acc;
+                mx = mx.max(acc);
+            }
+        }
+        Base::Keep { cur, d } => {
+            debug_assert_eq!(cur.len(), next.len());
+            let own = &b[lo..];
+            for (((nx, &x), &q), nbrs) in next.iter_mut().zip(cur).zip(own).zip(rows) {
+                let acc = add(x - d * q, nbrs);
+                *nx = acc;
+                mx = mx.max(acc);
+            }
+        }
+    }
+    mx
 }
 
 /// The aligned windows of the shifted add `next[w] += b[w − o]` over
@@ -704,21 +826,6 @@ fn shift_window(lo: usize, hi: usize, n: usize, o: i64) -> (Range<usize>, Range<
         (w0 - lo) as usize..(w1 - lo) as usize,
         (w0 - o) as usize..(w1 - o) as usize,
     )
-}
-
-/// The degree-monomorphised CSR gather over the range starting at
-/// `lo`; folds the range's maximum as it writes.
-fn csr_gather<W: Word, const D: usize>(next: &mut [W], lo: usize, b: &[W], adj: &[u32]) -> W {
-    let mut mx = W::default();
-    for (nx, nbrs) in next.iter_mut().zip(adj[lo * D..].chunks_exact(D)) {
-        let mut acc = *nx;
-        for &v in nbrs {
-            acc += b[v as usize];
-        }
-        *nx = acc;
-        mx = mx.max(acc);
-    }
-    mx
 }
 
 /// Runs `steps` whole-array rounds of `spec` over `loads`, with each
@@ -893,6 +1000,63 @@ mod tests {
                 let up = u64::from(2 * e >= d_plus);
                 assert_eq!(floor.send(x) as u64, base, "floor x={x} d⁺={d_plus}");
                 assert_eq!(round.send(x) as u64, base + up, "round x={x} d⁺={d_plus}");
+            }
+        }
+    }
+
+    /// The whole-array pass 1 of the scalar closed-form round equals
+    /// the per-node rule element by element, for both specs, every
+    /// reciprocal kind (d⁺ = 1, powers of two, multiply-high) and loads
+    /// at both ends of the range.
+    #[test]
+    fn send_all_matches_the_per_node_rule() {
+        for d_plus in 1usize..=9 {
+            let d = d_plus as i64;
+            let loads = [0, 1, d - 1, d, (1 << 62) + 3, i64::MAX - 1, i64::MAX];
+            // Longer than one autovectorized chunk, with a remainder.
+            let cur: Vec<i64> = loads.iter().cycle().take(7 * 5).copied().collect();
+            for spec in [UniformSpec::Floor, UniformSpec::Round] {
+                let rule = SendRule::new(spec, d_plus);
+                let mut sends = vec![-1; cur.len()];
+                rule.send_all(&cur, &mut sends);
+                for (&x, &b) in cur.iter().zip(&sends) {
+                    assert_eq!(b, rule.send(x), "{spec:?} x={x} d⁺={d_plus}");
+                }
+            }
+        }
+    }
+
+    /// Both bases of the CSR gather give `x[u] − d·b[u] + Σ b[nbr]` in
+    /// every degree arm (0, the generic loop, and the monomorphised 2
+    /// and 4), over the whole array and over a range that starts past
+    /// node 0.
+    #[test]
+    fn gather_bases_agree_with_the_naive_sum_at_every_degree() {
+        let n = 23usize;
+        let x: Vec<i64> = (0..n as i64).map(|i| (i * 37) % 101 + 40).collect();
+        let b: Vec<i64> = x.iter().map(|&v| v / 9).collect();
+        for d in 0usize..=5 {
+            // Any in-range indices will do: the gather does not rely on
+            // symmetry.
+            let adj: Vec<u32> = (0..n * d).map(|i| ((i * 7 + 3) % n) as u32).collect();
+            let want: Vec<i64> = (0..n)
+                .map(|u| {
+                    let nbrs = &adj[u * d..(u + 1) * d];
+                    x[u] - d as i64 * b[u] + nbrs.iter().map(|&v| b[v as usize]).sum::<i64>()
+                })
+                .collect();
+            for lo in [0usize, 5] {
+                let mut keep = vec![-1i64; n - lo];
+                let base = Base::Keep {
+                    cur: &x[lo..],
+                    d: d as i64,
+                };
+                let mx = gather_csr(&mut keep, lo, &b, &adj, d, base);
+                assert_eq!(keep, want[lo..], "keep d={d} lo={lo}");
+                assert_eq!(mx, *want[lo..].iter().max().unwrap(), "d={d} lo={lo}");
+                let mut next: Vec<i64> = (lo..n).map(|u| x[u] - d as i64 * b[u]).collect();
+                gather_csr(&mut next, lo, &b, &adj, d, Base::Next);
+                assert_eq!(next, want[lo..], "next d={d} lo={lo}");
             }
         }
     }

@@ -117,18 +117,27 @@ pub fn torus(r: usize, side: usize) -> Result<RegularGraph, GraphError> {
         })?;
     let d = 2 * r;
     let mut adjacency = Vec::with_capacity(n * d);
-    // Mixed-radix coordinates; stride[k] = side^k.
+    // Mixed-radix coordinates; stride[k] = side^k. `coord` is node u's
+    // coordinate vector, advanced as an odometer (dimension 0 fastest),
+    // so no node pays a division.
     let mut stride = vec![1usize; r];
     for k in 1..r {
         stride[k] = stride[k - 1] * side;
     }
+    let mut coord = vec![0usize; r];
     for u in 0..n {
-        for &st in &stride {
-            let coord = (u / st) % side;
-            let up = u - coord * st + ((coord + 1) % side) * st;
-            let down = u - coord * st + ((coord + side - 1) % side) * st;
+        for (&c, &st) in coord.iter().zip(&stride) {
+            let up = if c + 1 == side { u - c * st } else { u + st };
+            let down = if c == 0 { u + (side - 1) * st } else { u - st };
             adjacency.push(up as u32);
             adjacency.push(down as u32);
+        }
+        for c in &mut coord {
+            *c += 1;
+            if *c < side {
+                break;
+            }
+            *c = 0;
         }
     }
     RegularGraph::from_adjacency(n, d, adjacency)
@@ -463,6 +472,28 @@ mod tests {
         assert_eq!(g.neighbors(0), &[1, 3, 4, 12]);
         assert!(torus(2, 2).is_err());
         assert!(torus(0, 4).is_err());
+    }
+
+    /// The odometer walk lists exactly the ports of the closed-form
+    /// coordinate formula `(u / side^k) % side`, in the same order.
+    #[test]
+    fn torus_adjacency_matches_the_coordinate_formula() {
+        for r in 1..=3usize {
+            for side in 3..=9usize {
+                let g = torus(r, side).unwrap();
+                let n = side.pow(r as u32);
+                let mut want = Vec::with_capacity(n * 2 * r);
+                for u in 0..n {
+                    for k in 0..r {
+                        let st = side.pow(k as u32);
+                        let c = (u / st) % side;
+                        want.push((u - c * st + ((c + 1) % side) * st) as u32);
+                        want.push((u - c * st + ((c + side - 1) % side) * st) as u32);
+                    }
+                }
+                assert_eq!(g.adjacency_slots(), &want[..], "r={r} side={side}");
+            }
+        }
     }
 
     #[test]

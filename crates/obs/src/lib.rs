@@ -25,8 +25,9 @@
 //! scattered across the crates (`VectorStats`, kernel rescan counts,
 //! engine scan counters, serve totals). Exporters turn either side
 //! into standard formats: JSONL event dumps and chrome://tracing JSON
-//! for the event stream ([`export`]), Prometheus-style text exposition
-//! for the registry ([`MetricRegistry::render_prometheus`]).
+//! for the event stream ([`events_jsonl`], [`chrome_trace`]),
+//! Prometheus-style text exposition for the registry
+//! ([`MetricRegistry::render_prometheus`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -25,9 +25,9 @@
 //!   a worker pool through [`dlb_core::sync`] (so the scheduler is
 //!   model-checkable under `--cfg dlb_model`, see `dlb-model`).
 //!
-//! The `serve` experiment in `dlb-harness` benchmarks this layer
-//! (tenants/sec, aggregate rounds/sec, p99 per-tenant slice latency)
-//! and writes `BENCH_PR9.json`.
+//! perfbench's `serve-fleet` workload measures this layer end to end
+//! (2048 small tenants under `run_slice`); its traced pass splits each
+//! slice's time into ticket, lock, step and merge.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -51,7 +51,7 @@ pub use schedules::ScheduleSpec;
 /// churn-hostile (connectivity-starved) graphs. Schedules that emit
 /// random swaps now track both reject classes separately and surface
 /// the running totals via [`TopologySchedule::swap_shortfall`]; the
-/// churn harness and CI gate on `deficit() == 0` for the default
+/// churn sweep's tests assert `deficit() == 0` for the default
 /// schedules.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SwapShortfall {
