@@ -45,7 +45,7 @@ impl Balancer for FixedFlowBalancer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlb_core::Engine;
+    use dlb_core::{Engine, Run};
     use dlb_graph::generators;
 
     #[test]
@@ -58,10 +58,11 @@ mod tests {
         }
         let mut bal = FixedFlowBalancer::new(flows);
         let mut engine = Engine::new(gp, LoadVector::uniform(4, 4));
-        engine.run(&mut bal, 10).unwrap();
+        engine.attach_monitor();
+        engine.run(&mut bal, Run::new(10)).unwrap();
         // Symmetric constant flow: fixed point.
         assert_eq!(engine.loads(), &LoadVector::uniform(4, 4));
-        assert_eq!(engine.ledger().get(0, 0), 20);
+        assert_eq!(engine.monitor().unwrap().ledger().get(0, 0), 20);
     }
 
     #[test]

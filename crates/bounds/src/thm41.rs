@@ -90,7 +90,7 @@ pub fn instance(graph: RegularGraph, root: NodeId) -> Result<Theorem41Instance, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlb_core::Engine;
+    use dlb_core::{Engine, Run};
     use dlb_graph::generators;
 
     fn cycle_instance(n: usize) -> Theorem41Instance {
@@ -102,7 +102,7 @@ mod tests {
         let mut inst = cycle_instance(12);
         let initial = inst.initial.clone();
         let mut engine = Engine::new(inst.graph.clone(), inst.initial.clone());
-        engine.run(&mut inst.balancer, 50).unwrap();
+        engine.run(&mut inst.balancer, Run::new(50)).unwrap();
         assert_eq!(engine.loads(), &initial, "steady state must not move");
     }
 
@@ -111,7 +111,7 @@ mod tests {
         let mut inst = cycle_instance(14);
         let mut engine = Engine::new(inst.graph.clone(), inst.initial.clone());
         engine.attach_monitor();
-        engine.run(&mut inst.balancer, 20).unwrap();
+        engine.run(&mut inst.balancer, Run::new(20)).unwrap();
         let m = engine.monitor().unwrap();
         assert_eq!(m.round_violations(), 0, "construction must be round-fair");
         assert_eq!(m.floor_violations(), 0);
@@ -124,11 +124,12 @@ mod tests {
         // heavier edge forever, so the ledger spread grows linearly.
         let mut inst = cycle_instance(14);
         let mut engine = Engine::new(inst.graph.clone(), inst.initial.clone());
-        engine.run(&mut inst.balancer, 100).unwrap();
+        engine.attach_monitor();
+        engine.run(&mut inst.balancer, Run::new(100)).unwrap();
         assert!(
-            engine.ledger().original_edge_spread() >= 90,
+            engine.monitor().unwrap().ledger().original_edge_spread() >= 90,
             "spread {} should grow ~t",
-            engine.ledger().original_edge_spread()
+            engine.monitor().unwrap().ledger().original_edge_spread()
         );
     }
 
@@ -156,7 +157,7 @@ mod tests {
         assert!(inst.discrepancy() >= inst.guaranteed_discrepancy());
         let mut engine = Engine::new(inst.graph.clone(), inst.initial.clone());
         engine.attach_monitor();
-        engine.run(&mut inst.balancer, 30).unwrap();
+        engine.run(&mut inst.balancer, Run::new(30)).unwrap();
         assert_eq!(engine.loads(), &initial);
         assert_eq!(engine.monitor().unwrap().round_violations(), 0);
     }
@@ -172,7 +173,7 @@ mod tests {
         assert_eq!(inst.radius, 4);
         let initial = inst.initial.clone();
         let mut engine = Engine::new(inst.graph.clone(), inst.initial.clone());
-        engine.run(&mut inst.balancer, 10).unwrap();
+        engine.run(&mut inst.balancer, Run::new(10)).unwrap();
         assert_eq!(engine.loads(), &initial);
     }
 }

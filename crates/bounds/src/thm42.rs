@@ -82,13 +82,13 @@ pub fn instance(n: usize, d: usize) -> Result<Theorem42Instance, GraphError> {
 mod tests {
     use super::*;
     use dlb_core::schemes::{RandomizedExtraTokens, RotorRouter, SendFloor, SendRound};
-    use dlb_core::{Balancer, Engine};
+    use dlb_core::{Balancer, Engine, Run};
     use dlb_graph::PortOrder;
 
     fn run_scheme(inst: &Theorem42Instance, bal: &mut dyn Balancer, steps: usize) -> i64 {
         let gp = inst.lazy_graph();
         let mut engine = Engine::new(gp, inst.initial.clone());
-        engine.run(bal, steps).unwrap();
+        engine.run(bal, Run::new(steps)).unwrap();
         engine.loads().discrepancy()
     }
 
@@ -121,7 +121,7 @@ mod tests {
         let inst = instance(40, 8).unwrap();
         let gp = inst.lazy_graph();
         let mut engine = Engine::new(gp, inst.initial.clone());
-        engine.run(&mut SendFloor::new(), 100).unwrap();
+        engine.run(&mut SendFloor::new(), Run::new(100)).unwrap();
         assert_eq!(engine.loads(), &inst.initial);
     }
 
@@ -131,7 +131,7 @@ mod tests {
         let gp = inst.lazy_graph();
         let mut rotor = RotorRouter::new(&gp, PortOrder::Sequential).unwrap();
         let mut engine = Engine::new(gp, inst.initial.clone());
-        engine.run(&mut rotor, 500).unwrap();
+        engine.run(&mut rotor, Run::new(500)).unwrap();
         assert!(
             engine.loads().discrepancy() < inst.stuck_discrepancy(),
             "rotor-router should spread the trapped tokens, got {}",

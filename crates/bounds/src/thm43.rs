@@ -177,7 +177,7 @@ pub fn instance_on_cycle(n: usize) -> Result<Theorem43Instance, GraphError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlb_core::Engine;
+    use dlb_core::{Engine, Run};
     use dlb_graph::generators;
 
     #[test]
@@ -202,7 +202,7 @@ mod tests {
         let x0 = inst.initial.clone();
         let disc = inst.discrepancy();
         let mut engine = Engine::new(inst.graph.clone(), inst.initial.clone());
-        engine.run(&mut inst.balancer, 1000).unwrap();
+        engine.run(&mut inst.balancer, Run::new(1000)).unwrap();
         assert_eq!(engine.loads(), &x0);
         assert_eq!(engine.loads().discrepancy(), disc);
     }
@@ -234,7 +234,7 @@ mod tests {
         let mut inst = instance_on_cycle(21).unwrap();
         let total = inst.initial.total();
         let mut engine = Engine::new(inst.graph.clone(), inst.initial.clone());
-        engine.run(&mut inst.balancer, 100).unwrap();
+        engine.run(&mut inst.balancer, Run::new(100)).unwrap();
         assert_eq!(engine.loads().total(), total);
         assert_eq!(engine.negative_node_steps(), 0);
     }
@@ -274,7 +274,7 @@ mod tests {
         let lazy = BalancingGraph::lazy(inst.graph.graph().clone());
         let mut rotor = RotorRouter::new(&lazy, PortOrder::Sequential).unwrap();
         let mut engine = Engine::new(lazy, inst.initial.clone());
-        engine.run(&mut rotor, 5000).unwrap();
+        engine.run(&mut rotor, Run::new(5000)).unwrap();
         assert!(
             engine.loads().discrepancy() < inst.discrepancy() / 2,
             "with self-loops the orbit must dissolve: got {} vs stuck {}",
@@ -288,7 +288,7 @@ mod tests {
         let mut inst = instance_on_cycle(15).unwrap();
         let mut engine = Engine::new(inst.graph.clone(), inst.initial.clone());
         engine.attach_monitor();
-        engine.run(&mut inst.balancer, 30).unwrap();
+        engine.run(&mut inst.balancer, Run::new(30)).unwrap();
         let m = engine.monitor().unwrap();
         assert_eq!(m.round_violations(), 0);
         assert_eq!(m.floor_violations(), 0);

@@ -1,13 +1,16 @@
 use dlb_graph::BalancingGraph;
 
+use crate::kernel::KernelRounds;
 use crate::{FlowPlan, LoadVector};
 
 /// A discrete diffusion load-balancing scheme.
 ///
 /// A balancer's only job is to decide, for each node independently, how
 /// the node's current load splits over its `d⁺` ports — the function
-/// `f_t` of the paper. The [`Engine`](crate::Engine) routes the tokens,
-/// maintains the cumulative ledger `F_t` and checks class invariants.
+/// `f_t` of the paper. The [`Engine`](crate::Engine) routes the tokens
+/// and checks class invariants; an attached
+/// [`FairnessMonitor`](crate::fairness::FairnessMonitor) keeps the
+/// cumulative ledger `F_t`.
 ///
 /// Determinism and statelessness are *properties*, not requirements:
 /// the rotor-router keeps per-node rotor state, the randomized baselines
@@ -48,6 +51,15 @@ pub trait Balancer {
     /// Resets internal state (rotors, error accumulators, RNG position)
     /// to the post-construction state.
     fn reset(&mut self) {}
+
+    /// This scheme's plan-free kernel, if it has one. A
+    /// [`KernelBalancer`](crate::KernelBalancer) answers `Some(self)`,
+    /// which lets [`Engine::run`](crate::Engine::run) take the kernel
+    /// rounds on [`Path::Auto`](crate::Path::Auto); the default `None`
+    /// runs the planned round.
+    fn as_kernel(&mut self) -> Option<&mut dyn KernelRounds> {
+        None
+    }
 }
 
 /// Splits a non-negative load into the quotient/remainder pair

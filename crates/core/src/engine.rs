@@ -1,13 +1,13 @@
 use dlb_graph::{BalancingGraph, DynamicConnectivity};
-use dlb_obs::{MetricRegistry, NoopSink, Phase, Sink};
+use dlb_obs::{MetricRegistry, NoopSink, Phase, RingSink, Sink};
 use dlb_topology::{StaticTopology, TopologySchedule};
 
 use crate::fairness::FairnessMonitor;
 use crate::kernel::vector::{self, UniformKernel, VectorConfig, VectorStats};
-use crate::kernel::{self, KernelBalancer};
+use crate::kernel::{self, KernelBalancer, KernelCall};
 use crate::round::{self, PreRound, RoundState};
 use crate::workload::{NoWorkload, Workload};
-use crate::{Balancer, CumulativeLedger, EngineError, FlowPlan, LoadVector};
+use crate::{Balancer, EngineError, FlowPlan, LoadVector};
 
 /// Outcome of a single engine step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,6 +20,59 @@ pub struct StepSummary {
     pub negative_nodes: usize,
 }
 
+/// Which round an [`Engine::run`] executes. Both produce bit-identical
+/// loads, graphs, errors and counters; they differ in speed and in what
+/// an attached [`FairnessMonitor`] sees.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Path {
+    /// The plan-free kernel rounds when the balancer has a kernel
+    /// ([`Balancer::as_kernel`]) and no monitor is attached; the
+    /// planned round otherwise.
+    #[default]
+    Auto,
+    /// The planned round — plan, validate, route — every time: the
+    /// reference the kernel rounds are checked against.
+    Planned,
+}
+
+/// The parameters of one [`Engine::run`] call. [`Run::new`] gives a
+/// closed, static, untraced run on [`Path::Auto`]; set the other
+/// fields with struct-update syntax:
+/// `Run { workload: Some(&mut w), ..Run::new(steps) }`.
+///
+/// `'a` bounds the borrows, and `'s` and `'w` the schedule and
+/// workload objects behind them, so boxed generators (`'static`) lend
+/// themselves to short runs.
+#[derive(Default)]
+pub struct Run<'a, 's, 'w> {
+    /// Rounds to execute.
+    pub steps: usize,
+    /// Topology churn applied at the top of every round (see
+    /// [`dlb_topology`]); `None` keeps the graph fixed.
+    pub schedule: Option<&'a mut (dyn TopologySchedule + 's)>,
+    /// Load injected after the churn (see [`crate::workload`]); `None`
+    /// keeps the system closed.
+    pub workload: Option<&'a mut (dyn Workload + 'w)>,
+    /// A recording sink observing every round's phases; `None`
+    /// compiles every probe away. Sinks observe only: loads, errors and
+    /// counters are bit-identical either way.
+    pub sink: Option<&'a mut RingSink>,
+    /// Which round to execute.
+    pub path: Path,
+}
+
+impl Run<'_, '_, '_> {
+    /// `steps` closed rounds on a fixed graph, untraced, on
+    /// [`Path::Auto`].
+    #[must_use]
+    pub fn new(steps: usize) -> Self {
+        Run {
+            steps,
+            ..Run::default()
+        }
+    }
+}
+
 /// The engine's complete resumable state, as exported by
 /// [`Engine::export_state`] and consumed by [`Engine::from_state`].
 ///
@@ -28,9 +81,8 @@ pub struct StepSummary {
 /// cumulative counters bit-identical to the uninterrupted run, on
 /// every execution path. Anything *not* in here is either derivable
 /// from these fields (the negative-load count) or deliberately
-/// rebuilt from scratch after restore (connectivity, ledger/monitor
-/// instrumentation) — see [`Engine::export_state`] for the full
-/// accounting.
+/// rebuilt from scratch after restore (connectivity, the monitor and
+/// its ledger) — see [`Engine::export_state`] for the full accounting.
 ///
 /// The fields are public so snapshot encoders (the `dlb-serve` crate)
 /// can serialize them without `dlb-core` committing to a wire format.
@@ -69,38 +121,40 @@ pub struct EngineState {
 /// 2. the balancer fills a [`FlowPlan`] from the current loads;
 /// 3. the engine validates it in a single pass over the plan's touched
 ///    nodes (each node's sent total is computed exactly once);
-/// 4. the optional [`FairnessMonitor`] observes the pre-step state;
+/// 4. an attached [`FairnessMonitor`] observes the pre-step state and
+///    adds the flows to its cumulative ledger `F_t`;
 /// 5. flows are routed in place — original-port tokens to the
 ///    neighbour behind the port, self-loop tokens back to the sender,
-///    un-planned tokens retained (the remainder `r_t(u)` of §2);
-/// 6. the cumulative ledger `F_t` is updated.
+///    un-planned tokens retained (the remainder `r_t(u)` of §2).
 ///
-/// # Fast paths
+/// # Entry points
 ///
-/// [`step`](Engine::step) returns a [`StepSummary`] whose discrepancy
-/// costs an `O(n)` scan; [`run`](Engine::run) keeps the ledger and
-/// monitor but skips all per-step statistics, and
-/// [`run_fast`](Engine::run_fast) additionally skips the ledger and
-/// monitor. [`run_kernel`](Engine::run_kernel) goes further still for
-/// [`KernelBalancer`] schemes: no [`FlowPlan`] is materialised at all —
-/// flows are computed in registers and applied as signed deltas into a
-/// double-buffered load vector, and for closed-form SEND schemes runs
-/// whole-array vector rounds; [`run_parallel`](Engine::run_parallel)
-/// splits those vector rounds by node range across threads. All paths
-/// produce bit-identical loads. The count of
-/// negative nodes is maintained incrementally at every load write, so
-/// no path ever scans for it.
+/// [`run`](Engine::run) executes a [`Run`]: `steps` rounds under an
+/// optional topology schedule, workload and tracing sink. On
+/// [`Path::Auto`] it takes the plan-free kernel rounds when the
+/// balancer has a kernel and no monitor is attached: no [`FlowPlan`]
+/// is materialised, flows are computed in registers and applied as
+/// signed deltas into a double-buffered load vector, and a closed-form
+/// SEND scheme on a static, closed system runs whole-array [`vector`]
+/// rounds. Every other run takes the planned round above, which
+/// [`Path::Planned`] forces. [`step`](Engine::step) runs one planned
+/// round and returns its [`StepSummary`], which
+/// [`summary`](Engine::summary) also takes after any run;
+/// [`run_parallel`](Engine::run_parallel) splits the vector rounds by
+/// node range across threads. All of them produce bit-identical loads.
+/// The count of negative nodes is maintained incrementally at every
+/// load write, so no path ever scans for it.
 ///
 /// # Example
 ///
 /// ```
 /// use dlb_graph::{generators, BalancingGraph};
-/// use dlb_core::{Engine, LoadVector};
+/// use dlb_core::{Engine, LoadVector, Run};
 /// use dlb_core::schemes::SendFloor;
 ///
 /// let gp = BalancingGraph::lazy(generators::cycle(8)?);
 /// let mut engine = Engine::new(gp, LoadVector::point_mass(8, 800));
-/// engine.run(&mut SendFloor::new(), 200)?;
+/// engine.run(&mut SendFloor::new(), Run::new(200))?;
 /// assert_eq!(engine.loads().total(), 800); // conservation
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -112,7 +166,8 @@ pub struct Engine {
     /// plan's touched list (scratch reused across steps).
     outflow: Vec<u64>,
     plan: FlowPlan,
-    ledger: CumulativeLedger,
+    /// The attached instrumentation: the fairness monitor and its
+    /// cumulative ledger, recorded on planned rounds only.
     monitor: Option<FairnessMonitor>,
     step: usize,
     negative_node_steps: u64,
@@ -162,14 +217,12 @@ impl Engine {
             "initial load vector must have one entry per node"
         );
         let plan = FlowPlan::for_graph(&gp);
-        let ledger = CumulativeLedger::for_graph(&gp);
         let negative_count = initial.negative_nodes();
         Engine {
             gp,
             loads: initial,
             outflow: Vec::new(),
             plan,
-            ledger,
             monitor: None,
             step: 0,
             negative_node_steps: 0,
@@ -205,13 +258,17 @@ impl Engine {
             .map(DynamicConnectivity::is_connected)
     }
 
-    /// Attaches a [`FairnessMonitor`] that will observe every subsequent
-    /// step (costs one extra `O(n·d⁺)` pass per step).
+    /// Attaches a fresh [`FairnessMonitor`], with an empty cumulative
+    /// ledger, that observes every subsequent round. Rounds run planned
+    /// while it is attached (one extra `O(n·d⁺)` pass per round), since
+    /// the monitor reads each round's [`FlowPlan`].
     pub fn attach_monitor(&mut self) {
-        self.monitor = Some(FairnessMonitor::new());
+        self.monitor = Some(FairnessMonitor::for_graph(&self.gp));
     }
 
-    /// The attached monitor, if any.
+    /// The attached monitor, if any; its
+    /// [`ledger`](FairnessMonitor::ledger) holds `F_t` over the rounds
+    /// since it was attached.
     pub fn monitor(&self) -> Option<&FairnessMonitor> {
         self.monitor.as_ref()
     }
@@ -224,11 +281,6 @@ impl Engine {
     /// Current loads `x_t`.
     pub fn loads(&self) -> &LoadVector {
         &self.loads
-    }
-
-    /// The cumulative ledger `F_t`.
-    pub fn ledger(&self) -> &CumulativeLedger {
-        &self.ledger
     }
 
     /// Steps completed so far.
@@ -258,10 +310,9 @@ impl Engine {
     }
 
     /// Full `O(n)` discrepancy scans performed so far: exactly one per
-    /// [`StepSummary`] produced — each [`step`](Engine::step) call and
-    /// each round of [`run_until`](Engine::run_until). The `run*`
-    /// entry points produce no summaries and pay none; the regression
-    /// tests pin both.
+    /// [`StepSummary`] produced — each [`step`](Engine::step) and each
+    /// [`summary`](Engine::summary) call. [`run`](Engine::run) produces
+    /// no summaries and pays none; the regression tests pin both.
     pub fn discrepancy_scans(&self) -> u64 {
         self.discrepancy_scans
     }
@@ -305,8 +356,8 @@ impl Engine {
     /// [`topology_events_applied`](Engine::topology_events_applied),
     /// [`injected_total`](Engine::injected_total),
     /// [`negative_node_steps`](Engine::negative_node_steps)): **every
-    /// counter is cumulative over the engine's lifetime**. No `run_*`
-    /// entry point resets any of them — chunked runs accumulate exactly
+    /// counter is cumulative over the engine's lifetime**. No run
+    /// resets any of them — chunked runs accumulate exactly
     /// like one long run — and all of them ride through
     /// [`export_state`](Engine::export_state) /
     /// [`from_state`](Engine::from_state), so a snapshot-resumed engine
@@ -341,25 +392,14 @@ impl Engine {
         reg.gauge_set("engine_injected_net", self.injected_total);
     }
 
-    /// The current discrepancy via a counted full scan.
-    fn scan_discrepancy(&mut self) -> i64 {
-        self.discrepancy_scans += 1;
-        self.loads.discrepancy()
-    }
-
     /// Validates and routes the freshly filled plan, then updates the
-    /// step counters — the fused second half of every step variant.
+    /// step counters — the second half of the planned round.
     ///
     /// A single pass over the plan's touched nodes computes each node's
     /// sent total exactly once (validation reads it; routing reuses the
     /// original-edge part). Routing is in place: no `O(n)` scratch copy,
     /// and the negative-node count is maintained at each write.
-    fn finish_step<Si: Sink>(
-        &mut self,
-        check: bool,
-        instrumented: bool,
-        sink: &mut Si,
-    ) -> Result<(), EngineError> {
+    fn finish_step<Si: Sink>(&mut self, check: bool, sink: &mut Si) -> Result<(), EngineError> {
         let d = self.gp.degree();
         let probe = sink.start();
 
@@ -386,10 +426,8 @@ impl Engine {
             self.outflow.push(orig);
         }
 
-        if instrumented {
-            if let Some(monitor) = &mut self.monitor {
-                monitor.observe(&self.gp, &self.loads, &self.plan);
-            }
+        if let Some(monitor) = &mut self.monitor {
+            monitor.observe(&self.gp, &self.loads, &self.plan);
         }
         sink.span(Phase::Validate, self.step as u64 + 1, probe);
         let probe = sink.start();
@@ -420,24 +458,20 @@ impl Engine {
         }
         self.negative_count = negative;
 
-        if instrumented {
-            self.ledger.record(&self.plan);
-        }
         self.step += 1;
         self.negative_node_steps += self.negative_count as u64;
         sink.span(Phase::Route, self.step as u64, probe);
         Ok(())
     }
 
-    /// One fused round of the full dynamic structure: the shared
+    /// One planned round of the full dynamic structure: the shared
     /// pre-round (mutate topology, inject, hand off, negative-check),
     /// then clear, plan, validate + route. An erroring round undoes its
     /// injection *and* its topology events, so on error nothing —
     /// loads and graph included — has advanced.
-    fn step_inner<'s, 'w, Si: Sink>(
+    fn planned_round<'s, 'w, B: Balancer + ?Sized, Si: Sink>(
         &mut self,
-        balancer: &mut dyn Balancer,
-        instrumented: bool,
+        balancer: &mut B,
         schedule: Option<&mut (dyn TopologySchedule + 's)>,
         workload: Option<&mut (dyn Workload + 'w)>,
         sink: &mut Si,
@@ -453,12 +487,31 @@ impl Engine {
         // `finish_step` validates the whole plan before routing a
         // single token, so an `Overdraw` has not mutated loads and
         // undoing the pre-round restores the round exactly.
-        let routed = self.finish_step(check, instrumented, sink);
+        let routed = self.finish_step(check, sink);
         if routed.is_err() {
             let (pre, st) = self.pre_round();
             pre.undo(st);
         }
         routed
+    }
+
+    /// `steps` planned rounds.
+    fn planned_rounds<'s, 'w, B: Balancer + ?Sized, Si: Sink>(
+        &mut self,
+        balancer: &mut B,
+        steps: usize,
+        mut schedule: Option<&mut (dyn TopologySchedule + 's)>,
+        mut workload: Option<&mut (dyn Workload + 'w)>,
+        sink: &mut Si,
+    ) -> Result<(), EngineError> {
+        for _ in 0..steps {
+            // Explicit reborrows: each round gets fresh short-lived
+            // `&mut dyn` views out of the long-lived options.
+            let s = schedule.as_deref_mut();
+            let w = workload.as_deref_mut();
+            self.planned_round(balancer, s, w, sink)?;
+        }
+        Ok(())
     }
 
     /// The pre-round scratch and the engine state it runs on, borrowed
@@ -475,10 +528,9 @@ impl Engine {
         (&mut self.pre, st)
     }
 
-    /// Runs one synchronous round of `balancer` and reports statistics
-    /// (the post-step discrepancy costs an `O(n)` scan — use
-    /// [`run`](Engine::run) or [`run_fast`](Engine::run_fast) when
-    /// nobody reads the summaries).
+    /// Runs one planned round of `balancer` and reports its
+    /// [`StepSummary`] (whose discrepancy costs an `O(n)` scan — use
+    /// [`run`](Engine::run) when nobody reads the summaries).
     ///
     /// # Errors
     ///
@@ -487,141 +539,118 @@ impl Engine {
     /// non-overdrawing balancer would be asked to plan from negative
     /// loads (checked *before* planning — the balancer never sees the
     /// invalid state).
-    pub fn step(&mut self, balancer: &mut dyn Balancer) -> Result<StepSummary, EngineError> {
-        self.step_dyn(balancer, None, None)
+    pub fn step<B: Balancer + ?Sized>(
+        &mut self,
+        balancer: &mut B,
+    ) -> Result<StepSummary, EngineError> {
+        self.planned_round(balancer, None, None, &mut NoopSink)?;
+        Ok(self.summary())
     }
 
-    /// [`step`](Engine::step) in the open, dynamic-topology system:
-    /// first `schedule`'s events for this round mutate the graph in
-    /// place — double-edge swaps, port permutations, node sleep/wake —
-    /// then `workload`'s deltas are applied and every asleep node's
-    /// queue is handed to its live neighbours, all *before* the
-    /// negative-load check and planning, so the scheme balances the
-    /// injected loads. The full round structure is *mutate topology,
-    /// inject load, negative-check, plan, validate, route*; a round
-    /// that errors keeps neither its injection nor its topology events.
-    /// Pass `None` for either to leave it out. See [`crate::workload`]
-    /// and [`dlb_topology`] for workloads and schedules.
-    ///
-    /// # Errors
-    ///
-    /// As [`step`](Engine::step) — a workload that drives a load
-    /// negative under a non-overdrawing scheme surfaces as
-    /// [`EngineError::NegativeLoad`] carrying the post-injection load —
-    /// plus [`EngineError::Topology`] when the schedule emits an event
-    /// the graph rejects.
-    pub fn step_dyn<'s, 'w>(
-        &mut self,
-        balancer: &mut dyn Balancer,
-        schedule: Option<&mut (dyn TopologySchedule + 's)>,
-        workload: Option<&mut (dyn Workload + 'w)>,
-    ) -> Result<StepSummary, EngineError> {
-        self.step_dyn_traced(balancer, schedule, workload, &mut NoopSink)
-    }
-
-    /// [`step_dyn`](Engine::step_dyn) with a tracing [`Sink`] observing
-    /// the round's phases: `Mutate` (when a schedule runs), `Inject` /
-    /// `Handoff`, `Plan`, `Validate`, `Route`. Sinks observe only —
-    /// loads, errors and counters are bit-identical for any sink, and
-    /// the [`NoopSink`] instantiation (what [`step_dyn`](Engine::step_dyn)
-    /// passes) compiles every probe away.
-    ///
-    /// # Errors
-    ///
-    /// As [`step_dyn`](Engine::step_dyn).
-    pub fn step_dyn_traced<'s, 'w, Si: Sink>(
-        &mut self,
-        balancer: &mut dyn Balancer,
-        schedule: Option<&mut (dyn TopologySchedule + 's)>,
-        workload: Option<&mut (dyn Workload + 'w)>,
-        sink: &mut Si,
-    ) -> Result<StepSummary, EngineError> {
-        self.step_inner(balancer, true, schedule, workload, sink)?;
-        Ok(StepSummary {
+    /// The [`StepSummary`] of the current state: the step count, the
+    /// discrepancy (one counted `O(n)` scan, see
+    /// [`discrepancy_scans`](Engine::discrepancy_scans)) and the
+    /// negative-node count. After a one-round [`run`](Engine::run)
+    /// under churn or injection it is what [`step`](Engine::step)
+    /// returns for a closed round.
+    pub fn summary(&mut self) -> StepSummary {
+        self.discrepancy_scans += 1;
+        StepSummary {
             step: self.step,
-            discrepancy: self.scan_discrepancy(),
+            discrepancy: self.loads.discrepancy(),
             negative_nodes: self.negative_count,
-        })
-    }
-
-    /// Runs `steps` rounds, keeping the ledger and any attached monitor
-    /// up to date but skipping all per-step statistics (no discrepancy
-    /// or negative-node scans).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`EngineError`] encountered.
-    pub fn run(&mut self, balancer: &mut dyn Balancer, steps: usize) -> Result<(), EngineError> {
-        self.run_dyn(balancer, steps, None, None)
-    }
-
-    /// [`run`](Engine::run) with per-round topology churn and workload
-    /// injection (see [`step_dyn`](Engine::step_dyn) for the round
-    /// structure).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`EngineError`] encountered.
-    pub fn run_dyn<'s, 'w>(
-        &mut self,
-        balancer: &mut dyn Balancer,
-        steps: usize,
-        schedule: Option<&mut (dyn TopologySchedule + 's)>,
-        workload: Option<&mut (dyn Workload + 'w)>,
-    ) -> Result<(), EngineError> {
-        self.run_dyn_traced(balancer, steps, schedule, workload, &mut NoopSink)
-    }
-
-    /// [`run_dyn`](Engine::run_dyn) with a tracing [`Sink`] observing
-    /// every round's phases (see
-    /// [`step_dyn_traced`](Engine::step_dyn_traced) for the probe
-    /// points and the bit-identity guarantee).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`EngineError`] encountered.
-    pub fn run_dyn_traced<'s, 'w, Si: Sink>(
-        &mut self,
-        balancer: &mut dyn Balancer,
-        steps: usize,
-        mut schedule: Option<&mut (dyn TopologySchedule + 's)>,
-        mut workload: Option<&mut (dyn Workload + 'w)>,
-        sink: &mut Si,
-    ) -> Result<(), EngineError> {
-        for _ in 0..steps {
-            // Explicit reborrows: each round gets fresh short-lived
-            // `&mut dyn` views out of the long-lived options.
-            let s = schedule.as_deref_mut();
-            let w = workload.as_deref_mut();
-            self.step_inner(balancer, true, s, w, sink)?;
         }
-        Ok(())
     }
 
-    /// Runs `steps` rounds on the uninstrumented fast path: like
-    /// [`run`](Engine::run) but the [ledger](Engine::ledger) is not
-    /// recorded and an attached monitor does not observe, trading all
-    /// instrumentation for step throughput. Loads, step count and
-    /// negative-load accounting are bit-identical to [`run`](Engine::run).
+    /// Runs `run.steps` rounds of `balancer`, each under `run`'s
+    /// topology schedule, workload and sink. The round structure is
+    /// *mutate topology, inject load, hand asleep queues to live
+    /// neighbours, negative-check, plan, validate, route*: the
+    /// schedule's events for the round mutate the graph in place
+    /// (double-edge swaps, port permutations, node sleep/wake), then
+    /// the workload's deltas are applied and every asleep node's queue
+    /// is handed to its live neighbours, all *before* the negative-load
+    /// check and planning, so the scheme balances the injected loads.
+    ///
+    /// [`Path::Auto`] runs the plan-free kernel rounds when
+    /// [`Balancer::as_kernel`] answers and no monitor is attached. A
+    /// closed-form scheme ([`KernelBalancer::uniform_kernel`], the SEND
+    /// schemes) then runs whole-array [`vector`] rounds when the vector
+    /// layer is enabled and the system is static, closed and awake, and
+    /// otherwise streams the closed-form gather
+    /// `x'[u] = x[u] − d·b(x[u]) + Σ_{v∈N(u)} b(x[v])`; every other
+    /// kernel computes its port flows in registers with
+    /// [`kernel_node`](KernelBalancer::kernel_node), compiled for the
+    /// concrete scheme type. Every other run takes the planned round,
+    /// which records an attached monitor and its ledger. The sink sees
+    /// `Mutate` (when a schedule runs), `Inject`/`Handoff`, then `Plan`,
+    /// `Validate`, `Route` on a planned round, one fused `Stream` span
+    /// on a scalar kernel round, or `VectorDispatch` instants for
+    /// vector rounds, with `value = (tag << 32) | count` — tag 1 banded
+    /// rounds, 2 blocked rounds, 3 `i32` rounds, 4 `i32 → i64`
+    /// fallbacks, and tag 0 for a dispatch declined on load magnitude.
     ///
     /// # Errors
     ///
-    /// Propagates the first [`EngineError`] encountered.
-    pub fn run_fast(
+    /// Propagates the first [`EngineError`]: an
+    /// [`Overdraw`](EngineError::Overdraw) or
+    /// [`NegativeLoad`](EngineError::NegativeLoad) as
+    /// [`step`](Engine::step) reports it (a workload that drives a load
+    /// negative under a non-overdrawing scheme surfaces as
+    /// `NegativeLoad` carrying the post-injection load),
+    /// [`Topology`](EngineError::Topology) when the schedule emits an
+    /// event the graph rejects, or
+    /// [`InjectionOverflow`](EngineError::InjectionOverflow). Every path
+    /// reports the same step and node. On error the loads **and the
+    /// graph** are those after the last fully completed round: the
+    /// erroring round's injection and topology events are undone.
+    pub fn run<B: Balancer + ?Sized>(
         &mut self,
-        balancer: &mut dyn Balancer,
-        steps: usize,
+        balancer: &mut B,
+        run: Run<'_, '_, '_>,
     ) -> Result<(), EngineError> {
-        self.run_fast_dyn(balancer, steps, None, None)
+        if run.path == Path::Auto && self.monitor.is_none() {
+            if let Some(kernel) = balancer.as_kernel() {
+                return kernel.rounds(KernelCall { engine: self, run });
+            }
+        }
+        let Run {
+            steps,
+            schedule,
+            workload,
+            sink,
+            ..
+        } = run;
+        match sink {
+            None => self.planned_rounds(balancer, steps, schedule, workload, &mut NoopSink),
+            Some(sink) => self.planned_rounds(balancer, steps, schedule, workload, sink),
+        }
     }
 
-    /// [`run_fast`](Engine::run_fast) with per-round topology churn
-    /// and workload injection (see [`step_dyn`](Engine::step_dyn) for
-    /// the round structure).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`EngineError`] encountered.
+    /// The kernel half of [`run`](Engine::run), reached through
+    /// [`KernelRounds`](kernel::KernelRounds) with the concrete scheme
+    /// type: an absent sink runs the [`NoopSink`] instantiation, a
+    /// present one the [`RingSink`] one.
+    pub(crate) fn kernel_call<K: KernelBalancer>(
+        &mut self,
+        balancer: &mut K,
+        run: Run<'_, '_, '_>,
+    ) -> Result<(), EngineError> {
+        let Run {
+            steps,
+            schedule,
+            workload,
+            sink,
+            ..
+        } = run;
+        match sink {
+            None => self.kernel_run(balancer, steps, schedule, workload, &mut NoopSink),
+            Some(sink) => self.kernel_run(balancer, steps, schedule, workload, sink),
+        }
+    }
+
+    /// [`run`](Engine::run) on [`Path::Planned`], for perfbench.
+    #[deprecated(note = "perfbench only; use Engine::run")]
     pub fn run_fast_dyn<'s, 'w>(
         &mut self,
         balancer: &mut dyn Balancer,
@@ -629,83 +658,27 @@ impl Engine {
         schedule: Option<&mut (dyn TopologySchedule + 's)>,
         workload: Option<&mut (dyn Workload + 'w)>,
     ) -> Result<(), EngineError> {
-        self.run_fast_dyn_traced(balancer, steps, schedule, workload, &mut NoopSink)
+        self.planned_rounds(balancer, steps, schedule, workload, &mut NoopSink)
     }
 
-    /// [`run_fast_dyn`](Engine::run_fast_dyn) with a tracing [`Sink`]
-    /// observing every round's phases (see
-    /// [`step_dyn_traced`](Engine::step_dyn_traced) for the probe
-    /// points and the bit-identity guarantee).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`EngineError`] encountered.
-    pub fn run_fast_dyn_traced<'s, 'w, Si: Sink>(
-        &mut self,
-        balancer: &mut dyn Balancer,
-        steps: usize,
-        mut schedule: Option<&mut (dyn TopologySchedule + 's)>,
-        mut workload: Option<&mut (dyn Workload + 'w)>,
-        sink: &mut Si,
-    ) -> Result<(), EngineError> {
-        for _ in 0..steps {
-            let s = schedule.as_deref_mut();
-            let w = workload.as_deref_mut();
-            self.step_inner(balancer, false, s, w, sink)?;
-        }
-        Ok(())
-    }
-
-    /// Runs `steps` rounds on the plan-free kernel path: no
-    /// [`FlowPlan`] is materialised, and each round streams once over
-    /// the CSR adjacency into a double-buffered load vector. A scheme
-    /// with a uniform closed form
-    /// ([`uniform_kernel`](KernelBalancer::uniform_kernel), the SEND
-    /// schemes) runs whole-array [`vector`] rounds when the vector
-    /// layer is enabled and the system is static, closed and awake, and
-    /// otherwise streams the closed-form gather
-    /// `x'[u] = x[u] − d·b(x[u]) + Σ_{v∈N(u)} b(x[v])`. Every other
-    /// scheme's port flows are computed in registers by its
-    /// [`kernel_node`](KernelBalancer::kernel_node) and applied as
-    /// signed deltas, in a loop monomorphised for `d⁺ ∈ {2, 4, 6, 8}`
-    /// (a generic fallback covers every other degree).
-    ///
-    /// Like [`run_fast`](Engine::run_fast) this path skips the ledger
-    /// and monitor; loads, step count and negative-load accounting are
-    /// bit-identical to [`step`](Engine::step), and so are the step and
-    /// node of any reported error.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`EngineError`] encountered; on error the
-    /// loads are those after the last fully completed round.
+    /// A closed [`run`](Engine::run) of kernel rounds, for perfbench.
+    #[deprecated(note = "perfbench only; use Engine::run")]
     pub fn run_kernel<K: KernelBalancer + ?Sized>(
         &mut self,
         balancer: &mut K,
         steps: usize,
     ) -> Result<(), EngineError> {
-        self.run_kernel_dyn(balancer, steps, StaticTopology::none(), NoWorkload::none())
+        self.kernel_run(
+            balancer,
+            steps,
+            StaticTopology::none(),
+            NoWorkload::none(),
+            &mut NoopSink,
+        )
     }
 
-    /// [`run_kernel`](Engine::run_kernel) with per-round topology churn
-    /// and workload injection: the kernel loop runs the full dynamic
-    /// round structure — mutate topology, inject, hand asleep queues
-    /// to live neighbours, negative-check, then the round body (the
-    /// closed-form gather for a uniform scheme, per-node plan, validate
-    /// and route for every other) — applying the injection to the same
-    /// double-buffered load vector the kernel streams flows into. Runs
-    /// with churn or injection never take the vector layer. The loop is
-    /// monomorphised over the schedule and workload types, so the
-    /// [`StaticTopology::none`]/[`NoWorkload::none`] case (what
-    /// [`run_kernel`](Engine::run_kernel) passes) folds the churn and
-    /// injection branches away and keeps the fixed-graph throughput.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`EngineError`] encountered; on error the
-    /// loads **and the graph** are those after the last fully
-    /// completed round (the erroring round's injection and topology
-    /// events are undone).
+    /// [`run`](Engine::run) of kernel rounds, for perfbench.
+    #[deprecated(note = "perfbench only; use Engine::run")]
     pub fn run_kernel_dyn<K, S, W>(
         &mut self,
         balancer: &mut K,
@@ -718,25 +691,35 @@ impl Engine {
         S: TopologySchedule + ?Sized,
         W: Workload + ?Sized,
     {
-        self.run_kernel_dyn_traced(balancer, steps, schedule, workload, &mut NoopSink)
+        self.kernel_run(balancer, steps, schedule, workload, &mut NoopSink)
     }
 
-    /// [`run_kernel_dyn`](Engine::run_kernel_dyn) with a tracing
-    /// [`Sink`]: scalar kernel rounds emit per-round `Mutate`,
-    /// `Inject`/`Handoff` and fused `Stream` spans, and the vector
-    /// dispatch emits one `VectorDispatch` instant per counter that
-    /// moved, with `value = (tag << 32) | count` — tag 1 banded
-    /// rounds, 2 blocked rounds, 3 `i32` rounds, 4 `i32 → i64`
-    /// fallbacks; a declined dispatch (scalar fallback) emits tag 0.
-    /// Sinks observe only: loads, errors and counters are
-    /// bit-identical for any sink, and the [`NoopSink`] instantiation
-    /// (what [`run_kernel_dyn`](Engine::run_kernel_dyn) passes)
-    /// compiles every probe away.
-    ///
-    /// # Errors
-    ///
-    /// As [`run_kernel_dyn`](Engine::run_kernel_dyn).
+    /// A traced [`run`](Engine::run) of kernel rounds, for perfbench.
+    #[deprecated(note = "perfbench only; use Engine::run")]
     pub fn run_kernel_dyn_traced<K, S, W, Si>(
+        &mut self,
+        balancer: &mut K,
+        steps: usize,
+        schedule: Option<&mut S>,
+        workload: Option<&mut W>,
+        sink: &mut Si,
+    ) -> Result<(), EngineError>
+    where
+        K: KernelBalancer + ?Sized,
+        S: TopologySchedule + ?Sized,
+        W: Workload + ?Sized,
+        Si: Sink,
+    {
+        self.kernel_run(balancer, steps, schedule, workload, sink)
+    }
+
+    /// The kernel rounds: whole-array vector rounds when the
+    /// configuration allows — a closed-form uniform scheme on a static,
+    /// closed, fully awake system — and the scalar kernel stream
+    /// otherwise. The loop is monomorphised over the balancer, schedule,
+    /// workload and sink types; in a `NoopSink` instantiation every
+    /// probe compiles away.
+    fn kernel_run<K, S, W, Si>(
         &mut self,
         balancer: &mut K,
         steps: usize,
@@ -753,15 +736,12 @@ impl Engine {
         if steps == 0 {
             return Ok(());
         }
-        // Vectorized whole-array rounds, when the configuration allows:
-        // a closed-form uniform scheme on a static, closed, fully awake
-        // system. "Static" and "closed" are judged by `is_noop`, not by
+        // "Static" and "closed" are judged by `is_noop`, not by
         // `Option` shape — `Some(&mut StaticTopology)` and
-        // `Some(&mut NoWorkload)` fold to the same closed static loop
-        // and used to (wrongly) force the scalar kernel. The capability
-        // hook decides per graph (SEND(round) declines below d° ≥ d);
-        // `run_uniform` itself may still decline on load magnitude,
-        // falling through to the scalar stream — which stays
+        // `Some(&mut NoWorkload)` fold to the same closed static loop.
+        // The capability hook decides per graph (SEND(round) declines
+        // below d° ≥ d); `run_uniform` itself may still decline on load
+        // magnitude, falling through to the scalar stream — which stays
         // bit-identical, so dispatch is purely a performance decision.
         let static_topology = match schedule.as_ref() {
             None => true,
@@ -779,17 +759,15 @@ impl Engine {
         self.kernel_rounds(balancer, steps, schedule, workload, sink)
     }
 
-    /// The vector dispatch shared by [`run_kernel_dyn_traced`]
-    /// (`threads == 1`) and [`run_parallel_traced`]: runs `steps`
+    /// The vector dispatch shared by the kernel rounds of
+    /// [`run`](Engine::run) (`threads == 1`) and
+    /// [`run_parallel_traced`](Engine::run_parallel_traced): runs `steps`
     /// whole-array rounds split across `threads` workers when the
     /// configuration allows and the scheme has a closed form on this
     /// graph, on a fully awake graph (the callers have already ruled out
     /// churn and injection). `None` means the caller streams the scalar
     /// kernel instead — bit-identical, so dispatch is purely a
     /// performance decision.
-    ///
-    /// [`run_kernel_dyn_traced`]: Engine::run_kernel_dyn_traced
-    /// [`run_parallel_traced`]: Engine::run_parallel_traced
     fn vector_rounds<K: KernelBalancer + ?Sized, Si: Sink>(
         &mut self,
         balancer: &K,
@@ -835,7 +813,7 @@ impl Engine {
         }
         if Si::ENABLED {
             // One structured instant per dispatch counter that moved
-            // this run (tags documented on `run_kernel_dyn_traced`).
+            // this run (tags documented on `run`).
             let after = self.vector_stats;
             let deltas = [
                 (1u64, after.rounds_banded - before.rounds_banded),
@@ -903,14 +881,14 @@ impl Engine {
     /// pass split by contiguous node range across `threads` workers
     /// (clamped to `1..=n`), spawned once for the run.
     ///
-    /// The result is **bit-identical** to
-    /// [`run_kernel`](Engine::run_kernel) — loads, step count, vector
+    /// The result is **bit-identical** to a closed
+    /// [`run`](Engine::run) on [`Path::Auto`] — loads, step count, vector
     /// counters and errors — for any thread count: the workers run the
     /// same two passes as the serial vector round, one range each, with
     /// a barrier after each pass. The split applies exactly when
-    /// `run_kernel` would dispatch the vector layer (see
+    /// `run` would dispatch the vector layer (see
     /// [`kernel::vector`]); otherwise, and for `threads == 1`, this *is*
-    /// `run_kernel` — for example SEND([x/d⁺]) on a graph with `d° < d`
+    /// `run`'s kernel round — for example SEND([x/d⁺]) on a graph with `d° < d`
     /// streams the scalar kernel and reports its `Overdraw`.
     ///
     /// The balancer is shared by reference: schemes with a uniform
@@ -919,7 +897,7 @@ impl Engine {
     /// # Errors
     ///
     /// Propagates the first [`EngineError`] encountered, exactly as
-    /// [`run_kernel`](Engine::run_kernel) does.
+    /// [`run`](Engine::run) does.
     pub fn run_parallel<K>(
         &mut self,
         balancer: &K,
@@ -934,8 +912,7 @@ impl Engine {
 
     /// [`run_parallel`](Engine::run_parallel) with a tracing [`Sink`]:
     /// the same `VectorDispatch` instants (or scalar-kernel spans) that
-    /// [`run_kernel_dyn_traced`](Engine::run_kernel_dyn_traced) emits
-    /// for the same run. Sinks observe only: loads, errors and counters
+    /// [`run`](Engine::run) emits for the same run. Sinks observe only: loads, errors and counters
     /// are bit-identical for any sink and any thread count.
     ///
     /// # Errors
@@ -955,7 +932,7 @@ impl Engine {
         let threads = threads.min(self.gp.num_nodes()).max(1);
         let mut scalar = balancer.clone();
         if threads == 1 || steps == 0 {
-            return self.run_kernel_dyn_traced(
+            return self.kernel_run(
                 &mut scalar,
                 steps,
                 StaticTopology::none(),
@@ -967,7 +944,7 @@ impl Engine {
             return result;
         }
         // Not vector-eligible (or declined on load magnitude): the
-        // scalar stream `run_kernel` would run.
+        // scalar stream `run` would run.
         self.kernel_rounds(
             &mut scalar,
             steps,
@@ -975,30 +952,6 @@ impl Engine {
             NoWorkload::none(),
             sink,
         )
-    }
-
-    /// Runs [`step`](Engine::step) until `stop(summary)` returns true,
-    /// for at most `max_steps` rounds. Returns the step count at which
-    /// the predicate fired, or `None` on timeout. Each round's summary
-    /// is `step`'s, so its discrepancy costs one counted `O(n)` scan —
-    /// the same order as the round's own planning pass.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`EngineError`] encountered.
-    pub fn run_until(
-        &mut self,
-        balancer: &mut dyn Balancer,
-        max_steps: usize,
-        mut stop: impl FnMut(&StepSummary) -> bool,
-    ) -> Result<Option<usize>, EngineError> {
-        for _ in 0..max_steps {
-            let summary = self.step(balancer)?;
-            if stop(&summary) {
-                return Ok(Some(summary.step));
-            }
-        }
-        Ok(None)
     }
 
     /// Exports the engine's complete resumable state — everything a
@@ -1022,9 +975,9 @@ impl Engine {
     /// * the tracked [`DynamicConnectivity`] structure — re-anchored by
     ///   calling [`track_connectivity`](Engine::track_connectivity)
     ///   after restore;
-    /// * the cumulative ledger and the fairness monitor — instrumented-
-    ///   path observers, out of scope for checkpoint/resume (a restored
-    ///   engine starts them fresh via
+    /// * the fairness monitor and its cumulative ledger — observers of
+    ///   the planned rounds, out of scope for checkpoint/resume (a
+    ///   restored engine starts them fresh via
     ///   [`attach_monitor`](Engine::attach_monitor)).
     #[must_use]
     pub fn export_state(&self) -> EngineState {
@@ -1072,7 +1025,7 @@ impl Engine {
             vector_stats,
         } = state;
         // `new` recomputes the negative count from the loads and
-        // starts with a fresh plan/ledger and no tracked connectivity
+        // starts with a fresh plan, no monitor and no tracked connectivity
         // for the restored graph.
         let mut engine = Engine::new(graph, LoadVector::new(loads));
         engine.step = step;
@@ -1102,7 +1055,7 @@ mod tests {
         let gp = lazy_cycle(8);
         let mut engine = Engine::new(gp, LoadVector::point_mass(8, 777));
         let mut bal = SendFloor::new();
-        engine.run(&mut bal, 100).unwrap();
+        engine.run(&mut bal, Run::new(100)).unwrap();
         assert_eq!(engine.loads().total(), 777);
         assert_eq!(engine.step_count(), 100);
     }
@@ -1112,36 +1065,12 @@ mod tests {
         let gp = lazy_cycle(16);
         let mut rotor = RotorRouter::new(&gp, PortOrder::Sequential).unwrap();
         let mut engine = Engine::new(gp, LoadVector::point_mass(16, 1600));
-        engine.run(&mut rotor, 2000).unwrap();
+        engine.run(&mut rotor, Run::new(2000)).unwrap();
         assert!(
             engine.loads().discrepancy() <= 8,
             "discrepancy {} too large",
             engine.loads().discrepancy()
         );
-    }
-
-    #[test]
-    fn run_until_reports_first_hit() {
-        let gp = lazy_cycle(16);
-        let mut rotor = RotorRouter::new(&gp, PortOrder::Sequential).unwrap();
-        let mut engine = Engine::new(gp, LoadVector::point_mass(16, 1600));
-        let hit = engine
-            .run_until(&mut rotor, 10_000, |s| s.discrepancy <= 10)
-            .unwrap();
-        assert!(hit.is_some());
-        assert!(engine.loads().discrepancy() <= 10);
-    }
-
-    #[test]
-    fn run_until_times_out() {
-        let gp = lazy_cycle(8);
-        let mut bal = SendFloor::new();
-        let mut engine = Engine::new(gp, LoadVector::point_mass(8, 80));
-        let hit = engine
-            .run_until(&mut bal, 3, |s| s.discrepancy == -1)
-            .unwrap();
-        assert_eq!(hit, None);
-        assert_eq!(engine.step_count(), 3);
     }
 
     #[test]
@@ -1168,7 +1097,7 @@ mod tests {
         let gp = lazy_cycle(8);
         let mut engine = Engine::new(gp, LoadVector::point_mass(8, 100));
         engine.attach_monitor();
-        engine.run(&mut SendFloor::new(), 10).unwrap();
+        engine.run(&mut SendFloor::new(), Run::new(10)).unwrap();
         let m = engine.monitor().unwrap();
         assert_eq!(m.steps_observed(), 10);
         assert_eq!(m.floor_violations(), 0);
@@ -1178,8 +1107,9 @@ mod tests {
     fn ledger_tracks_steps() {
         let gp = lazy_cycle(4);
         let mut engine = Engine::new(gp, LoadVector::uniform(4, 4));
-        engine.run(&mut SendFloor::new(), 7).unwrap();
-        assert_eq!(engine.ledger().steps(), 7);
+        engine.attach_monitor();
+        engine.run(&mut SendFloor::new(), Run::new(7)).unwrap();
+        assert_eq!(engine.monitor().unwrap().ledger().steps(), 7);
     }
 
     #[test]
@@ -1218,12 +1148,18 @@ mod tests {
 
         let mut engine = Engine::new(lazy_cycle(4), initial.clone());
         assert!(matches!(
-            engine.run(&mut bal, 5),
+            engine.run(&mut bal, Run::new(5)),
             Err(EngineError::NegativeLoad { node: 0, .. })
         ));
         let mut engine = Engine::new(lazy_cycle(4), initial.clone());
         assert!(matches!(
-            engine.run_fast(&mut bal, 5),
+            engine.run(
+                &mut bal,
+                Run {
+                    path: Path::Planned,
+                    ..Run::new(5)
+                }
+            ),
             Err(EngineError::NegativeLoad { node: 0, .. })
         ));
         for threads in [1, 2, 4] {
@@ -1236,20 +1172,27 @@ mod tests {
     }
 
     #[test]
-    fn run_fast_matches_instrumented_stepping() {
+    fn ledger_is_recorded_only_while_a_monitor_is_attached() {
         let mut slow = Engine::new(lazy_cycle(16), LoadVector::point_mass(16, 1601));
         let mut fast = Engine::new(lazy_cycle(16), LoadVector::point_mass(16, 1601));
         let mut bal = SendFloor::new();
+        slow.attach_monitor();
         for _ in 0..97 {
             slow.step(&mut bal).unwrap();
         }
-        fast.run_fast(&mut bal, 97).unwrap();
+        fast.run(&mut bal, Run::new(97)).unwrap();
         assert_eq!(slow.loads(), fast.loads());
         assert_eq!(slow.step_count(), fast.step_count());
         assert_eq!(slow.negative_node_steps(), fast.negative_node_steps());
-        // The fast path skips the ledger by design.
-        assert_eq!(fast.ledger().steps(), 0);
-        assert_eq!(slow.ledger().steps(), 97);
+        // No monitor, no ledger: the kernel rounds ran.
+        assert!(fast.monitor().is_none());
+        assert!(fast.vector_stats().runs > 0);
+        assert_eq!(slow.monitor().unwrap().ledger().steps(), 97);
+        // Attaching mid-run starts an empty ledger over the rounds after.
+        fast.attach_monitor();
+        fast.run(&mut bal, Run::new(3)).unwrap();
+        assert_eq!(fast.monitor().unwrap().ledger().steps(), 3);
+        assert_eq!(fast.monitor().unwrap().steps_observed(), 3);
     }
 
     #[test]
@@ -1257,7 +1200,7 @@ mod tests {
         let n = 37; // deliberately not divisible by the thread counts
         let reference = {
             let mut engine = Engine::new(lazy_cycle(n), LoadVector::point_mass(n, 7411));
-            engine.run(&mut SendFloor::new(), 150).unwrap();
+            engine.run(&mut SendFloor::new(), Run::new(150)).unwrap();
             engine.loads().clone()
         };
         for threads in [1, 2, 3, 4, 5, 8] {
@@ -1332,11 +1275,12 @@ mod tests {
     fn injection_conserves_total_plus_cumulative_delta() {
         let mut engine = Engine::new(lazy_cycle(8), LoadVector::uniform(8, 10));
         engine
-            .run_dyn(
+            .run(
                 &mut SendFloor::new(),
-                25,
-                None,
-                Some(&mut Node0Arrivals { rate: 3 }),
+                Run {
+                    workload: Some(&mut Node0Arrivals { rate: 3 }),
+                    ..Run::new(25)
+                },
             )
             .unwrap();
         assert_eq!(engine.injected_total(), 75);
@@ -1349,31 +1293,37 @@ mod tests {
         let mut reference = make();
         for _ in 0..30 {
             reference
-                .step_dyn(
+                .run(
                     &mut SendFloor::new(),
-                    None,
-                    Some(&mut Node0Arrivals { rate: 5 }),
+                    Run {
+                        workload: Some(&mut Node0Arrivals { rate: 5 }),
+                        path: Path::Planned,
+                        ..Run::new(1)
+                    },
                 )
                 .unwrap();
         }
 
         let mut fast = make();
-        fast.run_fast_dyn(
+        fast.run(
             &mut SendFloor::new(),
-            30,
-            None,
-            Some(&mut Node0Arrivals { rate: 5 }),
+            Run {
+                workload: Some(&mut Node0Arrivals { rate: 5 }),
+                path: Path::Planned,
+                ..Run::new(30)
+            },
         )
         .unwrap();
         assert_eq!(fast.loads(), reference.loads());
         assert_eq!(fast.injected_total(), reference.injected_total());
 
         let mut kern = make();
-        kern.run_kernel_dyn(
+        kern.run(
             &mut SendFloor::new(),
-            30,
-            StaticTopology::none(),
-            Some(&mut Node0Arrivals { rate: 5 }),
+            Run {
+                workload: Some(&mut Node0Arrivals { rate: 5 }),
+                ..Run::new(30)
+            },
         )
         .unwrap();
         assert_eq!(kern.loads(), reference.loads());
@@ -1392,10 +1342,13 @@ mod tests {
             let mut engine = make();
             let mut err = None;
             for _ in 0..steps {
-                match engine.step_dyn(
+                match engine.run(
                     &mut SendFloor::new(),
-                    None,
-                    Some(&mut Node1Drain { rate: 4 }),
+                    Run {
+                        workload: Some(&mut Node1Drain { rate: 4 }),
+                        path: Path::Planned,
+                        ..Run::new(1)
+                    },
                 ) {
                     Ok(_) => {}
                     Err(e) => {
@@ -1417,11 +1370,12 @@ mod tests {
 
         let mut kern = make();
         let kern_err = kern
-            .run_kernel_dyn(
+            .run(
                 &mut SendFloor::new(),
-                50,
-                StaticTopology::none(),
-                Some(&mut Node1Drain { rate: 4 }),
+                Run {
+                    workload: Some(&mut Node1Drain { rate: 4 }),
+                    ..Run::new(50)
+                },
             )
             .unwrap_err();
         assert_eq!(kern_err, ref_err);
@@ -1431,44 +1385,41 @@ mod tests {
     }
 
     /// The `discrepancy_scans` contract: exactly one discrepancy scan
-    /// per `StepSummary` produced. `run_until` is a loop over `step`,
-    /// so it pays one per round, and the `run*` entry points, which
-    /// produce no summaries, pay none.
+    /// per `StepSummary` produced — one per `step` and one per
+    /// `summary` — and none for `run`, which produces no summaries.
     #[test]
-    fn run_until_performs_exactly_one_discrepancy_scan() {
+    fn one_discrepancy_scan_per_summary() {
         let gp = lazy_cycle(16);
         let mut rotor = RotorRouter::new(&gp, PortOrder::Sequential).unwrap();
         let mut engine = Engine::new(gp, LoadVector::point_mass(16, 1600));
-        let hit = engine
-            .run_until(&mut rotor, 10_000, |s| s.discrepancy <= 10)
-            .unwrap();
-        assert_eq!(hit, Some(engine.step_count()));
-        assert!(engine.step_count() > 50, "predicate must take many rounds");
+        while engine.step(&mut rotor).unwrap().discrepancy > 10 {}
+        assert!(engine.step_count() > 50, "balancing must take many rounds");
         assert_eq!(
             engine.discrepancy_scans(),
             engine.step_count() as u64,
-            "run_until scans once per summary"
+            "a step loop scans once per round"
         );
-        // A predicate that fires at once costs one round and one scan;
-        // step() scans once per call.
-        engine.run_until(&mut rotor, 10, |_| true).unwrap();
-        engine.step(&mut rotor).unwrap();
-        engine.step(&mut rotor).unwrap();
         let summaries = engine.step_count() as u64;
+        // The summary-free runs never scan, on either path.
+        engine.run(&mut rotor, Run::new(5)).unwrap();
+        let planned = Run {
+            path: Path::Planned,
+            ..Run::new(5)
+        };
+        engine.run(&mut rotor, planned).unwrap();
+        engine.run(&mut rotor, Run::new(0)).unwrap();
         assert_eq!(engine.discrepancy_scans(), summaries);
-        // The summary-free entry points never scan.
-        engine.run(&mut rotor, 5).unwrap();
-        engine.run_fast(&mut rotor, 5).unwrap();
-        engine.run_kernel(&mut rotor, 5).unwrap();
-        engine.run_until(&mut rotor, 0, |_| true).unwrap();
-        assert_eq!(engine.discrepancy_scans(), summaries);
+        // A summary after a run costs exactly one scan.
+        let s = engine.summary();
+        assert_eq!(s.step, engine.step_count());
+        assert_eq!(engine.discrepancy_scans(), summaries + 1);
     }
 
-    /// `run_until`'s summaries must equal `step`'s at every predicate
-    /// evaluation, including under schemes that leave negative loads
-    /// in place.
+    /// A `summary` after a one-round run must equal `step`'s summary
+    /// for the same round, including under schemes that leave negative
+    /// loads in place and while handoffs move load.
     #[test]
-    fn run_until_summary_matches_scanned_discrepancy() {
+    fn summary_after_a_run_matches_step() {
         use crate::schemes::SendRound;
         // The second graph has node 0 — the point mass — asleep, so
         // every round's handoff moves load before the summary is taken
@@ -1488,15 +1439,111 @@ mod tests {
                 expected.push(shadow.step(&mut bal).unwrap().discrepancy);
             }
             let mut seen = Vec::new();
-            let hit = engine
-                .run_until(&mut SendRound::new(), 40, |s| {
-                    seen.push(s.discrepancy);
-                    false
-                })
-                .unwrap();
-            assert_eq!(hit, None);
+            for _ in 0..40 {
+                engine.run(&mut SendRound::new(), Run::new(1)).unwrap();
+                seen.push(engine.summary().discrepancy);
+            }
             assert_eq!(seen, expected);
             assert_eq!(engine.loads(), shadow.loads());
+        }
+    }
+
+    /// `run`'s dispatch rule, case by case, read off the spans each
+    /// round emits: `Plan` for a planned round, `VectorDispatch` for the
+    /// vector layer, `Stream` for a scalar kernel round.
+    #[test]
+    fn run_takes_the_kernel_only_for_kernel_schemes_without_a_monitor() {
+        use crate::schemes::QuasirandomDiffusion;
+        use dlb_obs::RingSink;
+        let (n, steps) = (64, 40);
+        let make = || Engine::new(lazy_cycle(n), LoadVector::point_mass(n, 6400));
+        let traced = |engine: &mut Engine, bal: &mut dyn Balancer, path: Path| {
+            let mut sink = RingSink::with_capacity(4 * steps);
+            let run = Run {
+                sink: Some(&mut sink),
+                path,
+                ..Run::new(steps)
+            };
+            engine.run(bal, run).unwrap();
+            [Phase::Plan, Phase::VectorDispatch, Phase::Stream].map(|p| sink.phase_count(p))
+        };
+        let rounds = steps as u64;
+
+        // Closed SEND, no monitor: one vector run, no summary scans.
+        let mut auto = make();
+        assert_eq!(traced(&mut auto, &mut SendFloor::new(), Path::Auto)[0], 0);
+        assert_eq!(auto.vector_stats().runs, 1);
+        assert_eq!(auto.vector_stats().rounds_banded, rounds);
+        assert_eq!(auto.discrepancy_scans(), 0);
+
+        // Forced planned: the same loads, no vector run.
+        let mut planned = make();
+        let spans = traced(&mut planned, &mut SendFloor::new(), Path::Planned);
+        assert_eq!(spans, [rounds, 0, 0]);
+        assert_eq!(planned.vector_stats().runs, 0);
+        assert_eq!(planned.loads(), auto.loads());
+
+        // A stateful kernel streams scalar kernel rounds.
+        let mut rotor = make();
+        let mut rr = RotorRouter::new(&lazy_cycle(n), PortOrder::Sequential).unwrap();
+        assert_eq!(traced(&mut rotor, &mut rr, Path::Auto), [0, 0, rounds]);
+
+        // A monitor attached: planned, recording exactly the ledger and
+        // monitor of the step loop.
+        let mut monitored = make();
+        monitored.attach_monitor();
+        let spans = traced(&mut monitored, &mut SendFloor::new(), Path::Auto);
+        assert_eq!(spans, [rounds, 0, 0]);
+        let mut stepped = make();
+        stepped.attach_monitor();
+        for _ in 0..steps {
+            stepped.step(&mut SendFloor::new()).unwrap();
+        }
+        assert_eq!(monitored.monitor(), stepped.monitor());
+        assert_eq!(monitored.monitor().unwrap().ledger().steps(), steps);
+        assert_eq!(monitored.loads(), stepped.loads());
+
+        // A plan-only scheme runs planned.
+        let mut quasi = make();
+        let mut bal = QuasirandomDiffusion::new(&lazy_cycle(n));
+        assert_eq!(traced(&mut quasi, &mut bal, Path::Auto), [rounds, 0, 0]);
+        let mut quasi_ref = make();
+        let mut bal = QuasirandomDiffusion::new(&lazy_cycle(n));
+        for _ in 0..steps {
+            quasi_ref.step(&mut bal).unwrap();
+        }
+        assert_eq!(quasi.loads(), quasi_ref.loads());
+    }
+
+    /// A 0-regular graph with one self-loop per node (`d⁺ = 1`, the
+    /// one graph with no original port that `with_self_loops` accepts):
+    /// every token stays home, identically on the planned round, the
+    /// vector layer and the scalar kernel.
+    #[test]
+    fn zero_regular_graph_with_a_self_loop_runs_identically_on_both_paths() {
+        let empty = dlb_graph::RegularGraph::from_adjacency(5, 0, Vec::new()).unwrap();
+        let gp = BalancingGraph::with_self_loops(empty, 1).unwrap();
+        let initial = LoadVector::new(vec![0, 3, 9, 1, 4]);
+        let run = |path: Path, vector: bool| {
+            let mut engine = Engine::new(gp.clone(), initial.clone());
+            engine.set_vector_config(VectorConfig {
+                enabled: vector,
+                ..VectorConfig::default()
+            });
+            let run = Run {
+                path,
+                ..Run::new(6)
+            };
+            engine.run(&mut SendFloor::new(), run).unwrap();
+            engine
+        };
+        let planned = run(Path::Planned, true);
+        assert_eq!(planned.loads(), &initial);
+        for vector in [true, false] {
+            let auto = run(Path::Auto, vector);
+            assert_eq!(auto.loads(), planned.loads(), "vector layer {vector}");
+            assert_eq!(auto.step_count(), 6);
+            assert_eq!(auto.vector_stats().runs, u64::from(vector));
         }
     }
 
@@ -1546,10 +1593,14 @@ mod tests {
             let mut engine = make();
             for _ in 0..20 {
                 engine
-                    .step_dyn(
+                    .run(
                         &mut SendFloor::new(),
-                        Some(&mut MiniChurn),
-                        Some(&mut Node0Arrivals { rate: 5 }),
+                        Run {
+                            schedule: Some(&mut MiniChurn),
+                            workload: Some(&mut Node0Arrivals { rate: 5 }),
+                            path: Path::Planned,
+                            ..Run::new(1)
+                        },
                     )
                     .unwrap();
             }
@@ -1560,11 +1611,14 @@ mod tests {
         assert!(reference.graph().graph().is_awake(3), "woken back up");
 
         let mut fast = make();
-        fast.run_fast_dyn(
+        fast.run(
             &mut SendFloor::new(),
-            20,
-            Some::<&mut dyn TopologySchedule>(&mut MiniChurn),
-            Some(&mut Node0Arrivals { rate: 5 }),
+            Run {
+                schedule: Some(&mut MiniChurn),
+                workload: Some(&mut Node0Arrivals { rate: 5 }),
+                path: Path::Planned,
+                ..Run::new(20)
+            },
         )
         .unwrap();
         assert_eq!(fast.loads(), reference.loads());
@@ -1573,11 +1627,13 @@ mod tests {
         assert_eq!(fast.topology_events_applied(), 3);
 
         let mut kern = make();
-        kern.run_kernel_dyn(
+        kern.run(
             &mut SendFloor::new(),
-            20,
-            Some(&mut MiniChurn),
-            Some(&mut Node0Arrivals { rate: 5 }),
+            Run {
+                schedule: Some(&mut MiniChurn),
+                workload: Some(&mut Node0Arrivals { rate: 5 }),
+                ..Run::new(20)
+            },
         )
         .unwrap();
         assert_eq!(kern.loads(), reference.loads());
@@ -1603,8 +1659,12 @@ mod tests {
             match mode {
                 0 => {
                     for _ in 0..12 {
-                        e.step_dyn(&mut SendFloor::new(), Some(&mut sched), None)
-                            .unwrap();
+                        let round = Run {
+                            schedule: Some(&mut sched),
+                            path: Path::Planned,
+                            ..Run::new(1)
+                        };
+                        e.run(&mut SendFloor::new(), round).unwrap();
                         assert_eq!(
                             e.is_connected(),
                             Some(traversal::is_connected(e.graph().graph())),
@@ -1613,13 +1673,11 @@ mod tests {
                     }
                 }
                 _ => {
-                    e.run_kernel_dyn::<_, _, crate::workload::NoWorkload>(
-                        &mut SendFloor::new(),
-                        12,
-                        Some(&mut sched),
-                        None,
-                    )
-                    .unwrap();
+                    let run = Run {
+                        schedule: Some(&mut sched),
+                        ..Run::new(12)
+                    };
+                    e.run(&mut SendFloor::new(), run).unwrap();
                 }
             }
             assert_eq!(
@@ -1671,7 +1729,12 @@ mod tests {
         let mut e = Engine::new(gp, LoadVector::point_mass(8, 80));
         e.track_connectivity();
         let before = e.graph().clone();
-        let err = e.step_dyn(&mut SendFloor::new(), Some(&mut SwapThenBad), None);
+        let round = Run {
+            schedule: Some(&mut SwapThenBad),
+            path: Path::Planned,
+            ..Run::new(1)
+        };
+        let err = e.run(&mut SendFloor::new(), round);
         assert!(matches!(err, Err(EngineError::Topology { .. })));
         assert_eq!(e.graph(), &before, "graph rolled back");
         assert_eq!(e.is_connected(), Some(true), "checker rolled back with it");
@@ -1701,14 +1764,12 @@ mod tests {
         let gp = lazy_cycle(12);
         let mut rotor = RotorRouter::new(&gp, PortOrder::Sequential).unwrap();
         let mut engine = Engine::new(gp, LoadVector::point_mass(12, 100));
-        engine
-            .run_dyn(
-                &mut rotor,
-                6,
-                Some::<&mut dyn TopologySchedule>(&mut SleepZero),
-                Option::<&mut dyn crate::Workload>::None,
-            )
-            .unwrap();
+        let run = Run {
+            schedule: Some(&mut SleepZero),
+            path: Path::Planned,
+            ..Run::new(6)
+        };
+        engine.run(&mut rotor, run).unwrap();
         assert_eq!(engine.loads().total(), 100, "handoff conserves");
         assert!(!engine.graph().graph().is_awake(0));
         // Node 0 went down in round 1's topology phase, before any
@@ -1769,10 +1830,14 @@ mod tests {
             let mut engine = make();
             let mut err = None;
             for _ in 0..50 {
-                match engine.step_dyn(
+                match engine.run(
                     &mut SendFloor::new(),
-                    Some(&mut SwapEveryRound),
-                    Some(&mut Node1Drain { rate: 4 }),
+                    Run {
+                        schedule: Some(&mut SwapEveryRound),
+                        workload: Some(&mut Node1Drain { rate: 4 }),
+                        path: Path::Planned,
+                        ..Run::new(1)
+                    },
                 ) {
                     Ok(_) => {}
                     Err(e) => {
@@ -1788,11 +1853,13 @@ mod tests {
 
         let mut kern = make();
         let kern_err = kern
-            .run_kernel_dyn(
+            .run(
                 &mut SendFloor::new(),
-                50,
-                Some(&mut SwapEveryRound),
-                Some(&mut Node1Drain { rate: 4 }),
+                Run {
+                    schedule: Some(&mut SwapEveryRound),
+                    workload: Some(&mut Node1Drain { rate: 4 }),
+                    ..Run::new(50)
+                },
             )
             .unwrap_err();
         assert_eq!(kern_err, ref_err);
@@ -1838,11 +1905,12 @@ mod tests {
         let mut reference = make();
         let mut ref_err = None;
         for _ in 0..5 {
-            if let Err(e) = reference.step_dyn(
-                &mut SendFloor::new(),
-                Some(&mut BadAtRound3),
-                Option::<&mut dyn crate::Workload>::None,
-            ) {
+            let round = Run {
+                schedule: Some(&mut BadAtRound3),
+                path: Path::Planned,
+                ..Run::new(1)
+            };
+            if let Err(e) = reference.run(&mut SendFloor::new(), round) {
                 ref_err = Some(e);
                 break;
             }
@@ -1855,14 +1923,11 @@ mod tests {
         assert_eq!(reference.step_count(), 2);
 
         let mut kern = make();
-        let kern_err = kern
-            .run_kernel_dyn(
-                &mut SendFloor::new(),
-                5,
-                Some(&mut BadAtRound3),
-                Option::<&mut NoWorkload>::None,
-            )
-            .unwrap_err();
+        let run = Run {
+            schedule: Some(&mut BadAtRound3),
+            ..Run::new(5)
+        };
+        let kern_err = kern.run(&mut SendFloor::new(), run).unwrap_err();
         assert_eq!(kern_err, ref_err);
         assert_eq!(kern.loads(), reference.loads());
         assert_eq!(kern.step_count(), 2);
@@ -1933,34 +1998,32 @@ mod tests {
         };
         // Invalid round-1 event: Topology outranks the negative seed.
         let reference = drive(&|e| {
-            e.step_dyn(
-                &mut SendFloor::new(),
-                Some(&mut BadAtRound1),
-                Option::<&mut dyn crate::Workload>::None,
-            )
-            .unwrap_err()
+            let round = Run {
+                schedule: Some(&mut BadAtRound1),
+                path: Path::Planned,
+                ..Run::new(1)
+            };
+            e.run(&mut SendFloor::new(), round).unwrap_err()
         });
         assert!(matches!(reference, EngineError::Topology { step: 1, .. }));
         let kernel = drive(&|e| {
-            e.run_kernel_dyn(
-                &mut SendFloor::new(),
-                5,
-                Some(&mut BadAtRound1),
-                Option::<&mut NoWorkload>::None,
-            )
-            .unwrap_err()
+            let run = Run {
+                schedule: Some(&mut BadAtRound1),
+                ..Run::new(5)
+            };
+            e.run(&mut SendFloor::new(), run).unwrap_err()
         });
-        assert_eq!(kernel, reference, "run_kernel_dyn");
+        assert_eq!(kernel, reference, "kernel rounds");
         // Valid round-1 churn (a swap every round): the negative seed
         // itself must surface, with the erroring round's swap rolled
         // back everywhere.
         let reference = drive(&|e| {
-            e.step_dyn(
-                &mut SendFloor::new(),
-                Some(&mut ValidSwapRound1),
-                Option::<&mut dyn crate::Workload>::None,
-            )
-            .unwrap_err()
+            let round = Run {
+                schedule: Some(&mut ValidSwapRound1),
+                path: Path::Planned,
+                ..Run::new(1)
+            };
+            e.run(&mut SendFloor::new(), round).unwrap_err()
         });
         assert_eq!(
             reference,
@@ -1971,15 +2034,13 @@ mod tests {
             }
         );
         let kernel = drive(&|e| {
-            e.run_kernel_dyn(
-                &mut SendFloor::new(),
-                5,
-                Some(&mut ValidSwapRound1),
-                Option::<&mut NoWorkload>::None,
-            )
-            .unwrap_err()
+            let run = Run {
+                schedule: Some(&mut ValidSwapRound1),
+                ..Run::new(5)
+            };
+            e.run(&mut SendFloor::new(), run).unwrap_err()
         });
-        assert_eq!(kernel, reference, "run_kernel_dyn");
+        assert_eq!(kernel, reference, "kernel rounds");
     }
 
     /// Asserts every resumable counter of `a` equals `b`'s — the
@@ -2022,11 +2083,14 @@ mod tests {
         let make = || Engine::new(lazy_cycle(12), LoadVector::point_mass(12, 240));
         let mut reference = make();
         reference
-            .run_fast_dyn(
+            .run(
                 &mut SendFloor::new(),
-                20,
-                Some::<&mut dyn TopologySchedule>(&mut MiniChurn),
-                Some(&mut Node0Arrivals { rate: 5 }),
+                Run {
+                    schedule: Some(&mut MiniChurn),
+                    workload: Some(&mut Node0Arrivals { rate: 5 }),
+                    path: Path::Planned,
+                    ..Run::new(20)
+                },
             )
             .unwrap();
 
@@ -2034,11 +2098,14 @@ mod tests {
         // list crosses the snapshot boundary in both directions.
         let mut first = make();
         first
-            .run_fast_dyn(
+            .run(
                 &mut SendFloor::new(),
-                3,
-                Some::<&mut dyn TopologySchedule>(&mut MiniChurn),
-                Some(&mut Node0Arrivals { rate: 5 }),
+                Run {
+                    schedule: Some(&mut MiniChurn),
+                    workload: Some(&mut Node0Arrivals { rate: 5 }),
+                    path: Path::Planned,
+                    ..Run::new(3)
+                },
             )
             .unwrap();
         let state = first.export_state();
@@ -2047,31 +2114,38 @@ mod tests {
         // MiniChurn keys on the absolute round number, which the
         // restored step cursor preserves.
         resumed
-            .run_fast_dyn(
+            .run(
                 &mut SendFloor::new(),
-                17,
-                Some::<&mut dyn TopologySchedule>(&mut MiniChurn),
-                Some(&mut Node0Arrivals { rate: 5 }),
+                Run {
+                    schedule: Some(&mut MiniChurn),
+                    workload: Some(&mut Node0Arrivals { rate: 5 }),
+                    path: Path::Planned,
+                    ..Run::new(17)
+                },
             )
             .unwrap();
-        assert_counters_match(&resumed, &reference, "fast-path resume");
+        assert_counters_match(&resumed, &reference, "planned resume");
 
         // Same split driven through the kernel path.
         let mut kern = make();
-        kern.run_kernel_dyn(
+        kern.run(
             &mut SendFloor::new(),
-            3,
-            Some(&mut MiniChurn),
-            Some(&mut Node0Arrivals { rate: 5 }),
+            Run {
+                schedule: Some(&mut MiniChurn),
+                workload: Some(&mut Node0Arrivals { rate: 5 }),
+                ..Run::new(3)
+            },
         )
         .unwrap();
         let mut resumed = Engine::from_state(kern.export_state());
         resumed
-            .run_kernel_dyn(
+            .run(
                 &mut SendFloor::new(),
-                17,
-                Some(&mut MiniChurn),
-                Some(&mut Node0Arrivals { rate: 5 }),
+                Run {
+                    schedule: Some(&mut MiniChurn),
+                    workload: Some(&mut Node0Arrivals { rate: 5 }),
+                    ..Run::new(17)
+                },
             )
             .unwrap();
         assert_counters_match(&resumed, &reference, "kernel-path resume");
@@ -2085,13 +2159,13 @@ mod tests {
         // legitimately counts the split itself, so it is exempt.)
         let make = || Engine::new(lazy_cycle(64), LoadVector::point_mass(64, 6400));
         let mut reference = make();
-        reference.run_kernel(&mut SendFloor::new(), 100).unwrap();
+        reference.run(&mut SendFloor::new(), Run::new(100)).unwrap();
         let uninterrupted = reference.vector_stats();
 
         let mut first = make();
-        first.run_kernel(&mut SendFloor::new(), 40).unwrap();
+        first.run(&mut SendFloor::new(), Run::new(40)).unwrap();
         let mut resumed = Engine::from_state(first.export_state());
-        resumed.run_kernel(&mut SendFloor::new(), 60).unwrap();
+        resumed.run(&mut SendFloor::new(), Run::new(60)).unwrap();
         assert_counters_match(&resumed, &reference, "vector resume");
         let split = resumed.vector_stats();
         assert_eq!(split.rounds_banded, uninterrupted.rounds_banded);
@@ -2111,9 +2185,9 @@ mod tests {
         // at its exported value and grows by one per summary after.
         let mut engine = Engine::new(lazy_cycle(16), LoadVector::point_mass(16, 1600));
         engine.track_connectivity();
-        engine
-            .run_until(&mut SendFloor::new(), 10, |_| false)
-            .unwrap();
+        for _ in 0..10 {
+            engine.step(&mut SendFloor::new()).unwrap();
+        }
         let scans_at_export = engine.discrepancy_scans();
         assert_eq!(scans_at_export, 10);
         let mut resumed = Engine::from_state(engine.export_state());
@@ -2121,20 +2195,23 @@ mod tests {
         resumed.track_connectivity();
         assert_eq!(resumed.is_connected(), Some(true));
         resumed
-            .run_dyn(
+            .run(
                 &mut SendFloor::new(),
-                10,
-                None,
-                Some(&mut Node0Arrivals { rate: 3 }),
+                Run {
+                    workload: Some(&mut Node0Arrivals { rate: 3 }),
+                    ..Run::new(10)
+                },
             )
             .unwrap();
         assert_eq!(resumed.discrepancy_scans(), scans_at_export);
         // Threshold 2·d⁺ = 8: the scenario layer's recovery bar, which
         // SEND(⌊x/d⁺⌋) provably reaches on a lazy cycle.
-        let reached = resumed
-            .run_until(&mut SendFloor::new(), 2000, |s| s.discrepancy <= 8)
-            .unwrap()
-            .expect("run_until converged after restore");
+        let reached = (0..2000)
+            .find_map(|_| {
+                let s = resumed.step(&mut SendFloor::new()).unwrap();
+                (s.discrepancy <= 8).then_some(s.step)
+            })
+            .expect("converged after restore");
         assert_eq!(
             resumed.discrepancy_scans(),
             scans_at_export + (reached - 20) as u64

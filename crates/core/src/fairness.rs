@@ -17,22 +17,24 @@
 //!
 //! The cumulative part of Definition 2.1 — the δ such that any two
 //! original edges' lifetime totals differ by at most δ — is read off the
-//! engine's [`CumulativeLedger`](crate::CumulativeLedger) via
-//! [`CumulativeLedger::original_edge_spread`](crate::CumulativeLedger::original_edge_spread).
+//! monitor's own [`CumulativeLedger`] via
+//! [`CumulativeLedger::original_edge_spread`].
 
 use dlb_graph::BalancingGraph;
 
 use crate::balancer::split_load;
-use crate::{FlowPlan, LoadVector};
+use crate::{CumulativeLedger, FlowPlan, LoadVector};
 
-/// Runtime checker for the paper's per-step fairness conditions.
+/// Runtime checker for the paper's per-step fairness conditions, and
+/// keeper of the cumulative ledger `F_t` over the steps it observed.
 ///
 /// Attach one to an [`Engine`](crate::Engine) via
 /// [`Engine::attach_monitor`](crate::Engine::attach_monitor); it
 /// observes each step *before* flows are applied (the definitions are in
 /// terms of the pre-step loads `x_t`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FairnessMonitor {
+    ledger: CumulativeLedger,
     steps_observed: usize,
     floor_violations: u64,
     round_violations: u64,
@@ -42,9 +44,23 @@ pub struct FairnessMonitor {
 }
 
 impl FairnessMonitor {
-    /// A fresh monitor with no observations.
-    pub fn new() -> Self {
-        FairnessMonitor::default()
+    /// A fresh monitor with no observations and an empty ledger shaped
+    /// for `gp`.
+    pub fn for_graph(gp: &BalancingGraph) -> Self {
+        FairnessMonitor {
+            ledger: CumulativeLedger::for_graph(gp),
+            steps_observed: 0,
+            floor_violations: 0,
+            round_violations: 0,
+            witnessed_s: None,
+            self_preference_samples: 0,
+            overdraw_events: 0,
+        }
+    }
+
+    /// The cumulative ledger `F_t` over the observed steps.
+    pub fn ledger(&self) -> &CumulativeLedger {
+        &self.ledger
     }
 
     /// Number of steps observed.
@@ -96,7 +112,11 @@ impl FairnessMonitor {
     }
 
     /// Observes one step: `loads` are the pre-step loads `x_t`, `plan`
-    /// the flows `f_t` about to be applied.
+    /// the flows `f_t` about to be applied, which the ledger records.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan's shape differs from the ledger's.
     pub fn observe(&mut self, gp: &BalancingGraph, loads: &LoadVector, plan: &FlowPlan) {
         let d = gp.degree();
         let d_plus = gp.degree_plus();
@@ -135,6 +155,7 @@ impl FairnessMonitor {
                 }
             }
         }
+        self.ledger.record(plan);
         self.steps_observed += 1;
     }
 }
@@ -172,7 +193,7 @@ mod tests {
     fn fair_floor_split_passes_all_checks() {
         let gp = lazy_cycle(4);
         let loads = LoadVector::uniform(4, 9); // base 2, e 1 with d+ = 4
-        let mut m = FairnessMonitor::new();
+        let mut m = FairnessMonitor::for_graph(&gp);
         let mut plan = FlowPlan::for_graph(&gp);
         for u in 0..4 {
             // 3, 2, 2, 2: round fair, extra on an original port.
@@ -192,7 +213,7 @@ mod tests {
     fn detects_floor_violation() {
         let gp = lazy_cycle(4);
         let loads = LoadVector::uniform(4, 8); // base 2 exactly
-        let mut m = FairnessMonitor::new();
+        let mut m = FairnessMonitor::for_graph(&gp);
         // Node 0 starves port 1 (sends 1 < base = 2).
         let plan = plan_with_node0(&gp, &loads, &[3, 1, 2, 2]);
         m.observe(&gp, &loads, &plan);
@@ -205,7 +226,7 @@ mod tests {
     fn detects_self_preference() {
         let gp = lazy_cycle(4);
         let loads = LoadVector::uniform(4, 10); // base 2, e 2
-        let mut m = FairnessMonitor::new();
+        let mut m = FairnessMonitor::for_graph(&gp);
         let mut plan = FlowPlan::for_graph(&gp);
         for u in 0..4 {
             // Both extras on self-loop ports 2 and 3.
@@ -222,7 +243,7 @@ mod tests {
     fn witnessed_s_takes_minimum_over_steps() {
         let gp = lazy_cycle(4);
         let loads = LoadVector::uniform(4, 10); // base 2, e 2
-        let mut m = FairnessMonitor::new();
+        let mut m = FairnessMonitor::for_graph(&gp);
         let mut generous = FlowPlan::for_graph(&gp);
         let mut stingy = FlowPlan::for_graph(&gp);
         for u in 0..4 {
@@ -240,7 +261,7 @@ mod tests {
     fn overdraw_skips_fairness_checks() {
         let gp = lazy_cycle(4);
         let loads = LoadVector::uniform(4, 2);
-        let mut m = FairnessMonitor::new();
+        let mut m = FairnessMonitor::for_graph(&gp);
         // Node 0 sends 5 > 2 held.
         let plan = plan_with_node0(&gp, &loads, &[5, 0, 0, 0]);
         m.observe(&gp, &loads, &plan);
@@ -254,7 +275,7 @@ mod tests {
     fn zero_load_constrains_nothing() {
         let gp = lazy_cycle(4);
         let loads = LoadVector::uniform(4, 0);
-        let mut m = FairnessMonitor::new();
+        let mut m = FairnessMonitor::for_graph(&gp);
         let plan = FlowPlan::for_graph(&gp);
         m.observe(&gp, &loads, &plan);
         assert_eq!(m.floor_violations(), 0);

@@ -2,13 +2,18 @@
 //!
 //! Every scheme in the paper is a *local* rule — node `u`'s outgoing
 //! flows at step `t` are a pure function of `x_t(u)` (plus, for the
-//! rotor schemes, a rotor position). The planned paths nevertheless
-//! materialise the full [`FlowPlan`](crate::FlowPlan) matrix every
+//! rotor schemes, a rotor position). The planned round nevertheless
+//! materialises the full [`FlowPlan`](crate::FlowPlan) matrix every
 //! round: `n·d⁺` `u64` writes that the engine immediately re-reads,
 //! sums, and discards. The kernel path removes that round trip
-//! entirely: [`Engine::run_kernel`](crate::Engine::run_kernel) streams
-//! once over the CSR adjacency per round into a double-buffered
-//! `Vec<i64>` — no plan writes, no touched-set bookkeeping, no ledger.
+//! entirely: [`Engine::run`](crate::Engine::run) on
+//! [`Path::Auto`](crate::Path::Auto) streams once over the CSR
+//! adjacency per round into a double-buffered `Vec<i64>` — no plan
+//! writes, no touched-set bookkeeping, no monitor. A scheme opts in by
+//! implementing [`KernelBalancer`] and answering
+//! [`Balancer::as_kernel`] with `Some(self)`; the [`KernelRounds`]
+//! object it hands out runs rounds compiled for the concrete scheme
+//! type, so only the one call per run is dynamic.
 //!
 //! Each call picks one of two round bodies, once, in `run_rounds`:
 //!
@@ -37,23 +42,19 @@
 //! Loads are double-buffered per round: the kernel reads `x_t` from the
 //! front buffer and writes `x_{t+1}` to the back buffer, so a round
 //! that errors simply discards the back buffer and the engine keeps the
-//! exact guarantee of the planned paths — on error, loads are those
+//! exact guarantee of the planned round — on error, loads are those
 //! after the last fully completed round, and the reported
 //! [`Overdraw`](crate::EngineError::Overdraw)/
 //! [`NegativeLoad`](crate::EngineError::NegativeLoad) carries the same
 //! step and node as [`Engine::step`](crate::Engine::step) would report.
 //!
 //! The round loop is additionally monomorphised over an optional
-//! [`Workload`] **and** an optional
-//! [`TopologySchedule`]:
-//! [`Engine::run_kernel_dyn`](crate::Engine::run_kernel_dyn) opens
-//! every round with the engine's shared pre-round — mutate topology,
-//! inject load, hand asleep queues to live neighbours, negative-check
-//! — and then streams the round body, while the
-//! `NoWorkload`/`StaticTopology` instantiation behind the
-//! closed-system [`Engine::run_kernel`](crate::Engine::run_kernel)
-//! folds the pre-round's branches away. An erroring round rolls back
-//! its injection *and* its topology events, so on error both loads and
+//! [`Workload`] **and** an optional [`TopologySchedule`]: every round
+//! opens with the engine's shared pre-round — mutate topology, inject
+//! load, hand asleep queues to live neighbours, negative-check — and
+//! then streams the round body; an absent schedule or workload folds
+//! the pre-round's branches away. An erroring round rolls back its
+//! injection *and* its topology events, so on error both loads and
 //! graph are those after the last fully completed round.
 
 use dlb_graph::BalancingGraph;
@@ -62,7 +63,7 @@ use dlb_topology::TopologySchedule;
 
 use crate::round::{PreRound, RoundState};
 use crate::workload::Workload;
-use crate::{Balancer, EngineError};
+use crate::{Balancer, Engine, EngineError, Run};
 use vector::SendRule;
 
 pub mod vector;
@@ -75,7 +76,7 @@ pub mod vector;
 /// ROTOR-ROUTER\* advance their rotors as they plan); schemes whose
 /// flows are a closed form of the load alone also answer
 /// [`uniform_kernel`](KernelBalancer::uniform_kernel),
-/// which lets [`Engine::run_kernel`](crate::Engine::run_kernel) and
+/// which lets [`Engine::run`] and
 /// [`Engine::run_parallel`](crate::Engine::run_parallel) run them as
 /// whole-array [`vector`] rounds and otherwise stream the closed-form
 /// gather instead of calling `kernel_node` (see the module docs).
@@ -83,12 +84,15 @@ pub mod vector;
 /// (`flows.len() == d⁺`; the buffer is reused across nodes and arrives
 /// dirty) and must produce exactly the flows their
 /// [`Balancer::plan`] would put in a [`FlowPlan`](crate::FlowPlan) row,
-/// so the kernel path stays bit-identical to the planned paths.
-/// `kernel_node` is never called for `load == 0` (planned paths skip
-/// zero-load nodes too, and rotors must not advance for them).
+/// so the kernel path stays bit-identical to the planned round.
+/// `kernel_node` is never called for `load == 0` (the planned round
+/// skips zero-load nodes too, and rotors must not advance for them).
+/// [`Engine::run`] reaches the kernel only through
+/// [`Balancer::as_kernel`], which an implementation answers with
+/// `Some(self)`.
 ///
 /// One deliberate asymmetry on the *error* path: when a round is
-/// rejected, the planned paths have already called `plan` for every
+/// rejected, the planned round has already called `plan` for every
 /// node, while the kernel stops streaming at the offending node — so
 /// for a stateful scheme that trips `Overdraw` despite claiming
 /// `may_overdraw() == false`, per-node state after the failed round is
@@ -116,6 +120,35 @@ pub trait KernelBalancer: Balancer {
         let _ = gp;
         None
     }
+}
+
+/// A [`KernelBalancer`] as a trait object, handed out by
+/// [`Balancer::as_kernel`]: the one dynamic call through which
+/// [`Engine::run`] reaches a scheme's kernel rounds. It is implemented
+/// for every sized kernel scheme, and the rounds behind it are compiled
+/// for that concrete type, so every
+/// [`kernel_node`](KernelBalancer::kernel_node) call inside stays
+/// statically dispatched.
+pub trait KernelRounds {
+    /// Runs `call` on this scheme's kernel rounds.
+    ///
+    /// # Errors
+    ///
+    /// As [`Engine::run`].
+    fn rounds(&mut self, call: KernelCall<'_, '_, '_, '_>) -> Result<(), EngineError>;
+}
+
+impl<K: KernelBalancer> KernelRounds for K {
+    fn rounds(&mut self, call: KernelCall<'_, '_, '_, '_>) -> Result<(), EngineError> {
+        call.engine.kernel_call(self, call.run)
+    }
+}
+
+/// An [`Engine::run`] call on its way to a scheme's kernel rounds;
+/// only the engine builds one.
+pub struct KernelCall<'e, 'a, 's, 'w> {
+    pub(crate) engine: &'e mut Engine,
+    pub(crate) run: Run<'a, 's, 'w>,
 }
 
 /// Parameters of a kernel run, bundled to keep the entry points tidy.
@@ -535,7 +568,7 @@ where
 mod tests {
     use super::*;
     use crate::schemes::{SendFloor, SendRound};
-    use crate::{Engine, LoadVector, VectorConfig};
+    use crate::{Engine, LoadVector, Run, VectorConfig};
     use dlb_graph::generators;
 
     fn lazy_cycle(n: usize) -> BalancingGraph {
@@ -564,8 +597,8 @@ mod tests {
                     slow.step(&mut bal).unwrap();
                     slow_round.step(&mut bal_round).unwrap();
                 }
-                floor.run_kernel(&mut SendFloor::new(), steps).unwrap();
-                round.run_kernel(&mut SendRound::new(), steps).unwrap();
+                floor.run(&mut SendFloor::new(), Run::new(steps)).unwrap();
+                round.run(&mut SendRound::new(), Run::new(steps)).unwrap();
                 let tag = format!("{steps} steps, vector layer enabled: {enabled}");
                 assert_eq!(slow.loads(), floor.loads(), "floor diverged at {tag}");
                 assert_eq!(slow_round.loads(), round.loads(), "round diverged at {tag}");
@@ -589,14 +622,14 @@ mod tests {
         for _ in 0..41 {
             slow.step(&mut bal).unwrap();
         }
-        fast.run_kernel(&mut SendFloor::new(), 41).unwrap();
+        fast.run(&mut SendFloor::new(), Run::new(41)).unwrap();
         assert_eq!(slow.loads(), fast.loads());
     }
 
     #[test]
     fn kernel_rejects_negative_seed_like_step() {
         let mut engine = Engine::new(lazy_cycle(4), LoadVector::new(vec![5, -1, 3, 3]));
-        let err = engine.run_kernel(&mut SendFloor::new(), 5).unwrap_err();
+        let err = engine.run(&mut SendFloor::new(), Run::new(5)).unwrap_err();
         assert_eq!(
             err,
             EngineError::NegativeLoad {
@@ -626,6 +659,9 @@ mod tests {
             ) {
                 unreachable!("kernel-only test scheme")
             }
+            fn as_kernel(&mut self) -> Option<&mut dyn KernelRounds> {
+                Some(self)
+            }
         }
         impl KernelBalancer for TripsAtStep3 {
             fn kernel_node(
@@ -645,7 +681,7 @@ mod tests {
             }
         }
         let mut engine = Engine::new(lazy_cycle(4), LoadVector::point_mass(4, 10));
-        let err = engine.run_kernel(&mut TripsAtStep3, 10).unwrap_err();
+        let err = engine.run(&mut TripsAtStep3, Run::new(10)).unwrap_err();
         assert!(
             matches!(
                 err,

@@ -166,7 +166,7 @@ pub struct VectorConfig {
     /// where a uniform scheme streams its closed form (the independent
     /// references the differential batteries pin every path against
     /// are [`Engine::step`](crate::Engine::step) and
-    /// [`Engine::run_fast`](crate::Engine::run_fast)).
+    /// [`Path::Planned`](crate::Path::Planned) runs).
     pub enabled: bool,
     /// Gather strategy selection.
     pub strategy: VectorStrategy,
@@ -191,8 +191,8 @@ impl Default for VectorConfig {
 /// dlb-obs MetricRegistry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VectorStats {
-    /// Vector-path runs dispatched (each `run_kernel` call that took
-    /// the whole-array path counts once).
+    /// Vector-path runs dispatched (each kernel-path run that took the
+    /// whole-array path counts once).
     pub runs: u64,
     /// Rounds executed with the banded (shifted-slice) gather.
     pub rounds_banded: u64,
@@ -1138,15 +1138,18 @@ mod tests {
             rcm,
             generators::chorded_cycle(101, 10).unwrap(),
             generators::chorded_cycle(1001, 10).unwrap(),
-            // No ports at all: an empty banded plan.
-            dlb_graph::RegularGraph::from_adjacency(5, 0, Vec::new()).unwrap(),
-        ];
+        ]
+        .map(BalancingGraph::lazy);
+        // No original ports at all, one self-loop: an empty banded plan.
+        let empty = dlb_graph::RegularGraph::from_adjacency(5, 0, Vec::new()).unwrap();
+        let empty = BalancingGraph::with_self_loops(empty, 1).unwrap();
         let (mut banded, mut blocked) = (0, 0);
-        for g in graphs {
+        for gp in graphs.into_iter().chain([empty]) {
+            let g = gp.graph();
             let n = g.num_nodes();
-            let profile = relabel::port_shift_profile(&g);
+            let profile = relabel::port_shift_profile(g);
             let want_banded = profile.num_exceptions() <= n / BANDED_EXCEPTION_DIV;
-            match plan_gather(&BalancingGraph::lazy(g), VectorStrategy::Auto) {
+            match plan_gather(&gp, VectorStrategy::Auto) {
                 Gather::Banded { offsets, patches } => {
                     assert!(want_banded, "n={n}: banded over budget");
                     assert_eq!(offsets, profile.offsets, "n={n}");

@@ -45,13 +45,13 @@
 //!
 //! ```
 //! use dlb_graph::{generators, BalancingGraph, PortOrder};
-//! use dlb_core::{Engine, LoadVector};
+//! use dlb_core::{Engine, LoadVector, Run};
 //! use dlb_core::schemes::RotorRouter;
 //!
 //! let gp = BalancingGraph::lazy(generators::cycle(16)?);
 //! let mut rotor = RotorRouter::new(&gp, PortOrder::Sequential)?;
 //! let mut engine = Engine::new(gp, LoadVector::point_mass(16, 1_600));
-//! engine.run(&mut rotor, 500)?;
+//! engine.run(&mut rotor, Run::new(500))?;
 //! assert!(engine.loads().discrepancy() <= 8);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -76,17 +76,17 @@ pub mod sync;
 pub mod workload;
 
 pub use balancer::Balancer;
-pub use engine::{Engine, EngineState, StepSummary};
+pub use engine::{Engine, EngineState, Path, Run, StepSummary};
 pub use error::EngineError;
 pub use flow::{CumulativeLedger, FlowPlan};
 pub use kernel::vector::{
     UniformKernel, UniformSpec, VectorConfig, VectorStats, VectorStrategy, VectorWidth,
     I32_HEADROOM_LIMIT,
 };
-pub use kernel::KernelBalancer;
+pub use kernel::{KernelBalancer, KernelRounds};
 pub use load::LoadVector;
 pub use workload::{NoWorkload, Workload};
-// The dynamic-topology vocabulary of the `*_dyn` entry points, re-
-// exported so engine callers need not name the topology crates.
+// The dynamic-topology vocabulary of `Run`, re-exported so engine
+// callers need not name the topology crates.
 pub use dlb_graph::TopologyEvent;
 pub use dlb_topology::{StaticTopology, TopologySchedule};

@@ -26,13 +26,13 @@ use crate::{Balancer, FlowPlan, LoadVector};
 ///
 /// ```
 /// use dlb_graph::{generators, BalancingGraph};
-/// use dlb_core::{Engine, LoadVector};
+/// use dlb_core::{Engine, LoadVector, Run};
 /// use dlb_core::schemes::GoodBalancer;
 ///
 /// let gp = BalancingGraph::lazy(generators::cycle(8)?);
 /// let mut bal = GoodBalancer::new(&gp, 2)?; // s = 2 ≤ d° = 2
 /// let mut engine = Engine::new(gp, LoadVector::point_mass(8, 800));
-/// engine.run(&mut bal, 2_000)?;
+/// engine.run(&mut bal, Run::new(2_000))?;
 /// assert!(engine.loads().discrepancy() <= 12);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -110,7 +110,7 @@ impl Balancer for GoodBalancer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Engine;
+    use crate::{Engine, Run};
     use dlb_graph::generators;
 
     fn lazy_cycle(n: usize) -> BalancingGraph {
@@ -153,7 +153,7 @@ mod tests {
         let mut bal = GoodBalancer::new(&gp, 4).unwrap();
         let mut engine = Engine::new(gp, LoadVector::point_mass(8, 1021));
         engine.attach_monitor();
-        engine.run(&mut bal, 400).unwrap();
+        engine.run(&mut bal, Run::new(400)).unwrap();
         let m = engine.monitor().unwrap();
         assert_eq!(m.round_violations(), 0);
         assert_eq!(m.floor_violations(), 0);
@@ -161,7 +161,7 @@ mod tests {
             None => {}
             Some(s) => assert!(s >= 4, "scheme must witness s >= 4, got {s}"),
         }
-        assert!(engine.ledger().original_edge_spread() <= 1);
+        assert!(m.ledger().original_edge_spread() <= 1);
     }
 
     #[test]
@@ -169,8 +169,9 @@ mod tests {
         let gp = lazy_cycle(8);
         let mut bal = GoodBalancer::new(&gp, 2).unwrap();
         let mut engine = Engine::new(gp, LoadVector::point_mass(8, 997));
-        engine.run(&mut bal, 600).unwrap();
-        assert!(engine.ledger().original_edge_spread() <= 1);
+        engine.attach_monitor();
+        engine.run(&mut bal, Run::new(600)).unwrap();
+        assert!(engine.monitor().unwrap().ledger().original_edge_spread() <= 1);
         assert_eq!(engine.loads().total(), 997);
     }
 
@@ -191,9 +192,11 @@ mod tests {
             let d = gp.degree() as i64;
             let mut bal = GoodBalancer::new(&gp, s).unwrap();
             let mut engine = Engine::new(gp, LoadVector::point_mass(16, 4096));
-            engine
-                .run_until(&mut bal, 100_000, |st| st.discrepancy <= 3 * d)
-                .unwrap()
+            (0..100_000)
+                .find_map(|_| {
+                    let st = engine.step(&mut bal).unwrap();
+                    (st.discrepancy <= 3 * d).then_some(st.step)
+                })
                 .expect("must converge")
         };
         let slow = time_to(1);

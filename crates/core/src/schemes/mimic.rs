@@ -114,7 +114,7 @@ impl Balancer for ContinuousMimic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Engine;
+    use crate::{Engine, Run};
     use dlb_graph::generators;
 
     fn lazy_cycle(n: usize) -> BalancingGraph {
@@ -126,7 +126,7 @@ mod tests {
         let gp = lazy_cycle(8);
         let mut bal = ContinuousMimic::new(&gp);
         let mut engine = Engine::new(gp, LoadVector::point_mass(8, 797));
-        engine.run(&mut bal, 300).unwrap();
+        engine.run(&mut bal, Run::new(300)).unwrap();
         for idx in 0..bal.cumulative_continuous.len() {
             let gap = (bal.cumulative_continuous[idx] - bal.cumulative_discrete[idx] as f64).abs();
             assert!(gap <= 0.5 + 1e-9, "edge {idx} drifted by {gap}");
@@ -140,7 +140,7 @@ mod tests {
         let mut bal = ContinuousMimic::new(&gp);
         let mut engine = Engine::new(gp, LoadVector::point_mass(32, 3200));
         // T for the 32-cycle with K = 3200 at µ ≈ 9.6e-3 is ≈ 1200.
-        engine.run(&mut bal, 2500).unwrap();
+        engine.run(&mut bal, Run::new(2500)).unwrap();
         assert!(
             engine.loads().discrepancy() <= 2 * 2 + 1,
             "discrepancy {} exceeds 2d",
@@ -153,7 +153,7 @@ mod tests {
         let gp = lazy_cycle(8);
         let mut bal = ContinuousMimic::new(&gp);
         let mut engine = Engine::new(gp, LoadVector::point_mass(8, 101));
-        engine.run(&mut bal, 100).unwrap();
+        engine.run(&mut bal, Run::new(100)).unwrap();
         assert_eq!(engine.loads().total(), 101);
     }
 
@@ -170,7 +170,7 @@ mod tests {
         let mut loads = vec![0i64; 8];
         loads[0] = 10_000;
         let mut engine = Engine::new(gp, LoadVector::new(loads));
-        engine.run(&mut bal, 50).unwrap();
+        engine.run(&mut bal, Run::new(50)).unwrap();
         // Not asserting negativity occurred (depends on rounding), but
         // the run must complete and conserve.
         assert_eq!(engine.loads().total(), 10_000);
@@ -181,7 +181,7 @@ mod tests {
         let gp = lazy_cycle(8);
         let mut bal = ContinuousMimic::new(&gp);
         let mut engine = Engine::new(gp, LoadVector::point_mass(8, 800));
-        engine.run(&mut bal, 2000).unwrap();
+        engine.run(&mut bal, Run::new(2000)).unwrap();
         for &y in bal.continuous_loads() {
             assert!((y - 100.0).abs() < 1.0, "continuous load {y} not near mean");
         }

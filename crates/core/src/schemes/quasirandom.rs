@@ -84,7 +84,7 @@ impl Balancer for QuasirandomDiffusion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Engine;
+    use crate::{Engine, Run};
     use dlb_graph::generators;
 
     fn lazy_cycle(n: usize) -> BalancingGraph {
@@ -96,7 +96,7 @@ mod tests {
         let gp = lazy_cycle(8);
         let mut bal = QuasirandomDiffusion::new(&gp);
         let mut engine = Engine::new(gp, LoadVector::point_mass(8, 1111));
-        engine.run(&mut bal, 300).unwrap();
+        engine.run(&mut bal, Run::new(300)).unwrap();
         let d_plus = 4;
         for u in 0..8 {
             for p in 0..2 {
@@ -116,6 +116,7 @@ mod tests {
         let d_plus = 4u64;
         let mut bal = QuasirandomDiffusion::new(&gp);
         let mut engine = Engine::new(gp.clone(), LoadVector::point_mass(6, 600));
+        engine.attach_monitor();
         let mut continuous_numerator = [0u64; 6 * 2]; // Σ_τ x_τ(u) per edge
         for _ in 0..200 {
             for u in 0..6 {
@@ -128,7 +129,8 @@ mod tests {
         }
         for u in 0..6 {
             for p in 0..2 {
-                let discrete = engine.ledger().get(u, p) as i128 * d_plus as i128;
+                let ledger = engine.monitor().unwrap().ledger();
+                let discrete = ledger.get(u, p) as i128 * d_plus as i128;
                 let continuous = continuous_numerator[u * 2 + p] as i128;
                 assert!(
                     (discrete - continuous).abs() < d_plus as i128,
@@ -143,7 +145,7 @@ mod tests {
         let gp = lazy_cycle(8);
         let mut bal = QuasirandomDiffusion::new(&gp);
         let mut engine = Engine::new(gp, LoadVector::point_mass(8, 808));
-        engine.run(&mut bal, 500).unwrap();
+        engine.run(&mut bal, Run::new(500)).unwrap();
         assert_eq!(engine.loads().total(), 808);
     }
 
@@ -152,7 +154,7 @@ mod tests {
         let gp = lazy_cycle(16);
         let mut bal = QuasirandomDiffusion::new(&gp);
         let mut engine = Engine::new(gp, LoadVector::point_mass(16, 3200));
-        engine.run(&mut bal, 5000).unwrap();
+        engine.run(&mut bal, Run::new(5000)).unwrap();
         assert!(
             engine.loads().discrepancy() <= 10,
             "discrepancy {}",

@@ -141,7 +141,7 @@ impl Balancer for RandomizedEdgeRounding {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Engine;
+    use crate::{Engine, Run};
     use dlb_graph::generators;
 
     fn lazy_cycle(n: usize) -> BalancingGraph {
@@ -153,7 +153,7 @@ mod tests {
         let gp = lazy_cycle(8);
         let mut bal = RandomizedExtraTokens::new(5);
         let mut engine = Engine::new(gp, LoadVector::point_mass(8, 505));
-        engine.run(&mut bal, 300).unwrap();
+        engine.run(&mut bal, Run::new(300)).unwrap();
         assert_eq!(engine.negative_node_steps(), 0);
         assert_eq!(engine.loads().total(), 505);
     }
@@ -163,7 +163,7 @@ mod tests {
         let gp = lazy_cycle(16);
         let mut bal = RandomizedExtraTokens::new(5);
         let mut engine = Engine::new(gp, LoadVector::point_mass(16, 3200));
-        engine.run(&mut bal, 5000).unwrap();
+        engine.run(&mut bal, Run::new(5000)).unwrap();
         assert!(
             engine.loads().discrepancy() <= 12,
             "discrepancy {}",
@@ -176,7 +176,7 @@ mod tests {
         let gp = lazy_cycle(16);
         let mut bal = RandomizedEdgeRounding::new(9);
         let mut engine = Engine::new(gp, LoadVector::point_mass(16, 3200));
-        engine.run(&mut bal, 5000).unwrap();
+        engine.run(&mut bal, Run::new(5000)).unwrap();
         assert_eq!(engine.loads().total(), 3200);
         assert!(
             engine.loads().discrepancy() <= 12,
@@ -194,7 +194,7 @@ mod tests {
         let gp = lazy_cycle(8);
         let mut bal = RandomizedEdgeRounding::new(0);
         let mut engine = Engine::new(gp, LoadVector::new(vec![3, 0, 0, 0, 3, 0, 0, 0]));
-        engine.run(&mut bal, 200).unwrap();
+        engine.run(&mut bal, Run::new(200)).unwrap();
         assert_eq!(engine.loads().total(), 6);
     }
 
@@ -204,7 +204,7 @@ mod tests {
             let gp = lazy_cycle(8);
             let mut bal = RandomizedExtraTokens::new(seed);
             let mut engine = Engine::new(gp, LoadVector::point_mass(8, 333));
-            engine.run(&mut bal, 100).unwrap();
+            engine.run(&mut bal, Run::new(100)).unwrap();
             engine.loads().clone()
         };
         assert_eq!(run(1), run(1));

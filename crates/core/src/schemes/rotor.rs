@@ -1,7 +1,7 @@
 use dlb_graph::{BalancingGraph, GraphError, PortOrder};
 
 use crate::balancer::split_load;
-use crate::{Balancer, FlowPlan, KernelBalancer, LoadVector};
+use crate::{Balancer, FlowPlan, KernelBalancer, KernelRounds, LoadVector};
 
 /// The ROTOR-ROUTER (Propp machine) as a load balancer (§1.2).
 ///
@@ -26,13 +26,13 @@ use crate::{Balancer, FlowPlan, KernelBalancer, LoadVector};
 ///
 /// ```
 /// use dlb_graph::{generators, BalancingGraph, PortOrder};
-/// use dlb_core::{Engine, LoadVector};
+/// use dlb_core::{Engine, LoadVector, Run};
 /// use dlb_core::schemes::RotorRouter;
 ///
 /// let gp = BalancingGraph::lazy(generators::hypercube(4)?);
 /// let mut rotor = RotorRouter::new(&gp, PortOrder::Sequential)?;
 /// let mut engine = Engine::new(gp, LoadVector::point_mass(16, 1600));
-/// engine.run(&mut rotor, 400)?;
+/// engine.run(&mut rotor, Run::new(400))?;
 /// assert!(engine.loads().discrepancy() <= 16);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -179,6 +179,10 @@ impl Balancer for RotorRouter {
     fn reset(&mut self) {
         self.rotors.clone_from(&self.initial_rotors);
     }
+
+    fn as_kernel(&mut self) -> Option<&mut dyn KernelRounds> {
+        Some(self)
+    }
 }
 
 /// Stateful but local: the rotor advance is per-node, so the same rule
@@ -193,7 +197,7 @@ impl KernelBalancer for RotorRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Engine;
+    use crate::{Engine, Run};
     use dlb_graph::generators;
 
     fn lazy_cycle(n: usize) -> BalancingGraph {
@@ -248,11 +252,11 @@ mod tests {
         let mut rr = RotorRouter::new(&gp, PortOrder::Sequential).unwrap();
         let mut engine = Engine::new(gp, LoadVector::point_mass(8, 1013));
         engine.attach_monitor();
-        engine.run(&mut rr, 500).unwrap();
+        engine.run(&mut rr, Run::new(500)).unwrap();
         assert!(
-            engine.ledger().original_edge_spread() <= 1,
+            engine.monitor().unwrap().ledger().original_edge_spread() <= 1,
             "spread {} exceeds δ = 1",
-            engine.ledger().original_edge_spread()
+            engine.monitor().unwrap().ledger().original_edge_spread()
         );
         let m = engine.monitor().unwrap();
         assert_eq!(m.round_violations(), 0, "rotor-router is round-fair");
@@ -284,7 +288,7 @@ mod tests {
         let gp = BalancingGraph::lazy(generators::hypercube(5).unwrap());
         let mut rr = RotorRouter::new(&gp, PortOrder::Sequential).unwrap();
         let mut engine = Engine::new(gp, LoadVector::point_mass(32, 32_000));
-        engine.run(&mut rr, 2000).unwrap();
+        engine.run(&mut rr, Run::new(2000)).unwrap();
         // d = 5, d⁺ = 10: Theorem 2.3 (i) gives O(d·√(log n/µ));
         // empirically this lands well under 3·d.
         assert!(
@@ -310,7 +314,7 @@ mod tests {
         let gp = BalancingGraph::bare(generators::cycle(5).unwrap());
         let mut rr = RotorRouter::new(&gp, PortOrder::Sequential).unwrap();
         let mut engine = Engine::new(gp, LoadVector::point_mass(5, 100));
-        engine.run(&mut rr, 50).unwrap();
+        engine.run(&mut rr, Run::new(50)).unwrap();
         assert_eq!(engine.loads().total(), 100);
     }
 }

@@ -2,7 +2,7 @@ use dlb_graph::{BalancingGraph, GraphError, PortOrder};
 
 use crate::balancer::split_load;
 use crate::schemes::rotor::spread_surplus;
-use crate::{Balancer, FlowPlan, KernelBalancer, LoadVector};
+use crate::{Balancer, FlowPlan, KernelBalancer, KernelRounds, LoadVector};
 
 /// ROTOR-ROUTER\*: the self-preferring rotor-router variant (§1.1).
 ///
@@ -163,6 +163,10 @@ impl Balancer for RotorRouterStar {
     fn reset(&mut self) {
         self.rotors.clone_from(&self.initial_rotors);
     }
+
+    fn as_kernel(&mut self) -> Option<&mut dyn KernelRounds> {
+        Some(self)
+    }
 }
 
 /// Stateful but local, like the rotor-router: the special loop and the
@@ -178,7 +182,7 @@ impl KernelBalancer for RotorRouterStar {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Engine;
+    use crate::{Engine, Run};
     use dlb_graph::generators;
 
     fn lazy_cycle(n: usize) -> BalancingGraph {
@@ -214,7 +218,7 @@ mod tests {
         let mut rrs = RotorRouterStar::new(&gp, PortOrder::Sequential).unwrap();
         let mut engine = Engine::new(gp, LoadVector::point_mass(8, 1013));
         engine.attach_monitor();
-        engine.run(&mut rrs, 500).unwrap();
+        engine.run(&mut rrs, Run::new(500)).unwrap();
         let m = engine.monitor().unwrap();
         assert_eq!(m.round_violations(), 0, "round-fair");
         assert_eq!(m.floor_violations(), 0);
@@ -225,7 +229,7 @@ mod tests {
             Some(s) => assert!(s >= 1, "witnessed s = {s}"),
         }
         // Cumulative 1-fairness on original edges.
-        assert!(engine.ledger().original_edge_spread() <= 1);
+        assert!(engine.monitor().unwrap().ledger().original_edge_spread() <= 1);
     }
 
     #[test]
@@ -241,7 +245,7 @@ mod tests {
         let gp = lazy_cycle(16);
         let mut rrs = RotorRouterStar::new(&gp, PortOrder::Sequential).unwrap();
         let mut engine = Engine::new(gp, LoadVector::point_mass(16, 12345));
-        engine.run(&mut rrs, 1000).unwrap();
+        engine.run(&mut rrs, Run::new(1000)).unwrap();
         assert_eq!(engine.loads().total(), 12345);
     }
 
@@ -252,7 +256,7 @@ mod tests {
         let gp = lazy_cycle(32);
         let mut rrs = RotorRouterStar::new(&gp, PortOrder::Sequential).unwrap();
         let mut engine = Engine::new(gp, LoadVector::point_mass(32, 6400));
-        engine.run(&mut rrs, 20_000).unwrap();
+        engine.run(&mut rrs, Run::new(20_000)).unwrap();
         assert!(
             engine.loads().discrepancy() <= 20,
             "discrepancy {}",
@@ -335,7 +339,7 @@ mod tests {
         let gp = lazy_cycle(8);
         let mut original = RotorRouterStar::new(&gp, PortOrder::Sequential).unwrap();
         let mut engine = Engine::new(gp.clone(), LoadVector::point_mass(8, 1013));
-        engine.run(&mut original, 50).unwrap();
+        engine.run(&mut original, Run::new(50)).unwrap();
 
         let mut restored = RotorRouterStar::with_initial_rotors(
             &gp,
@@ -344,8 +348,8 @@ mod tests {
         )
         .unwrap();
         let mut resumed = Engine::from_state(engine.export_state());
-        engine.run(&mut original, 50).unwrap();
-        resumed.run(&mut restored, 50).unwrap();
+        engine.run(&mut original, Run::new(50)).unwrap();
+        resumed.run(&mut restored, Run::new(50)).unwrap();
         assert_eq!(resumed.loads(), engine.loads());
         assert_eq!(restored.rotors(), original.rotors());
 

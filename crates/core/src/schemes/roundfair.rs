@@ -58,14 +58,14 @@ pub enum RoundingRule {
 ///
 /// ```
 /// use dlb_graph::{generators, BalancingGraph};
-/// use dlb_core::{Engine, LoadVector};
+/// use dlb_core::{Engine, LoadVector, Run};
 /// use dlb_core::schemes::{RoundFairDiffusion, RoundingRule};
 ///
 /// let gp = BalancingGraph::lazy(generators::cycle(8)?);
 /// let mut bal = RoundFairDiffusion::new(&gp, RoundingRule::FirstPorts);
 /// let mut engine = Engine::new(gp, LoadVector::point_mass(8, 800));
 /// engine.attach_monitor();
-/// engine.run(&mut bal, 200)?;
+/// engine.run(&mut bal, Run::new(200))?;
 /// assert_eq!(engine.monitor().unwrap().round_violations(), 0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -172,7 +172,7 @@ impl Balancer for RoundFairDiffusion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Engine;
+    use crate::{Engine, Run};
     use dlb_graph::generators;
 
     fn lazy_cycle(n: usize) -> BalancingGraph {
@@ -194,12 +194,13 @@ mod tests {
         let gp = lazy_cycle(8);
         let mut bal = RoundFairDiffusion::new(&gp, RoundingRule::FirstPorts);
         let mut engine = Engine::new(gp, LoadVector::point_mass(8, 1001));
-        engine.run(&mut bal, 400).unwrap();
+        engine.attach_monitor();
+        engine.run(&mut bal, Run::new(400)).unwrap();
         // Port 0 keeps winning the surplus: the spread grows with t.
         assert!(
-            engine.ledger().original_edge_spread() > 10,
+            engine.monitor().unwrap().ledger().original_edge_spread() > 10,
             "spread {} should grow",
-            engine.ledger().original_edge_spread()
+            engine.monitor().unwrap().ledger().original_edge_spread()
         );
     }
 
@@ -208,8 +209,9 @@ mod tests {
         let gp = lazy_cycle(8);
         let mut bal = RoundFairDiffusion::new(&gp, RoundingRule::RoundRobin);
         let mut engine = Engine::new(gp, LoadVector::point_mass(8, 1001));
-        engine.run(&mut bal, 400).unwrap();
-        assert!(engine.ledger().original_edge_spread() <= 1);
+        engine.attach_monitor();
+        engine.run(&mut bal, Run::new(400)).unwrap();
+        assert!(engine.monitor().unwrap().ledger().original_edge_spread() <= 1);
     }
 
     #[test]
@@ -225,7 +227,7 @@ mod tests {
             let mut bal = RoundFairDiffusion::new(&gp, rule.clone());
             let mut engine = Engine::new(gp, LoadVector::point_mass(8, 313));
             engine.attach_monitor();
-            engine.run(&mut bal, 150).unwrap();
+            engine.run(&mut bal, Run::new(150)).unwrap();
             let m = engine.monitor().unwrap();
             assert_eq!(m.round_violations(), 0, "rule {rule:?} not round-fair");
             assert_eq!(m.floor_violations(), 0, "rule {rule:?} starves a port");
@@ -239,7 +241,7 @@ mod tests {
             let gp = lazy_cycle(8);
             let mut bal = RoundFairDiffusion::new(&gp, RoundingRule::Random { seed });
             let mut engine = Engine::new(gp, LoadVector::point_mass(8, 555));
-            engine.run(&mut bal, 100).unwrap();
+            engine.run(&mut bal, Run::new(100)).unwrap();
             engine.loads().clone()
         };
         assert_eq!(run(7), run(7));
@@ -252,8 +254,9 @@ mod tests {
             let gp = lazy_cycle(8);
             let mut bal = RoundFairDiffusion::new(&gp, RoundingRule::LaggedRotor { period });
             let mut engine = Engine::new(gp, LoadVector::point_mass(8, 999));
-            engine.run(&mut bal, 1000).unwrap();
-            engine.ledger().original_edge_spread()
+            engine.attach_monitor();
+            engine.run(&mut bal, Run::new(1000)).unwrap();
+            engine.monitor().unwrap().ledger().original_edge_spread()
         };
         let s1 = spread_for(1);
         let s8 = spread_for(8);

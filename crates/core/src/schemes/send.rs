@@ -2,7 +2,7 @@ use dlb_graph::BalancingGraph;
 
 use crate::balancer::split_load;
 use crate::kernel::vector::{UniformKernel, UniformSpec};
-use crate::{Balancer, FlowPlan, KernelBalancer, LoadVector};
+use crate::{Balancer, FlowPlan, KernelBalancer, KernelRounds, LoadVector};
 
 /// SEND(⌊x/d⁺⌋): every original edge receives exactly `⌊x/d⁺⌋` tokens;
 /// the rest goes to the self-loops (§1.1).
@@ -21,15 +21,15 @@ use crate::{Balancer, FlowPlan, KernelBalancer, LoadVector};
 ///
 /// ```
 /// use dlb_graph::{generators, BalancingGraph};
-/// use dlb_core::{Engine, LoadVector};
+/// use dlb_core::{Engine, LoadVector, Run};
 /// use dlb_core::schemes::SendFloor;
 ///
 /// let gp = BalancingGraph::lazy(generators::cycle(8)?);
 /// let mut engine = Engine::new(gp, LoadVector::point_mass(8, 400));
 /// engine.attach_monitor();
-/// engine.run(&mut SendFloor::new(), 300)?;
+/// engine.run(&mut SendFloor::new(), Run::new(300))?;
 /// // Cumulative 0-fairness, machine-checked:
-/// assert_eq!(engine.ledger().original_edge_spread(), 0);
+/// assert_eq!(engine.monitor().unwrap().ledger().original_edge_spread(), 0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -51,6 +51,10 @@ impl Balancer for SendFloor {
 
     fn is_stateless(&self) -> bool {
         true
+    }
+
+    fn as_kernel(&mut self) -> Option<&mut dyn KernelRounds> {
+        Some(self)
     }
 
     fn plan(&mut self, gp: &BalancingGraph, loads: &LoadVector, plan: &mut FlowPlan) {
@@ -153,6 +157,10 @@ impl Balancer for SendRound {
         true
     }
 
+    fn as_kernel(&mut self) -> Option<&mut dyn KernelRounds> {
+        Some(self)
+    }
+
     fn plan(&mut self, gp: &BalancingGraph, loads: &LoadVector, plan: &mut FlowPlan) {
         let d = gp.degree();
         let d_self = gp.num_self_loops();
@@ -230,7 +238,7 @@ impl UniformKernel for SendRound {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Engine;
+    use crate::{Engine, Run};
     use dlb_graph::generators;
 
     fn lazy_cycle(n: usize) -> BalancingGraph {
@@ -265,8 +273,9 @@ mod tests {
     fn send_floor_is_cumulatively_zero_fair() {
         let gp = lazy_cycle(8);
         let mut engine = Engine::new(gp, LoadVector::point_mass(8, 997));
-        engine.run(&mut SendFloor::new(), 200).unwrap();
-        assert_eq!(engine.ledger().original_edge_spread(), 0);
+        engine.attach_monitor();
+        engine.run(&mut SendFloor::new(), Run::new(200)).unwrap();
+        assert_eq!(engine.monitor().unwrap().ledger().original_edge_spread(), 0);
     }
 
     #[test]
@@ -300,7 +309,7 @@ mod tests {
         let gp = lazy_cycle(8);
         let mut engine = Engine::new(gp, LoadVector::point_mass(8, 1003));
         engine.attach_monitor();
-        engine.run(&mut SendRound::new(), 300).unwrap();
+        engine.run(&mut SendRound::new(), Run::new(300)).unwrap();
         let m = engine.monitor().unwrap();
         assert_eq!(m.round_violations(), 0);
         assert_eq!(m.floor_violations(), 0);
@@ -314,7 +323,7 @@ mod tests {
         let gp = BalancingGraph::with_self_loops(generators::cycle(8).unwrap(), 4).unwrap();
         let mut engine = Engine::new(gp, LoadVector::point_mass(8, 1009));
         engine.attach_monitor();
-        engine.run(&mut SendRound::new(), 300).unwrap();
+        engine.run(&mut SendRound::new(), Run::new(300)).unwrap();
         let m = engine.monitor().unwrap();
         assert_eq!(m.round_violations(), 0);
         let s = m.witnessed_s();
@@ -395,7 +404,7 @@ mod tests {
         // d = 2 the final discrepancy should be far below the initial.
         let gp = lazy_cycle(16);
         let mut engine = Engine::new(gp, LoadVector::point_mass(16, 3200));
-        engine.run(&mut SendFloor::new(), 5000).unwrap();
+        engine.run(&mut SendFloor::new(), Run::new(5000)).unwrap();
         assert!(engine.loads().discrepancy() <= 2 * 4 + 4);
     }
 }

@@ -6,13 +6,10 @@
 //! arrives and departs while balancing runs (cf. load balancing in
 //! dynamic networks, Gilbert–Meir–Paz, arXiv:2105.13194). This module
 //! is the engine-side hook for that regime: a [`Workload`] produces a
-//! signed per-node load delta every round, and the engine's `*_dyn`
-//! entry points ([`Engine::step_dyn`](crate::Engine::step_dyn),
-//! [`Engine::run_dyn`](crate::Engine::run_dyn),
-//! [`Engine::run_fast_dyn`](crate::Engine::run_fast_dyn),
-//! [`Engine::run_kernel_dyn`](crate::Engine::run_kernel_dyn)) take it
-//! as their workload argument and apply it under one shared round
-//! structure:
+//! signed per-node load delta every round, and
+//! [`Engine::run`](crate::Engine::run) takes it as
+//! [`Run::workload`](crate::Run::workload) and applies it under one
+//! round structure shared by the planned and the kernel rounds:
 //!
 //! 1. **inject** — `x'_t = x_t + w_t`, where `w_t` is the workload's
 //!    delta vector for round `t` computed from the pre-round loads; a
@@ -108,21 +105,17 @@ pub trait Workload: Send {
     }
 }
 
-/// The empty workload: never injects anything.
-///
-/// This is the type behind the closed-system entry points —
-/// [`Engine::run_kernel`](crate::Engine::run_kernel) is
-/// `run_kernel_dyn(…, StaticTopology::none(), NoWorkload::none())`, so
-/// the injection branch monomorphises against a statically absent
-/// workload and the closed-system loop compiles as before.
+/// The empty workload: never injects anything. Its
+/// [`is_noop`](Workload::is_noop) answers `true`, so a run under it
+/// stays closed and eligible for the vector rounds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoWorkload;
 
 impl NoWorkload {
-    /// The absent-workload argument for the generic
-    /// [`Engine::run_kernel_dyn`](crate::Engine::run_kernel_dyn), for
-    /// callers who want the closed system spelled out:
-    /// `engine.run_kernel_dyn(&mut bal, steps, schedule, NoWorkload::none())`.
+    /// A typed absent workload, for the generic kernel forwards
+    /// perfbench still calls
+    /// (`run_kernel_dyn(&mut bal, steps, schedule, NoWorkload::none())`),
+    /// whose workload argument is an `Option` of a concrete type.
     #[must_use]
     pub fn none() -> Option<&'static mut NoWorkload> {
         None

@@ -55,10 +55,16 @@ impl BalancingGraph {
     ///
     /// # Errors
     ///
-    /// Returns an error if `d⁺ = d + d°` would overflow the port index
-    /// space (`u16`).
+    /// Returns an error if `d⁺ = d + d°` is zero (no port to split a
+    /// load over; every scheme divides by `d⁺`) or would overflow the
+    /// port index space (`u16`).
     pub fn with_self_loops(graph: RegularGraph, num_self_loops: usize) -> Result<Self, GraphError> {
         let d_plus = graph.degree().saturating_add(num_self_loops);
+        if d_plus == 0 {
+            return Err(GraphError::InvalidParameters {
+                reason: "d+ = d + d° = 0 leaves no port to balance over".into(),
+            });
+        }
         if d_plus > u16::MAX as usize {
             return Err(GraphError::InvalidParameters {
                 reason: format!("d+ = {d_plus} exceeds the port index space"),
@@ -73,15 +79,27 @@ impl BalancingGraph {
     /// The paper's main regime: `d° = d`, i.e. half of all edges are
     /// self-loops (`d⁺ = 2d`), as required by claims (i)–(ii) of
     /// Theorem 2.3.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d = 0`, which leaves `d⁺ = 0` (see
+    /// [`with_self_loops`](BalancingGraph::with_self_loops)). Every
+    /// generator rejects `d = 0`; only
+    /// [`RegularGraph::from_adjacency`] with degree 0 builds such a
+    /// graph.
     pub fn lazy(graph: RegularGraph) -> Self {
         let d = graph.degree();
-        BalancingGraph::with_self_loops(graph, d).expect("d+ = 2d always fits in a u16 port space")
+        BalancingGraph::with_self_loops(graph, d).expect("d+ = 2d is nonzero and fits in u16")
     }
 
     /// The bare graph with no self-loops (`G⁺ = G`), the setting of the
     /// Theorem 4.3 lower bound.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d = 0`, as [`lazy`](BalancingGraph::lazy) does.
     pub fn bare(graph: RegularGraph) -> Self {
-        BalancingGraph::with_self_loops(graph, 0).expect("d+ = d always fits in a u16 port space")
+        BalancingGraph::with_self_loops(graph, 0).expect("d+ = d is nonzero and fits in u16")
     }
 
     /// The underlying original graph `G`.
@@ -296,6 +314,19 @@ mod tests {
         let g = generators::cycle(6).unwrap();
         assert!(BalancingGraph::with_self_loops(g.clone(), usize::MAX).is_err());
         assert!(BalancingGraph::with_self_loops(g, u16::MAX as usize).is_err());
+    }
+
+    /// `d⁺ = 0` leaves every scheme dividing by zero in its first
+    /// round; it is a typed error, and one self-loop is enough.
+    #[test]
+    fn zero_total_degree_is_an_error() {
+        let empty = || RegularGraph::from_adjacency(5, 0, Vec::new()).unwrap();
+        assert!(matches!(
+            BalancingGraph::with_self_loops(empty(), 0),
+            Err(GraphError::InvalidParameters { .. })
+        ));
+        let gp = BalancingGraph::with_self_loops(empty(), 1).unwrap();
+        assert_eq!(gp.degree_plus(), 1);
     }
 
     #[test]

@@ -19,10 +19,11 @@
 //!   pin the minimum load near zero — reported honestly),
 //! * the **events applied** (how much churn actually landed), and
 //! * a **bit-identity verdict**: the same rounds of churn + injection
-//!   are replayed through `step_dyn`, `run_fast_dyn` and
-//!   `run_kernel_dyn`, each with freshly built — hence
-//!   stream-identical — schedule and workload, and every path must
-//!   reproduce the reference **loads, injected totals, event counts,
+//!   are replayed one planned round per call, in one
+//!   [`Path::Planned`] run and in one [`Path::Auto`] run (the kernel
+//!   rounds), each with freshly built — hence stream-identical —
+//!   schedule and workload, and every path must reproduce the
+//!   reference **loads, injected totals, event counts,
 //!   final graph (adjacency, port numbering and sleep state), and —
 //!   for the rotor-router — rotor state** exactly.
 //!
@@ -36,8 +37,8 @@
 //!
 //! The rows render as a text table (and as CSV under `--csv`).
 
-use dlb_core::schemes::{RotorRouter, SendFloor, SendRound};
-use dlb_core::{Engine, LoadVector};
+use dlb_core::schemes::RotorRouter;
+use dlb_core::{Balancer, Engine, LoadVector, Path, Run};
 use dlb_graph::{BalancingGraph, PortOrder};
 use dlb_scenario::{Scenario, ScenarioRecorder, ScenarioReport, WorkloadSpec};
 use dlb_topology::{ScheduleSpec, SwapShortfall, TopologySchedule};
@@ -120,16 +121,9 @@ struct PathOutcome {
     rotors: Option<Vec<usize>>,
 }
 
-#[derive(Clone, Copy)]
-enum Path {
-    Step,
-    RunFast,
-    Kernel,
-}
-
-/// Replays `rounds` of churn + injection through one named path with
-/// freshly built scheme, schedule and workload, returning the complete
-/// observable outcome.
+/// Replays `rounds` of churn + injection with freshly built scheme,
+/// schedule and workload, in [`Engine::run`] calls of `per_call`
+/// rounds on `path`, returning the complete observable outcome.
 fn drive_path(
     gp: &BalancingGraph,
     scheme: &SchemeSpec,
@@ -137,59 +131,34 @@ fn drive_path(
     wspec: &Option<WorkloadSpec>,
     initial: &LoadVector,
     rounds: usize,
-    path: Path,
+    (per_call, path): (usize, Path),
 ) -> Result<PathOutcome, RunError> {
     let n = gp.num_nodes();
     let mut schedule = sspec.build();
     let mut workload = wspec.as_ref().map(|w| w.build(n));
     let mut engine = Engine::new(gp.clone(), initial.clone());
-    // Concrete schemes so rotor state stays observable after the run.
+    // A concrete rotor-router, so its rotor state stays observable
+    // after the run.
     let mut rotor = matches!(scheme, SchemeSpec::RotorRouter)
         .then(|| RotorRouter::new(gp, PortOrder::Sequential))
         .transpose()?;
-
-    match path {
-        Path::Step | Path::RunFast => {
-            let mut boxed = match &mut rotor {
-                Some(_) => None,
-                None => Some(scheme.build(gp)?),
-            };
-            let bal: &mut dyn dlb_core::Balancer = match (&mut rotor, &mut boxed) {
-                (Some(r), _) => r,
-                (None, Some(b)) => b.as_mut(),
-                _ => unreachable!(),
-            };
-            if matches!(path, Path::Step) {
-                for _ in 0..rounds {
-                    let s = schedule.as_deref_mut();
-                    let w = workload.as_deref_mut();
-                    engine.step_dyn(bal, s, w)?;
-                }
-            } else {
-                engine.run_fast_dyn(
-                    bal,
-                    rounds,
-                    schedule.as_deref_mut(),
-                    workload.as_deref_mut(),
-                )?;
-            }
-        }
-        Path::Kernel => {
-            let s = schedule.as_deref_mut();
-            let w = workload.as_deref_mut();
-            match scheme {
-                SchemeSpec::SendFloor => {
-                    engine.run_kernel_dyn(&mut SendFloor::new(), rounds, s, w)?;
-                }
-                SchemeSpec::SendRound => {
-                    engine.run_kernel_dyn(&mut SendRound::new(), rounds, s, w)?;
-                }
-                SchemeSpec::RotorRouter => {
-                    engine.run_kernel_dyn(rotor.as_mut().expect("built above"), rounds, s, w)?;
-                }
-                other => panic!("no kernel dispatch for {}", other.label()),
-            }
-        }
+    let mut boxed = match &rotor {
+        Some(_) => None,
+        None => Some(scheme.build(gp)?),
+    };
+    let bal: &mut dyn Balancer = match (&mut rotor, &mut boxed) {
+        (Some(r), _) => r,
+        (None, Some(b)) => b.as_mut(),
+        _ => unreachable!(),
+    };
+    for _ in 0..rounds / per_call {
+        let run = Run {
+            schedule: schedule.as_deref_mut(),
+            workload: workload.as_deref_mut(),
+            path,
+            ..Run::new(per_call)
+        };
+        engine.run(bal, run)?;
     }
     Ok(PathOutcome {
         loads: engine.loads().clone(),
@@ -253,7 +222,8 @@ fn churn_rows(quick: bool) -> Result<Vec<ChurnRow>, RunError> {
         for scheme in &schemes {
             for sspec in &schedule_specs(n, rounds) {
                 for wspec in &workload_specs(n) {
-                    // The metric run: scenario phases over step_dyn.
+                    // The metric run: scenario phases, one planned
+                    // round at a time.
                     let mut bal = scheme.build(&gp)?;
                     let mut schedule = sspec.build();
                     let mut workload = wspec.as_ref().map_or_else(
@@ -275,15 +245,23 @@ fn churn_rows(quick: bool) -> Result<Vec<ChurnRow>, RunError> {
                     // Cross-path bit-identity under this churn ×
                     // workload cell, rotor state and final graph
                     // included.
+                    let per_round = (1, Path::Planned);
                     let reference =
-                        drive_path(&gp, scheme, sspec, wspec, &initial, rounds, Path::Step)?;
+                        drive_path(&gp, scheme, sspec, wspec, &initial, rounds, per_round)?;
                     let mut paths = 1usize;
                     let mut identical = reference.loads == report.loads_after_injection
                         && reference.injected == report.injected_total
                         && reference.events == report.topology_events;
-                    for path in [Path::RunFast, Path::Kernel] {
-                        let outcome =
-                            drive_path(&gp, scheme, sspec, wspec, &initial, rounds, path)?;
+                    for path in [Path::Planned, Path::Auto] {
+                        let outcome = drive_path(
+                            &gp,
+                            scheme,
+                            sspec,
+                            wspec,
+                            &initial,
+                            rounds,
+                            (rounds, path),
+                        )?;
                         paths += 1;
                         identical &= outcome == reference;
                     }

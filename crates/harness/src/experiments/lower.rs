@@ -9,7 +9,7 @@ use crate::report::Table;
 use crate::runner::{RunError, Runner};
 use crate::suite::SchemeSpec;
 use dlb_bounds::{thm41, thm42, thm43};
-use dlb_core::Engine;
+use dlb_core::{Engine, Run};
 use dlb_graph::generators;
 
 /// E5 — Theorem 4.1: round-fair steady states with `Ω(d·diam)`
@@ -47,7 +47,7 @@ pub fn thm41_lower(quick: bool) -> Result<Table, RunError> {
             let mut inst = thm41::instance(graph, 0)?;
             let steps = if quick { 50 } else { 200 };
             let mut engine = Engine::new(inst.graph.clone(), inst.initial.clone());
-            engine.run(&mut inst.balancer, steps)?;
+            engine.run(&mut inst.balancer, Run::new(steps))?;
             let fixed = engine.loads() == &inst.initial;
             assert!(fixed, "theorem 4.1 state moved on {label}");
             table.push_row(vec![
@@ -148,7 +148,7 @@ pub fn thm43_rotor_cycle(quick: bool) -> Result<Table, RunError> {
         let x0 = inst.initial.clone();
         let steps = 2 * n; // even number of steps, enough to see drift
         let mut engine = Engine::new(inst.graph.clone(), inst.initial.clone());
-        engine.run(&mut inst.balancer, steps)?;
+        engine.run(&mut inst.balancer, Run::new(steps))?;
         let periodic = engine.loads() == &x0;
         assert!(periodic, "orbit broke at n = {n}");
 
@@ -164,7 +164,7 @@ pub fn thm43_rotor_cycle(quick: bool) -> Result<Table, RunError> {
         } else {
             40 * n * n / 4
         };
-        contrast.run(&mut rotor, contrast_steps)?;
+        contrast.run(&mut rotor, Run::new(contrast_steps))?;
 
         table.push_row(vec![
             n.to_string(),

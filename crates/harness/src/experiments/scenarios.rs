@@ -16,16 +16,16 @@
 //!   the cycle at full size legitimately needs more rounds than the
 //!   budget), and
 //! * a **bit-identity** verdict: the same `rounds` of injection are
-//!   replayed through `step_dyn`, `run_fast_dyn` and
-//!   `run_kernel_dyn`, each with a freshly built — hence stream-identical — workload, and
-//!   every path must reproduce the reference loads and injected totals
-//!   exactly.
+//!   replayed one planned round at a time (the scenario's own run), in
+//!   one [`Path::Planned`] run and in one [`Path::Auto`] run (the
+//!   kernel rounds for the kernel schemes), each with a freshly built —
+//!   hence stream-identical — workload, and every path must reproduce
+//!   the reference loads and injected totals exactly.
 //!
 //! The rows render as a text table (and as CSV under `--csv`).
 
-use dlb_core::schemes::{RotorRouter, SendFloor, SendRound};
-use dlb_core::{Engine, LoadVector, StaticTopology};
-use dlb_graph::{BalancingGraph, PortOrder};
+use dlb_core::{Engine, LoadVector, Path, Run};
+use dlb_graph::BalancingGraph;
 use dlb_scenario::{Scenario, ScenarioReport, WorkloadSpec};
 
 use crate::report::Table;
@@ -65,11 +65,11 @@ fn workload_specs(n: usize) -> Vec<WorkloadSpec> {
     ]
 }
 
-/// Replays `rounds` of injection through one named fast path,
-/// returning the final loads and the engine's net injected total.
-/// Every call builds a fresh workload from `spec`, so every path sees
-/// the identical delta stream the scenario's instrumented run saw (the
-/// scenario itself provides the step-path reference).
+/// Replays `rounds` of injection in one [`Engine::run`] call on
+/// `path`, returning the final loads and the engine's net injected
+/// total. Every call builds a fresh scheme and workload from the
+/// specs, so every path sees the identical delta stream the scenario's
+/// per-round run saw (the scenario itself provides the reference).
 fn run_path(
     gp: &BalancingGraph,
     scheme: &SchemeSpec,
@@ -78,50 +78,15 @@ fn run_path(
     rounds: usize,
     path: Path,
 ) -> Result<(LoadVector, i64), RunError> {
-    let n = gp.num_nodes();
-    let mut workload = spec.build(n);
+    let mut workload = spec.build(gp.num_nodes());
     let mut engine = Engine::new(gp.clone(), initial.clone());
-    match path {
-        Path::RunFast => {
-            let mut bal = scheme.build(gp)?;
-            engine.run_fast_dyn(bal.as_mut(), rounds, None, Some(workload.as_mut()))?;
-        }
-        Path::Kernel => match scheme {
-            SchemeSpec::SendFloor => {
-                engine.run_kernel_dyn(
-                    &mut SendFloor::new(),
-                    rounds,
-                    StaticTopology::none(),
-                    Some(workload.as_mut()),
-                )?;
-            }
-            SchemeSpec::SendRound => {
-                engine.run_kernel_dyn(
-                    &mut SendRound::new(),
-                    rounds,
-                    StaticTopology::none(),
-                    Some(workload.as_mut()),
-                )?;
-            }
-            SchemeSpec::RotorRouter => {
-                let mut rotor = RotorRouter::new(gp, PortOrder::Sequential)?;
-                engine.run_kernel_dyn(
-                    &mut rotor,
-                    rounds,
-                    StaticTopology::none(),
-                    Some(workload.as_mut()),
-                )?;
-            }
-            other => panic!("no kernel dispatch for {}", other.label()),
-        },
-    }
+    let run = Run {
+        workload: Some(workload.as_mut()),
+        path,
+        ..Run::new(rounds)
+    };
+    engine.run(scheme.build(gp)?.as_mut(), run)?;
     Ok((engine.loads().clone(), engine.injected_total()))
-}
-
-#[derive(Clone, Copy)]
-enum Path {
-    RunFast,
-    Kernel,
 }
 
 /// Runs the scenario sweep.
@@ -180,10 +145,10 @@ fn scenario_rows(quick: bool) -> Result<Vec<ScenarioRow>, RunError> {
                 let report = scenario.run(&gp, &initial, bal.as_mut(), workload.as_mut())?;
 
                 // Cross-path bit-identity under this workload. The
-                // scenario's own injection phase *is* the instrumented
-                // step-path run (a fresh build of the same spec replays
+                // scenario's own injection phase *is* the per-round
+                // planned run (a fresh build of the same spec replays
                 // the identical delta stream), so its end-of-injection
-                // state is the reference — no second step-path replay.
+                // state is the reference — no second per-round replay.
                 let ref_loads = report.loads_after_injection.clone();
                 let ref_injected = report.injected_total;
                 let mut paths = 1usize;
@@ -198,16 +163,9 @@ fn scenario_rows(quick: bool) -> Result<Vec<ScenarioRow>, RunError> {
                     wspec,
                     &initial,
                     rounds,
-                    Path::RunFast,
+                    Path::Planned,
                 )?);
-                check(run_path(
-                    &gp,
-                    scheme,
-                    wspec,
-                    &initial,
-                    rounds,
-                    Path::Kernel,
-                )?);
+                check(run_path(&gp, scheme, wspec, &initial, rounds, Path::Auto)?);
 
                 rows.push(ScenarioRow {
                     scheme: scheme.label(),

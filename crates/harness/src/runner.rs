@@ -183,7 +183,7 @@ impl Runner {
             final_discrepancy: engine.loads().discrepancy(),
             max_deviation: engine.loads().max_deviation(),
             negative_node_steps: engine.negative_node_steps(),
-            witnessed_delta: engine.ledger().original_edge_spread(),
+            witnessed_delta: monitor.ledger().original_edge_spread(),
             round_violations: monitor.round_violations(),
             witnessed_s: monitor.witnessed_s(),
             series,

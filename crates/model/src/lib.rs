@@ -13,7 +13,7 @@
 //!   explores every scenario below under an exhaustive DFS at
 //!   preemption bound 3, asserting that every schedule of
 //!   `Engine::run_parallel` produces the exact outcome of the serial
-//!   `Engine::run_kernel` oracle (loads, step count, vector counters,
+//!   `Engine::run` oracle (loads, step count, vector counters,
 //!   error) with no deadlock.
 //!
 //! The protocol under test has two barriers per round and nothing
@@ -28,7 +28,7 @@
 
 use dlb_core::schemes::{SendFloor, SendRound};
 use dlb_core::{
-    Engine, EngineError, LoadVector, VectorConfig, VectorStats, VectorStrategy, VectorWidth,
+    Engine, EngineError, LoadVector, Run, VectorConfig, VectorStats, VectorStrategy, VectorWidth,
 };
 use dlb_graph::{generators, BalancingGraph};
 
@@ -105,13 +105,13 @@ fn outcome(engine: &Engine, err: Option<EngineError>) -> Outcome {
     }
 }
 
-/// Runs the scenario through the serial `run_kernel` — the oracle
+/// Runs the scenario through the serial [`Engine::run`] — the oracle
 /// every schedule of the parallel run must reproduce bit for bit.
 pub fn serial_outcome(s: &Scenario) -> Outcome {
     let mut engine = s.engine();
     let err = match s.scheme {
-        Scheme::SendFloor => engine.run_kernel(&mut SendFloor::new(), s.steps),
-        Scheme::SendRound => engine.run_kernel(&mut SendRound::new(), s.steps),
+        Scheme::SendFloor => engine.run(&mut SendFloor::new(), Run::new(s.steps)),
+        Scheme::SendRound => engine.run(&mut SendRound::new(), Run::new(s.steps)),
     }
     .err();
     outcome(&engine, err)

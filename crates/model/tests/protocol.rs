@@ -24,7 +24,7 @@ fn builder() -> Builder {
 }
 
 /// Explores every schedule of `s`'s parallel run and asserts each one
-/// reproduces the serial `run_kernel` oracle exactly: same loads, same
+/// reproduces the serial `Engine::run` oracle exactly: same loads, same
 /// step count, same vector counters, same error. A divergence or
 /// deadlock panics with the failing schedule and its rendered trace.
 fn explore(s: &Scenario) {

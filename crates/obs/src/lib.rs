@@ -1,6 +1,6 @@
 //! # dlb-obs — zero-cost tracing and metrics for the balancing stack
 //!
-//! Every execution path in the workspace — the instrumented serial
+//! Every execution path in the workspace — the planned serial
 //! round, the plan-free streaming kernel, the vectorized uniform
 //! rounds (serial or range-split) and the multi-tenant server —
 //! shares one phase vocabulary ([`Phase`]) and one probe mechanism

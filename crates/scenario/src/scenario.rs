@@ -19,12 +19,12 @@
 //!    **time to recover** after a burst. `None` means the threshold was
 //!    not reached within the budget (reported honestly, not an error).
 //!
-//! The runner uses the instrumented `step_dyn` path for the injection
-//! phase (it reads per-round statistics anyway) and the engine's
-//! incremental `run_until` for recovery.
+//! The runner takes one planned round at a time with the engine's
+//! counted `summary` for the injection phase (it reads per-round
+//! statistics anyway), and a `step` loop for recovery.
 
 use dlb_core::{
-    Balancer, Engine, EngineError, EngineState, LoadVector, TopologySchedule, Workload,
+    Balancer, Engine, EngineError, EngineState, LoadVector, Path, Run, TopologySchedule, Workload,
 };
 use dlb_graph::BalancingGraph;
 
@@ -230,18 +230,22 @@ impl Scenario {
         // Recovery: the workload stops; count closed-system rounds to
         // the threshold. A system already at the threshold when
         // injection ends has genuinely recovered in zero rounds —
-        // checked before stepping, since `run_until` evaluates its
-        // predicate only *after* each round. Otherwise `run_until`
-        // steps until the summary's discrepancy reaches it (one scan
-        // per round, the order of the round's own flow pass).
+        // checked before stepping, since a step's summary describes
+        // the state *after* its round. Otherwise step until the
+        // summary's discrepancy reaches it (one scan per round, the
+        // order of the round's own flow pass).
         let recovery_rounds = if loads_after_injection.discrepancy() <= self.recovery_threshold {
             Some(0)
         } else {
-            engine
-                .run_until(balancer, self.recovery_max_rounds, |s| {
-                    s.discrepancy <= self.recovery_threshold
-                })?
-                .map(|step| step - self.rounds)
+            let mut reached = None;
+            for _ in 0..self.recovery_max_rounds {
+                let s = engine.step(balancer)?;
+                if s.discrepancy <= self.recovery_threshold {
+                    reached = Some(s.step - self.rounds);
+                    break;
+                }
+            }
+            reached
         };
 
         Ok(ScenarioReport {
@@ -279,8 +283,14 @@ impl Scenario {
         let tail_start = self.rounds.saturating_sub(self.tail_window);
         while engine.step_count() < upto {
             let round = engine.step_count();
-            let s = schedule.as_deref_mut();
-            let summary = engine.step_dyn(balancer, s, Some(workload))?;
+            let one_round = Run {
+                schedule: schedule.as_deref_mut(),
+                workload: Some(&mut *workload),
+                path: Path::Planned,
+                ..Run::new(1)
+            };
+            engine.run(balancer, one_round)?;
+            let summary = engine.summary();
             if let Some(t) = trace.as_deref_mut() {
                 t.push(summary.discrepancy);
             }
@@ -390,7 +400,7 @@ pub struct ScenarioReport {
     pub final_discrepancy: i64,
     /// The load vector at the end of the injection phase (before
     /// recovery) — the reference the scenario harness checks the other
-    /// execution paths against without replaying the instrumented run.
+    /// execution paths against without replaying the per-round run.
     pub loads_after_injection: LoadVector,
 }
 

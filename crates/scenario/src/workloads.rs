@@ -596,7 +596,7 @@ mod tests {
     #[test]
     fn adversary_scans_once_per_injecting_round_on_every_path() {
         use dlb_core::schemes::SendFloor;
-        use dlb_core::{Engine, LoadVector, StaticTopology};
+        use dlb_core::{Engine, LoadVector, Path, Run};
         use dlb_graph::{generators, BalancingGraph};
 
         let gp = BalancingGraph::lazy(generators::cycle(32).unwrap());
@@ -605,18 +605,26 @@ mod tests {
         let mut planned = BoundedAdversary::new(7);
         let mut engine = Engine::new(gp.clone(), initial.clone());
         engine
-            .run_dyn(&mut SendFloor::new(), 60, None, Some(&mut planned))
+            .run(
+                &mut SendFloor::new(),
+                Run {
+                    workload: Some(&mut planned),
+                    path: Path::Planned,
+                    ..Run::new(60)
+                },
+            )
             .unwrap();
         assert_eq!(planned.scans(), 60, "planned path: one scan per round");
 
         let mut streamed = BoundedAdversary::new(7);
         let mut kernel = Engine::new(gp, initial);
         kernel
-            .run_kernel_dyn(
+            .run(
                 &mut SendFloor::new(),
-                60,
-                StaticTopology::none(),
-                Some(&mut streamed),
+                Run {
+                    workload: Some(&mut streamed),
+                    ..Run::new(60)
+                },
             )
             .unwrap();
         assert_eq!(streamed.scans(), 60, "kernel path: one scan per round");
@@ -629,7 +637,7 @@ mod tests {
     #[test]
     fn composed_adversary_scans_once_per_injecting_round() {
         use dlb_core::schemes::SendFloor;
-        use dlb_core::{Engine, LoadVector, StaticTopology};
+        use dlb_core::{Engine, LoadVector, Path, Run};
         use dlb_graph::{generators, BalancingGraph};
 
         let compose = || {
@@ -642,7 +650,14 @@ mod tests {
         let mut planned = compose();
         let mut engine = Engine::new(gp.clone(), LoadVector::point_mass(16, 160));
         engine
-            .run_dyn(&mut SendFloor::new(), 40, None, Some(&mut planned))
+            .run(
+                &mut SendFloor::new(),
+                Run {
+                    workload: Some(&mut planned),
+                    path: Path::Planned,
+                    ..Run::new(40)
+                },
+            )
             .unwrap();
         assert_eq!(engine.injected_total(), 40 * (5 + 3));
         // Frame layout: [len = 1, adversary scans, len = 4, rng…].
@@ -651,11 +666,12 @@ mod tests {
         let mut streamed = compose();
         let mut kernel = Engine::new(gp, LoadVector::point_mass(16, 160));
         kernel
-            .run_kernel_dyn(
+            .run(
                 &mut SendFloor::new(),
-                40,
-                StaticTopology::none(),
-                Some(&mut streamed),
+                Run {
+                    workload: Some(&mut streamed),
+                    ..Run::new(40)
+                },
             )
             .unwrap();
         assert_eq!(kernel.loads(), engine.loads());

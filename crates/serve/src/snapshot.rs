@@ -748,14 +748,14 @@ fn decode_schedule_spec(r: &mut Reader<'_>) -> Result<ScheduleSpec, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlb_core::{Engine, LoadVector};
+    use dlb_core::{Engine, LoadVector, Run};
     use dlb_graph::generators;
 
     fn sample_snapshot() -> TenantSnapshot {
         let gp = BalancingGraph::lazy(generators::cycle(8).unwrap());
         let mut engine = Engine::new(gp, LoadVector::point_mass(8, 240));
         let mut bal = dlb_core::schemes::SendFloor::new();
-        engine.run(&mut bal, 5).unwrap();
+        engine.run(&mut bal, Run::new(5)).unwrap();
         TenantSnapshot {
             engine: engine.export_state(),
             scheme: SchemeKind::RotorRouter,

@@ -38,10 +38,7 @@ use std::error::Error;
 use std::fmt;
 
 use dlb_core::schemes::{RotorRouter, RotorRouterStar, SendFloor, SendRound};
-use dlb_core::{
-    Engine, EngineError, LoadVector, NoWorkload, StaticTopology, TopologyEvent, TopologySchedule,
-    Workload,
-};
+use dlb_core::{Engine, EngineError, LoadVector, Run, TopologyEvent, TopologySchedule, Workload};
 use dlb_graph::{BalancingGraph, GraphError, PortOrder, RegularGraph};
 use dlb_scenario::WorkloadSpec;
 use dlb_topology::{ScheduleSpec, SwapShortfall};
@@ -179,8 +176,8 @@ pub struct TenantOutcome {
 }
 
 /// The concrete scheme a tenant runs. All four are kernel schemes:
-/// [`SchemeInstance::run`] drives each through the engine's
-/// `run_kernel_dyn`, monomorphised per scheme.
+/// [`SchemeInstance::run`] drives each through [`Engine::run`], whose
+/// kernel rounds are compiled per scheme.
 #[derive(Debug, Clone)]
 enum SchemeInstance {
     Floor(SendFloor),
@@ -236,23 +233,23 @@ impl SchemeInstance {
     /// Runs `rounds` kernel rounds of this scheme on `engine` under
     /// `schedule` and `workload` — the one engine call behind both the
     /// live batch and the journal replay.
-    fn run<S, W>(
+    fn run(
         &mut self,
         engine: &mut Engine,
         rounds: usize,
-        schedule: &mut S,
-        workload: &mut W,
-    ) -> Result<(), EngineError>
-    where
-        S: TopologySchedule + ?Sized,
-        W: Workload + ?Sized,
-    {
-        let (s, w) = (Some(schedule), Some(workload));
+        schedule: Option<&mut dyn TopologySchedule>,
+        workload: Option<&mut dyn Workload>,
+    ) -> Result<(), EngineError> {
+        let run = Run {
+            schedule,
+            workload,
+            ..Run::new(rounds)
+        };
         match self {
-            SchemeInstance::Floor(b) => engine.run_kernel_dyn(b, rounds, s, w),
-            SchemeInstance::Round(b) => engine.run_kernel_dyn(b, rounds, s, w),
-            SchemeInstance::Rotor(b) => engine.run_kernel_dyn(b, rounds, s, w),
-            SchemeInstance::Star(b) => engine.run_kernel_dyn(b, rounds, s, w),
+            SchemeInstance::Floor(b) => engine.run(b, run),
+            SchemeInstance::Round(b) => engine.run(b, run),
+            SchemeInstance::Rotor(b) => engine.run(b, run),
+            SchemeInstance::Star(b) => engine.run(b, run),
         }
     }
 
@@ -460,27 +457,21 @@ impl Tenant {
     fn run_chunk(&mut self, rounds: usize) -> bool {
         let mut event_log = RoundLog::new();
         let mut delta_log = RoundLog::new();
-        let mut static_topo = StaticTopology;
-        let mut no_workload = NoWorkload;
-        let schedule_inner: &mut dyn TopologySchedule = match self.schedule.as_mut() {
-            Some(s) => &mut **s,
-            None => &mut static_topo,
-        };
-        let workload_inner: &mut dyn Workload = match self.workload.as_mut() {
-            Some(w) => &mut **w,
-            None => &mut no_workload,
-        };
+        // An absent schedule or workload stays absent: the rounds skip
+        // its pre-round step, and it has nothing to record.
+        let mut schedule = self.schedule.as_deref_mut().map(|inner| RecordingSchedule {
+            inner,
+            log: &mut event_log,
+        });
+        let mut workload = self.workload.as_deref_mut().map(|inner| RecordingWorkload {
+            inner,
+            log: &mut delta_log,
+        });
         let result = self.scheme.run(
             &mut self.engine,
             rounds,
-            &mut RecordingSchedule {
-                inner: schedule_inner,
-                log: &mut event_log,
-            },
-            &mut RecordingWorkload {
-                inner: workload_inner,
-                log: &mut delta_log,
-            },
+            schedule.as_mut().map(|s| s as &mut dyn TopologySchedule),
+            workload.as_mut().map(|w| w as &mut dyn Workload),
         );
         self.append_logs(&event_log, &delta_log);
         match result {
@@ -627,8 +618,8 @@ impl Tenant {
             let result = scheme.run(
                 &mut engine,
                 steps,
-                &mut replay_schedule,
-                &mut replay_workload,
+                Some(&mut replay_schedule),
+                Some(&mut replay_workload),
             );
             if let Err(e) = result {
                 error = Some(e);

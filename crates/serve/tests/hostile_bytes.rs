@@ -11,7 +11,7 @@
 //! random stacks through the vendored proptest.
 
 use dlb_core::LoadVector;
-use dlb_graph::{generators, BalancingGraph};
+use dlb_graph::{generators, BalancingGraph, RegularGraph};
 use dlb_scenario::WorkloadSpec;
 use dlb_serve::{Journal, SchemeKind, Tenant, TenantError, TenantSnapshot, WINDOW};
 use dlb_topology::ScheduleSpec;
@@ -388,4 +388,32 @@ fn repeated_delta_nodes_are_rejected_not_summed_past_i64() {
     let err = Journal::from_bytes(bytes).unwrap_err();
     assert_eq!(err.offset, repeat_at, "{err}");
     assert!(err.reason.contains("out of order"), "{err}");
+}
+
+/// A forged snapshot whose graph has `d = d° = 0` leaves no port to
+/// split a load over; every scheme would divide by `d⁺ = 0` in its
+/// first round. Decoding must refuse it with a typed error instead.
+#[test]
+fn forged_zero_port_graph_is_rejected_not_divided_by() {
+    let empty = RegularGraph::from_adjacency(5, 0, Vec::new()).unwrap();
+    let tenant = Tenant::new(
+        BalancingGraph::with_self_loops(empty, 1).unwrap(),
+        LoadVector::uniform(5, 7),
+        SchemeKind::SendFloor,
+        None,
+        ScheduleSpec::Static,
+    )
+    .unwrap();
+    let bytes = tenant.snapshot();
+    assert!(TenantSnapshot::decode(&bytes).is_ok());
+    // The graph header: n = 5, d = 0, d° = 1, each a u64.
+    let header: Vec<u8> = [5u64, 0, 1].iter().flat_map(|v| v.to_le_bytes()).collect();
+    let at = bytes
+        .windows(header.len())
+        .position(|w| w == header.as_slice())
+        .expect("graph header present");
+    let forged = overwrite(&bytes, at + 16, &0u64.to_le_bytes());
+    let err = TenantSnapshot::decode(&forged).unwrap_err();
+    assert!(err.reason.contains("self-loop"), "{err}");
+    assert!(Tenant::resume_from_snapshot(&forged).is_err());
 }

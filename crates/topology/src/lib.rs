@@ -161,18 +161,17 @@ pub trait TopologySchedule: Send {
     }
 }
 
-/// The empty schedule: never emits an event.
-///
-/// This is the type behind the engine's closed-topology entry points —
-/// `run_kernel` is `run_kernel_dyn(…, StaticTopology::none(), …)`, so
-/// the churn branch monomorphises against a statically absent schedule
-/// and the fixed-graph loop compiles as before.
+/// The empty schedule: never emits an event. Its
+/// [`is_noop`](TopologySchedule::is_noop) answers `true`, so a run
+/// under it keeps a fixed graph and stays eligible for the engine's
+/// vector rounds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StaticTopology;
 
 impl StaticTopology {
-    /// The absent-schedule argument for the `*_dyn` entry points, for
-    /// callers who want the fixed topology spelled out.
+    /// A typed absent schedule, for the engine's generic kernel
+    /// forwards, whose schedule argument is an `Option` of a concrete
+    /// type.
     #[must_use]
     pub fn none() -> Option<&'static mut StaticTopology> {
         None

@@ -12,7 +12,7 @@
 //! ```
 
 use dlb::core::schemes::SendFloor;
-use dlb::core::{Engine, LoadVector, TopologySchedule};
+use dlb::core::{Engine, LoadVector, Run, TopologySchedule};
 use dlb::graph::{generators, BalancingGraph};
 use dlb::scenario::workloads::Hotspot;
 use dlb::scenario::{Scenario, ScenarioRecorder};
@@ -71,11 +71,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // path under continuous random rewiring, bit-identical by design.
     let mut engine = Engine::new(gp.clone(), initial.clone());
     let mut rewire = PeriodicRewiring::new(4, 2, 11);
-    engine.run_kernel_dyn(
+    engine.run(
         &mut SendFloor::new(),
-        200,
-        Some(&mut rewire),
-        Option::<&mut dlb::core::NoWorkload>::None,
+        Run {
+            schedule: Some(&mut rewire),
+            ..Run::new(200)
+        },
     )?;
     println!(
         "  200 kernel rounds under rewiring: {} events, final discrepancy {}",

@@ -8,8 +8,8 @@
 //! ```
 
 use dlb::core::schemes::RotorRouter;
-use dlb::core::Engine;
 use dlb::core::LoadVector;
+use dlb::core::{Engine, Run};
 use dlb::graph::{generators, BalancingGraph, PortOrder};
 use dlb::matching::{BalancingCircuit, MatchingEngine, PairRule, RandomMatchings};
 
@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let gp = BalancingGraph::lazy(graph.clone());
     let mut rotor = RotorRouter::new(&gp, PortOrder::Sequential)?;
     let mut diffusive = Engine::new(gp, LoadVector::point_mass(n, total));
-    diffusive.run(&mut rotor, rounds)?;
+    diffusive.run(&mut rotor, Run::new(rounds))?;
     println!(
         "diffusive   rotor-router      : discrepancy {:>3}   (d = {d}; Thm 4.2 floor is Ω(d))",
         diffusive.loads().discrepancy()

@@ -6,7 +6,7 @@
 //! ```
 
 use dlb::core::schemes::RotorRouter;
-use dlb::core::{Engine, LoadVector};
+use dlb::core::{Engine, LoadVector, Run};
 use dlb::graph::{generators, BalancingGraph, PortOrder};
 use dlb::spectral::{closed_form, BalancingHorizon, SpectralGap};
 
@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     engine.attach_monitor();
 
     for multiple in 1..=4 {
-        engine.run(&mut rotor, t)?;
+        engine.run(&mut rotor, Run::new(t))?;
         println!(
             "after {multiple}T: discrepancy = {:>5}   (max dev from mean {:.1})",
             engine.loads().discrepancy(),
@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          cumulatively {}-fair on original edges",
         engine.step_count(),
         monitor.round_violations(),
-        engine.ledger().original_edge_spread(),
+        monitor.ledger().original_edge_spread(),
     );
     println!(
         "Theorem 2.3(ii) bound d·√n = {:.0}; measured {} — bound holds",

@@ -36,7 +36,7 @@
 //!
 //! ```
 //! use dlb::graph::{generators, BalancingGraph, PortOrder};
-//! use dlb::core::{Engine, LoadVector};
+//! use dlb::core::{Engine, LoadVector, Run};
 //! use dlb::core::schemes::RotorRouter;
 //!
 //! // 64 nodes in a ring, 6400 tokens piled on node 0.
@@ -44,11 +44,11 @@
 //! let mut rotor = RotorRouter::new(&gp, PortOrder::Sequential)?;
 //! let mut engine = Engine::new(gp, LoadVector::point_mass(64, 6400));
 //! engine.attach_monitor();
-//! engine.run(&mut rotor, 20_000)?;
+//! engine.run(&mut rotor, Run::new(20_000))?;
 //!
 //! // Balanced to a handful of tokens, cumulatively 1-fair throughout.
 //! assert!(engine.loads().discrepancy() <= 8);
-//! assert!(engine.ledger().original_edge_spread() <= 1);
+//! assert!(engine.monitor().unwrap().ledger().original_edge_spread() <= 1);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!

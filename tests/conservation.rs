@@ -9,7 +9,7 @@
 //! plus the workload's cumulative delta, on every execution path.
 
 use dlb::core::schemes::{RotorRouter, SendFloor, SendRound};
-use dlb::core::{Engine, LoadVector, StaticTopology, Workload};
+use dlb::core::{Engine, LoadVector, Path, Run, Workload};
 use dlb::graph::{generators, BalancingGraph, PortOrder};
 use dlb::harness::SchemeSpec;
 use dlb::scenario::WorkloadSpec;
@@ -59,7 +59,7 @@ proptest! {
         for scheme in all_schemes() {
             let mut bal = scheme.build(&gp).unwrap();
             let mut engine = Engine::new(gp.clone(), initial.clone());
-            engine.run(bal.as_mut(), steps).unwrap();
+            engine.run(bal.as_mut(), Run::new(steps)).unwrap();
             prop_assert_eq!(
                 engine.loads().total(), total,
                 "{} lost tokens on n={} d={} seed={}", scheme.label(), n, d, seed
@@ -81,7 +81,7 @@ proptest! {
                 continue;
             }
             let mut engine = Engine::new(gp.clone(), initial.clone());
-            engine.run(bal.as_mut(), steps).unwrap();
+            engine.run(bal.as_mut(), Run::new(steps)).unwrap();
             prop_assert_eq!(
                 engine.negative_node_steps(), 0,
                 "{} went negative", scheme.label()
@@ -103,7 +103,7 @@ proptest! {
         for scheme in all_schemes() {
             let mut bal = scheme.build(&gp).unwrap();
             let mut engine = Engine::new(gp.clone(), initial.clone());
-            engine.run(bal.as_mut(), steps).unwrap();
+            engine.run(bal.as_mut(), Run::new(steps)).unwrap();
             prop_assert!(
                 engine.loads().discrepancy() <= k,
                 "{} worsened the discrepancy", scheme.label()
@@ -183,7 +183,7 @@ proptest! {
             let mut bal = scheme.build(&gp).unwrap();
             let mut workload = Recording::new(wspec.build(n));
             let mut engine = Engine::new(gp.clone(), initial.clone());
-            engine.run_dyn(bal.as_mut(), steps, None, Some(&mut workload)).unwrap();
+            engine.run(bal.as_mut(), Run { workload: Some(&mut workload), path: Path::Planned, ..Run::new(steps) }).unwrap();
             prop_assert_eq!(
                 engine.injected_total(), workload.cumulative,
                 "{} under {}: engine counter disagrees with the workload record",
@@ -197,9 +197,9 @@ proptest! {
     }
 
     /// Open-system conservation, every execution path: the law holds —
-    /// with the *same* cumulative delta — through `step_dyn`,
-    /// `run_fast_dyn` and `run_kernel_dyn` (scalar rotor-router and
-    /// SEND kernels).
+    /// with the *same* cumulative delta — through one planned round per
+    /// call, one planned run and the kernel rounds (scalar
+    /// rotor-router and SEND kernels).
     #[test]
     fn every_path_conserves_total_plus_cumulative_delta(
         (n, d, seed) in graph_params(),
@@ -212,13 +212,13 @@ proptest! {
         let total = initial.total();
         let wspec = &conserving_workloads()[workload_idx];
 
-        // Reference cumulative delta from the instrumented path.
+        // Reference cumulative delta from the per-round planned path.
         let expected = {
             let mut workload = Recording::new(wspec.build(n));
             let mut bal = SendFloor::new();
             let mut engine = Engine::new(gp.clone(), initial.clone());
             for _ in 0..steps {
-                engine.step_dyn(&mut bal, None, Some(&mut workload)).unwrap();
+                engine.run(&mut bal, Run { workload: Some(&mut workload), path: Path::Planned, ..Run::new(1) }).unwrap();
             }
             prop_assert_eq!(engine.loads().total(), total + workload.cumulative);
             workload.cumulative
@@ -227,7 +227,7 @@ proptest! {
         let mut engine = Engine::new(gp.clone(), initial.clone());
         let mut workload = wspec.build(n);
         engine
-            .run_fast_dyn(&mut SendRound::new(), steps, None, Some(workload.as_mut()))
+            .run(&mut SendRound::new(), Run { workload: Some(workload.as_mut()), path: Path::Planned, ..Run::new(steps) })
             .unwrap();
         prop_assert_eq!(engine.loads().total(), total + engine.injected_total());
 
@@ -235,7 +235,7 @@ proptest! {
         let mut workload = wspec.build(n);
         let mut rotor = RotorRouter::new(&gp, PortOrder::Sequential).unwrap();
         engine
-            .run_kernel_dyn(&mut rotor, steps, StaticTopology::none(), Some(workload.as_mut()))
+            .run(&mut rotor, Run { workload: Some(workload.as_mut()), ..Run::new(steps) })
             .unwrap();
         prop_assert_eq!(engine.injected_total(), expected,
             "kernel path saw a different delta stream");
@@ -244,7 +244,7 @@ proptest! {
         let mut engine = Engine::new(gp.clone(), initial.clone());
         let mut workload = wspec.build(n);
         engine
-            .run_kernel_dyn(&mut SendFloor::new(), steps, StaticTopology::none(), Some(workload.as_mut()))
+            .run(&mut SendFloor::new(), Run { workload: Some(workload.as_mut()), ..Run::new(steps) })
             .unwrap();
         prop_assert_eq!(engine.injected_total(), expected,
             "SEND kernel path saw a different delta stream");
@@ -268,7 +268,7 @@ fn conservation_on_structured_graphs() {
         for scheme in all_schemes() {
             let mut bal = scheme.build(&gp).unwrap();
             let mut engine = Engine::new(gp.clone(), initial.clone());
-            engine.run(bal.as_mut(), 50).unwrap();
+            engine.run(bal.as_mut(), Run::new(50)).unwrap();
             assert_eq!(engine.loads().total(), 997, "{}", scheme.label());
         }
     }

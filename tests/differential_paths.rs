@@ -1,9 +1,10 @@
 //! Differential fuzzing of the engine's execution paths.
 //!
-//! One semantics, four implementations: the instrumented `step_dyn`
-//! loop, the fused `run_fast_dyn`, the plan-free `run_kernel_dyn`,
-//! and — on static, closed runs — the range-split `run_parallel` at
-//! 1–4 threads. This suite
+//! One semantics, four implementations: a loop of one-round planned
+//! `Engine::run` calls, one `Path::Planned` run, one `Path::Auto` run
+//! (the plan-free kernel rounds for every kernel scheme), and — on
+//! static, closed runs — the range-split `run_parallel` at 1–4
+//! threads. This suite
 //! drives randomized scheme × graph × load × workload × **topology
 //! schedule** combinations through every applicable path and asserts
 //! that the complete observable outcome is identical:
@@ -35,7 +36,7 @@
 
 use dlb::core::schemes::{RotorRouter, RotorRouterStar, SendFloor, SendRound};
 use dlb::core::{
-    Balancer, Engine, EngineError, FlowPlan, KernelBalancer, LoadVector, StaticTopology,
+    Balancer, Engine, EngineError, FlowPlan, KernelBalancer, KernelRounds, LoadVector, Path, Run,
     TopologySchedule, VectorConfig, VectorStats, VectorStrategy, VectorWidth, Workload,
 };
 use dlb::graph::{generators, BalancingGraph, PortOrder, RegularGraph};
@@ -136,6 +137,9 @@ impl Balancer for Const3 {
                 plan.set(u, 0, 3);
             }
         }
+    }
+    fn as_kernel(&mut self) -> Option<&mut dyn KernelRounds> {
+        Some(self)
     }
 }
 
@@ -296,17 +300,21 @@ fn drive_step_loop(
     let mut engine = Engine::new(gp.clone(), initial.clone());
     let error = (0..steps).find_map(|_| {
         engine
-            .step_dyn(
+            .run(
                 inst.kernel(),
-                schedule.as_deref_mut(),
-                workload.as_deref_mut(),
+                Run {
+                    schedule: schedule.as_deref_mut(),
+                    workload: workload.as_deref_mut(),
+                    path: Path::Planned,
+                    ..Run::new(1)
+                },
             )
             .err()
     });
     Outcome::capture(&engine, inst.rotors(), error)
 }
 
-fn drive_run_fast(
+fn drive_planned(
     gp: &BalancingGraph,
     scheme: SchemeId,
     sspec: &Option<ScheduleSpec>,
@@ -319,17 +327,20 @@ fn drive_run_fast(
     let mut workload = build_workload(wspec, gp.num_nodes());
     let mut engine = Engine::new(gp.clone(), initial.clone());
     let error = engine
-        .run_fast_dyn(
+        .run(
             inst.kernel(),
-            steps,
-            schedule.as_deref_mut(),
-            workload.as_deref_mut(),
+            Run {
+                schedule: schedule.as_deref_mut(),
+                workload: workload.as_deref_mut(),
+                path: Path::Planned,
+                ..Run::new(steps)
+            },
         )
         .err();
     Outcome::capture(&engine, inst.rotors(), error)
 }
 
-fn drive_run_kernel(
+fn drive_auto(
     gp: &BalancingGraph,
     scheme: SchemeId,
     sspec: &Option<ScheduleSpec>,
@@ -342,20 +353,22 @@ fn drive_run_kernel(
     let mut workload = build_workload(wspec, gp.num_nodes());
     let mut engine = Engine::new(gp.clone(), initial.clone());
     let error = engine
-        .run_kernel_dyn(
+        .run(
             inst.kernel(),
-            steps,
-            schedule.as_deref_mut(),
-            workload.as_deref_mut(),
+            Run {
+                schedule: schedule.as_deref_mut(),
+                workload: workload.as_deref_mut(),
+                ..Run::new(steps)
+            },
         )
         .err();
     Outcome::capture(&engine, inst.rotors(), error)
 }
 
-/// `run_kernel` (`threads == None`) or `run_parallel` at the given
+/// `Engine::run` (`threads == None`) or `run_parallel` at the given
 /// thread count, under a vector configuration, for the uniform SEND
 /// schemes on static, closed runs — where the vector layer dispatches
-/// (elsewhere it never does and this reduces to [`drive_run_kernel`]).
+/// (elsewhere it never does and this reduces to [`drive_auto`]).
 /// Returns the outcome and the vector counters, which `run_parallel`
 /// must reproduce too. Negative seeds in the fuzzed load patterns
 /// exercise the dispatch's `NegativeLoad` entry check against the
@@ -371,8 +384,8 @@ fn drive_vector(
     let mut engine = Engine::new(gp.clone(), initial.clone());
     engine.set_vector_config(config);
     let error = match (scheme, threads) {
-        (SchemeId::SendFloor, None) => engine.run_kernel(&mut SendFloor::new(), steps).err(),
-        (SchemeId::SendRound, None) => engine.run_kernel(&mut SendRound::new(), steps).err(),
+        (SchemeId::SendFloor, None) => engine.run(&mut SendFloor::new(), Run::new(steps)).err(),
+        (SchemeId::SendRound, None) => engine.run(&mut SendRound::new(), Run::new(steps)).err(),
         (SchemeId::SendFloor, Some(t)) => engine.run_parallel(&SendFloor::new(), steps, t).err(),
         (SchemeId::SendRound, Some(t)) => engine.run_parallel(&SendRound::new(), steps, t).err(),
         _ => return None,
@@ -462,14 +475,14 @@ proptest! {
         let wname = wspec.as_ref().map_or_else(|| "none".into(), WorkloadSpec::label);
         let tag = format!("{gname}+{d_self}/{sname}/{wname}");
 
-        let kernel = drive_run_kernel(&gp, scheme, &sspec, &wspec, &initial, steps);
+        let kernel = drive_auto(&gp, scheme, &sspec, &wspec, &initial, steps);
         let reference = if scheme == SchemeId::SendRound && d_self < d {
             kernel
         } else {
             let reference = drive_step_loop(&gp, scheme, &sspec, &wspec, &initial, steps);
-            let fast = drive_run_fast(&gp, scheme, &sspec, &wspec, &initial, steps);
-            fast.assert_matches(&reference, &format!("run_fast on {tag}"));
-            kernel.assert_matches(&reference, &format!("run_kernel on {tag}"));
+            let fast = drive_planned(&gp, scheme, &sspec, &wspec, &initial, steps);
+            fast.assert_matches(&reference, &format!("planned on {tag}"));
+            kernel.assert_matches(&reference, &format!("auto on {tag}"));
             reference
         };
         if sspec.is_none() && wspec.is_none() {
@@ -485,7 +498,7 @@ proptest! {
                 else {
                     continue;
                 };
-                serial.assert_matches(&reference, &format!("run_kernel[{vlabel}] on {tag}"));
+                serial.assert_matches(&reference, &format!("auto[{vlabel}] on {tag}"));
                 for threads in 1..=4 {
                     let (par, par_stats) =
                         drive_vector(&gp, scheme, &initial, steps, config, Some(threads))
@@ -531,12 +544,12 @@ fn unclamped_drain_under_churn_produces_identical_negative_divergence() {
     );
     for (label, outcome) in [
         (
-            "run_fast",
-            drive_run_fast(&gp, SchemeId::SendFloor, &sspec, &wspec, &initial, steps),
+            "planned",
+            drive_planned(&gp, SchemeId::SendFloor, &sspec, &wspec, &initial, steps),
         ),
         (
-            "run_kernel",
-            drive_run_kernel(&gp, SchemeId::SendFloor, &sspec, &wspec, &initial, steps),
+            "auto",
+            drive_auto(&gp, SchemeId::SendFloor, &sspec, &wspec, &initial, steps),
         ),
     ] {
         outcome.assert_matches(&reference, label);
@@ -568,12 +581,12 @@ fn injection_eroded_overdraw_under_churn_is_identical_on_every_path() {
     );
     for (label, outcome) in [
         (
-            "run_fast",
-            drive_run_fast(&gp, SchemeId::Const3, &sspec, &wspec, &initial, steps),
+            "planned",
+            drive_planned(&gp, SchemeId::Const3, &sspec, &wspec, &initial, steps),
         ),
         (
-            "run_kernel",
-            drive_run_kernel(&gp, SchemeId::Const3, &sspec, &wspec, &initial, steps),
+            "auto",
+            drive_auto(&gp, SchemeId::Const3, &sspec, &wspec, &initial, steps),
         ),
     ] {
         outcome.assert_matches(&reference, label);
@@ -602,16 +615,17 @@ fn rotor_state_is_identical_under_full_churn() {
         assert!(reference.error.is_none());
         assert!(reference.topology_events > 0, "churn must land");
         assert!(reference.rotors.is_some());
-        let kernel = drive_run_kernel(&gp, scheme, &sspec, &wspec, &initial, 40);
-        kernel.assert_matches(&reference, "run_kernel rotor state");
-        let fast = drive_run_fast(&gp, scheme, &sspec, &wspec, &initial, 40);
-        fast.assert_matches(&reference, "run_fast rotor state");
+        let kernel = drive_auto(&gp, scheme, &sspec, &wspec, &initial, 40);
+        kernel.assert_matches(&reference, "auto rotor state");
+        let fast = drive_planned(&gp, scheme, &sspec, &wspec, &initial, 40);
+        fast.assert_matches(&reference, "planned rotor state");
     }
 }
 
 /// ROTOR-ROUTER\* on every schedule of the battery — sleeping-node
 /// schedules included — times every workload, the unclamped drain
-/// included: `step_dyn`, `run_fast_dyn` and the kernel path agree on
+/// included: the per-round planned loop, one planned run and the
+/// kernel rounds agree on
 /// loads, graph, inner rotors and errors. The fuzz above samples this
 /// grid; here it is covered whole.
 #[test]
@@ -631,12 +645,10 @@ fn rotor_star_agrees_on_every_schedule_and_workload() {
                 let reference =
                     drive_step_loop(&gp, SchemeId::RotorStar, &sspec, &wspec, &initial, steps);
                 errored += usize::from(reference.error.is_some());
-                let fast =
-                    drive_run_fast(&gp, SchemeId::RotorStar, &sspec, &wspec, &initial, steps);
-                fast.assert_matches(&reference, &format!("run_fast on {tag}"));
-                let kernel =
-                    drive_run_kernel(&gp, SchemeId::RotorStar, &sspec, &wspec, &initial, steps);
-                kernel.assert_matches(&reference, &format!("run_kernel on {tag}"));
+                let fast = drive_planned(&gp, SchemeId::RotorStar, &sspec, &wspec, &initial, steps);
+                fast.assert_matches(&reference, &format!("planned on {tag}"));
+                let kernel = drive_auto(&gp, SchemeId::RotorStar, &sspec, &wspec, &initial, steps);
+                kernel.assert_matches(&reference, &format!("auto on {tag}"));
             }
         }
     }
@@ -675,12 +687,12 @@ fn negative_seed_is_not_shadowed_by_overdraw_in_churning_rounds() {
     );
     for (label, outcome) in [
         (
-            "run_kernel",
-            drive_run_kernel(&gp, SchemeId::Const3, &sspec, &wspec, &initial, 10),
+            "auto",
+            drive_auto(&gp, SchemeId::Const3, &sspec, &wspec, &initial, 10),
         ),
         (
-            "run_fast",
-            drive_run_fast(&gp, SchemeId::Const3, &sspec, &wspec, &initial, 10),
+            "planned",
+            drive_planned(&gp, SchemeId::Const3, &sspec, &wspec, &initial, 10),
         ),
     ] {
         outcome.assert_matches(&reference, label);
@@ -692,8 +704,8 @@ fn negative_seed_is_not_shadowed_by_overdraw_in_churning_rounds() {
 #[derive(Clone, Copy)]
 enum ResumePath {
     StepLoop,
-    Fast,
-    Kernel,
+    Planned,
+    Auto,
     Parallel(usize),
     ForcedVector(VectorConfig),
 }
@@ -706,7 +718,7 @@ struct SplitPoint {
     path: ResumePath,
 }
 
-/// The snapshot axis: run the instrumented loop to a chosen round
+/// The snapshot axis: run the per-round planned loop to a chosen round
 /// boundary, export the complete engine state plus rotor positions and
 /// generator cursors, rebuild **everything** from the export alone,
 /// and finish the run on the given path. Returns `None` where the path
@@ -728,16 +740,20 @@ fn drive_split_resume(
         return None;
     }
 
-    // Phase 1: the instrumented loop up to the split boundary.
+    // Phase 1: the per-round planned loop up to the split boundary.
     let mut inst = Instance::build(scheme, gp, None);
     let mut schedule = build_schedule(sspec);
     let mut workload = build_workload(wspec, gp.num_nodes());
     let mut engine = Engine::new(gp.clone(), initial.clone());
     for _ in 0..split {
-        if let Err(e) = engine.step_dyn(
+        if let Err(e) = engine.run(
             inst.kernel(),
-            schedule.as_deref_mut(),
-            workload.as_deref_mut(),
+            Run {
+                schedule: schedule.as_deref_mut(),
+                workload: workload.as_deref_mut(),
+                path: Path::Planned,
+                ..Run::new(1)
+            },
         ) {
             // Errored before the boundary: nothing left to resume; the
             // terminal state itself must match the reference.
@@ -768,11 +784,38 @@ fn drive_split_resume(
     let error = match path {
         ResumePath::StepLoop => (0..remaining).find_map(|_| {
             engine
-                .step_dyn(inst.kernel(), s.as_deref_mut(), w.as_deref_mut())
+                .run(
+                    inst.kernel(),
+                    Run {
+                        schedule: s.as_deref_mut(),
+                        workload: w.as_deref_mut(),
+                        path: Path::Planned,
+                        ..Run::new(1)
+                    },
+                )
                 .err()
         }),
-        ResumePath::Fast => engine.run_fast_dyn(inst.kernel(), remaining, s, w).err(),
-        ResumePath::Kernel => engine.run_kernel_dyn(inst.kernel(), remaining, s, w).err(),
+        ResumePath::Planned => engine
+            .run(
+                inst.kernel(),
+                Run {
+                    schedule: s,
+                    workload: w,
+                    path: Path::Planned,
+                    ..Run::new(remaining)
+                },
+            )
+            .err(),
+        ResumePath::Auto => engine
+            .run(
+                inst.kernel(),
+                Run {
+                    schedule: s,
+                    workload: w,
+                    ..Run::new(remaining)
+                },
+            )
+            .err(),
         ResumePath::Parallel(threads) => match scheme {
             SchemeId::SendFloor => engine
                 .run_parallel(&SendFloor::new(), remaining, threads)
@@ -784,14 +827,7 @@ fn drive_split_resume(
         },
         ResumePath::ForcedVector(config) => {
             engine.set_vector_config(config);
-            engine
-                .run_kernel_dyn(
-                    inst.kernel(),
-                    remaining,
-                    StaticTopology::none(),
-                    None::<&mut dyn Workload>,
-                )
-                .err()
+            engine.run(inst.kernel(), Run::new(remaining)).err()
         }
     };
     Some(Outcome::capture(&engine, inst.rotors(), error))
@@ -801,11 +837,11 @@ fn drive_split_resume(
 fn resume_paths() -> Vec<(&'static str, ResumePath)> {
     vec![
         ("step-loop", ResumePath::StepLoop),
-        ("run_fast", ResumePath::Fast),
-        ("run_kernel", ResumePath::Kernel),
+        ("planned", ResumePath::Planned),
+        ("auto", ResumePath::Auto),
         ("run_parallel(2)", ResumePath::Parallel(2)),
         (
-            "run_kernel[banded/i64]",
+            "auto[banded/i64]",
             ResumePath::ForcedVector(VectorConfig {
                 enabled: true,
                 strategy: VectorStrategy::Banded,
@@ -813,7 +849,7 @@ fn resume_paths() -> Vec<(&'static str, ResumePath)> {
             }),
         ),
         (
-            "run_kernel[blocked/i32]",
+            "auto[blocked/i32]",
             ResumePath::ForcedVector(VectorConfig {
                 enabled: true,
                 strategy: VectorStrategy::BlockedCsr,
@@ -917,9 +953,10 @@ fn resume_across_a_divergence_point_reproduces_the_error() {
 }
 
 /// Drives `steps` rounds of `scheme` with `workload` on one of the
-/// dynamic paths — 0: the `step_dyn` loop, 1: `run_fast_dyn`,
-/// 2: `run_kernel_dyn`, 3: `run_dyn` — for inputs the spec-driven
-/// drivers cannot build.
+/// dynamic paths — 0: one planned round per call, 1: one planned run,
+/// 2: one `Path::Auto` run (the kernel rounds), 3: one `Path::Auto` run
+/// with a monitor attached (planned, recording the ledger) — for inputs
+/// the spec-driven drivers cannot build.
 fn drive_workload(
     path: usize,
     scheme: SchemeId,
@@ -936,17 +973,50 @@ fn drive_workload(
     let error = match path {
         0 => (0..steps).find_map(|_| {
             engine
-                .step_dyn(inst.kernel(), s.as_deref_mut(), Some(&mut *workload))
+                .run(
+                    inst.kernel(),
+                    Run {
+                        schedule: s.as_deref_mut(),
+                        workload: Some(&mut *workload),
+                        path: Path::Planned,
+                        ..Run::new(1)
+                    },
+                )
                 .err()
         }),
         1 => engine
-            .run_fast_dyn(inst.kernel(), steps, s, Some(workload))
+            .run(
+                inst.kernel(),
+                Run {
+                    schedule: s,
+                    workload: Some(workload),
+                    path: Path::Planned,
+                    ..Run::new(steps)
+                },
+            )
             .err(),
-        3 => engine
-            .run_dyn(inst.kernel(), steps, s, Some(workload))
-            .err(),
+        3 => {
+            engine.attach_monitor();
+            engine
+                .run(
+                    inst.kernel(),
+                    Run {
+                        schedule: s,
+                        workload: Some(workload),
+                        ..Run::new(steps)
+                    },
+                )
+                .err()
+        }
         _ => engine
-            .run_kernel_dyn(inst.kernel(), steps, s, Some(workload))
+            .run(
+                inst.kernel(),
+                Run {
+                    schedule: s,
+                    workload: Some(workload),
+                    ..Run::new(steps)
+                },
+            )
             .err(),
     };
     Outcome::capture(&engine, inst.rotors(), error)
@@ -1049,7 +1119,7 @@ fn injection_overflow_is_a_typed_error_rolled_back_on_every_path() {
 /// hotspot of 30 tokens per round on node 0. No load and no net
 /// injection leaves `i64`, but the positive load total does, so the
 /// round's flows could form a load past `i64::MAX`: debug builds
-/// panicked in routing on `run_dyn` and `run_kernel_dyn` under the
+/// panicked in routing on the planned and the kernel rounds under the
 /// rotor-router, and release builds returned `Ok` with a wrapped load
 /// total. Every path must now reject the injecting round with a typed
 /// error at the first node in node order whose running positive total

@@ -1,5 +1,5 @@
-//! Cross-path property tests: the engine's fused fast paths must be
-//! indistinguishable from the instrumented stepping loop.
+//! Cross-path property tests: the engine's kernel rounds must be
+//! indistinguishable from the planned stepping loop.
 //!
 //! Five guarantees, checked by proptest across every structured
 //! generator family (cycle, torus, hypercube, clique-circulant,
@@ -7,16 +7,17 @@
 //!
 //! 1. every non-overdrawing scheme conserves tokens and never produces
 //!    a negative load, on every execution path;
-//! 2. `run_fast` and the plan-free `run_kernel` produce bit-identical
-//!    load vectors to the `step()` loop for every scheme with a kernel;
-//! 3. `run_parallel` is bit-identical to `run_kernel` — loads, step
+//! 2. a `Path::Planned` run and a `Path::Auto` run (the plan-free
+//!    kernel rounds) produce bit-identical load vectors to the `step()`
+//!    loop for every scheme with a kernel;
+//! 3. `run_parallel` is bit-identical to `Engine::run` — loads, step
 //!    count and vector counters — for every thread count (1/2/3/4
 //!    explicitly) and every vector inner loop, for the SEND schemes;
 //! 4. running on an RCM-relabeled graph with permuted loads and mapping
 //!    the result back through the inverse reproduces the original run
 //!    exactly (port numbering is preserved, so even the rotor-router
 //!    commutes with relabeling);
-//! 5. `run_kernel` reports the same `Overdraw`/`NegativeLoad` error —
+//! 5. the kernel rounds report the same `Overdraw`/`NegativeLoad` error —
 //!    same node, load and step — as the `step()` loop;
 //! 6. under the default `VectorConfig`, closed SEND runs at n = 4096
 //!    dispatch into the vector layer and take the inner loop recorded
@@ -25,8 +26,8 @@
 
 use dlb::core::schemes::{RotorRouter, SendFloor, SendRound};
 use dlb::core::{
-    Balancer, Engine, EngineError, FlowPlan, KernelBalancer, LoadVector, NoWorkload,
-    StaticTopology, VectorConfig, VectorStrategy, VectorWidth, I32_HEADROOM_LIMIT,
+    Balancer, Engine, EngineError, FlowPlan, KernelBalancer, KernelRounds, LoadVector, NoWorkload,
+    Path, Run, StaticTopology, VectorConfig, VectorStrategy, VectorWidth, I32_HEADROOM_LIMIT,
 };
 use dlb::graph::relabel::Relabeling;
 use dlb::graph::{generators, BalancingGraph, PortOrder, RegularGraph};
@@ -74,9 +75,8 @@ fn non_overdrawing_schemes() -> Vec<SchemeSpec> {
 }
 
 /// Drives `steps` rounds of the kernel scheme named by `which` through
-/// `run_kernel` (the path is generic over the concrete scheme, so tests
-/// dispatch explicitly).
-fn run_kernel_by_name(
+/// a `Path::Auto` run, which takes the kernel rounds.
+fn auto_run_by_name(
     gp: &BalancingGraph,
     which: &SchemeSpec,
     initial: &LoadVector,
@@ -84,11 +84,11 @@ fn run_kernel_by_name(
 ) -> Result<Engine, EngineError> {
     let mut engine = Engine::new(gp.clone(), initial.clone());
     match which {
-        SchemeSpec::SendFloor => engine.run_kernel(&mut SendFloor::new(), steps)?,
-        SchemeSpec::SendRound => engine.run_kernel(&mut SendRound::new(), steps)?,
+        SchemeSpec::SendFloor => engine.run(&mut SendFloor::new(), Run::new(steps))?,
+        SchemeSpec::SendRound => engine.run(&mut SendRound::new(), Run::new(steps))?,
         SchemeSpec::RotorRouter => {
             let mut rotor = RotorRouter::new(gp, PortOrder::Sequential).expect("rotor builds");
-            engine.run_kernel(&mut rotor, steps)?;
+            engine.run(&mut rotor, Run::new(steps))?;
         }
         other => panic!("no kernel dispatch for {}", other.label()),
     }
@@ -147,8 +147,8 @@ fn vector_configs() -> Vec<(&'static str, VectorConfig)> {
     ]
 }
 
-/// `run_kernel` under an explicit vector configuration.
-fn run_kernel_configured(
+/// A `Path::Auto` run under an explicit vector configuration.
+fn auto_run_configured(
     gp: &BalancingGraph,
     which: &SchemeSpec,
     initial: &LoadVector,
@@ -158,8 +158,8 @@ fn run_kernel_configured(
     let mut engine = Engine::new(gp.clone(), initial.clone());
     engine.set_vector_config(config);
     match which {
-        SchemeSpec::SendFloor => engine.run_kernel(&mut SendFloor::new(), steps).unwrap(),
-        SchemeSpec::SendRound => engine.run_kernel(&mut SendRound::new(), steps).unwrap(),
+        SchemeSpec::SendFloor => engine.run(&mut SendFloor::new(), Run::new(steps)).unwrap(),
+        SchemeSpec::SendRound => engine.run(&mut SendRound::new(), Run::new(steps)).unwrap(),
         other => panic!("no kernel dispatch for {}", other.label()),
     }
     engine
@@ -207,7 +207,7 @@ proptest! {
                 let mut bal = scheme.build(&gp).unwrap();
                 prop_assert!(!bal.may_overdraw());
                 let mut engine = Engine::new(gp.clone(), initial.clone());
-                engine.run_fast(bal.as_mut(), steps).unwrap();
+                engine.run(bal.as_mut(), Run { path: Path::Planned, ..Run::new(steps) }).unwrap();
                 prop_assert_eq!(
                     engine.loads().total(), total,
                     "{} lost tokens on {}", scheme.label(), name
@@ -234,7 +234,7 @@ proptest! {
             let gp = BalancingGraph::lazy(graph);
             let initial = loads_for(n, &pattern);
             for scheme in [SchemeSpec::SendFloor, SchemeSpec::SendRound] {
-                // Reference: the instrumented step() loop.
+                // Reference: the planned step() loop.
                 let mut bal = scheme.build(&gp).unwrap();
                 let mut reference = Engine::new(gp.clone(), initial.clone());
                 for _ in 0..steps {
@@ -243,16 +243,16 @@ proptest! {
 
                 let mut bal = scheme.build(&gp).unwrap();
                 let mut fast = Engine::new(gp.clone(), initial.clone());
-                fast.run_fast(bal.as_mut(), steps).unwrap();
+                fast.run(bal.as_mut(), Run { path: Path::Planned, ..Run::new(steps) }).unwrap();
                 prop_assert_eq!(
                     fast.loads(), reference.loads(),
-                    "run_fast diverged: {} on {}", scheme.label(), name
+                    "planned run diverged: {} on {}", scheme.label(), name
                 );
 
-                let kernel = run_kernel_by_name(&gp, &scheme, &initial, steps).unwrap();
+                let kernel = auto_run_by_name(&gp, &scheme, &initial, steps).unwrap();
                 prop_assert_eq!(
                     kernel.loads(), reference.loads(),
-                    "run_kernel diverged: {} on {}", scheme.label(), name
+                    "kernel rounds diverged: {} on {}", scheme.label(), name
                 );
                 prop_assert_eq!(kernel.step_count(), reference.step_count());
                 prop_assert_eq!(
@@ -301,7 +301,7 @@ proptest! {
                 }
                 for (label, config) in vector_configs() {
                     let engine =
-                        run_kernel_configured(&gp, &scheme, &initial, steps, config);
+                        auto_run_configured(&gp, &scheme, &initial, steps, config);
                     prop_assert_eq!(
                         engine.loads(), reference.loads(),
                         "{} diverged: {} on {}", label, scheme.label(), name
@@ -358,16 +358,16 @@ proptest! {
             }
             let mut bal = SchemeSpec::RotorRouter.build(&gp).unwrap();
             let mut fast = Engine::new(gp.clone(), initial.clone());
-            fast.run_fast(bal.as_mut(), steps).unwrap();
+            fast.run(bal.as_mut(), Run { path: Path::Planned, ..Run::new(steps) }).unwrap();
             prop_assert_eq!(
                 fast.loads(), reference.loads(),
-                "rotor run_fast diverged on {}", name
+                "rotor planned run diverged on {}", name
             );
             let kernel =
-                run_kernel_by_name(&gp, &SchemeSpec::RotorRouter, &initial, steps).unwrap();
+                auto_run_by_name(&gp, &SchemeSpec::RotorRouter, &initial, steps).unwrap();
             prop_assert_eq!(
                 kernel.loads(), reference.loads(),
-                "rotor run_kernel diverged on {}", name
+                "rotor kernel rounds diverged on {}", name
             );
         }
     }
@@ -394,8 +394,8 @@ proptest! {
                 SchemeSpec::SendRound,
                 SchemeSpec::RotorRouter,
             ] {
-                let reference = run_kernel_by_name(&gp, &scheme, &initial, steps).unwrap();
-                let relabeled = run_kernel_by_name(&rgp, &scheme, &rinitial, steps).unwrap();
+                let reference = auto_run_by_name(&gp, &scheme, &initial, steps).unwrap();
+                let relabeled = auto_run_by_name(&rgp, &scheme, &rinitial, steps).unwrap();
                 let restored =
                     LoadVector::new(relab.unpermute(relabeled.loads().as_slice()));
                 prop_assert_eq!(
@@ -428,11 +428,11 @@ proptest! {
 
             let mut rotor = RotorRouter::new(&gp, PortOrder::Sequential).unwrap();
             let mut reference = Engine::new(gp.clone(), initial);
-            reference.run_kernel(&mut rotor, steps).unwrap();
+            reference.run(&mut rotor, Run::new(steps)).unwrap();
 
             let mut rrotor = RotorRouter::new(&rgp, PortOrder::Sequential).unwrap();
             let mut relabeled = Engine::new(rgp.clone(), rinitial);
-            relabeled.run_kernel(&mut rrotor, steps).unwrap();
+            relabeled.run(&mut rrotor, Run::new(steps)).unwrap();
 
             prop_assert_eq!(
                 relab.unpermute(rrotor.rotors()),
@@ -469,9 +469,15 @@ fn negative_seed_errors_cleanly_on_every_path() {
             "wrong outcome: {r:?}"
         );
     };
-    expect(build().run(&mut SendFloor::new(), 4));
-    expect(build().run_fast(&mut SendFloor::new(), 4));
-    expect(build().run_kernel(&mut SendFloor::new(), 4));
+    expect(build().run(&mut SendFloor::new(), Run::new(4)));
+    expect(build().run(
+        &mut SendFloor::new(),
+        Run {
+            path: Path::Planned,
+            ..Run::new(4)
+        },
+    ));
+    expect(build().run(&mut SendFloor::new(), Run::new(4)));
     for threads in [1, 2, 3, 4] {
         expect(build().run_parallel(&SendFloor::new(), 4, threads));
     }
@@ -495,6 +501,9 @@ impl Balancer for Drain3 {
             }
         }
     }
+    fn as_kernel(&mut self) -> Option<&mut dyn KernelRounds> {
+        Some(self)
+    }
 }
 
 impl KernelBalancer for Drain3 {
@@ -504,7 +513,7 @@ impl KernelBalancer for Drain3 {
     }
 }
 
-/// Guarantee 5 (overdraw half): `run_kernel` must report the exact
+/// Guarantee 5 (overdraw half): the kernel rounds must report the exact
 /// `Overdraw` the `step()` loop reports — same node, load, planned
 /// amount and 1-based step — and leave the loads of the last completed
 /// round, after which both engines agree.
@@ -535,7 +544,7 @@ fn run_kernel_overdraw_parity_with_step_loop() {
     );
 
     let mut kernel = build();
-    let kernel_err = kernel.run_kernel(&mut Drain3, 10).unwrap_err();
+    let kernel_err = kernel.run(&mut Drain3, Run::new(10)).unwrap_err();
     assert_eq!(kernel_err, step_err, "kernel error diverged from step()");
     assert_eq!(kernel.loads(), reference.loads());
     assert_eq!(kernel.step_count(), reference.step_count());
@@ -559,6 +568,9 @@ impl Balancer for Overdraw5 {
                 plan.set(u, 0, 5);
             }
         }
+    }
+    fn as_kernel(&mut self) -> Option<&mut dyn KernelRounds> {
+        Some(self)
     }
 }
 
@@ -595,14 +607,14 @@ fn run_kernel_negative_load_parity_with_step_loop() {
     );
 
     let mut kernel = build();
-    kernel.run_kernel(&mut Overdraw5, 1).unwrap();
+    kernel.run(&mut Overdraw5, Run::new(1)).unwrap();
     assert_eq!(kernel.loads(), reference.loads());
     assert_eq!(
         kernel.negative_node_steps(),
         reference.negative_node_steps(),
         "overdraw accounting diverged"
     );
-    let kern_err = kernel.run_kernel(&mut SendFloor::new(), 5).unwrap_err();
+    let kern_err = kernel.run(&mut SendFloor::new(), Run::new(5)).unwrap_err();
     assert_eq!(kern_err, ref_err, "kernel error diverged from step()");
 }
 
@@ -610,7 +622,7 @@ fn run_kernel_negative_load_parity_with_step_loop() {
 /// to pay a full `O(n)` negative-load rescan per round. The streaming
 /// apply now maintains the count at every write — the rescan counter
 /// must stay pinned at zero while the accounting it replaced stays
-/// exact against the instrumented step loop.
+/// exact against the planned step loop.
 #[test]
 fn overdrawing_kernel_rounds_pay_zero_negative_rescans() {
     let build = || {
@@ -631,7 +643,7 @@ fn overdrawing_kernel_rounds_pay_zero_negative_rescans() {
     );
 
     let mut kernel = build();
-    kernel.run_kernel(&mut Overdraw5, steps).unwrap();
+    kernel.run(&mut Overdraw5, Run::new(steps)).unwrap();
     assert_eq!(kernel.loads(), reference.loads());
     assert_eq!(
         kernel.negative_node_steps(),
@@ -656,7 +668,7 @@ fn near_i32_max_seed_stays_on_i64_under_auto_width() {
     let initial = LoadVector::new(loads);
     let steps = 12;
 
-    let scalar = run_kernel_configured(
+    let scalar = auto_run_configured(
         &gp,
         &SchemeSpec::SendFloor,
         &initial,
@@ -666,7 +678,7 @@ fn near_i32_max_seed_stays_on_i64_under_auto_width() {
             ..VectorConfig::default()
         },
     );
-    let auto = run_kernel_configured(
+    let auto = auto_run_configured(
         &gp,
         &SchemeSpec::SendFloor,
         &initial,
@@ -695,7 +707,7 @@ fn forced_i32_guard_trips_mid_run_and_falls_back_bit_identically() {
     let initial = LoadVector::new(vec![10, 9, 10, 0, 0, 0, 0, 0]);
     let steps = 9;
 
-    let scalar = run_kernel_configured(
+    let scalar = auto_run_configured(
         &gp,
         &SchemeSpec::SendRound,
         &initial,
@@ -706,7 +718,7 @@ fn forced_i32_guard_trips_mid_run_and_falls_back_bit_identically() {
         },
     );
     for strategy in [VectorStrategy::Banded, VectorStrategy::BlockedCsr] {
-        let engine = run_kernel_configured(
+        let engine = auto_run_configured(
             &gp,
             &SchemeSpec::SendRound,
             &initial,
@@ -752,14 +764,14 @@ fn forced_i32_guard_trips_mid_run_and_falls_back_bit_identically() {
 }
 
 /// SEND([x/d⁺]) on a graph with `d° < d` has no closed form, so
-/// `run_parallel` must stream the scalar kernel exactly as `run_kernel`
+/// `run_parallel` must stream the scalar kernel exactly as `Engine::run`
 /// does — the same `Overdraw`, the same loads and clock, no vector run.
 #[test]
 fn run_parallel_send_round_below_class_reports_the_scalar_overdraw() {
     let gp = BalancingGraph::bare(generators::cycle(10).unwrap());
     let initial = LoadVector::uniform(10, 11);
     let mut kernel = Engine::new(gp.clone(), initial.clone());
-    let kernel_err = kernel.run_kernel(&mut SendRound::new(), 3).unwrap_err();
+    let kernel_err = kernel.run(&mut SendRound::new(), Run::new(3)).unwrap_err();
     assert!(matches!(kernel_err, EngineError::Overdraw { step: 1, .. }));
     for threads in 1..=4 {
         let mut par = Engine::new(gp.clone(), initial.clone());
@@ -780,7 +792,7 @@ fn forced_i32_with_unfitting_seed_falls_back_loudly_at_entry() {
     let initial = LoadVector::point_mass(16, 5000);
     let steps = 10;
 
-    let scalar = run_kernel_configured(
+    let scalar = auto_run_configured(
         &gp,
         &SchemeSpec::SendFloor,
         &initial,
@@ -790,7 +802,7 @@ fn forced_i32_with_unfitting_seed_falls_back_loudly_at_entry() {
             ..VectorConfig::default()
         },
     );
-    let engine = run_kernel_configured(
+    let engine = auto_run_configured(
         &gp,
         &SchemeSpec::SendFloor,
         &initial,
@@ -810,7 +822,7 @@ fn forced_i32_with_unfitting_seed_falls_back_loudly_at_entry() {
     );
 }
 
-/// Step-count parity across chunked vector runs: two `run_kernel`
+/// Step-count parity across chunked vector runs: two `Engine::run`
 /// calls must land on the same state and step count as one combined
 /// call and as the step loop — the vector path advances the engine's
 /// clock exactly like the scalar rounds.
@@ -826,14 +838,14 @@ fn chunked_vector_runs_accumulate_steps_like_scalar() {
     }
 
     let mut chunked = Engine::new(gp.clone(), initial.clone());
-    chunked.run_kernel(&mut SendFloor::new(), 4).unwrap();
-    chunked.run_kernel(&mut SendFloor::new(), 7).unwrap();
+    chunked.run(&mut SendFloor::new(), Run::new(4)).unwrap();
+    chunked.run(&mut SendFloor::new(), Run::new(7)).unwrap();
     assert_eq!(chunked.step_count(), 11);
     assert_eq!(chunked.loads(), reference.loads());
     assert_eq!(chunked.vector_stats().runs, 2);
 
     let mut single = Engine::new(gp, initial);
-    single.run_kernel(&mut SendFloor::new(), 11).unwrap();
+    single.run(&mut SendFloor::new(), Run::new(11)).unwrap();
     assert_eq!(single.loads(), reference.loads());
     assert_eq!(single.step_count(), 11);
 }
@@ -842,7 +854,7 @@ fn chunked_vector_runs_accumulate_steps_like_scalar() {
 /// `i64::MAX − 1` under rewiring and failures, for both SEND schemes on
 /// an odd `d⁺` (multiply-high reciprocal, and a round bias that carries
 /// the dividend past 2⁶³) and on a power-of-two `d⁺`, matches the
-/// `step_dyn` loop round for round.
+/// per-round planned loop round for round.
 #[test]
 fn run_kernel_dyn_matches_step_dyn_at_a_near_max_load() {
     fn check<K: KernelBalancer + Clone>(gp: &BalancingGraph, scheme: K) {
@@ -862,14 +874,22 @@ fn run_kernel_dyn_matches_step_dyn_at_a_near_max_load() {
         let (mut ref_bal, mut kern_bal) = (scheme.clone(), scheme);
         for round in 1..=24 {
             reference
-                .step_dyn(&mut ref_bal, Some(ref_sched.as_mut()), None)
+                .run(
+                    &mut ref_bal,
+                    Run {
+                        schedule: Some(ref_sched.as_mut()),
+                        path: Path::Planned,
+                        ..Run::new(1)
+                    },
+                )
                 .unwrap();
             kernel
-                .run_kernel_dyn(
+                .run(
                     &mut kern_bal,
-                    1,
-                    Some(kern_sched.as_mut()),
-                    None::<&mut NoWorkload>,
+                    Run {
+                        schedule: Some(kern_sched.as_mut()),
+                        ..Run::new(1)
+                    },
                 )
                 .unwrap();
             let name = ref_bal.name();
@@ -900,10 +920,10 @@ enum InnerLoop {
 
 /// Automatic dispatch on the cells where the vector layer pays: closed
 /// SEND runs at n = 4096 from a bimodal 64-per-node seed, 64 rounds.
-/// With the default `VectorConfig`, `run_kernel` and the dyn entry
-/// with no-op generators spelled out (`Some(&mut StaticTopology)`,
-/// `Some(&mut NoWorkload)`, how the serve layer calls it) must both
-/// dispatch, take the inner loop recorded for the cell, run every
+/// With the default `VectorConfig`, a `Path::Auto` run with no
+/// generators and one with no-op generators spelled out
+/// (`Some(&mut StaticTopology)`, `Some(&mut NoWorkload)`, as serve's
+/// journal replay passes its recorded generators) must both dispatch, take the inner loop recorded for the cell, run every
 /// round at i32, and match the step loop bit for bit. The
 /// random-regular cell runs again under an RCM relabeling, which keeps
 /// the blocked gather; its loads map back to the original run.
@@ -932,16 +952,16 @@ fn auto_dispatch_takes_the_recorded_inner_loop_on_eligible_send_cells() {
         initial: &LoadVector,
         steps: usize,
     ) -> [Engine; 2] {
-        let kernel = run_kernel_by_name(gp, scheme, initial, steps).unwrap();
+        let kernel = auto_run_by_name(gp, scheme, initial, steps).unwrap();
         let mut dyn_static = Engine::new(gp.clone(), initial.clone());
         let (mut topology, mut workload) = (StaticTopology, NoWorkload);
-        let (s, w) = (Some(&mut topology), Some(&mut workload));
-        match scheme {
-            SchemeSpec::SendFloor => dyn_static.run_kernel_dyn(&mut SendFloor::new(), steps, s, w),
-            SchemeSpec::SendRound => dyn_static.run_kernel_dyn(&mut SendRound::new(), steps, s, w),
-            other => panic!("no kernel dispatch for {}", other.label()),
-        }
-        .unwrap();
+        let run = Run {
+            schedule: Some(&mut topology),
+            workload: Some(&mut workload),
+            ..Run::new(steps)
+        };
+        let mut bal = scheme.build(gp).unwrap();
+        dyn_static.run(bal.as_mut(), run).unwrap();
         [kernel, dyn_static]
     }
 
@@ -971,7 +991,7 @@ fn auto_dispatch_takes_the_recorded_inner_loop_on_eligible_send_cells() {
             for _ in 0..steps {
                 reference.step(bal.as_mut()).unwrap();
             }
-            for (path, engine) in ["run_kernel", "run_kernel_dyn"]
+            for (path, engine) in ["auto", "auto with no-op generators"]
                 .iter()
                 .zip(auto_runs(&gp, &scheme, &initial, steps))
             {
@@ -981,8 +1001,8 @@ fn auto_dispatch_takes_the_recorded_inner_loop_on_eligible_send_cells() {
             }
             if let Some((relab, rgp)) = &relabeling {
                 let rinitial = LoadVector::new(relab.permute(initial.as_slice()));
-                let engine = run_kernel_by_name(rgp, &scheme, &rinitial, steps).unwrap();
-                let tag = format!("run_kernel: {} on relabeled {name}", scheme.label());
+                let engine = auto_run_by_name(rgp, &scheme, &rinitial, steps).unwrap();
+                let tag = format!("auto: {} on relabeled {name}", scheme.label());
                 check(&engine, inner, &tag);
                 let restored = LoadVector::new(relab.unpermute(engine.loads().as_slice()));
                 assert_eq!(&restored, reference.loads(), "{tag}");

@@ -15,7 +15,7 @@
 //!    runtime, this breaks with it.
 
 use dlb::core::schemes::RotorRouter;
-use dlb::core::{Engine, LoadVector};
+use dlb::core::{Engine, LoadVector, Run};
 use dlb::graph::{generators, BalancingGraph, PortOrder};
 use dlb::spectral::{closed_form, BalancingHorizon, SpectralGap};
 
@@ -44,7 +44,7 @@ fn quickstart_pipeline_runs_to_completion() {
     engine.attach_monitor();
 
     for _multiple in 1..=4 {
-        engine.run(&mut rotor, t).expect("engine runs");
+        engine.run(&mut rotor, Run::new(t)).expect("engine runs");
     }
 
     assert_eq!(engine.step_count(), 4 * t);
@@ -53,7 +53,7 @@ fn quickstart_pipeline_runs_to_completion() {
     let monitor = engine.monitor().expect("attached above");
     assert_eq!(monitor.round_violations(), 0, "rotor-router is round-fair");
     assert!(
-        engine.ledger().original_edge_spread() <= 1,
+        monitor.ledger().original_edge_spread() <= 1,
         "rotor-router is cumulatively 1-fair (Observation 2.2)"
     );
 

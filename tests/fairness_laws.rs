@@ -3,7 +3,7 @@
 //! by the runtime instrumentation over randomized instances.
 
 use dlb::core::potential::PotentialTracker;
-use dlb::core::{Engine, LoadVector};
+use dlb::core::{Engine, LoadVector, Run};
 use dlb::graph::{generators, BalancingGraph};
 use dlb::harness::SchemeSpec;
 use proptest::prelude::*;
@@ -33,12 +33,13 @@ proptest! {
         ] {
             let mut bal = scheme.build(&gp).unwrap();
             let mut engine = Engine::new(gp.clone(), initial.clone());
-            engine.run(bal.as_mut(), steps).unwrap();
+            engine.attach_monitor();
+            engine.run(bal.as_mut(), Run::new(steps)).unwrap();
             prop_assert!(
-                engine.ledger().original_edge_spread() <= delta,
+                engine.monitor().unwrap().ledger().original_edge_spread() <= delta,
                 "{} witnessed spread {} > δ = {delta}",
                 scheme.label(),
-                engine.ledger().original_edge_spread()
+                engine.monitor().unwrap().ledger().original_edge_spread()
             );
         }
     }
@@ -63,7 +64,7 @@ proptest! {
             let mut bal = scheme.build(&gp).unwrap();
             let mut engine = Engine::new(gp.clone(), initial.clone());
             engine.attach_monitor();
-            engine.run(bal.as_mut(), steps).unwrap();
+            engine.run(bal.as_mut(), Run::new(steps)).unwrap();
             prop_assert_eq!(
                 engine.monitor().unwrap().floor_violations(), 0,
                 "{} starved an edge", scheme.label()
@@ -86,7 +87,7 @@ proptest! {
         let mut bal = scheme.build(&gp).unwrap();
         let mut engine = Engine::new(gp.clone(), initial.clone());
         engine.attach_monitor();
-        engine.run(bal.as_mut(), steps).unwrap();
+        engine.run(bal.as_mut(), Run::new(steps)).unwrap();
         let m = engine.monitor().unwrap();
         prop_assert_eq!(m.round_violations(), 0);
         if let Some(witnessed) = m.witnessed_s() {
@@ -95,7 +96,7 @@ proptest! {
                 "declared s = {s} but witnessed only {witnessed}"
             );
         }
-        prop_assert!(engine.ledger().original_edge_spread() <= 1);
+        prop_assert!(engine.monitor().unwrap().ledger().original_edge_spread() <= 1);
     }
 
     /// Lemmas 3.5 and 3.7: the potentials φ and φ′ are non-increasing
@@ -137,9 +138,10 @@ proptest! {
         let initial = LoadVector::point_mass(n, 31 * n as i64);
         let mut bal = SchemeSpec::RotorRouter.build(&gp).unwrap();
         let mut engine = Engine::new(gp.clone(), initial);
-        engine.run(bal.as_mut(), steps).unwrap();
+        engine.attach_monitor();
+        engine.run(bal.as_mut(), Run::new(steps)).unwrap();
         for u in 0..n {
-            let totals = engine.ledger().node(u);
+            let totals = engine.monitor().unwrap().ledger().node(u);
             let max = totals.iter().max().unwrap();
             let min = totals.iter().min().unwrap();
             prop_assert!(max - min <= 1, "node {u}: all-port spread {} > 1", max - min);

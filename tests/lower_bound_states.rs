@@ -3,7 +3,7 @@
 //! discrepancy figures, over parameter sweeps.
 
 use dlb::bounds::{thm41, thm42, thm43};
-use dlb::core::{Engine, LoadVector};
+use dlb::core::{Engine, LoadVector, Run};
 use dlb::graph::traversal::diameter;
 use dlb::graph::{generators, BalancingGraph, PortOrder};
 use dlb::harness::SchemeSpec;
@@ -31,7 +31,7 @@ fn thm41_fixed_points_across_families() {
         assert!(u64::from(inst.radius) * 2 >= u64::from(diam), "{name}");
         let before = inst.initial.clone();
         let mut engine = Engine::new(inst.graph.clone(), inst.initial.clone());
-        engine.run(&mut inst.balancer, 25).unwrap();
+        engine.run(&mut inst.balancer, Run::new(25)).unwrap();
         assert_eq!(engine.loads(), &before, "{name}: must be a fixed point");
     }
 }
@@ -48,7 +48,7 @@ proptest! {
         let mut inst = thm41::instance(graph, root).unwrap();
         let before = inst.initial.clone();
         let mut engine = Engine::new(inst.graph.clone(), inst.initial.clone());
-        engine.run(&mut inst.balancer, 10).unwrap();
+        engine.run(&mut inst.balancer, Run::new(10)).unwrap();
         prop_assert_eq!(engine.loads(), &before);
         prop_assert!(inst.discrepancy() >= inst.guaranteed_discrepancy());
     }
@@ -78,7 +78,7 @@ proptest! {
         let mut inst = thm43::instance(graph, 0, level).unwrap();
         let x0 = inst.initial.clone();
         let mut engine = Engine::new(inst.graph.clone(), inst.initial.clone());
-        engine.run(&mut inst.balancer, 2 * (m + 1)).unwrap();
+        engine.run(&mut inst.balancer, Run::new(2 * (m + 1))).unwrap();
         prop_assert_eq!(engine.loads(), &x0, "orbit must close at any valid L");
     }
 }
@@ -93,20 +93,20 @@ fn thm42_trap_and_escape_panel() {
     for scheme in [SchemeSpec::SendFloor, SchemeSpec::SendRound] {
         let mut bal = scheme.build(&gp).unwrap();
         let mut engine = Engine::new(gp.clone(), inst.initial.clone());
-        engine.run(bal.as_mut(), 300).unwrap();
+        engine.run(bal.as_mut(), Run::new(300)).unwrap();
         assert_eq!(engine.loads(), &inst.initial, "{}", scheme.label());
     }
 
     // Stateful deterministic: escapes.
     let mut rotor = SchemeSpec::RotorRouter.build(&gp).unwrap();
     let mut engine = Engine::new(gp.clone(), inst.initial.clone());
-    engine.run(rotor.as_mut(), 300).unwrap();
+    engine.run(rotor.as_mut(), Run::new(300)).unwrap();
     assert!(engine.loads().discrepancy() < stuck);
 
     // Stateless randomized: escapes.
     let mut rnd = SchemeSpec::RandomizedExtra { seed: 23 }.build(&gp).unwrap();
     let mut engine = Engine::new(gp.clone(), inst.initial.clone());
-    engine.run(rnd.as_mut(), 300).unwrap();
+    engine.run(rnd.as_mut(), Run::new(300)).unwrap();
     assert!(engine.loads().discrepancy() < stuck);
 }
 
@@ -121,7 +121,7 @@ fn thm43_orbit_requires_the_adversarial_state() {
     let mut rotor = dlb::core::schemes::RotorRouter::new(&gp, PortOrder::Sequential).unwrap();
     let total = inst.initial.total();
     let mut engine = Engine::new(gp, LoadVector::point_mass(n, total));
-    engine.run(&mut rotor, 20_000).unwrap();
+    engine.run(&mut rotor, Run::new(20_000)).unwrap();
     assert!(
         engine.loads().discrepancy() < inst.discrepancy(),
         "generic start ({}) should do better than the adversarial orbit ({})",
@@ -138,7 +138,7 @@ fn thm42_trap_degrees_sweep() {
         let gp = inst.lazy_graph();
         let mut bal = SchemeSpec::SendFloor.build(&gp).unwrap();
         let mut engine = Engine::new(gp, inst.initial.clone());
-        engine.run(bal.as_mut(), 50).unwrap();
+        engine.run(bal.as_mut(), Run::new(50)).unwrap();
         assert_eq!(engine.loads(), &inst.initial, "d = {d}");
     }
 }

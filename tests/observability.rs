@@ -1,11 +1,10 @@
 //! PR 10 observability contracts, tested end to end through the `dlb`
 //! facade:
 //!
-//! * **differential bit-identity** — every execution path (per-step
-//!   serial, batched serial, fused fast, delta-kernel, range-split
-//!   vector) run
-//!   twice, once with a recording [`RingSink`] and once through its
-//!   untraced entry point, under closed / injected / churned
+//! * **differential bit-identity** — every execution path (per-round
+//!   planned, batched planned, delta-kernel, range-split vector) run
+//!   twice, once with a recording [`RingSink`] and once untraced,
+//!   under closed / injected / churned
 //!   configurations: loads, step counts, topology events and every
 //!   `fill_metrics` counter must match exactly;
 //! * **counter semantics** — the engine's cumulative counters
@@ -23,7 +22,7 @@
 //!   gate.
 
 use dlb::core::schemes::{RotorRouter, SendFloor};
-use dlb::core::{Engine, LoadVector, NoWorkload, StaticTopology};
+use dlb::core::{Engine, LoadVector, Path, Run};
 use dlb::graph::{generators, BalancingGraph, PortOrder};
 use dlb::obs::{EventKind, MetricRegistry, Phase, RingSink};
 use dlb::scenario::WorkloadSpec;
@@ -88,11 +87,15 @@ fn per_step_serial_path_is_bit_identical_under_any_sink() {
     let mut workload = steady().build(n);
     for _ in 0..steps {
         traced
-            .step_dyn_traced(
+            .run(
                 &mut SendFloor::new(),
-                schedule.as_deref_mut(),
-                Some(workload.as_mut()),
-                &mut sink,
+                Run {
+                    schedule: schedule.as_deref_mut(),
+                    workload: Some(workload.as_mut()),
+                    sink: Some(&mut sink),
+                    path: Path::Planned,
+                    ..Run::new(1)
+                },
             )
             .unwrap();
     }
@@ -101,15 +104,19 @@ fn per_step_serial_path_is_bit_identical_under_any_sink() {
     let mut schedule = churn().build();
     let mut workload = steady().build(n);
     for _ in 0..steps {
-        twin.step_dyn(
+        twin.run(
             &mut SendFloor::new(),
-            schedule.as_deref_mut(),
-            Some(workload.as_mut()),
+            Run {
+                schedule: schedule.as_deref_mut(),
+                workload: Some(workload.as_mut()),
+                path: Path::Planned,
+                ..Run::new(1)
+            },
         )
         .unwrap();
     }
 
-    assert_twin(&traced, &twin, "step_dyn");
+    assert_twin(&traced, &twin, "per-round planned");
     // The per-step path runs the full round structure, so every probe
     // point must have fired: mutate (periodic schedule), inject,
     // plan, validate, route.
@@ -133,43 +140,62 @@ fn batched_and_fast_paths_are_bit_identical_under_any_sink() {
     let n = 64;
     let steps = 48;
 
-    // Batched instrumented loop, closed system.
+    // Batched planned rounds, closed system.
     let mut sink = RingSink::with_capacity(steps * 8);
     let mut traced = Engine::new(cycle(n), point_mass(n));
     traced
-        .run_dyn_traced(&mut SendFloor::new(), steps, None, None, &mut sink)
+        .run(
+            &mut SendFloor::new(),
+            Run {
+                sink: Some(&mut sink),
+                path: Path::Planned,
+                ..Run::new(steps)
+            },
+        )
         .unwrap();
     let mut twin = Engine::new(cycle(n), point_mass(n));
-    twin.run_dyn(&mut SendFloor::new(), steps, None, None)
-        .unwrap();
-    assert_twin(&traced, &twin, "run_dyn");
+    twin.run(
+        &mut SendFloor::new(),
+        Run {
+            path: Path::Planned,
+            ..Run::new(steps)
+        },
+    )
+    .unwrap();
+    assert_twin(&traced, &twin, "planned run");
     assert!(sink.phase_count(Phase::Plan) as usize >= steps);
 
-    // Fused fast path under churn + injection.
+    // Batched planned rounds under churn + injection.
     let mut sink = RingSink::with_capacity(steps * 8);
     let mut traced = Engine::new(cycle(n), point_mass(n));
     let mut schedule = churn().build();
     let mut workload = steady().build(n);
     traced
-        .run_fast_dyn_traced(
+        .run(
             &mut SendFloor::new(),
-            steps,
-            schedule.as_deref_mut(),
-            Some(workload.as_mut()),
-            &mut sink,
+            Run {
+                schedule: schedule.as_deref_mut(),
+                workload: Some(workload.as_mut()),
+                sink: Some(&mut sink),
+                path: Path::Planned,
+                ..Run::new(steps)
+            },
         )
         .unwrap();
     let mut twin = Engine::new(cycle(n), point_mass(n));
     let mut schedule = churn().build();
     let mut workload = steady().build(n);
-    twin.run_fast_dyn(
+    twin.run(
         &mut SendFloor::new(),
-        steps,
-        schedule.as_deref_mut(),
-        Some(workload.as_mut()),
+        Run {
+            schedule: schedule.as_deref_mut(),
+            workload: Some(workload.as_mut()),
+            path: Path::Planned,
+            ..Run::new(steps)
+        },
     )
     .unwrap();
-    assert_twin(&traced, &twin, "run_fast_dyn");
+    assert_twin(&traced, &twin, "planned run under churn");
     assert!(sink.phase_count(Phase::Inject) > 0);
 }
 
@@ -184,22 +210,22 @@ fn kernel_and_sharded_paths_are_bit_identical_under_any_sink() {
     let mut traced = Engine::new(gp.clone(), point_mass(n));
     let mut rotor = RotorRouter::new(&gp, PortOrder::Sequential).unwrap();
     traced
-        .run_kernel_dyn_traced(
+        .run(
             &mut rotor,
-            steps,
-            None::<&mut StaticTopology>,
-            None::<&mut NoWorkload>,
-            &mut sink,
+            Run {
+                sink: Some(&mut sink),
+                ..Run::new(steps)
+            },
         )
         .unwrap();
     let mut twin = Engine::new(gp.clone(), point_mass(n));
     let mut rotor_twin = RotorRouter::new(&gp, PortOrder::Sequential).unwrap();
-    twin.run_kernel(&mut rotor_twin, steps).unwrap();
-    assert_twin(&traced, &twin, "run_kernel_dyn");
+    twin.run(&mut rotor_twin, Run::new(steps)).unwrap();
+    assert_twin(&traced, &twin, "kernel rounds");
     assert_eq!(sink.phase_count(Phase::Stream) as usize, steps);
 
     // Range-split vector rounds, 2 workers: the same VectorDispatch
-    // instants `run_kernel` emits, summing to the rounds run.
+    // instants `Engine::run` emits, summing to the rounds run.
     let mut sink = RingSink::with_capacity(64);
     let mut traced = Engine::new(cycle(n), point_mass(n));
     traced
@@ -209,8 +235,8 @@ fn kernel_and_sharded_paths_are_bit_identical_under_any_sink() {
     twin.run_parallel(&SendFloor::new(), steps, 2).unwrap();
     assert_twin(&traced, &twin, "run_parallel");
     let mut kernel = Engine::new(cycle(n), point_mass(n));
-    kernel.run_kernel(&mut SendFloor::new(), steps).unwrap();
-    assert_twin(&traced, &kernel, "run_parallel vs run_kernel");
+    kernel.run(&mut SendFloor::new(), Run::new(steps)).unwrap();
+    assert_twin(&traced, &kernel, "run_parallel vs run");
     let mut by_tag = [0u64; 5];
     for ev in sink.events() {
         assert_eq!(
@@ -244,15 +270,30 @@ fn open_churning_send_rounds_stay_scalar_kernel_rounds() {
         let (s, w) = (Some(schedule.as_mut()), Some(workload.as_mut()));
         let mut bal = SendFloor::new();
         match sink {
-            Some(sink) => engine.run_kernel_dyn_traced(&mut bal, steps, s, w, sink),
-            None => engine.run_kernel_dyn(&mut bal, steps, s, w),
+            Some(sink) => engine.run(
+                &mut bal,
+                Run {
+                    schedule: s,
+                    workload: w,
+                    sink: Some(sink),
+                    ..Run::new(steps)
+                },
+            ),
+            None => engine.run(
+                &mut bal,
+                Run {
+                    schedule: s,
+                    workload: w,
+                    ..Run::new(steps)
+                },
+            ),
         }
         .unwrap();
         engine
     };
     let mut sink = RingSink::with_capacity(steps * 8);
     let traced = run(Some(&mut sink));
-    assert_twin(&traced, &run(None), "run_kernel_dyn under churn");
+    assert_twin(&traced, &run(None), "kernel rounds under churn");
     assert!(traced.topology_events_applied() > 0);
     assert_eq!(sink.phase_count(Phase::Stream) as usize, steps);
     assert!(sink.phase_count(Phase::Inject) > 0);
@@ -262,6 +303,45 @@ fn open_churning_send_rounds_stay_scalar_kernel_rounds() {
         .iter()
         .all(|ev| ev.phase != Phase::VectorDispatch));
     assert_eq!(*traced.vector_stats(), Default::default());
+}
+
+/// Under churn × injection the two paths of `Engine::run` are one
+/// semantics: `Path::Planned` and `Path::Auto` (the kernel rounds)
+/// agree on loads, graph, rotors and every `fill_metrics` counter, for
+/// a closed-form and a stateful kernel scheme.
+#[test]
+fn planned_and_auto_paths_agree_under_churn_and_injection() {
+    let n = 96;
+    let steps = 64;
+    let gp = cycle(n);
+    let run = |rotor: bool, path: Path| {
+        let mut engine = Engine::new(gp.clone(), point_mass(n));
+        let mut schedule = churn().build().unwrap();
+        let mut workload = steady().build(n);
+        let mut rr = RotorRouter::new(&gp, PortOrder::Sequential).unwrap();
+        let run = Run {
+            schedule: Some(schedule.as_mut()),
+            workload: Some(workload.as_mut()),
+            path,
+            ..Run::new(steps)
+        };
+        if rotor {
+            engine.run(&mut rr, run).unwrap();
+        } else {
+            engine.run(&mut SendFloor::new(), run).unwrap();
+        }
+        (engine, rr.rotors().to_vec())
+    };
+    for rotor in [false, true] {
+        let (planned, planned_rotors) = run(rotor, Path::Planned);
+        let (auto, auto_rotors) = run(rotor, Path::Auto);
+        let tag = if rotor { "rotor-router" } else { "send-floor" };
+        assert_twin(&auto, &planned, tag);
+        assert_eq!(auto.graph(), planned.graph(), "{tag}: graph");
+        assert_eq!(auto_rotors, planned_rotors, "{tag}: rotors");
+        assert!(planned.topology_events_applied() > 0, "{tag}: churn landed");
+        assert!(planned.injected_total() > 0, "{tag}: injection landed");
+    }
 }
 
 #[test]
@@ -275,11 +355,14 @@ fn counters_accumulate_across_chunked_runs() {
     let mut workload = steady().build(n);
     for _ in 0..4 {
         chunked
-            .run_fast_dyn(
+            .run(
                 &mut SendFloor::new(),
-                32,
-                schedule.as_deref_mut(),
-                Some(workload.as_mut()),
+                Run {
+                    schedule: schedule.as_deref_mut(),
+                    workload: Some(workload.as_mut()),
+                    path: Path::Planned,
+                    ..Run::new(32)
+                },
             )
             .unwrap();
     }
@@ -288,11 +371,14 @@ fn counters_accumulate_across_chunked_runs() {
     let mut schedule = churn().build();
     let mut workload = steady().build(n);
     oneshot
-        .run_fast_dyn(
+        .run(
             &mut SendFloor::new(),
-            128,
-            schedule.as_deref_mut(),
-            Some(workload.as_mut()),
+            Run {
+                schedule: schedule.as_deref_mut(),
+                workload: Some(workload.as_mut()),
+                path: Path::Planned,
+                ..Run::new(128)
+            },
         )
         .unwrap();
 
@@ -302,7 +388,7 @@ fn counters_accumulate_across_chunked_runs() {
     // counters: a kernel leg on top must move steps and vector stats
     // without resetting anything.
     let before = metrics_of(&chunked);
-    chunked.run_kernel(&mut SendFloor::new(), 8).unwrap();
+    chunked.run(&mut SendFloor::new(), Run::new(8)).unwrap();
     let after = metrics_of(&chunked);
     assert_eq!(chunked.step_count(), 136);
     let get = |m: &[(String, u64)], k: &str| m.iter().find(|(n, _)| n == k).unwrap().1;
@@ -323,22 +409,28 @@ fn counters_ride_snapshot_resume() {
     let mut schedule = churn().build();
     let mut workload = steady().build(n);
     first
-        .run_fast_dyn(
+        .run(
             &mut SendFloor::new(),
-            64,
-            schedule.as_deref_mut(),
-            Some(workload.as_mut()),
+            Run {
+                schedule: schedule.as_deref_mut(),
+                workload: Some(workload.as_mut()),
+                path: Path::Planned,
+                ..Run::new(64)
+            },
         )
         .unwrap();
     let snapshot = first.export_state();
     let mut resumed = Engine::from_state(snapshot);
     assert_eq!(metrics_of(&first), metrics_of(&resumed));
     resumed
-        .run_fast_dyn(
+        .run(
             &mut SendFloor::new(),
-            64,
-            schedule.as_deref_mut(),
-            Some(workload.as_mut()),
+            Run {
+                schedule: schedule.as_deref_mut(),
+                workload: Some(workload.as_mut()),
+                path: Path::Planned,
+                ..Run::new(64)
+            },
         )
         .unwrap();
 
@@ -346,11 +438,14 @@ fn counters_ride_snapshot_resume() {
     let mut schedule = churn().build();
     let mut workload = steady().build(n);
     uninterrupted
-        .run_fast_dyn(
+        .run(
             &mut SendFloor::new(),
-            128,
-            schedule.as_deref_mut(),
-            Some(workload.as_mut()),
+            Run {
+                schedule: schedule.as_deref_mut(),
+                workload: Some(workload.as_mut()),
+                path: Path::Planned,
+                ..Run::new(128)
+            },
         )
         .unwrap();
 
@@ -366,8 +461,8 @@ fn counters_ride_snapshot_resume() {
 fn fill_metrics_is_idempotent_and_negative_rescans_stay_zero() {
     let n = 256;
     let mut engine = Engine::new(cycle(n), point_mass(n));
-    engine.run_kernel(&mut SendFloor::new(), 32).unwrap();
-    engine.run(&mut SendFloor::new(), 16).unwrap();
+    engine.run(&mut SendFloor::new(), Run::new(32)).unwrap();
+    engine.run(&mut SendFloor::new(), Run::new(16)).unwrap();
 
     let mut reg = MetricRegistry::new();
     engine.fill_metrics(&mut reg);
@@ -396,12 +491,12 @@ fn vector_dispatch_instants_reconcile_with_engine_counters() {
     let mut sink = RingSink::with_capacity(64);
     let mut engine = Engine::new(cycle(n), point_mass(n));
     engine
-        .run_kernel_dyn_traced(
+        .run(
             &mut SendFloor::new(),
-            steps,
-            None::<&mut StaticTopology>,
-            None::<&mut NoWorkload>,
-            &mut sink,
+            Run {
+                sink: Some(&mut sink),
+                ..Run::new(steps)
+            },
         )
         .unwrap();
 
@@ -440,7 +535,14 @@ fn ring_sink_accumulators_stay_exact_under_overwrite() {
     let mut sink = RingSink::with_capacity(8);
     let mut engine = Engine::new(cycle(n), point_mass(n));
     engine
-        .run_dyn_traced(&mut SendFloor::new(), steps, None, None, &mut sink)
+        .run(
+            &mut SendFloor::new(),
+            Run {
+                sink: Some(&mut sink),
+                path: Path::Planned,
+                ..Run::new(steps)
+            },
+        )
         .unwrap();
 
     assert!(sink.dropped() > 0, "the tiny ring should have overflowed");
@@ -473,16 +575,16 @@ fn ring_sink_overhead_within_five_percent_on_t1_quick_cell() {
             if sink_enabled {
                 let mut sink = RingSink::with_capacity(256);
                 engine
-                    .run_kernel_dyn_traced(
+                    .run(
                         &mut SendFloor::new(),
-                        steps,
-                        None::<&mut StaticTopology>,
-                        None::<&mut NoWorkload>,
-                        &mut sink,
+                        Run {
+                            sink: Some(&mut sink),
+                            ..Run::new(steps)
+                        },
                     )
                     .unwrap();
             } else {
-                engine.run_kernel(&mut SendFloor::new(), steps).unwrap();
+                engine.run(&mut SendFloor::new(), Run::new(steps)).unwrap();
             }
             best = best.min(t.elapsed().as_secs_f64());
         }

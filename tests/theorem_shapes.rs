@@ -3,7 +3,7 @@
 //! the quantities scale the right way. (Full-size measurements live in
 //! EXPERIMENTS.md, produced by `dlb-experiments`.)
 
-use dlb::core::{Engine, LoadVector};
+use dlb::core::{Engine, LoadVector, Run};
 use dlb::graph::{generators, BalancingGraph};
 use dlb::harness::{init, GraphSpec, Runner, SchemeSpec};
 use dlb::spectral::{closed_form, BalancingHorizon, ContinuousDiffusion, SpectralGap};
@@ -165,7 +165,7 @@ fn rotor_router_tracks_continuous_process() {
 
     let mut rotor = SchemeSpec::RotorRouter.build(&gp).unwrap();
     let mut engine = Engine::new(gp.clone(), LoadVector::point_mass(n, k));
-    engine.run(rotor.as_mut(), steps).unwrap();
+    engine.run(rotor.as_mut(), Run::new(steps)).unwrap();
 
     let mut cont_init = vec![0.0; n];
     cont_init[0] = k as f64;
