@@ -118,7 +118,9 @@ pub struct EngineState {
 /// and drives any [`Balancer`] through the paper's round structure:
 ///
 /// 1. the engine rejects negative loads for schemes that forbid them;
-/// 2. the balancer fills a [`FlowPlan`] from the current loads;
+/// 2. the balancer fills a [`FlowPlan`] from the current loads (the
+///    engine allocates the plan's `n·d⁺` words on its first planned
+///    round and reuses them after);
 /// 3. the engine validates it in a single pass over the plan's touched
 ///    nodes (each node's sent total is computed exactly once);
 /// 4. an attached [`FairnessMonitor`] observes the pre-step state and
@@ -133,7 +135,8 @@ pub struct EngineState {
 /// optional topology schedule, workload and tracing sink. On
 /// [`Path::Auto`] it takes the plan-free kernel rounds when the
 /// balancer has a kernel and no monitor is attached: no [`FlowPlan`]
-/// is materialised, flows are computed in registers and applied as
+/// is materialised (an engine that only runs these rounds never
+/// allocates one), flows are computed in registers and applied as
 /// signed deltas into a double-buffered load vector, and a closed-form
 /// SEND scheme on a static, closed system runs whole-array [`vector`]
 /// rounds. Every other run takes the planned round above, which
@@ -165,7 +168,10 @@ pub struct Engine {
     /// Per-touched-node outflow over original edges, parallel to the
     /// plan's touched list (scratch reused across steps).
     outflow: Vec<u64>,
-    plan: FlowPlan,
+    /// The planned rounds' flow plan (`n·d⁺` words), allocated by the
+    /// first planned round; an engine that only ever runs kernel
+    /// rounds never holds one.
+    plan: Option<FlowPlan>,
     /// The attached instrumentation: the fairness monitor and its
     /// cumulative ledger, recorded on planned rounds only.
     monitor: Option<FairnessMonitor>,
@@ -216,13 +222,12 @@ impl Engine {
             gp.num_nodes(),
             "initial load vector must have one entry per node"
         );
-        let plan = FlowPlan::for_graph(&gp);
         let negative_count = initial.negative_nodes();
         Engine {
             gp,
             loads: initial,
             outflow: Vec::new(),
-            plan,
+            plan: None,
             monitor: None,
             step: 0,
             negative_node_steps: 0,
@@ -401,14 +406,15 @@ impl Engine {
     /// and the negative-node count is maintained at each write.
     fn finish_step<Si: Sink>(&mut self, check: bool, sink: &mut Si) -> Result<(), EngineError> {
         let d = self.gp.degree();
+        let plan = self.plan.as_ref().expect("a planned round fills the plan");
         let probe = sink.start();
 
         // Pass 1 — sent totals + validation, over touched nodes only.
         // Untouched nodes send nothing and were proven non-negative by
         // the pre-plan check, so they need no inspection.
         self.outflow.clear();
-        for u in self.plan.touched() {
-            let flows = self.plan.node(u);
+        for u in plan.touched() {
+            let flows = plan.node(u);
             let orig: u64 = flows[..d].iter().sum();
             let lazy: u64 = flows[d..].iter().sum();
             if check {
@@ -427,7 +433,7 @@ impl Engine {
         }
 
         if let Some(monitor) = &mut self.monitor {
-            monitor.observe(&self.gp, &self.loads, &self.plan);
+            monitor.observe(&self.gp, &self.loads, plan);
         }
         sink.span(Phase::Validate, self.step as u64 + 1, probe);
         let probe = sink.start();
@@ -435,7 +441,6 @@ impl Engine {
         // Pass 2 — route in place. Only tokens crossing an original
         // edge move; self-loop and retained tokens never leave home.
         let graph = self.gp.graph();
-        let plan = &self.plan;
         let loads = self.loads.as_mut_slice();
         let mut negative = self.negative_count;
         for (u, &moved) in plan.touched().zip(&self.outflow) {
@@ -481,8 +486,11 @@ impl Engine {
         let (pre, st) = self.pre_round();
         pre.run(step, st, schedule, workload, check, sink)?;
         let probe = sink.start();
-        self.plan.clear();
-        balancer.plan(&self.gp, &self.loads, &mut self.plan);
+        let plan = self
+            .plan
+            .get_or_insert_with(|| FlowPlan::for_graph(&self.gp));
+        plan.clear();
+        balancer.plan(&self.gp, &self.loads, plan);
         sink.span(Phase::Plan, self.step as u64 + 1, probe);
         // `finish_step` validates the whole plan before routing a
         // single token, so an `Overdraw` has not mutated loads and
@@ -1025,7 +1033,7 @@ impl Engine {
             vector_stats,
         } = state;
         // `new` recomputes the negative count from the loads and
-        // starts with a fresh plan, no monitor and no tracked connectivity
+        // starts with no plan, no monitor and no tracked connectivity
         // for the restored graph.
         let mut engine = Engine::new(graph, LoadVector::new(loads));
         engine.step = step;
@@ -1446,6 +1454,33 @@ mod tests {
             assert_eq!(seen, expected);
             assert_eq!(engine.loads(), shadow.loads());
         }
+    }
+
+    #[test]
+    fn only_a_planned_round_allocates_the_flow_plan() {
+        let n = 64;
+        let mut engine = Engine::new(lazy_cycle(n), LoadVector::point_mass(n, 6400));
+        assert!(engine.plan.is_none(), "new");
+        engine.run(&mut SendFloor::new(), Run::new(20)).unwrap();
+        let mut rr = RotorRouter::new(&lazy_cycle(n), PortOrder::Sequential).unwrap();
+        engine.run(&mut rr, Run::new(20)).unwrap();
+        assert!(engine.plan.is_none(), "after Auto kernel runs");
+        let restored = Engine::from_state(engine.export_state());
+        assert!(restored.plan.is_none(), "restored");
+
+        let mut reference = engine.clone();
+        engine.step(&mut SendFloor::new()).unwrap();
+        let plan = engine.plan.as_ref().expect("after step");
+        assert_eq!(plan.num_nodes(), n);
+        assert_eq!(plan.degree_plus(), engine.graph().degree_plus());
+        // The reused plan gives the loads a fresh planned run gives.
+        engine.step(&mut SendFloor::new()).unwrap();
+        let planned = Run {
+            path: Path::Planned,
+            ..Run::new(2)
+        };
+        reference.run(&mut SendFloor::new(), planned).unwrap();
+        assert_eq!(engine.loads(), reference.loads());
     }
 
     /// `run`'s dispatch rule, case by case, read off the spans each

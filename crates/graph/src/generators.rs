@@ -286,17 +286,46 @@ pub fn complete_bipartite(d: usize) -> Result<RegularGraph, GraphError> {
 /// `d ≪ n` regime used here — plain rejection would need `e^{Θ(d²)}`
 /// attempts and is hopeless beyond `d ≈ 6`).
 ///
+/// Ports follow pair order: node `u`'s port `p` leads to the other end
+/// of the `p`-th pair that contains `u`.
+///
+/// # Cost
+///
+/// The repair tracks multiplicities in a flat *slot table* of `n·d`
+/// `u32`: node `u`'s `d` slots hold the other ends of its pairs, so the
+/// multiplicity of `{a, b}` (`a ≠ b`) is the number of `b`s among `a`'s
+/// slots, and a committed swap rewrites four slots. There is no hashing
+/// and no per-node allocation: the pairing and the slot table (4·n·d
+/// bytes each) are the whole working set, and the slot table is freed
+/// before the adjacency is written, so the heap peaks near 8·n·d + 4·n
+/// bytes. A multiplicity query scans `d` slots,
+/// which is cheap for the constant degrees used here. On a shared
+/// 2-vCPU x86-64 VM, `n = 2¹⁸, d = 4` builds in 60–80 ms (the hash-map
+/// version took 0.4–0.5 s) and `n = 2²⁰` in about 0.5 s (3.3–3.5 s).
+/// Every multiplicity answer equals the hash map's, so the RNG draws,
+/// and hence the graph, are the same for every `(n, d, seed)`; a test
+/// keeps the hash-map version as the reference.
+///
 /// # Errors
 ///
-/// Returns an error if `n·d` is odd, `d >= n`, or repair keeps failing
-/// (practically unreachable when `d ≤ n/4`).
+/// Returns an error if `n·d` is odd, `d >= n`, `n > u32::MAX` (node
+/// ids are `u32`) or `n·d` overflows `usize` — all before allocating —
+/// or if repair keeps failing (practically unreachable when `d ≤ n/4`).
 pub fn random_regular(n: usize, d: usize, seed: u64) -> Result<RegularGraph, GraphError> {
     if d == 0 || d >= n {
         return Err(GraphError::InvalidParameters {
             reason: format!("random_regular requires 0 < d < n, got d = {d}, n = {n}"),
         });
     }
-    if !(n * d).is_multiple_of(2) {
+    let stubs = n
+        .checked_mul(d)
+        .filter(|_| n <= u32::MAX as usize)
+        .ok_or_else(|| GraphError::InvalidParameters {
+            reason: format!(
+                "random_regular n = {n}, d = {d}: n exceeds u32 node ids or n*d overflows"
+            ),
+        })?;
+    if !stubs.is_multiple_of(2) {
         return Err(GraphError::InvalidParameters {
             reason: format!("random_regular requires even n*d, got n = {n}, d = {d}"),
         });
@@ -314,85 +343,135 @@ pub fn random_regular(n: usize, d: usize, seed: u64) -> Result<RegularGraph, Gra
     })
 }
 
-/// Normalised key for an undirected edge.
-fn edge_key(u: u32, v: u32) -> (u32, u32) {
-    (u.min(v), u.max(v))
+/// Each node's partners in pair order: node `u`'s `k`-th slot holds
+/// the other end of the `k`-th pair (`pairs[2i]`, `pairs[2i + 1]`)
+/// that contains `u`, which is the order
+/// [`GraphBuilder::add_edge`] pushes neighbours in. A self-loop fills
+/// two of its node's slots.
+fn partners_in_pair_order(n: usize, d: usize, pairs: &[u32]) -> Vec<u32> {
+    let mut slots = vec![0u32; n * d];
+    // `d < n ≤ u32::MAX`, so a `u32` counter holds any fill level.
+    let mut fill = vec![0u32; n];
+    for pair in pairs.chunks_exact(2) {
+        for (a, b) in [(pair[0], pair[1]), (pair[1], pair[0])] {
+            let a = a as usize;
+            slots[a * d + fill[a] as usize] = b;
+            fill[a] += 1;
+        }
+    }
+    slots
+}
+
+/// The multiplicity table of a pairing: node `u`'s `d` slots hold the
+/// other ends of its pairs, in any order.
+struct SlotTable {
+    d: usize,
+    slots: Vec<u32>,
+}
+
+impl SlotTable {
+    fn node(&self, a: u32) -> &[u32] {
+        let a = a as usize;
+        &self.slots[a * self.d..(a + 1) * self.d]
+    }
+
+    /// Whether some pair joins `a ≠ b`.
+    fn joined(&self, a: u32, b: u32) -> bool {
+        self.node(a).contains(&b)
+    }
+
+    /// Whether the pair `{a, b}` is a self-loop or one of several
+    /// parallel pairs.
+    fn is_bad(&self, a: u32, b: u32) -> bool {
+        a == b || self.node(a).iter().filter(|&&s| s == b).count() > 1
+    }
+
+    /// Points one of `a`'s slots that holds `old` at `new`.
+    fn rewire(&mut self, a: u32, old: u32, new: u32) {
+        let a = a as usize;
+        let node = &mut self.slots[a * self.d..(a + 1) * self.d];
+        let k = node.iter().position(|&s| s == old).expect("tracked");
+        node[k] = new;
+    }
 }
 
 /// One configuration-model draw followed by double-edge-swap repair of
 /// self-loops and parallel edges.
 fn pairing_with_repair(n: usize, d: usize, rng: &mut StdRng) -> Option<RegularGraph> {
-    use std::collections::HashMap;
-
-    let mut stubs: Vec<u32> = (0..n as u32)
-        .flat_map(|u| std::iter::repeat_n(u, d))
-        .collect();
-    stubs.shuffle(rng);
-    let mut pairs: Vec<(u32, u32)> = stubs.chunks_exact(2).map(|c| (c[0], c[1])).collect();
-
-    let mut count: HashMap<(u32, u32), u32> = HashMap::with_capacity(pairs.len());
-    for &(u, v) in &pairs {
-        *count.entry(edge_key(u, v)).or_insert(0) += 1;
+    // The shuffled stubs; pair `i` is `(pairs[2i], pairs[2i + 1])`.
+    let mut pairs: Vec<u32> = Vec::with_capacity(n * d);
+    for u in 0..n as u32 {
+        pairs.extend(std::iter::repeat_n(u, d));
     }
-    let is_bad = |pair: (u32, u32), count: &HashMap<(u32, u32), u32>| {
-        pair.0 == pair.1 || count[&edge_key(pair.0, pair.1)] > 1
+    pairs.shuffle(rng);
+    let pair = |pairs: &[u32], i: usize| (pairs[2 * i], pairs[2 * i + 1]);
+    let bad = |pairs: &[u32], table: &SlotTable, i: usize| {
+        let (u, v) = pair(pairs, i);
+        table.is_bad(u, v)
     };
 
-    let m = pairs.len();
+    let mut table = SlotTable {
+        d,
+        slots: partners_in_pair_order(n, d, &pairs),
+    };
+    let m = pairs.len() / 2;
     let max_rounds = 200;
+    let mut clean = false;
     for _ in 0..max_rounds {
-        let bad: Vec<usize> = (0..m).filter(|&i| is_bad(pairs[i], &count)).collect();
-        if bad.is_empty() {
+        let bad_pairs: Vec<usize> = (0..m).filter(|&i| bad(&pairs, &table, i)).collect();
+        if bad_pairs.is_empty() {
+            clean = true;
             break;
         }
-        for &i in &bad {
-            if !is_bad(pairs[i], &count) {
+        for &i in &bad_pairs {
+            if !bad(&pairs, &table, i) {
                 continue; // fixed as a side effect of an earlier swap
             }
+            let (u, v) = pair(&pairs, i);
             // Try random partners until a legal double swap appears.
             for _ in 0..64 {
                 let j = rng.gen_range(0..m);
                 if j == i {
                     continue;
                 }
-                let (u, v) = pairs[i];
-                let (mut x, mut y) = pairs[j];
+                let (mut x, mut y) = pair(&pairs, j);
                 if rng.gen_bool(0.5) {
                     std::mem::swap(&mut x, &mut y);
                 }
-                // Proposed replacement: (u, x) and (v, y).
+                // Proposed replacement: (u, x) and (v, y), both new
+                // edges and not the same edge.
                 if u == x || v == y {
                     continue;
                 }
-                let (k1, k2) = (edge_key(u, x), edge_key(v, y));
-                if k1 == k2
-                    || count.get(&k1).copied().unwrap_or(0) > 0
-                    || count.get(&k2).copied().unwrap_or(0) > 0
+                if (u.min(x), u.max(x)) == (v.min(y), v.max(y))
+                    || table.joined(u, x)
+                    || table.joined(v, y)
                 {
                     continue;
                 }
-                // Commit the swap.
-                *count.get_mut(&edge_key(u, v)).expect("tracked") -= 1;
-                *count
-                    .get_mut(&edge_key(pairs[j].0, pairs[j].1))
-                    .expect("tracked") -= 1;
-                *count.entry(k1).or_insert(0) += 1;
-                *count.entry(k2).or_insert(0) += 1;
-                pairs[i] = (u, x);
-                pairs[j] = (v, y);
+                // Commit the swap. The checks above make {u, v} and
+                // {x, y} disjoint, so each rewire finds its slot.
+                table.rewire(u, v, x);
+                table.rewire(v, u, y);
+                table.rewire(x, y, u);
+                table.rewire(y, x, v);
+                pairs[2 * i + 1] = x;
+                pairs[2 * j] = v;
+                pairs[2 * j + 1] = y;
                 break;
             }
         }
     }
-    if (0..m).any(|i| is_bad(pairs[i], &count)) {
+    // A round that found nothing bad changed nothing, so only a repair
+    // that ran out of rounds needs the final scan.
+    if !clean && (0..m).any(|i| bad(&pairs, &table, i)) {
         return None;
     }
 
-    let mut builder = GraphBuilder::new(n, d);
-    for &(u, v) in &pairs {
-        builder.add_edge(u as usize, v as usize).ok()?;
-    }
-    builder.build().ok()
+    drop(table);
+    let adjacency = partners_in_pair_order(n, d, &pairs);
+    drop(pairs);
+    RegularGraph::from_adjacency(n, d, adjacency).ok()
 }
 
 /// An odd cycle with chords: `C_n` plus the offset-`k` circulant edges,
@@ -606,6 +685,151 @@ mod tests {
             let g = random_regular(n, 4, 42).unwrap();
             assert!(crate::traversal::is_connected(&g), "n = {n}");
         }
+    }
+
+    /// The generator as it stood before the slot table: a hash map of
+    /// pair multiplicities and a [`GraphBuilder`]. Kept as the
+    /// reference the slot table must reproduce draw for draw.
+    fn reference_random_regular(n: usize, d: usize, seed: u64) -> Result<RegularGraph, GraphError> {
+        use std::collections::HashMap;
+
+        fn edge_key(u: u32, v: u32) -> (u32, u32) {
+            (u.min(v), u.max(v))
+        }
+
+        fn attempt(n: usize, d: usize, rng: &mut StdRng) -> Option<RegularGraph> {
+            let mut stubs: Vec<u32> = (0..n as u32)
+                .flat_map(|u| std::iter::repeat_n(u, d))
+                .collect();
+            stubs.shuffle(rng);
+            let mut pairs: Vec<(u32, u32)> = stubs.chunks_exact(2).map(|c| (c[0], c[1])).collect();
+            let mut count: HashMap<(u32, u32), u32> = HashMap::new();
+            for &(u, v) in &pairs {
+                *count.entry(edge_key(u, v)).or_insert(0) += 1;
+            }
+            let is_bad = |pair: (u32, u32), count: &HashMap<(u32, u32), u32>| {
+                pair.0 == pair.1 || count[&edge_key(pair.0, pair.1)] > 1
+            };
+            let m = pairs.len();
+            for _ in 0..200 {
+                let bad: Vec<usize> = (0..m).filter(|&i| is_bad(pairs[i], &count)).collect();
+                if bad.is_empty() {
+                    break;
+                }
+                for &i in &bad {
+                    if !is_bad(pairs[i], &count) {
+                        continue;
+                    }
+                    for _ in 0..64 {
+                        let j = rng.gen_range(0..m);
+                        if j == i {
+                            continue;
+                        }
+                        let (u, v) = pairs[i];
+                        let (mut x, mut y) = pairs[j];
+                        if rng.gen_bool(0.5) {
+                            std::mem::swap(&mut x, &mut y);
+                        }
+                        if u == x || v == y {
+                            continue;
+                        }
+                        let (k1, k2) = (edge_key(u, x), edge_key(v, y));
+                        if k1 == k2
+                            || count.get(&k1).copied().unwrap_or(0) > 0
+                            || count.get(&k2).copied().unwrap_or(0) > 0
+                        {
+                            continue;
+                        }
+                        *count.get_mut(&edge_key(u, v)).unwrap() -= 1;
+                        *count.get_mut(&edge_key(pairs[j].0, pairs[j].1)).unwrap() -= 1;
+                        *count.entry(k1).or_insert(0) += 1;
+                        *count.entry(k2).or_insert(0) += 1;
+                        pairs[i] = (u, x);
+                        pairs[j] = (v, y);
+                        break;
+                    }
+                }
+            }
+            if (0..m).any(|i| is_bad(pairs[i], &count)) {
+                return None;
+            }
+            let mut builder = GraphBuilder::new(n, d);
+            for &(u, v) in &pairs {
+                builder.add_edge(u as usize, v as usize).ok()?;
+            }
+            builder.build().ok()
+        }
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..50 {
+            if let Some(g) = attempt(n, d, &mut rng) {
+                return Ok(g);
+            }
+        }
+        Err(GraphError::GenerationFailed {
+            generator: "random_regular",
+            attempts: 50,
+        })
+    }
+
+    /// FNV-1a over the little-endian bytes of an adjacency table.
+    fn fnv1a(slots: &[u32]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in slots.iter().flat_map(|s| s.to_le_bytes()) {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+        h
+    }
+
+    #[test]
+    fn random_regular_matches_the_hash_map_reference() {
+        // Degrees close to n keep the repair busy: most first pairings
+        // there are full of loops and parallel pairs.
+        let shapes = [
+            (12, 11),
+            (20, 9),
+            (10, 3),
+            (257, 6),
+            (1000, 7),
+            (64, 16),
+            (6, 5),
+        ];
+        for (n, d) in shapes {
+            for seed in 0..40 {
+                assert_eq!(
+                    random_regular(n, d, seed),
+                    reference_random_regular(n, d, seed),
+                    "n = {n}, d = {d}, seed = {seed}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn random_regular_fingerprint_is_pinned() {
+        // The adjacency the generator produced before the slot table
+        // existed; catches a change made to both implementations alike.
+        let g = random_regular(1 << 14, 4, 42).unwrap();
+        assert_eq!(fnv1a(g.adjacency_slots()), 0x0774_4b01_f986_4661);
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn random_regular_rejects_ids_beyond_u32_before_allocating() {
+        // The guard must answer before the 64 GiB n·d stub table is
+        // requested; node ids past u32::MAX would otherwise truncate.
+        let n = u32::MAX as usize + 2;
+        for d in [2, 4] {
+            assert!(matches!(
+                random_regular(n, d, 0),
+                Err(GraphError::InvalidParameters { .. })
+            ));
+        }
+        assert!(matches!(
+            random_regular(usize::MAX, usize::MAX - 1, 0),
+            Err(GraphError::InvalidParameters { .. })
+        ));
     }
 
     #[test]
