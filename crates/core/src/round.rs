@@ -9,9 +9,11 @@
 //!    into one engine-owned buffer, zeroed once per round;
 //! 3. **handoff** — every asleep node's queue, same-round injection
 //!    included, moves to its live neighbours (added into the same
-//!    buffer), and the buffer is applied to the loads in one
-//!    branch-free pass that also bounds every load, the cumulative net
-//!    injection and the positive load total to `i64`;
+//!    buffer), and the buffer is applied to the loads in one wrapping
+//!    pass whose magnitude bound proves in bulk that no load, no prefix
+//!    of the cumulative net injection and no prefix of the positive
+//!    load total leaves `i64`; only a round that fails the bound runs
+//!    the exact checked scan, and an overflowing one is undone;
 //! 4. **negative-check** — a non-overdrawing scheme must never plan
 //!    from a negative load.
 //!
@@ -151,17 +153,13 @@ impl PreRound {
             probe = sink.start();
         }
         let before = *st.injected;
-        let (total, overflow) = apply_deltas::<false>(st.loads, &self.deltas, st.negative, before);
-        let applied = if overflow {
-            apply_deltas::<true>(st.loads, &self.deltas, st.negative, 0);
-            Err(first_overflow(st.loads, &self.deltas, before))
-        } else {
+        let applied = apply_deltas(st.loads, &self.deltas, st.negative, before);
+        if let Ok(total) = applied {
             *st.injected = total;
             self.injected_before = Some(before);
-            Ok(())
-        };
+        }
         sink.span(Phase::Inject, step as u64, probe);
-        applied
+        applied.map(drop)
     }
 
     /// Reverses the last successful [`run`](PreRound::run) — its load
@@ -171,7 +169,9 @@ impl PreRound {
     /// run.
     pub(crate) fn undo(&mut self, st: RoundState<'_>) {
         if let Some(before) = self.injected_before.take() {
-            apply_deltas::<true>(st.loads, &self.deltas, st.negative, 0);
+            // The exact wrapping inverse of the applied pass, so it
+            // needs no check.
+            *st.negative = wrapping_pass::<true>(st.loads, &self.deltas, 0).0;
             *st.injected = before;
         }
         *st.events -= self.events.len() as u64;
@@ -207,66 +207,107 @@ fn negative_load(loads: &[i64], step: usize) -> EngineError {
     }
 }
 
-/// Adds a round's deltas to `loads` (or, with `NEGATE`, subtracts
-/// them) in wrapping arithmetic and recounts the negative loads.
-/// Returns `total` plus the net delta, and whether, taken in node
-/// order, any load, that running total or the running positive load
-/// total `Σ max(x', 0)` of the new loads left the `i64` range — the
-/// last bound keeps every later flow phase from wrapping, since flows
-/// move tokens without creating them. Wrapping makes the negated call
-/// the exact inverse of the forward one, overflowed or not, so an
-/// erroring round restores the loads, and with them the negative
-/// count, to the last completed round.
+/// The magnitude bound of an `n`-node round: the largest power of two
+/// `C` with `n·2C ≤ 2⁶¹`. A round whose new loads and deltas all lie in
+/// `[−C, C)` keeps every prefix of its net and positive totals within
+/// `n·C ≤ 2⁶⁰` of its start.
+fn magnitude_bound(n: usize) -> i64 {
+    // A slice of `i64` holds at most 2⁶⁰ entries, so the shift is ≤ 60.
+    let log_n = n.max(1).next_power_of_two().trailing_zeros();
+    1 << (60 - log_n)
+}
+
+/// Adds a round's deltas to `loads` in wrapping arithmetic, recounts
+/// the negative loads and returns `total` plus the net delta. If, taken
+/// in node order, some load, that running total or the running
+/// positive load total `Σ max(x', 0)` of the new loads would leave
+/// `i64`, the loads are restored exactly, the count is left alone and
+/// the first such node is returned. The positive total keeps every
+/// later flow phase from wrapping, since flows move tokens without
+/// creating them.
 ///
-/// One branch-free loop writes every entry, whatever the density: a
-/// zero delta rewrites the old value and moves only the positive total
-/// and the negative count, so there is no per-element branch for the
-/// predictor to miss.
+/// One wrapping pass writes every entry, whatever the density, and
+/// keeps reductions that vectorise: the negative count from the sign
+/// bit, the wrapping sum of the deltas, and an OR of every new load
+/// and delta offset by the [`magnitude_bound`] `C`. If that OR stays
+/// below `2C` and `|total| < 2⁶¹`, every new load and delta lies in
+/// `[−C, C)` — so no add wrapped (the old load `new − dv` lies within
+/// `2C` of zero), and no prefix of either running total reaches `2⁶²`
+/// in magnitude — and the round is proven in bulk. Only otherwise does
+/// [`first_overflow`] run the exact checked scan over the applied
+/// loads.
 #[inline]
-fn apply_deltas<const NEGATE: bool>(
+fn apply_deltas(
     loads: &mut [i64],
     deltas: &[i64],
     negative: &mut usize,
     total: i64,
-) -> (i64, bool) {
-    debug_assert_eq!(loads.len(), deltas.len(), "one delta per node");
-    let (mut total, mut positive, mut neg) = (total, 0i64, 0usize);
-    let (mut load_over, mut total_over, mut positive_over) = (false, false, false);
-    for (x, &dv) in loads.iter_mut().zip(deltas) {
-        let dv = if NEGATE { dv.wrapping_neg() } else { dv };
-        let (new, o) = x.overflowing_add(dv);
-        let (t, ot) = total.overflowing_add(dv);
-        let (p, op) = positive.overflowing_add(new.max(0));
-        *x = new;
-        (total, positive) = (t, p);
-        neg += usize::from(new < 0);
-        load_over |= o;
-        total_over |= ot;
-        positive_over |= op;
+) -> Result<i64, usize> {
+    let (neg, sum, proven) = bounded_pass(loads, deltas, total);
+    if !proven {
+        if let Some(node) = first_overflow(loads, deltas, total) {
+            wrapping_pass::<true>(loads, deltas, 0);
+            return Err(node);
+        }
     }
     *negative = neg;
-    (total, load_over | total_over | positive_over)
+    Ok(total.wrapping_add(sum))
 }
 
-/// The node an overflowing [`apply_deltas`] reports: the first, in
-/// node order, whose load, the running `total` or the running positive
-/// load total would leave `i64`.
-fn first_overflow(loads: &[i64], deltas: &[i64], mut total: i64) -> usize {
+/// The forward [`wrapping_pass`] with its bound decided: the new
+/// negative count, the net delta, and whether the OR and `total` prove
+/// that the round cannot overflow.
+#[inline]
+fn bounded_pass(loads: &mut [i64], deltas: &[i64], total: i64) -> (usize, i64, bool) {
+    let c = magnitude_bound(loads.len());
+    let (neg, sum, offsets) = wrapping_pass::<false>(loads, deltas, c);
+    (
+        neg,
+        sum,
+        offsets < 2 * c as u64 && total.unsigned_abs() < 1 << 61,
+    )
+}
+
+/// Adds `deltas` to `loads` (or, with `NEGATE`, subtracts them) in
+/// wrapping arithmetic. Returns the new negative count, the wrapping
+/// sum of what was added, and the OR of every new load and added delta
+/// offset by `c` (as `u64`) — all below `2c` exactly when each lies in
+/// `[−c, c)` for a power of two `c`.
+#[inline]
+fn wrapping_pass<const NEGATE: bool>(
+    loads: &mut [i64],
+    deltas: &[i64],
+    c: i64,
+) -> (usize, i64, u64) {
+    debug_assert_eq!(loads.len(), deltas.len(), "one delta per node");
+    let (mut neg, mut sum, mut offsets) = (0usize, 0i64, 0u64);
+    for (x, &dv) in loads.iter_mut().zip(deltas) {
+        let dv = if NEGATE { dv.wrapping_neg() } else { dv };
+        let new = x.wrapping_add(dv);
+        *x = new;
+        neg += (new as u64 >> 63) as usize;
+        sum = sum.wrapping_add(dv);
+        offsets |= (new.wrapping_add(c) | dv.wrapping_add(c)) as u64;
+    }
+    (neg, sum, offsets)
+}
+
+/// The exact overflow scan over loads that already had `deltas` added
+/// in wrapping arithmetic: the first node, in node order, whose load
+/// (the old one read back as `new − dv`), the running `total` or the
+/// running positive load total would leave `i64`, if any.
+fn first_overflow(loads: &[i64], deltas: &[i64], mut total: i64) -> Option<usize> {
     let mut positive = 0i64;
-    loads
-        .iter()
-        .zip(deltas)
-        .position(|(&x, &dv)| {
-            let step = x.checked_add(dv).and_then(|new| {
-                let t = total.checked_add(dv)?;
-                Some((t, positive.checked_add(new.max(0))?))
-            });
-            if let Some((t, p)) = step {
-                (total, positive) = (t, p);
-            }
-            step.is_none()
-        })
-        .expect("an overflowing apply has an overflowing node")
+    loads.iter().zip(deltas).position(|(&new, &dv)| {
+        let step = new.wrapping_sub(dv).checked_add(dv).and_then(|new| {
+            let t = total.checked_add(dv)?;
+            Some((t, positive.checked_add(new.max(0))?))
+        });
+        if let Some((t, p)) = step {
+            (total, positive) = (t, p);
+        }
+        step.is_none()
+    })
 }
 
 #[cfg(test)]
@@ -279,8 +320,8 @@ mod tests {
     /// The reference `apply_deltas` semantics, branch-per-element in
     /// checked arithmetic: the new loads, negative count and net delta,
     /// or the first node in node order whose load, running `total` or
-    /// running positive load total would leave `i64` — what the single
-    /// production loop must equal.
+    /// running positive load total would leave `i64` — what the bound
+    /// and the exact scan must both equal.
     fn reference(
         loads: &[i64],
         deltas: &[i64],
@@ -306,34 +347,64 @@ mod tests {
         Ok((out, negative, total))
     }
 
-    /// [`apply_deltas`] with the polarity as a value.
-    fn apply(
-        loads: &mut [i64],
-        deltas: &[i64],
-        negate: bool,
-        neg: &mut usize,
-        total: i64,
-    ) -> (i64, bool) {
-        if negate {
-            apply_deltas::<true>(loads, deltas, neg, total)
-        } else {
-            apply_deltas::<false>(loads, deltas, neg, total)
-        }
-    }
-
     fn negatives(loads: &[i64]) -> usize {
         loads.iter().filter(|&&x| x < 0).count()
+    }
+
+    /// Runs the forward apply of `deltas` to `loads` from `total` both
+    /// ways and checks each against [`reference`]: the exact scan,
+    /// forced after the wrapping pass whatever the bound says, and
+    /// [`apply_deltas`] as a round runs it (the bound, then the exact
+    /// scan only where the bound fails). A rejected apply must leave
+    /// the loads and negative count as found, an accepted one must be
+    /// undone exactly, and the bound must never prove a round that
+    /// overflows. Returns whether the bound proved the round.
+    fn both_paths(loads: &[i64], deltas: &[i64], total: i64, tag: &str) -> bool {
+        let expected = reference(loads, deltas, false, total);
+
+        let mut forced = loads.to_vec();
+        let (neg, sum, proven) = bounded_pass(&mut forced, deltas, total);
+        let exact = match first_overflow(&forced, deltas, total) {
+            Some(node) => Err(node),
+            None => Ok((forced, neg, total.wrapping_add(sum))),
+        };
+        assert_eq!(exact, expected, "{tag}: the exact scan");
+        assert!(
+            !proven || expected.is_ok(),
+            "{tag}: the bound proved an overflowing round"
+        );
+
+        let mut got = loads.to_vec();
+        let mut got_neg = negatives(loads);
+        let applied = apply_deltas(&mut got, deltas, &mut got_neg, total);
+        match expected {
+            Ok((out, n, t)) => {
+                assert_eq!(applied, Ok(t), "{tag}: net delta");
+                assert_eq!(got, out, "{tag}: loads");
+                assert_eq!(got_neg, n, "{tag}: negative count");
+                got_neg = wrapping_pass::<true>(&mut got, deltas, 0).0;
+            }
+            Err(node) => assert_eq!(applied, Err(node), "{tag}: reported node"),
+        }
+        assert_eq!(got, loads, "{tag}: the undo is the exact inverse");
+        assert_eq!(got_neg, negatives(loads), "{tag}: negative count undone");
+        proven
+    }
+
+    /// The lengths that exercise every lane tail, plus a long odd one.
+    fn lengths() -> impl Iterator<Item = usize> {
+        (1..=9).chain([257])
     }
 
     #[test]
     fn apply_deltas_matches_the_reference_at_every_density() {
         // Deterministic pseudo-random mixtures at every density from
         // 0% to 100%, with sign changes crossing zero in both
-        // directions and both `negate` polarities (the erroring-round
-        // undo path); each apply is undone exactly by its negation.
-        let n = 257; // not lane-aligned
-        for density_pct in 0..=100usize {
-            for negate in [false, true] {
+        // directions, on every lane tail: forward through both overflow
+        // paths, and negated (the erroring-round undo pass) against
+        // the reference's negation.
+        for n in lengths() {
+            for density_pct in 0..=100usize {
                 let mut state = 0x9e37_79b9_u64 ^ density_pct as u64;
                 let mut rnd = move || {
                     state = state
@@ -351,21 +422,68 @@ mod tests {
                         }
                     })
                     .collect();
-                let tag = format!("density {density_pct}%, negate {negate}");
+                let tag = format!("n {n}, density {density_pct}%");
+                assert!(both_paths(&loads0, &deltas, 7, &tag), "{tag}: small");
+
                 let (expected, expected_neg, expected_sum) =
-                    reference(&loads0, &deltas, negate, 7).expect("small deltas never overflow");
-
+                    reference(&loads0, &deltas, true, 7).expect("small deltas never overflow");
                 let mut got = loads0.clone();
-                let mut got_neg = negatives(&got);
-                let (got_sum, overflow) = apply(&mut got, &deltas, negate, &mut got_neg, 7);
-                assert_eq!(got, expected, "{tag}: loads");
-                assert_eq!(got_neg, expected_neg, "{tag}: negative count");
-                assert_eq!(got_sum, expected_sum, "{tag}: net delta");
-                assert!(!overflow, "{tag}");
+                let (got_neg, got_sum, _) = wrapping_pass::<true>(&mut got, &deltas, 0);
+                assert_eq!(got, expected, "{tag}, negated: loads");
+                assert_eq!(got_neg, expected_neg, "{tag}, negated: negative count");
+                assert_eq!(7 + got_sum, expected_sum, "{tag}, negated: net delta");
+            }
+        }
+    }
 
-                apply(&mut got, &deltas, !negate, &mut got_neg, 0);
-                assert_eq!(got, loads0, "{tag}: the negated apply is the exact inverse");
-                assert_eq!(got_neg, negatives(&loads0), "{tag}: negative count undone");
+    #[test]
+    fn the_bound_proves_exactly_the_rounds_inside_it() {
+        // The bound's edges on every lane tail: new loads and deltas
+        // at C − 1 and at −C are inside `[−C, C)`, so the bound proves
+        // the round; at C or −C − 1 it fails and the exact scan decides
+        // (no overflow here). The bound reads the new loads, so old
+        // loads at C brought to 0 are proven. Uniform buffers, a single
+        // nonzero delta (a hotspot round), and starting totals on both
+        // sides of ±2⁶¹ — and past them, where the exact scan finds the
+        // overflow.
+        for n in lengths() {
+            let c = magnitude_bound(n);
+            assert!(n as u128 * 2 * c as u128 <= 1 << 61, "n {n}: C {c}");
+            let hot = n / 2;
+            let hotspot = |v: i64| {
+                let mut d = vec![0i64; n];
+                d[hot] = v;
+                d
+            };
+            let limit = 1i64 << 61;
+            let cases = [
+                (vec![c - 1; n], vec![0; n], 0, true),
+                (vec![c; n], vec![0; n], 0, false),
+                (vec![-c; n], vec![0; n], 0, true),
+                (vec![-c - 1; n], vec![0; n], 0, false),
+                (vec![c - 2; n], hotspot(1), 0, true),
+                (vec![c - 1; n], hotspot(1), 0, false),
+                (vec![1 - c; n], hotspot(-1), 0, true),
+                (vec![-c; n], hotspot(-1), 0, false),
+                (vec![0; n], vec![c - 1; n], 0, true),
+                (vec![0; n], vec![-c; n], 0, true),
+                (vec![0; n], hotspot(c - 1), 0, true),
+                (vec![0; n], hotspot(c), 0, false),
+                (vec![0; n], hotspot(-c), 0, true),
+                (vec![0; n], hotspot(-c - 1), 0, false),
+                (vec![c; n], vec![-c; n], 0, true),
+                (vec![2; n], hotspot(3), limit - 1, true),
+                (vec![2; n], hotspot(3), limit, false),
+                (vec![2; n], hotspot(-3), 1 - limit, true),
+                (vec![2; n], hotspot(-3), -limit, false),
+                (vec![0; n], hotspot(1), i64::MAX - 1, false),
+                (vec![0; n], hotspot(-1), i64::MIN, false),
+                (vec![0; n], hotspot(1), i64::MAX, false),
+                (vec![0; n], hotspot(-1), i64::MIN + 1, false),
+            ];
+            for (loads, deltas, total, proven) in cases {
+                let tag = format!("n {n}: {:?}.. + {:?}.. from {total}", loads[0], deltas[hot]);
+                assert_eq!(both_paths(&loads, &deltas, total, &tag), proven, "{tag}");
             }
         }
     }
@@ -377,7 +495,8 @@ mod tests {
         // past it although no load overflows; the positive load total
         // past it although no load and no net total does — from a
         // touched or an untouched node, and even from a round with no
-        // delta at all.
+        // delta at all; and `i64::MIN` deltas, whose negation wraps to
+        // themselves in the rollback.
         let half = i64::MAX / 2; // 2⁶² − 1
         let cases = [
             (vec![1i64, i64::MAX - 1, 0], vec![0i64, 5, -3], 0i64, 1usize),
@@ -387,8 +506,11 @@ mod tests {
             (vec![half, 0, half + 1], vec![0, 1, 0], 0, 2),
             (vec![-4, i64::MAX - 2, 3], vec![0, 1, 0], 0, 2),
             (vec![5, i64::MAX - 3, 0], vec![0, 0, 0], 0, 1),
+            (vec![0, -1, 0], vec![0, i64::MIN, 0], 0, 1),
+            (vec![0, 0, 0], vec![0, i64::MIN, 0], -1, 1),
+            (vec![0, 0, 0], vec![i64::MIN, 0, i64::MIN], 0, 2),
         ];
-        for pad in [0usize, 200] {
+        for pad in (0..=6).chain([200, 254]) {
             for (loads0, deltas0, total, node) in &cases {
                 let tag = format!("pad {pad}: {loads0:?} + {deltas0:?} from total {total}");
                 let mut loads = loads0.clone();
@@ -400,28 +522,26 @@ mod tests {
                     Err(*node),
                     "{tag}"
                 );
-                let start = loads.clone();
-                let mut neg = negatives(&start);
-                let (_, overflow) = apply_deltas::<false>(&mut loads, &deltas, &mut neg, *total);
-                assert!(overflow, "{tag}");
-                assert_eq!(first_overflow(&start, &deltas, *total), *node, "{tag}");
-                apply_deltas::<true>(&mut loads, &deltas, &mut neg, 0);
-                assert_eq!(
-                    loads, start,
-                    "{tag}: the negated apply is the exact inverse"
-                );
-                assert_eq!(neg, negatives(&start), "{tag}");
+                assert!(!both_paths(&loads, &deltas, *total, &tag), "{tag}");
             }
         }
-        // Negative loads do not count, and a positive total of exactly
-        // `i64::MAX` is in range.
-        let (loads0, deltas) = (vec![-5i64, i64::MAX - 2, 3], vec![0i64, 0, -1]);
-        let mut loads = loads0.clone();
-        let mut neg = 1;
-        let (total, overflow) = apply_deltas::<false>(&mut loads, &deltas, &mut neg, 0);
-        assert!(!overflow);
-        assert_eq!((total, neg), (-1, 1));
-        assert_eq!(reference(&loads0, &deltas, false, 0), Ok((loads, 1, -1)));
+        // Negative loads do not count, a positive total of exactly
+        // `i64::MAX` is in range, and an `i64::MIN` delta that leaves
+        // no load or total out of range is applied and undone exactly.
+        let accepted = [
+            (vec![-5i64, i64::MAX - 2, 3], vec![0i64, 0, -1], 0i64),
+            (vec![7, 0, 3], vec![0, i64::MIN, 0], 0),
+            (vec![7, 0, 3], vec![0, i64::MIN, 0], i64::MAX),
+            (vec![i64::MAX, 0, -1], vec![i64::MIN, 0, i64::MAX], 0),
+        ];
+        for (loads, deltas, total) in accepted {
+            let tag = format!("{loads:?} + {deltas:?} from total {total}");
+            assert!(reference(&loads, &deltas, false, total).is_ok(), "{tag}");
+            assert!(!both_paths(&loads, &deltas, total, &tag), "{tag}");
+        }
+        let (mut loads, mut neg) = (vec![-5i64, i64::MAX - 2, 3], 1);
+        assert_eq!(apply_deltas(&mut loads, &[0, 0, -1], &mut neg, 0), Ok(-1));
+        assert_eq!((loads, neg), (vec![-5, i64::MAX - 2, 2], 1));
     }
 
     /// Adds fixed deltas every round.

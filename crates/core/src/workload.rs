@@ -85,15 +85,23 @@ pub trait Workload: Send {
         false
     }
 
-    /// The generator's resumable cursor: every word of mutable state a
-    /// checkpoint must carry so that an **identically configured**
-    /// fresh instance, after [`restore_cursor`](Workload::restore_cursor),
-    /// continues this instance's delta stream exactly (RNG position,
-    /// phase counters, scan tallies). Stateless workloads
-    /// return an empty cursor. Configuration (rates, seeds, sink sets)
-    /// is *not* part of the cursor — it travels as the workload's spec.
+    /// Appends the generator's resumable cursor to `out`: every word of
+    /// mutable state a checkpoint must carry so that an **identically
+    /// configured** fresh instance, after
+    /// [`restore_cursor`](Workload::restore_cursor), continues this
+    /// instance's delta stream exactly (RNG position, phase counters,
+    /// scan tallies). Stateless workloads append nothing. Configuration
+    /// (rates, seeds, sink sets) is *not* part of the cursor — it
+    /// travels as the workload's spec. A caller that checkpoints
+    /// repeatedly can reuse one buffer.
+    fn cursor_into(&self, _out: &mut Vec<u64>) {}
+
+    /// The cursor [`cursor_into`](Workload::cursor_into) appends, in a
+    /// fresh vector.
     fn cursor(&self) -> Vec<u64> {
-        Vec::new()
+        let mut out = Vec::new();
+        self.cursor_into(&mut out);
+        out
     }
 
     /// Restores a cursor captured by [`cursor`](Workload::cursor) onto

@@ -297,9 +297,11 @@ pub fn complete_bipartite(d: usize) -> Result<RegularGraph, GraphError> {
 /// slots, and a committed swap rewrites four slots. There is no hashing
 /// and no per-node allocation: the pairing and the slot table (4·n·d
 /// bytes each) are the whole working set, and the slot table is freed
-/// before the adjacency is written, so the heap peaks near 8·n·d + 4·n
-/// bytes. A multiplicity query scans `d` slots,
-/// which is cheap for the constant degrees used here. On a shared
+/// before the adjacency is written, so the heap peaks near 8·n·d + 8·n
+/// bytes. Each node also keeps a count of its repeated slots, so a
+/// multiplicity query scans `d` slots only at a node that has a
+/// parallel pair, and a full bad-pair scan costs O(n·d) plus `d` per
+/// pair at such a node. On a shared
 /// 2-vCPU x86-64 VM, `n = 2¹⁸, d = 4` builds in 60–80 ms (the hash-map
 /// version took 0.4–0.5 s) and `n = 2²⁰` in about 0.5 s (3.3–3.5 s).
 /// Every multiplicity answer equals the hash map's, so the RNG draws,
@@ -363,13 +365,34 @@ fn partners_in_pair_order(n: usize, d: usize, pairs: &[u32]) -> Vec<u32> {
 }
 
 /// The multiplicity table of a pairing: node `u`'s `d` slots hold the
-/// other ends of its pairs, in any order.
+/// other ends of its pairs, in any order, and `surplus[u]` counts the
+/// slots that repeat an earlier slot of `u` — zero for every node
+/// without a parallel pair, which a bad-pair query then skips.
 struct SlotTable {
     d: usize,
     slots: Vec<u32>,
+    surplus: Vec<u32>,
 }
 
 impl SlotTable {
+    /// The table of `slots`, its surplus counted in one O(n·d) pass.
+    fn new(n: usize, d: usize, slots: Vec<u32>) -> Self {
+        // `seen[v] == a` once `v` has appeared in node `a`'s slots.
+        let mut seen = vec![u32::MAX; n];
+        let surplus = (0..n as u32)
+            .zip(slots.chunks_exact(d))
+            .map(|(a, node)| {
+                let mut repeats = 0;
+                for &v in node {
+                    repeats += u32::from(seen[v as usize] == a);
+                    seen[v as usize] = a;
+                }
+                repeats
+            })
+            .collect();
+        Self { d, slots, surplus }
+    }
+
     fn node(&self, a: u32) -> &[u32] {
         let a = a as usize;
         &self.slots[a * self.d..(a + 1) * self.d]
@@ -383,14 +406,18 @@ impl SlotTable {
     /// Whether the pair `{a, b}` is a self-loop or one of several
     /// parallel pairs.
     fn is_bad(&self, a: u32, b: u32) -> bool {
-        a == b || self.node(a).iter().filter(|&&s| s == b).count() > 1
+        a == b
+            || (self.surplus[a as usize] > 0
+                && self.node(a).iter().filter(|&&s| s == b).count() > 1)
     }
 
-    /// Points one of `a`'s slots that holds `old` at `new`.
+    /// Points one of `a`'s slots that holds `old` at `new`, and drops
+    /// the surplus count if that `old` was a repeat.
     fn rewire(&mut self, a: u32, old: u32, new: u32) {
         let a = a as usize;
         let node = &mut self.slots[a * self.d..(a + 1) * self.d];
         let k = node.iter().position(|&s| s == old).expect("tracked");
+        self.surplus[a] -= u32::from(node[k + 1..].contains(&old));
         node[k] = new;
     }
 }
@@ -410,10 +437,7 @@ fn pairing_with_repair(n: usize, d: usize, rng: &mut StdRng) -> Option<RegularGr
         table.is_bad(u, v)
     };
 
-    let mut table = SlotTable {
-        d,
-        slots: partners_in_pair_order(n, d, &pairs),
-    };
+    let mut table = SlotTable::new(n, d, partners_in_pair_order(n, d, &pairs));
     let m = pairs.len() / 2;
     let max_rounds = 200;
     let mut clean = false;
@@ -450,7 +474,8 @@ fn pairing_with_repair(n: usize, d: usize, rng: &mut StdRng) -> Option<RegularGr
                     continue;
                 }
                 // Commit the swap. The checks above make {u, v} and
-                // {x, y} disjoint, so each rewire finds its slot.
+                // {x, y} disjoint and both new pairs unjoined, so each
+                // rewire finds its slot and adds no repeat.
                 table.rewire(u, v, x);
                 table.rewire(v, u, y);
                 table.rewire(x, y, u);

@@ -50,8 +50,8 @@ impl Workload for SteadyArrivals {
     }
 
     // The RNG position is the only mutable state.
-    fn cursor(&self) -> Vec<u64> {
-        self.rng.state().to_vec()
+    fn cursor_into(&self, out: &mut Vec<u64>) {
+        out.extend(self.rng.state());
     }
 
     fn restore_cursor(&mut self, cursor: &[u64]) -> bool {
@@ -124,8 +124,8 @@ impl Workload for BurstyOnOff {
 
     // The phase is a pure function of the (engine-supplied) round
     // number, so the RNG position is again the whole cursor.
-    fn cursor(&self) -> Vec<u64> {
-        self.rng.state().to_vec()
+    fn cursor_into(&self, out: &mut Vec<u64>) {
+        out.extend(self.rng.state());
     }
 
     fn restore_cursor(&mut self, cursor: &[u64]) -> bool {
@@ -279,8 +279,8 @@ impl Workload for BoundedAdversary {
     // The injection stream itself is a pure function of the loads; the
     // cursor only carries the scan tally, so perf accounting survives
     // a checkpoint and existing snapshots keep decoding.
-    fn cursor(&self) -> Vec<u64> {
-        vec![self.scans]
+    fn cursor_into(&self, out: &mut Vec<u64>) {
+        out.push(self.scans);
     }
 
     fn restore_cursor(&mut self, cursor: &[u64]) -> bool {
@@ -333,14 +333,15 @@ impl Workload for Compose {
 
     // Length-prefixed per-child frames, so heterogeneous children
     // (including nested compositions) round-trip unambiguously.
-    fn cursor(&self) -> Vec<u64> {
-        let mut out = Vec::new();
+    // Each child appends its frame after a length word that is patched
+    // once the frame is written, so nothing is allocated per child.
+    fn cursor_into(&self, out: &mut Vec<u64>) {
         for child in &self.children {
-            let frame = child.cursor();
-            out.push(frame.len() as u64);
-            out.extend(frame);
+            let len_at = out.len();
+            out.push(0);
+            child.cursor_into(out);
+            out[len_at] = (out.len() - len_at - 1) as u64;
         }
-        out
     }
 
     fn restore_cursor(&mut self, cursor: &[u64]) -> bool {
@@ -805,8 +806,13 @@ mod tests {
             let label = original.label();
             let _ = collect(original.as_mut(), 16, 7); // advance mid-stream
             let cursor = original.cursor();
+            // The in-place form appends the same words after whatever
+            // the buffer already holds.
+            let mut buffer = vec![u64::MAX];
+            original.cursor_into(&mut buffer);
+            assert_eq!(buffer[1..], cursor, "{label}: cursor_into");
             assert!(
-                fresh.restore_cursor(&cursor),
+                fresh.restore_cursor(&buffer[1..]),
                 "{label}: cursor shape must match the spec-built instance"
             );
             // `collect` replays rounds 1..=5, but these generators'

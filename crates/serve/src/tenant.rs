@@ -406,19 +406,27 @@ impl Tenant {
     }
 
     /// Appends the encoded snapshot of the live state to `w`, reading
-    /// the engine in place.
+    /// the engine in place. The workload and schedule cursors share
+    /// one vector.
     fn write_snapshot(&self, w: &mut Writer) {
-        let workload_cursor = self.workload.as_ref().map(|wl| wl.cursor());
-        let schedule_cursor = self.schedule.as_ref().map(|sched| sched.cursor());
+        let mut cursors = Vec::new();
+        if let Some(wl) = &self.workload {
+            wl.cursor_into(&mut cursors);
+        }
+        let split = cursors.len();
+        if let Some(sched) = &self.schedule {
+            sched.cursor_into(&mut cursors);
+        }
+        let (workload_cursor, schedule_cursor) = cursors.split_at(split);
         SnapshotRef {
             engine: EngineRef::from(&self.engine),
             scheme: self.scheme.kind(),
             rotors: self.scheme.rotors().iter().map(|&p| p as u64),
             error: self.error.as_ref(),
             workload: self.workload_spec.as_ref(),
-            workload_cursor: workload_cursor.as_deref().unwrap_or_default(),
+            workload_cursor,
             schedule: &self.schedule_spec,
-            schedule_cursor: schedule_cursor.as_deref().unwrap_or_default(),
+            schedule_cursor,
         }
         .encode_into(w);
     }
@@ -736,8 +744,8 @@ impl TopologySchedule for RecordingSchedule<'_> {
         self.inner.is_noop()
     }
 
-    fn cursor(&self) -> Vec<u64> {
-        self.inner.cursor()
+    fn cursor_into(&self, out: &mut Vec<u64>) {
+        self.inner.cursor_into(out);
     }
 
     fn restore_cursor(&mut self, cursor: &[u64]) -> bool {
@@ -778,8 +786,8 @@ impl Workload for RecordingWorkload<'_> {
         self.inner.is_noop()
     }
 
-    fn cursor(&self) -> Vec<u64> {
-        self.inner.cursor()
+    fn cursor_into(&self, out: &mut Vec<u64>) {
+        self.inner.cursor_into(out);
     }
 
     fn restore_cursor(&mut self, cursor: &[u64]) -> bool {

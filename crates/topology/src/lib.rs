@@ -137,18 +137,24 @@ pub trait TopologySchedule: Send {
         false
     }
 
-    /// The generator's resumable cursor: every word of mutable state a
-    /// checkpoint must carry so that an **identically configured**
-    /// fresh instance, after
+    /// Appends the generator's resumable cursor to `out`: every word of
+    /// mutable state a checkpoint must carry so that an **identically
+    /// configured** fresh instance, after
     /// [`restore_cursor`](TopologySchedule::restore_cursor), continues
     /// this instance's event stream exactly (RNG position, burst
     /// bookkeeping, shortfall and timing counters). Self-re-anchoring
     /// caches (probe graphs, connectivity structures) are rebuilt on
     /// demand and are *not* part of the cursor; neither is
     /// configuration (periods, seeds), which travels as the schedule's
-    /// spec.
+    /// spec. A caller that checkpoints repeatedly can reuse one buffer.
+    fn cursor_into(&self, _out: &mut Vec<u64>) {}
+
+    /// The cursor [`cursor_into`](TopologySchedule::cursor_into)
+    /// appends, in a fresh vector.
     fn cursor(&self) -> Vec<u64> {
-        Vec::new()
+        let mut out = Vec::new();
+        self.cursor_into(&mut out);
+        out
     }
 
     /// Restores a cursor captured by

@@ -225,8 +225,8 @@ impl TopologySchedule for PeriodicRewiring {
     // connectivity structure are self-re-anchoring caches (the slot
     // compare rebuilds them from the observed graph), so they are
     // deliberately not part of the cursor.
-    fn cursor(&self) -> Vec<u64> {
-        let mut out = self.rng.state().to_vec();
+    fn cursor_into(&self, out: &mut Vec<u64>) {
+        out.extend(self.rng.state());
         out.extend([
             self.shortfall.requested,
             self.shortfall.emitted,
@@ -234,7 +234,6 @@ impl TopologySchedule for PeriodicRewiring {
             self.shortfall.connectivity_rejects,
             self.validation_ns,
         ]);
-        out
     }
 
     fn restore_cursor(&mut self, cursor: &[u64]) -> bool {
@@ -358,8 +357,8 @@ impl TopologySchedule for FailureRecovery {
 
     // The draws depend on the observed graph, so the RNG position is
     // the entire mutable state.
-    fn cursor(&self) -> Vec<u64> {
-        self.rng.state().to_vec()
+    fn cursor_into(&self, out: &mut Vec<u64>) {
+        out.extend(self.rng.state());
     }
 
     fn restore_cursor(&mut self, cursor: &[u64]) -> bool {
@@ -453,11 +452,10 @@ impl TopologySchedule for FailureBurst {
 
     // RNG position plus the slept set — a snapshot between fail and
     // wake rounds must release exactly the recorded sleepers.
-    fn cursor(&self) -> Vec<u64> {
-        let mut out = self.rng.state().to_vec();
+    fn cursor_into(&self, out: &mut Vec<u64>) {
+        out.extend(self.rng.state());
         out.push(self.slept.len() as u64);
         out.extend(self.slept.iter().map(|&u| u as u64));
-        out
     }
 
     fn restore_cursor(&mut self, cursor: &[u64]) -> bool {
@@ -608,8 +606,8 @@ impl TopologySchedule for AdversarialCut {
     // Fully deterministic in the observed graph; only the perf
     // accounting crosses a checkpoint. The connectivity structure is
     // rebuilt every emitting round anyway.
-    fn cursor(&self) -> Vec<u64> {
-        vec![self.scans, self.probes, self.validation_ns]
+    fn cursor_into(&self, out: &mut Vec<u64>) {
+        out.extend([self.scans, self.probes, self.validation_ns]);
     }
 
     fn restore_cursor(&mut self, cursor: &[u64]) -> bool {
@@ -680,14 +678,15 @@ impl TopologySchedule for Compose {
 
     // Length-prefixed per-child frames, mirroring the workload-side
     // composition: heterogeneous children round-trip unambiguously.
-    fn cursor(&self) -> Vec<u64> {
-        let mut out = Vec::new();
+    // Each child appends its frame after a length word that is patched
+    // once the frame is written, so nothing is allocated per child.
+    fn cursor_into(&self, out: &mut Vec<u64>) {
         for child in &self.children {
-            let frame = child.cursor();
-            out.push(frame.len() as u64);
-            out.extend(frame);
+            let len_at = out.len();
+            out.push(0);
+            child.cursor_into(out);
+            out[len_at] = (out.len() - len_at - 1) as u64;
         }
-        out
     }
 
     fn restore_cursor(&mut self, cursor: &[u64]) -> bool {
@@ -1145,8 +1144,13 @@ mod tests {
             let label = original.label();
             let mut g = generators::torus(2, 4).unwrap();
             let _ = collect(original.as_mut(), &mut g, 7);
+            // The in-place form appends the same words after whatever
+            // the buffer already holds.
+            let mut buffer = vec![u64::MAX];
+            original.cursor_into(&mut buffer);
+            assert_eq!(buffer[1..], original.cursor(), "{label}: cursor_into");
             assert!(
-                fresh.restore_cursor(&original.cursor()),
+                fresh.restore_cursor(&buffer[1..]),
                 "{label}: cursor shape must match the spec-built instance"
             );
             // Continue both from the same mid-run graph and rounds.
