@@ -17,7 +17,7 @@
 //! (Theorem 2.3 (ii)), this separates the classes: cumulative fairness
 //! cannot be dropped.
 
-use dlb_core::{FlowPlan, LoadVector};
+use dlb_core::LoadVector;
 use dlb_graph::traversal::{bfs_distances, eccentricity};
 use dlb_graph::{BalancingGraph, GraphError, NodeId, RegularGraph};
 
@@ -69,19 +69,21 @@ pub fn instance(graph: RegularGraph, root: NodeId) -> Result<Theorem41Instance, 
     let b = bfs_distances(&graph, root);
 
     let gp = BalancingGraph::bare(graph);
-    let mut flows = FlowPlan::for_graph(&gp);
+    // G⁺ = G: the ports are exactly the neighbours, so the flows are
+    // laid out node by node in port order.
+    let mut flows = Vec::with_capacity(n * gp.degree_plus());
     let mut loads = vec![0i64; n];
     for v in 0..n {
-        for (p, &w) in gp.graph().neighbors(v).iter().enumerate() {
+        for &w in gp.graph().neighbors(v) {
             let f = u64::from(b[v].min(b[w as usize]));
-            flows.set(v, p, f);
+            flows.push(f);
             loads[v] += f as i64;
         }
     }
     Ok(Theorem41Instance {
+        balancer: FixedFlowBalancer::new(&gp, flows),
         graph: gp,
         initial: LoadVector::new(loads),
-        balancer: FixedFlowBalancer::new(flows),
         root,
         radius,
     })

@@ -1,14 +1,13 @@
-use dlb_graph::BalancingGraph;
-
 use crate::kernel::KernelRounds;
-use crate::{FlowPlan, LoadVector};
 
 /// A discrete diffusion load-balancing scheme.
 ///
 /// A balancer's only job is to decide, for each node independently, how
 /// the node's current load splits over its `d⁺` ports — the function
-/// `f_t` of the paper. The [`Engine`](crate::Engine) routes the tokens
-/// and checks class invariants; an attached
+/// `f_t` of the paper, written once per scheme as
+/// [`KernelBalancer::kernel_node`](crate::KernelBalancer::kernel_node).
+/// The [`Engine`](crate::Engine) routes the tokens and checks class
+/// invariants; an attached
 /// [`FairnessMonitor`](crate::fairness::FairnessMonitor) keeps the
 /// cumulative ledger `F_t`.
 ///
@@ -22,15 +21,7 @@ pub trait Balancer {
     /// A short stable identifier used in reports and bench names.
     fn name(&self) -> &'static str;
 
-    /// Fills `plan` with this step's flows given loads `x_t`.
-    ///
-    /// The plan arrives zeroed. Implementations must write a complete
-    /// assignment: for every node `u`, the flows over `u`'s ports plus
-    /// the implicitly retained remainder `x_t(u) − f_t^out(u)` make up
-    /// the node's whole load.
-    fn plan(&mut self, gp: &BalancingGraph, loads: &LoadVector, plan: &mut FlowPlan);
-
-    /// Whether this scheme may plan to send more tokens than a node
+    /// Whether this scheme may send more tokens than a node
     /// holds, creating negative load (true only for the \[4\]/\[18\]-style
     /// baselines; the paper's own classes never overdraw).
     fn may_overdraw(&self) -> bool {
@@ -52,14 +43,11 @@ pub trait Balancer {
     /// to the post-construction state.
     fn reset(&mut self) {}
 
-    /// This scheme's plan-free kernel, if it has one. A
-    /// [`KernelBalancer`](crate::KernelBalancer) answers `Some(self)`,
-    /// which lets [`Engine::run`](crate::Engine::run) take the kernel
-    /// rounds on [`Path::Auto`](crate::Path::Auto); the default `None`
-    /// runs the planned round.
-    fn as_kernel(&mut self) -> Option<&mut dyn KernelRounds> {
-        None
-    }
+    /// This scheme's rounds: a
+    /// [`KernelBalancer`](crate::KernelBalancer) answers `self`, the one
+    /// dynamic call through which [`Engine::run`](crate::Engine::run)
+    /// reaches rounds compiled for the concrete scheme type.
+    fn as_kernel(&mut self) -> &mut dyn KernelRounds;
 }
 
 /// Splits a non-negative load into the quotient/remainder pair

@@ -4,10 +4,10 @@ use dlb_topology::{StaticTopology, TopologySchedule};
 
 use crate::fairness::FairnessMonitor;
 use crate::kernel::vector::{self, UniformKernel, VectorConfig, VectorStats};
-use crate::kernel::{self, KernelBalancer, KernelCall};
+use crate::kernel::{self, KernelBalancer, KernelCall, KernelRun};
 use crate::round::{self, PreRound, RoundState};
 use crate::workload::{NoWorkload, Workload};
-use crate::{Balancer, EngineError, FlowPlan, LoadVector};
+use crate::{Balancer, EngineError, LoadVector};
 
 /// Outcome of a single engine step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,18 +21,17 @@ pub struct StepSummary {
 }
 
 /// Which round an [`Engine::run`] executes. Both produce bit-identical
-/// loads, graphs, errors and counters; they differ in speed and in what
-/// an attached [`FairnessMonitor`] sees.
+/// loads, graphs, errors and counters; they differ in speed, and only
+/// the reference round feeds an attached [`FairnessMonitor`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Path {
-    /// The plan-free kernel rounds when the balancer has a kernel
-    /// ([`Balancer::as_kernel`]) and no monitor is attached; the
-    /// planned round otherwise.
+    /// The kernel rounds ([`kernel`]) unless a monitor is attached; the
+    /// reference round otherwise.
     #[default]
     Auto,
-    /// The planned round — plan, validate, route — every time: the
-    /// reference the kernel rounds are checked against.
-    Planned,
+    /// The reference round (see [`Engine`]) every time: the oracle the
+    /// kernel rounds are checked against.
+    Reference,
 }
 
 /// The parameters of one [`Engine::run`] call. [`Run::new`] gives a
@@ -115,38 +114,39 @@ pub struct EngineState {
 /// The synchronous simulation engine.
 ///
 /// The engine owns the balancing graph `G⁺` and the load vector `x_t`,
-/// and drives any [`Balancer`] through the paper's round structure:
+/// and drives any [`Balancer`] through the paper's round structure. Its
+/// reference round ([`Path::Reference`]) is the definition every faster
+/// round is checked against:
 ///
-/// 1. the engine rejects negative loads for schemes that forbid them;
-/// 2. the balancer fills a [`FlowPlan`] from the current loads (the
-///    engine allocates the plan's `n·d⁺` words on its first planned
-///    round and reuses them after);
-/// 3. the engine validates it in a single pass over the plan's touched
-///    nodes (each node's sent total is computed exactly once);
-/// 4. an attached [`FairnessMonitor`] observes the pre-step state and
-///    adds the flows to its cumulative ledger `F_t`;
-/// 5. flows are routed in place — original-port tokens to the
-///    neighbour behind the port, self-loop tokens back to the sender,
-///    un-planned tokens retained (the remainder `r_t(u)` of §2).
+/// 1. the shared pre-round mutates the topology, injects load, hands
+///    asleep queues to live neighbours and rejects negative loads for
+///    schemes that forbid them;
+/// 2. the scheme's [`begin_round`](KernelBalancer::begin_round) hook
+///    runs, then its [`kernel_node`](KernelBalancer::kernel_node) for
+///    every node in id order, each into one `d⁺` row;
+/// 3. each row is validated (a non-overdrawing scheme may not send more
+///    than the node holds) and routed into a separate next-load buffer —
+///    original-port tokens to the neighbour behind the port, self-loop
+///    and unsent tokens back home (the remainder `r_t(u)` of §2); the
+///    buffer replaces the loads only if the whole round succeeds;
+/// 4. an attached [`FairnessMonitor`] then observes the round's rows and
+///    adds them to its cumulative ledger `F_t`.
 ///
 /// # Entry points
 ///
 /// [`run`](Engine::run) executes a [`Run`]: `steps` rounds under an
 /// optional topology schedule, workload and tracing sink. On
-/// [`Path::Auto`] it takes the plan-free kernel rounds when the
-/// balancer has a kernel and no monitor is attached: no [`FlowPlan`]
-/// is materialised (an engine that only runs these rounds never
-/// allocates one), flows are computed in registers and applied as
-/// signed deltas into a double-buffered load vector, and a closed-form
-/// SEND scheme on a static, closed system runs whole-array [`vector`]
-/// rounds. Every other run takes the planned round above, which
-/// [`Path::Planned`] forces. [`step`](Engine::step) runs one planned
-/// round and returns its [`StepSummary`], which
-/// [`summary`](Engine::summary) also takes after any run;
-/// [`run_parallel`](Engine::run_parallel) splits the vector rounds by
-/// node range across threads. All of them produce bit-identical loads.
-/// The count of negative nodes is maintained incrementally at every
-/// load write, so no path ever scans for it.
+/// [`Path::Auto`] it takes the kernel rounds unless a monitor is
+/// attached: flows are computed in registers and applied as signed
+/// deltas into a double-buffered load vector, and a closed-form SEND
+/// scheme on a static, closed system runs whole-array [`vector`]
+/// rounds. [`Path::Reference`] forces the reference round above.
+/// [`step`](Engine::step) runs one reference round and returns its
+/// [`StepSummary`], which [`summary`](Engine::summary) also takes after
+/// any run; [`run_parallel`](Engine::run_parallel) splits the vector
+/// rounds by node range across threads. All of them produce
+/// bit-identical loads. The count of negative nodes is maintained
+/// incrementally at every load write, so no path ever scans for it.
 ///
 /// # Example
 ///
@@ -165,15 +165,8 @@ pub struct EngineState {
 pub struct Engine {
     gp: BalancingGraph,
     loads: LoadVector,
-    /// Per-touched-node outflow over original edges, parallel to the
-    /// plan's touched list (scratch reused across steps).
-    outflow: Vec<u64>,
-    /// The planned rounds' flow plan (`n·d⁺` words), allocated by the
-    /// first planned round; an engine that only ever runs kernel
-    /// rounds never holds one.
-    plan: Option<FlowPlan>,
     /// The attached instrumentation: the fairness monitor and its
-    /// cumulative ledger, recorded on planned rounds only.
+    /// cumulative ledger, fed by the reference round only.
     monitor: Option<FairnessMonitor>,
     step: usize,
     negative_node_steps: u64,
@@ -226,8 +219,6 @@ impl Engine {
         Engine {
             gp,
             loads: initial,
-            outflow: Vec::new(),
-            plan: None,
             monitor: None,
             step: 0,
             negative_node_steps: 0,
@@ -264,9 +255,9 @@ impl Engine {
     }
 
     /// Attaches a fresh [`FairnessMonitor`], with an empty cumulative
-    /// ledger, that observes every subsequent round. Rounds run planned
-    /// while it is attached (one extra `O(n·d⁺)` pass per round), since
-    /// the monitor reads each round's [`FlowPlan`].
+    /// ledger, that observes every subsequent round. Rounds run on the
+    /// reference round while it is attached, since the monitor reads
+    /// each round's `n·d⁺` flows.
     pub fn attach_monitor(&mut self) {
         self.monitor = Some(FairnessMonitor::for_graph(&self.gp));
     }
@@ -397,131 +388,6 @@ impl Engine {
         reg.gauge_set("engine_injected_net", self.injected_total);
     }
 
-    /// Validates and routes the freshly filled plan, then updates the
-    /// step counters — the second half of the planned round.
-    ///
-    /// A single pass over the plan's touched nodes computes each node's
-    /// sent total exactly once (validation reads it; routing reuses the
-    /// original-edge part). Routing is in place: no `O(n)` scratch copy,
-    /// and the negative-node count is maintained at each write.
-    fn finish_step<Si: Sink>(&mut self, check: bool, sink: &mut Si) -> Result<(), EngineError> {
-        let d = self.gp.degree();
-        let plan = self.plan.as_ref().expect("a planned round fills the plan");
-        let probe = sink.start();
-
-        // Pass 1 — sent totals + validation, over touched nodes only.
-        // Untouched nodes send nothing and were proven non-negative by
-        // the pre-plan check, so they need no inspection.
-        self.outflow.clear();
-        for u in plan.touched() {
-            let flows = plan.node(u);
-            let orig: u64 = flows[..d].iter().sum();
-            let lazy: u64 = flows[d..].iter().sum();
-            if check {
-                let x = self.loads.get(u);
-                let sent = orig + lazy;
-                if sent > x as u64 {
-                    return Err(EngineError::Overdraw {
-                        node: u,
-                        load: x,
-                        planned: sent,
-                        step: self.step + 1,
-                    });
-                }
-            }
-            self.outflow.push(orig);
-        }
-
-        if let Some(monitor) = &mut self.monitor {
-            monitor.observe(&self.gp, &self.loads, plan);
-        }
-        sink.span(Phase::Validate, self.step as u64 + 1, probe);
-        let probe = sink.start();
-
-        // Pass 2 — route in place. Only tokens crossing an original
-        // edge move; self-loop and retained tokens never leave home.
-        let graph = self.gp.graph();
-        let loads = self.loads.as_mut_slice();
-        let mut negative = self.negative_count;
-        for (u, &moved) in plan.touched().zip(&self.outflow) {
-            for (p, &f) in plan.node(u)[..d].iter().enumerate() {
-                if f == 0 {
-                    continue;
-                }
-                let v = graph.neighbor(u, p);
-                let old = loads[v];
-                let new = old + f as i64;
-                negative = negative + usize::from(new < 0) - usize::from(old < 0);
-                loads[v] = new;
-            }
-            if moved != 0 {
-                let old = loads[u];
-                let new = old - moved as i64;
-                negative = negative + usize::from(new < 0) - usize::from(old < 0);
-                loads[u] = new;
-            }
-        }
-        self.negative_count = negative;
-
-        self.step += 1;
-        self.negative_node_steps += self.negative_count as u64;
-        sink.span(Phase::Route, self.step as u64, probe);
-        Ok(())
-    }
-
-    /// One planned round of the full dynamic structure: the shared
-    /// pre-round (mutate topology, inject, hand off, negative-check),
-    /// then clear, plan, validate + route. An erroring round undoes its
-    /// injection *and* its topology events, so on error nothing —
-    /// loads and graph included — has advanced.
-    fn planned_round<'s, 'w, B: Balancer + ?Sized, Si: Sink>(
-        &mut self,
-        balancer: &mut B,
-        schedule: Option<&mut (dyn TopologySchedule + 's)>,
-        workload: Option<&mut (dyn Workload + 'w)>,
-        sink: &mut Si,
-    ) -> Result<(), EngineError> {
-        let check = !balancer.may_overdraw();
-        let step = self.step + 1;
-        let (pre, st) = self.pre_round();
-        pre.run(step, st, schedule, workload, check, sink)?;
-        let probe = sink.start();
-        let plan = self
-            .plan
-            .get_or_insert_with(|| FlowPlan::for_graph(&self.gp));
-        plan.clear();
-        balancer.plan(&self.gp, &self.loads, plan);
-        sink.span(Phase::Plan, self.step as u64 + 1, probe);
-        // `finish_step` validates the whole plan before routing a
-        // single token, so an `Overdraw` has not mutated loads and
-        // undoing the pre-round restores the round exactly.
-        let routed = self.finish_step(check, sink);
-        if routed.is_err() {
-            let (pre, st) = self.pre_round();
-            pre.undo(st);
-        }
-        routed
-    }
-
-    /// `steps` planned rounds.
-    fn planned_rounds<'s, 'w, B: Balancer + ?Sized, Si: Sink>(
-        &mut self,
-        balancer: &mut B,
-        steps: usize,
-        mut schedule: Option<&mut (dyn TopologySchedule + 's)>,
-        mut workload: Option<&mut (dyn Workload + 'w)>,
-        sink: &mut Si,
-    ) -> Result<(), EngineError> {
-        for _ in 0..steps {
-            // Explicit reborrows: each round gets fresh short-lived
-            // `&mut dyn` views out of the long-lived options.
-            let s = schedule.as_deref_mut();
-            let w = workload.as_deref_mut();
-            self.planned_round(balancer, s, w, sink)?;
-        }
-        Ok(())
-    }
-
     /// The pre-round scratch and the engine state it runs on, borrowed
     /// side by side.
     fn pre_round(&mut self) -> (&mut PreRound, RoundState<'_>) {
@@ -536,22 +402,26 @@ impl Engine {
         (&mut self.pre, st)
     }
 
-    /// Runs one planned round of `balancer` and reports its
+    /// Runs one reference round of `balancer` and reports its
     /// [`StepSummary`] (whose discrepancy costs an `O(n)` scan — use
     /// [`run`](Engine::run) when nobody reads the summaries).
     ///
     /// # Errors
     ///
-    /// [`EngineError::Overdraw`] if a non-overdrawing balancer plans to
-    /// send more than a node holds; [`EngineError::NegativeLoad`] if a
-    /// non-overdrawing balancer would be asked to plan from negative
-    /// loads (checked *before* planning — the balancer never sees the
+    /// [`EngineError::Overdraw`] if a non-overdrawing balancer sends
+    /// more than a node holds; [`EngineError::NegativeLoad`] if a
+    /// non-overdrawing balancer would be asked to split a negative load
+    /// (checked *before* the round — the balancer never sees the
     /// invalid state).
     pub fn step<B: Balancer + ?Sized>(
         &mut self,
         balancer: &mut B,
     ) -> Result<StepSummary, EngineError> {
-        self.planned_round(balancer, None, None, &mut NoopSink)?;
+        let run = Run {
+            path: Path::Reference,
+            ..Run::new(1)
+        };
+        self.run(balancer, run)?;
         Ok(self.summary())
     }
 
@@ -573,30 +443,30 @@ impl Engine {
     /// Runs `run.steps` rounds of `balancer`, each under `run`'s
     /// topology schedule, workload and sink. The round structure is
     /// *mutate topology, inject load, hand asleep queues to live
-    /// neighbours, negative-check, plan, validate, route*: the
-    /// schedule's events for the round mutate the graph in place
-    /// (double-edge swaps, port permutations, node sleep/wake), then
-    /// the workload's deltas are applied and every asleep node's queue
-    /// is handed to its live neighbours, all *before* the negative-load
-    /// check and planning, so the scheme balances the injected loads.
+    /// neighbours, negative-check, balance*: the schedule's events for
+    /// the round mutate the graph in place (double-edge swaps, port
+    /// permutations, node sleep/wake), then the workload's deltas are
+    /// applied and every asleep node's queue is handed to its live
+    /// neighbours, all *before* the negative-load check and the
+    /// scheme's flows, so the scheme balances the injected loads.
     ///
-    /// [`Path::Auto`] runs the plan-free kernel rounds when
-    /// [`Balancer::as_kernel`] answers and no monitor is attached. A
-    /// closed-form scheme ([`KernelBalancer::uniform_kernel`], the SEND
-    /// schemes) then runs whole-array [`vector`] rounds when the vector
-    /// layer is enabled and the system is static, closed and awake, and
-    /// otherwise streams the closed-form gather
+    /// [`Path::Auto`] runs the kernel rounds unless a monitor is
+    /// attached. A closed-form scheme
+    /// ([`KernelBalancer::uniform_kernel`], the SEND schemes) then runs
+    /// whole-array [`vector`] rounds when the vector layer is enabled
+    /// and the system is static, closed and awake, and otherwise
+    /// streams the closed-form gather
     /// `x'[u] = x[u] − d·b(x[u]) + Σ_{v∈N(u)} b(x[v])`; every other
     /// kernel computes its port flows in registers with
     /// [`kernel_node`](KernelBalancer::kernel_node), compiled for the
-    /// concrete scheme type. Every other run takes the planned round,
-    /// which records an attached monitor and its ledger. The sink sees
-    /// `Mutate` (when a schedule runs), `Inject`/`Handoff`, then `Plan`,
-    /// `Validate`, `Route` on a planned round, one fused `Stream` span
-    /// on a scalar kernel round, or `VectorDispatch` instants for
-    /// vector rounds, with `value = (tag << 32) | count` — tag 1 banded
-    /// rounds, 2 blocked rounds, 3 `i32` rounds, 4 `i32 → i64`
-    /// fallbacks, and tag 0 for a dispatch declined on load magnitude.
+    /// concrete scheme type. Every other run takes the reference round,
+    /// which feeds an attached monitor and its ledger. The sink sees
+    /// `Mutate` (when a schedule runs), `Inject`/`Handoff`, then one
+    /// `Stream` span per reference or scalar kernel round, or
+    /// `VectorDispatch` instants for vector rounds, with
+    /// `value = (tag << 32) | count` — tag 1 banded rounds, 2 blocked
+    /// rounds, 3 `i32` rounds, 4 `i32 → i64` fallbacks, and tag 0 for a
+    /// dispatch declined on load magnitude.
     ///
     /// # Errors
     ///
@@ -617,28 +487,16 @@ impl Engine {
         balancer: &mut B,
         run: Run<'_, '_, '_>,
     ) -> Result<(), EngineError> {
-        if run.path == Path::Auto && self.monitor.is_none() {
-            if let Some(kernel) = balancer.as_kernel() {
-                return kernel.rounds(KernelCall { engine: self, run });
-            }
-        }
-        let Run {
-            steps,
-            schedule,
-            workload,
-            sink,
-            ..
-        } = run;
-        match sink {
-            None => self.planned_rounds(balancer, steps, schedule, workload, &mut NoopSink),
-            Some(sink) => self.planned_rounds(balancer, steps, schedule, workload, sink),
-        }
+        balancer
+            .as_kernel()
+            .rounds(KernelCall { engine: self, run })
     }
 
-    /// The kernel half of [`run`](Engine::run), reached through
+    /// The rest of [`run`](Engine::run), reached through
     /// [`KernelRounds`](kernel::KernelRounds) with the concrete scheme
-    /// type: an absent sink runs the [`NoopSink`] instantiation, a
-    /// present one the [`RingSink`] one.
+    /// type: it picks the reference or the kernel rounds, and an absent
+    /// sink runs the [`NoopSink`] instantiation, a present one the
+    /// [`RingSink`] one.
     pub(crate) fn kernel_call<K: KernelBalancer>(
         &mut self,
         balancer: &mut K,
@@ -649,15 +507,20 @@ impl Engine {
             schedule,
             workload,
             sink,
-            ..
+            path,
         } = run;
-        match sink {
-            None => self.kernel_run(balancer, steps, schedule, workload, &mut NoopSink),
-            Some(sink) => self.kernel_run(balancer, steps, schedule, workload, sink),
+        let reference = path == Path::Reference || self.monitor.is_some();
+        match (sink, reference) {
+            (None, true) => {
+                self.reference_rounds(balancer, steps, schedule, workload, &mut NoopSink)
+            }
+            (Some(sink), true) => self.reference_rounds(balancer, steps, schedule, workload, sink),
+            (None, false) => self.kernel_run(balancer, steps, schedule, workload, &mut NoopSink),
+            (Some(sink), false) => self.kernel_run(balancer, steps, schedule, workload, sink),
         }
     }
 
-    /// [`run`](Engine::run) on [`Path::Planned`], for perfbench.
+    /// [`run`](Engine::run) on [`Path::Reference`], for perfbench.
     #[deprecated(note = "perfbench only; use Engine::run")]
     pub fn run_fast_dyn<'s, 'w>(
         &mut self,
@@ -666,7 +529,14 @@ impl Engine {
         schedule: Option<&mut (dyn TopologySchedule + 's)>,
         workload: Option<&mut (dyn Workload + 'w)>,
     ) -> Result<(), EngineError> {
-        self.planned_rounds(balancer, steps, schedule, workload, &mut NoopSink)
+        let run = Run {
+            steps,
+            schedule,
+            workload,
+            sink: None,
+            path: Path::Reference,
+        };
+        self.run(balancer, run)
     }
 
     /// A closed [`run`](Engine::run) of kernel rounds, for perfbench.
@@ -719,6 +589,92 @@ impl Engine {
         Si: Sink,
     {
         self.kernel_run(balancer, steps, schedule, workload, sink)
+    }
+
+    /// The reference round (see [`Engine`]), `steps` times, in the
+    /// kernel rounds' round loop: the pre-round, then the scheme's
+    /// per-round hook and per-node rule, each node's row validated and
+    /// routed into the next-load buffer. An attached monitor observes
+    /// the round's rows only once the whole round has validated, so a
+    /// rejected round leaves it untouched.
+    fn reference_rounds<K, S, W, Si>(
+        &mut self,
+        balancer: &mut K,
+        steps: usize,
+        schedule: Option<&mut S>,
+        workload: Option<&mut W>,
+        sink: &mut Si,
+    ) -> Result<(), EngineError>
+    where
+        K: KernelBalancer + ?Sized,
+        S: TopologySchedule + ?Sized,
+        W: Workload + ?Sized,
+        Si: Sink,
+    {
+        let check = !balancer.may_overdraw();
+        let (n, d, d_plus) = (self.gp.num_nodes(), self.gp.degree(), self.gp.degree_plus());
+        let mut back = vec![0; n];
+        let mut row = vec![0; d_plus];
+        // The round's rows, kept for an attached monitor only.
+        let monitored = usize::from(self.monitor.is_some());
+        let mut rows = Vec::with_capacity(monitored * n * d_plus);
+        let run = KernelRun {
+            steps,
+            base_step: self.step,
+            schedule,
+            workload,
+        };
+        let Engine {
+            gp,
+            loads,
+            monitor,
+            pre,
+            connectivity,
+            negative_count,
+            injected_total,
+            topology_events,
+            ..
+        } = self;
+        let st = RoundState {
+            gp,
+            connectivity: connectivity.as_mut(),
+            loads: loads.as_mut_slice(),
+            negative: negative_count,
+            injected: injected_total,
+            events: topology_events,
+        };
+        let round =
+            |gp: &BalancingGraph, cur: &[i64], next: &mut [i64], negative: &mut usize, step| {
+                balancer.begin_round(gp, cur);
+                next.copy_from_slice(cur);
+                rows.clear();
+                let mut neg = *negative;
+                let mut add = |v: usize, delta: i64| {
+                    let old = next[v];
+                    next[v] = old + delta;
+                    neg = neg + usize::from(old + delta < 0) - usize::from(old < 0);
+                };
+                for (u, &x) in cur.iter().enumerate() {
+                    balancer.kernel_node(gp, u, x, &mut row);
+                    let orig = kernel::validate_outflow(&row, d, check, u, x, step)?;
+                    add(u, -(orig as i64));
+                    for (&v, &f) in gp.graph().neighbors(u).iter().zip(&row[..d]) {
+                        add(v as usize, f as i64);
+                    }
+                    if monitor.is_some() {
+                        rows.extend_from_slice(&row);
+                    }
+                }
+                if let Some(monitor) = monitor.as_mut() {
+                    monitor.observe(gp, cur, &rows);
+                }
+                *negative = neg;
+                Ok(())
+            };
+        let (stats, err) = kernel::drive(st, &mut back, pre, run, check, sink, round);
+        self.step += stats.steps_done;
+        self.negative_node_steps += stats.negative_node_steps;
+        err.map_or(Ok(()), Err)
     }
 
     /// The kernel rounds: whole-array vector rounds when the
@@ -792,7 +748,7 @@ impl Engine {
         // The capability hook decides per graph (SEND(round) declines
         // below d° ≥ d).
         let spec = balancer.uniform_kernel(&self.gp)?;
-        // Same pre-plan class check, same step/node parity as the
+        // Same pre-round class check, same step/node parity as the
         // scalar kernel's first round. Uniform flows never overdraw
         // (proofs in `kernel::vector`), so loads stay non-negative
         // invariantly and one entry check covers every round:
@@ -839,7 +795,7 @@ impl Engine {
         Some(Ok(()))
     }
 
-    /// The shared plumbing of the scalar plan-free path: allocates the
+    /// The shared plumbing of the scalar kernel path: allocates the
     /// back buffer and the closed-form round's send array (one
     /// allocation, split), streams the rounds through
     /// [`kernel::run_rounds`] (which picks the round body for
@@ -984,7 +940,7 @@ impl Engine {
     ///   calling [`track_connectivity`](Engine::track_connectivity)
     ///   after restore;
     /// * the fairness monitor and its cumulative ledger — observers of
-    ///   the planned rounds, out of scope for checkpoint/resume (a
+    ///   the reference rounds, out of scope for checkpoint/resume (a
     ///   restored engine starts them fresh via
     ///   [`attach_monitor`](Engine::attach_monitor)).
     #[must_use]
@@ -1033,7 +989,7 @@ impl Engine {
             vector_stats,
         } = state;
         // `new` recomputes the negative count from the loads and
-        // starts with no plan, no monitor and no tracked connectivity
+        // starts with no monitor and no tracked connectivity
         // for the restored graph.
         let mut engine = Engine::new(graph, LoadVector::new(loads));
         engine.step = step;
@@ -1088,10 +1044,17 @@ mod tests {
             fn name(&self) -> &'static str {
                 "liar"
             }
-            fn plan(&mut self, gp: &BalancingGraph, _loads: &LoadVector, plan: &mut FlowPlan) {
+            fn as_kernel(&mut self) -> &mut dyn kernel::KernelRounds {
+                self
+            }
+        }
+        impl KernelBalancer for Liar {
+            fn kernel_node(&mut self, _: &BalancingGraph, u: usize, _: i64, flows: &mut [u64]) {
                 // Sends 1000 from node 0 regardless of its load.
-                plan.set(0, 0, 1000);
-                let _ = gp;
+                flows.fill(0);
+                if u == 0 {
+                    flows[0] = 1000;
+                }
             }
         }
         let gp = lazy_cycle(4);
@@ -1127,10 +1090,10 @@ mod tests {
         let _ = Engine::new(gp, LoadVector::uniform(3, 1));
     }
 
-    /// Regression: `plan()` used to run *before* the negative-load
-    /// check, so a non-overdrawing scheme's `split_load` hit its
-    /// debug assertion (a debug-build panic) instead of the documented
-    /// error. The check now precedes planning.
+    /// Regression: the scheme's rule used to run *before* the
+    /// negative-load check, so a non-overdrawing scheme's `split_load`
+    /// hit its debug assertion (a debug-build panic) instead of the
+    /// documented error. The check now precedes the rule.
     #[test]
     fn negative_initial_load_is_an_error_not_a_panic() {
         let gp = lazy_cycle(4);
@@ -1164,7 +1127,7 @@ mod tests {
             engine.run(
                 &mut bal,
                 Run {
-                    path: Path::Planned,
+                    path: Path::Reference,
                     ..Run::new(5)
                 }
             ),
@@ -1177,6 +1140,50 @@ mod tests {
                 Err(EngineError::NegativeLoad { node: 0, .. })
             ));
         }
+    }
+
+    /// A monitored round that is rejected — here at the last node, after
+    /// every other row validated — leaves the monitor exactly as the
+    /// last completed round left it: ledger, counters and steps.
+    #[test]
+    fn rejected_monitored_round_leaves_the_monitor_unchanged() {
+        /// SEND(⌊x/d⁺⌋) everywhere but the last node, which sends 1000.
+        struct LastNodeLies;
+        impl Balancer for LastNodeLies {
+            fn name(&self) -> &'static str {
+                "last-node-lies"
+            }
+            fn as_kernel(&mut self) -> &mut dyn kernel::KernelRounds {
+                self
+            }
+        }
+        impl KernelBalancer for LastNodeLies {
+            fn kernel_node(&mut self, gp: &BalancingGraph, u: usize, x: i64, flows: &mut [u64]) {
+                SendFloor::new().kernel_node(gp, u, x, flows);
+                if u + 1 == gp.num_nodes() {
+                    flows[0] = 1000;
+                }
+            }
+        }
+        let mut engine = Engine::new(lazy_cycle(8), LoadVector::point_mass(8, 101));
+        engine.attach_monitor();
+        engine.run(&mut SendFloor::new(), Run::new(3)).unwrap();
+        let before = engine.monitor().unwrap().clone();
+        let loads = engine.loads().clone();
+        let err = engine.run(&mut LastNodeLies, Run::new(2)).unwrap_err();
+        assert!(matches!(
+            err,
+            EngineError::Overdraw {
+                node: 7,
+                step: 4,
+                ..
+            }
+        ));
+        assert_eq!(engine.monitor(), Some(&before));
+        assert_eq!(engine.monitor().unwrap().steps_observed(), 3);
+        assert_eq!(engine.monitor().unwrap().ledger().steps(), 3);
+        assert_eq!(engine.loads(), &loads);
+        assert_eq!(engine.step_count(), 3);
     }
 
     #[test]
@@ -1229,7 +1236,7 @@ mod tests {
     #[test]
     fn run_parallel_reports_overdraw_like_serial() {
         // SEND([x/d+]) on a lazy graph is fine; on a graph with too few
-        // self-loops its plan over-sends, which the engine must turn
+        // self-loops its rule over-sends, which the engine must turn
         // into the same Overdraw error on every path (the parallel path
         // must not panic or hang).
         use crate::schemes::SendRound;
@@ -1239,8 +1246,6 @@ mod tests {
         let make = || BalancingGraph::bare(generators::cycle(6).unwrap());
         let initial = LoadVector::uniform(6, 11);
         let mut serial = Engine::new(make(), initial.clone());
-        // Plans via plan_node (threads = 1) to avoid the serial plan()'s
-        // intentionally loud assert.
         let serial_err = serial.run_parallel(&SendRound::new(), 3, 1).unwrap_err();
         for threads in [2, 3] {
             let mut engine = Engine::new(make(), initial.clone());
@@ -1305,7 +1310,7 @@ mod tests {
                     &mut SendFloor::new(),
                     Run {
                         workload: Some(&mut Node0Arrivals { rate: 5 }),
-                        path: Path::Planned,
+                        path: Path::Reference,
                         ..Run::new(1)
                     },
                 )
@@ -1317,7 +1322,7 @@ mod tests {
             &mut SendFloor::new(),
             Run {
                 workload: Some(&mut Node0Arrivals { rate: 5 }),
-                path: Path::Planned,
+                path: Path::Reference,
                 ..Run::new(30)
             },
         )
@@ -1354,7 +1359,7 @@ mod tests {
                     &mut SendFloor::new(),
                     Run {
                         workload: Some(&mut Node1Drain { rate: 4 }),
-                        path: Path::Planned,
+                        path: Path::Reference,
                         ..Run::new(1)
                     },
                 ) {
@@ -1410,11 +1415,11 @@ mod tests {
         let summaries = engine.step_count() as u64;
         // The summary-free runs never scan, on either path.
         engine.run(&mut rotor, Run::new(5)).unwrap();
-        let planned = Run {
-            path: Path::Planned,
+        let reference = Run {
+            path: Path::Reference,
             ..Run::new(5)
         };
-        engine.run(&mut rotor, planned).unwrap();
+        engine.run(&mut rotor, reference).unwrap();
         engine.run(&mut rotor, Run::new(0)).unwrap();
         assert_eq!(engine.discrepancy_scans(), summaries);
         // A summary after a run costs exactly one scan.
@@ -1456,36 +1461,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn only_a_planned_round_allocates_the_flow_plan() {
-        let n = 64;
-        let mut engine = Engine::new(lazy_cycle(n), LoadVector::point_mass(n, 6400));
-        assert!(engine.plan.is_none(), "new");
-        engine.run(&mut SendFloor::new(), Run::new(20)).unwrap();
-        let mut rr = RotorRouter::new(&lazy_cycle(n), PortOrder::Sequential).unwrap();
-        engine.run(&mut rr, Run::new(20)).unwrap();
-        assert!(engine.plan.is_none(), "after Auto kernel runs");
-        let restored = Engine::from_state(engine.export_state());
-        assert!(restored.plan.is_none(), "restored");
-
-        let mut reference = engine.clone();
-        engine.step(&mut SendFloor::new()).unwrap();
-        let plan = engine.plan.as_ref().expect("after step");
-        assert_eq!(plan.num_nodes(), n);
-        assert_eq!(plan.degree_plus(), engine.graph().degree_plus());
-        // The reused plan gives the loads a fresh planned run gives.
-        engine.step(&mut SendFloor::new()).unwrap();
-        let planned = Run {
-            path: Path::Planned,
-            ..Run::new(2)
-        };
-        reference.run(&mut SendFloor::new(), planned).unwrap();
-        assert_eq!(engine.loads(), reference.loads());
-    }
-
     /// `run`'s dispatch rule, case by case, read off the spans each
-    /// round emits: `Plan` for a planned round, `VectorDispatch` for the
-    /// vector layer, `Stream` for a scalar kernel round.
+    /// round emits — `VectorDispatch` for the vector layer, `Stream` for
+    /// a reference or scalar kernel round — and off the vector counters.
     #[test]
     fn run_takes_the_kernel_only_for_kernel_schemes_without_a_monitor() {
         use crate::schemes::QuasirandomDiffusion;
@@ -1500,35 +1478,36 @@ mod tests {
                 ..Run::new(steps)
             };
             engine.run(bal, run).unwrap();
-            [Phase::Plan, Phase::VectorDispatch, Phase::Stream].map(|p| sink.phase_count(p))
+            [Phase::VectorDispatch, Phase::Stream].map(|p| sink.phase_count(p))
         };
         let rounds = steps as u64;
 
         // Closed SEND, no monitor: one vector run, no summary scans.
         let mut auto = make();
-        assert_eq!(traced(&mut auto, &mut SendFloor::new(), Path::Auto)[0], 0);
+        assert_eq!(traced(&mut auto, &mut SendFloor::new(), Path::Auto)[1], 0);
         assert_eq!(auto.vector_stats().runs, 1);
         assert_eq!(auto.vector_stats().rounds_banded, rounds);
         assert_eq!(auto.discrepancy_scans(), 0);
 
-        // Forced planned: the same loads, no vector run.
-        let mut planned = make();
-        let spans = traced(&mut planned, &mut SendFloor::new(), Path::Planned);
-        assert_eq!(spans, [rounds, 0, 0]);
-        assert_eq!(planned.vector_stats().runs, 0);
-        assert_eq!(planned.loads(), auto.loads());
+        // Forced reference: the same loads, no vector run.
+        let mut reference = make();
+        let spans = traced(&mut reference, &mut SendFloor::new(), Path::Reference);
+        assert_eq!(spans, [0, rounds]);
+        assert_eq!(reference.vector_stats().runs, 0);
+        assert_eq!(reference.loads(), auto.loads());
 
         // A stateful kernel streams scalar kernel rounds.
         let mut rotor = make();
         let mut rr = RotorRouter::new(&lazy_cycle(n), PortOrder::Sequential).unwrap();
-        assert_eq!(traced(&mut rotor, &mut rr, Path::Auto), [0, 0, rounds]);
+        assert_eq!(traced(&mut rotor, &mut rr, Path::Auto), [0, rounds]);
 
-        // A monitor attached: planned, recording exactly the ledger and
-        // monitor of the step loop.
+        // A monitor attached: the reference round, recording exactly the
+        // ledger and monitor of the step loop.
         let mut monitored = make();
         monitored.attach_monitor();
         let spans = traced(&mut monitored, &mut SendFloor::new(), Path::Auto);
-        assert_eq!(spans, [rounds, 0, 0]);
+        assert_eq!(spans, [0, rounds]);
+        assert_eq!(monitored.vector_stats().runs, 0);
         let mut stepped = make();
         stepped.attach_monitor();
         for _ in 0..steps {
@@ -1538,10 +1517,11 @@ mod tests {
         assert_eq!(monitored.monitor().unwrap().ledger().steps(), steps);
         assert_eq!(monitored.loads(), stepped.loads());
 
-        // A plan-only scheme runs planned.
+        // An overdrawing baseline streams scalar kernel rounds too, and
+        // matches its step loop.
         let mut quasi = make();
         let mut bal = QuasirandomDiffusion::new(&lazy_cycle(n));
-        assert_eq!(traced(&mut quasi, &mut bal, Path::Auto), [rounds, 0, 0]);
+        assert_eq!(traced(&mut quasi, &mut bal, Path::Auto), [0, rounds]);
         let mut quasi_ref = make();
         let mut bal = QuasirandomDiffusion::new(&lazy_cycle(n));
         for _ in 0..steps {
@@ -1552,7 +1532,7 @@ mod tests {
 
     /// A 0-regular graph with one self-loop per node (`d⁺ = 1`, the
     /// one graph with no original port that `with_self_loops` accepts):
-    /// every token stays home, identically on the planned round, the
+    /// every token stays home, identically on the reference round, the
     /// vector layer and the scalar kernel.
     #[test]
     fn zero_regular_graph_with_a_self_loop_runs_identically_on_both_paths() {
@@ -1572,11 +1552,11 @@ mod tests {
             engine.run(&mut SendFloor::new(), run).unwrap();
             engine
         };
-        let planned = run(Path::Planned, true);
-        assert_eq!(planned.loads(), &initial);
+        let reference = run(Path::Reference, true);
+        assert_eq!(reference.loads(), &initial);
         for vector in [true, false] {
             let auto = run(Path::Auto, vector);
-            assert_eq!(auto.loads(), planned.loads(), "vector layer {vector}");
+            assert_eq!(auto.loads(), reference.loads(), "vector layer {vector}");
             assert_eq!(auto.step_count(), 6);
             assert_eq!(auto.vector_stats().runs, u64::from(vector));
         }
@@ -1633,7 +1613,7 @@ mod tests {
                         Run {
                             schedule: Some(&mut MiniChurn),
                             workload: Some(&mut Node0Arrivals { rate: 5 }),
-                            path: Path::Planned,
+                            path: Path::Reference,
                             ..Run::new(1)
                         },
                     )
@@ -1651,7 +1631,7 @@ mod tests {
             Run {
                 schedule: Some(&mut MiniChurn),
                 workload: Some(&mut Node0Arrivals { rate: 5 }),
-                path: Path::Planned,
+                path: Path::Reference,
                 ..Run::new(20)
             },
         )
@@ -1696,7 +1676,7 @@ mod tests {
                     for _ in 0..12 {
                         let round = Run {
                             schedule: Some(&mut sched),
-                            path: Path::Planned,
+                            path: Path::Reference,
                             ..Run::new(1)
                         };
                         e.run(&mut SendFloor::new(), round).unwrap();
@@ -1766,7 +1746,7 @@ mod tests {
         let before = e.graph().clone();
         let round = Run {
             schedule: Some(&mut SwapThenBad),
-            path: Path::Planned,
+            path: Path::Reference,
             ..Run::new(1)
         };
         let err = e.run(&mut SendFloor::new(), round);
@@ -1778,7 +1758,7 @@ mod tests {
     #[test]
     fn asleep_node_hands_its_queue_to_live_neighbors_and_never_plans() {
         // Sleep node 0 (the point mass) at round 1; its pile must move
-        // to nodes 1 and 11 at the round boundary and node 0 must plan
+        // to nodes 1 and 11 at the round boundary and node 0 must send
         // nothing while asleep.
         struct SleepZero;
         impl TopologySchedule for SleepZero {
@@ -1801,18 +1781,18 @@ mod tests {
         let mut engine = Engine::new(gp, LoadVector::point_mass(12, 100));
         let run = Run {
             schedule: Some(&mut SleepZero),
-            path: Path::Planned,
+            path: Path::Reference,
             ..Run::new(6)
         };
         engine.run(&mut rotor, run).unwrap();
         assert_eq!(engine.loads().total(), 100, "handoff conserves");
         assert!(!engine.graph().graph().is_awake(0));
         // Node 0 went down in round 1's topology phase, before any
-        // planning: it is drained at every round boundary, so it never
-        // plans and its rotor never moves — everything it receives
+        // flows: it is drained at every round boundary, so it never
+        // sends and its rotor never moves — everything it receives
         // mid-round (schemes are topology-oblivious) is forwarded at
         // the next boundary.
-        assert_eq!(rotor.rotors()[0], 0, "asleep node must never plan");
+        assert_eq!(rotor.rotors()[0], 0, "asleep node must never send");
         assert!(rotor.rotors()[1] != 0, "live neighbours balance the pile");
         assert!(
             engine.loads().get(0) < 50,
@@ -1870,7 +1850,7 @@ mod tests {
                     Run {
                         schedule: Some(&mut SwapEveryRound),
                         workload: Some(&mut Node1Drain { rate: 4 }),
-                        path: Path::Planned,
+                        path: Path::Reference,
                         ..Run::new(1)
                     },
                 ) {
@@ -1942,7 +1922,7 @@ mod tests {
         for _ in 0..5 {
             let round = Run {
                 schedule: Some(&mut BadAtRound3),
-                path: Path::Planned,
+                path: Path::Reference,
                 ..Run::new(1)
             };
             if let Err(e) = reference.run(&mut SendFloor::new(), round) {
@@ -2035,7 +2015,7 @@ mod tests {
         let reference = drive(&|e| {
             let round = Run {
                 schedule: Some(&mut BadAtRound1),
-                path: Path::Planned,
+                path: Path::Reference,
                 ..Run::new(1)
             };
             e.run(&mut SendFloor::new(), round).unwrap_err()
@@ -2055,7 +2035,7 @@ mod tests {
         let reference = drive(&|e| {
             let round = Run {
                 schedule: Some(&mut ValidSwapRound1),
-                path: Path::Planned,
+                path: Path::Reference,
                 ..Run::new(1)
             };
             e.run(&mut SendFloor::new(), round).unwrap_err()
@@ -2123,7 +2103,7 @@ mod tests {
                 Run {
                     schedule: Some(&mut MiniChurn),
                     workload: Some(&mut Node0Arrivals { rate: 5 }),
-                    path: Path::Planned,
+                    path: Path::Reference,
                     ..Run::new(20)
                 },
             )
@@ -2138,7 +2118,7 @@ mod tests {
                 Run {
                     schedule: Some(&mut MiniChurn),
                     workload: Some(&mut Node0Arrivals { rate: 5 }),
-                    path: Path::Planned,
+                    path: Path::Reference,
                     ..Run::new(3)
                 },
             )
@@ -2154,12 +2134,12 @@ mod tests {
                 Run {
                     schedule: Some(&mut MiniChurn),
                     workload: Some(&mut Node0Arrivals { rate: 5 }),
-                    path: Path::Planned,
+                    path: Path::Reference,
                     ..Run::new(17)
                 },
             )
             .unwrap();
-        assert_counters_match(&resumed, &reference, "planned resume");
+        assert_counters_match(&resumed, &reference, "reference resume");
 
         // Same split driven through the kernel path.
         let mut kern = make();

@@ -1,9 +1,11 @@
 use std::error::Error;
 use std::fmt;
 
-/// Errors raised by the simulation [`Engine`](crate::Engine).
+/// Errors raised by the simulation [`Engine`](crate::Engine). Every
+/// variant names the 1-based step it belongs to. The enum is exhaustive
+/// on purpose: snapshot encoders match every variant, so a new one
+/// fails to compile there instead of being encoded as something else.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
 pub enum EngineError {
     /// A balancer that declares itself non-overdrawing planned to send
     /// more tokens than the node holds.
@@ -15,19 +17,12 @@ pub enum EngineError {
         node: usize,
         /// The node's load `x_t(u)` before the step.
         load: i64,
-        /// The total the plan would send, `f_t^out(u)`.
+        /// The total the node would send, `f_t^out(u)`.
         planned: u64,
         /// The step at which it happened (1-based, matching the paper).
         step: usize,
     },
-    /// A balancer produced a plan for a differently-shaped graph.
-    ShapeMismatch {
-        /// Expected number of nodes.
-        expected_nodes: usize,
-        /// Number of nodes the plan covers.
-        found_nodes: usize,
-    },
-    /// A balancer was asked to plan for a negative load it cannot
+    /// A balancer was asked to split a negative load it cannot
     /// handle (only overdraw-capable schemes accept negative loads).
     NegativeLoad {
         /// The node with negative load.
@@ -59,17 +54,6 @@ pub enum EngineError {
         /// The step whose injection overflowed (1-based).
         step: usize,
     },
-    /// A worker thread of an earlier multi-threaded round protocol
-    /// panicked mid-round, and the round was rolled back whole. No
-    /// current execution path raises it (the range-split workers run
-    /// only arithmetic whose preconditions the engine checks first); it
-    /// stays so that snapshots and journals recording it still decode.
-    WorkerPanic {
-        /// The step during which the panic unwound (1-based).
-        step: usize,
-        /// The panic payload, stringified.
-        message: String,
-    },
 }
 
 impl fmt::Display for EngineError {
@@ -84,13 +68,6 @@ impl fmt::Display for EngineError {
                 f,
                 "node {node} planned to send {planned} tokens but holds only {load} at step {step}"
             ),
-            EngineError::ShapeMismatch {
-                expected_nodes,
-                found_nodes,
-            } => write!(
-                f,
-                "flow plan covers {found_nodes} nodes, engine expected {expected_nodes}"
-            ),
             EngineError::NegativeLoad { node, load, step } => write!(
                 f,
                 "node {node} has negative load {load} at step {step} under a scheme that forbids it"
@@ -100,9 +77,6 @@ impl fmt::Display for EngineError {
             }
             EngineError::InjectionOverflow { node, step } => {
                 write!(f, "injection at step {step} overflows i64 at node {node}")
-            }
-            EngineError::WorkerPanic { step, message } => {
-                write!(f, "worker thread panicked at step {step}: {message}")
             }
         }
     }
@@ -125,12 +99,6 @@ mod tests {
         let msg = e.to_string();
         assert!(msg.contains("node 3") && msg.contains('9') && msg.contains("step 12"));
 
-        let e = EngineError::ShapeMismatch {
-            expected_nodes: 8,
-            found_nodes: 4,
-        };
-        assert!(e.to_string().contains('8') && e.to_string().contains('4'));
-
         let e = EngineError::NegativeLoad {
             node: 1,
             load: -2,
@@ -140,12 +108,6 @@ mod tests {
 
         let e = EngineError::InjectionOverflow { node: 6, step: 2 };
         assert!(e.to_string().contains("node 6") && e.to_string().contains("step 2"));
-
-        let e = EngineError::WorkerPanic {
-            step: 4,
-            message: String::from("boom"),
-        };
-        assert!(e.to_string().contains("step 4") && e.to_string().contains("boom"));
     }
 
     #[test]

@@ -12,18 +12,21 @@
 //!   `⌊x_t(u)/d⁺⌋` nor `⌈x_t(u)/d⁺⌉` (Definition 3.1);
 //! * the **witnessed s** — the largest `s` for which the run so far is
 //!   s-self-preferring (`None` until a constraining step is seen);
-//! * **negative planning events** — a node planned to send more than it
+//! * **overdraw events** — a node planned to send more than it
 //!   held (only the overdraw-capable baselines may do this).
 //!
 //! The cumulative part of Definition 2.1 — the δ such that any two
 //! original edges' lifetime totals differ by at most δ — is read off the
 //! monitor's own [`CumulativeLedger`] via
 //! [`CumulativeLedger::original_edge_spread`].
+//!
+//! The engine feeds the monitor from its reference round (see
+//! [`Path::Reference`](crate::Path::Reference)), after the whole round
+//! has validated: a rejected round leaves the monitor untouched.
 
 use dlb_graph::BalancingGraph;
 
 use crate::balancer::split_load;
-use crate::{CumulativeLedger, FlowPlan, LoadVector};
 
 /// Runtime checker for the paper's per-step fairness conditions, and
 /// keeper of the cumulative ledger `F_t` over the steps it observed.
@@ -100,7 +103,7 @@ impl FairnessMonitor {
         self.self_preference_samples
     }
 
-    /// Number of node-steps where the plan sent more than the node held.
+    /// Number of node-steps where a node sent more than it held.
     pub fn overdraw_events(&self) -> u64 {
         self.overdraw_events
     }
@@ -111,18 +114,18 @@ impl FairnessMonitor {
         self.round_violations == 0
     }
 
-    /// Observes one step: `loads` are the pre-step loads `x_t`, `plan`
-    /// the flows `f_t` about to be applied, which the ledger records.
+    /// Observes one step: `loads` are the pre-step loads `x_t`, `flows`
+    /// the flows `f_t` about to be applied — node `u`'s `d⁺` ports at
+    /// `flows[u·d⁺ .. (u+1)·d⁺]` — which the ledger records.
     ///
     /// # Panics
     ///
-    /// Panics if the plan's shape differs from the ledger's.
-    pub fn observe(&mut self, gp: &BalancingGraph, loads: &LoadVector, plan: &FlowPlan) {
+    /// Panics if `loads` or `flows` is shaped for another graph.
+    pub fn observe(&mut self, gp: &BalancingGraph, loads: &[i64], flows: &[u64]) {
         let d = gp.degree();
         let d_plus = gp.degree_plus();
-        for u in 0..gp.num_nodes() {
-            let x = loads.get(u);
-            let flows = plan.node(u);
+        assert_eq!(loads.len(), gp.num_nodes(), "loads shape mismatch");
+        for (&x, flows) in loads.iter().zip(flows.chunks_exact(d_plus)) {
             let sent: u64 = flows.iter().sum();
             if x < 0 || sent > x as u64 {
                 self.overdraw_events += 1;
@@ -155,38 +158,119 @@ impl FairnessMonitor {
                 }
             }
         }
-        self.ledger.record(plan);
+        self.ledger.record(flows);
         self.steps_observed += 1;
+    }
+}
+
+/// The cumulative flow ledger `F_t(e) = Σ_{τ≤t} f_τ(e)` per (node, port).
+///
+/// Definition 2.1 (cumulative δ-fairness) is a statement about this
+/// ledger: for all `t` and every pair of *original* edges `e₁, e₂` of a
+/// node, `|F_t(e₁) − F_t(e₂)| ≤ δ`. The [`FairnessMonitor`] records
+/// every observed step into its own ledger.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CumulativeLedger {
+    d: usize,
+    d_plus: usize,
+    totals: Vec<u64>,
+    steps: usize,
+}
+
+impl CumulativeLedger {
+    /// An empty ledger shaped for `gp`.
+    pub fn for_graph(gp: &BalancingGraph) -> Self {
+        CumulativeLedger {
+            d: gp.degree(),
+            d_plus: gp.degree_plus(),
+            totals: vec![0; gp.num_nodes() * gp.degree_plus()],
+            steps: 0,
+        }
+    }
+
+    /// Number of steps accumulated.
+    #[inline]
+    pub fn steps(&self) -> usize {
+        self.steps
+    }
+
+    /// Accumulates one step's flows, node `u`'s `d⁺` ports at
+    /// `flows[u·d⁺ .. (u+1)·d⁺]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flows` is shaped for another graph.
+    pub fn record(&mut self, flows: &[u64]) {
+        assert_eq!(flows.len(), self.totals.len(), "flow shape mismatch");
+        for (total, flow) in self.totals.iter_mut().zip(flows) {
+            *total += flow;
+        }
+        self.steps += 1;
+    }
+
+    /// Cumulative flow `F_t` for node `u`, indexed by port.
+    #[inline]
+    pub fn node(&self, u: usize) -> &[u64] {
+        &self.totals[u * self.d_plus..(u + 1) * self.d_plus]
+    }
+
+    /// Cumulative flow over one port.
+    #[inline]
+    pub fn get(&self, u: usize, p: usize) -> u64 {
+        self.totals[u * self.d_plus + p]
+    }
+
+    /// `F_t^out(u)`: cumulative tokens sent by `u` over all ports.
+    pub fn node_total(&self, u: usize) -> u64 {
+        self.node(u).iter().sum()
+    }
+
+    /// The largest spread `max_{e₁,e₂ ∈ E_u} |F_t(e₁) − F_t(e₂)|` over
+    /// *original* ports, maximised over all nodes — the δ witnessed by
+    /// the run so far.
+    ///
+    /// Returns 0 when `d < 2` (no pair of original edges to compare).
+    pub fn original_edge_spread(&self) -> u64 {
+        if self.d < 2 {
+            return 0;
+        }
+        self.totals
+            .chunks_exact(self.d_plus)
+            .map(|node| {
+                let originals = &node[..self.d];
+                let max = originals.iter().max().expect("d >= 2");
+                let min = originals.iter().min().expect("d >= 2");
+                max - min
+            })
+            .max()
+            .unwrap_or(0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LoadVector;
     use dlb_graph::generators;
 
     fn lazy_cycle(n: usize) -> BalancingGraph {
         BalancingGraph::lazy(generators::cycle(n).unwrap())
     }
 
-    /// Builds a plan sending `per_port[p]` from node 0 and a fair floor
-    /// split everywhere else.
-    fn plan_with_node0(gp: &BalancingGraph, loads: &LoadVector, node0: &[u64]) -> FlowPlan {
-        let mut plan = FlowPlan::for_graph(gp);
+    /// Every node of `gp` sends `row`.
+    fn every_node(gp: &BalancingGraph, row: &[u64]) -> Vec<u64> {
+        row.repeat(gp.num_nodes())
+    }
+
+    /// Node 0 sends `node0`; every other node a fair floor split.
+    fn flows_with_node0(gp: &BalancingGraph, loads: &LoadVector, node0: &[u64]) -> Vec<u64> {
         let d_plus = gp.degree_plus();
-        for u in 0..gp.num_nodes() {
-            if u == 0 {
-                for (p, &f) in node0.iter().enumerate() {
-                    plan.set(0, p, f);
-                }
-            } else {
-                let (base, e) = split_load(loads.get(u), d_plus);
-                for p in 0..d_plus {
-                    plan.set(u, p, base + u64::from(p < e));
-                }
-            }
+        let mut flows = node0.to_vec();
+        for u in 1..gp.num_nodes() {
+            let (base, e) = split_load(loads.get(u), d_plus);
+            flows.extend((0..d_plus).map(|p| base + u64::from(p < e)));
         }
-        plan
+        flows
     }
 
     #[test]
@@ -194,12 +278,8 @@ mod tests {
         let gp = lazy_cycle(4);
         let loads = LoadVector::uniform(4, 9); // base 2, e 1 with d+ = 4
         let mut m = FairnessMonitor::for_graph(&gp);
-        let mut plan = FlowPlan::for_graph(&gp);
-        for u in 0..4 {
-            // 3, 2, 2, 2: round fair, extra on an original port.
-            plan.node_mut(u).copy_from_slice(&[3, 2, 2, 2]);
-        }
-        m.observe(&gp, &loads, &plan);
+        // 3, 2, 2, 2: round fair, extra on an original port.
+        m.observe(&gp, loads.as_slice(), &every_node(&gp, &[3, 2, 2, 2]));
         assert_eq!(m.floor_violations(), 0);
         assert_eq!(m.round_violations(), 0);
         assert!(m.is_round_fair());
@@ -215,8 +295,8 @@ mod tests {
         let loads = LoadVector::uniform(4, 8); // base 2 exactly
         let mut m = FairnessMonitor::for_graph(&gp);
         // Node 0 starves port 1 (sends 1 < base = 2).
-        let plan = plan_with_node0(&gp, &loads, &[3, 1, 2, 2]);
-        m.observe(&gp, &loads, &plan);
+        let flows = flows_with_node0(&gp, &loads, &[3, 1, 2, 2]);
+        m.observe(&gp, loads.as_slice(), &flows);
         assert_eq!(m.floor_violations(), 1);
         // 3 and 1 are both outside {2} (e = 0 so ceil = base = 2).
         assert_eq!(m.round_violations(), 2);
@@ -227,12 +307,8 @@ mod tests {
         let gp = lazy_cycle(4);
         let loads = LoadVector::uniform(4, 10); // base 2, e 2
         let mut m = FairnessMonitor::for_graph(&gp);
-        let mut plan = FlowPlan::for_graph(&gp);
-        for u in 0..4 {
-            // Both extras on self-loop ports 2 and 3.
-            plan.node_mut(u).copy_from_slice(&[2, 2, 3, 3]);
-        }
-        m.observe(&gp, &loads, &plan);
+        // Both extras on self-loop ports 2 and 3.
+        m.observe(&gp, loads.as_slice(), &every_node(&gp, &[2, 2, 3, 3]));
         assert_eq!(m.round_violations(), 0);
         // Both surplus tokens went to self-loops: c = e = 2 everywhere,
         // so s is never constrained.
@@ -244,15 +320,11 @@ mod tests {
         let gp = lazy_cycle(4);
         let loads = LoadVector::uniform(4, 10); // base 2, e 2
         let mut m = FairnessMonitor::for_graph(&gp);
-        let mut generous = FlowPlan::for_graph(&gp);
-        let mut stingy = FlowPlan::for_graph(&gp);
-        for u in 0..4 {
-            generous.node_mut(u).copy_from_slice(&[2, 2, 3, 3]); // c = 2 = e
-            stingy.node_mut(u).copy_from_slice(&[3, 2, 3, 2]); // c = 1 < e
-        }
-        m.observe(&gp, &loads, &generous);
+        let generous = every_node(&gp, &[2, 2, 3, 3]); // c = 2 = e
+        let stingy = every_node(&gp, &[3, 2, 3, 2]); // c = 1 < e
+        m.observe(&gp, loads.as_slice(), &generous);
         assert_eq!(m.witnessed_s(), None);
-        m.observe(&gp, &loads, &stingy);
+        m.observe(&gp, loads.as_slice(), &stingy);
         assert_eq!(m.witnessed_s(), Some(1));
         assert_eq!(m.steps_observed(), 2);
     }
@@ -263,8 +335,8 @@ mod tests {
         let loads = LoadVector::uniform(4, 2);
         let mut m = FairnessMonitor::for_graph(&gp);
         // Node 0 sends 5 > 2 held.
-        let plan = plan_with_node0(&gp, &loads, &[5, 0, 0, 0]);
-        m.observe(&gp, &loads, &plan);
+        let flows = flows_with_node0(&gp, &loads, &[5, 0, 0, 0]);
+        m.observe(&gp, loads.as_slice(), &flows);
         assert_eq!(m.overdraw_events(), 1);
         // Node 0's wild flows must not pollute the fairness counters...
         // but other nodes' fair splits are still checked.
@@ -276,11 +348,44 @@ mod tests {
         let gp = lazy_cycle(4);
         let loads = LoadVector::uniform(4, 0);
         let mut m = FairnessMonitor::for_graph(&gp);
-        let plan = FlowPlan::for_graph(&gp);
-        m.observe(&gp, &loads, &plan);
+        m.observe(&gp, loads.as_slice(), &every_node(&gp, &[0; 4]));
         assert_eq!(m.floor_violations(), 0);
         assert_eq!(m.round_violations(), 0);
         assert_eq!(m.witnessed_s(), None);
         assert_eq!(m.self_preference_samples(), 0);
+    }
+
+    #[test]
+    fn ledger_accumulates_and_counts_steps() {
+        let gp = lazy_cycle(3);
+        let mut ledger = CumulativeLedger::for_graph(&gp);
+        let mut flows = vec![0; 12];
+        flows[..2].copy_from_slice(&[2, 1]);
+        ledger.record(&flows);
+        ledger.record(&flows);
+        assert_eq!(ledger.steps(), 2);
+        assert_eq!(ledger.get(0, 0), 4);
+        assert_eq!(ledger.get(0, 1), 2);
+        assert_eq!(ledger.node_total(0), 6);
+        assert_eq!(ledger.node_total(1), 0);
+    }
+
+    #[test]
+    fn spread_measures_original_ports_only() {
+        let gp = lazy_cycle(3);
+        let mut ledger = CumulativeLedger::for_graph(&gp);
+        // Original ports 0, 1 get unequal flow; self-loop port 2 gets a
+        // huge flow which must NOT count toward the spread.
+        let mut flows = vec![0; 12];
+        flows[..3].copy_from_slice(&[5, 3, 1000]);
+        ledger.record(&flows);
+        assert_eq!(ledger.original_edge_spread(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "shape mismatch")]
+    fn ledger_rejects_a_foreign_shape() {
+        let mut ledger = CumulativeLedger::for_graph(&lazy_cycle(3));
+        ledger.record(&[0; 4]);
     }
 }

@@ -1,19 +1,17 @@
-//! Plan-free delta kernels: the engine's fastest serial path.
+//! The kernel rounds: the engine's fast serial path.
 //!
 //! Every scheme in the paper is a *local* rule — node `u`'s outgoing
-//! flows at step `t` are a pure function of `x_t(u)` (plus, for the
-//! rotor schemes, a rotor position). The planned round nevertheless
-//! materialises the full [`FlowPlan`](crate::FlowPlan) matrix every
-//! round: `n·d⁺` `u64` writes that the engine immediately re-reads,
-//! sums, and discards. The kernel path removes that round trip
-//! entirely: [`Engine::run`](crate::Engine::run) on
-//! [`Path::Auto`](crate::Path::Auto) streams once over the CSR
-//! adjacency per round into a double-buffered `Vec<i64>` — no plan
-//! writes, no touched-set bookkeeping, no monitor. A scheme opts in by
-//! implementing [`KernelBalancer`] and answering
-//! [`Balancer::as_kernel`] with `Some(self)`; the [`KernelRounds`]
+//! flows at step `t` are a function of `x_t(u)` and the scheme's own
+//! per-node state — and every scheme writes that rule once, as
+//! [`KernelBalancer::kernel_node`]. [`Engine::run`](crate::Engine::run)
+//! reaches it through [`Balancer::as_kernel`]: the [`KernelRounds`]
 //! object it hands out runs rounds compiled for the concrete scheme
-//! type, so only the one call per run is dynamic.
+//! type, so only the one call per run is dynamic. On
+//! [`Path::Reference`](crate::Path::Reference), or with a monitor
+//! attached, that is the engine's plain reference round; on
+//! [`Path::Auto`](crate::Path::Auto) it is the rounds of this module,
+//! which stream once over the CSR adjacency per round into a
+//! double-buffered `Vec<i64>`.
 //!
 //! Each call picks one of two round bodies, once, in `run_rounds`:
 //!
@@ -27,11 +25,12 @@
 //!   send array (the strength-reduced division of [`vector`], matched
 //!   once per call), pass 2 is the vector layer's CSR gather over the
 //!   live adjacency. No flow buffer, no validation and no error path.
-//! * **flow buffer** — every other kernel (the rotor-router and
-//!   ROTOR-ROUTER\*, user kernels, SEND([x/d⁺]) below its class, which
+//! * **flow buffer** — every other kernel (the rotor schemes, the
+//!   baselines, user kernels, SEND([x/d⁺]) below its class, which
 //!   reports a clean
-//!   [`Overdraw`](crate::EngineError::Overdraw)) computes each node's
-//!   port flows in registers with
+//!   [`Overdraw`](crate::EngineError::Overdraw)) runs the scheme's
+//!   [`begin_round`](KernelBalancer::begin_round) hook, computes each
+//!   node's port flows in registers with
 //!   [`kernel_node`](KernelBalancer::kernel_node), validates them and
 //!   applies signed load deltas. This body is monomorphised per total
 //!   degree — `d⁺ ∈ {2, 4, 6, 8}` run with a `[u64; DP]` flow buffer
@@ -41,12 +40,11 @@
 //!
 //! Loads are double-buffered per round: the kernel reads `x_t` from the
 //! front buffer and writes `x_{t+1}` to the back buffer, so a round
-//! that errors simply discards the back buffer and the engine keeps the
-//! exact guarantee of the planned round — on error, loads are those
-//! after the last fully completed round, and the reported
+//! that errors simply discards the back buffer — on error, loads are
+//! those after the last fully completed round, and the reported
 //! [`Overdraw`](crate::EngineError::Overdraw)/
 //! [`NegativeLoad`](crate::EngineError::NegativeLoad) carries the same
-//! step and node as [`Engine::step`](crate::Engine::step) would report.
+//! step and node as the reference round reports.
 //!
 //! The round loop is additionally monomorphised over an optional
 //! [`Workload`] **and** an optional [`TopologySchedule`]: every round
@@ -68,42 +66,47 @@ use vector::SendRule;
 
 pub mod vector;
 
-/// A balancer whose per-node flows are a pure function of the node's
-/// current load and the scheme's own per-node state — the class the
-/// plan-free kernel path can execute.
+/// A balancer's per-node rule: how node `u` splits its load over its
+/// `d⁺` ports — the function `f_t` of the paper, and the only place a
+/// scheme writes it.
 ///
-/// A kernel may carry per-node state (the rotor-router and
-/// ROTOR-ROUTER\* advance their rotors as they plan); schemes whose
-/// flows are a closed form of the load alone also answer
-/// [`uniform_kernel`](KernelBalancer::uniform_kernel),
-/// which lets [`Engine::run`] and
+/// Every round, after the shared pre-round, the engine calls
+/// [`begin_round`](KernelBalancer::begin_round) once and then
+/// [`kernel_node`](KernelBalancer::kernel_node) for every node in
+/// ascending id order — zero loads included, and negative ones for a
+/// scheme that [may overdraw](Balancer::may_overdraw) — on both paths
+/// that call it, the engine's reference round and the flow-buffer round
+/// of this module. Per-node state (rotors, error accumulators, an RNG
+/// stream) therefore advances identically on both. A round stops at
+/// the first node whose flows are rejected, on both paths alike: state
+/// has advanced up to that node, and loads and graph are rolled back.
+///
+/// Schemes whose flows are a closed form of the load alone also answer
+/// [`uniform_kernel`](KernelBalancer::uniform_kernel), which lets
+/// [`Engine::run`] and
 /// [`Engine::run_parallel`](crate::Engine::run_parallel) run them as
 /// whole-array [`vector`] rounds and otherwise stream the closed-form
 /// gather instead of calling `kernel_node` (see the module docs).
-/// Implementations must write **every** entry of `flows`
-/// (`flows.len() == d⁺`; the buffer is reused across nodes and arrives
-/// dirty) and must produce exactly the flows their
-/// [`Balancer::plan`] would put in a [`FlowPlan`](crate::FlowPlan) row,
-/// so the kernel path stays bit-identical to the planned round.
-/// `kernel_node` is never called for `load == 0` (the planned round
-/// skips zero-load nodes too, and rotors must not advance for them).
 /// [`Engine::run`] reaches the kernel only through
 /// [`Balancer::as_kernel`], which an implementation answers with
-/// `Some(self)`.
-///
-/// One deliberate asymmetry on the *error* path: when a round is
-/// rejected, the planned round has already called `plan` for every
-/// node, while the kernel stops streaming at the offending node — so
-/// for a stateful scheme that trips `Overdraw` despite claiming
-/// `may_overdraw() == false`, per-node state after the failed round is
-/// unspecified (loads and the reported error still match exactly). No
-/// in-tree kernel scheme can reach this: both rotor schemes send
-/// exactly their load, and negative loads are rejected before planning.
+/// `self`.
 pub trait KernelBalancer: Balancer {
     /// Writes node `u`'s complete `d⁺`-port flow assignment for load
-    /// `load` into `flows`, updating any per-node scheme state exactly
-    /// as [`Balancer::plan`] would.
+    /// `load` into `flows` (`flows.len() == d⁺`; the buffer is reused
+    /// across nodes and arrives dirty, so every entry must be written),
+    /// updating any per-node scheme state.
     fn kernel_node(&mut self, gp: &BalancingGraph, u: usize, load: i64, flows: &mut [u64]);
+
+    /// Runs once per round, after the pre-round and before the round's
+    /// first [`kernel_node`](KernelBalancer::kernel_node) call, with
+    /// the loads `x_t` the round balances. The default does nothing;
+    /// a scheme with per-round state (a step counter, a simulated
+    /// continuous process) advances it here. A scheme answering
+    /// [`uniform_kernel`](KernelBalancer::uniform_kernel) must keep the
+    /// default: the closed-form rounds never call it.
+    fn begin_round(&mut self, gp: &BalancingGraph, loads: &[i64]) {
+        let _ = (gp, loads);
+    }
 
     /// The scheme's closed-form uniform description on `gp`, if it has
     /// one — the capability hook behind the engine's whole-array
@@ -124,13 +127,13 @@ pub trait KernelBalancer: Balancer {
 
 /// A [`KernelBalancer`] as a trait object, handed out by
 /// [`Balancer::as_kernel`]: the one dynamic call through which
-/// [`Engine::run`] reaches a scheme's kernel rounds. It is implemented
-/// for every sized kernel scheme, and the rounds behind it are compiled
-/// for that concrete type, so every
+/// [`Engine::run`] reaches a scheme's rounds, reference or kernel. It
+/// is implemented for every sized kernel scheme, and the rounds behind
+/// it are compiled for that concrete type, so every
 /// [`kernel_node`](KernelBalancer::kernel_node) call inside stays
 /// statically dispatched.
 pub trait KernelRounds {
-    /// Runs `call` on this scheme's kernel rounds.
+    /// Runs `call` on this scheme's rounds.
     ///
     /// # Errors
     ///
@@ -144,8 +147,8 @@ impl<K: KernelBalancer> KernelRounds for K {
     }
 }
 
-/// An [`Engine::run`] call on its way to a scheme's kernel rounds;
-/// only the engine builds one.
+/// An [`Engine::run`] call on its way to a scheme's rounds; only the
+/// engine builds one.
 pub struct KernelCall<'e, 'a, 's, 'w> {
     pub(crate) engine: &'e mut Engine,
     pub(crate) run: Run<'a, 's, 'w>,
@@ -176,8 +179,8 @@ pub(crate) struct KernelRunStats {
     pub negative_node_steps: u64,
 }
 
-/// Sums one planned node's original-edge outflow and, when `check` is
-/// set, enforces the non-overdrawing invariant.
+/// Sums one node's original-edge outflow and, when `check` is set,
+/// enforces the non-overdrawing invariant.
 ///
 /// `step` is the 1-based step the error would belong to.
 #[inline]
@@ -243,7 +246,7 @@ impl FlowsBuf for Vec<u64> {
     }
 }
 
-/// Runs `steps` plan-free rounds of `balancer` over `st.loads`, using
+/// Runs `steps` kernel rounds of `balancer` over `st.loads`, using
 /// `back` as the second half of the double buffer and `sends` as the
 /// closed-form round's send array (both of `st.loads.len()`; their
 /// contents on entry are irrelevant). Every round starts with the
@@ -288,13 +291,12 @@ where
             Ok(())
         });
     }
-    let kernel = |gp: &BalancingGraph, u, x, fl: &mut [u64]| balancer.kernel_node(gp, u, x, fl);
     match st.gp.degree_plus() {
-        2 => flows_impl::<_, [u64; 2], S, W, Si>(st, back, pre, run, check, kernel, sink),
-        4 => flows_impl::<_, [u64; 4], S, W, Si>(st, back, pre, run, check, kernel, sink),
-        6 => flows_impl::<_, [u64; 6], S, W, Si>(st, back, pre, run, check, kernel, sink),
-        8 => flows_impl::<_, [u64; 8], S, W, Si>(st, back, pre, run, check, kernel, sink),
-        _ => flows_impl::<_, Vec<u64>, S, W, Si>(st, back, pre, run, check, kernel, sink),
+        2 => flows_impl::<_, [u64; 2], S, W, Si>(st, back, pre, run, check, balancer, sink),
+        4 => flows_impl::<_, [u64; 4], S, W, Si>(st, back, pre, run, check, balancer, sink),
+        6 => flows_impl::<_, [u64; 6], S, W, Si>(st, back, pre, run, check, balancer, sink),
+        8 => flows_impl::<_, [u64; 8], S, W, Si>(st, back, pre, run, check, balancer, sink),
+        _ => flows_impl::<_, Vec<u64>, S, W, Si>(st, back, pre, run, check, balancer, sink),
     }
 }
 
@@ -303,17 +305,17 @@ where
 /// writes free of negative bookkeeping (the invariant makes it dead
 /// weight), while the overdrawing round (`CHECK = false`) threads the
 /// incremental count through every write.
-fn flows_impl<F, B, S, W, Si>(
+fn flows_impl<K, B, S, W, Si>(
     st: RoundState<'_>,
     back: &mut [i64],
     pre: &mut PreRound,
     run: KernelRun<'_, S, W>,
     check: bool,
-    mut kernel: F,
+    balancer: &mut K,
     sink: &mut Si,
 ) -> (KernelRunStats, Option<EngineError>)
 where
-    F: FnMut(&BalancingGraph, usize, i64, &mut [u64]),
+    K: KernelBalancer + ?Sized,
     B: FlowsBuf,
     S: TopologySchedule + ?Sized,
     W: Workload + ?Sized,
@@ -329,7 +331,7 @@ where
             true,
             sink,
             |gp, cur, next, neg, step| {
-                flow_round::<F, B, true>(gp, cur, next, neg, step, &mut kernel, &mut flows)
+                flow_round::<K, B, true>(gp, cur, next, neg, step, balancer, &mut flows)
             },
         )
     } else {
@@ -341,7 +343,7 @@ where
             false,
             sink,
             |gp, cur, next, neg, step| {
-                flow_round::<F, B, false>(gp, cur, next, neg, step, &mut kernel, &mut flows)
+                flow_round::<K, B, false>(gp, cur, next, neg, step, balancer, &mut flows)
             },
         )
     }
@@ -351,12 +353,12 @@ where
 /// schedule type and the workload type — so the
 /// `StaticTopology`/`NoWorkload` instantiation folds the churn and
 /// injection branches of the pre-round away and compiles to the
-/// closed-system loop.
+/// closed-system loop. The engine's reference round runs in it too.
 ///
 /// `stream(gp, x_t, x_{t+1}, negative, step)` writes the whole of
 /// `x_{t+1}` and keeps `negative` (the count over `x_t` on entry) in
 /// step with it; an `Err` rejects the round, which keeps nothing.
-fn drive<S, W, Si, R>(
+pub(crate) fn drive<S, W, Si, R>(
     st: RoundState<'_>,
     back: &mut [i64],
     pre: &mut PreRound,
@@ -488,50 +490,38 @@ fn uniform_round(
     vector::gather_csr(next, 0, sends, gp.graph().adjacency_slots(), d, base);
 }
 
-/// The flow-buffer round: each loaded node's `d⁺` port flows from
-/// `kernel`, validated (with `CHECK`) and applied as signed deltas to
-/// the node and its neighbours. An `Overdraw` rejects the round at the
-/// lowest offending node.
+/// The flow-buffer round: the scheme's per-round hook, then each
+/// node's `d⁺` port flows from `kernel_node`, validated (with `CHECK`)
+/// and applied as signed deltas to the node and its neighbours. An
+/// `Overdraw` rejects the round at the lowest offending node.
 #[inline]
-fn flow_round<F, B, const CHECK: bool>(
+fn flow_round<K, B, const CHECK: bool>(
     gp: &BalancingGraph,
     cur: &[i64],
     next: &mut [i64],
     negative: &mut usize,
     step_no: usize,
-    kernel: &mut F,
+    balancer: &mut K,
     flows: &mut B,
 ) -> Result<(), EngineError>
 where
-    F: FnMut(&BalancingGraph, usize, i64, &mut [u64]),
+    K: KernelBalancer + ?Sized,
     B: FlowsBuf,
 {
     let graph = gp.graph();
     let d = gp.degree();
+    balancer.begin_round(gp, cur);
     next.copy_from_slice(cur);
     // Overdrawing schemes (`CHECK = false`) maintain the back buffer's
     // negative count *through the streaming writes* — `next` starts as
     // a copy of `cur` (count: `negative`), and every subtract/add below
     // adjusts incrementally. Non-overdrawing schemes keep every load
-    // non-negative invariantly once the pre-plan check passes, so their
-    // writes carry no bookkeeping at all.
+    // non-negative invariantly once the pre-round check passes, so
+    // their writes carry no bookkeeping at all.
     let mut neg_next = *negative;
     for (u, &x) in cur.iter().enumerate() {
-        if x == 0 {
-            // Zero-load nodes plan nothing and their state (rotor) must
-            // not advance — exactly as the planned paths skip them.
-            // Asleep nodes land here too: the handoff emptied them
-            // before planning (except the documented
-            // all-neighbours-asleep corner, where the node keeps its
-            // queue and keeps balancing it — identically on every
-            // path).
-            continue;
-        }
         let fl = flows.as_mut();
-        kernel(gp, u, x, fl);
-        // Nodes are streamed in ascending id order, which is exactly
-        // the planned paths' first-touch order for per-node schemes:
-        // same error node, same step.
+        balancer.kernel_node(gp, u, x, fl);
         let orig = validate_outflow(fl, d, CHECK, u, x, step_no)?;
         // Only tokens crossing an original edge move; self-loop and
         // retained tokens never leave home.
@@ -562,6 +552,23 @@ where
     }
     *negative = neg_next;
     Ok(())
+}
+
+/// One round's rows of `scheme` at `loads`, as the reference round
+/// computes them — the per-round hook, then every node in id order —
+/// for the schemes' unit tests.
+#[cfg(test)]
+pub(crate) fn round_rows<K: KernelBalancer + ?Sized>(
+    scheme: &mut K,
+    gp: &BalancingGraph,
+    loads: &[i64],
+) -> Vec<Vec<u64>> {
+    scheme.begin_round(gp, loads);
+    let mut rows = vec![vec![0; gp.degree_plus()]; loads.len()];
+    for (u, (&x, row)) in loads.iter().zip(&mut rows).enumerate() {
+        scheme.kernel_node(gp, u, x, row);
+    }
+    rows
 }
 
 #[cfg(test)]
@@ -651,16 +658,8 @@ mod tests {
             fn name(&self) -> &'static str {
                 "trips-at-step-3"
             }
-            fn plan(
-                &mut self,
-                _gp: &BalancingGraph,
-                _loads: &LoadVector,
-                _plan: &mut crate::FlowPlan,
-            ) {
-                unreachable!("kernel-only test scheme")
-            }
-            fn as_kernel(&mut self) -> Option<&mut dyn KernelRounds> {
-                Some(self)
+            fn as_kernel(&mut self) -> &mut dyn KernelRounds {
+                self
             }
         }
         impl KernelBalancer for TripsAtStep3 {
@@ -672,8 +671,8 @@ mod tests {
                 flows: &mut [u64],
             ) {
                 flows.fill(0);
-                // Node 0 always plans 3: from 10 its load runs 10, 7, 4,
-                // 1 — and at load 1 the plan overdraws on step 4.
+                // Node 0 always sends 3: from 10 its load runs 10, 7, 4,
+                // 1 — and at load 1 it overdraws on step 4.
                 if u == 0 {
                     let _ = load;
                     flows[0] = 3;

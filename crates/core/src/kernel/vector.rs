@@ -166,7 +166,7 @@ pub struct VectorConfig {
     /// where a uniform scheme streams its closed form (the independent
     /// references the differential batteries pin every path against
     /// are [`Engine::step`](crate::Engine::step) and
-    /// [`Path::Planned`](crate::Path::Planned) runs).
+    /// [`Path::Reference`](crate::Path::Reference) runs).
     pub enabled: bool,
     /// Gather strategy selection.
     pub strategy: VectorStrategy,
@@ -984,7 +984,7 @@ mod tests {
 
     #[test]
     fn send_rule_matches_split_load_at_every_magnitude() {
-        // The per-node rule the SEND kernels plan with: originals get
+        // The per-node rule of the SEND kernels: originals get
         // `base` (floor) or `base + (2e ≥ d⁺)` (round). The dividends
         // reach past 2⁶³ − bias, where dividing `x + bias` would leave
         // the reciprocal's proven range.

@@ -65,7 +65,6 @@ mod balancer;
 mod engine;
 mod error;
 pub mod fairness;
-mod flow;
 pub mod kernel;
 mod load;
 mod parallel;
@@ -78,7 +77,7 @@ pub mod workload;
 pub use balancer::Balancer;
 pub use engine::{Engine, EngineState, Path, Run, StepSummary};
 pub use error::EngineError;
-pub use flow::{CumulativeLedger, FlowPlan};
+pub use fairness::CumulativeLedger;
 pub use kernel::vector::{
     UniformKernel, UniformSpec, VectorConfig, VectorStats, VectorStrategy, VectorWidth,
     I32_HEADROOM_LIMIT,

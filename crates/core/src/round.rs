@@ -14,11 +14,11 @@
 //!    of the cumulative net injection and no prefix of the positive
 //!    load total leaves `i64`; only a round that fails the bound runs
 //!    the exact checked scan, and an overflowing one is undone;
-//! 4. **negative-check** — a non-overdrawing scheme must never plan
-//!    from a negative load.
+//! 4. **negative-check** — a non-overdrawing scheme must never split a
+//!    negative load.
 //!
 //! [`PreRound`] owns that sequence and its rollback for every
-//! execution path: the planned rounds and the streaming kernel rounds
+//! execution path: the reference rounds and the streaming kernel rounds
 //! each call [`PreRound::run`], keep only their own flow computation,
 //! and call [`PreRound::undo`] when that computation rejects the
 //! round — so on error loads, graph, connectivity mirror, negative
@@ -179,7 +179,7 @@ impl PreRound {
     }
 }
 
-/// The pre-plan class check on its own, for rounds with no dynamics
+/// The pre-round class check on its own, for rounds with no dynamics
 /// (the vector dispatch): `O(1)` thanks to the incremental count.
 pub(crate) fn check_negative(
     loads: &[i64],
@@ -192,7 +192,7 @@ pub(crate) fn check_negative(
     Ok(())
 }
 
-/// The error for a round that would plan from a negative load: the
+/// The error for a round that would split a negative load: the
 /// lowest-id negative node, which callers guarantee exists — the
 /// offending node is only searched for on the error path.
 fn negative_load(loads: &[i64], step: usize) -> EngineError {

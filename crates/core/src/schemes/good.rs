@@ -1,7 +1,7 @@
 use dlb_graph::{BalancingGraph, GraphError};
 
 use crate::balancer::split_load;
-use crate::{Balancer, FlowPlan, LoadVector};
+use crate::{Balancer, KernelBalancer, KernelRounds};
 
 /// A generic **good s-balancer** with the self-preference parameter `s`
 /// chosen at construction (Definition 3.1).
@@ -72,45 +72,46 @@ impl Balancer for GoodBalancer {
         "good-s-balancer"
     }
 
-    fn plan(&mut self, gp: &BalancingGraph, loads: &LoadVector, plan: &mut FlowPlan) {
-        let d = gp.degree();
-        let d_plus = gp.degree_plus();
-        for u in 0..gp.num_nodes() {
-            let (base, e) = split_load(loads.get(u), d_plus);
-            let flows = plan.node_mut(u);
-            for f in flows.iter_mut() {
-                *f = base;
-            }
-            if e == 0 {
-                continue;
-            }
-            // Self-loops first: enough to be s-self-preferring, and at
-            // least e − d so the originals are not oversubscribed.
-            let c_self = e.min(self.s).max(e.saturating_sub(d));
-            debug_assert!(c_self <= gp.num_self_loops());
-            for f in flows[d..d + c_self].iter_mut() {
-                *f += 1;
-            }
-            // Remaining extras round-robin over original edges.
-            let c_orig = e - c_self;
-            debug_assert!(c_orig <= d);
-            let rotor = self.rotors[u];
-            for i in 0..c_orig {
-                flows[(rotor + i) % d] += 1;
-            }
-            self.rotors[u] = (rotor + c_orig) % d.max(1);
-        }
-    }
-
     fn reset(&mut self) {
         self.rotors.fill(0);
+    }
+
+    fn as_kernel(&mut self) -> &mut dyn KernelRounds {
+        self
+    }
+}
+
+impl KernelBalancer for GoodBalancer {
+    fn kernel_node(&mut self, gp: &BalancingGraph, u: usize, load: i64, flows: &mut [u64]) {
+        let d = gp.degree();
+        let (base, e) = split_load(load, gp.degree_plus());
+        flows.fill(base);
+        if e == 0 {
+            return;
+        }
+        // Self-loops first: enough to be s-self-preferring, and at
+        // least e − d so the originals are not oversubscribed.
+        let c_self = e.min(self.s).max(e.saturating_sub(d));
+        debug_assert!(c_self <= gp.num_self_loops());
+        for f in flows[d..d + c_self].iter_mut() {
+            *f += 1;
+        }
+        // Remaining extras round-robin over original edges.
+        let c_orig = e - c_self;
+        debug_assert!(c_orig <= d);
+        let rotor = self.rotors[u];
+        for i in 0..c_orig {
+            flows[(rotor + i) % d] += 1;
+        }
+        self.rotors[u] = (rotor + c_orig) % d.max(1);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Engine, Run};
+    use crate::kernel::round_rows;
+    use crate::{Engine, LoadVector, Run};
     use dlb_graph::generators;
 
     fn lazy_cycle(n: usize) -> BalancingGraph {
@@ -126,25 +127,21 @@ mod tests {
     fn surplus_prefers_self_loops() {
         let gp = very_lazy_cycle(4);
         let mut bal = GoodBalancer::new(&gp, 3).unwrap();
-        let loads = LoadVector::uniform(4, 8 + 4); // base 1, e 4
-        let mut plan = FlowPlan::for_graph(&gp);
-        bal.plan(&gp, &loads, &mut plan);
-        // c_self = max(min(4, 3), 4 − 2) = 3 self-loops get the ceiling;
-        // 1 extra goes to original port 0 (rotor at 0).
-        assert_eq!(plan.node(0), &[2, 1, 2, 2, 2, 1, 1, 1]);
-        assert_eq!(plan.node_total(0), 12);
+        let flows = &round_rows(&mut bal, &gp, &[8 + 4; 4])[0]; // base 1, e 4
+                                                                // c_self = max(min(4, 3), 4 − 2) = 3 self-loops get the ceiling;
+                                                                // 1 extra goes to original port 0 (rotor at 0).
+        assert_eq!(flows, &[2, 1, 2, 2, 2, 1, 1, 1]);
+        assert_eq!(flows.iter().sum::<u64>(), 12);
     }
 
     #[test]
     fn never_oversubscribes_originals() {
         let gp = lazy_cycle(4); // d = 2, d° = 2, d⁺ = 4
         let mut bal = GoodBalancer::new(&gp, 1).unwrap();
-        let loads = LoadVector::uniform(4, 7); // base 1, e 3
-        let mut plan = FlowPlan::for_graph(&gp);
-        bal.plan(&gp, &loads, &mut plan);
-        // c_self = max(min(3,1), 3−2) = 1... no: max(1, 1) = 1;
-        // c_orig = 2 ≤ d ✓.
-        assert_eq!(plan.node(0), &[2, 2, 2, 1]);
+        let flows = &round_rows(&mut bal, &gp, &[7; 4])[0]; // base 1, e 3
+                                                            // c_self = max(min(3,1), 3−2) = 1... no: max(1, 1) = 1;
+                                                            // c_orig = 2 ≤ d ✓.
+        assert_eq!(flows, &[2, 2, 2, 1]);
     }
 
     #[test]
@@ -211,9 +208,7 @@ mod tests {
     fn reset_clears_rotors() {
         let gp = lazy_cycle(4);
         let mut bal = GoodBalancer::new(&gp, 1).unwrap();
-        let loads = LoadVector::uniform(4, 7);
-        let mut plan = FlowPlan::for_graph(&gp);
-        bal.plan(&gp, &loads, &mut plan);
+        round_rows(&mut bal, &gp, &[7; 4]);
         bal.reset();
         assert_eq!(bal.rotors, vec![0; 4]);
     }
@@ -222,9 +217,7 @@ mod tests {
     fn zero_surplus_is_uniform() {
         let gp = lazy_cycle(4);
         let mut bal = GoodBalancer::new(&gp, 2).unwrap();
-        let loads = LoadVector::uniform(4, 8); // e = 0
-        let mut plan = FlowPlan::for_graph(&gp);
-        bal.plan(&gp, &loads, &mut plan);
-        assert_eq!(plan.node(0), &[2, 2, 2, 2]);
+        // Load 8: e = 0.
+        assert_eq!(round_rows(&mut bal, &gp, &[8; 4])[0], [2, 2, 2, 2]);
     }
 }

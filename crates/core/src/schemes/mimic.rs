@@ -1,7 +1,7 @@
 use dlb_graph::BalancingGraph;
 use dlb_spectral::TransitionOperator;
 
-use crate::{Balancer, FlowPlan, LoadVector};
+use crate::{Balancer, KernelBalancer, KernelRounds};
 
 /// The continuous-mimicking scheme of Akbari, Berenbrink and
 /// Sauerwald \[4\].
@@ -23,9 +23,11 @@ use crate::{Balancer, FlowPlan, LoadVector};
 /// node-steps.
 #[derive(Debug, Clone)]
 pub struct ContinuousMimic {
-    /// Continuous loads `y_t` (the simulated reference process).
+    /// Continuous loads `y_t` (the simulated reference process), one
+    /// step ahead of the discrete process while a round is in progress.
     continuous: Vec<f64>,
-    scratch: Vec<f64>,
+    /// The continuous loads the round in progress mimics.
+    previous: Vec<f64>,
     /// Cumulative continuous flow per (node, original port).
     cumulative_continuous: Vec<f64>,
     /// Cumulative discrete tokens sent per (node, original port).
@@ -36,14 +38,13 @@ pub struct ContinuousMimic {
 
 impl ContinuousMimic {
     /// Creates the scheme for `gp`. The internal continuous process is
-    /// initialised from the first load vector passed to
-    /// [`Balancer::plan`].
+    /// initialised from the loads of its first round.
     pub fn new(gp: &BalancingGraph) -> Self {
         let n = gp.num_nodes();
         let d = gp.degree();
         ContinuousMimic {
             continuous: vec![0.0; n],
-            scratch: vec![0.0; n],
+            previous: vec![0.0; n],
             cumulative_continuous: vec![0.0; n * d],
             cumulative_discrete: vec![0; n * d],
             d,
@@ -71,50 +72,60 @@ impl Balancer for ContinuousMimic {
         true
     }
 
-    fn plan(&mut self, gp: &BalancingGraph, loads: &LoadVector, plan: &mut FlowPlan) {
-        let n = gp.num_nodes();
-        let d = self.d;
-        let d_plus = gp.degree_plus() as f64;
-        if !self.initialized {
-            for (y, &x) in self.continuous.iter_mut().zip(loads.as_slice()) {
-                *y = x as f64;
-            }
-            self.initialized = true;
-        }
-        // Advance cumulative continuous flows with this step's
-        // continuous sends, then decide the discrete quota per edge.
-        for u in 0..n {
-            let per_edge = self.continuous[u] / d_plus;
-            for p in 0..d {
-                let idx = u * d + p;
-                self.cumulative_continuous[idx] += per_edge;
-                let target = round_nearest(self.cumulative_continuous[idx]);
-                let sent = self.cumulative_discrete[idx] as i64;
-                // C is non-decreasing (y ≥ 0 under diffusion from
-                // non-negative start), so target ≥ sent.
-                let tokens = (target - sent).max(0) as u64;
-                plan.set(u, p, tokens);
-                self.cumulative_discrete[idx] += tokens;
-            }
-        }
-        // Step the continuous reference: y ← P·y.
-        let op = TransitionOperator::new(gp);
-        op.apply(&self.continuous, &mut self.scratch);
-        std::mem::swap(&mut self.continuous, &mut self.scratch);
-    }
-
     fn reset(&mut self) {
         self.continuous.fill(0.0);
         self.cumulative_continuous.fill(0.0);
         self.cumulative_discrete.fill(0);
         self.initialized = false;
     }
+
+    fn as_kernel(&mut self) -> &mut dyn KernelRounds {
+        self
+    }
+}
+
+/// Every node sends, whatever its load: the quota follows the
+/// continuous process, not the tokens at hand.
+impl KernelBalancer for ContinuousMimic {
+    /// Advances each original edge's cumulative continuous flow by this
+    /// round's continuous send, then sends the discrete quota.
+    fn kernel_node(&mut self, gp: &BalancingGraph, u: usize, _load: i64, flows: &mut [u64]) {
+        let d = self.d;
+        let per_edge = self.previous[u] / gp.degree_plus() as f64;
+        let edges = u * d..(u + 1) * d;
+        let continuous = &mut self.cumulative_continuous[edges.clone()];
+        let discrete = &mut self.cumulative_discrete[edges];
+        for ((f, c), sent) in flows.iter_mut().zip(continuous).zip(discrete) {
+            *c += per_edge;
+            // C is non-decreasing (y ≥ 0 under diffusion from
+            // non-negative start), so the target is at least `sent`.
+            let tokens = (round_nearest(*c) - *sent as i64).max(0) as u64;
+            *f = tokens;
+            *sent += tokens;
+        }
+        flows[d..].fill(0);
+    }
+
+    /// Initialises the continuous process from the first round's loads,
+    /// keeps `y_t` for the round's quotas and steps the reference:
+    /// `y ← P·y`.
+    fn begin_round(&mut self, gp: &BalancingGraph, loads: &[i64]) {
+        if !self.initialized {
+            for (y, &x) in self.continuous.iter_mut().zip(loads) {
+                *y = x as f64;
+            }
+            self.initialized = true;
+        }
+        TransitionOperator::new(gp).apply(&self.continuous, &mut self.previous);
+        std::mem::swap(&mut self.continuous, &mut self.previous);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Engine, Run};
+    use crate::kernel::round_rows;
+    use crate::{Engine, LoadVector, Path, Run};
     use dlb_graph::generators;
 
     fn lazy_cycle(n: usize) -> BalancingGraph {
@@ -191,20 +202,43 @@ mod tests {
     fn reset_reinitialises_from_next_plan() {
         let gp = lazy_cycle(4);
         let mut bal = ContinuousMimic::new(&gp);
-        let loads = LoadVector::uniform(4, 8);
-        let mut plan = FlowPlan::for_graph(&gp);
-        bal.plan(&gp, &loads, &mut plan);
+        round_rows(&mut bal, &gp, &[8; 4]);
         bal.reset();
         assert!(!bal.initialized);
-        plan.clear();
-        let fresh = LoadVector::uniform(4, 4);
-        bal.plan(&gp, &fresh, &mut plan);
+        round_rows(&mut bal, &gp, &[4; 4]);
         // Continuous state was re-seeded from the fresh loads, then
         // advanced one diffusion step; uniform stays uniform.
         assert!(bal
             .continuous_loads()
             .iter()
             .all(|&y| (y - 4.0).abs() < 1e-12));
+    }
+
+    /// The quota follows the continuous process, not the tokens at
+    /// hand: a scheme whose continuous process has spread a point mass
+    /// keeps sending from nodes that hold nothing — and the kernel
+    /// rounds apply those sends exactly as the reference round does.
+    #[test]
+    fn sends_from_empty_nodes_are_applied_on_both_paths() {
+        let gp = lazy_cycle(8);
+        let mut bal = ContinuousMimic::new(&gp);
+        let mut warm = Engine::new(gp.clone(), LoadVector::point_mass(8, 80));
+        warm.run(&mut bal, Run::new(3)).unwrap();
+        let empty = LoadVector::uniform(8, 0);
+        let run = |path: Path| {
+            let mut engine = Engine::new(gp.clone(), empty.clone());
+            let run = Run {
+                path,
+                ..Run::new(4)
+            };
+            engine.run(&mut bal.clone(), run).unwrap();
+            engine
+        };
+        let (reference, auto) = (run(Path::Reference), run(Path::Auto));
+        assert_ne!(reference.loads(), &empty, "empty nodes must send");
+        assert_eq!(auto.loads(), reference.loads());
+        assert_eq!(auto.negative_node_steps(), reference.negative_node_steps());
+        assert_eq!(reference.loads().total(), 0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 use dlb_graph::BalancingGraph;
 
-use crate::{Balancer, FlowPlan, LoadVector};
+use crate::{Balancer, KernelBalancer, KernelRounds};
 
 /// The bounded-error (quasirandom) diffusion of Friedrich, Gairing and
 /// Sauerwald \[9\].
@@ -51,40 +51,43 @@ impl Balancer for QuasirandomDiffusion {
         true
     }
 
-    fn plan(&mut self, gp: &BalancingGraph, loads: &LoadVector, plan: &mut FlowPlan) {
-        let d = gp.degree();
-        let d_plus = gp.degree_plus() as u64;
-        for u in 0..gp.num_nodes() {
-            // The scheme is defined on non-negative continuous flow;
-            // when a node is overdrawn it ships nothing and waits for
-            // incoming tokens (errors freeze).
-            let x = loads.get(u);
-            if x <= 0 {
-                continue;
-            }
-            let x = x as u64;
-            for p in 0..d {
-                let err = &mut self.error_num[u * d + p];
-                let accumulated = x + *err;
-                let send = accumulated / d_plus;
-                *err = accumulated % d_plus;
-                plan.set(u, p, send);
-            }
-            // Self-loops / remainder: everything not sent stays home
-            // (retained by the engine); no explicit self-loop flow is
-            // needed for the bounded-error property.
-        }
-    }
-
     fn reset(&mut self) {
         self.error_num.fill(0);
+    }
+
+    fn as_kernel(&mut self) -> &mut dyn KernelRounds {
+        self
+    }
+}
+
+impl KernelBalancer for QuasirandomDiffusion {
+    fn kernel_node(&mut self, gp: &BalancingGraph, u: usize, load: i64, flows: &mut [u64]) {
+        // Self-loops / remainder: everything not sent stays home
+        // (retained by the engine); no explicit self-loop flow is
+        // needed for the bounded-error property.
+        flows.fill(0);
+        // The scheme is defined on non-negative continuous flow; when a
+        // node is overdrawn it ships nothing and waits for incoming
+        // tokens (errors freeze).
+        if load <= 0 {
+            return;
+        }
+        let d = self.d;
+        let d_plus = gp.degree_plus() as u64;
+        let errors = &mut self.error_num[u * d..(u + 1) * d];
+        for (f, err) in flows.iter_mut().zip(errors) {
+            let accumulated = load as u64 + *err;
+            *f = accumulated / d_plus;
+            *err = accumulated % d_plus;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Engine, Run};
+    use crate::kernel::round_rows;
+    use crate::{Engine, LoadVector, Run};
     use dlb_graph::generators;
 
     fn lazy_cycle(n: usize) -> BalancingGraph {
@@ -175,9 +178,7 @@ mod tests {
     fn reset_clears_errors() {
         let gp = lazy_cycle(4);
         let mut bal = QuasirandomDiffusion::new(&gp);
-        let loads = LoadVector::uniform(4, 7);
-        let mut plan = FlowPlan::for_graph(&gp);
-        bal.plan(&gp, &loads, &mut plan);
+        round_rows(&mut bal, &gp, &[7; 4]);
         assert!((0..4).any(|u| (0..2).any(|p| bal.error_numerator(u, p) != 0)));
         bal.reset();
         assert!((0..4).all(|u| (0..2).all(|p| bal.error_numerator(u, p) == 0)));
@@ -187,10 +188,8 @@ mod tests {
     fn overdrawn_nodes_send_nothing() {
         let gp = lazy_cycle(4);
         let mut bal = QuasirandomDiffusion::new(&gp);
-        let loads = LoadVector::new(vec![-3, 10, 10, 10]);
-        let mut plan = FlowPlan::for_graph(&gp);
-        bal.plan(&gp, &loads, &mut plan);
-        assert_eq!(plan.node_total(0), 0);
-        assert!(plan.node_total(1) > 0);
+        let rows = round_rows(&mut bal, &gp, &[-3, 10, 10, 10]);
+        assert_eq!(rows[0].iter().sum::<u64>(), 0);
+        assert!(rows[1].iter().sum::<u64>() > 0);
     }
 }

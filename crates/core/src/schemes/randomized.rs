@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::balancer::split_load;
-use crate::{Balancer, FlowPlan, LoadVector};
+use crate::{Balancer, KernelBalancer, KernelRounds};
 
 /// The randomized-extra-token diffusion of Berenbrink, Cooper,
 /// Friedetzky, Friedrich and Sauerwald \[5\].
@@ -48,24 +48,23 @@ impl Balancer for RandomizedExtraTokens {
         true
     }
 
-    fn plan(&mut self, gp: &BalancingGraph, loads: &LoadVector, plan: &mut FlowPlan) {
-        let d = gp.degree();
-        let d_plus = gp.degree_plus();
-        let pick = Uniform::from(0..d);
-        for u in 0..gp.num_nodes() {
-            let (base, e) = split_load(loads.get(u), d_plus);
-            let flows = plan.node_mut(u);
-            for f in flows.iter_mut() {
-                *f = base;
-            }
-            for _ in 0..e {
-                flows[pick.sample(&mut self.rng)] += 1;
-            }
-        }
-    }
-
     fn reset(&mut self) {
         self.rng = StdRng::seed_from_u64(self.seed);
+    }
+
+    fn as_kernel(&mut self) -> &mut dyn KernelRounds {
+        self
+    }
+}
+
+impl KernelBalancer for RandomizedExtraTokens {
+    fn kernel_node(&mut self, gp: &BalancingGraph, _u: usize, load: i64, flows: &mut [u64]) {
+        let pick = Uniform::from(0..gp.degree());
+        let (base, e) = split_load(load, gp.degree_plus());
+        flows.fill(base);
+        for _ in 0..e {
+            flows[pick.sample(&mut self.rng)] += 1;
+        }
     }
 }
 
@@ -111,37 +110,39 @@ impl Balancer for RandomizedEdgeRounding {
         true
     }
 
-    fn plan(&mut self, gp: &BalancingGraph, loads: &LoadVector, plan: &mut FlowPlan) {
-        let d = gp.degree();
-        let d_plus = gp.degree_plus();
-        for u in 0..gp.num_nodes() {
-            let x = loads.get(u);
-            if x <= 0 {
-                continue; // overdrawn nodes wait for incoming tokens
-            }
-            let (base, e) = split_load(x, d_plus);
-            let p_extra = e as f64 / d_plus as f64;
-            let flows = plan.node_mut(u);
-            for f in flows[..d].iter_mut() {
-                *f = base + u64::from(self.rng.gen_bool(p_extra));
-            }
-            // Self-loops take the floor; the (possibly negative)
-            // remainder is retained/overdrawn by the engine.
-            for f in flows[d..].iter_mut() {
-                *f = base;
-            }
-        }
-    }
-
     fn reset(&mut self) {
         self.rng = StdRng::seed_from_u64(self.seed);
+    }
+
+    fn as_kernel(&mut self) -> &mut dyn KernelRounds {
+        self
+    }
+}
+
+impl KernelBalancer for RandomizedEdgeRounding {
+    fn kernel_node(&mut self, gp: &BalancingGraph, _u: usize, load: i64, flows: &mut [u64]) {
+        if load <= 0 {
+            flows.fill(0); // overdrawn nodes wait for incoming tokens
+            return;
+        }
+        let d = gp.degree();
+        let d_plus = gp.degree_plus();
+        let (base, e) = split_load(load, d_plus);
+        let p_extra = e as f64 / d_plus as f64;
+        for f in flows[..d].iter_mut() {
+            *f = base + u64::from(self.rng.gen_bool(p_extra));
+        }
+        // Self-loops take the floor; the (possibly negative) remainder
+        // is retained/overdrawn by the engine.
+        flows[d..].fill(base);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Engine, Run};
+    use crate::kernel::round_rows;
+    use crate::{Engine, LoadVector, Run};
     use dlb_graph::generators;
 
     fn lazy_cycle(n: usize) -> BalancingGraph {
@@ -213,19 +214,15 @@ mod tests {
 
     #[test]
     fn reset_replays_randomness() {
-        let gp = lazy_cycle(4);
-        let loads = LoadVector::uniform(4, 7);
-        for mut bal in [
-            Box::new(RandomizedExtraTokens::new(11)) as Box<dyn Balancer>,
-            Box::new(RandomizedEdgeRounding::new(11)) as Box<dyn Balancer>,
-        ] {
-            let mut plan1 = FlowPlan::for_graph(&gp);
-            bal.plan(&gp, &loads, &mut plan1);
+        fn replays(bal: &mut impl KernelBalancer) {
+            let gp = lazy_cycle(4);
+            let first = round_rows(bal, &gp, &[7; 4]);
             bal.reset();
-            let mut plan2 = FlowPlan::for_graph(&gp);
-            bal.plan(&gp, &loads, &mut plan2);
-            assert_eq!(plan1, plan2, "{} reset must replay", bal.name());
+            let second = round_rows(bal, &gp, &[7; 4]);
+            assert_eq!(first, second, "{} reset must replay", bal.name());
         }
+        replays(&mut RandomizedExtraTokens::new(11));
+        replays(&mut RandomizedEdgeRounding::new(11));
     }
 
     #[test]
@@ -240,14 +237,12 @@ mod tests {
     fn extra_tokens_floor_on_all_ports() {
         let gp = lazy_cycle(4);
         let mut bal = RandomizedExtraTokens::new(3);
-        let loads = LoadVector::uniform(4, 9); // base 2, e 1
-        let mut plan = FlowPlan::for_graph(&gp);
-        bal.plan(&gp, &loads, &mut plan);
-        for u in 0..4 {
-            for p in 0..4 {
-                assert!(plan.get(u, p) >= 2, "port ({u},{p}) got below floor");
+        let rows = round_rows(&mut bal, &gp, &[9; 4]); // base 2, e 1
+        for (u, flows) in rows.iter().enumerate() {
+            for (p, &f) in flows.iter().enumerate() {
+                assert!(f >= 2, "port ({u},{p}) got below floor");
             }
-            assert_eq!(plan.node_total(u), 9);
+            assert_eq!(flows.iter().sum::<u64>(), 9);
         }
     }
 }

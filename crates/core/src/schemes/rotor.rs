@@ -1,7 +1,7 @@
 use dlb_graph::{BalancingGraph, GraphError, PortOrder};
 
 use crate::balancer::split_load;
-use crate::{Balancer, FlowPlan, KernelBalancer, KernelRounds, LoadVector};
+use crate::{Balancer, KernelBalancer, KernelRounds};
 
 /// The ROTOR-ROUTER (Propp machine) as a load balancer (§1.2).
 ///
@@ -9,7 +9,7 @@ use crate::{Balancer, FlowPlan, KernelBalancer, KernelRounds, LoadVector};
 /// its `d⁺` ports. Tokens leave one by one: the first token through the
 /// port under the rotor, the next through the following port, and so on,
 /// the rotor advancing with each token. Equivalently — and this is how
-/// the plan is computed in `O(d⁺)` instead of `O(x)` — every port
+/// the flows are computed in `O(d⁺)` instead of `O(x)` — every port
 /// receives `⌊x/d⁺⌋` tokens and the `x mod d⁺` surplus tokens go to the
 /// next `x mod d⁺` ports in cyclic order from the rotor.
 ///
@@ -117,24 +117,6 @@ impl RotorRouter {
     pub fn sequence(&self, u: usize) -> &[u16] {
         &self.sequences[u * self.stride..(u + 1) * self.stride]
     }
-
-    /// The shared per-node rule of [`Balancer::plan`] and
-    /// [`KernelBalancer::kernel_node`]: base flow everywhere, the `e`
-    /// surplus tokens to the next `e` ports in cyclic order from the
-    /// rotor, which advances by `e`. Callers skip `x == 0` (the rotor
-    /// must not move for empty nodes).
-    ///
-    /// `d⁺` is `flows.len()`: on the kernel path that is the length of
-    /// a fixed-size buffer, so the split divides by a constant.
-    #[inline]
-    fn node_flows(&mut self, u: usize, x: i64, flows: &mut [u64]) {
-        let d_plus = flows.len();
-        debug_assert_eq!(d_plus, self.stride);
-        let (base, e) = split_load(x, d_plus);
-        flows.fill(base);
-        let seq = &self.sequences[u * d_plus..(u + 1) * d_plus];
-        self.rotors[u] = spread_surplus(flows, seq, self.rotors[u], e);
-    }
 }
 
 /// Adds one token to each of the `extras` ports of `seq` that follow
@@ -164,40 +146,37 @@ impl Balancer for RotorRouter {
         "rotor-router"
     }
 
-    fn plan(&mut self, gp: &BalancingGraph, loads: &LoadVector, plan: &mut FlowPlan) {
-        for u in 0..gp.num_nodes() {
-            let x = loads.get(u);
-            if x == 0 {
-                // No tokens: no flow, and the rotor does not advance.
-                // Leaving the node untouched keeps the plan sparse.
-                continue;
-            }
-            self.node_flows(u, x, plan.node_mut(u));
-        }
-    }
-
     fn reset(&mut self) {
         self.rotors.clone_from(&self.initial_rotors);
     }
 
-    fn as_kernel(&mut self) -> Option<&mut dyn KernelRounds> {
-        Some(self)
+    fn as_kernel(&mut self) -> &mut dyn KernelRounds {
+        self
     }
 }
 
-/// Stateful but local: the rotor advance is per-node, so the same rule
-/// drives the plan-free kernel path bit-identically.
+/// Base flow everywhere, the `e` surplus tokens to the next `e` ports
+/// in cyclic order from the rotor, which advances by `e` — so an empty
+/// node sends nothing and its rotor stays put.
 impl KernelBalancer for RotorRouter {
+    /// `d⁺` is `flows.len()`: on the kernel path that is the length of
+    /// a fixed-size buffer, so the split divides by a constant.
     #[inline]
     fn kernel_node(&mut self, _gp: &BalancingGraph, u: usize, load: i64, flows: &mut [u64]) {
-        self.node_flows(u, load, flows);
+        let d_plus = flows.len();
+        debug_assert_eq!(d_plus, self.stride);
+        let (base, e) = split_load(load, d_plus);
+        flows.fill(base);
+        let seq = &self.sequences[u * d_plus..(u + 1) * d_plus];
+        self.rotors[u] = spread_surplus(flows, seq, self.rotors[u], e);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Engine, Run};
+    use crate::kernel::round_rows;
+    use crate::{Engine, LoadVector, Run};
     use dlb_graph::generators;
 
     fn lazy_cycle(n: usize) -> BalancingGraph {
@@ -208,16 +187,12 @@ mod tests {
     fn distributes_round_robin_and_advances_rotor() {
         let gp = lazy_cycle(4); // d⁺ = 4
         let mut rr = RotorRouter::new(&gp, PortOrder::Sequential).unwrap();
-        let loads = LoadVector::uniform(4, 6); // base 1, e 2
-        let mut plan = FlowPlan::for_graph(&gp);
-        rr.plan(&gp, &loads, &mut plan);
-        // Extras to ports 0, 1; rotor advances to 2.
-        assert_eq!(plan.node(0), &[2, 2, 1, 1]);
+        let loads = [6; 4]; // base 1, e 2
+                            // Extras to ports 0, 1; rotor advances to 2.
+        assert_eq!(round_rows(&mut rr, &gp, &loads)[0], [2, 2, 1, 1]);
         assert_eq!(rr.rotors()[0], 2);
-        plan.clear();
-        rr.plan(&gp, &loads, &mut plan);
         // Extras to ports 2, 3; rotor wraps to 0.
-        assert_eq!(plan.node(0), &[1, 1, 2, 2]);
+        assert_eq!(round_rows(&mut rr, &gp, &loads)[0], [1, 1, 2, 2]);
         assert_eq!(rr.rotors()[0], 0);
     }
 
@@ -226,11 +201,8 @@ mod tests {
         let gp = lazy_cycle(4);
         let mut rr =
             RotorRouter::with_initial_rotors(&gp, PortOrder::Sequential, vec![3; 4]).unwrap();
-        let loads = LoadVector::uniform(4, 2); // base 0, e 2
-        let mut plan = FlowPlan::for_graph(&gp);
-        rr.plan(&gp, &loads, &mut plan);
-        // From rotor 3: ports 3, then wrap to 0.
-        assert_eq!(plan.node(0), &[1, 0, 0, 1]);
+        // Load 2: base 0, e 2. From rotor 3: ports 3, then wrap to 0.
+        assert_eq!(round_rows(&mut rr, &gp, &[2; 4])[0], [1, 0, 0, 1]);
         assert_eq!(rr.rotors()[0], 1);
     }
 
@@ -239,11 +211,9 @@ mod tests {
         let gp = lazy_cycle(4);
         let order = PortOrder::Uniform(vec![3, 1, 2, 0]);
         let mut rr = RotorRouter::new(&gp, order).unwrap();
-        let loads = LoadVector::uniform(4, 2); // e = 2 extras
-        let mut plan = FlowPlan::for_graph(&gp);
-        rr.plan(&gp, &loads, &mut plan);
-        // Extras follow the custom order: ports 3, then 1.
-        assert_eq!(plan.node(0), &[0, 1, 0, 1]);
+        // Load 2: e = 2 extras, following the custom order: ports 3,
+        // then 1.
+        assert_eq!(round_rows(&mut rr, &gp, &[2; 4])[0], [0, 1, 0, 1]);
     }
 
     #[test]
@@ -268,9 +238,7 @@ mod tests {
         let gp = lazy_cycle(4);
         let mut rr =
             RotorRouter::with_initial_rotors(&gp, PortOrder::Sequential, vec![1, 2, 3, 0]).unwrap();
-        let loads = LoadVector::uniform(4, 3);
-        let mut plan = FlowPlan::for_graph(&gp);
-        rr.plan(&gp, &loads, &mut plan);
+        round_rows(&mut rr, &gp, &[3; 4]);
         assert_ne!(rr.rotors(), &[1, 2, 3, 0]);
         rr.reset();
         assert_eq!(rr.rotors(), &[1, 2, 3, 0]);

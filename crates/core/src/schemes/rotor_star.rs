@@ -2,7 +2,7 @@ use dlb_graph::{BalancingGraph, GraphError, PortOrder};
 
 use crate::balancer::split_load;
 use crate::schemes::rotor::spread_surplus;
-use crate::{Balancer, FlowPlan, KernelBalancer, KernelRounds, LoadVector};
+use crate::{Balancer, KernelBalancer, KernelRounds};
 
 /// ROTOR-ROUTER\*: the self-preferring rotor-router variant (§1.1).
 ///
@@ -117,22 +117,34 @@ impl RotorRouterStar {
     pub fn rotors(&self) -> &[usize] {
         &self.rotors
     }
+}
 
-    /// The shared per-node rule of [`Balancer::plan`] and
-    /// [`KernelBalancer::kernel_node`]: base flow everywhere, one
-    /// surplus token to the special self-loop whenever there is any
-    /// (it takes the ceiling `⌈x/d⁺⌉`), and the other `e − 1` surplus
-    /// tokens to the next ports of the inner rotor, which advances by
-    /// `e − 1`. Callers skip `x == 0` (the rotor must not move for
-    /// empty nodes).
-    ///
+impl Balancer for RotorRouterStar {
+    fn name(&self) -> &'static str {
+        "rotor-router-star"
+    }
+
+    fn reset(&mut self) {
+        self.rotors.clone_from(&self.initial_rotors);
+    }
+
+    fn as_kernel(&mut self) -> &mut dyn KernelRounds {
+        self
+    }
+}
+
+/// Base flow everywhere, one surplus token to the special self-loop
+/// whenever there is any (it takes the ceiling `⌈x/d⁺⌉`), and the other
+/// `e − 1` surplus tokens to the next ports of the inner rotor, which
+/// advances by `e − 1` — so an empty node's rotor stays put.
+impl KernelBalancer for RotorRouterStar {
     /// `d⁺` is `flows.len()`: on the kernel path that is the length of
     /// a fixed-size buffer, so the split divides by a constant.
     #[inline]
-    fn node_flows(&mut self, u: usize, x: i64, flows: &mut [u64]) {
+    fn kernel_node(&mut self, _gp: &BalancingGraph, u: usize, load: i64, flows: &mut [u64]) {
         let inner_len = self.stride;
         debug_assert_eq!(flows.len(), inner_len + 1);
-        let (base, e) = split_load(x, flows.len());
+        let (base, e) = split_load(load, flows.len());
         flows.fill(base);
         if e == 0 {
             return;
@@ -143,46 +155,11 @@ impl RotorRouterStar {
     }
 }
 
-impl Balancer for RotorRouterStar {
-    fn name(&self) -> &'static str {
-        "rotor-router-star"
-    }
-
-    fn plan(&mut self, gp: &BalancingGraph, loads: &LoadVector, plan: &mut FlowPlan) {
-        for u in 0..gp.num_nodes() {
-            let x = loads.get(u);
-            if x == 0 {
-                // No tokens: the zeroed row is the whole plan, and the
-                // inner rotor does not advance.
-                continue;
-            }
-            self.node_flows(u, x, plan.node_mut(u));
-        }
-    }
-
-    fn reset(&mut self) {
-        self.rotors.clone_from(&self.initial_rotors);
-    }
-
-    fn as_kernel(&mut self) -> Option<&mut dyn KernelRounds> {
-        Some(self)
-    }
-}
-
-/// Stateful but local, like the rotor-router: the special loop and the
-/// inner rotor advance per node, so the same rule drives the plan-free
-/// kernel path bit-identically.
-impl KernelBalancer for RotorRouterStar {
-    #[inline]
-    fn kernel_node(&mut self, _gp: &BalancingGraph, u: usize, load: i64, flows: &mut [u64]) {
-        self.node_flows(u, load, flows);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Engine, Run};
+    use crate::kernel::round_rows;
+    use crate::{Engine, LoadVector, Run};
     use dlb_graph::generators;
 
     fn lazy_cycle(n: usize) -> BalancingGraph {
@@ -193,23 +170,20 @@ mod tests {
     fn special_loop_gets_ceiling() {
         let gp = lazy_cycle(4); // d = 2, d⁺ = 4, special = port 3
         let mut rrs = RotorRouterStar::new(&gp, PortOrder::Sequential).unwrap();
-        let loads = LoadVector::uniform(4, 7); // base 1, e 3 ⇒ ceil 2
-        let mut plan = FlowPlan::for_graph(&gp);
-        rrs.plan(&gp, &loads, &mut plan);
-        assert_eq!(plan.get(0, 3), 2, "special self-loop takes ⌈7/4⌉");
-        assert_eq!(plan.node_total(0), 7, "everything sent");
+        // Load 7: base 1, e 3 ⇒ ceil 2.
+        let flows = &round_rows(&mut rrs, &gp, &[7; 4])[0];
+        assert_eq!(flows[3], 2, "special self-loop takes ⌈7/4⌉");
+        assert_eq!(flows.iter().sum::<u64>(), 7, "everything sent");
         // Inner rotor spreads e−1 = 2 extras over ports 0, 1.
-        assert_eq!(plan.node(0), &[2, 2, 1, 2]);
+        assert_eq!(flows, &[2, 2, 1, 2]);
     }
 
     #[test]
     fn exact_multiples_send_base_everywhere() {
         let gp = lazy_cycle(4);
         let mut rrs = RotorRouterStar::new(&gp, PortOrder::Sequential).unwrap();
-        let loads = LoadVector::uniform(4, 8); // e = 0
-        let mut plan = FlowPlan::for_graph(&gp);
-        rrs.plan(&gp, &loads, &mut plan);
-        assert_eq!(plan.node(0), &[2, 2, 2, 2]);
+        // Load 8: e = 0.
+        assert_eq!(round_rows(&mut rrs, &gp, &[8; 4])[0], [2, 2, 2, 2]);
     }
 
     #[test]
@@ -268,19 +242,16 @@ mod tests {
     fn reset_restores_rotors() {
         let gp = lazy_cycle(4);
         let mut rrs = RotorRouterStar::new(&gp, PortOrder::Sequential).unwrap();
-        let loads = LoadVector::uniform(4, 7);
-        let mut plan = FlowPlan::for_graph(&gp);
-        rrs.plan(&gp, &loads, &mut plan);
+        round_rows(&mut rrs, &gp, &[7; 4]);
         assert_ne!(rrs.rotors(), &[0, 0, 0, 0]);
         rrs.reset();
         assert_eq!(rrs.rotors(), &[0, 0, 0, 0]);
     }
 
-    /// `kernel_node` writes exactly the `plan` row and advances the
-    /// inner rotor exactly as `plan` does, for every load in
-    /// `0..=4·d⁺` and every inner rotor position. Both are also checked
-    /// against a token-by-token reference that wraps the rotor with a
-    /// modulo, so the shared rule cannot drift from the definition.
+    /// `kernel_node` writes the row and advances the inner rotor of a
+    /// token-by-token reference that wraps the rotor with a modulo, for
+    /// every load in `0..=4·d⁺` and every inner rotor position, so the
+    /// rule cannot drift from the definition.
     #[test]
     fn kernel_node_writes_the_plan_row_and_rotor_advance() {
         let graphs = [
@@ -295,29 +266,23 @@ mod tests {
             for rotor in 0..inner_len {
                 for x in 0..=4 * d_plus as i64 {
                     let tag = format!("d⁺ = {d_plus}, rotor {rotor}, x = {x}");
-                    let mut planned = RotorRouterStar::with_initial_rotors(
+                    let mut kernel = RotorRouterStar::with_initial_rotors(
                         gp,
                         PortOrder::Sequential,
                         vec![rotor; n],
                     )
                     .unwrap();
-                    let mut kernel = planned.clone();
-                    let mut plan = FlowPlan::for_graph(gp);
-                    planned.plan(gp, &LoadVector::uniform(n, x), &mut plan);
-
                     // The buffer arrives dirty: every entry must be written.
                     let mut flows = vec![u64::MAX; d_plus];
                     kernel.kernel_node(gp, 0, x, &mut flows);
-                    assert_eq!(flows, plan.node(0), "{tag}: flows");
-                    assert_eq!(kernel.rotors()[0], planned.rotors()[0], "{tag}: rotor");
 
                     let (base, e) = (x as u64 / d_plus as u64, x as usize % d_plus);
                     let mut expect = vec![base; d_plus];
                     let extras = e.saturating_sub(1);
                     if e > 0 {
-                        expect[planned.special_port()] += 1;
+                        expect[kernel.special_port()] += 1;
                     }
-                    let seq = &planned.sequences[..inner_len];
+                    let seq = &kernel.sequences[..inner_len];
                     for i in 0..extras {
                         expect[seq[(rotor + i) % inner_len] as usize] += 1;
                     }
@@ -333,7 +298,7 @@ mod tests {
     }
 
     /// The snapshot-restore constructor: rebuilding from captured
-    /// rotor positions continues the plan stream bit-identically.
+    /// rotor positions continues the flow stream bit-identically.
     #[test]
     fn with_initial_rotors_resumes_the_plan_stream() {
         let gp = lazy_cycle(8);

@@ -4,7 +4,7 @@ use rand::seq::index::sample;
 use rand::SeedableRng;
 
 use crate::balancer::split_load;
-use crate::{Balancer, FlowPlan, LoadVector};
+use crate::{Balancer, KernelBalancer, KernelRounds};
 
 /// How a [`RoundFairDiffusion`] places the `e = x mod d⁺` surplus
 /// tokens each step.
@@ -116,50 +116,6 @@ impl Balancer for RoundFairDiffusion {
         !matches!(self.rule, RoundingRule::Random { .. })
     }
 
-    fn plan(&mut self, gp: &BalancingGraph, loads: &LoadVector, plan: &mut FlowPlan) {
-        let d_plus = gp.degree_plus();
-        self.step += 1;
-        for u in 0..gp.num_nodes() {
-            let (base, e) = split_load(loads.get(u), d_plus);
-            let flows = plan.node_mut(u);
-            for f in flows.iter_mut() {
-                *f = base;
-            }
-            if e == 0 {
-                continue;
-            }
-            match &self.rule {
-                RoundingRule::FirstPorts => {
-                    for f in flows[..e].iter_mut() {
-                        *f += 1;
-                    }
-                }
-                RoundingRule::RoundRobin => {
-                    let rotor = self.rotors[u];
-                    for i in 0..e {
-                        flows[(rotor + i) % d_plus] += 1;
-                    }
-                    self.rotors[u] = (rotor + e) % d_plus;
-                }
-                RoundingRule::Random { .. } => {
-                    for idx in sample(&mut self.rng, d_plus, e) {
-                        flows[idx] += 1;
-                    }
-                }
-                RoundingRule::LaggedRotor { period } => {
-                    let period = (*period).max(1);
-                    let rotor = self.rotors[u];
-                    for i in 0..e {
-                        flows[(rotor + i) % d_plus] += 1;
-                    }
-                    if self.step.is_multiple_of(period) {
-                        self.rotors[u] = (rotor + e) % d_plus;
-                    }
-                }
-            }
-        }
-    }
-
     fn reset(&mut self) {
         self.rotors.fill(0);
         self.step = 0;
@@ -167,12 +123,62 @@ impl Balancer for RoundFairDiffusion {
             self.rng = StdRng::seed_from_u64(seed);
         }
     }
+
+    fn as_kernel(&mut self) -> &mut dyn KernelRounds {
+        self
+    }
+}
+
+impl KernelBalancer for RoundFairDiffusion {
+    fn kernel_node(&mut self, gp: &BalancingGraph, u: usize, load: i64, flows: &mut [u64]) {
+        let d_plus = gp.degree_plus();
+        let (base, e) = split_load(load, d_plus);
+        flows.fill(base);
+        if e == 0 {
+            return;
+        }
+        match &self.rule {
+            RoundingRule::FirstPorts => {
+                for f in flows[..e].iter_mut() {
+                    *f += 1;
+                }
+            }
+            RoundingRule::RoundRobin => {
+                let rotor = self.rotors[u];
+                for i in 0..e {
+                    flows[(rotor + i) % d_plus] += 1;
+                }
+                self.rotors[u] = (rotor + e) % d_plus;
+            }
+            RoundingRule::Random { .. } => {
+                for idx in sample(&mut self.rng, d_plus, e) {
+                    flows[idx] += 1;
+                }
+            }
+            RoundingRule::LaggedRotor { period } => {
+                let period = (*period).max(1);
+                let rotor = self.rotors[u];
+                for i in 0..e {
+                    flows[(rotor + i) % d_plus] += 1;
+                }
+                if self.step.is_multiple_of(period) {
+                    self.rotors[u] = (rotor + e) % d_plus;
+                }
+            }
+        }
+    }
+
+    /// Counts rounds, which the lagged rotor's advance reads.
+    fn begin_round(&mut self, _gp: &BalancingGraph, _loads: &[i64]) {
+        self.step += 1;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Engine, Run};
+    use crate::kernel::round_rows;
+    use crate::{Engine, LoadVector, Run};
     use dlb_graph::generators;
 
     fn lazy_cycle(n: usize) -> BalancingGraph {
@@ -183,10 +189,8 @@ mod tests {
     fn first_ports_rule_stacks_surplus_at_front() {
         let gp = lazy_cycle(4);
         let mut bal = RoundFairDiffusion::new(&gp, RoundingRule::FirstPorts);
-        let loads = LoadVector::uniform(4, 6); // base 1, e 2
-        let mut plan = FlowPlan::for_graph(&gp);
-        bal.plan(&gp, &loads, &mut plan);
-        assert_eq!(plan.node(0), &[2, 2, 1, 1]);
+        // Load 6: base 1, e 2.
+        assert_eq!(round_rows(&mut bal, &gp, &[6; 4])[0], [2, 2, 1, 1]);
     }
 
     #[test]
@@ -271,13 +275,10 @@ mod tests {
     fn reset_restores_rng_and_rotors() {
         let gp = lazy_cycle(4);
         let mut bal = RoundFairDiffusion::new(&gp, RoundingRule::Random { seed: 3 });
-        let loads = LoadVector::uniform(4, 7);
-        let mut plan1 = FlowPlan::for_graph(&gp);
-        bal.plan(&gp, &loads, &mut plan1);
+        let first = round_rows(&mut bal, &gp, &[7; 4]);
         bal.reset();
-        let mut plan2 = FlowPlan::for_graph(&gp);
-        bal.plan(&gp, &loads, &mut plan2);
-        assert_eq!(plan1, plan2, "reset must replay the same randomness");
+        let second = round_rows(&mut bal, &gp, &[7; 4]);
+        assert_eq!(first, second, "reset must replay the same randomness");
     }
 
     #[test]

@@ -2,7 +2,7 @@ use dlb_graph::BalancingGraph;
 
 use crate::balancer::split_load;
 use crate::kernel::vector::{UniformKernel, UniformSpec};
-use crate::{Balancer, FlowPlan, KernelBalancer, KernelRounds, LoadVector};
+use crate::{Balancer, KernelBalancer, KernelRounds};
 
 /// SEND(⌊x/d⁺⌋): every original edge receives exactly `⌊x/d⁺⌋` tokens;
 /// the rest goes to the self-loops (§1.1).
@@ -53,27 +53,16 @@ impl Balancer for SendFloor {
         true
     }
 
-    fn as_kernel(&mut self) -> Option<&mut dyn KernelRounds> {
-        Some(self)
-    }
-
-    fn plan(&mut self, gp: &BalancingGraph, loads: &LoadVector, plan: &mut FlowPlan) {
-        for u in 0..gp.num_nodes() {
-            let x = loads.get(u);
-            if x == 0 {
-                // Nothing to split: leaving the node untouched keeps the
-                // plan's touched set — and every engine pass — small.
-                continue;
-            }
-            self.plan_node(gp, x, plan.node_mut(u));
-        }
+    fn as_kernel(&mut self) -> &mut dyn KernelRounds {
+        self
     }
 }
 
-impl SendFloor {
-    /// Writes one node's complete `d⁺`-port flows for load `load`: the
-    /// per-node rule behind both [`Balancer::plan`] and the kernel.
-    fn plan_node(self, gp: &BalancingGraph, load: i64, flows: &mut [u64]) {
+/// Stateless: the per-node rule of the reference round. The kernel
+/// rounds never call it: [`uniform_kernel`](KernelBalancer::uniform_kernel)
+/// answers on every graph, so they stream the closed form instead.
+impl KernelBalancer for SendFloor {
+    fn kernel_node(&mut self, gp: &BalancingGraph, _u: usize, load: i64, flows: &mut [u64]) {
         let d = gp.degree();
         let d_plus = gp.degree_plus();
         let d_self = gp.num_self_loops();
@@ -91,16 +80,6 @@ impl SendFloor {
             }
         }
         // d° = 0: surplus is retained implicitly by the engine.
-    }
-}
-
-/// Stateless: the kernel is exactly the per-node plan. The engine never
-/// needs it: [`uniform_kernel`](KernelBalancer::uniform_kernel) answers
-/// on every graph, so the kernel path streams the closed form instead.
-impl KernelBalancer for SendFloor {
-    #[inline]
-    fn kernel_node(&mut self, gp: &BalancingGraph, _u: usize, load: i64, flows: &mut [u64]) {
-        self.plan_node(gp, load, flows);
     }
 
     fn uniform_kernel(&self, gp: &BalancingGraph) -> Option<UniformSpec> {
@@ -129,13 +108,8 @@ impl UniformKernel for SendFloor {
 /// exact witnessed value for any given run).
 ///
 /// Requires `d° ≥ d`; with fewer self-loops, `d·[x/d⁺]` can exceed `x`
-/// and the scheme would overdraw — the constructor refuses such graphs
-/// at planning time via a panic, because this is a class violation, not
-/// a runtime condition.
-///
-/// # Panics
-///
-/// [`Balancer::plan`] panics if the graph has `d° < d`.
+/// and the scheme overdraws, which every engine path rejects as a clean
+/// [`Overdraw`](crate::EngineError::Overdraw).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SendRound {
     _private: (),
@@ -157,31 +131,15 @@ impl Balancer for SendRound {
         true
     }
 
-    fn as_kernel(&mut self) -> Option<&mut dyn KernelRounds> {
-        Some(self)
-    }
-
-    fn plan(&mut self, gp: &BalancingGraph, loads: &LoadVector, plan: &mut FlowPlan) {
-        let d = gp.degree();
-        let d_self = gp.num_self_loops();
-        assert!(
-            d_self >= d,
-            "SEND([x/d+]) requires d° >= d self-loops (got d° = {d_self}, d = {d})"
-        );
-        for u in 0..gp.num_nodes() {
-            let x = loads.get(u);
-            if x == 0 {
-                continue;
-            }
-            self.plan_node(gp, x, plan.node_mut(u));
-        }
+    fn as_kernel(&mut self) -> &mut dyn KernelRounds {
+        self
     }
 }
 
-impl SendRound {
-    /// Writes one node's complete `d⁺`-port flows for load `load`: the
-    /// per-node rule behind both [`Balancer::plan`] and the kernel.
-    fn plan_node(self, gp: &BalancingGraph, load: i64, flows: &mut [u64]) {
+/// Stateless, with saturating arithmetic: on a `d° < d` graph every
+/// path reports the engine's clean `Overdraw`, never a panic.
+impl KernelBalancer for SendRound {
+    fn kernel_node(&mut self, gp: &BalancingGraph, _u: usize, load: i64, flows: &mut [u64]) {
         let d = gp.degree();
         let d_plus = gp.degree_plus();
         let (base, e) = split_load(load, d_plus);
@@ -195,10 +153,9 @@ impl SendRound {
         // originals when rounding up. Each self-loop gets base or
         // base+1 (round-fair), extras first.
         //
-        // round_up ⇒ 2e ≥ d⁺ = d + d°, and `plan` enforces d° ≥ d, so
-        // e ≥ d and the subtraction cannot underflow there. The kernel
-        // entry skips that loud class check, so saturate: on a d° < d
-        // graph the plan then over-sends on the originals and the
+        // round_up ⇒ 2e ≥ d⁺ = d + d°, so with d° ≥ d, e ≥ d and the
+        // subtraction cannot underflow. Saturate anyway: on a d° < d
+        // graph the rule then over-sends on the originals and the
         // engine reports a clean `Overdraw` instead of a u64
         // wrap-around conjuring ~2⁶⁴ surplus tokens.
         // With d° ≥ d, loop_extras ≤ d° always holds; on smaller d° the
@@ -207,16 +164,6 @@ impl SendRound {
         for (i, f) in flows[d..].iter_mut().enumerate() {
             *f = base + u64::from(i < loop_extras);
         }
-    }
-}
-
-/// Stateless: the kernel is exactly the per-node plan (including the
-/// saturating arithmetic — on a `d° < d` graph the kernel path reports
-/// the engine's clean `Overdraw`, never a panic).
-impl KernelBalancer for SendRound {
-    #[inline]
-    fn kernel_node(&mut self, gp: &BalancingGraph, _u: usize, load: i64, flows: &mut [u64]) {
-        self.plan_node(gp, load, flows);
     }
 
     fn uniform_kernel(&self, gp: &BalancingGraph) -> Option<UniformSpec> {
@@ -238,35 +185,35 @@ impl UniformKernel for SendRound {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Engine, Run};
+    use crate::{Engine, EngineError, LoadVector, Run};
     use dlb_graph::generators;
 
     fn lazy_cycle(n: usize) -> BalancingGraph {
         BalancingGraph::lazy(generators::cycle(n).unwrap())
     }
 
+    /// One node's row under `scheme` for load `load`.
+    fn row(scheme: &mut impl KernelBalancer, gp: &BalancingGraph, load: i64) -> Vec<u64> {
+        let mut flows = vec![u64::MAX; gp.degree_plus()];
+        scheme.kernel_node(gp, 0, load, &mut flows);
+        flows
+    }
+
     #[test]
     fn send_floor_plans_floor_on_originals() {
         let gp = lazy_cycle(4); // d = 2, d⁺ = 4
-        let loads = LoadVector::uniform(4, 11); // base 2, e 3
-        let mut plan = FlowPlan::for_graph(&gp);
-        SendFloor::new().plan(&gp, &loads, &mut plan);
-        for u in 0..4 {
-            assert_eq!(plan.node(u)[..2], [2, 2], "originals get the floor");
-            // Self-loops absorb 3 extras: 2+2=4 on loops split as 4, 3.
-            assert_eq!(plan.node(u)[2..], [4, 3]);
-            assert_eq!(plan.node_total(u), 11, "everything is sent");
-        }
+        let flows = row(&mut SendFloor::new(), &gp, 11); // base 2, e 3
+        assert_eq!(flows[..2], [2, 2], "originals get the floor");
+        // Self-loops absorb 3 extras: 2+2=4 on loops split as 4, 3.
+        assert_eq!(flows[2..], [4, 3]);
+        assert_eq!(flows.iter().sum::<u64>(), 11, "everything is sent");
     }
 
     #[test]
     fn send_floor_retains_surplus_without_self_loops() {
         let gp = BalancingGraph::bare(generators::cycle(4).unwrap()); // d⁺ = 2
-        let loads = LoadVector::uniform(4, 5); // base 2, e 1
-        let mut plan = FlowPlan::for_graph(&gp);
-        SendFloor::new().plan(&gp, &loads, &mut plan);
-        assert_eq!(plan.node(0), &[2, 2]);
-        assert_eq!(plan.node_total(0), 4, "one token retained");
+        let flows = row(&mut SendFloor::new(), &gp, 5); // base 2, e 1
+        assert_eq!(flows, [2, 2], "one token retained");
     }
 
     #[test]
@@ -282,26 +229,22 @@ mod tests {
     fn send_round_rounds_half_up() {
         let gp = lazy_cycle(4); // d = 2, d⁺ = 4
                                 // x = 10: base 2, e 2, 2e = 4 >= 4 ⇒ originals get 3.
-        let loads = LoadVector::uniform(4, 10);
-        let mut plan = FlowPlan::for_graph(&gp);
-        SendRound::new().plan(&gp, &loads, &mut plan);
-        assert_eq!(plan.node(0)[..2], [3, 3]);
+        let flows = row(&mut SendRound::new(), &gp, 10);
+        assert_eq!(flows[..2], [3, 3]);
         // loop_extras = 2 − 2 = 0: self-loops get base 2 each.
-        assert_eq!(plan.node(0)[2..], [2, 2]);
-        assert_eq!(plan.node_total(0), 10);
+        assert_eq!(flows[2..], [2, 2]);
+        assert_eq!(flows.iter().sum::<u64>(), 10);
     }
 
     #[test]
     fn send_round_rounds_down_below_half() {
         let gp = lazy_cycle(4);
         // x = 9: base 2, e 1, 2e = 2 < 4 ⇒ originals get 2.
-        let loads = LoadVector::uniform(4, 9);
-        let mut plan = FlowPlan::for_graph(&gp);
-        SendRound::new().plan(&gp, &loads, &mut plan);
-        assert_eq!(plan.node(0)[..2], [2, 2]);
+        let flows = row(&mut SendRound::new(), &gp, 9);
+        assert_eq!(flows[..2], [2, 2]);
         // One extra goes to the first self-loop: round fair.
-        assert_eq!(plan.node(0)[2..], [3, 2]);
-        assert_eq!(plan.node_total(0), 9);
+        assert_eq!(flows[2..], [3, 2]);
+        assert_eq!(flows.iter().sum::<u64>(), 9);
     }
 
     #[test]
@@ -333,44 +276,61 @@ mod tests {
         );
     }
 
+    /// Below its class (here d° = 0 < d) SEND([x/d⁺]) rounds an odd load
+    /// up on both originals, which the reference round rejects.
     #[test]
-    #[should_panic(expected = "requires d°")]
     fn send_round_rejects_insufficient_self_loops() {
-        let gp = BalancingGraph::with_self_loops(generators::cycle(4).unwrap(), 1).unwrap();
-        let loads = LoadVector::uniform(4, 5);
-        let mut plan = FlowPlan::for_graph(&gp);
-        SendRound::new().plan(&gp, &loads, &mut plan);
+        let gp = BalancingGraph::bare(generators::cycle(4).unwrap());
+        let mut engine = Engine::new(gp, LoadVector::uniform(4, 5));
+        let err = engine.step(&mut SendRound::new()).unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::Overdraw {
+                node: 0,
+                load: 5,
+                planned: 6,
+                step: 1
+            }
+        );
+        assert_eq!(engine.loads(), &LoadVector::uniform(4, 5));
     }
 
+    /// The per-node rule, written into a dirty buffer, is exactly the
+    /// row the reference round applies (read back off the monitor's
+    /// ledger after one round from uniform loads).
     #[test]
     fn plan_node_matches_plan_for_both_schemes() {
+        fn applied_row(scheme: &mut impl KernelBalancer, load: i64) -> Vec<u64> {
+            let mut engine = Engine::new(lazy_cycle(4), LoadVector::uniform(4, load));
+            engine.attach_monitor();
+            engine.step(scheme).unwrap();
+            engine.monitor().unwrap().ledger().node(2).to_vec()
+        }
         let gp = lazy_cycle(4);
         for load in [0i64, 1, 3, 7, 10, 11, 999] {
-            let loads = LoadVector::uniform(4, load);
-
-            let mut plan = FlowPlan::for_graph(&gp);
-            SendFloor::new().plan(&gp, &loads, &mut plan);
-            let mut flows = vec![u64::MAX; gp.degree_plus()];
-            SendFloor::new().plan_node(&gp, load, &mut flows);
-            assert_eq!(plan.node(2), flows.as_slice(), "floor, load {load}");
-
-            let mut plan = FlowPlan::for_graph(&gp);
-            SendRound::new().plan(&gp, &loads, &mut plan);
-            let mut flows = vec![u64::MAX; gp.degree_plus()];
-            SendRound::new().plan_node(&gp, load, &mut flows);
-            assert_eq!(plan.node(2), flows.as_slice(), "round, load {load}");
+            let floor = applied_row(&mut SendFloor::new(), load);
+            assert_eq!(
+                row(&mut SendFloor::new(), &gp, load),
+                floor,
+                "floor, {load}"
+            );
+            let round = applied_row(&mut SendRound::new(), load);
+            assert_eq!(
+                row(&mut SendRound::new(), &gp, load),
+                round,
+                "round, {load}"
+            );
         }
     }
 
     #[test]
     fn send_round_plan_node_saturates_instead_of_underflowing() {
         // d° = 0 < d: e = 1 < d = 2 with round-up — exactly the
-        // combination where `e - d` would wrap. The plan must stay
+        // combination where `e - d` would wrap. The row must stay
         // finite (merely over-sending by one, which the engine rejects
         // as a clean overdraw), not conjure ~2^64 tokens.
         let gp = BalancingGraph::bare(generators::cycle(4).unwrap()); // d⁺ = 2
-        let mut flows = vec![0u64; 2];
-        SendRound::new().plan_node(&gp, 11, &mut flows); // base 5, e 1
+        let flows = row(&mut SendRound::new(), &gp, 11); // base 5, e 1
         assert_eq!(flows, vec![6, 6], "round-up on both originals");
         let sent: u64 = flows.iter().sum();
         assert!(sent < 1 << 32, "no underflow-inflated flow");
@@ -379,13 +339,12 @@ mod tests {
     #[test]
     fn zero_load_nodes_are_left_untouched() {
         let gp = lazy_cycle(4);
-        let loads = LoadVector::new(vec![0, 9, 0, 4]);
-        let mut plan = FlowPlan::for_graph(&gp);
-        SendFloor::new().plan(&gp, &loads, &mut plan);
-        let touched: Vec<usize> = plan.touched().collect();
-        assert_eq!(touched, vec![1, 3]);
-        assert_eq!(plan.node_total(0), 0);
-        assert_eq!(plan.node_total(2), 0);
+        let mut engine = Engine::new(gp, LoadVector::new(vec![0, 9, 0, 4]));
+        engine.attach_monitor();
+        engine.step(&mut SendFloor::new()).unwrap();
+        let ledger = engine.monitor().unwrap().ledger();
+        let sent: Vec<u64> = (0..4).map(|u| ledger.node_total(u)).collect();
+        assert_eq!(sent, [0, 9, 0, 4]);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! signed per-node load delta every round, and
 //! [`Engine::run`](crate::Engine::run) takes it as
 //! [`Run::workload`](crate::Run::workload) and applies it under one
-//! round structure shared by the planned and the kernel rounds:
+//! round structure shared by the reference and the kernel rounds:
 //!
 //! 1. **inject** — `x'_t = x_t + w_t`, where `w_t` is the workload's
 //!    delta vector for round `t` computed from the pre-round loads; a
@@ -19,8 +19,8 @@
 //!    [`InjectionOverflow`](crate::EngineError::InjectionOverflow);
 //! 2. **check** — non-overdrawing schemes reject any negative
 //!    post-injection load ([`NegativeLoad`](crate::EngineError::NegativeLoad));
-//! 3. **plan + validate + route** — the scheme balances `x'_t` exactly
-//!    as in the closed system.
+//! 3. **balance** — the scheme balances `x'_t` exactly as in the closed
+//!    system.
 //!
 //! A round that errors (at the check or at validation) **keeps no part
 //! of its injection**: the engine undoes the already-applied deltas, so

@@ -292,7 +292,7 @@ impl RegularGraph {
 /// neighbours are all asleep are skipped: debt stays where it is, and a
 /// fully isolated failure keeps its queue until a neighbour recovers —
 /// and, because schemes are topology-oblivious and "asleep nodes never
-/// plan" is enforced purely by this draining, an isolated failure
+/// send" is enforced purely by this draining, an isolated failure
 /// *keeps balancing* that retained queue (its rotor included) until
 /// then; all execution paths agree on that corner bit for bit.
 /// The handoff sums to zero, so token conservation is untouched.

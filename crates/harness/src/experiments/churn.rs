@@ -19,18 +19,22 @@
 //!   pin the minimum load near zero — reported honestly),
 //! * the **events applied** (how much churn actually landed), and
 //! * a **bit-identity verdict**: the same rounds of churn + injection
-//!   are replayed one planned round per call, in one
-//!   [`Path::Planned`] run and in one [`Path::Auto`] run (the kernel
+//!   are replayed one reference round per call, in one
+//!   [`Path::Reference`] run and in one [`Path::Auto`] run (the kernel
 //!   rounds), each with freshly built — hence stream-identical —
 //!   schedule and workload, and every path must reproduce the
 //!   reference **loads, injected totals, event counts,
 //!   final graph (adjacency, port numbering and sleep state), and —
-//!   for the rotor-router — rotor state** exactly.
+//!   for the rotor-router — rotor state** exactly. Both rounds call the
+//!   scheme's one per-node rule; what differs is the round body around
+//!   it.
 //!
 //! Every row also reports `validation_ns` — the cumulative time the
 //! schedule spent generating and connectivity-validating candidate
 //! events (the dynamic-connectivity structure's cost, broken out of
-//! the balancing time) — and the swap-delivery accounting
+//! the balancing time; a wall-clock counter on the schedule, which a
+//! restored schedule cursor does not carry, so it is the one column
+//! that differs between runs) — and the swap-delivery accounting
 //! (`swap_shortfall` = requested − emitted). The tests gate on
 //! `swap_shortfall == 0` for the default schedules: a burst that
 //! silently under-delivers is a regression of the split retry budgets.
@@ -222,7 +226,7 @@ fn churn_rows(quick: bool) -> Result<Vec<ChurnRow>, RunError> {
         for scheme in &schemes {
             for sspec in &schedule_specs(n, rounds) {
                 for wspec in &workload_specs(n) {
-                    // The metric run: scenario phases, one planned
+                    // The metric run: scenario phases, one reference
                     // round at a time.
                     let mut bal = scheme.build(&gp)?;
                     let mut schedule = sspec.build();
@@ -245,14 +249,14 @@ fn churn_rows(quick: bool) -> Result<Vec<ChurnRow>, RunError> {
                     // Cross-path bit-identity under this churn ×
                     // workload cell, rotor state and final graph
                     // included.
-                    let per_round = (1, Path::Planned);
+                    let per_round = (1, Path::Reference);
                     let reference =
                         drive_path(&gp, scheme, sspec, wspec, &initial, rounds, per_round)?;
                     let mut paths = 1usize;
                     let mut identical = reference.loads == report.loads_after_injection
                         && reference.injected == report.injected_total
                         && reference.events == report.topology_events;
-                    for path in [Path::Planned, Path::Auto] {
+                    for path in [Path::Reference, Path::Auto] {
                         let outcome = drive_path(
                             &gp,
                             scheme,

@@ -16,11 +16,14 @@
 //!   the cycle at full size legitimately needs more rounds than the
 //!   budget), and
 //! * a **bit-identity** verdict: the same `rounds` of injection are
-//!   replayed one planned round at a time (the scenario's own run), in
-//!   one [`Path::Planned`] run and in one [`Path::Auto`] run (the
-//!   kernel rounds for the kernel schemes), each with a freshly built —
-//!   hence stream-identical — workload, and every path must reproduce
-//!   the reference loads and injected totals exactly.
+//!   replayed one reference round at a time (the scenario's own run),
+//!   in one [`Path::Reference`] run and in one [`Path::Auto`] run (the
+//!   kernel rounds), each with a freshly built — hence stream-identical
+//!   — workload, and every path must reproduce the reference loads and
+//!   injected totals exactly. The reference round and the kernel rounds
+//!   call the same per-node rule, so the verdict checks the round
+//!   bodies around it: the closed-form stream and the flow buffer
+//!   against the reference round's node-by-node routing.
 //!
 //! The rows render as a text table (and as CSV under `--csv`).
 
@@ -146,7 +149,7 @@ fn scenario_rows(quick: bool) -> Result<Vec<ScenarioRow>, RunError> {
 
                 // Cross-path bit-identity under this workload. The
                 // scenario's own injection phase *is* the per-round
-                // planned run (a fresh build of the same spec replays
+                // reference run (a fresh build of the same spec replays
                 // the identical delta stream), so its end-of-injection
                 // state is the reference — no second per-round replay.
                 let ref_loads = report.loads_after_injection.clone();
@@ -163,7 +166,7 @@ fn scenario_rows(quick: bool) -> Result<Vec<ScenarioRow>, RunError> {
                     wspec,
                     &initial,
                     rounds,
-                    Path::Planned,
+                    Path::Reference,
                 )?);
                 check(run_path(&gp, scheme, wspec, &initial, rounds, Path::Auto)?);
 

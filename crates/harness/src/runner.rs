@@ -35,7 +35,7 @@ pub struct RunOutcome {
 }
 
 /// Errors from experiment runs: either the instance could not be built
-/// or the engine rejected a plan.
+/// or the engine rejected a round.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum RunError {
@@ -121,7 +121,7 @@ impl Runner {
     /// # Errors
     ///
     /// Returns [`RunError`] if the scheme cannot be built for `gp` or
-    /// the engine rejects a plan.
+    /// the engine rejects a round.
     pub fn run_for(
         &self,
         gp: &BalancingGraph,
@@ -138,7 +138,7 @@ impl Runner {
     /// # Errors
     ///
     /// Returns [`RunError`] if the scheme cannot be built for `gp` or
-    /// the engine rejects a plan.
+    /// the engine rejects a round.
     pub fn run_to_discrepancy(
         &self,
         gp: &BalancingGraph,

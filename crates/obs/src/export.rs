@@ -6,7 +6,7 @@
 
 use crate::sink::{Event, EventKind};
 
-/// One JSON object per line: `{"phase":"plan","kind":"span",...}`.
+/// One JSON object per line: `{"phase":"stream","kind":"span",...}`.
 ///
 /// All fields are numbers or fixed enum strings, so no escaping is
 /// ever needed.
@@ -78,7 +78,7 @@ mod tests {
         vec![
             Event {
                 kind: EventKind::Span,
-                phase: Phase::Plan,
+                phase: Phase::Stream,
                 step: 1,
                 at_ns: 1500,
                 dur_ns: 250,
@@ -100,7 +100,7 @@ mod tests {
         let text = events_jsonl(&sample());
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("{\"phase\":\"plan\",\"kind\":\"span\""));
+        assert!(lines[0].starts_with("{\"phase\":\"stream\",\"kind\":\"span\""));
         assert!(lines[0].contains("\"dur_ns\":250"));
         assert!(lines[1].contains("\"phase\":\"vector_dispatch\""));
         assert!(lines[1].contains("\"value\":3"));

@@ -1,8 +1,7 @@
 //! # dlb-obs — zero-cost tracing and metrics for the balancing stack
 //!
-//! Every execution path in the workspace — the planned serial
-//! round, the plan-free streaming kernel, the vectorized uniform
-//! rounds (serial or range-split) and the multi-tenant server —
+//! Every execution path in the workspace — the engine's reference
+//! round, the streaming kernel, the vectorized uniform rounds (serial or range-split) and the multi-tenant server —
 //! shares one phase vocabulary ([`Phase`]) and one probe mechanism
 //! ([`Sink`]). The design follows the `dlb_core::sync` facade
 //! precedent from the concurrency gate: the probe surface is a trait
@@ -11,8 +10,7 @@
 //!
 //! * [`NoopSink`] (`ENABLED = false`) compiles **every** probe to
 //!   nothing — the traced entry points with a noop sink produce the
-//!   same machine code as the untraced ones, which is what the ≤ 5%
-//!   overhead gate in the harness measures; and
+//!   same machine code as the untraced ones; and
 //! * [`RingSink`] (`ENABLED = true`) records fixed-size [`Event`]s
 //!   into a preallocated ring buffer — no allocation on the hot path,
 //!   and **no influence on the computation**: sinks observe loads and

@@ -4,9 +4,9 @@ use std::time::Instant;
 
 /// A named phase of the system, shared by every execution path.
 ///
-/// Serial rounds decompose into `Mutate → Inject → Handoff → Plan →
-/// Validate → Route`; the streaming kernel fuses the last three into
-/// `Stream`; the server reports the slice pipeline (`Ticket → Lock →
+/// Rounds decompose into `Mutate → Inject → Handoff → Stream`, where
+/// `Stream` is the round's flows, on the reference and the scalar
+/// kernel rounds alike; the server reports the slice pipeline (`Ticket → Lock →
 /// TenantStep → SliceMerge`). `VectorDispatch` is an instant event carrying the
 /// dispatch decision for a vectorized run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -18,13 +18,7 @@ pub enum Phase {
     Inject,
     /// Asleep-queue handoff deltas folded in after injection.
     Handoff,
-    /// Balancer planning (per-node flow proposals).
-    Plan,
-    /// Fairness/overdraw validation of the proposed flows.
-    Validate,
-    /// Applying validated flows to the load vector.
-    Route,
-    /// The kernel's fused plan+validate+route streaming pass.
+    /// The round's flows: each node's rule, validated and applied.
     Stream,
     /// Vector-kernel dispatch decision (value encodes the strategy).
     VectorDispatch,
@@ -41,16 +35,13 @@ pub enum Phase {
 }
 
 /// Number of distinct [`Phase`] values (size for per-phase arrays).
-pub const PHASE_COUNT: usize = 13;
+pub const PHASE_COUNT: usize = 10;
 
 /// All phases, in declaration order (index = `Phase::index`).
 const ALL_PHASES: [Phase; PHASE_COUNT] = [
     Phase::Mutate,
     Phase::Inject,
     Phase::Handoff,
-    Phase::Plan,
-    Phase::Validate,
-    Phase::Route,
     Phase::Stream,
     Phase::VectorDispatch,
     Phase::Ticket,
@@ -78,9 +69,6 @@ impl Phase {
             Phase::Mutate => "mutate",
             Phase::Inject => "inject",
             Phase::Handoff => "handoff",
-            Phase::Plan => "plan",
-            Phase::Validate => "validate",
-            Phase::Route => "route",
             Phase::Stream => "stream",
             Phase::VectorDispatch => "vector_dispatch",
             Phase::Ticket => "ticket",
@@ -317,7 +305,7 @@ mod tests {
         for i in 0..10u64 {
             sink.record(Event {
                 kind: EventKind::Span,
-                phase: Phase::Plan,
+                phase: Phase::Stream,
                 step: i,
                 at_ns: i * 100,
                 dur_ns: 5,
@@ -331,8 +319,8 @@ mod tests {
         // Oldest-first: steps 6..10 survive.
         let steps: Vec<u64> = events.iter().map(|e| e.step).collect();
         assert_eq!(steps, vec![6, 7, 8, 9]);
-        assert_eq!(sink.phase_ns(Phase::Plan), 50);
-        assert_eq!(sink.phase_count(Phase::Plan), 10);
+        assert_eq!(sink.phase_ns(Phase::Stream), 50);
+        assert_eq!(sink.phase_count(Phase::Stream), 10);
     }
 
     #[test]
@@ -341,7 +329,7 @@ mod tests {
         assert_eq!(sink.start(), 0);
         // These must be no-ops (nothing to assert beyond not crashing:
         // the real guarantee is ENABLED = false folding the guards).
-        sink.span(Phase::Plan, 0, 0);
+        sink.span(Phase::Stream, 0, 0);
         sink.instant(Phase::VectorDispatch, 0, 7);
         const { assert!(!NoopSink::ENABLED) }
     }
@@ -350,11 +338,11 @@ mod tests {
     fn span_helper_records_duration_under_the_right_phase() {
         let mut sink = RingSink::with_capacity(8);
         let t0 = sink.start();
-        sink.span(Phase::Route, 3, t0);
-        assert_eq!(sink.phase_count(Phase::Route), 1);
+        sink.span(Phase::Mutate, 3, t0);
+        assert_eq!(sink.phase_count(Phase::Mutate), 1);
         let ev = sink.events()[0];
         assert_eq!(ev.kind, EventKind::Span);
-        assert_eq!(ev.phase, Phase::Route);
+        assert_eq!(ev.phase, Phase::Mutate);
         assert_eq!(ev.step, 3);
         sink.instant(Phase::VectorDispatch, 3, 42);
         let ev = sink.events()[1];

@@ -26,7 +26,7 @@
 //! Every generator is deterministic (explicit seeds, the vendored
 //! deterministic RNG) and replayable via [`Workload::reset`], which is
 //! what lets the scenario harness drive *every* engine execution path
-//! (the planned round and the kernel rounds) with bit-identical
+//! (the reference round and the kernel rounds) with bit-identical
 //! injection streams and assert bit-identical loads.
 
 #![forbid(unsafe_code)]

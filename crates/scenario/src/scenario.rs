@@ -19,7 +19,7 @@
 //!    **time to recover** after a burst. `None` means the threshold was
 //!    not reached within the budget (reported honestly, not an error).
 //!
-//! The runner takes one planned round at a time with the engine's
+//! The runner takes one reference round at a time with the engine's
 //! counted `summary` for the injection phase (it reads per-round
 //! statistics anyway), and a `step` loop for recovery.
 
@@ -286,7 +286,7 @@ impl Scenario {
             let one_round = Run {
                 schedule: schedule.as_deref_mut(),
                 workload: Some(&mut *workload),
-                path: Path::Planned,
+                path: Path::Reference,
                 ..Run::new(1)
             };
             engine.run(balancer, one_round)?;

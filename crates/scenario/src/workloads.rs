@@ -610,7 +610,7 @@ mod tests {
                 &mut SendFloor::new(),
                 Run {
                     workload: Some(&mut planned),
-                    path: Path::Planned,
+                    path: Path::Reference,
                     ..Run::new(60)
                 },
             )
@@ -655,7 +655,7 @@ mod tests {
                 &mut SendFloor::new(),
                 Run {
                     workload: Some(&mut planned),
-                    path: Path::Planned,
+                    path: Path::Reference,
                     ..Run::new(40)
                 },
             )

@@ -40,8 +40,10 @@ use crate::wire::{Reader, WireError, Writer};
 
 /// Magic tag opening every snapshot.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"DLBSNAP1";
-/// Format version written by this build.
-pub const SNAPSHOT_VERSION: u16 = 1;
+/// Format version written by this build. Version 2 dropped the
+/// wall-clock word from schedule cursors and the two engine errors no
+/// round raises any more; this build decodes version 2 only.
+pub const SNAPSHOT_VERSION: u16 = 2;
 
 /// Which balancing scheme a tenant runs.
 ///
@@ -479,14 +481,6 @@ pub(crate) fn encode_error(w: &mut Writer, error: Option<&EngineError>) {
             w.u64(*planned);
             w.u64(*step as u64);
         }
-        Some(EngineError::ShapeMismatch {
-            expected_nodes,
-            found_nodes,
-        }) => {
-            w.u8(2);
-            w.u64(*expected_nodes as u64);
-            w.u64(*found_nodes as u64);
-        }
         Some(EngineError::NegativeLoad { node, load, step }) => {
             w.u8(3);
             w.u64(*node as u64);
@@ -498,22 +492,10 @@ pub(crate) fn encode_error(w: &mut Writer, error: Option<&EngineError>) {
             w.u64(*step as u64);
             w.str(reason);
         }
-        Some(EngineError::WorkerPanic { step, message }) => {
-            w.u8(5);
-            w.u64(*step as u64);
-            w.str(message);
-        }
         Some(EngineError::InjectionOverflow { node, step }) => {
             w.u8(6);
             w.u64(*node as u64);
             w.u64(*step as u64);
-        }
-        // `EngineError` is non_exhaustive; a variant added upstream
-        // must grow a tag here before snapshots can carry it.
-        Some(other) => {
-            w.u8(5);
-            w.u64(0);
-            w.str(&other.to_string());
         }
     }
 }
@@ -528,10 +510,6 @@ pub(crate) fn decode_error(r: &mut Reader<'_>) -> Result<Option<EngineError>, Wi
             planned: r.u64()?,
             step: r.len64()?,
         }),
-        2 => Some(EngineError::ShapeMismatch {
-            expected_nodes: r.len64()?,
-            found_nodes: r.len64()?,
-        }),
         3 => Some(EngineError::NegativeLoad {
             node: r.len64()?,
             load: r.i64()?,
@@ -540,10 +518,6 @@ pub(crate) fn decode_error(r: &mut Reader<'_>) -> Result<Option<EngineError>, Wi
         4 => Some(EngineError::Topology {
             step: r.len64()?,
             reason: r.str()?,
-        }),
-        5 => Some(EngineError::WorkerPanic {
-            step: r.len64()?,
-            message: r.str()?,
         }),
         6 => Some(EngineError::InjectionOverflow {
             node: r.len64()?,
@@ -815,10 +789,6 @@ mod tests {
                 planned: 9,
                 step: 12,
             }),
-            Some(EngineError::ShapeMismatch {
-                expected_nodes: 8,
-                found_nodes: 4,
-            }),
             Some(EngineError::NegativeLoad {
                 node: 1,
                 load: -2,
@@ -827,10 +797,6 @@ mod tests {
             Some(EngineError::Topology {
                 step: 7,
                 reason: "double sleep".into(),
-            }),
-            Some(EngineError::WorkerPanic {
-                step: 2,
-                message: "boom".into(),
             }),
             Some(EngineError::InjectionOverflow { node: 0, step: 2 }),
         ];
@@ -923,6 +889,34 @@ mod tests {
         let slot0 = 8 + 2 + 24;
         forged[slot0..slot0 + 4].copy_from_slice(&0u32.to_le_bytes());
         assert!(TenantSnapshot::decode(&forged).is_err());
+    }
+
+    /// A version-1 snapshot — whose schedule cursors carried a
+    /// wall-clock word — is a typed decode error, not a misread.
+    #[test]
+    fn version_one_snapshots_are_rejected() {
+        let mut bytes = sample_snapshot().encode();
+        bytes[8..10].copy_from_slice(&1u16.to_le_bytes());
+        let err = TenantSnapshot::decode(&bytes).unwrap_err();
+        assert_eq!(err.offset, 8);
+        assert!(
+            err.reason.contains("unsupported snapshot version 1"),
+            "{err}"
+        );
+    }
+
+    /// The error tags of the variants version 2 dropped are unknown.
+    #[test]
+    fn dropped_error_tags_are_rejected() {
+        for tag in [2u8, 5] {
+            let mut w = Writer::new();
+            w.u8(tag);
+            w.u64(0);
+            w.u64(0);
+            let bytes = w.into_bytes();
+            let err = decode_error(&mut Reader::new(&bytes)).unwrap_err();
+            assert!(err.reason.contains("unknown error tag"), "{err}");
+        }
     }
 
     /// A forged header of `2⁴⁰` nodes of degree 0 needs no adjacency

@@ -491,9 +491,7 @@ impl Tenant {
                 // The erroring round rolled back, so step_count() is
                 // the last completed round; replay must still attempt
                 // the next round to reproduce the error.
-                let through = error_step(&e)
-                    .map(|s| s as u64)
-                    .unwrap_or(self.engine.step_count() as u64 + 1);
+                let through = error_step(&e) as u64;
                 self.journal.record_advance(through);
                 self.journal.record_error(&e);
                 self.error = Some(e);
@@ -658,15 +656,12 @@ impl Tenant {
     }
 }
 
-fn error_step(e: &EngineError) -> Option<usize> {
+fn error_step(e: &EngineError) -> usize {
     match e {
         EngineError::Overdraw { step, .. }
         | EngineError::NegativeLoad { step, .. }
         | EngineError::Topology { step, .. }
-        | EngineError::InjectionOverflow { step, .. }
-        | EngineError::WorkerPanic { step, .. } => Some(*step),
-        EngineError::ShapeMismatch { .. } => None,
-        _ => None,
+        | EngineError::InjectionOverflow { step, .. } => *step,
     }
 }
 

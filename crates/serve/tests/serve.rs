@@ -521,10 +521,7 @@ fn journals_keep_a_window_of_rounds_whatever_the_batching() {
             let contents = live.journal().decode().unwrap();
             let tag = format!("{scheme:?}, batches of {batch}");
             assert_eq!(live.checkpoints(), 3, "{tag}");
-            let mut twin_base = TenantSnapshot::decode(&twin.snapshot()).unwrap();
-            // Word 9 of the churn cursor is the wall-clock time the swap
-            // validation took, which no two runs share.
-            twin_base.schedule_cursor[9] = contents.base.schedule_cursor[9];
+            let twin_base = TenantSnapshot::decode(&twin.snapshot()).unwrap();
             assert_eq!(contents.base, twin_base, "{tag}");
             assert_eq!(contents.rounds, expected.rounds, "{tag}");
             assert_eq!(contents.through_round, ROUNDS as u64, "{tag}");
@@ -539,6 +536,23 @@ fn journals_keep_a_window_of_rounds_whatever_the_batching() {
                 "{tag}"
             );
         }
+    }
+}
+
+/// Resumable state is pure state: two tenants that ran the same rounds
+/// under churn, one of them resumed from a mid-run snapshot, snapshot
+/// to the same bytes — no timing or other run-dependent word in them.
+#[test]
+fn twin_snapshots_are_equal_byte_for_byte() {
+    for scheme in SCHEMES {
+        let mut whole = churn_and_steady(scheme);
+        let mut split = churn_and_steady(scheme);
+        run_to(&mut whole, 2 * WINDOW + 3, 7);
+        run_to(&mut split, WINDOW + 1, 5);
+        let mut resumed = Tenant::resume_from_snapshot(&split.snapshot()).unwrap();
+        run_to(&mut resumed, 2 * WINDOW + 3, 5);
+        assert_eq!(whole.snapshot(), resumed.snapshot(), "{scheme:?}");
+        assert_eq!(whole.snapshot(), whole.snapshot(), "{scheme:?}");
     }
 }
 
@@ -701,16 +715,6 @@ fn traced_slice_matches_an_untraced_twin_and_spans_every_ticket() {
     }
     assert_eq!(sink.phase_count(Phase::Slice), 2);
     assert!(sink.events().iter().all(|ev| ev.kind == EventKind::Span));
-
-    // The rewiring cursor's last word is the wall-clock time its swap
-    // validation took, which no two runs share.
-    let comparable = |bytes: Vec<u8>| {
-        let mut snapshot = TenantSnapshot::decode(&bytes).unwrap();
-        if matches!(snapshot.schedule, ScheduleSpec::Periodic { .. }) {
-            *snapshot.schedule_cursor.last_mut().unwrap() = 0;
-        }
-        snapshot
-    };
     for (i, (a, b)) in traced
         .into_tenants()
         .iter()
@@ -718,10 +722,6 @@ fn traced_slice_matches_an_untraced_twin_and_spans_every_ticket() {
         .enumerate()
     {
         assert_eq!(a.outcome(), b.outcome(), "tenant {i}");
-        assert_eq!(
-            comparable(a.snapshot()),
-            comparable(b.snapshot()),
-            "tenant {i}"
-        );
+        assert_eq!(a.snapshot(), b.snapshot(), "tenant {i}");
     }
 }

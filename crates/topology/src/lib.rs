@@ -203,8 +203,8 @@ impl TopologySchedule for StaticTopology {
 /// prefix is undone, `applied` is cleared, and the graph is exactly as
 /// it was on entry.
 ///
-/// This is the single application path shared by the serial engine
-/// and the plan-free kernel rounds, so the execution paths cannot drift
+/// This is the single application path shared by the reference round
+/// and the kernel rounds, so the execution paths cannot drift
 /// apart in how churn lands or rolls back.
 ///
 /// # Errors

@@ -221,10 +221,11 @@ impl TopologySchedule for PeriodicRewiring {
         self.validation_ns
     }
 
-    // RNG position plus the cumulative accounting; the probe graph and
+    // RNG position plus the swap accounting; the probe graph and
     // connectivity structure are self-re-anchoring caches (the slot
     // compare rebuilds them from the observed graph), so they are
-    // deliberately not part of the cursor.
+    // deliberately not part of the cursor, and neither is the
+    // wall-clock validation time, which no two runs share.
     fn cursor_into(&self, out: &mut Vec<u64>) {
         out.extend(self.rng.state());
         out.extend([
@@ -232,13 +233,11 @@ impl TopologySchedule for PeriodicRewiring {
             self.shortfall.emitted,
             self.shortfall.simplicity_rejects,
             self.shortfall.connectivity_rejects,
-            self.validation_ns,
         ]);
     }
 
     fn restore_cursor(&mut self, cursor: &[u64]) -> bool {
-        let [s0, s1, s2, s3, requested, emitted, simplicity, connectivity, validation_ns] = *cursor
-        else {
+        let [s0, s1, s2, s3, requested, emitted, simplicity, connectivity] = *cursor else {
             return false;
         };
         if !counters_fit(&cursor[4..]) {
@@ -251,7 +250,6 @@ impl TopologySchedule for PeriodicRewiring {
             simplicity_rejects: simplicity,
             connectivity_rejects: connectivity,
         };
-        self.validation_ns = validation_ns;
         // Force a re-anchor on the restored graph rather than trusting
         // caches from whatever run this instance saw before.
         self.probe = None;
@@ -603,15 +601,16 @@ impl TopologySchedule for AdversarialCut {
         self.validation_ns
     }
 
-    // Fully deterministic in the observed graph; only the perf
-    // accounting crosses a checkpoint. The connectivity structure is
-    // rebuilt every emitting round anyway.
+    // Fully deterministic in the observed graph; only the scan
+    // accounting crosses a checkpoint (not the wall-clock validation
+    // time). The connectivity structure is rebuilt every emitting round
+    // anyway.
     fn cursor_into(&self, out: &mut Vec<u64>) {
-        out.extend([self.scans, self.probes, self.validation_ns]);
+        out.extend([self.scans, self.probes]);
     }
 
     fn restore_cursor(&mut self, cursor: &[u64]) -> bool {
-        let [scans, probes, validation_ns] = *cursor else {
+        let [scans, probes] = *cursor else {
             return false;
         };
         if !counters_fit(cursor) {
@@ -619,7 +618,6 @@ impl TopologySchedule for AdversarialCut {
         }
         self.scans = scans;
         self.probes = probes;
-        self.validation_ns = validation_ns;
         self.conn = None;
         true
     }
@@ -1220,12 +1218,9 @@ mod tests {
         assert!(!s.restore_cursor(&[1, 2, 3]), "too short for the header");
         assert!(!s.restore_cursor(&[1, 2, 3, 4, 9, 0]), "slept length lies");
         let mut s = Compose::new(vec![Box::new(AdversarialCut::new(1))]);
-        assert!(!s.restore_cursor(&[7, 0, 0, 0]), "frame longer than cursor");
-        assert!(
-            !s.restore_cursor(&[3, 0, 0, 0, 5]),
-            "trailing words rejected"
-        );
-        assert!(s.restore_cursor(&[3, 0, 0, 0]));
+        assert!(!s.restore_cursor(&[7, 0, 0]), "frame longer than cursor");
+        assert!(!s.restore_cursor(&[2, 0, 0, 5]), "trailing words rejected");
+        assert!(s.restore_cursor(&[2, 0, 0]));
         // StaticTopology is stateless: only the empty cursor fits.
         let mut st = crate::StaticTopology;
         assert!(st.cursor().is_empty());
@@ -1244,11 +1239,42 @@ mod tests {
         words[4] = u64::MAX;
         assert!(!s.restore_cursor(&words), "requested swaps");
         let mut words = s.cursor();
-        words[8] = 1 << 63;
-        assert!(!s.restore_cursor(&words), "validation time");
+        words[7] = 1 << 63;
+        assert!(!s.restore_cursor(&words), "connectivity rejects");
         let mut s = AdversarialCut::new(1);
-        assert!(s.restore_cursor(&[i64::MAX as u64, 0, 0]));
-        assert!(!s.restore_cursor(&[u64::MAX, 0, 0]));
+        assert!(s.restore_cursor(&[i64::MAX as u64, 0]));
+        assert!(!s.restore_cursor(&[u64::MAX, 0]));
+    }
+
+    /// The wall-clock validation time is a counter on the schedule, not
+    /// state: no cursor carries it, so two runs of the same spec
+    /// checkpoint to the same words, and a restore leaves it alone.
+    #[test]
+    fn cursors_carry_no_timing() {
+        let run = || {
+            let mut s = ScheduleSpec::Churn {
+                period: 1,
+                swaps: 2,
+                fail_pct: 30,
+                max_down: 2,
+                seed: 5,
+            }
+            .build()
+            .expect("a dynamic schedule");
+            let mut g = generators::cycle(12).unwrap();
+            let _ = collect(s.as_mut(), &mut g, 6);
+            s
+        };
+        let (a, b) = (run(), run());
+        assert!(a.validation_nanos() > 0);
+        assert_eq!(a.cursor(), b.cursor());
+        let mut c = AdversarialCut::new(1);
+        let mut g = generators::random_regular(32, 4, 9).unwrap();
+        let _ = collect(&mut c, &mut g, 3);
+        let spent = c.validation_nanos();
+        assert!(spent > 0);
+        assert!(c.restore_cursor(&AdversarialCut::new(1).cursor()));
+        assert_eq!(c.validation_nanos(), spent, "restore keeps the counter");
     }
 
     /// Every spec `validate` accepts builds, and the ones it rejects

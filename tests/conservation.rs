@@ -183,7 +183,7 @@ proptest! {
             let mut bal = scheme.build(&gp).unwrap();
             let mut workload = Recording::new(wspec.build(n));
             let mut engine = Engine::new(gp.clone(), initial.clone());
-            engine.run(bal.as_mut(), Run { workload: Some(&mut workload), path: Path::Planned, ..Run::new(steps) }).unwrap();
+            engine.run(bal.as_mut(), Run { workload: Some(&mut workload), path: Path::Reference, ..Run::new(steps) }).unwrap();
             prop_assert_eq!(
                 engine.injected_total(), workload.cumulative,
                 "{} under {}: engine counter disagrees with the workload record",
@@ -197,8 +197,8 @@ proptest! {
     }
 
     /// Open-system conservation, every execution path: the law holds —
-    /// with the *same* cumulative delta — through one planned round per
-    /// call, one planned run and the kernel rounds (scalar
+    /// with the *same* cumulative delta — through one reference round
+    /// per call, one reference run and the kernel rounds (scalar
     /// rotor-router and SEND kernels).
     #[test]
     fn every_path_conserves_total_plus_cumulative_delta(
@@ -212,13 +212,13 @@ proptest! {
         let total = initial.total();
         let wspec = &conserving_workloads()[workload_idx];
 
-        // Reference cumulative delta from the per-round planned path.
+        // Reference cumulative delta from the per-round reference path.
         let expected = {
             let mut workload = Recording::new(wspec.build(n));
             let mut bal = SendFloor::new();
             let mut engine = Engine::new(gp.clone(), initial.clone());
             for _ in 0..steps {
-                engine.run(&mut bal, Run { workload: Some(&mut workload), path: Path::Planned, ..Run::new(1) }).unwrap();
+                engine.run(&mut bal, Run { workload: Some(&mut workload), path: Path::Reference, ..Run::new(1) }).unwrap();
             }
             prop_assert_eq!(engine.loads().total(), total + workload.cumulative);
             workload.cumulative
@@ -227,7 +227,7 @@ proptest! {
         let mut engine = Engine::new(gp.clone(), initial.clone());
         let mut workload = wspec.build(n);
         engine
-            .run(&mut SendRound::new(), Run { workload: Some(workload.as_mut()), path: Path::Planned, ..Run::new(steps) })
+            .run(&mut SendRound::new(), Run { workload: Some(workload.as_mut()), path: Path::Reference, ..Run::new(steps) })
             .unwrap();
         prop_assert_eq!(engine.loads().total(), total + engine.injected_total());
 

@@ -58,15 +58,14 @@ fn user_written_balancer_plugs_into_everything() {
         fn name(&self) -> &'static str {
             "firehose"
         }
-        fn plan(
-            &mut self,
-            gp: &dlb::graph::BalancingGraph,
-            loads: &LoadVector,
-            plan: &mut dlb::core::FlowPlan,
-        ) {
-            for u in 0..gp.num_nodes() {
-                plan.set(u, 0, loads.get(u).max(0) as u64);
-            }
+        fn as_kernel(&mut self) -> &mut dyn dlb::core::KernelRounds {
+            self
+        }
+    }
+    impl dlb::core::KernelBalancer for Firehose {
+        fn kernel_node(&mut self, _: &BalancingGraph, _: usize, load: i64, flows: &mut [u64]) {
+            flows.fill(0);
+            flows[0] = load.max(0) as u64;
         }
     }
 

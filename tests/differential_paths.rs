@@ -1,8 +1,8 @@
 //! Differential fuzzing of the engine's execution paths.
 //!
-//! One semantics, four implementations: a loop of one-round planned
-//! `Engine::run` calls, one `Path::Planned` run, one `Path::Auto` run
-//! (the plan-free kernel rounds for every kernel scheme), and — on
+//! One semantics, four implementations: a loop of one-round reference
+//! `Engine::run` calls, one `Path::Reference` run, one `Path::Auto` run
+//! (the kernel rounds), and — on
 //! static, closed runs — the range-split `run_parallel` at 1–4
 //! threads. This suite
 //! drives randomized scheme × graph × load × workload × **topology
@@ -34,9 +34,14 @@
 //! flow phase would otherwise wrap on (`InjectionOverflow`, rolled back
 //! like `NegativeLoad`).
 
-use dlb::core::schemes::{RotorRouter, RotorRouterStar, SendFloor, SendRound};
+use dlb::bounds::FixedFlowBalancer;
+use dlb::core::schemes::{
+    ContinuousMimic, GoodBalancer, QuasirandomDiffusion, RandomizedEdgeRounding,
+    RandomizedExtraTokens, RotorRouter, RotorRouterStar, RoundFairDiffusion, RoundingRule,
+    SendFloor, SendRound,
+};
 use dlb::core::{
-    Balancer, Engine, EngineError, FlowPlan, KernelBalancer, KernelRounds, LoadVector, Path, Run,
+    Balancer, Engine, EngineError, KernelBalancer, KernelRounds, LoadVector, Path, Run,
     TopologySchedule, VectorConfig, VectorStats, VectorStrategy, VectorWidth, Workload,
 };
 use dlb::graph::{generators, BalancingGraph, PortOrder, RegularGraph};
@@ -118,8 +123,7 @@ fn schedule_for(idx: usize) -> Option<ScheduleSpec> {
 /// A deliberately fragile scheme: every non-empty node sends exactly 3
 /// tokens over port 0 while claiming it never overdraws — so once an
 /// injection round erodes a node below 3, the engine must reject the
-/// round. Implemented identically on the planned and kernel entry
-/// points, it turns the fuzzer's drain workloads into a source of
+/// round. It turns the fuzzer's drain workloads into a source of
 /// mid-run `Overdraw` divergence points.
 #[derive(Clone, Copy)]
 struct Const3;
@@ -131,26 +135,21 @@ impl Balancer for Const3 {
     fn is_stateless(&self) -> bool {
         true
     }
-    fn plan(&mut self, gp: &BalancingGraph, loads: &LoadVector, plan: &mut FlowPlan) {
-        for u in 0..gp.num_nodes() {
-            if loads.get(u) != 0 {
-                plan.set(u, 0, 3);
-            }
-        }
-    }
-    fn as_kernel(&mut self) -> Option<&mut dyn KernelRounds> {
-        Some(self)
+    fn as_kernel(&mut self) -> &mut dyn KernelRounds {
+        self
     }
 }
 
 impl KernelBalancer for Const3 {
-    fn kernel_node(&mut self, _gp: &BalancingGraph, _u: usize, _load: i64, flows: &mut [u64]) {
+    fn kernel_node(&mut self, _gp: &BalancingGraph, _u: usize, load: i64, flows: &mut [u64]) {
         flows.fill(0);
-        flows[0] = 3;
+        flows[0] = if load != 0 { 3 } else { 0 };
     }
 }
 
-/// Which schemes exist on which paths.
+/// Which schemes exist on which paths. The first five are the ones
+/// whose whole state a snapshot carries (the snapshot axis runs those);
+/// the rest are the baselines and Theorem 4.1's frozen flow.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum SchemeId {
     SendFloor,
@@ -158,22 +157,50 @@ enum SchemeId {
     Rotor,
     RotorStar,
     Const3,
+    Good,
+    Mimic,
+    Quasirandom,
+    ExtraTokens,
+    EdgeRounding,
+    LaggedRoundFair,
+    FixedFlow,
 }
 
 impl SchemeId {
+    /// Every scheme, in index order.
+    const ALL: [SchemeId; 12] = [
+        SchemeId::SendFloor,
+        SchemeId::SendRound,
+        SchemeId::Rotor,
+        SchemeId::RotorStar,
+        SchemeId::Const3,
+        SchemeId::Good,
+        SchemeId::Mimic,
+        SchemeId::Quasirandom,
+        SchemeId::ExtraTokens,
+        SchemeId::EdgeRounding,
+        SchemeId::LaggedRoundFair,
+        SchemeId::FixedFlow,
+    ];
+
     fn from_index(idx: usize) -> Self {
-        match idx {
-            0 => SchemeId::SendFloor,
-            1 => SchemeId::SendRound,
-            2 => SchemeId::Rotor,
-            3 => SchemeId::RotorStar,
-            _ => SchemeId::Const3,
-        }
+        Self::ALL[idx]
     }
 
     /// Whether the scheme has a closed form, so `run_parallel` takes it.
     fn is_send(self) -> bool {
         matches!(self, SchemeId::SendFloor | SchemeId::SendRound)
+    }
+
+    /// The self-loop count to fuzz with, given a candidate: the schemes
+    /// defined only with self-loops (ROTOR-ROUTER\* at `d° = d`, the
+    /// good s-balancer at `d° ≥ s = 1`) override it.
+    fn self_loops(self, d: usize, candidate: usize) -> usize {
+        match self {
+            SchemeId::RotorStar => d,
+            SchemeId::Good if candidate == 0 => d,
+            _ => candidate,
+        }
     }
 }
 
@@ -185,6 +212,7 @@ enum Instance {
     Rotor(RotorRouter),
     Star(RotorRouterStar),
     Const3(Const3),
+    Other(Box<dyn KernelBalancer>),
 }
 
 impl Instance {
@@ -204,11 +232,33 @@ impl Instance {
                 Instance::Star(RotorRouterStar::with_initial_rotors(gp, order, r).unwrap())
             }
             (SchemeId::Const3, _) => Instance::Const3(Const3),
+            (SchemeId::Good, _) => Instance::Other(Box::new(GoodBalancer::new(gp, 1).unwrap())),
+            (SchemeId::Mimic, _) => Instance::Other(Box::new(ContinuousMimic::new(gp))),
+            (SchemeId::Quasirandom, _) => Instance::Other(Box::new(QuasirandomDiffusion::new(gp))),
+            (SchemeId::ExtraTokens, _) => Instance::Other(Box::new(RandomizedExtraTokens::new(3))),
+            (SchemeId::EdgeRounding, _) => {
+                Instance::Other(Box::new(RandomizedEdgeRounding::new(4)))
+            }
+            (SchemeId::LaggedRoundFair, _) => {
+                let rule = RoundingRule::LaggedRotor { period: 2 };
+                Instance::Other(Box::new(RoundFairDiffusion::new(gp, rule)))
+            }
+            (SchemeId::FixedFlow, _) => {
+                // One token over port 0 from every third node, empty or
+                // not: fuzzed loads and drains make it overdraw, at
+                // empty nodes too.
+                let d_plus = gp.degree_plus();
+                let mut flows = vec![0; gp.num_nodes() * d_plus];
+                for slot in flows.iter_mut().step_by(3 * d_plus) {
+                    *slot = 1;
+                }
+                Instance::Other(Box::new(FixedFlowBalancer::new(gp, flows)))
+            }
         }
     }
 
     /// The scheme as a kernel; it coerces to `&mut dyn Balancer` for
-    /// the planned paths.
+    /// the engine.
     fn kernel(&mut self) -> &mut dyn KernelBalancer {
         match self {
             Instance::Floor(b) => b,
@@ -216,6 +266,7 @@ impl Instance {
             Instance::Rotor(b) => b,
             Instance::Star(b) => b,
             Instance::Const3(b) => b,
+            Instance::Other(b) => b.as_mut(),
         }
     }
 
@@ -305,7 +356,7 @@ fn drive_step_loop(
                 Run {
                     schedule: schedule.as_deref_mut(),
                     workload: workload.as_deref_mut(),
-                    path: Path::Planned,
+                    path: Path::Reference,
                     ..Run::new(1)
                 },
             )
@@ -314,7 +365,7 @@ fn drive_step_loop(
     Outcome::capture(&engine, inst.rotors(), error)
 }
 
-fn drive_planned(
+fn drive_reference(
     gp: &BalancingGraph,
     scheme: SchemeId,
     sspec: &Option<ScheduleSpec>,
@@ -332,7 +383,7 @@ fn drive_planned(
             Run {
                 schedule: schedule.as_deref_mut(),
                 workload: workload.as_deref_mut(),
-                path: Path::Planned,
+                path: Path::Reference,
                 ..Run::new(steps)
             },
         )
@@ -438,18 +489,17 @@ proptest! {
     /// `d° ∈ {0, 1, d, d + 1}` covers SEND(⌊x/d⁺⌋) retaining its
     /// surplus at home, odd `d⁺` (the multiply-high division) and
     /// SEND([x/d⁺]) below its class (`d° < d`), where it has no closed
-    /// form. The planned paths assert `d° ≥ d` for that scheme, so
-    /// there the kernel path is the reference the others must match.
-    /// ROTOR-ROUTER\* exists only at `d° = d`, so it always gets that.
+    /// form and overdraws. ROTOR-ROUTER\* exists only at `d° = d`, so
+    /// it always gets that.
     #[test]
     fn all_paths_agree_on_randomized_combos(
         graph_idx in 0usize..5,
         loops_idx in 0usize..4,
-        scheme_idx in 0usize..5,
+        scheme_idx in 0usize..SchemeId::ALL.len(),
         schedule_idx in 0usize..6,
         workload_idx in 0usize..8,
         // The range dips negative so negative-seed rounds — where the
-        // pre-plan check's ordering against `Overdraw` and `Topology`
+        // pre-round check's ordering against `Overdraw` and `Topology`
         // is decided — are part of the fuzzed space, not a blind spot.
         pattern in proptest::collection::vec(-20i64..120, 4..12),
         steps in 1usize..30,
@@ -458,11 +508,7 @@ proptest! {
         let n = graph.num_nodes();
         let d = graph.degree();
         let scheme = SchemeId::from_index(scheme_idx);
-        let d_self = if scheme == SchemeId::RotorStar {
-            d
-        } else {
-            [0, 1, d, d + 1][loops_idx]
-        };
+        let d_self = scheme.self_loops(d, [0, 1, d, d + 1][loops_idx]);
         let gp = BalancingGraph::with_self_loops(graph, d_self).unwrap();
         let sspec = schedule_for(schedule_idx);
         let wspec = workload_for(workload_idx);
@@ -475,16 +521,11 @@ proptest! {
         let wname = wspec.as_ref().map_or_else(|| "none".into(), WorkloadSpec::label);
         let tag = format!("{gname}+{d_self}/{sname}/{wname}");
 
+        let reference = drive_step_loop(&gp, scheme, &sspec, &wspec, &initial, steps);
+        let whole = drive_reference(&gp, scheme, &sspec, &wspec, &initial, steps);
+        whole.assert_matches(&reference, &format!("{scheme:?}: reference on {tag}"));
         let kernel = drive_auto(&gp, scheme, &sspec, &wspec, &initial, steps);
-        let reference = if scheme == SchemeId::SendRound && d_self < d {
-            kernel
-        } else {
-            let reference = drive_step_loop(&gp, scheme, &sspec, &wspec, &initial, steps);
-            let fast = drive_planned(&gp, scheme, &sspec, &wspec, &initial, steps);
-            fast.assert_matches(&reference, &format!("planned on {tag}"));
-            kernel.assert_matches(&reference, &format!("auto on {tag}"));
-            reference
-        };
+        kernel.assert_matches(&reference, &format!("{scheme:?}: auto on {tag}"));
         if sspec.is_none() && wspec.is_none() {
             // Static, closed runs are where the vector layer dispatches:
             // pin every inner loop, serial and split across 1–4 workers,
@@ -544,8 +585,8 @@ fn unclamped_drain_under_churn_produces_identical_negative_divergence() {
     );
     for (label, outcome) in [
         (
-            "planned",
-            drive_planned(&gp, SchemeId::SendFloor, &sspec, &wspec, &initial, steps),
+            "reference",
+            drive_reference(&gp, SchemeId::SendFloor, &sspec, &wspec, &initial, steps),
         ),
         (
             "auto",
@@ -563,7 +604,7 @@ fn unclamped_drain_under_churn_produces_identical_negative_divergence() {
 fn injection_eroded_overdraw_under_churn_is_identical_on_every_path() {
     let gp = BalancingGraph::lazy(generators::cycle(8).unwrap());
     // Clamped drain cannot go negative, but it starves the sinks until
-    // Const3's fixed plan of 3 exceeds what a sink holds: a pure
+    // Const3's fixed send of 3 exceeds what a sink holds: a pure
     // injection-triggered overdraw — under continuous rewiring.
     let sspec = Some(ScheduleSpec::Periodic {
         period: 1,
@@ -581,8 +622,8 @@ fn injection_eroded_overdraw_under_churn_is_identical_on_every_path() {
     );
     for (label, outcome) in [
         (
-            "planned",
-            drive_planned(&gp, SchemeId::Const3, &sspec, &wspec, &initial, steps),
+            "reference",
+            drive_reference(&gp, SchemeId::Const3, &sspec, &wspec, &initial, steps),
         ),
         (
             "auto",
@@ -593,9 +634,9 @@ fn injection_eroded_overdraw_under_churn_is_identical_on_every_path() {
     }
 }
 
-/// The rotor-router's rotor state must agree between the planned and
+/// The rotor-router's rotor state must agree between the reference and
 /// kernel paths under full churn — sleeps must freeze exactly the
-/// asleep rotors (drained nodes never plan), swaps must not perturb
+/// asleep rotors (drained nodes never send), swaps must not perturb
 /// any rotor, and a woken node's rotor must resume from where it
 /// stopped.
 #[test]
@@ -617,14 +658,14 @@ fn rotor_state_is_identical_under_full_churn() {
         assert!(reference.rotors.is_some());
         let kernel = drive_auto(&gp, scheme, &sspec, &wspec, &initial, 40);
         kernel.assert_matches(&reference, "auto rotor state");
-        let fast = drive_planned(&gp, scheme, &sspec, &wspec, &initial, 40);
-        fast.assert_matches(&reference, "planned rotor state");
+        let fast = drive_reference(&gp, scheme, &sspec, &wspec, &initial, 40);
+        fast.assert_matches(&reference, "reference rotor state");
     }
 }
 
 /// ROTOR-ROUTER\* on every schedule of the battery — sleeping-node
 /// schedules included — times every workload, the unclamped drain
-/// included: the per-round planned loop, one planned run and the
+/// included: the per-round reference loop, one reference run and the
 /// kernel rounds agree on
 /// loads, graph, inner rotors and errors. The fuzz above samples this
 /// grid; here it is covered whole.
@@ -645,8 +686,9 @@ fn rotor_star_agrees_on_every_schedule_and_workload() {
                 let reference =
                     drive_step_loop(&gp, SchemeId::RotorStar, &sspec, &wspec, &initial, steps);
                 errored += usize::from(reference.error.is_some());
-                let fast = drive_planned(&gp, SchemeId::RotorStar, &sspec, &wspec, &initial, steps);
-                fast.assert_matches(&reference, &format!("planned on {tag}"));
+                let fast =
+                    drive_reference(&gp, SchemeId::RotorStar, &sspec, &wspec, &initial, steps);
+                fast.assert_matches(&reference, &format!("reference on {tag}"));
                 let kernel = drive_auto(&gp, SchemeId::RotorStar, &sspec, &wspec, &initial, steps);
                 kernel.assert_matches(&reference, &format!("auto on {tag}"));
             }
@@ -656,9 +698,9 @@ fn rotor_star_agrees_on_every_schedule_and_workload() {
 }
 
 /// Regression (PR 5 review): in a churning round with no injection
-/// phases, the pre-plan negative check must still run before any
-/// planning — otherwise a lower-id `Overdraw` (Const3 at a node below
-/// 3) found mid-plan could shadow a higher-id negative seed and diverge
+/// phases, the pre-round negative check must still run before any
+/// node's rule — otherwise a lower-id `Overdraw` (Const3 at a node below
+/// 3) found mid-round could shadow a higher-id negative seed and diverge
 /// from the serial error ordering.
 #[test]
 fn negative_seed_is_not_shadowed_by_overdraw_in_churning_rounds() {
@@ -670,8 +712,8 @@ fn negative_seed_is_not_shadowed_by_overdraw_in_churning_rounds() {
     });
     let wspec = None;
     // Node 2 overdraws under Const3 (load 2 < 3) and node 11 is a
-    // negative seed: the serial pre-plan check reports node 11 before
-    // planning ever reaches node 2.
+    // negative seed: the serial pre-round check reports node 11 before
+    // the round ever reaches node 2.
     let mut loads = vec![7i64; 16];
     loads[2] = 2;
     loads[11] = -4;
@@ -691,8 +733,8 @@ fn negative_seed_is_not_shadowed_by_overdraw_in_churning_rounds() {
             drive_auto(&gp, SchemeId::Const3, &sspec, &wspec, &initial, 10),
         ),
         (
-            "planned",
-            drive_planned(&gp, SchemeId::Const3, &sspec, &wspec, &initial, 10),
+            "reference",
+            drive_reference(&gp, SchemeId::Const3, &sspec, &wspec, &initial, 10),
         ),
     ] {
         outcome.assert_matches(&reference, label);
@@ -704,7 +746,7 @@ fn negative_seed_is_not_shadowed_by_overdraw_in_churning_rounds() {
 #[derive(Clone, Copy)]
 enum ResumePath {
     StepLoop,
-    Planned,
+    Reference,
     Auto,
     Parallel(usize),
     ForcedVector(VectorConfig),
@@ -718,7 +760,7 @@ struct SplitPoint {
     path: ResumePath,
 }
 
-/// The snapshot axis: run the per-round planned loop to a chosen round
+/// The snapshot axis: run the per-round reference loop to a chosen round
 /// boundary, export the complete engine state plus rotor positions and
 /// generator cursors, rebuild **everything** from the export alone,
 /// and finish the run on the given path. Returns `None` where the path
@@ -740,7 +782,7 @@ fn drive_split_resume(
         return None;
     }
 
-    // Phase 1: the per-round planned loop up to the split boundary.
+    // Phase 1: the per-round reference loop up to the split boundary.
     let mut inst = Instance::build(scheme, gp, None);
     let mut schedule = build_schedule(sspec);
     let mut workload = build_workload(wspec, gp.num_nodes());
@@ -751,7 +793,7 @@ fn drive_split_resume(
             Run {
                 schedule: schedule.as_deref_mut(),
                 workload: workload.as_deref_mut(),
-                path: Path::Planned,
+                path: Path::Reference,
                 ..Run::new(1)
             },
         ) {
@@ -789,19 +831,19 @@ fn drive_split_resume(
                     Run {
                         schedule: s.as_deref_mut(),
                         workload: w.as_deref_mut(),
-                        path: Path::Planned,
+                        path: Path::Reference,
                         ..Run::new(1)
                     },
                 )
                 .err()
         }),
-        ResumePath::Planned => engine
+        ResumePath::Reference => engine
             .run(
                 inst.kernel(),
                 Run {
                     schedule: s,
                     workload: w,
-                    path: Path::Planned,
+                    path: Path::Reference,
                     ..Run::new(remaining)
                 },
             )
@@ -837,7 +879,7 @@ fn drive_split_resume(
 fn resume_paths() -> Vec<(&'static str, ResumePath)> {
     vec![
         ("step-loop", ResumePath::StepLoop),
-        ("planned", ResumePath::Planned),
+        ("reference", ResumePath::Reference),
         ("auto", ResumePath::Auto),
         ("run_parallel(2)", ResumePath::Parallel(2)),
         (
@@ -953,10 +995,10 @@ fn resume_across_a_divergence_point_reproduces_the_error() {
 }
 
 /// Drives `steps` rounds of `scheme` with `workload` on one of the
-/// dynamic paths — 0: one planned round per call, 1: one planned run,
-/// 2: one `Path::Auto` run (the kernel rounds), 3: one `Path::Auto` run
-/// with a monitor attached (planned, recording the ledger) — for inputs
-/// the spec-driven drivers cannot build.
+/// dynamic paths — 0: one reference round per call, 1: one reference
+/// run, 2: one `Path::Auto` run (the kernel rounds), 3: one `Path::Auto`
+/// run with a monitor attached (the reference round, recording the
+/// ledger) — for inputs the spec-driven drivers cannot build.
 fn drive_workload(
     path: usize,
     scheme: SchemeId,
@@ -978,7 +1020,7 @@ fn drive_workload(
                     Run {
                         schedule: s.as_deref_mut(),
                         workload: Some(&mut *workload),
-                        path: Path::Planned,
+                        path: Path::Reference,
                         ..Run::new(1)
                     },
                 )
@@ -990,7 +1032,7 @@ fn drive_workload(
                 Run {
                     schedule: s,
                     workload: Some(workload),
-                    path: Path::Planned,
+                    path: Path::Reference,
                     ..Run::new(steps)
                 },
             )
@@ -1119,7 +1161,7 @@ fn injection_overflow_is_a_typed_error_rolled_back_on_every_path() {
 /// hotspot of 30 tokens per round on node 0. No load and no net
 /// injection leaves `i64`, but the positive load total does, so the
 /// round's flows could form a load past `i64::MAX`: debug builds
-/// panicked in routing on the planned and the kernel rounds under the
+/// panicked in routing on the reference and the kernel rounds under the
 /// rotor-router, and release builds returned `Ok` with a wrapped load
 /// total. Every path must now reject the injecting round with a typed
 /// error at the first node in node order whose running positive total

@@ -1,5 +1,5 @@
 //! Cross-path property tests: the engine's kernel rounds must be
-//! indistinguishable from the planned stepping loop.
+//! indistinguishable from the reference stepping loop.
 //!
 //! Five guarantees, checked by proptest across every structured
 //! generator family (cycle, torus, hypercube, clique-circulant,
@@ -7,8 +7,8 @@
 //!
 //! 1. every non-overdrawing scheme conserves tokens and never produces
 //!    a negative load, on every execution path;
-//! 2. a `Path::Planned` run and a `Path::Auto` run (the plan-free
-//!    kernel rounds) produce bit-identical load vectors to the `step()`
+//! 2. a `Path::Reference` run and a `Path::Auto` run (the kernel
+//!    rounds) produce bit-identical load vectors to the `step()`
 //!    loop for every scheme with a kernel;
 //! 3. `run_parallel` is bit-identical to `Engine::run` — loads, step
 //!    count and vector counters — for every thread count (1/2/3/4
@@ -26,8 +26,8 @@
 
 use dlb::core::schemes::{RotorRouter, SendFloor, SendRound};
 use dlb::core::{
-    Balancer, Engine, EngineError, FlowPlan, KernelBalancer, KernelRounds, LoadVector, NoWorkload,
-    Path, Run, StaticTopology, VectorConfig, VectorStrategy, VectorWidth, I32_HEADROOM_LIMIT,
+    Balancer, Engine, EngineError, KernelBalancer, KernelRounds, LoadVector, NoWorkload, Path, Run,
+    StaticTopology, VectorConfig, VectorStrategy, VectorWidth, I32_HEADROOM_LIMIT,
 };
 use dlb::graph::relabel::Relabeling;
 use dlb::graph::{generators, BalancingGraph, PortOrder, RegularGraph};
@@ -207,7 +207,7 @@ proptest! {
                 let mut bal = scheme.build(&gp).unwrap();
                 prop_assert!(!bal.may_overdraw());
                 let mut engine = Engine::new(gp.clone(), initial.clone());
-                engine.run(bal.as_mut(), Run { path: Path::Planned, ..Run::new(steps) }).unwrap();
+                engine.run(bal.as_mut(), Run { path: Path::Reference, ..Run::new(steps) }).unwrap();
                 prop_assert_eq!(
                     engine.loads().total(), total,
                     "{} lost tokens on {}", scheme.label(), name
@@ -234,7 +234,7 @@ proptest! {
             let gp = BalancingGraph::lazy(graph);
             let initial = loads_for(n, &pattern);
             for scheme in [SchemeSpec::SendFloor, SchemeSpec::SendRound] {
-                // Reference: the planned step() loop.
+                // Reference: the step() loop.
                 let mut bal = scheme.build(&gp).unwrap();
                 let mut reference = Engine::new(gp.clone(), initial.clone());
                 for _ in 0..steps {
@@ -243,10 +243,10 @@ proptest! {
 
                 let mut bal = scheme.build(&gp).unwrap();
                 let mut fast = Engine::new(gp.clone(), initial.clone());
-                fast.run(bal.as_mut(), Run { path: Path::Planned, ..Run::new(steps) }).unwrap();
+                fast.run(bal.as_mut(), Run { path: Path::Reference, ..Run::new(steps) }).unwrap();
                 prop_assert_eq!(
                     fast.loads(), reference.loads(),
-                    "planned run diverged: {} on {}", scheme.label(), name
+                    "reference run diverged: {} on {}", scheme.label(), name
                 );
 
                 let kernel = auto_run_by_name(&gp, &scheme, &initial, steps).unwrap();
@@ -340,8 +340,8 @@ proptest! {
     }
 
     /// The rotor-router (stateful, no parallel path) must still agree
-    /// between its serial paths — including the plan-free kernel, whose
-    /// rotor advances in stream order rather than plan order.
+    /// between its serial paths — including the kernel rounds, whose
+    /// rotor advances in stream order.
     #[test]
     fn rotor_router_fast_and_kernel_paths_match_stepping(
         pattern in proptest::collection::vec(0i64..300, 4..12),
@@ -358,10 +358,10 @@ proptest! {
             }
             let mut bal = SchemeSpec::RotorRouter.build(&gp).unwrap();
             let mut fast = Engine::new(gp.clone(), initial.clone());
-            fast.run(bal.as_mut(), Run { path: Path::Planned, ..Run::new(steps) }).unwrap();
+            fast.run(bal.as_mut(), Run { path: Path::Reference, ..Run::new(steps) }).unwrap();
             prop_assert_eq!(
                 fast.loads(), reference.loads(),
-                "rotor planned run diverged on {}", name
+                "rotor reference run diverged on {}", name
             );
             let kernel =
                 auto_run_by_name(&gp, &SchemeSpec::RotorRouter, &initial, steps).unwrap();
@@ -473,7 +473,7 @@ fn negative_seed_errors_cleanly_on_every_path() {
     expect(build().run(
         &mut SendFloor::new(),
         Run {
-            path: Path::Planned,
+            path: Path::Reference,
             ..Run::new(4)
         },
     ));
@@ -484,9 +484,8 @@ fn negative_seed_errors_cleanly_on_every_path() {
     expect(build().step(&mut SendFloor::new()).map(|_| ()));
 }
 
-/// A deliberately overdrawing scheme that claims to be well-behaved,
-/// implemented identically on the planned and kernel paths: every
-/// non-empty node sends exactly 3 tokens over port 0, whatever it
+/// A deliberately overdrawing scheme that claims to be well-behaved:
+/// every non-empty node sends exactly 3 tokens over port 0, whatever it
 /// holds.
 struct Drain3;
 
@@ -494,22 +493,15 @@ impl Balancer for Drain3 {
     fn name(&self) -> &'static str {
         "drain-3"
     }
-    fn plan(&mut self, gp: &BalancingGraph, loads: &LoadVector, plan: &mut FlowPlan) {
-        for u in 0..gp.num_nodes() {
-            if loads.get(u) != 0 {
-                plan.set(u, 0, 3);
-            }
-        }
-    }
-    fn as_kernel(&mut self) -> Option<&mut dyn KernelRounds> {
-        Some(self)
+    fn as_kernel(&mut self) -> &mut dyn KernelRounds {
+        self
     }
 }
 
 impl KernelBalancer for Drain3 {
-    fn kernel_node(&mut self, _gp: &BalancingGraph, _u: usize, _load: i64, flows: &mut [u64]) {
+    fn kernel_node(&mut self, _gp: &BalancingGraph, _u: usize, load: i64, flows: &mut [u64]) {
         flows.fill(0);
-        flows[0] = 3;
+        flows[0] = if load != 0 { 3 } else { 0 };
     }
 }
 
@@ -521,8 +513,8 @@ impl KernelBalancer for Drain3 {
 fn run_kernel_overdraw_parity_with_step_loop() {
     let build = || {
         let gp = BalancingGraph::lazy(generators::cycle(4).unwrap());
-        // Node 0 drains 3/step: 4 → 1, then plans 3 from 1 and trips on
-        // step 2 (validated before any routing, so round 2 is a no-op).
+        // Node 0 drains 3/step: 4 → 1, then sends 3 from 1 and trips
+        // on step 2 (the round is rejected whole, so it is a no-op).
         Engine::new(gp, LoadVector::new(vec![4, 0, 0, 0]))
     };
 
@@ -550,9 +542,9 @@ fn run_kernel_overdraw_parity_with_step_loop() {
     assert_eq!(kernel.step_count(), reference.step_count());
 }
 
-/// An honestly overdrawing scheme (it declares `may_overdraw`),
-/// identical on the planned and kernel paths: every non-empty node
-/// sends 5 over port 0, driving itself negative when it holds less.
+/// An honestly overdrawing scheme (it declares `may_overdraw`): every
+/// non-empty node sends 5 over port 0, driving itself negative when it
+/// holds less.
 struct Overdraw5;
 
 impl Balancer for Overdraw5 {
@@ -562,22 +554,15 @@ impl Balancer for Overdraw5 {
     fn may_overdraw(&self) -> bool {
         true
     }
-    fn plan(&mut self, gp: &BalancingGraph, loads: &LoadVector, plan: &mut FlowPlan) {
-        for u in 0..gp.num_nodes() {
-            if loads.get(u) != 0 {
-                plan.set(u, 0, 5);
-            }
-        }
-    }
-    fn as_kernel(&mut self) -> Option<&mut dyn KernelRounds> {
-        Some(self)
+    fn as_kernel(&mut self) -> &mut dyn KernelRounds {
+        self
     }
 }
 
 impl KernelBalancer for Overdraw5 {
-    fn kernel_node(&mut self, _gp: &BalancingGraph, _u: usize, _load: i64, flows: &mut [u64]) {
+    fn kernel_node(&mut self, _gp: &BalancingGraph, _u: usize, load: i64, flows: &mut [u64]) {
         flows.fill(0);
-        flows[0] = 5;
+        flows[0] = if load != 0 { 5 } else { 0 };
     }
 }
 
@@ -593,7 +578,7 @@ fn run_kernel_negative_load_parity_with_step_loop() {
     };
 
     // One overdrawing round drives node 0 to −2; the next round under a
-    // non-overdrawing scheme must reject the negative state pre-plan.
+    // non-overdrawing scheme must reject the negative state up front.
     let mut reference = build();
     reference.step(&mut Overdraw5).unwrap();
     let ref_err = reference.step(&mut SendFloor::new()).unwrap_err();
@@ -622,7 +607,7 @@ fn run_kernel_negative_load_parity_with_step_loop() {
 /// to pay a full `O(n)` negative-load rescan per round. The streaming
 /// apply now maintains the count at every write — the rescan counter
 /// must stay pinned at zero while the accounting it replaced stays
-/// exact against the planned step loop.
+/// exact against the reference step loop.
 #[test]
 fn overdrawing_kernel_rounds_pay_zero_negative_rescans() {
     let build = || {
@@ -854,7 +839,7 @@ fn chunked_vector_runs_accumulate_steps_like_scalar() {
 /// `i64::MAX − 1` under rewiring and failures, for both SEND schemes on
 /// an odd `d⁺` (multiply-high reciprocal, and a round bias that carries
 /// the dividend past 2⁶³) and on a power-of-two `d⁺`, matches the
-/// per-round planned loop round for round.
+/// per-round reference loop round for round.
 #[test]
 fn run_kernel_dyn_matches_step_dyn_at_a_near_max_load() {
     fn check<K: KernelBalancer + Clone>(gp: &BalancingGraph, scheme: K) {
@@ -878,7 +863,7 @@ fn run_kernel_dyn_matches_step_dyn_at_a_near_max_load() {
                     &mut ref_bal,
                     Run {
                         schedule: Some(ref_sched.as_mut()),
-                        path: Path::Planned,
+                        path: Path::Reference,
                         ..Run::new(1)
                     },
                 )

@@ -2,7 +2,7 @@
 //! facade:
 //!
 //! * **differential bit-identity** — every execution path (per-round
-//!   planned, batched planned, delta-kernel, range-split vector) run
+//!   reference, batched reference, scalar kernel, range-split vector) run
 //!   twice, once with a recording [`RingSink`] and once untraced,
 //!   under closed / injected / churned
 //!   configurations: loads, step counts, topology events and every
@@ -15,11 +15,11 @@
 //!   `(tag << 32) | count` and reconcile against the engine's own
 //!   vector counters; the ring sink's per-phase accumulators stay
 //!   exact under overwrite;
-//! * **overhead gate** — the RingSink build of the flagship kernel
-//!   cell (cycle × SEND(floor), vector dispatch; the cell the retired
-//!   `t1` throughput sweep led with) must stay within 5% of the
-//!   NoopSink build. This is the repository's one tracing-overhead
-//!   gate.
+//! * **event budget** — a traced vector run of the flagship kernel
+//!   cell (cycle × SEND(floor)) records only its per-call
+//!   `VectorDispatch` instants, nothing per node or per round; the
+//!   cost of a recording sink is timed by perfbench's
+//!   `obs.trace_overhead`, not here.
 
 use dlb::core::schemes::{RotorRouter, SendFloor};
 use dlb::core::{Engine, LoadVector, Path, Run};
@@ -93,7 +93,7 @@ fn per_step_serial_path_is_bit_identical_under_any_sink() {
                     schedule: schedule.as_deref_mut(),
                     workload: Some(workload.as_mut()),
                     sink: Some(&mut sink),
-                    path: Path::Planned,
+                    path: Path::Reference,
                     ..Run::new(1)
                 },
             )
@@ -109,30 +109,25 @@ fn per_step_serial_path_is_bit_identical_under_any_sink() {
             Run {
                 schedule: schedule.as_deref_mut(),
                 workload: Some(workload.as_mut()),
-                path: Path::Planned,
+                path: Path::Reference,
                 ..Run::new(1)
             },
         )
         .unwrap();
     }
 
-    assert_twin(&traced, &twin, "per-round planned");
+    assert_twin(&traced, &twin, "per-round reference");
     // The per-step path runs the full round structure, so every probe
-    // point must have fired: mutate (periodic schedule), inject,
-    // plan, validate, route.
-    for phase in [
-        Phase::Mutate,
-        Phase::Inject,
-        Phase::Plan,
-        Phase::Validate,
-        Phase::Route,
-    ] {
+    // point must have fired: mutate (periodic schedule), inject, and
+    // one stream span per round.
+    for phase in [Phase::Mutate, Phase::Inject] {
         assert!(
             sink.phase_count(phase) > 0,
             "no {} spans recorded",
             phase.name()
         );
     }
+    assert_eq!(sink.phase_count(Phase::Stream) as usize, steps);
 }
 
 #[test]
@@ -140,7 +135,7 @@ fn batched_and_fast_paths_are_bit_identical_under_any_sink() {
     let n = 64;
     let steps = 48;
 
-    // Batched planned rounds, closed system.
+    // Batched reference rounds, closed system.
     let mut sink = RingSink::with_capacity(steps * 8);
     let mut traced = Engine::new(cycle(n), point_mass(n));
     traced
@@ -148,7 +143,7 @@ fn batched_and_fast_paths_are_bit_identical_under_any_sink() {
             &mut SendFloor::new(),
             Run {
                 sink: Some(&mut sink),
-                path: Path::Planned,
+                path: Path::Reference,
                 ..Run::new(steps)
             },
         )
@@ -157,15 +152,15 @@ fn batched_and_fast_paths_are_bit_identical_under_any_sink() {
     twin.run(
         &mut SendFloor::new(),
         Run {
-            path: Path::Planned,
+            path: Path::Reference,
             ..Run::new(steps)
         },
     )
     .unwrap();
-    assert_twin(&traced, &twin, "planned run");
-    assert!(sink.phase_count(Phase::Plan) as usize >= steps);
+    assert_twin(&traced, &twin, "reference run");
+    assert_eq!(sink.phase_count(Phase::Stream) as usize, steps);
 
-    // Batched planned rounds under churn + injection.
+    // Batched reference rounds under churn + injection.
     let mut sink = RingSink::with_capacity(steps * 8);
     let mut traced = Engine::new(cycle(n), point_mass(n));
     let mut schedule = churn().build();
@@ -177,7 +172,7 @@ fn batched_and_fast_paths_are_bit_identical_under_any_sink() {
                 schedule: schedule.as_deref_mut(),
                 workload: Some(workload.as_mut()),
                 sink: Some(&mut sink),
-                path: Path::Planned,
+                path: Path::Reference,
                 ..Run::new(steps)
             },
         )
@@ -190,12 +185,12 @@ fn batched_and_fast_paths_are_bit_identical_under_any_sink() {
         Run {
             schedule: schedule.as_deref_mut(),
             workload: Some(workload.as_mut()),
-            path: Path::Planned,
+            path: Path::Reference,
             ..Run::new(steps)
         },
     )
     .unwrap();
-    assert_twin(&traced, &twin, "planned run under churn");
+    assert_twin(&traced, &twin, "reference run under churn");
     assert!(sink.phase_count(Phase::Inject) > 0);
 }
 
@@ -204,7 +199,7 @@ fn kernel_and_sharded_paths_are_bit_identical_under_any_sink() {
     let n = 128;
     let steps = 32;
 
-    // Plan-free delta-kernel path (stateful scheme → scalar stream).
+    // Scalar kernel path (stateful scheme → flow-buffer stream).
     let gp = cycle(n);
     let mut sink = RingSink::with_capacity(steps * 4);
     let mut traced = Engine::new(gp.clone(), point_mass(n));
@@ -306,7 +301,7 @@ fn open_churning_send_rounds_stay_scalar_kernel_rounds() {
 }
 
 /// Under churn × injection the two paths of `Engine::run` are one
-/// semantics: `Path::Planned` and `Path::Auto` (the kernel rounds)
+/// semantics: `Path::Reference` and `Path::Auto` (the kernel rounds)
 /// agree on loads, graph, rotors and every `fill_metrics` counter, for
 /// a closed-form and a stateful kernel scheme.
 #[test]
@@ -333,7 +328,7 @@ fn planned_and_auto_paths_agree_under_churn_and_injection() {
         (engine, rr.rotors().to_vec())
     };
     for rotor in [false, true] {
-        let (planned, planned_rotors) = run(rotor, Path::Planned);
+        let (planned, planned_rotors) = run(rotor, Path::Reference);
         let (auto, auto_rotors) = run(rotor, Path::Auto);
         let tag = if rotor { "rotor-router" } else { "send-floor" };
         assert_twin(&auto, &planned, tag);
@@ -360,7 +355,7 @@ fn counters_accumulate_across_chunked_runs() {
                 Run {
                     schedule: schedule.as_deref_mut(),
                     workload: Some(workload.as_mut()),
-                    path: Path::Planned,
+                    path: Path::Reference,
                     ..Run::new(32)
                 },
             )
@@ -376,7 +371,7 @@ fn counters_accumulate_across_chunked_runs() {
             Run {
                 schedule: schedule.as_deref_mut(),
                 workload: Some(workload.as_mut()),
-                path: Path::Planned,
+                path: Path::Reference,
                 ..Run::new(128)
             },
         )
@@ -414,7 +409,7 @@ fn counters_ride_snapshot_resume() {
             Run {
                 schedule: schedule.as_deref_mut(),
                 workload: Some(workload.as_mut()),
-                path: Path::Planned,
+                path: Path::Reference,
                 ..Run::new(64)
             },
         )
@@ -428,7 +423,7 @@ fn counters_ride_snapshot_resume() {
             Run {
                 schedule: schedule.as_deref_mut(),
                 workload: Some(workload.as_mut()),
-                path: Path::Planned,
+                path: Path::Reference,
                 ..Run::new(64)
             },
         )
@@ -443,7 +438,7 @@ fn counters_ride_snapshot_resume() {
             Run {
                 schedule: schedule.as_deref_mut(),
                 workload: Some(workload.as_mut()),
-                path: Path::Planned,
+                path: Path::Reference,
                 ..Run::new(128)
             },
         )
@@ -539,7 +534,7 @@ fn ring_sink_accumulators_stay_exact_under_overwrite() {
             &mut SendFloor::new(),
             Run {
                 sink: Some(&mut sink),
-                path: Path::Planned,
+                path: Path::Reference,
                 ..Run::new(steps)
             },
         )
@@ -549,56 +544,36 @@ fn ring_sink_accumulators_stay_exact_under_overwrite() {
     assert_eq!(sink.events().len(), 8);
     let by_phase: u64 = Phase::all().iter().map(|&p| sink.phase_count(p)).sum();
     assert_eq!(by_phase, sink.recorded());
-    assert_eq!(sink.phase_count(Phase::Route) as usize, steps);
+    assert_eq!(sink.phase_count(Phase::Stream) as usize, steps);
 }
 
+/// The flagship kernel cell (cycle × SEND(floor), vector dispatch),
+/// traced: a run records only its per-call `VectorDispatch` instants —
+/// one per dispatch counter that moved — and nothing per node or per
+/// round, so doubling the rounds records the same events.
 #[test]
-fn ring_sink_overhead_within_five_percent_on_t1_quick_cell() {
-    use std::time::Instant;
-
-    // Quick edition of the flagship kernel cell (cycle × SEND(floor),
-    // vector dispatch): the RingSink build must stay within 5% of the
-    // NoopSink build. The vector path emits a handful of instants per
-    // *run*, so the tracing cost is structurally O(1) — the retries
-    // only absorb scheduler noise on loaded CI machines.
+fn traced_vector_run_emits_only_per_call_dispatch_instants() {
     let n = 16_384;
-    let steps = 48;
-    let reps = 5;
-    let gp = cycle(n);
-    let initial = point_mass(n);
-
-    let time_run = |sink_enabled: bool| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let mut engine = Engine::new(gp.clone(), initial.clone());
-            let t = Instant::now();
-            if sink_enabled {
-                let mut sink = RingSink::with_capacity(256);
-                engine
-                    .run(
-                        &mut SendFloor::new(),
-                        Run {
-                            sink: Some(&mut sink),
-                            ..Run::new(steps)
-                        },
-                    )
-                    .unwrap();
-            } else {
-                engine.run(&mut SendFloor::new(), Run::new(steps)).unwrap();
-            }
-            best = best.min(t.elapsed().as_secs_f64());
-        }
-        best
+    let events = |steps: usize| {
+        let mut sink = RingSink::with_capacity(256);
+        let mut engine = Engine::new(cycle(n), point_mass(n));
+        let run = Run {
+            sink: Some(&mut sink),
+            ..Run::new(steps)
+        };
+        engine.run(&mut SendFloor::new(), run).unwrap();
+        assert_eq!(engine.vector_stats().runs, 1, "{steps} rounds vectorize");
+        assert_eq!(sink.dropped(), 0);
+        let events = sink.events();
+        assert!(
+            events
+                .iter()
+                .all(|ev| ev.kind == EventKind::Instant && ev.phase == Phase::VectorDispatch),
+            "{events:?}"
+        );
+        events.iter().map(|ev| ev.value >> 32).collect::<Vec<_>>()
     };
-
-    let mut last_ratio = f64::INFINITY;
-    for _ in 0..3 {
-        let noop = time_run(false);
-        let ring = time_run(true);
-        last_ratio = ring / noop;
-        if last_ratio <= 1.05 {
-            return;
-        }
-    }
-    panic!("RingSink overhead {last_ratio:.3}x exceeds the 1.05x gate");
+    let tags = events(48);
+    assert!((1..=4).contains(&tags.len()), "tags {tags:?}");
+    assert_eq!(events(96), tags);
 }
