@@ -1,4 +1,4 @@
-use dlb_graph::{BalancingGraph, DynamicConnectivity};
+use dlb_graph::BalancingGraph;
 use dlb_obs::{MetricRegistry, NoopSink, Phase, RingSink, Sink};
 use dlb_topology::{StaticTopology, TopologySchedule};
 
@@ -80,8 +80,8 @@ impl Run<'_, '_, '_> {
 /// cumulative counters bit-identical to the uninterrupted run, on
 /// every execution path. Anything *not* in here is either derivable
 /// from these fields (the negative-load count) or deliberately
-/// rebuilt from scratch after restore (connectivity, the monitor and
-/// its ledger) — see [`Engine::export_state`] for the full accounting.
+/// started fresh after restore (the monitor and its ledger) — see
+/// [`Engine::export_state`] for the full accounting.
 ///
 /// The fields are public so snapshot encoders (the `dlb-serve` crate)
 /// can serialize them without `dlb-core` committing to a wire format.
@@ -103,8 +103,6 @@ pub struct EngineState {
     /// Full `O(n)` discrepancy scans performed so far, one per
     /// [`StepSummary`].
     pub discrepancy_scans: u64,
-    /// Full `O(n)` negative-load rescans paid by the kernel rounds.
-    pub negative_rescans: u64,
     /// Dispatch policy for the vectorized kernel rounds.
     pub vector_config: VectorConfig,
     /// Cumulative vectorized-path counters.
@@ -184,12 +182,6 @@ pub struct Engine {
     /// Topology events applied over all completed rounds (an erroring
     /// round's events are undone and not counted).
     topology_events: u64,
-    /// Incrementally maintained connectivity over the engine's graph,
-    /// while [`track_connectivity`](Engine::track_connectivity) is
-    /// active: every execution path mirrors its applied (and rolled
-    /// back) topology events into it, so `is_connected` is `O(1)` at
-    /// any round boundary without re-deriving from scratch.
-    connectivity: Option<DynamicConnectivity>,
     /// Dispatch policy for the vectorized kernel rounds (see
     /// [`kernel::vector`]); defaults to enabled with automatic
     /// strategy and width selection.
@@ -197,10 +189,6 @@ pub struct Engine {
     /// Counters describing which inner loops the vectorized path
     /// actually ran (see [`Engine::vector_stats`]).
     vector_stats: VectorStats,
-    /// Full `O(n)` negative-load rescans paid by the kernel rounds —
-    /// identically zero since the streaming apply maintains the count
-    /// incrementally on every path; pinned by a regression test.
-    negative_rescans: u64,
 }
 
 impl Engine {
@@ -227,31 +215,9 @@ impl Engine {
             injected_total: 0,
             discrepancy_scans: 0,
             topology_events: 0,
-            connectivity: None,
             vector_config: VectorConfig::default(),
             vector_stats: VectorStats::default(),
-            negative_rescans: 0,
         }
-    }
-
-    /// Starts maintaining a [`DynamicConnectivity`] structure anchored
-    /// to the current graph. Every dynamic execution path (serial,
-    /// kernel) keeps it coherent through applied topology events and
-    /// erroring-round rollbacks, so
-    /// [`is_connected`](Engine::is_connected) answers in `O(1)` at any
-    /// round boundary.
-    pub fn track_connectivity(&mut self) {
-        self.connectivity = Some(DynamicConnectivity::new(self.gp.graph()));
-    }
-
-    /// Whether the engine's graph is currently connected, per the
-    /// tracked structure; `None` unless
-    /// [`track_connectivity`](Engine::track_connectivity) was called.
-    #[must_use]
-    pub fn is_connected(&self) -> Option<bool> {
-        self.connectivity
-            .as_ref()
-            .map(DynamicConnectivity::is_connected)
     }
 
     /// Attaches a fresh [`FairnessMonitor`], with an empty cumulative
@@ -313,15 +279,6 @@ impl Engine {
         self.discrepancy_scans
     }
 
-    /// Full `O(n)` negative-load rescans paid by the kernel rounds so
-    /// far. Identically zero — both the scalar streaming apply and the
-    /// vectorized rounds maintain the count incrementally (or prove it
-    /// constant) — and the regression tests pin it so an overdrawing
-    /// scheme can never silently reintroduce a per-round scan.
-    pub fn negative_rescans(&self) -> u64 {
-        self.negative_rescans
-    }
-
     /// Sets the dispatch policy for the vectorized kernel rounds:
     /// enable/disable, force a gather strategy, force a load width
     /// (the test batteries use this to pin each inner loop against the
@@ -347,7 +304,6 @@ impl Engine {
     ///
     /// This is the one documented contract for the engine's counter
     /// accessors ([`vector_stats`](Engine::vector_stats),
-    /// [`negative_rescans`](Engine::negative_rescans),
     /// [`discrepancy_scans`](Engine::discrepancy_scans),
     /// [`topology_events_applied`](Engine::topology_events_applied),
     /// [`injected_total`](Engine::injected_total),
@@ -366,7 +322,6 @@ impl Engine {
         reg.counter_set("engine_negative_node_steps_total", self.negative_node_steps);
         reg.counter_set("engine_topology_events_applied_total", self.topology_events);
         reg.counter_set("engine_discrepancy_scans_total", self.discrepancy_scans);
-        reg.counter_set("engine_negative_rescans_total", self.negative_rescans);
         reg.counter_set("engine_vector_runs_total", self.vector_stats.runs);
         reg.counter_set(
             "engine_vector_rounds_banded_total",
@@ -393,7 +348,6 @@ impl Engine {
     fn pre_round(&mut self) -> (&mut PreRound, RoundState<'_>) {
         let st = RoundState {
             gp: &mut self.gp,
-            connectivity: self.connectivity.as_mut(),
             loads: self.loads.as_mut_slice(),
             negative: &mut self.negative_count,
             injected: &mut self.injected_total,
@@ -629,7 +583,6 @@ impl Engine {
             loads,
             monitor,
             pre,
-            connectivity,
             negative_count,
             injected_total,
             topology_events,
@@ -637,7 +590,6 @@ impl Engine {
         } = self;
         let st = RoundState {
             gp,
-            connectivity: connectivity.as_mut(),
             loads: loads.as_mut_slice(),
             negative: negative_count,
             injected: injected_total,
@@ -926,19 +878,15 @@ impl Engine {
     /// [`topology_events_applied`](Engine::topology_events_applied),
     /// [`negative_node_steps`](Engine::negative_node_steps),
     /// [`discrepancy_scans`](Engine::discrepancy_scans),
-    /// [`negative_rescans`](Engine::negative_rescans),
     /// [`vector_stats`](Engine::vector_stats)) plus the vector dispatch
     /// policy.
     ///
     /// Deliberately **not** exported, because each is either derivable
-    /// or rebuilt on demand (exporting them stale would be the
-    /// divergence bug this API exists to rule out):
+    /// or started fresh (exporting them stale would be the divergence
+    /// bug this API exists to rule out):
     ///
     /// * the negative-load count — recomputed from the loads on
     ///   restore;
-    /// * the tracked [`DynamicConnectivity`] structure — re-anchored by
-    ///   calling [`track_connectivity`](Engine::track_connectivity)
-    ///   after restore;
     /// * the fairness monitor and its cumulative ledger — observers of
     ///   the reference rounds, out of scope for checkpoint/resume (a
     ///   restored engine starts them fresh via
@@ -953,7 +901,6 @@ impl Engine {
             injected_total: self.injected_total,
             topology_events_applied: self.topology_events,
             discrepancy_scans: self.discrepancy_scans,
-            negative_rescans: self.negative_rescans,
             vector_config: self.vector_config,
             vector_stats: self.vector_stats,
         }
@@ -964,11 +911,6 @@ impl Engine {
     /// continues the run bit-identically to the engine that exported —
     /// same loads, graph, errors, step numbering and cumulative
     /// counters on every execution path.
-    ///
-    /// The tracked connectivity structure is not restored: it is
-    /// re-anchored on the restored graph by the next
-    /// [`track_connectivity`](Engine::track_connectivity) call, so it
-    /// cannot survive a snapshot in a stale state.
     ///
     /// # Panics
     ///
@@ -984,20 +926,17 @@ impl Engine {
             injected_total,
             topology_events_applied,
             discrepancy_scans,
-            negative_rescans,
             vector_config,
             vector_stats,
         } = state;
         // `new` recomputes the negative count from the loads and
-        // starts with no monitor and no tracked connectivity
-        // for the restored graph.
+        // starts with no monitor.
         let mut engine = Engine::new(graph, LoadVector::new(loads));
         engine.step = step;
         engine.negative_node_steps = negative_node_steps;
         engine.injected_total = injected_total;
         engine.topology_events = topology_events_applied;
         engine.discrepancy_scans = discrepancy_scans;
-        engine.negative_rescans = negative_rescans;
         engine.vector_config = vector_config;
         engine.vector_stats = vector_stats;
         engine
@@ -1657,105 +1596,6 @@ mod tests {
     }
 
     #[test]
-    fn tracked_connectivity_stays_coherent_on_every_path() {
-        use dlb_graph::traversal;
-        use dlb_topology::schedules::PeriodicRewiring;
-
-        // Serial and kernel churn runs must both keep the
-        // tracked structure in agreement with the BFS oracle on the
-        // engine's own graph — the whole point of threading the
-        // checker through `drive_events_checked`.
-        let run = |mode: usize| {
-            let gp = BalancingGraph::lazy(generators::cycle(64).unwrap());
-            let mut e = Engine::new(gp, LoadVector::point_mass(64, 640));
-            e.track_connectivity();
-            assert_eq!(e.is_connected(), Some(true));
-            let mut sched = PeriodicRewiring::new(2, 3, 23);
-            match mode {
-                0 => {
-                    for _ in 0..12 {
-                        let round = Run {
-                            schedule: Some(&mut sched),
-                            path: Path::Reference,
-                            ..Run::new(1)
-                        };
-                        e.run(&mut SendFloor::new(), round).unwrap();
-                        assert_eq!(
-                            e.is_connected(),
-                            Some(traversal::is_connected(e.graph().graph())),
-                            "serial drift"
-                        );
-                    }
-                }
-                _ => {
-                    let run = Run {
-                        schedule: Some(&mut sched),
-                        ..Run::new(12)
-                    };
-                    e.run(&mut SendFloor::new(), run).unwrap();
-                }
-            }
-            assert_eq!(
-                e.is_connected(),
-                Some(traversal::is_connected(e.graph().graph())),
-                "post-run drift (mode {mode})"
-            );
-            assert_eq!(
-                e.is_connected(),
-                Some(true),
-                "rewiring preserves connectivity"
-            );
-        };
-        run(0);
-        run(1);
-    }
-
-    #[test]
-    fn tracked_connectivity_survives_rejected_round_rollback() {
-        // A schedule whose second event is invalid: the round errors,
-        // the graph rolls back, and the checker must roll back with it.
-        struct SwapThenBad;
-        impl TopologySchedule for SwapThenBad {
-            fn label(&self) -> String {
-                "swap-then-bad".into()
-            }
-            fn events(
-                &mut self,
-                _round: usize,
-                _g: &dlb_graph::RegularGraph,
-                out: &mut Vec<TopologyEvent>,
-            ) {
-                out.push(TopologyEvent::Swap {
-                    a: 0,
-                    b: 1,
-                    c: 4,
-                    d: 5,
-                });
-                // Invalid: {0,1} no longer exists after the first swap.
-                out.push(TopologyEvent::Swap {
-                    a: 0,
-                    b: 1,
-                    c: 3,
-                    d: 4,
-                });
-            }
-        }
-        let gp = BalancingGraph::lazy(generators::cycle(8).unwrap());
-        let mut e = Engine::new(gp, LoadVector::point_mass(8, 80));
-        e.track_connectivity();
-        let before = e.graph().clone();
-        let round = Run {
-            schedule: Some(&mut SwapThenBad),
-            path: Path::Reference,
-            ..Run::new(1)
-        };
-        let err = e.run(&mut SendFloor::new(), round);
-        assert!(matches!(err, Err(EngineError::Topology { .. })));
-        assert_eq!(e.graph(), &before, "graph rolled back");
-        assert_eq!(e.is_connected(), Some(true), "checker rolled back with it");
-    }
-
-    #[test]
     fn asleep_node_hands_its_queue_to_live_neighbors_and_never_plans() {
         // Sleep node 0 (the point mass) at round 1; its pile must move
         // to nodes 1 and 11 at the round boundary and node 0 must send
@@ -2084,11 +1924,6 @@ mod tests {
             b.discrepancy_scans(),
             "{what}: discrepancy_scans"
         );
-        assert_eq!(
-            a.negative_rescans(),
-            b.negative_rescans(),
-            "{what}: negative_rescans"
-        );
     }
 
     #[test]
@@ -2193,22 +2028,16 @@ mod tests {
     }
 
     #[test]
-    fn restore_invalidates_lazy_indices() {
-        // The one structure rebuilt on demand — tracked connectivity —
-        // is not carried across a snapshot: the restored engine
-        // re-anchors it on the restored graph. The scan counter resumes
-        // at its exported value and grows by one per summary after.
+    fn restored_scan_counter_resumes_and_counts_summaries_only() {
+        // The scan counter resumes at its exported value, stays put
+        // over a run and grows by one per summary after.
         let mut engine = Engine::new(lazy_cycle(16), LoadVector::point_mass(16, 1600));
-        engine.track_connectivity();
         for _ in 0..10 {
             engine.step(&mut SendFloor::new()).unwrap();
         }
         let scans_at_export = engine.discrepancy_scans();
         assert_eq!(scans_at_export, 10);
         let mut resumed = Engine::from_state(engine.export_state());
-        assert_eq!(resumed.is_connected(), None, "re-anchored, not restored");
-        resumed.track_connectivity();
-        assert_eq!(resumed.is_connected(), Some(true));
         resumed
             .run(
                 &mut SendFloor::new(),

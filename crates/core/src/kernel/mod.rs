@@ -53,7 +53,9 @@
 //! then streams the round body; an absent schedule or workload folds
 //! the pre-round's branches away. An erroring round rolls back its
 //! injection *and* its topology events, so on error both loads and
-//! graph are those after the last fully completed round.
+//! graph are those after the last fully completed round. The
+//! negative-node count is kept in step at every load write and never
+//! rescanned.
 
 use dlb_graph::BalancingGraph;
 use dlb_obs::{Phase, Sink};
@@ -358,6 +360,8 @@ where
 /// `stream(gp, x_t, x_{t+1}, negative, step)` writes the whole of
 /// `x_{t+1}` and keeps `negative` (the count over `x_t` on entry) in
 /// step with it; an `Err` rejects the round, which keeps nothing.
+/// Debug builds check that count against a full scan after every
+/// completed round.
 pub(crate) fn drive<S, W, Si, R>(
     st: RoundState<'_>,
     back: &mut [i64],
@@ -381,7 +385,6 @@ where
     } = run;
     let RoundState {
         gp,
-        mut connectivity,
         loads,
         negative: negative_out,
         injected,
@@ -409,7 +412,6 @@ where
             step_no,
             RoundState {
                 gp: &mut *gp,
-                connectivity: connectivity.as_deref_mut(),
                 loads: &mut *cur,
                 negative: &mut negative,
                 injected: &mut *injected,
@@ -430,7 +432,6 @@ where
             // pre-round is reversed on the front buffer.
             pre.undo(RoundState {
                 gp: &mut *gp,
-                connectivity: connectivity.as_deref_mut(),
                 loads: &mut *cur,
                 negative: &mut negative,
                 injected: &mut *injected,

@@ -4,7 +4,7 @@
 //! and open-system injection put a fixed sequence in front of it:
 //!
 //! 1. **mutate** — the schedule's topology events rewire the graph in
-//!    place (and the connectivity mirror, when tracked);
+//!    place;
 //! 2. **inject** — the workload adds its signed deltas for the round
 //!    into one engine-owned buffer, zeroed once per round;
 //! 3. **handoff** — every asleep node's queue, same-round injection
@@ -21,24 +21,22 @@
 //! execution path: the reference rounds and the streaming kernel rounds
 //! each call [`PreRound::run`], keep only their own flow computation,
 //! and call [`PreRound::undo`] when that computation rejects the
-//! round — so on error loads, graph, connectivity mirror, negative
-//! count and cumulative counters are those after the last fully
-//! completed round on every path.
+//! round — so on error loads, graph, negative count and cumulative
+//! counters are those after the last fully completed round on every
+//! path.
 
-use dlb_graph::{mutate, BalancingGraph, DynamicConnectivity, TopologyEvent};
+use dlb_graph::{mutate, BalancingGraph, TopologyEvent};
 use dlb_obs::{Phase, Sink};
 use dlb_topology::{self as topology, TopologySchedule};
 
 use crate::workload::Workload;
 use crate::EngineError;
 
-/// What a pre-round reads and writes: the graph with its optional
-/// connectivity mirror, the loads with their incrementally maintained
-/// negative count, and the engine's cumulative net injection and
-/// applied topology events.
+/// What a pre-round reads and writes: the graph, the loads with their
+/// incrementally maintained negative count, and the engine's
+/// cumulative net injection and applied topology events.
 pub(crate) struct RoundState<'a> {
     pub gp: &'a mut BalancingGraph,
-    pub connectivity: Option<&'a mut DynamicConnectivity>,
     pub loads: &'a mut [i64],
     pub negative: &'a mut usize,
     pub injected: &'a mut i64,
@@ -95,13 +93,12 @@ impl PreRound {
         self.injected_before = None;
         if let Some(s) = schedule {
             let probe = sink.start();
-            topology::drive_events_checked(
+            topology::drive_events(
                 s,
                 step,
                 st.gp.graph_mut(),
                 &mut self.raw_events,
                 &mut self.events,
-                st.connectivity.as_deref_mut(),
             )
             .map_err(|e| EngineError::Topology {
                 step,
@@ -163,10 +160,9 @@ impl PreRound {
     }
 
     /// Reverses the last successful [`run`](PreRound::run) — its load
-    /// deltas, with the negative count recounted, its topology
-    /// events, connectivity mirror included, and its counter updates —
-    /// leaving `st` exactly as that run found it. Call at most once per
-    /// run.
+    /// deltas, with the negative count recounted, its topology events
+    /// and its counter updates — leaving `st` exactly as that run found
+    /// it. Call at most once per run.
     pub(crate) fn undo(&mut self, st: RoundState<'_>) {
         if let Some(before) = self.injected_before.take() {
             // The exact wrapping inverse of the applied pass, so it
@@ -175,7 +171,7 @@ impl PreRound {
             *st.injected = before;
         }
         *st.events -= self.events.len() as u64;
-        topology::undo_events_checked(st.gp.graph_mut(), &self.events, st.connectivity);
+        topology::undo_events(st.gp.graph_mut(), &self.events);
     }
 }
 
@@ -605,7 +601,6 @@ mod tests {
             let mut pre = PreRound::default();
             let st = RoundState {
                 gp: &mut gp,
-                connectivity: None,
                 loads: &mut loads,
                 negative: &mut negative,
                 injected: &mut injected,
@@ -627,7 +622,6 @@ mod tests {
                     assert_eq!((negative, injected), (0, injected_start + 1), "{tag}");
                     pre.undo(RoundState {
                         gp: &mut gp,
-                        connectivity: None,
                         loads: &mut loads,
                         negative: &mut negative,
                         injected: &mut injected,

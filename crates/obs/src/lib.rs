@@ -20,20 +20,15 @@
 //! On top of the event stream sits a [`MetricRegistry`] — named
 //! monotonic counters, gauges and log-bucketed [`Histogram`]s (HDR
 //! style: ≤ 12.5% relative error) that absorb the ad-hoc stats structs
-//! scattered across the crates (`VectorStats`, kernel rescan counts,
-//! engine scan counters, serve totals). Exporters turn either side
-//! into standard formats: JSONL event dumps and chrome://tracing JSON
-//! for the event stream ([`events_jsonl`], [`chrome_trace`]),
-//! Prometheus-style text exposition for the registry
+//! scattered across the crates (`VectorStats`, engine scan counters,
+//! serve totals), with a Prometheus-style text exposition
 //! ([`MetricRegistry::render_prometheus`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod export;
 mod registry;
 mod sink;
 
-pub use export::{chrome_trace, events_jsonl};
 pub use registry::{Histogram, MetricRegistry};
 pub use sink::{Event, EventKind, NoopSink, Phase, RingSink, Sink, PHASE_COUNT};

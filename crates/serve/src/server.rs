@@ -16,17 +16,17 @@
 //!
 //! # Observability
 //!
-//! The scheduler is instrumented three ways, all additive — the plain
-//! [`Server::run_slice`] path is byte-for-byte the PR 9 code path:
+//! The scheduler has one drain loop, monomorphised over a [`Sink`]; the
+//! plain [`Server::run_slice`] runs it with a [`NoopSink`], which folds
+//! every probe away. On top of it:
 //!
 //! * [`Server::trace_slice`] runs a serial slice against any
 //!   [`Sink`], emitting one `slice` span plus per-ticket
-//!   `ticket`/`lock`/`step`/`merge` spans (a [`NoopSink`] folds every
-//!   probe away, which is how `run_slice(1, ..)` and
-//!   `trace_slice(.., &mut NoopSink)` stay identical);
+//!   `ticket`/`lock`/`step`/`merge` spans (with a [`NoopSink`] it is
+//!   exactly `run_slice(1, ..)`);
 //! * [`Server::run_slice_profiled`] runs a full (possibly threaded)
-//!   slice and aggregates per-phase wall-clock ns into a
-//!   [`SliceProfile`];
+//!   slice with one [`RingSink`] per worker and sums the workers'
+//!   per-phase wall-clock ns into a [`SliceProfile`];
 //! * every profiled slice also feeds the server's
 //!   [`MetricRegistry`] (named counters, among them
 //!   `serve_journal_checkpoints`, plus the `serve_slice_latency_ns`
@@ -37,7 +37,7 @@ use std::time::Instant;
 
 use dlb_core::sync::atomic::{AtomicUsize, Ordering};
 use dlb_core::sync::{thread, Mutex};
-use dlb_obs::{MetricRegistry, NoopSink, Phase, Sink};
+use dlb_obs::{MetricRegistry, NoopSink, Phase, RingSink, Sink};
 
 use crate::tenant::Tenant;
 
@@ -81,17 +81,6 @@ pub struct SliceProfile {
     pub merge_ns: u64,
     /// Tickets that resolved to a tenant (visited, served or errored).
     pub tickets: u64,
-}
-
-impl SliceProfile {
-    /// Folds another worker's profile into this one.
-    pub fn merge(&mut self, other: &SliceProfile) {
-        self.ticket_ns += other.ticket_ns;
-        self.lock_ns += other.lock_ns;
-        self.step_ns += other.step_ns;
-        self.merge_ns += other.merge_ns;
-        self.tickets += other.tickets;
-    }
 }
 
 impl Server {
@@ -138,34 +127,51 @@ impl Server {
     /// which is the serial oracle the model scenarios compare against.
     pub fn run_slice(&self, threads: usize, rounds: usize) -> SliceReport {
         if threads <= 1 {
-            return self.drain(&AtomicUsize::new(0), rounds);
+            return self.drain_traced(&AtomicUsize::new(0), rounds, &mut NoopSink);
         }
-        self.run_slice_pooled(threads, rounds)
+        self.run_pooled(threads, rounds, || NoopSink).0
     }
 
-    fn run_slice_pooled(&self, threads: usize, rounds: usize) -> SliceReport {
+    /// Runs one slice on `threads` workers — spawned, or the calling
+    /// thread alone when `threads <= 1` — each draining tickets into
+    /// its own sink from `new_sink`; returns the merged report and the
+    /// workers' sinks.
+    fn run_pooled<Si: Sink + Send>(
+        &self,
+        threads: usize,
+        rounds: usize,
+        new_sink: impl Fn() -> Si + Sync,
+    ) -> (SliceReport, Vec<Si>) {
         // The ticket counter is the entire scheduling protocol: each
         // worker claims the next unvisited tenant until the table is
         // exhausted.
         let next = AtomicUsize::new(0);
+        let drain = || {
+            let mut sink = new_sink();
+            (self.drain_traced(&next, rounds, &mut sink), sink)
+        };
+        let workers: Vec<(SliceReport, Si)> = if threads <= 1 {
+            vec![drain()]
+        } else {
+            thread::scope(|scope| {
+                let handles: Vec<_> = (0..threads).map(|_| scope.spawn(drain)).collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("scheduler worker must not panic"))
+                    .collect()
+            })
+        };
         let mut merged = SliceReport::default();
-        let workers: Vec<SliceReport> = thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| scope.spawn(|| self.drain(&next, rounds)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scheduler worker must not panic"))
-                .collect()
-        });
-        for report in workers {
+        let mut sinks = Vec::with_capacity(threads);
+        for (report, sink) in workers {
             merged.served += report.served;
             merged.errored += report.errored;
             merged.rounds_advanced += report.rounds_advanced;
             merged.checkpoints += report.checkpoints;
             merged.latencies_ns.extend(report.latencies_ns);
+            sinks.push(sink);
         }
-        merged
+        (merged, sinks)
     }
 
     /// Runs one **serial** slice against a tracing sink, emitting one
@@ -184,13 +190,9 @@ impl Server {
     }
 
     /// One worker's share of a slice: claim tickets until exhausted.
-    fn drain(&self, next: &AtomicUsize, rounds: usize) -> SliceReport {
-        self.drain_traced(next, rounds, &mut NoopSink)
-    }
-
-    /// The drain loop, monomorphized over the sink: the untraced
-    /// [`Server::drain`] is this with a [`NoopSink`], so the two can
-    /// never drift apart.
+    /// The drain loop is monomorphized over the sink: the untraced
+    /// slices run it with a [`NoopSink`], so traced and untraced
+    /// slices can never drift apart.
     fn drain_traced<Si: Sink>(
         &self,
         next: &AtomicUsize,
@@ -253,34 +255,19 @@ impl Server {
     /// (`serve_*` counters plus the `serve_slice_latency_ns` and
     /// per-phase histograms).
     ///
-    /// Profiling only reads a monotonic clock between the exact same
-    /// operations `run_slice` performs, so every tenant outcome is
+    /// The slice runs on the same workers as `run_slice`, each with a
+    /// one-event [`RingSink`] whose per-phase totals are exact whatever
+    /// its capacity. Sinks only observe, so every tenant outcome is
     /// bit-identical to the unprofiled path.
     pub fn run_slice_profiled(&self, threads: usize, rounds: usize) -> (SliceReport, SliceProfile) {
-        let next = AtomicUsize::new(0);
-        let (report, profile) = if threads <= 1 {
-            self.drain_profiled(&next, rounds)
-        } else {
-            let mut merged = SliceReport::default();
-            let mut profile = SliceProfile::default();
-            let workers: Vec<(SliceReport, SliceProfile)> = thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| scope.spawn(|| self.drain_profiled(&next, rounds)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("scheduler worker must not panic"))
-                    .collect()
-            });
-            for (report, p) in workers {
-                merged.served += report.served;
-                merged.errored += report.errored;
-                merged.rounds_advanced += report.rounds_advanced;
-                merged.checkpoints += report.checkpoints;
-                merged.latencies_ns.extend(report.latencies_ns);
-                profile.merge(&p);
-            }
-            (merged, profile)
+        let (report, sinks) = self.run_pooled(threads, rounds, || RingSink::with_capacity(1));
+        let total = |f: &dyn Fn(&RingSink) -> u64| sinks.iter().map(f).sum();
+        let profile = SliceProfile {
+            ticket_ns: total(&|s| s.phase_ns(Phase::Ticket)),
+            lock_ns: total(&|s| s.phase_ns(Phase::Lock)),
+            step_ns: total(&|s| s.phase_ns(Phase::TenantStep)),
+            merge_ns: total(&|s| s.phase_ns(Phase::SliceMerge)),
+            tickets: total(&|s| s.phase_count(Phase::Ticket)),
         };
         let mut reg = self.metrics.lock().expect("metric registry not poisoned");
         reg.counter_add("serve_slices_total", 1);
@@ -297,48 +284,6 @@ impl Server {
         reg.observe("serve_phase_step_ns", profile.step_ns);
         reg.observe("serve_phase_merge_ns", profile.merge_ns);
         drop(reg);
-        (report, profile)
-    }
-
-    /// One worker's share of a profiled slice.
-    fn drain_profiled(&self, next: &AtomicUsize, rounds: usize) -> (SliceReport, SliceProfile) {
-        let mut report = SliceReport::default();
-        let mut profile = SliceProfile::default();
-        loop {
-            let t_ticket = Instant::now();
-            // Relaxed: same protocol as the unprofiled drain.
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let ticket_ns = t_ticket.elapsed().as_nanos() as u64;
-            let Some(slot) = self.tenants.get(i) else {
-                break;
-            };
-            profile.tickets += 1;
-            profile.ticket_ns += ticket_ns;
-            let started = Instant::now();
-            let mut tenant = slot.lock().expect("tenant mutex not poisoned");
-            profile.lock_ns += started.elapsed().as_nanos() as u64;
-            if tenant.error().is_some() {
-                report.errored += 1;
-                continue;
-            }
-            let t_step = Instant::now();
-            let before = (tenant.rounds_done(), tenant.checkpoints());
-            let clean = tenant.run_rounds(rounds);
-            profile.step_ns += t_step.elapsed().as_nanos() as u64;
-            let t_merge = Instant::now();
-            report.rounds_advanced += (tenant.rounds_done() - before.0) as u64;
-            report.checkpoints += tenant.checkpoints() - before.1;
-            if clean {
-                report.served += 1;
-            } else {
-                report.errored += 1;
-            }
-            drop(tenant);
-            report
-                .latencies_ns
-                .push(started.elapsed().as_nanos() as u64);
-            profile.merge_ns += t_merge.elapsed().as_nanos() as u64;
-        }
         (report, profile)
     }
 

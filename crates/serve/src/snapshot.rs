@@ -17,7 +17,7 @@
 //! u64 n   u64 d   u64 d°   u32 adjacency[n·d]   u64 k   u32 asleep[k]
 //! i64 loads[n]
 //! u64 step   u64 negative_node_steps   i64 injected_total
-//! u64 topology_events_applied   u64 discrepancy_scans   u64 negative_rescans
+//! u64 topology_events_applied   u64 discrepancy_scans
 //! u8 vec_enabled   u8 strategy   u8 width  [i64 i32_limit]   u64 stats[5]
 //! u8 scheme   u64 r   u64 rotors[r]
 //! u8 error-tag  [error fields]
@@ -42,8 +42,9 @@ use crate::wire::{Reader, WireError, Writer};
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"DLBSNAP1";
 /// Format version written by this build. Version 2 dropped the
 /// wall-clock word from schedule cursors and the two engine errors no
-/// round raises any more; this build decodes version 2 only.
-pub const SNAPSHOT_VERSION: u16 = 2;
+/// round raises any more; version 3 dropped the engine's always-zero
+/// negative-rescan counter. This build decodes version 3 only.
+pub const SNAPSHOT_VERSION: u16 = 3;
 
 /// Which balancing scheme a tenant runs.
 ///
@@ -187,7 +188,6 @@ impl TenantSnapshot {
         let injected_total = r.i64()?;
         let topology_events_applied = r.counter()?;
         let discrepancy_scans = r.counter()?;
-        let negative_rescans = r.counter()?;
         let (vector_config, vector_stats) = decode_vector(r)?;
         let at = r.offset();
         let scheme = SchemeKind::from_tag(r.u8()?, at)?;
@@ -219,7 +219,6 @@ impl TenantSnapshot {
                 injected_total,
                 topology_events_applied,
                 discrepancy_scans,
-                negative_rescans,
                 vector_config,
                 vector_stats,
             },
@@ -261,7 +260,6 @@ pub(crate) struct EngineRef<'a> {
     injected_total: i64,
     topology_events_applied: u64,
     discrepancy_scans: u64,
-    negative_rescans: u64,
     vector_config: &'a VectorConfig,
     vector_stats: &'a VectorStats,
 }
@@ -276,7 +274,6 @@ impl<'a> From<&'a EngineState> for EngineRef<'a> {
             injected_total: s.injected_total,
             topology_events_applied: s.topology_events_applied,
             discrepancy_scans: s.discrepancy_scans,
-            negative_rescans: s.negative_rescans,
             vector_config: &s.vector_config,
             vector_stats: &s.vector_stats,
         }
@@ -293,7 +290,6 @@ impl<'a> From<&'a Engine> for EngineRef<'a> {
             injected_total: e.injected_total(),
             topology_events_applied: e.topology_events_applied(),
             discrepancy_scans: e.discrepancy_scans(),
-            negative_rescans: e.negative_rescans(),
             vector_config: e.vector_config(),
             vector_stats: e.vector_stats(),
         }
@@ -315,7 +311,6 @@ impl<R: ExactSizeIterator<Item = u64>> SnapshotRef<'_, R> {
         w.i64(engine.injected_total);
         w.u64(engine.topology_events_applied);
         w.u64(engine.discrepancy_scans);
-        w.u64(engine.negative_rescans);
         encode_vector(w, engine.vector_config, engine.vector_stats);
         w.u8(self.scheme.tag());
         w.u64(self.rotors.len() as u64);
@@ -892,17 +887,21 @@ mod tests {
     }
 
     /// A version-1 snapshot — whose schedule cursors carried a
-    /// wall-clock word — is a typed decode error, not a misread.
+    /// wall-clock word — and a version-2 one — which carried the
+    /// negative-rescan counter — are typed decode errors, not misreads.
     #[test]
     fn version_one_snapshots_are_rejected() {
-        let mut bytes = sample_snapshot().encode();
-        bytes[8..10].copy_from_slice(&1u16.to_le_bytes());
-        let err = TenantSnapshot::decode(&bytes).unwrap_err();
-        assert_eq!(err.offset, 8);
-        assert!(
-            err.reason.contains("unsupported snapshot version 1"),
-            "{err}"
-        );
+        for version in [1u16, 2] {
+            let mut bytes = sample_snapshot().encode();
+            bytes[8..10].copy_from_slice(&version.to_le_bytes());
+            let err = TenantSnapshot::decode(&bytes).unwrap_err();
+            assert_eq!(err.offset, 8);
+            assert!(
+                err.reason
+                    .contains(&format!("unsupported snapshot version {version}")),
+                "{err}"
+            );
+        }
     }
 
     /// The error tags of the variants version 2 dropped are unknown.

@@ -16,9 +16,7 @@
 //!   closed-topology entry points (the `NoWorkload` analogue);
 //! * [`drive_events`] / [`undo_events`] — the shared application
 //!   plumbing every engine execution path uses, so serial and kernel
-//!   rounds cannot drift apart in how churn lands or rolls back; the `_checked` variants keep an optional
-//!   [`dlb_graph::DynamicConnectivity`] structure coherent alongside
-//!   the graph, including across rejected-round rollbacks;
+//!   rounds cannot drift apart in how churn lands or rolls back;
 //! * [`SwapShortfall`] — delivered-versus-requested accounting for
 //!   swap bursts, surfaced per schedule via
 //!   [`TopologySchedule::swap_shortfall`];
@@ -38,7 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dlb_graph::{DynamicConnectivity, GraphError, RegularGraph, TopologyEvent};
+use dlb_graph::{GraphError, RegularGraph, TopologyEvent};
 
 pub mod schedules;
 
@@ -218,44 +216,15 @@ pub fn drive_events<S: TopologySchedule + ?Sized>(
     scratch: &mut Vec<TopologyEvent>,
     applied: &mut Vec<TopologyEvent>,
 ) -> Result<(), GraphError> {
-    drive_events_checked(schedule, round, graph, scratch, applied, None)
-}
-
-/// [`drive_events`] with an optional [`DynamicConnectivity`] checker
-/// kept coherent with the graph: every applied event is mirrored into
-/// the checker and a rejected round rolls the checker back alongside
-/// the graph. This is what lets an engine reuse one incrementally
-/// maintained structure across rounds instead of re-deriving
-/// connectivity from scratch.
-///
-/// # Errors
-///
-/// Propagates the first event's validation error; graph *and* checker
-/// are restored before returning.
-pub fn drive_events_checked<S: TopologySchedule + ?Sized>(
-    schedule: &mut S,
-    round: usize,
-    graph: &mut RegularGraph,
-    scratch: &mut Vec<TopologyEvent>,
-    applied: &mut Vec<TopologyEvent>,
-    mut checker: Option<&mut DynamicConnectivity>,
-) -> Result<(), GraphError> {
     scratch.clear();
     schedule.events(round, graph, scratch);
     for event in scratch.iter() {
-        match graph.apply_event(event) {
-            Ok(()) => {
-                if let Some(dc) = checker.as_deref_mut() {
-                    dc.apply_event(event);
-                }
-                applied.push(event.clone());
-            }
-            Err(e) => {
-                undo_events_checked(graph, applied, checker);
-                applied.clear();
-                return Err(e);
-            }
+        if let Err(e) = graph.apply_event(event) {
+            undo_events(graph, applied);
+            applied.clear();
+            return Err(e);
         }
+        applied.push(event.clone());
     }
     Ok(())
 }
@@ -264,23 +233,10 @@ pub fn drive_events_checked<S: TopologySchedule + ?Sized>(
 /// restoring the graph bit for bit (see
 /// [`TopologyEvent::inverted`]).
 pub fn undo_events(graph: &mut RegularGraph, applied: &[TopologyEvent]) {
-    undo_events_checked(graph, applied, None);
-}
-
-/// [`undo_events`] that also rolls an optional connectivity checker
-/// back in lockstep with the graph.
-pub fn undo_events_checked(
-    graph: &mut RegularGraph,
-    applied: &[TopologyEvent],
-    mut checker: Option<&mut DynamicConnectivity>,
-) {
     for event in applied.iter().rev() {
         graph
             .apply_event(&event.inverted())
             .expect("the inverse of an applied event is always valid");
-        if let Some(dc) = checker.as_deref_mut() {
-            dc.undo_event(event);
-        }
     }
 }
 

@@ -453,7 +453,7 @@ fn counters_ride_snapshot_resume() {
 }
 
 #[test]
-fn fill_metrics_is_idempotent_and_negative_rescans_stay_zero() {
+fn fill_metrics_is_idempotent_and_matches_the_exposition() {
     let n = 256;
     let mut engine = Engine::new(cycle(n), point_mass(n));
     engine.run(&mut SendFloor::new(), Run::new(32)).unwrap();
@@ -469,10 +469,6 @@ fn fill_metrics_is_idempotent_and_negative_rescans_stay_zero() {
     assert_eq!(first, second);
 
     assert_eq!(reg.counter("engine_steps_total"), 48);
-    // Both the streaming apply and the vectorized rounds maintain the
-    // negative count incrementally — the full-rescan counter is
-    // pinned at zero.
-    assert_eq!(reg.counter("engine_negative_rescans_total"), 0);
     assert!(reg.counter("engine_vector_runs_total") > 0);
     // And the rendered exposition carries the same numbers.
     let text = reg.render_prometheus();

@@ -43,9 +43,9 @@
 //!   unified registry silently stops being unified.
 //! * **pre-round** — one module owns a round's dynamics and rollback:
 //!   outside `#[cfg(test)]`, only `crates/core/src/round.rs` may call
-//!   `drive_events_checked`, `undo_events_checked`, `handoff_deltas`
-//!   or the workload's `inject` anywhere in `crates/core/src`. The
-//!   planned and kernel round drivers call that module instead, so the
+//!   `drive_events`, `undo_events`, `handoff_deltas` or the workload's
+//!   `inject` anywhere in `crates/core/src`. The reference and kernel
+//!   round drivers call that module instead, so the
 //!   mutate → inject → handoff → negative-check → rollback sequence
 //!   cannot drift back into two copies.
 //!
@@ -334,12 +334,7 @@ fn declares_stats_struct(line: &str) -> bool {
 
 /// The primitives of a round's dynamics and rollback, which only the
 /// pre-round module may call.
-const PRE_ROUND_PRIMITIVES: [&str; 4] = [
-    "drive_events_checked",
-    "undo_events_checked",
-    "handoff_deltas",
-    "inject",
-];
+const PRE_ROUND_PRIMITIVES: [&str; 4] = ["drive_events", "undo_events", "handoff_deltas", "inject"];
 
 /// The one file in `crates/core/src` allowed to call them.
 const PRE_ROUND_MODULE: &str = "crates/core/src/round.rs";
@@ -840,8 +835,8 @@ mod tests {
         // Seeded violations: a round driver outside the pre-round
         // module reaching for each primitive.
         let calls = [
-            "fn f() { topology::drive_events_checked(s, 1, g, a, b, None).ok(); }\n",
-            "fn f() { topology::undo_events_checked(g, &applied, None); }\n",
+            "fn f() { topology::drive_events(s, 1, g, a, b).ok(); }\n",
+            "fn f() { topology::undo_events(g, &applied); }\n",
             "fn f() { mutate::handoff_deltas(g, loads, &mut deltas); }\n",
             "fn f() { w.inject(1, loads, &mut deltas); }\n",
         ];
@@ -865,9 +860,9 @@ mod tests {
         assert!(lint_source("crates/core/src/workload.rs", def).is_empty());
 
         // Longer identifiers, comments, strings and tests are not uses.
-        let other = "fn f() { my_handoff_deltas(); drive_events_checked_twice(); }\n\
+        let other = "fn f() { my_handoff_deltas(); drive_events_twice(); }\n\
                      fn h(injected: i64) -> Phase { reinject(injected); Phase::Inject }\n\
-                     // drive_events_checked(s) lives in round.rs\n\
+                     // drive_events(s) lives in round.rs\n\
                      fn g() -> &'static str { \"handoff_deltas(x)\" }\n";
         assert!(lint_source("crates/core/src/engine.rs", other).is_empty());
         let in_test = "#[cfg(test)]\nmod tests {\n    fn t() { handoff_deltas(g, l, d); }\n}\n";
