@@ -1,12 +1,13 @@
-//! Incrementally maintained dynamic connectivity for the churn layer.
+//! Connectivity checks for the churn layer's double-edge swaps.
 //!
 //! The rewiring generators in `dlb-topology` must guarantee that every
-//! emitted double-edge swap preserves connectivity. Until PR 6 they
-//! validated each candidate with a full [`crate::traversal::is_connected`]
-//! BFS on a scratch graph — `O(n·d)` **per candidate**, the cost that
-//! collapsed churn throughput in the PR 5 sweep. This module replaces
-//! that oracle with an incrementally maintained spanning structure in
-//! the spirit of Holm–de Lichtenberg–Thorup ("HDT-lite"):
+//! emitted double-edge swap preserves connectivity. A full
+//! [`crate::traversal::is_connected`] BFS on a scratch graph costs
+//! `O(n·d)` **per candidate**, which collapses churn throughput. This
+//! module answers the same question two ways.
+//!
+//! [`DynamicConnectivity`] is an incrementally maintained spanning
+//! structure in the spirit of Holm–de Lichtenberg–Thorup ("HDT-lite"):
 //!
 //! * a **spanning forest** with per-edge tree/non-tree classification,
 //!   stored flat: every node owns exactly `d` edge slots (a d-regular
@@ -31,31 +32,14 @@
 //! persist across undos, which is exactly what keeps the global
 //! amortisation valid under the generators' apply/rollback probing.
 //!
-//! **2-regular fast path.** A 2-regular graph is a disjoint union of
-//! simple cycles, and it is exactly the regime where the forest walk
-//! degenerates (every edge is essentially a tree edge and replacements
-//! sit half a cycle away). For `d == 2` the structure therefore keeps
-//! each ring as a circular list of **arcs** over a fixed anchor tour
-//! (`ring_node_at` / `ring_pos`, built once per rebuild): an arc is a
-//! contiguous anchor segment walked forward or backward. A swap only
-//! ever cuts two edges and splices two, so it touches at most two arc
-//! boundaries: a candidate probe orients both cut edges along the
-//! traversal (`O(arcs)` to locate, `O(1)` to classify — a same-ring
-//! swap splits iff the chain between the cuts has both endpoints on
-//! one inserted edge, and a cross-ring swap always merges), and an
-//! *applied* swap is pure segment bookkeeping — a 2-opt flips
-//! direction flags instead of rewriting `O(min side)` pointers, so no
-//! per-node work is ever paid. The arc count grows by at most two per
-//! applied swap (shrinking again under compaction when an undo
-//! restores contiguity), so a burst of `k` swaps costs `O(k²)` tiny
-//! vector ops rather than `O(k·n)` walks. The representation is chosen
-//! per snapshot in [`DynamicConnectivity::rebuild`].
-//!
-//! Sleep and wake events do not touch adjacency, so they are no-ops
-//! here — mirroring how [`crate::traversal::is_connected`] treats
-//! asleep nodes as still physically wired.
+//! **Rings.** A 2-regular graph is a disjoint union of simple cycles,
+//! the regime where the forest degenerates (every edge is essentially a
+//! tree edge and replacements sit half a ring away). There a swap needs
+//! no structure at all: [`ring_swap_delta`] decides it by walking the
+//! ring through its first cut edge, and [`ring_count`] counts the rings
+//! once, so a caller tracks the component count by adding the delta of
+//! every swap it applies.
 
-use crate::mutate::TopologyEvent;
 use crate::regular::{NodeId, RegularGraph};
 
 /// One directed copy of an edge in the flat per-node slot table.
@@ -82,9 +66,9 @@ const NO_COMP: u32 = u32::MAX;
 /// All swap mutators share the preconditions of
 /// [`RegularGraph::apply_swap`]: `a, b, c, d` pairwise distinct, edges
 /// `{a,b}` and `{c,d}` present, edges `{a,c}` and `{b,d}` absent.
-/// Callers (the topology generators and the engine's checked drive
-/// path) validate candidates against the graph first, so violations
-/// are programming errors and panic in debug builds.
+/// The topology generators validate candidates against the graph
+/// first, so violations are programming errors and panic in debug
+/// builds.
 #[derive(Debug, Clone)]
 pub struct DynamicConnectivity {
     n: usize,
@@ -108,82 +92,6 @@ pub struct DynamicConnectivity {
     qb: Vec<u32>,
     /// BFS parent scratch for `rebuild`'s tree classification.
     parent: Vec<u32>,
-    /// Whether the 2-regular ring representation is active (chosen by
-    /// `rebuild` when the snapshot has degree 2). When set, the arc
-    /// lists are authoritative and the slot table stays empty.
-    cycle_rep: bool,
-    /// Anchor tour for the ring representation: one contiguous block
-    /// of `ring_node_at` per original ring; `ring_pos` inverts it.
-    ring_node_at: Vec<u32>,
-    ring_pos: Vec<u32>,
-    /// Live rings as circular arc lists, indexed by component label
-    /// (freed labels keep an empty list). `comp` is *not* maintained
-    /// in this representation — `same_component` locates instead.
-    rings: Vec<Vec<Arc>>,
-    /// Chain-extraction scratch.
-    scratch_p: Vec<Arc>,
-    scratch_q: Vec<Arc>,
-}
-
-/// One contiguous segment of the anchor tour, walked forward
-/// (`rev == false`: positions `start..start+len`) or backward.
-#[derive(Debug, Clone, Copy)]
-struct Arc {
-    start: u32,
-    len: u32,
-    rev: bool,
-}
-
-impl Arc {
-    /// Anchor position of the first node in traversal order.
-    #[inline]
-    fn head_pos(self) -> u32 {
-        if self.rev {
-            self.start + self.len - 1
-        } else {
-            self.start
-        }
-    }
-
-    /// Anchor position of the last node in traversal order.
-    #[inline]
-    fn tail_pos(self) -> u32 {
-        if self.rev {
-            self.start
-        } else {
-            self.start + self.len - 1
-        }
-    }
-}
-
-/// Writes `src` into `dst`, merging adjacent arcs that are contiguous
-/// on the anchor tour and share a direction — the compaction that lets
-/// an undo shrink the arc list back instead of fragmenting forever.
-fn compact_into(dst: &mut Vec<Arc>, src: &[Arc]) {
-    dst.clear();
-    for &arc in src {
-        if let Some(last) = dst.last_mut() {
-            if !last.rev && !arc.rev && last.start + last.len == arc.start {
-                last.len += arc.len;
-                continue;
-            }
-            if last.rev && arc.rev && arc.start + arc.len == last.start {
-                last.start = arc.start;
-                last.len += arc.len;
-                continue;
-            }
-        }
-        dst.push(arc);
-    }
-}
-
-/// Reverses a chain in place: arc order flips and every arc's
-/// direction toggles; the chain's head and tail trade places.
-fn flip_chain(chain: &mut [Arc]) {
-    chain.reverse();
-    for arc in chain {
-        arc.rev = !arc.rev;
-    }
 }
 
 impl DynamicConnectivity {
@@ -205,12 +113,6 @@ impl DynamicConnectivity {
             qa: Vec::new(),
             qb: Vec::new(),
             parent: Vec::new(),
-            cycle_rep: false,
-            ring_node_at: Vec::new(),
-            ring_pos: Vec::new(),
-            rings: Vec::new(),
-            scratch_p: Vec::new(),
-            scratch_q: Vec::new(),
         };
         dc.rebuild(graph);
         dc
@@ -218,7 +120,8 @@ impl DynamicConnectivity {
 
     /// Re-anchors the structure to a (possibly different) graph
     /// snapshot, reusing every allocation — the per-emitting-round
-    /// path in the rewiring generators.
+    /// path in the rewiring generators. A BFS spanning forest plus
+    /// level-0 non-tree classification, `O(n·d)`.
     pub fn rebuild(&mut self, graph: &RegularGraph) {
         let n = graph.num_nodes();
         let d = graph.degree();
@@ -231,22 +134,6 @@ impl DynamicConnectivity {
         } else {
             (usize::BITS - (n - 1).leading_zeros()) as u8
         };
-        if d == 2 {
-            self.rebuild_cycles(graph);
-        } else {
-            self.rebuild_forest(graph);
-        }
-    }
-
-    /// General-degree rebuild path: BFS spanning forest plus level-0
-    /// non-tree classification. `O(n·d)`.
-    fn rebuild_forest(&mut self, graph: &RegularGraph) {
-        let n = self.n;
-        let d = self.cap;
-        self.cycle_rep = false;
-        self.ring_node_at.clear();
-        self.ring_pos.clear();
-        self.rings.clear();
         self.slots.clear();
         self.slots.resize(
             n * d,
@@ -315,310 +202,6 @@ impl DynamicConnectivity {
         }
     }
 
-    /// Rebuild path for 2-regular snapshots: lay the rings out as the
-    /// anchor tour (one contiguous block each) and represent every
-    /// ring by a single forward arc. `O(n)`.
-    fn rebuild_cycles(&mut self, graph: &RegularGraph) {
-        let n = self.n;
-        self.cycle_rep = true;
-        self.slots.clear();
-        self.len.clear();
-        self.mark.clear();
-        self.parent.clear();
-        self.comp.clear();
-        self.comp.resize(n, NO_COMP);
-        self.comp_size.clear();
-        self.free_labels.clear();
-        self.components = 0;
-        self.rings.clear();
-        self.ring_node_at.clear();
-        self.ring_node_at.resize(n, 0);
-        self.ring_pos.clear();
-        self.ring_pos.resize(n, 0);
-        let mut cursor = 0u32;
-        for root in 0..n {
-            if self.comp[root] != NO_COMP {
-                continue;
-            }
-            let label = self.comp_size.len() as u32;
-            self.components += 1;
-            let start = cursor;
-            // Walk the ring: the successor of `cur` is whichever
-            // neighbour we did not just come from (port 0 seeds the
-            // orientation at the root).
-            let mut prev_node = root;
-            let mut cur = root;
-            loop {
-                let nb = graph.neighbors(cur);
-                let nxt = if cursor == start || nb[0] as usize != prev_node {
-                    nb[0] as usize
-                } else {
-                    nb[1] as usize
-                };
-                self.comp[cur] = label;
-                self.ring_node_at[cursor as usize] = cur as u32;
-                self.ring_pos[cur] = cursor;
-                cursor += 1;
-                prev_node = cur;
-                cur = nxt;
-                if cur == root {
-                    break;
-                }
-            }
-            let size = cursor - start;
-            self.comp_size.push(size);
-            self.rings.push(vec![Arc {
-                start,
-                len: size,
-                rev: false,
-            }]);
-        }
-        debug_assert_eq!(cursor as usize, n);
-    }
-
-    /// Ring label and arc index holding `v`. `O(total arcs)`.
-    fn ring_locate(&self, v: NodeId) -> (usize, usize) {
-        let p = self.ring_pos[v];
-        for (label, arcs) in self.rings.iter().enumerate() {
-            for (i, arc) in arcs.iter().enumerate() {
-                if p >= arc.start && p < arc.start + arc.len {
-                    return (label, i);
-                }
-            }
-        }
-        unreachable!("node {v} not on any ring")
-    }
-
-    /// Traversal successor of `v`, which sits in `rings[label][arc_idx]`.
-    fn ring_succ(&self, label: usize, arc_idx: usize, v: NodeId) -> usize {
-        let arcs = &self.rings[label];
-        let arc = arcs[arc_idx];
-        let p = self.ring_pos[v];
-        if arc.rev {
-            if p > arc.start {
-                return self.ring_node_at[p as usize - 1] as usize;
-            }
-        } else if p + 1 < arc.start + arc.len {
-            return self.ring_node_at[p as usize + 1] as usize;
-        }
-        let next = arcs[(arc_idx + 1) % arcs.len()];
-        self.ring_node_at[next.head_pos() as usize] as usize
-    }
-
-    /// Orients the tracked edge `{u, v}` along the traversal:
-    /// returns `(pred, other, ring label)` with pred → other.
-    fn ring_orient_edge(&self, u: NodeId, v: NodeId) -> (usize, usize, usize) {
-        let (label, i) = self.ring_locate(u);
-        if self.ring_succ(label, i, u) == v {
-            (u, v, label)
-        } else {
-            debug_assert_eq!(
-                {
-                    let (lv, iv) = self.ring_locate(v);
-                    self.ring_succ(lv, iv, v)
-                },
-                u,
-                "edge {{{u},{v}}} not tracked"
-            );
-            (v, u, label)
-        }
-    }
-
-    /// Whether the swap splits a ring, given the oriented cut edges:
-    /// the chain between the two cut boundaries runs other1 → … →
-    /// pred2, and it closes on itself exactly when its endpoints are
-    /// one of the inserted pairs `{a,c}` / `{b,d}`.
-    #[inline]
-    fn ring_splits(o1: usize, p2: usize, a: NodeId, b: NodeId, c: NodeId, d: NodeId) -> bool {
-        (o1 == a && p2 == c) || (o1 == c && p2 == a) || (o1 == b && p2 == d) || (o1 == d && p2 == b)
-    }
-
-    /// Component-count delta of the swap on the ring representation —
-    /// pure, `O(arcs)`.
-    fn ring_delta(&self, a: NodeId, b: NodeId, c: NodeId, d: NodeId) -> isize {
-        let (_p1, o1, l1) = self.ring_orient_edge(a, b);
-        let (p2, _o2, l2) = self.ring_orient_edge(c, d);
-        if l1 != l2 {
-            -1
-        } else if Self::ring_splits(o1, p2, a, b, c, d) {
-            1
-        } else {
-            0
-        }
-    }
-
-    /// Ensures an arc boundary immediately after `pred` in its ring's
-    /// traversal, splitting `pred`'s arc if the boundary is interior.
-    fn ring_cut_after(&mut self, label: usize, pred: NodeId) {
-        let p = self.ring_pos[pred];
-        let arcs = &mut self.rings[label];
-        let i = arcs
-            .iter()
-            .position(|arc| p >= arc.start && p < arc.start + arc.len)
-            .expect("pred on its ring");
-        let arc = arcs[i];
-        if p == arc.tail_pos() {
-            return;
-        }
-        let (first, second) = if arc.rev {
-            (
-                Arc {
-                    start: p,
-                    len: arc.start + arc.len - p,
-                    rev: true,
-                },
-                Arc {
-                    start: arc.start,
-                    len: p - arc.start,
-                    rev: true,
-                },
-            )
-        } else {
-            (
-                Arc {
-                    start: arc.start,
-                    len: p - arc.start + 1,
-                    rev: false,
-                },
-                Arc {
-                    start: p + 1,
-                    len: arc.start + arc.len - (p + 1),
-                    rev: false,
-                },
-            )
-        };
-        arcs[i] = first;
-        arcs.insert(i + 1, second);
-    }
-
-    /// Index of the arc in `rings[label]` whose traversal tail is
-    /// `pred` (which must sit at an arc boundary, see `ring_cut_after`).
-    fn ring_boundary_index(&self, label: usize, pred: NodeId) -> usize {
-        let p = self.ring_pos[pred];
-        self.rings[label]
-            .iter()
-            .position(|arc| arc.tail_pos() == p)
-            .expect("pred at an arc boundary")
-    }
-
-    /// Ring-representation swap: cut the two edges at their arc
-    /// boundaries, then rearrange whole arcs — `O(arcs)`, no per-node
-    /// work.
-    fn ring_apply_swap(&mut self, a: NodeId, b: NodeId, c: NodeId, d: NodeId) {
-        let (p1, o1, l1) = self.ring_orient_edge(a, b);
-        self.ring_cut_after(l1, p1);
-        let (p2, o2, l2) = self.ring_orient_edge(c, d);
-        self.ring_cut_after(l2, p2);
-        let i1 = self.ring_boundary_index(l1, p1);
-        let i2 = self.ring_boundary_index(l2, p2);
-        let mut pa = std::mem::take(&mut self.scratch_p);
-        let mut qa = std::mem::take(&mut self.scratch_q);
-
-        if l1 != l2 {
-            // Cross-ring merge. Linearize both rings at their cuts:
-            // chain A = o1 … p1, chain C = o2 … p2. The inserted edge
-            // at A's tail decides C's orientation in the merged ring.
-            Self::chain_from(&self.rings[l1], i1, &mut pa);
-            Self::chain_from(&self.rings[l2], i2, &mut qa);
-            let partner = if p1 == a { c } else { d };
-            if partner == o2 {
-                // a → c or b → d junction lines up: A ++ C.
-            } else {
-                debug_assert_eq!(partner, p2, "inserted edge must meet chain C at an end");
-                // Tail meets tail: reverse the chain with fewer arcs.
-                if qa.len() <= pa.len() {
-                    flip_chain(&mut qa);
-                } else {
-                    flip_chain(&mut pa);
-                    std::mem::swap(&mut pa, &mut qa);
-                }
-            }
-            pa.extend_from_slice(&qa);
-            let (keep, absorbed) = if self.comp_size[l1] >= self.comp_size[l2] {
-                (l1, l2)
-            } else {
-                (l2, l1)
-            };
-            compact_into(&mut self.rings[keep], &pa);
-            self.rings[absorbed].clear();
-            self.comp_size[keep] += self.comp_size[absorbed];
-            self.free_labels.push(absorbed as u32);
-            self.components -= 1;
-        } else {
-            // Same ring: the two cuts leave chains P = o1 … p2 and
-            // Q = o2 … p1 (arc index ranges (i1, i2] and (i2, i1]).
-            let arcs = &self.rings[l1];
-            let m = arcs.len();
-            pa.clear();
-            qa.clear();
-            let (mut psize, mut qsize) = (0u32, 0u32);
-            let mut k = (i1 + 1) % m;
-            loop {
-                pa.push(arcs[k]);
-                psize += arcs[k].len;
-                if k == i2 {
-                    break;
-                }
-                k = (k + 1) % m;
-            }
-            let mut k = (i2 + 1) % m;
-            loop {
-                qa.push(arcs[k]);
-                qsize += arcs[k].len;
-                if k == i1 {
-                    break;
-                }
-                k = (k + 1) % m;
-            }
-            if Self::ring_splits(o1, p2, a, b, c, d) {
-                // P and Q each close on an inserted edge: split. The
-                // smaller ring takes a fresh label (mirroring the
-                // forest's union-by-size convention).
-                let fresh = self.alloc_label() as usize;
-                if self.rings.len() <= fresh {
-                    self.rings.resize_with(fresh + 1, Vec::new);
-                }
-                let (big, big_size, small, small_size) = if psize >= qsize {
-                    (&pa, psize, &qa, qsize)
-                } else {
-                    (&qa, qsize, &pa, psize)
-                };
-                compact_into(&mut self.rings[l1], big);
-                let mut freshly = std::mem::take(&mut self.rings[fresh]);
-                compact_into(&mut freshly, small);
-                self.rings[fresh] = freshly;
-                self.comp_size[l1] = big_size;
-                self.comp_size[fresh] = small_size;
-                self.components += 1;
-            } else {
-                // 2-opt: the inserted edges are {p1,p2} and {o1,o2},
-                // so the new ring is Q ++ flip(P) (equivalently
-                // flip(Q) ++ P) — reverse whichever has fewer arcs.
-                if pa.len() <= qa.len() {
-                    flip_chain(&mut pa);
-                    qa.extend_from_slice(&pa);
-                    compact_into(&mut self.rings[l1], &qa);
-                } else {
-                    flip_chain(&mut qa);
-                    qa.extend_from_slice(&pa);
-                    compact_into(&mut self.rings[l1], &qa);
-                }
-            }
-        }
-        self.scratch_p = pa;
-        self.scratch_q = qa;
-    }
-
-    /// The whole circular arc list of a ring, linearized to start
-    /// right after arc `j` (so the chain's tail is arc `j`'s tail).
-    fn chain_from(arcs: &[Arc], j: usize, out: &mut Vec<Arc>) {
-        out.clear();
-        let m = arcs.len();
-        for k in 1..=m {
-            out.push(arcs[(j + k) % m]);
-        }
-    }
-
     /// Whether the tracked edge set forms a single connected component.
     #[must_use]
     pub fn is_connected(&self) -> bool {
@@ -634,9 +217,6 @@ impl DynamicConnectivity {
     /// Whether `u` and `v` are currently in the same component.
     #[must_use]
     pub fn same_component(&self, u: NodeId, v: NodeId) -> bool {
-        if self.cycle_rep {
-            return self.ring_locate(u).0 == self.ring_locate(v).0;
-        }
         self.comp[u] == self.comp[v]
     }
 
@@ -644,10 +224,6 @@ impl DynamicConnectivity {
     ///
     /// See the type docs for preconditions.
     pub fn apply_swap(&mut self, a: NodeId, b: NodeId, c: NodeId, d: NodeId) {
-        if self.cycle_rep {
-            self.ring_apply_swap(a, b, c, d);
-            return;
-        }
         self.delete_edge(a, b);
         self.delete_edge(c, d);
         self.insert_edge(a, c);
@@ -656,7 +232,7 @@ impl DynamicConnectivity {
 
     /// Rolls back a previously applied swap: removes `{a,c},{b,d}` and
     /// restores `{a,b},{c,d}` (the slot-level inverse used by
-    /// [`TopologyEvent::inverted`]).
+    /// [`TopologyEvent::inverted`](crate::TopologyEvent::inverted)).
     ///
     /// Undo restores semantic state — the exact component partition
     /// and a valid spanning forest — not bit-identical internals:
@@ -673,9 +249,6 @@ impl DynamicConnectivity {
     /// preconditions (in particular simplicity) against the tracked
     /// edge set.
     pub fn would_disconnect(&mut self, a: NodeId, b: NodeId, c: NodeId, d: NodeId) -> bool {
-        if self.cycle_rep {
-            return self.ring_delta(a, b, c, d) > 0;
-        }
         let before = self.components;
         self.apply_swap(a, b, c, d);
         let disconnects = self.components > before;
@@ -692,30 +265,12 @@ impl DynamicConnectivity {
     /// components, and a split of a side ring never *increases* the
     /// answer past "disconnected".
     ///
-    /// `O(1)` on the 2-regular ring representation; apply-and-roll-back
-    /// (amortised near-`O(d)`) on the spanning forest.
+    /// Apply-and-roll-back, amortised near-`O(d)`.
     pub fn would_leave_disconnected(&mut self, a: NodeId, b: NodeId, c: NodeId, d: NodeId) -> bool {
-        if self.cycle_rep {
-            let after = self.components as isize + self.ring_delta(a, b, c, d);
-            return after != 1;
-        }
         self.apply_swap(a, b, c, d);
         let disconnected = self.components != 1;
         self.undo_swap(a, b, c, d);
         disconnected
-    }
-
-    /// Mirrors one applied [`TopologyEvent`]. Port permutations and
-    /// sleep/wake do not change the edge set and are no-ops.
-    pub fn apply_event(&mut self, event: &TopologyEvent) {
-        if let TopologyEvent::Swap { a, b, c, d } = *event {
-            self.apply_swap(a, b, c, d);
-        }
-    }
-
-    /// Mirrors the rollback of one applied [`TopologyEvent`].
-    pub fn undo_event(&mut self, event: &TopologyEvent) {
-        self.apply_event(&event.inverted());
     }
 
     #[inline]
@@ -959,82 +514,212 @@ impl DynamicConnectivity {
     }
 }
 
+/// The node after `cur` on its ring when arriving from `prev`: `cur`'s
+/// two slots hold `prev` and the successor, so their XOR with `prev`
+/// leaves the successor without a branch.
+#[inline]
+fn ring_next(slots: &[u32], prev: usize, cur: usize) -> usize {
+    (slots[2 * cur] ^ slots[2 * cur + 1]) as usize ^ prev
+}
+
+/// The number of rings (connected components) of a 2-regular graph,
+/// in one `O(n)` walk.
+///
+/// # Panics
+///
+/// Panics if `graph` is not 2-regular.
+#[must_use]
+pub fn ring_count(graph: &RegularGraph) -> usize {
+    assert_eq!(graph.degree(), 2, "ring_count needs a 2-regular graph");
+    let slots = graph.adjacency_slots();
+    let mut seen = vec![false; graph.num_nodes()];
+    let mut rings = 0;
+    for root in 0..seen.len() {
+        if seen[root] {
+            continue;
+        }
+        rings += 1;
+        seen[root] = true;
+        let (mut prev, mut cur) = (root, slots[2 * root] as usize);
+        while cur != root {
+            seen[cur] = true;
+            (prev, cur) = (cur, ring_next(slots, prev, cur));
+        }
+    }
+    rings
+}
+
+/// The change in the number of components that the double-edge swap
+/// `{a,b},{c,d} → {a,c},{b,d}` makes on a 2-regular graph: `0` when the
+/// ring through `{a,b}` stays whole, `+1` when it splits in two, `-1`
+/// when `{c,d}` lies on another ring and the two merge.
+///
+/// Two walks over the ring through `{a,b}` run in lockstep, one from
+/// `b` away from `a` and one from `a` away from `b`. The forward walk
+/// meeting `c` first, or the backward walk meeting `d` first, leaves
+/// the ring whole; the forward walk meeting `d` first, or the backward
+/// walk meeting `c` first, splits it; the walks meeting each other
+/// means `c` and `d` lie on another ring. Together they cover that
+/// ring at most once, and their loads are independent, so on a ring
+/// too large for the cache they take about half the time of one walk. The graph is only read. The swap must satisfy the
+/// preconditions of [`RegularGraph::apply_swap`].
+///
+/// # Panics
+///
+/// Panics if `graph` is not 2-regular.
+#[must_use]
+pub fn ring_swap_delta(graph: &RegularGraph, a: NodeId, b: NodeId, c: NodeId, d: NodeId) -> isize {
+    assert_eq!(graph.degree(), 2, "ring_swap_delta needs a 2-regular graph");
+    debug_assert!(
+        graph.has_edge(a, b) && graph.has_edge(c, d),
+        "cut edges must exist"
+    );
+    let slots = graph.adjacency_slots();
+    let (mut pf, mut f, mut pg, mut g) = (a, b, b, a);
+    loop {
+        (pf, f) = (f, ring_next(slots, pf, f));
+        if f == c {
+            return 0;
+        }
+        if f == d {
+            return 1;
+        }
+        if f == g {
+            return -1;
+        }
+        (pg, g) = (g, ring_next(slots, pg, g));
+        if g == d {
+            return 0;
+        }
+        if g == c {
+            return 1;
+        }
+        if g == f {
+            return -1;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{generators, traversal};
 
+    /// Every simple swap candidate `{a,b},{c,d} → {a,c},{b,d}` of `g`,
+    /// in node and port order.
+    fn simple_swaps(g: &RegularGraph) -> Vec<(usize, usize, usize, usize)> {
+        let edges: Vec<(usize, usize)> = g.directed_edges().map(|(u, _, v)| (u, v)).collect();
+        let mut swaps = Vec::new();
+        for &(a, b) in &edges {
+            for &(c, d) in &edges {
+                let simple =
+                    a != c && a != d && b != c && b != d && !g.has_edge(a, c) && !g.has_edge(b, d);
+                if simple {
+                    swaps.push((a, b, c, d));
+                }
+            }
+        }
+        swaps
+    }
+
+    /// The number of connected components, by repeated BFS.
+    fn bfs_components(g: &RegularGraph) -> usize {
+        let mut reached = vec![false; g.num_nodes()];
+        let mut components = 0;
+        for root in 0..g.num_nodes() {
+            if !reached[root] {
+                components += 1;
+                let dist = traversal::bfs_distances(g, root);
+                for (u, &du) in dist.iter().enumerate() {
+                    reached[u] |= du != traversal::UNREACHABLE;
+                }
+            }
+        }
+        components
+    }
+
     /// Exhaustive swap candidates on a small graph, checked against
     /// the BFS oracle through apply / query / undo.
     fn check_all_swaps(g: &RegularGraph) {
         let mut dc = DynamicConnectivity::new(g);
-        check_all_swaps_with(g, &mut dc);
+        assert_eq!(dc.is_connected(), traversal::is_connected(g));
+        let mut probe = g.clone();
+        for (a, b, c, dd) in simple_swaps(g) {
+            probe.apply_swap(a, b, c, dd).unwrap();
+            let oracle = !traversal::is_connected(&probe);
+            assert_eq!(
+                dc.would_disconnect(a, b, c, dd),
+                oracle,
+                "swap ({a},{b})x({c},{dd})"
+            );
+            // On a connected graph the generators' accept test
+            // coincides with the split test.
+            assert_eq!(
+                dc.would_leave_disconnected(a, b, c, dd),
+                oracle,
+                "leave-disconnected ({a},{b})x({c},{dd})"
+            );
+            // Apply and roll back for real.
+            dc.apply_swap(a, b, c, dd);
+            assert_eq!(dc.is_connected(), !oracle, "applied ({a},{b})x({c},{dd})");
+            dc.undo_swap(a, b, c, dd);
+            probe.apply_swap(a, c, b, dd).unwrap();
+            assert_eq!(dc.is_connected(), traversal::is_connected(&probe));
+        }
     }
 
-    fn check_all_swaps_with(g: &RegularGraph, dc: &mut DynamicConnectivity) {
-        assert_eq!(dc.is_connected(), traversal::is_connected(g));
-        let n = g.num_nodes();
-        let d = g.degree();
+    /// Every simple swap of a 2-regular graph: the ring count plus the
+    /// walk's delta is the swapped graph's component count, and the
+    /// generators' accept test `rings + delta == 1` is the BFS oracle.
+    /// Returns how many swaps had each delta `-1, 0, +1`.
+    fn check_ring_walk(g: &RegularGraph) -> [usize; 3] {
+        let rings = ring_count(g);
+        assert_eq!(rings, bfs_components(g));
+        let mut seen = [0; 3];
         let mut probe = g.clone();
-        for a in 0..n {
-            for pa in 0..d {
-                let b = g.neighbor(a, pa);
-                for c in 0..n {
-                    for pc in 0..d {
-                        let dd = g.neighbor(c, pc);
-                        let simple = a != c
-                            && a != dd
-                            && b != c
-                            && b != dd
-                            && !g.has_edge(a, c)
-                            && !g.has_edge(b, dd);
-                        if !simple {
-                            continue;
-                        }
-                        probe.apply_swap(a, b, c, dd).unwrap();
-                        let oracle = !traversal::is_connected(&probe);
-                        assert_eq!(
-                            dc.would_disconnect(a, b, c, dd),
-                            oracle,
-                            "swap ({a},{b})x({c},{dd})"
-                        );
-                        // On a connected graph the generators' accept
-                        // test coincides with the split test.
-                        assert_eq!(
-                            dc.would_leave_disconnected(a, b, c, dd),
-                            oracle,
-                            "leave-disconnected ({a},{b})x({c},{dd})"
-                        );
-                        // Apply and roll back for real (the ring
-                        // representation answers probes without
-                        // mutating, so this is what exercises its
-                        // merge / 2-opt / split pointer surgery).
-                        dc.apply_swap(a, b, c, dd);
-                        assert_eq!(dc.is_connected(), !oracle, "applied ({a},{b})x({c},{dd})");
-                        dc.undo_swap(a, b, c, dd);
-                        probe.apply_swap(a, c, b, dd).unwrap();
-                        assert_eq!(dc.is_connected(), traversal::is_connected(&probe));
-                    }
-                }
-            }
+        for (a, b, c, d) in simple_swaps(g) {
+            let delta = ring_swap_delta(&probe, a, b, c, d);
+            probe.apply_swap(a, b, c, d).unwrap();
+            let after = rings as isize + delta;
+            assert_eq!(after, ring_count(&probe) as isize, "({a},{b})x({c},{d})");
+            assert_eq!(after, bfs_components(&probe) as isize);
+            assert_eq!(after == 1, traversal::is_connected(&probe));
+            probe.apply_swap(a, c, b, d).unwrap();
+            seen[(delta + 1) as usize] += 1;
         }
+        seen
     }
 
     #[test]
     fn matches_bfs_oracle_on_cycle() {
-        // d == 2: exercises the ring representation exhaustively.
-        check_all_swaps(&generators::cycle(12).unwrap());
+        for n in 4..=14 {
+            let [merges, keeps, splits] = check_ring_walk(&generators::cycle(n).unwrap());
+            assert_eq!(merges, 0, "one ring has nothing to merge with");
+            // A split leaves two rings of at least three nodes each.
+            assert!(keeps > 0 && (splits > 0) == (n >= 6), "cycle({n})");
+        }
+    }
+
+    #[test]
+    fn ring_walk_counts_merges_on_two_rings() {
+        // Rings 0..7 and 7..12: the swaps that cut one edge on each
+        // merge them, and the rest keep or split the ring they cut.
+        let ring = |u: usize, base: usize, len: usize| {
+            let i = u - base;
+            [base + (i + len - 1) % len, base + (i + 1) % len].map(|v| v as u32)
+        };
+        let adjacency = (0..12)
+            .flat_map(|u| if u < 7 { ring(u, 0, 7) } else { ring(u, 7, 5) })
+            .collect();
+        let g = RegularGraph::from_adjacency(12, 2, adjacency).unwrap();
+        let seen = check_ring_walk(&g);
+        assert!(seen.iter().all(|&k| k > 0), "every delta occurs: {seen:?}");
     }
 
     #[test]
     fn forest_rep_matches_bfs_oracle_on_cycle() {
-        // Force the general-degree spanning forest onto a 2-regular
-        // graph so the HDT path keeps its degenerate-cycle coverage.
-        let g = generators::cycle(12).unwrap();
-        let mut dc = DynamicConnectivity::new(&g);
-        dc.rebuild_forest(&g);
-        assert!(!dc.cycle_rep);
-        check_all_swaps_with(&g, &mut dc);
+        // The spanning forest keeps its degenerate-cycle coverage.
+        check_all_swaps(&generators::cycle(12).unwrap());
     }
 
     #[test]
@@ -1080,20 +765,6 @@ mod tests {
         assert_eq!(dc.num_components(), 2);
         dc.rebuild(&g1);
         assert!(dc.is_connected());
-    }
-
-    #[test]
-    fn sleep_wake_and_port_events_are_noops() {
-        let g = generators::torus(2, 3).unwrap();
-        let mut dc = DynamicConnectivity::new(&g);
-        dc.apply_event(&TopologyEvent::Sleep { node: 3 });
-        dc.apply_event(&TopologyEvent::Wake { node: 3 });
-        dc.apply_event(&TopologyEvent::PermutePorts {
-            node: 1,
-            perm: vec![1, 0, 3, 2],
-        });
-        assert!(dc.is_connected());
-        assert_eq!(dc.num_components(), 1);
     }
 
     #[test]

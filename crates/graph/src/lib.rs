@@ -18,9 +18,9 @@
 //!   girth and bipartiteness, needed by the lower-bound constructions of
 //!   Section 4;
 //! * [`connectivity`] — incrementally maintained dynamic connectivity
-//!   (an HDT-style spanning forest with leveled replacement search), so
-//!   churn generators validate candidate swaps in amortised near-`O(d)`
-//!   instead of a full BFS per candidate;
+//!   (an HDT-style spanning forest with leveled replacement search) and
+//!   a ring walk for 2-regular graphs, so churn generators validate
+//!   candidate swaps without a full BFS per candidate;
 //! * [`relabel`] — locality-aware node relabelings (BFS and reverse
 //!   Cuthill–McKee) with exact inverse mapping, so cache-conscious runs
 //!   report results in original ids.

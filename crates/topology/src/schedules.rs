@@ -8,18 +8,20 @@
 //! drive every engine path with identical churn.
 //!
 //! Generators that emit swaps validate each candidate — simplicity
-//! against a tracked probe copy of the graph, connectivity against an
-//! incrementally maintained [`DynamicConnectivity`] structure updated
-//! or rolled back per candidate — so the events reaching the engine
-//! are always applicable and a connected graph stays connected under
-//! churn. A candidate costs amortised near-`O(d)` instead of the full
-//! `O(n·d)` BFS the pre-PR 6 generators paid per candidate; both
-//! structures persist across rounds and re-anchor themselves only when
-//! the observed graph drifts from the tracked probe (one flat
-//! adjacency compare per emitting round).
+//! against a tracked probe copy of the graph, connectivity against a
+//! guard — so the events reaching the engine are always applicable and
+//! a connected graph stays connected under churn. On 2-regular graphs
+//! the guard is a ring count, and [`ring_swap_delta`] decides each
+//! candidate by walking one ring of the probe; on other degrees it is
+//! an incrementally maintained [`DynamicConnectivity`] forest, where a
+//! candidate costs amortised near-`O(d)`. Either way no candidate pays
+//! the full `O(n·d)` BFS. Probe and guard persist across rounds and
+//! re-anchor themselves only when the observed graph drifts from the
+//! tracked probe (one flat adjacency compare per emitting round).
 
 use std::time::Instant;
 
+use dlb_graph::connectivity::{ring_count, ring_swap_delta};
 use dlb_graph::{DynamicConnectivity, RegularGraph, TopologyEvent};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -37,9 +39,55 @@ fn counters_fit(words: &[u64]) -> bool {
     words.iter().all(|&w| i64::try_from(w).is_ok())
 }
 
+/// What a swap-emitting schedule checks candidates' connectivity
+/// against: the ring count of a 2-regular graph, or the
+/// [`DynamicConnectivity`] forest for any other degree.
+#[derive(Debug, Clone)]
+enum Guard {
+    Rings(usize),
+    Forest(Box<DynamicConnectivity>),
+}
+
+impl Guard {
+    /// Anchors `slot` to `graph`: one `O(n)` ring count, or a forest
+    /// rebuilt in place.
+    fn anchor<'a>(slot: &'a mut Option<Guard>, graph: &RegularGraph) -> &'a mut Guard {
+        if graph.degree() == 2 {
+            return slot.insert(Guard::Rings(ring_count(graph)));
+        }
+        match slot {
+            Some(Guard::Forest(dc)) => dc.rebuild(graph),
+            _ => *slot = Some(Guard::Forest(Box::new(DynamicConnectivity::new(graph)))),
+        }
+        slot.as_mut().expect("anchored above")
+    }
+
+    /// Whether the graph is connected after the swap
+    /// `{a,b},{c,d} → {a,c},{b,d}` of `graph`, the graph the guard is
+    /// anchored to; an accepted swap is mirrored into the guard.
+    fn accepts(&mut self, graph: &RegularGraph, a: usize, b: usize, c: usize, d: usize) -> bool {
+        match self {
+            Guard::Rings(rings) => {
+                let accepted = *rings as isize + ring_swap_delta(graph, a, b, c, d) == 1;
+                if accepted {
+                    *rings = 1;
+                }
+                accepted
+            }
+            Guard::Forest(dc) => {
+                let accepted = !dc.would_leave_disconnected(a, b, c, d);
+                if accepted {
+                    dc.apply_swap(a, b, c, d);
+                }
+                accepted
+            }
+        }
+    }
+}
+
 /// Proposes one random double-edge swap on `probe` that keeps the
-/// graph simple and (when `conn` is present) connected, applying it to
-/// `probe` (and mirroring it into `conn`) and returning the event.
+/// graph simple and (when `guard` is present) connected, applying it to
+/// `probe` (and mirroring it into `guard`) and returning the event.
 ///
 /// Each requested swap gets its own pair of bounded retry budgets —
 /// simplicity and connectivity rejections are charged separately, so a
@@ -54,7 +102,7 @@ fn counters_fit(words: &[u64]) -> bool {
 /// is a single clique).
 fn random_swap(
     probe: &mut RegularGraph,
-    mut conn: Option<&mut DynamicConnectivity>,
+    mut guard: Option<&mut Guard>,
     rng: &mut StdRng,
     shortfall: &mut SwapShortfall,
 ) -> Option<TopologyEvent> {
@@ -71,16 +119,12 @@ fn random_swap(
             simplicity += 1;
             continue;
         }
-        if let Some(dc) = conn.as_deref_mut() {
-            // `would_leave_disconnected` is the exact accept test the
-            // old apply/check/undo loop computed, but O(1) on the
-            // 2-regular ring representation — only accepted swaps pay
-            // for structural surgery.
-            if dc.would_leave_disconnected(a, b, c, d) {
-                connectivity += 1;
-                continue;
-            }
-            dc.apply_swap(a, b, c, d);
+        if guard
+            .as_deref_mut()
+            .is_some_and(|g| !g.accepts(probe, a, b, c, d))
+        {
+            connectivity += 1;
+            continue;
         }
         probe
             .apply_swap(a, b, c, d)
@@ -98,20 +142,21 @@ fn random_swap(
 /// Periodic random rewiring: every `period` rounds, a burst of random
 /// double-edge swaps — the "edges move but the graph stays d-regular"
 /// churn model. Simplicity is validated on a probe copy of the graph;
-/// connectivity (on by default) against a [`DynamicConnectivity`]
-/// structure updated incrementally per candidate, so every emitted
+/// connectivity (on by default) by a ring walk over the probe on
+/// 2-regular graphs and against a [`DynamicConnectivity`] forest
+/// updated incrementally per candidate otherwise, so every emitted
 /// event applies cleanly and a connected graph stays connected.
 ///
-/// Probe and connectivity structure **persist across rounds**: as long
-/// as the engine applies exactly the events this schedule emitted (the
+/// Probe and connectivity guard **persist across rounds**: as long as
+/// the engine applies exactly the events this schedule emitted (the
 /// normal case — the probe then matches the pre-round graph slot for
 /// slot), an emitting round costs one `O(n·d)` slice compare plus the
-/// amortised near-`O(d)` candidate probes, and the HDT level
-/// amortisation keeps accruing instead of resetting with a fresh
-/// `O(n·d)` rebuild per round. Any drift — a rolled-back round, a
-/// composed sibling schedule swapping edges, a port permutation —
-/// fails the slot compare and re-anchors both structures to the
-/// observed graph.
+/// candidate probes (one ring walk each, or amortised near-`O(d)` on
+/// the forest, whose HDT level amortisation keeps accruing instead of
+/// resetting with a fresh `O(n·d)` rebuild per round). Any drift — a
+/// rolled-back round, a composed sibling schedule swapping edges, a
+/// port permutation — fails the slot compare and re-anchors both to
+/// the observed graph.
 #[derive(Debug, Clone)]
 pub struct PeriodicRewiring {
     period: usize,
@@ -122,8 +167,9 @@ pub struct PeriodicRewiring {
     /// Tracked copy of the graph, kept current by applying accepted
     /// swaps; re-cloned (allocation reused) only on drift.
     probe: Option<RegularGraph>,
-    /// Persistent alongside `probe`; `rebuild` reuses allocations.
-    conn: Option<DynamicConnectivity>,
+    /// Persistent alongside `probe`; a re-anchored forest reuses its
+    /// allocations. `None` without the connectivity check.
+    guard: Option<Guard>,
     shortfall: SwapShortfall,
     validation_ns: u64,
 }
@@ -145,7 +191,7 @@ impl PeriodicRewiring {
             check_connectivity: true,
             rng: StdRng::seed_from_u64(seed),
             probe: None,
-            conn: None,
+            guard: None,
             shortfall: SwapShortfall::default(),
             validation_ns: 0,
         }
@@ -180,22 +226,14 @@ impl TopologySchedule for PeriodicRewiring {
                 None => self.probe = Some(graph.clone()),
             }
             if self.check_connectivity {
-                match self.conn.as_mut() {
-                    Some(dc) => dc.rebuild(graph),
-                    None => self.conn = Some(DynamicConnectivity::new(graph)),
-                }
+                Guard::anchor(&mut self.guard, graph);
             }
         }
         let probe = self.probe.as_mut().expect("tracked above");
-        let mut conn = if self.check_connectivity {
-            self.conn.as_mut()
-        } else {
-            None
-        };
         for _ in 0..self.swaps {
             if let Some(ev) = random_swap(
                 probe,
-                conn.as_deref_mut(),
+                self.guard.as_mut(),
                 &mut self.rng,
                 &mut self.shortfall,
             ) {
@@ -208,7 +246,7 @@ impl TopologySchedule for PeriodicRewiring {
     fn reset(&mut self) {
         self.rng = StdRng::seed_from_u64(self.seed);
         self.probe = None;
-        self.conn = None;
+        self.guard = None;
         self.shortfall = SwapShortfall::default();
         self.validation_ns = 0;
     }
@@ -222,7 +260,7 @@ impl TopologySchedule for PeriodicRewiring {
     }
 
     // RNG position plus the swap accounting; the probe graph and
-    // connectivity structure are self-re-anchoring caches (the slot
+    // connectivity guard are self-re-anchoring caches (the slot
     // compare rebuilds them from the observed graph), so they are
     // deliberately not part of the cursor, and neither is the
     // wall-clock validation time, which no two runs share.
@@ -253,7 +291,7 @@ impl TopologySchedule for PeriodicRewiring {
         // Force a re-anchor on the restored graph rather than trusting
         // caches from whatever run this instance saw before.
         self.probe = None;
-        self.conn = None;
+        self.guard = None;
         true
     }
 }
@@ -482,18 +520,20 @@ impl TopologySchedule for FailureBurst {
 ///
 /// Fully deterministic: candidate cut-edge pairs are scanned in
 /// lexicographic order and the first valid, connectivity-preserving
-/// pair wins — probed via
-/// [`DynamicConnectivity::would_leave_disconnected`] (`O(1)` on
-/// 2-regular rings, amortised near-`O(d)` otherwise) against a
-/// structure rebuilt once per emitting round (no scratch graph, no
-/// per-candidate BFS).
+/// pair wins. On 2-regular graphs each candidate is decided by one
+/// [`ring_swap_delta`] walk against a ring count taken once per
+/// emitting round; otherwise it is probed via
+/// [`DynamicConnectivity::would_leave_disconnected`] (amortised
+/// near-`O(d)`) against a forest rebuilt once per emitting round. No
+/// scratch graph, no per-candidate BFS.
 /// When the cut cannot be thinned further without disconnecting the
 /// graph, the schedule goes quiet.
 #[derive(Debug, Clone)]
 pub struct AdversarialCut {
     period: usize,
-    /// Reused across emitting rounds (`rebuild` keeps allocations).
-    conn: Option<DynamicConnectivity>,
+    /// Re-anchored every emitting round; a forest keeps its
+    /// allocations.
+    guard: Option<Guard>,
     scans: u64,
     probes: u64,
     validation_ns: u64,
@@ -509,7 +549,7 @@ impl AdversarialCut {
         assert!(period > 0, "cut-targeting period must be positive");
         AdversarialCut {
             period,
-            conn: None,
+            guard: None,
             scans: 0,
             probes: 0,
             validation_ns: 0,
@@ -517,15 +557,15 @@ impl AdversarialCut {
     }
 
     /// Full-graph `O(n·d)` passes performed so far (cut enumeration
-    /// plus connectivity-structure rebuild — exactly two per emitting
-    /// round). Test hook: regression tests pin that this does **not**
+    /// plus the ring count or forest rebuild — exactly two per
+    /// emitting round). Test hook: regression tests pin that this does **not**
     /// scale with the number of probed candidates.
     #[must_use]
     pub fn scans(&self) -> u64 {
         self.scans
     }
 
-    /// Candidate pairs probed via `would_leave_disconnected` so far.
+    /// Candidate pairs probed for connectivity so far.
     #[must_use]
     pub fn probes(&self) -> u64 {
         self.probes
@@ -558,13 +598,7 @@ impl TopologySchedule for AdversarialCut {
             })
             .collect();
         self.scans += 1;
-        let dc = match self.conn.as_mut() {
-            Some(dc) => {
-                dc.rebuild(graph);
-                dc
-            }
-            None => self.conn.insert(DynamicConnectivity::new(graph)),
-        };
+        let guard = Guard::anchor(&mut self.guard, graph);
         let mut attempts = 0usize;
         for i in 0..cut.len() {
             for j in (i + 1)..cut.len() {
@@ -580,7 +614,7 @@ impl TopologySchedule for AdversarialCut {
                     return;
                 }
                 self.probes += 1;
-                if !dc.would_leave_disconnected(a, b, c, d) {
+                if guard.accepts(graph, a, b, c, d) {
                     out.push(TopologyEvent::Swap { a, b, c, d });
                     self.validation_ns +=
                         u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -603,7 +637,7 @@ impl TopologySchedule for AdversarialCut {
 
     // Fully deterministic in the observed graph; only the scan
     // accounting crosses a checkpoint (not the wall-clock validation
-    // time). The connectivity structure is rebuilt every emitting round
+    // time). The connectivity guard is re-anchored every emitting round
     // anyway.
     fn cursor_into(&self, out: &mut Vec<u64>) {
         out.extend([self.scans, self.probes]);
@@ -618,7 +652,7 @@ impl TopologySchedule for AdversarialCut {
         }
         self.scans = scans;
         self.probes = probes;
-        self.conn = None;
+        self.guard = None;
         true
     }
 }
@@ -1087,34 +1121,32 @@ mod tests {
 
     #[test]
     fn adversarial_cut_probe_cost_is_scan_free_per_candidate() {
-        // The PR 6 migration: candidates are probed via
-        // `would_leave_disconnected` on one per-round structure, so the
-        // of full-graph O(n·d) passes is exactly two per emitting
-        // round (cut enumeration + rebuild) no matter how many
-        // candidates the lexicographic search probes.
-        let g0 = generators::random_regular(64, 4, 9).unwrap();
-        let mut s = AdversarialCut::new(1);
-        let mut g = g0.clone();
-        let rounds = 6u64;
-        for round in 1..=rounds as usize {
-            let mut out = Vec::new();
-            s.events(round, &g, &mut out);
-            for ev in &out {
-                g.apply_event(ev).expect("emitted events must apply");
-            }
+        // Candidates are probed against one per-round guard, so the
+        // number of full-graph O(n·d) passes is exactly two per emitting
+        // round (cut enumeration + ring count or forest rebuild) no
+        // matter how many candidates the lexicographic search probes.
+        // On 2-regular graphs the guard is the ring count: a cycle
+        // scrambled by rewiring crosses the bisection many times.
+        let mut ring = generators::cycle(64).unwrap();
+        let _ = collect(&mut PeriodicRewiring::new(1, 2, 7), &mut ring, 64);
+        for g0 in [generators::random_regular(64, 4, 9).unwrap(), ring] {
+            let mut s = AdversarialCut::new(1);
+            let mut g = g0.clone();
+            let rounds = 6u64;
+            let _ = collect(&mut s, &mut g, rounds as usize);
+            assert_eq!(
+                s.scans(),
+                2 * rounds,
+                "full-graph passes must scale with rounds, not candidates"
+            );
+            assert!(
+                s.probes() >= rounds,
+                "every emitting round probes at least one candidate"
+            );
+            assert!(s.validation_nanos() > 0);
+            s.reset();
+            assert_eq!((s.scans(), s.probes(), s.validation_nanos()), (0, 0, 0));
         }
-        assert_eq!(
-            s.scans(),
-            2 * rounds,
-            "full-graph passes must scale with rounds, not candidates"
-        );
-        assert!(
-            s.probes() >= rounds,
-            "every emitting round probes at least one candidate"
-        );
-        assert!(s.validation_nanos() > 0);
-        s.reset();
-        assert_eq!((s.scans(), s.probes(), s.validation_nanos()), (0, 0, 0));
     }
 
     #[test]
