@@ -21,16 +21,18 @@ pub struct StepSummary {
 }
 
 /// Which round an [`Engine::run`] executes. Both produce bit-identical
-/// loads, graphs, errors and counters; they differ in speed, and only
-/// the reference round feeds an attached [`FairnessMonitor`].
+/// loads, graphs, errors and counters; they differ only in speed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Path {
-    /// The kernel rounds ([`kernel`]) unless a monitor is attached; the
-    /// reference round otherwise.
+    /// The fastest round the run allows: whole-array [`vector`] rounds,
+    /// the closed-form gather or the degree-specialised flow-buffer
+    /// round ([`kernel`]) — unless a monitor is attached, which takes
+    /// the reference round.
     #[default]
     Auto,
-    /// The reference round (see [`Engine`]) every time: the oracle the
-    /// kernel rounds are checked against.
+    /// The reference round (see [`Engine`]) every time: the plainest
+    /// form of the flow-buffer round, which the other rounds are
+    /// checked against.
     Reference,
 }
 
@@ -113,38 +115,43 @@ pub struct EngineState {
 ///
 /// The engine owns the balancing graph `G⁺` and the load vector `x_t`,
 /// and drives any [`Balancer`] through the paper's round structure. Its
-/// reference round ([`Path::Reference`]) is the definition every faster
-/// round is checked against:
+/// reference round ([`Path::Reference`]) is the kernel's flow-buffer
+/// round on the any-degree buffer, the definition every faster round is
+/// checked against:
 ///
 /// 1. the shared pre-round mutates the topology, injects load, hands
 ///    asleep queues to live neighbours and rejects negative loads for
 ///    schemes that forbid them;
 /// 2. the scheme's [`begin_round`](KernelBalancer::begin_round) hook
 ///    runs, then its [`kernel_node`](KernelBalancer::kernel_node) for
-///    every node in id order, each into one `d⁺` row;
+///    every node in id order, each into one `d⁺` row — with a monitor
+///    attached, that node's row of the monitor's staging buffer;
 /// 3. each row is validated (a non-overdrawing scheme may not send more
-///    than the node holds) and routed into a separate next-load buffer —
-///    original-port tokens to the neighbour behind the port, self-loop
-///    and unsent tokens back home (the remainder `r_t(u)` of §2); the
-///    buffer replaces the loads only if the whole round succeeds;
-/// 4. an attached [`FairnessMonitor`] then observes the round's rows and
-///    adds them to its cumulative ledger `F_t`.
+///    than the node holds) and applied as signed deltas to the back
+///    half of a double-buffered load vector — original-port tokens to
+///    the neighbour behind the port, self-loop and unsent tokens stay
+///    home (the remainder `r_t(u)` of §2); the back buffer replaces the
+///    loads only if the whole round succeeds;
+/// 4. once the round's last node has validated, an attached
+///    [`FairnessMonitor`] observes the staged rows and adds them to its
+///    cumulative ledger `F_t`.
 ///
 /// # Entry points
 ///
 /// [`run`](Engine::run) executes a [`Run`]: `steps` rounds under an
 /// optional topology schedule, workload and tracing sink. On
-/// [`Path::Auto`] it takes the kernel rounds unless a monitor is
-/// attached: flows are computed in registers and applied as signed
-/// deltas into a double-buffered load vector, and a closed-form SEND
-/// scheme on a static, closed system runs whole-array [`vector`]
-/// rounds. [`Path::Reference`] forces the reference round above.
-/// [`step`](Engine::step) runs one reference round and returns its
-/// [`StepSummary`], which [`summary`](Engine::summary) also takes after
-/// any run; [`run_parallel`](Engine::run_parallel) splits the vector
-/// rounds by node range across threads. All of them produce
-/// bit-identical loads. The count of negative nodes is maintained
-/// incrementally at every load write, so no path ever scans for it.
+/// [`Path::Auto`] without a monitor it takes the fastest round the
+/// run allows: a closed-form SEND scheme on a static, closed system
+/// runs whole-array [`vector`] rounds, elsewhere the closed-form
+/// gather, and every other scheme the flow-buffer round specialised
+/// for the degree. [`Path::Reference`] and a monitor force the
+/// reference round above. [`step`](Engine::step) runs one reference
+/// round and returns its [`StepSummary`], which
+/// [`summary`](Engine::summary) also takes after any run;
+/// [`run_parallel`](Engine::run_parallel) splits the vector rounds by
+/// node range across threads. All of them produce bit-identical loads.
+/// The count of negative nodes is maintained incrementally at every
+/// load write, so no path ever scans for it.
 ///
 /// # Example
 ///
@@ -163,9 +170,10 @@ pub struct EngineState {
 pub struct Engine {
     gp: BalancingGraph,
     loads: LoadVector,
-    /// The attached instrumentation: the fairness monitor and its
-    /// cumulative ledger, fed by the reference round only.
-    monitor: Option<FairnessMonitor>,
+    /// The attached instrumentation: the fairness monitor, with its
+    /// cumulative ledger, and the `n·d⁺` buffer the reference round
+    /// stages each round's rows in for it.
+    monitor: Option<(FairnessMonitor, Vec<u64>)>,
     step: usize,
     negative_node_steps: u64,
     /// Nodes currently holding negative load, maintained incrementally.
@@ -221,18 +229,20 @@ impl Engine {
     }
 
     /// Attaches a fresh [`FairnessMonitor`], with an empty cumulative
-    /// ledger, that observes every subsequent round. Rounds run on the
-    /// reference round while it is attached, since the monitor reads
-    /// each round's `n·d⁺` flows.
+    /// ledger, that observes every subsequent round, and allocates the
+    /// `n·d⁺` buffer the rounds stage their rows in for it. Rounds run
+    /// on the reference round while it is attached, since the monitor
+    /// reads each node's row.
     pub fn attach_monitor(&mut self) {
-        self.monitor = Some(FairnessMonitor::for_graph(&self.gp));
+        let rows = vec![0; self.gp.num_nodes() * self.gp.degree_plus()];
+        self.monitor = Some((FairnessMonitor::for_graph(&self.gp), rows));
     }
 
     /// The attached monitor, if any; its
     /// [`ledger`](FairnessMonitor::ledger) holds `F_t` over the rounds
     /// since it was attached.
     pub fn monitor(&self) -> Option<&FairnessMonitor> {
-        self.monitor.as_ref()
+        self.monitor.as_ref().map(|(monitor, _)| monitor)
     }
 
     /// The balancing graph.
@@ -343,19 +353,6 @@ impl Engine {
         reg.gauge_set("engine_injected_net", self.injected_total);
     }
 
-    /// The pre-round scratch and the engine state it runs on, borrowed
-    /// side by side.
-    fn pre_round(&mut self) -> (&mut PreRound, RoundState<'_>) {
-        let st = RoundState {
-            gp: &mut self.gp,
-            loads: self.loads.as_mut_slice(),
-            negative: &mut self.negative_count,
-            injected: &mut self.injected_total,
-            events: &mut self.topology_events,
-        };
-        (&mut self.pre, st)
-    }
-
     /// Runs one reference round of `balancer` and reports its
     /// [`StepSummary`] (whose discrepancy costs an `O(n)` scan — use
     /// [`run`](Engine::run) when nobody reads the summaries).
@@ -404,19 +401,18 @@ impl Engine {
     /// neighbours, all *before* the negative-load check and the
     /// scheme's flows, so the scheme balances the injected loads.
     ///
-    /// [`Path::Auto`] runs the kernel rounds unless a monitor is
-    /// attached. A closed-form scheme
-    /// ([`KernelBalancer::uniform_kernel`], the SEND schemes) then runs
-    /// whole-array [`vector`] rounds when the vector layer is enabled
-    /// and the system is static, closed and awake, and otherwise
-    /// streams the closed-form gather
+    /// [`Path::Auto`] without a monitor runs the fastest round it can.
+    /// A closed-form scheme ([`KernelBalancer::uniform_kernel`], the
+    /// SEND schemes) runs whole-array [`vector`] rounds when the vector
+    /// layer is enabled and the system is static, closed and awake, and
+    /// otherwise streams the closed-form gather
     /// `x'[u] = x[u] − d·b(x[u]) + Σ_{v∈N(u)} b(x[v])`; every other
     /// kernel computes its port flows in registers with
     /// [`kernel_node`](KernelBalancer::kernel_node), compiled for the
-    /// concrete scheme type. Every other run takes the reference round,
-    /// which feeds an attached monitor and its ledger. The sink sees
-    /// `Mutate` (when a schedule runs), `Inject`/`Handoff`, then one
-    /// `Stream` span per reference or scalar kernel round, or
+    /// concrete scheme type and the degree. Every other run takes the
+    /// reference round, which feeds an attached monitor and its ledger.
+    /// The sink sees `Mutate` (when a schedule runs),
+    /// `Inject`/`Handoff`, then one `Stream` span per scalar round, or
     /// `VectorDispatch` instants for vector rounds, with
     /// `value = (tag << 32) | count` — tag 1 banded rounds, 2 blocked
     /// rounds, 3 `i32` rounds, 4 `i32 → i64` fallbacks, and tag 0 for a
@@ -448,9 +444,8 @@ impl Engine {
 
     /// The rest of [`run`](Engine::run), reached through
     /// [`KernelRounds`](kernel::KernelRounds) with the concrete scheme
-    /// type: it picks the reference or the kernel rounds, and an absent
-    /// sink runs the [`NoopSink`] instantiation, a present one the
-    /// [`RingSink`] one.
+    /// type: an absent sink runs the [`NoopSink`] instantiation of the
+    /// dispatcher, a present one the [`RingSink`] one.
     pub(crate) fn kernel_call<K: KernelBalancer>(
         &mut self,
         balancer: &mut K,
@@ -463,14 +458,13 @@ impl Engine {
             sink,
             path,
         } = run;
-        let reference = path == Path::Reference || self.monitor.is_some();
-        match (sink, reference) {
-            (None, true) => {
-                self.reference_rounds(balancer, steps, schedule, workload, &mut NoopSink)
-            }
-            (Some(sink), true) => self.reference_rounds(balancer, steps, schedule, workload, sink),
-            (None, false) => self.kernel_run(balancer, steps, schedule, workload, &mut NoopSink),
-            (Some(sink), false) => self.kernel_run(balancer, steps, schedule, workload, sink),
+        let run = KernelRun {
+            reference: path == Path::Reference,
+            ..KernelRun::new(steps, schedule, workload)
+        };
+        match sink {
+            None => self.kernel_run(balancer, run, 1, &mut NoopSink),
+            Some(sink) => self.kernel_run(balancer, run, 1, sink),
         }
     }
 
@@ -500,13 +494,8 @@ impl Engine {
         balancer: &mut K,
         steps: usize,
     ) -> Result<(), EngineError> {
-        self.kernel_run(
-            balancer,
-            steps,
-            StaticTopology::none(),
-            NoWorkload::none(),
-            &mut NoopSink,
-        )
+        let run = KernelRun::new(steps, StaticTopology::none(), NoWorkload::none());
+        self.kernel_run(balancer, run, 1, &mut NoopSink)
     }
 
     /// [`run`](Engine::run) of kernel rounds, for perfbench.
@@ -523,7 +512,8 @@ impl Engine {
         S: TopologySchedule + ?Sized,
         W: Workload + ?Sized,
     {
-        self.kernel_run(balancer, steps, schedule, workload, &mut NoopSink)
+        let run = KernelRun::new(steps, schedule, workload);
+        self.kernel_run(balancer, run, 1, &mut NoopSink)
     }
 
     /// A traced [`run`](Engine::run) of kernel rounds, for perfbench.
@@ -542,21 +532,24 @@ impl Engine {
         W: Workload + ?Sized,
         Si: Sink,
     {
-        self.kernel_run(balancer, steps, schedule, workload, sink)
+        self.kernel_run(balancer, KernelRun::new(steps, schedule, workload), 1, sink)
     }
 
-    /// The reference round (see [`Engine`]), `steps` times, in the
-    /// kernel rounds' round loop: the pre-round, then the scheme's
-    /// per-round hook and per-node rule, each node's row validated and
-    /// routed into the next-load buffer. An attached monitor observes
-    /// the round's rows only once the whole round has validated, so a
-    /// rejected round leaves it untouched.
-    fn reference_rounds<K, S, W, Si>(
+    /// The one round dispatcher behind every entry point. A monitored
+    /// or [`Path::Reference`] run takes the reference round; any other
+    /// run takes whole-array vector rounds, split across `threads`
+    /// workers, when the configuration allows — a closed-form uniform
+    /// scheme on a static, closed, fully awake system — and otherwise
+    /// the scalar rounds [`kernel::run_rounds`] picks for `balancer`.
+    /// It allocates the back half of the double buffer and applies the
+    /// returned counters. The loop is monomorphised over the balancer,
+    /// schedule, workload and sink types; in a `NoopSink` instantiation
+    /// every probe compiles away.
+    fn kernel_run<K, S, W, Si>(
         &mut self,
         balancer: &mut K,
-        steps: usize,
-        schedule: Option<&mut S>,
-        workload: Option<&mut W>,
+        run: KernelRun<'_, S, W>,
+        threads: usize,
         sink: &mut Si,
     ) -> Result<(), EngineError>
     where
@@ -565,23 +558,29 @@ impl Engine {
         W: Workload + ?Sized,
         Si: Sink,
     {
-        let check = !balancer.may_overdraw();
-        let (n, d, d_plus) = (self.gp.num_nodes(), self.gp.degree(), self.gp.degree_plus());
-        let mut back = vec![0; n];
-        let mut row = vec![0; d_plus];
-        // The round's rows, kept for an attached monitor only.
-        let monitored = usize::from(self.monitor.is_some());
-        let mut rows = Vec::with_capacity(monitored * n * d_plus);
-        let run = KernelRun {
-            steps,
-            base_step: self.step,
-            schedule,
-            workload,
-        };
+        if run.steps == 0 {
+            return Ok(());
+        }
+        // "Static" and "closed" are judged by `is_noop`, not by
+        // `Option` shape — `Some(&mut StaticTopology)` and
+        // `Some(&mut NoWorkload)` fold to the same closed static loop.
+        // `run_uniform` itself may still decline on load magnitude,
+        // falling through to the scalar stream — which stays
+        // bit-identical, so dispatch is purely a performance decision.
+        let static_topology = run.schedule.as_ref().is_none_or(|s| s.is_noop());
+        let closed_system = run.workload.as_ref().is_none_or(|w| w.is_noop());
+        let reference = run.reference || self.monitor.is_some();
+        if !reference && static_topology && closed_system {
+            if let Some(result) = self.vector_rounds(&*balancer, run.steps, threads, sink) {
+                return result;
+            }
+        }
+        let mut back = vec![0; self.gp.num_nodes()];
         let Engine {
             gp,
             loads,
             monitor,
+            step,
             pre,
             negative_count,
             injected_total,
@@ -595,92 +594,23 @@ impl Engine {
             injected: injected_total,
             events: topology_events,
         };
-        let round =
-            |gp: &BalancingGraph, cur: &[i64], next: &mut [i64], negative: &mut usize, step| {
-                balancer.begin_round(gp, cur);
-                next.copy_from_slice(cur);
-                rows.clear();
-                let mut neg = *negative;
-                let mut add = |v: usize, delta: i64| {
-                    let old = next[v];
-                    next[v] = old + delta;
-                    neg = neg + usize::from(old + delta < 0) - usize::from(old < 0);
-                };
-                for (u, &x) in cur.iter().enumerate() {
-                    balancer.kernel_node(gp, u, x, &mut row);
-                    let orig = kernel::validate_outflow(&row, d, check, u, x, step)?;
-                    add(u, -(orig as i64));
-                    for (&v, &f) in gp.graph().neighbors(u).iter().zip(&row[..d]) {
-                        add(v as usize, f as i64);
-                    }
-                    if monitor.is_some() {
-                        rows.extend_from_slice(&row);
-                    }
-                }
-                if let Some(monitor) = monitor.as_mut() {
-                    monitor.observe(gp, cur, &rows);
-                }
-                *negative = neg;
-                Ok(())
-            };
-        let (stats, err) = kernel::drive(st, &mut back, pre, run, check, sink, round);
+        let run = KernelRun {
+            base_step: *step,
+            monitor: monitor.as_mut().map(|(m, rows)| (m, rows.as_mut_slice())),
+            ..run
+        };
+        let (stats, err) = kernel::run_rounds(st, &mut back, pre, run, balancer, sink);
         self.step += stats.steps_done;
         self.negative_node_steps += stats.negative_node_steps;
         err.map_or(Ok(()), Err)
     }
 
-    /// The kernel rounds: whole-array vector rounds when the
-    /// configuration allows — a closed-form uniform scheme on a static,
-    /// closed, fully awake system — and the scalar kernel stream
-    /// otherwise. The loop is monomorphised over the balancer, schedule,
-    /// workload and sink types; in a `NoopSink` instantiation every
-    /// probe compiles away.
-    fn kernel_run<K, S, W, Si>(
-        &mut self,
-        balancer: &mut K,
-        steps: usize,
-        schedule: Option<&mut S>,
-        workload: Option<&mut W>,
-        sink: &mut Si,
-    ) -> Result<(), EngineError>
-    where
-        K: KernelBalancer + ?Sized,
-        S: TopologySchedule + ?Sized,
-        W: Workload + ?Sized,
-        Si: Sink,
-    {
-        if steps == 0 {
-            return Ok(());
-        }
-        // "Static" and "closed" are judged by `is_noop`, not by
-        // `Option` shape — `Some(&mut StaticTopology)` and
-        // `Some(&mut NoWorkload)` fold to the same closed static loop.
-        // The capability hook decides per graph (SEND(round) declines
-        // below d° ≥ d); `run_uniform` itself may still decline on load
-        // magnitude, falling through to the scalar stream — which stays
-        // bit-identical, so dispatch is purely a performance decision.
-        let static_topology = match schedule.as_ref() {
-            None => true,
-            Some(s) => s.is_noop(),
-        };
-        let closed_system = match workload.as_ref() {
-            None => true,
-            Some(w) => w.is_noop(),
-        };
-        if static_topology && closed_system {
-            if let Some(result) = self.vector_rounds(&*balancer, steps, 1, sink) {
-                return result;
-            }
-        }
-        self.kernel_rounds(balancer, steps, schedule, workload, sink)
-    }
-
-    /// The vector dispatch shared by the kernel rounds of
-    /// [`run`](Engine::run) (`threads == 1`) and
+    /// The dispatcher's vector rounds — one worker for
+    /// [`run`](Engine::run), `threads` for
     /// [`run_parallel_traced`](Engine::run_parallel_traced): runs `steps`
     /// whole-array rounds split across `threads` workers when the
     /// configuration allows and the scheme has a closed form on this
-    /// graph, on a fully awake graph (the callers have already ruled out
+    /// graph, on a fully awake graph (the caller has already ruled out
     /// churn and injection). `None` means the caller streams the scalar
     /// kernel instead — bit-identical, so dispatch is purely a
     /// performance decision.
@@ -747,52 +677,6 @@ impl Engine {
         Some(Ok(()))
     }
 
-    /// The shared plumbing of the scalar kernel path: allocates the
-    /// back buffer and the closed-form round's send array (one
-    /// allocation, split), streams the rounds through
-    /// [`kernel::run_rounds`] (which picks the round body for
-    /// `balancer`), and applies the returned counters.
-    fn kernel_rounds<K, S, W, Si>(
-        &mut self,
-        balancer: &mut K,
-        steps: usize,
-        schedule: Option<&mut S>,
-        workload: Option<&mut W>,
-        sink: &mut Si,
-    ) -> Result<(), EngineError>
-    where
-        K: KernelBalancer + ?Sized,
-        S: TopologySchedule + ?Sized,
-        W: Workload + ?Sized,
-        Si: Sink,
-    {
-        let n = self.gp.num_nodes();
-        let mut scratch = vec![0i64; 2 * n];
-        let (back, sends) = scratch.split_at_mut(n);
-        let base_step = self.step;
-        let (pre, st) = self.pre_round();
-        let (stats, err) = kernel::run_rounds(
-            st,
-            back,
-            sends,
-            pre,
-            kernel::KernelRun {
-                steps,
-                base_step,
-                schedule,
-                workload,
-            },
-            balancer,
-            sink,
-        );
-        self.step += stats.steps_done;
-        self.negative_node_steps += stats.negative_node_steps;
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
     /// Runs `steps` rounds of a closed-form SEND scheme with each vector
     /// pass split by contiguous node range across `threads` workers
     /// (clamped to `1..=n`), spawned once for the run.
@@ -804,8 +688,10 @@ impl Engine {
     /// a barrier after each pass. The split applies exactly when
     /// `run` would dispatch the vector layer (see
     /// [`kernel::vector`]); otherwise, and for `threads == 1`, this *is*
-    /// `run`'s kernel round — for example SEND([x/d⁺]) on a graph with `d° < d`
-    /// streams the scalar kernel and reports its `Overdraw`.
+    /// `run`'s round, through the same dispatcher — for example
+    /// SEND([x/d⁺]) on a graph with `d° < d` streams the scalar kernel
+    /// and reports its `Overdraw`, and an attached monitor takes the
+    /// reference round and observes it.
     ///
     /// The balancer is shared by reference: schemes with a uniform
     /// closed form are stateless, so the scalar fallback runs a copy.
@@ -846,28 +732,8 @@ impl Engine {
         Si: Sink,
     {
         let threads = threads.min(self.gp.num_nodes()).max(1);
-        let mut scalar = balancer.clone();
-        if threads == 1 || steps == 0 {
-            return self.kernel_run(
-                &mut scalar,
-                steps,
-                StaticTopology::none(),
-                NoWorkload::none(),
-                sink,
-            );
-        }
-        if let Some(result) = self.vector_rounds(balancer, steps, threads, sink) {
-            return result;
-        }
-        // Not vector-eligible (or declined on load magnitude): the
-        // scalar stream `run` would run.
-        self.kernel_rounds(
-            &mut scalar,
-            steps,
-            StaticTopology::none(),
-            NoWorkload::none(),
-            sink,
-        )
+        let run = KernelRun::new(steps, StaticTopology::none(), NoWorkload::none());
+        self.kernel_run(&mut balancer.clone(), run, threads, sink)
     }
 
     /// Exports the engine's complete resumable state — everything a
@@ -887,9 +753,9 @@ impl Engine {
     ///
     /// * the negative-load count — recomputed from the loads on
     ///   restore;
-    /// * the fairness monitor and its cumulative ledger — observers of
-    ///   the reference rounds, out of scope for checkpoint/resume (a
-    ///   restored engine starts them fresh via
+    /// * the fairness monitor, its cumulative ledger and its staging
+    ///   buffer — observers of the rounds, out of scope for
+    ///   checkpoint/resume (a restored engine starts them fresh via
     ///   [`attach_monitor`](Engine::attach_monitor)).
     #[must_use]
     pub fn export_state(&self) -> EngineState {
@@ -1083,7 +949,9 @@ mod tests {
 
     /// A monitored round that is rejected — here at the last node, after
     /// every other row validated — leaves the monitor exactly as the
-    /// last completed round left it: ledger, counters and steps.
+    /// last completed round left it: ledger, counters and steps. On a
+    /// lazy cycle (`d⁺ = 4`) and at `d⁺ = 5` (the any-degree buffer), on
+    /// both paths.
     #[test]
     fn rejected_monitored_round_leaves_the_monitor_unchanged() {
         /// SEND(⌊x/d⁺⌋) everywhere but the last node, which sends 1000.
@@ -1104,25 +972,38 @@ mod tests {
                 }
             }
         }
-        let mut engine = Engine::new(lazy_cycle(8), LoadVector::point_mass(8, 101));
-        engine.attach_monitor();
-        engine.run(&mut SendFloor::new(), Run::new(3)).unwrap();
-        let before = engine.monitor().unwrap().clone();
-        let loads = engine.loads().clone();
-        let err = engine.run(&mut LastNodeLies, Run::new(2)).unwrap_err();
-        assert!(matches!(
-            err,
-            EngineError::Overdraw {
-                node: 7,
-                step: 4,
-                ..
+        let five = BalancingGraph::with_self_loops(generators::cycle(8).unwrap(), 3).unwrap();
+        for gp in [lazy_cycle(8), five] {
+            for path in [Path::Auto, Path::Reference] {
+                let tag = format!("d⁺ = {} on {path:?}", gp.degree_plus());
+                let mut engine = Engine::new(gp.clone(), LoadVector::point_mass(8, 101));
+                engine.attach_monitor();
+                let run = |steps| Run {
+                    path,
+                    ..Run::new(steps)
+                };
+                engine.run(&mut SendFloor::new(), run(3)).unwrap();
+                let before = engine.monitor().unwrap().clone();
+                let loads = engine.loads().clone();
+                let err = engine.run(&mut LastNodeLies, run(2)).unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        EngineError::Overdraw {
+                            node: 7,
+                            step: 4,
+                            ..
+                        }
+                    ),
+                    "{tag}: {err:?}"
+                );
+                assert_eq!(engine.monitor(), Some(&before), "{tag}");
+                assert_eq!(engine.monitor().unwrap().steps_observed(), 3, "{tag}");
+                assert_eq!(engine.monitor().unwrap().ledger().steps(), 3, "{tag}");
+                assert_eq!(engine.loads(), &loads, "{tag}");
+                assert_eq!(engine.step_count(), 3, "{tag}");
             }
-        ));
-        assert_eq!(engine.monitor(), Some(&before));
-        assert_eq!(engine.monitor().unwrap().steps_observed(), 3);
-        assert_eq!(engine.monitor().unwrap().ledger().steps(), 3);
-        assert_eq!(engine.loads(), &loads);
-        assert_eq!(engine.step_count(), 3);
+        }
     }
 
     #[test]
@@ -1147,6 +1028,11 @@ mod tests {
         fast.run(&mut bal, Run::new(3)).unwrap();
         assert_eq!(fast.monitor().unwrap().ledger().steps(), 3);
         assert_eq!(fast.monitor().unwrap().steps_observed(), 3);
+        // Every entry point feeds it, the range-split one included.
+        let runs = fast.vector_stats().runs;
+        fast.run_parallel(&bal, 4, 2).unwrap();
+        assert_eq!(fast.monitor().unwrap().steps_observed(), 7);
+        assert_eq!(fast.vector_stats().runs, runs);
     }
 
     #[test]

@@ -20,9 +20,11 @@
 //! monitor's own [`CumulativeLedger`] via
 //! [`CumulativeLedger::original_edge_spread`].
 //!
-//! The engine feeds the monitor from its reference round (see
-//! [`Path::Reference`](crate::Path::Reference)), after the whole round
-//! has validated: a rejected round leaves the monitor untouched.
+//! The engine feeds the monitor from the kernel's flow-buffer round,
+//! which every monitored run takes: each node's row is written into a
+//! staging buffer that [`Engine::attach_monitor`](crate::Engine::attach_monitor)
+//! allocates once, and the monitor observes it after the round's last
+//! node has validated, so a rejected round leaves the monitor untouched.
 
 use dlb_graph::BalancingGraph;
 

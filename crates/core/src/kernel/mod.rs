@@ -6,11 +6,9 @@
 //! [`KernelBalancer::kernel_node`]. [`Engine::run`](crate::Engine::run)
 //! reaches it through [`Balancer::as_kernel`]: the [`KernelRounds`]
 //! object it hands out runs rounds compiled for the concrete scheme
-//! type, so only the one call per run is dynamic. On
-//! [`Path::Reference`](crate::Path::Reference), or with a monitor
-//! attached, that is the engine's plain reference round; on
-//! [`Path::Auto`](crate::Path::Auto) it is the rounds of this module,
-//! which stream once over the CSR adjacency per round into a
+//! type, so only the one call per run is dynamic. Every round that
+//! does not take the whole-array [`vector`] layer is a round of this
+//! module, which streams once over the CSR adjacency per round into a
 //! double-buffered `Vec<i64>`.
 //!
 //! Each call picks one of two round bodies, once, in `run_rounds`:
@@ -38,13 +36,24 @@
 //!   fully; every other degree takes a reused `Vec<u64>` — and per
 //!   class check.
 //!
+//! [`Path::Reference`](crate::Path::Reference) runs, and every run with
+//! a [`FairnessMonitor`] attached, take the flow-buffer body on the
+//! any-degree buffer, never the closed-form gather or the vector
+//! layer. A monitored round writes each node's row into the monitor's
+//! `n·d⁺` staging buffer, allocated once by
+//! [`Engine::attach_monitor`](crate::Engine::attach_monitor), and the
+//! monitor observes the staged rows only after the round's last node
+//! has validated, so a rejected round leaves it untouched. The monitor
+//! is a flow-buffer type, chosen once per call like the degree, so the
+//! unmonitored rounds carry no trace of it.
+//!
 //! Loads are double-buffered per round: the kernel reads `x_t` from the
 //! front buffer and writes `x_{t+1}` to the back buffer, so a round
 //! that errors simply discards the back buffer — on error, loads are
 //! those after the last fully completed round, and the reported
 //! [`Overdraw`](crate::EngineError::Overdraw)/
 //! [`NegativeLoad`](crate::EngineError::NegativeLoad) carries the same
-//! step and node as the reference round reports.
+//! step and node on every path.
 //!
 //! The round loop is additionally monomorphised over an optional
 //! [`Workload`] **and** an optional [`TopologySchedule`]: every round
@@ -61,6 +70,7 @@ use dlb_graph::BalancingGraph;
 use dlb_obs::{Phase, Sink};
 use dlb_topology::TopologySchedule;
 
+use crate::fairness::FairnessMonitor;
 use crate::round::{PreRound, RoundState};
 use crate::workload::Workload;
 use crate::{Balancer, Engine, EngineError, Run};
@@ -76,11 +86,10 @@ pub mod vector;
 /// [`begin_round`](KernelBalancer::begin_round) once and then
 /// [`kernel_node`](KernelBalancer::kernel_node) for every node in
 /// ascending id order — zero loads included, and negative ones for a
-/// scheme that [may overdraw](Balancer::may_overdraw) — on both paths
-/// that call it, the engine's reference round and the flow-buffer round
-/// of this module. Per-node state (rotors, error accumulators, an RNG
-/// stream) therefore advances identically on both. A round stops at
-/// the first node whose flows are rejected, on both paths alike: state
+/// scheme that [may overdraw](Balancer::may_overdraw) — in the
+/// flow-buffer round of this module, the one round that calls them, on
+/// every path. A round stops at the first node whose flows are
+/// rejected: per-node state (rotors, error accumulators, an RNG stream)
 /// has advanced up to that node, and loads and graph are rolled back.
 ///
 /// Schemes whose flows are a closed form of the load alone also answer
@@ -166,6 +175,31 @@ pub(crate) struct KernelRun<'a, S: ?Sized, W: ?Sized> {
     pub schedule: Option<&'a mut S>,
     /// Load injection applied after the churn.
     pub workload: Option<&'a mut W>,
+    /// Take the flow-buffer body on the any-degree buffer
+    /// ([`Path::Reference`](crate::Path::Reference)).
+    pub reference: bool,
+    /// An attached monitor and its `n·d⁺` staging buffer; the run then
+    /// takes the flow-buffer body whatever `reference` says.
+    pub monitor: Option<(&'a mut FairnessMonitor, &'a mut [u64])>,
+}
+
+impl<'a, S: ?Sized, W: ?Sized> KernelRun<'a, S, W> {
+    /// `steps` rounds under `schedule` and `workload`, unmonitored, off
+    /// the reference path; the engine fills in `base_step`.
+    pub(crate) fn new(
+        steps: usize,
+        schedule: Option<&'a mut S>,
+        workload: Option<&'a mut W>,
+    ) -> Self {
+        KernelRun {
+            steps,
+            base_step: 0,
+            schedule,
+            workload,
+            reference: false,
+            monitor: None,
+        }
+    }
 }
 
 /// Counters a kernel run hands back to the engine, which folds them
@@ -186,7 +220,7 @@ pub(crate) struct KernelRunStats {
 ///
 /// `step` is the 1-based step the error would belong to.
 #[inline]
-pub(crate) fn validate_outflow(
+fn validate_outflow(
     flows: &[u64],
     d: usize,
     check: bool,
@@ -216,52 +250,62 @@ pub(crate) fn validate_outflow(
     Ok(orig)
 }
 
-/// A reusable per-node flow buffer; the two implementations are how the
-/// flow-buffer round is monomorphised per degree. For `[u64; DP]` the
-/// length is a compile-time constant, so the port loops in the round
-/// body unroll fully; `Vec<u64>` is the any-degree fallback.
+/// Where the flow-buffer round writes each node's flows; the
+/// implementations are how that round is monomorphised. For
+/// `[u64; DP]` the length is a compile-time constant, so the port loops
+/// in the round body unroll fully; `Vec<u64>` is the any-degree buffer,
+/// reused by every node; and a monitor with its `n·d⁺` staging buffer
+/// hands out node `u`'s own row and observes the round's rows once all
+/// of them have validated.
 trait FlowsBuf {
-    fn with_len(d_plus: usize) -> Self;
-    fn as_mut(&mut self) -> &mut [u64];
+    /// The `d⁺` entries node `u`'s flows are written into.
+    fn row(&mut self, u: usize, d_plus: usize) -> &mut [u64];
+    /// Runs after the round's last node has validated, with its loads
+    /// `x_t`.
+    #[inline]
+    fn observe(&mut self, gp: &BalancingGraph, loads: &[i64]) {
+        let _ = (gp, loads);
+    }
 }
 
 impl<const DP: usize> FlowsBuf for [u64; DP] {
     #[inline]
-    fn with_len(d_plus: usize) -> Self {
-        debug_assert_eq!(d_plus, DP);
-        [0; DP]
-    }
-    #[inline]
-    fn as_mut(&mut self) -> &mut [u64] {
+    fn row(&mut self, _: usize, _: usize) -> &mut [u64] {
         self
     }
 }
 
 impl FlowsBuf for Vec<u64> {
     #[inline]
-    fn with_len(d_plus: usize) -> Self {
-        vec![0; d_plus]
-    }
-    #[inline]
-    fn as_mut(&mut self) -> &mut [u64] {
+    fn row(&mut self, _: usize, _: usize) -> &mut [u64] {
         self
     }
 }
 
+impl FlowsBuf for (&mut FairnessMonitor, &mut [u64]) {
+    fn row(&mut self, u: usize, d_plus: usize) -> &mut [u64] {
+        &mut self.1[u * d_plus..(u + 1) * d_plus]
+    }
+    fn observe(&mut self, gp: &BalancingGraph, loads: &[i64]) {
+        self.0.observe(gp, loads, self.1);
+    }
+}
+
 /// Runs `steps` kernel rounds of `balancer` over `st.loads`, using
-/// `back` as the second half of the double buffer and `sends` as the
-/// closed-form round's send array (both of `st.loads.len()`; their
-/// contents on entry are irrelevant). Every round starts with the
-/// shared [`PreRound`] — mutate, inject, hand off, negative-check — and
-/// then streams the flows.
+/// `back` as the second half of the double buffer (of
+/// `st.loads.len()`; its contents on entry are irrelevant). Every
+/// round starts with the shared [`PreRound`] — mutate, inject, hand
+/// off, negative-check — and then streams the flows.
 ///
 /// This is where every kernel-path run picks its round body, once per
-/// call: a non-overdrawing balancer with a uniform closed form on the
-/// graph streams [`uniform_round`]; every other balancer streams
-/// [`flow_round`], monomorphised per total degree and class check. On
-/// return, every part of `st` — loads, negative count, graph and
-/// counters — holds the state after the last fully completed round (an
-/// erroring round is undone).
+/// call: a monitored or reference run streams [`flow_round`] on the
+/// monitor's staging buffer or the any-degree buffer; otherwise a
+/// non-overdrawing balancer with a uniform closed form on the graph
+/// streams [`uniform_round`], and every other balancer streams
+/// [`flow_round`], monomorphised per total degree. On return, every
+/// part of `st` — loads, negative count, graph and counters — holds the
+/// state after the last fully completed round (an erroring round is
+/// undone).
 ///
 /// The loop is monomorphised over the [`Sink`] too: the `NoopSink`
 /// instantiation (what the untraced entry points pass) folds every
@@ -271,9 +315,8 @@ impl FlowsBuf for Vec<u64> {
 pub(crate) fn run_rounds<K, S, W, Si>(
     st: RoundState<'_>,
     back: &mut [i64],
-    sends: &mut [i64],
     pre: &mut PreRound,
-    run: KernelRun<'_, S, W>,
+    mut run: KernelRun<'_, S, W>,
     balancer: &mut K,
     sink: &mut Si,
 ) -> (KernelRunStats, Option<EngineError>)
@@ -283,38 +326,46 @@ where
     W: Workload + ?Sized,
     Si: Sink,
 {
-    let check = !balancer.may_overdraw();
-    // Degrees never change within a run (topology events swap edges
-    // and permute ports), so the spec holds for every round.
-    if let Some(spec) = balancer.uniform_kernel(st.gp).filter(|_| check) {
-        let rule = SendRule::new(spec, st.gp.degree_plus());
-        return drive(st, back, pre, run, true, sink, |gp, cur, next, _, _| {
-            uniform_round(gp, rule, cur, sends, next);
-            Ok(())
-        });
+    let d_plus = st.gp.degree_plus();
+    if let Some(staged) = run.monitor.take() {
+        return flows_impl(st, back, pre, run, balancer, sink, staged);
     }
-    match st.gp.degree_plus() {
-        2 => flows_impl::<_, [u64; 2], S, W, Si>(st, back, pre, run, check, balancer, sink),
-        4 => flows_impl::<_, [u64; 4], S, W, Si>(st, back, pre, run, check, balancer, sink),
-        6 => flows_impl::<_, [u64; 6], S, W, Si>(st, back, pre, run, check, balancer, sink),
-        8 => flows_impl::<_, [u64; 8], S, W, Si>(st, back, pre, run, check, balancer, sink),
-        _ => flows_impl::<_, Vec<u64>, S, W, Si>(st, back, pre, run, check, balancer, sink),
+    if !run.reference {
+        // Degrees never change within a run (topology events swap
+        // edges and permute ports), so the spec holds for every round.
+        let spec = balancer.uniform_kernel(st.gp);
+        if let Some(spec) = spec.filter(|_| !balancer.may_overdraw()) {
+            let rule = SendRule::new(spec, d_plus);
+            let mut sends = vec![0; back.len()];
+            return drive(st, back, pre, run, true, sink, |gp, cur, next, _, _| {
+                uniform_round(gp, rule, cur, &mut sends, next);
+                Ok(())
+            });
+        }
+        match d_plus {
+            2 => return flows_impl(st, back, pre, run, balancer, sink, [0u64; 2]),
+            4 => return flows_impl(st, back, pre, run, balancer, sink, [0u64; 4]),
+            6 => return flows_impl(st, back, pre, run, balancer, sink, [0u64; 6]),
+            8 => return flows_impl(st, back, pre, run, balancer, sink, [0u64; 8]),
+            _ => {}
+        }
     }
+    flows_impl(st, back, pre, run, balancer, sink, vec![0u64; d_plus])
 }
 
-/// Drives [`flow_round`] with a flow buffer `B` and the class check as
-/// a constant. The non-overdrawing round (`CHECK = true`) keeps its
-/// writes free of negative bookkeeping (the invariant makes it dead
-/// weight), while the overdrawing round (`CHECK = false`) threads the
-/// incremental count through every write.
+/// Drives [`flow_round`] with the flow buffer `flows` and the class
+/// check as a constant. The non-overdrawing round (`CHECK = true`)
+/// keeps its writes free of negative bookkeeping (the invariant makes
+/// it dead weight), while the overdrawing round (`CHECK = false`)
+/// threads the incremental count through every write.
 fn flows_impl<K, B, S, W, Si>(
     st: RoundState<'_>,
     back: &mut [i64],
     pre: &mut PreRound,
     run: KernelRun<'_, S, W>,
-    check: bool,
     balancer: &mut K,
     sink: &mut Si,
+    mut flows: B,
 ) -> (KernelRunStats, Option<EngineError>)
 where
     K: KernelBalancer + ?Sized,
@@ -323,8 +374,7 @@ where
     W: Workload + ?Sized,
     Si: Sink,
 {
-    let mut flows = B::with_len(st.gp.degree_plus());
-    if check {
+    if !balancer.may_overdraw() {
         drive(
             st,
             back,
@@ -355,14 +405,14 @@ where
 /// schedule type and the workload type — so the
 /// `StaticTopology`/`NoWorkload` instantiation folds the churn and
 /// injection branches of the pre-round away and compiles to the
-/// closed-system loop. The engine's reference round runs in it too.
+/// closed-system loop.
 ///
 /// `stream(gp, x_t, x_{t+1}, negative, step)` writes the whole of
 /// `x_{t+1}` and keeps `negative` (the count over `x_t` on entry) in
 /// step with it; an `Err` rejects the round, which keeps nothing.
 /// Debug builds check that count against a full scan after every
 /// completed round.
-pub(crate) fn drive<S, W, Si, R>(
+fn drive<S, W, Si, R>(
     st: RoundState<'_>,
     back: &mut [i64],
     pre: &mut PreRound,
@@ -382,6 +432,7 @@ where
         base_step,
         mut schedule,
         mut workload,
+        ..
     } = run;
     let RoundState {
         gp,
@@ -494,7 +545,9 @@ fn uniform_round(
 /// The flow-buffer round: the scheme's per-round hook, then each
 /// node's `d⁺` port flows from `kernel_node`, validated (with `CHECK`)
 /// and applied as signed deltas to the node and its neighbours. An
-/// `Overdraw` rejects the round at the lowest offending node.
+/// `Overdraw` rejects the round at the lowest offending node; a round
+/// whose every node has validated is handed to
+/// [`FlowsBuf::observe`].
 #[inline]
 fn flow_round<K, B, const CHECK: bool>(
     gp: &BalancingGraph,
@@ -510,7 +563,7 @@ where
     B: FlowsBuf,
 {
     let graph = gp.graph();
-    let d = gp.degree();
+    let (d, d_plus) = (gp.degree(), gp.degree_plus());
     balancer.begin_round(gp, cur);
     next.copy_from_slice(cur);
     // Overdrawing schemes (`CHECK = false`) maintain the back buffer's
@@ -521,7 +574,7 @@ where
     // their writes carry no bookkeeping at all.
     let mut neg_next = *negative;
     for (u, &x) in cur.iter().enumerate() {
-        let fl = flows.as_mut();
+        let fl = flows.row(u, d_plus);
         balancer.kernel_node(gp, u, x, fl);
         let orig = validate_outflow(fl, d, CHECK, u, x, step_no)?;
         // Only tokens crossing an original edge move; self-loop and
@@ -552,10 +605,11 @@ where
         }
     }
     *negative = neg_next;
+    flows.observe(gp, cur);
     Ok(())
 }
 
-/// One round's rows of `scheme` at `loads`, as the reference round
+/// One round's rows of `scheme` at `loads`, as the flow-buffer round
 /// computes them — the per-round hook, then every node in id order —
 /// for the schemes' unit tests.
 #[cfg(test)]

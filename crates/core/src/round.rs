@@ -18,9 +18,9 @@
 //!    negative load.
 //!
 //! [`PreRound`] owns that sequence and its rollback for every
-//! execution path: the reference rounds and the streaming kernel rounds
-//! each call [`PreRound::run`], keep only their own flow computation,
-//! and call [`PreRound::undo`] when that computation rejects the
+//! execution path: the kernel's round loop, which runs every round
+//! body but the whole-array vector rounds, calls [`PreRound::run`]
+//! before the body and [`PreRound::undo`] when the body rejects the
 //! round — so on error loads, graph, negative count and cumulative
 //! counters are those after the last fully completed round on every
 //! path.

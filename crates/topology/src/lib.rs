@@ -201,9 +201,9 @@ impl TopologySchedule for StaticTopology {
 /// prefix is undone, `applied` is cleared, and the graph is exactly as
 /// it was on entry.
 ///
-/// This is the single application path shared by the reference round
-/// and the kernel rounds, so the execution paths cannot drift
-/// apart in how churn lands or rolls back.
+/// This is the single application path of every engine round, so the
+/// execution paths cannot drift apart in how churn lands or rolls
+/// back.
 ///
 /// # Errors
 ///

@@ -27,6 +27,13 @@
 //!   roll back its topology events on every path, not just its
 //!   injection.
 //!
+//! `Path::Auto` and `Path::Reference` share the kernel's flow-buffer
+//! round for every scheme without a closed form, so an independent
+//! oracle checks both: a naive scatter round written on the public
+//! `KernelBalancer` API alone (hook, rule per node, scatter over the
+//! neighbour lists, a fresh next-load vector per round), compared on
+//! static, closed runs of every scheme in the mix.
+//!
 //! Deterministic anchors pin what the spec-driven fuzz cannot reach:
 //! the bounded adversary inside a `Compose` (with its one scan per
 //! injecting round on every path) and an injection that overflows
@@ -551,6 +558,140 @@ proptest! {
             }
         }
     }
+}
+
+/// `steps` naive scatter rounds of `scheme` over `loads`, on the public
+/// `KernelBalancer` API alone: the pre-round negative check (for a
+/// non-overdrawing scheme), the per-round hook, then each node's rule
+/// into one row, rejected with `Overdraw` at the first node that sends
+/// more than it holds, and scattered over its neighbour list into a
+/// fresh next-load vector that replaces `loads` once the round is
+/// complete. Returns the completed rounds and the error that stopped
+/// the run.
+fn naive_rounds(
+    scheme: &mut dyn KernelBalancer,
+    gp: &BalancingGraph,
+    loads: &mut Vec<i64>,
+    steps: usize,
+) -> (usize, Option<EngineError>) {
+    let check = !scheme.may_overdraw();
+    let mut row = vec![0u64; gp.degree_plus()];
+    for step in 1..=steps {
+        if let Some(node) = loads.iter().position(|&x| check && x < 0) {
+            let load = loads[node];
+            return (
+                step - 1,
+                Some(EngineError::NegativeLoad { node, load, step }),
+            );
+        }
+        scheme.begin_round(gp, loads);
+        let mut next = loads.clone();
+        for (u, &load) in loads.iter().enumerate() {
+            scheme.kernel_node(gp, u, load, &mut row);
+            let planned: u64 = row.iter().sum();
+            if check && planned > load as u64 {
+                let err = EngineError::Overdraw {
+                    node: u,
+                    load,
+                    planned,
+                    step,
+                };
+                return (step - 1, Some(err));
+            }
+            for (&v, &f) in gp.graph().neighbors(u).iter().zip(&row) {
+                next[u] -= f as i64;
+                next[v as usize] += f as i64;
+            }
+        }
+        *loads = next;
+    }
+    (steps, None)
+}
+
+/// Runs every scheme of the mix on `gp` from `initial` for `steps`
+/// static, closed rounds through the naive scatter round,
+/// `Path::Auto` and `Path::Reference`, and asserts that all three end
+/// with the same loads, step count, rotor state and error. Returns the
+/// naive round's errors, scheme by scheme.
+fn assert_naive_oracle_agrees(
+    gp: &BalancingGraph,
+    initial: &LoadVector,
+    steps: usize,
+    tag: &str,
+) -> Vec<Option<EngineError>> {
+    let mut errors = Vec::new();
+    for scheme in SchemeId::ALL {
+        let d_self = gp.degree_plus() - gp.degree();
+        if scheme.self_loops(gp.degree(), d_self) != d_self {
+            continue;
+        }
+        let mut inst = Instance::build(scheme, gp, None);
+        let mut loads = initial.as_slice().to_vec();
+        let (done, error) = naive_rounds(inst.kernel(), gp, &mut loads, steps);
+        let naive = (loads, done, inst.rotors(), error.clone());
+        for path in [Path::Auto, Path::Reference] {
+            let mut inst = Instance::build(scheme, gp, None);
+            let mut engine = Engine::new(gp.clone(), initial.clone());
+            let run = Run {
+                path,
+                ..Run::new(steps)
+            };
+            let error = engine.run(inst.kernel(), run).err();
+            let loads = engine.loads().as_slice().to_vec();
+            let got = (loads, engine.step_count(), inst.rotors(), error);
+            assert_eq!(got, naive, "{scheme:?} on {path:?} at {tag}");
+        }
+        errors.push(error);
+    }
+    errors
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The independent oracle: on static, closed runs, the naive
+    /// scatter round and both engine paths agree for every scheme in
+    /// the mix — loads, rotors and, on a negative seed or an overdraw,
+    /// the exact error.
+    #[test]
+    fn naive_scatter_round_agrees_with_both_paths(
+        graph_idx in 0usize..5,
+        loops_idx in 0usize..4,
+        pattern in proptest::collection::vec(-20i64..120, 4..12),
+        steps in 1usize..30,
+    ) {
+        let (gname, graph) = graph_for(graph_idx);
+        let (n, d) = (graph.num_nodes(), graph.degree());
+        let d_self = [0, 1, d, d + 1][loops_idx];
+        let gp = BalancingGraph::with_self_loops(graph, d_self).unwrap();
+        let loads: Vec<i64> = pattern.iter().copied().cycle().take(n).collect();
+        let tag = format!("{gname}+{d_self}, {steps} steps from {pattern:?}");
+        assert_naive_oracle_agrees(&gp, &LoadVector::new(loads), steps, &tag);
+    }
+}
+
+/// The oracle's error paths are reached, not just coded: a negative
+/// seed stops every non-overdrawing scheme at step 1, and a node
+/// holding fewer than three tokens makes the constant-rate sender
+/// overdraw — identically on the naive round and both paths.
+#[test]
+fn naive_scatter_round_reports_the_same_errors() {
+    let gp = BalancingGraph::lazy(generators::cycle(8).unwrap());
+    let seeded = LoadVector::new(vec![9, 4, -2, 7, 0, 5, 5, 5]);
+    let errors = assert_naive_oracle_agrees(&gp, &seeded, 5, "negative seed");
+    assert!(errors.contains(&Some(EngineError::NegativeLoad {
+        node: 2,
+        load: -2,
+        step: 1
+    })));
+    let thin = LoadVector::new(vec![9, 2, 6, 7, 0, 5, 5, 5]);
+    let errors = assert_naive_oracle_agrees(&gp, &thin, 5, "thin node");
+    assert!(errors.contains(&Some(EngineError::Overdraw {
+        node: 1,
+        load: 2,
+        planned: 3,
+        step: 1
+    })));
 }
 
 /// A deterministic anchor for the fuzzed property: the unclamped drain

@@ -44,10 +44,16 @@
 //! * **pre-round** — one module owns a round's dynamics and rollback:
 //!   outside `#[cfg(test)]`, only `crates/core/src/round.rs` may call
 //!   `drive_events`, `undo_events`, `handoff_deltas` or the workload's
-//!   `inject` anywhere in `crates/core/src`. The reference and kernel
-//!   round drivers call that module instead, so the
+//!   `inject` anywhere in `crates/core/src`. The kernel's round loop
+//!   calls that module instead, so the
 //!   mutate → inject → handoff → negative-check → rollback sequence
 //!   cannot drift back into two copies.
+//! * **flow-body** — one round drives a scheme's rule: outside
+//!   `#[cfg(test)]`, only `crates/core/src/kernel/mod.rs` may call
+//!   `kernel_node` or `begin_round` anywhere in `crates/core/src`.
+//!   Every path that applies a scheme's flows — reference, monitored
+//!   and kernel rounds alike — runs the kernel's flow-buffer round, so
+//!   a second loop over the rule cannot grow back beside it.
 //!
 //! Test regions (`#[cfg(test)]` modules) and comments are masked out
 //! before linting, so tests may unwrap and assert freely. The masking
@@ -91,6 +97,9 @@ pub enum LintClass {
     MetricRegistry,
     /// A pre-round primitive called outside the pre-round module.
     PreRound,
+    /// A scheme's per-node rule or per-round hook called outside the
+    /// kernel module.
+    FlowBody,
     /// Allowlist entry that no longer matches anything.
     StaleAllow,
 }
@@ -108,6 +117,7 @@ impl LintClass {
             LintClass::UnsafeCode => "unsafe-code",
             LintClass::MetricRegistry => "metric-registry",
             LintClass::PreRound => "pre-round",
+            LintClass::FlowBody => "flow-body",
             LintClass::StaleAllow => "stale-allow",
         }
     }
@@ -122,6 +132,7 @@ impl LintClass {
             "unsafe-code" => Some(LintClass::UnsafeCode),
             "metric-registry" => Some(LintClass::MetricRegistry),
             "pre-round" => Some(LintClass::PreRound),
+            "flow-body" => Some(LintClass::FlowBody),
             _ => None,
         }
     }
@@ -339,6 +350,13 @@ const PRE_ROUND_PRIMITIVES: [&str; 4] = ["drive_events", "undo_events", "handoff
 /// The one file in `crates/core/src` allowed to call them.
 const PRE_ROUND_MODULE: &str = "crates/core/src/round.rs";
 
+/// A scheme's per-node rule and per-round hook, which only the flow
+/// body may call.
+const FLOW_BODY_CALLS: [&str; 2] = ["kernel_node", "begin_round"];
+
+/// The one file in `crates/core/src` allowed to call them.
+const FLOW_BODY_MODULE: &str = "crates/core/src/kernel/mod.rs";
+
 /// Whether the masked line names `ident` as a whole identifier other
 /// than in its own `fn` definition (a trait's default method body is
 /// a definition, not a call).
@@ -476,6 +494,22 @@ pub fn lint_source(rel: &str, source: &str) -> Vec<Violation> {
                         "`{name}` belongs to the pre-round — call \
                          {PRE_ROUND_MODULE} instead of re-implementing a \
                          round's dynamics or rollback: `{}`",
+                        excerpt(raw[i])
+                    ),
+                });
+            }
+        }
+
+        if in_core && rel != FLOW_BODY_MODULE {
+            if let Some(name) = FLOW_BODY_CALLS.iter().find(|name| uses_ident(line, name)) {
+                out.push(Violation {
+                    class: LintClass::FlowBody,
+                    file: rel.to_string(),
+                    line: lineno,
+                    message: format!(
+                        "`{name}` belongs to the flow body — run the round \
+                         through {FLOW_BODY_MODULE} instead of looping over a \
+                         scheme's rule a second time: `{}`",
                         excerpt(raw[i])
                     ),
                 });
@@ -867,6 +901,48 @@ mod tests {
         assert!(lint_source("crates/core/src/engine.rs", other).is_empty());
         let in_test = "#[cfg(test)]\nmod tests {\n    fn t() { handoff_deltas(g, l, d); }\n}\n";
         assert!(lint_source("crates/core/src/engine.rs", in_test).is_empty());
+    }
+
+    #[test]
+    fn flow_body_lint_keeps_the_rule_in_the_kernel() {
+        // Seeded violations: a second round driver calling the rule or
+        // the hook outside the kernel module.
+        let calls = [
+            "fn f() { balancer.kernel_node(gp, u, x, &mut row); }\n",
+            "fn f() { balancer.begin_round(gp, cur); }\n",
+            "fn f() { KernelBalancer::kernel_node(&mut b, gp, 0, 1, r); }\n",
+        ];
+        for bad in calls {
+            for file in [
+                "crates/core/src/engine.rs",
+                "crates/core/src/schemes/rotor.rs",
+            ] {
+                assert_eq!(
+                    classes(&lint_source(file, bad)),
+                    vec![LintClass::FlowBody],
+                    "{file}: {bad}"
+                );
+            }
+            // The kernel module itself, and code outside crates/core,
+            // may call them.
+            assert!(lint_source("crates/core/src/kernel/mod.rs", bad).is_empty());
+            assert!(lint_source("crates/bounds/src/fixed_flow.rs", bad).is_empty());
+        }
+
+        // A definition is not a call: every scheme defines the rule,
+        // and the trait's default body defines the hook.
+        let def = "impl KernelBalancer for S {\n    \
+                   fn kernel_node(&mut self, gp: &G, u: usize) {}\n    \
+                   fn begin_round(&mut self, gp: &G, l: &[i64]) {}\n}\n";
+        assert!(lint_source("crates/core/src/schemes/send.rs", def).is_empty());
+
+        // Longer identifiers, comments, strings and tests are not uses.
+        let other = "fn f() { my_kernel_node(); begin_rounds(); }\n\
+                     // kernel_node(gp, u, x, row) lives in kernel/mod.rs\n\
+                     fn g() -> &'static str { \"begin_round(gp, x)\" }\n";
+        assert!(lint_source("crates/core/src/engine.rs", other).is_empty());
+        let in_test = "#[cfg(test)]\nmod tests {\n    fn t() { s.kernel_node(g, 0, 1, r); }\n}\n";
+        assert!(lint_source("crates/core/src/schemes/send.rs", in_test).is_empty());
     }
 
     #[test]
